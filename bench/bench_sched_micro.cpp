@@ -21,9 +21,9 @@
 //                   headroom; ci.sh additionally gates 64 GPUs at 1.0,
 //                   where MICCO's data-centric tiers beat Groute's
 //                   all-device scan outright);
-//                 * tuner speedup at 4 threads below 1.0 (below 0.9 on
-//                   hosts with fewer than 4 cores, where the lane cap
-//                   serialises the sweep and only overhead is measurable).
+//                 * tuner speedup at 4 threads below 1.0; skipped (and
+//                   recorded as such) on hosts with fewer than 4 hardware
+//                   threads, where the lane cap serialises the sweep.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -223,22 +223,31 @@ int run(const CliArgs& args) {
                    ratio, gate_max_ratio);
       gate_failed = true;
     }
-    // Below 4 cores the lane cap serialises the 4-thread row, so only the
-    // cap's own overhead is measurable; 0.9 bounds that overhead at 10 %.
+    // Below 4 cores the lane cap serialises the 4-thread row, so the
+    // speedup measures only noise and the check is skipped.
     const unsigned hw = std::thread::hardware_concurrency();
-    const double min_speedup = hw >= 4 ? 1.0 : 0.9;
-    report.set("gate_min_speedup_4t", min_speedup);
-    if (speedup_4t < min_speedup) {
-      std::fprintf(stderr,
-                   "GATE FAIL: tuner speedup at 4 threads %.3f below %.3f "
-                   "(thread scaling regressed)\n",
-                   speedup_4t, min_speedup);
-      gate_failed = true;
+    constexpr double kMinSpeedup = 1.0;
+    obs::JsonValue speedup_gate = obs::JsonValue::object();
+    speedup_gate.set("hardware_threads", static_cast<std::int64_t>(hw));
+    if (hw >= 4) {
+      speedup_gate.set("status", "checked");
+      speedup_gate.set("min_speedup", kMinSpeedup);
+      if (speedup_4t < kMinSpeedup) {
+        std::fprintf(stderr,
+                     "GATE FAIL: tuner speedup at 4 threads %.3f below %.3f "
+                     "(thread scaling regressed)\n",
+                     speedup_4t, kMinSpeedup);
+        gate_failed = true;
+      }
+    } else {
+      speedup_gate.set("status", "skipped");
+      std::printf("4-thread speedup check skipped: %u hardware threads\n",
+                  hw);
     }
+    report.set("gate_speedup_4t", std::move(speedup_gate));
     if (!gate_failed) {
-      std::printf("gate passed: ratio %.3f <= %.3f, 4-thread speedup "
-                  "%.3f >= %.3f\n",
-                  ratio, gate_max_ratio, speedup_4t, min_speedup);
+      std::printf("gate passed: ratio %.3f <= %.3f, 4-thread speedup %.3f\n",
+                  ratio, gate_max_ratio, speedup_4t);
     }
   }
 

@@ -107,6 +107,8 @@ int run(const CliArgs& args) {
       static_cast<int>(args.get_int("tenants", smoke ? 2 : 4));
   const int jobs = static_cast<int>(args.get_int("jobs", smoke ? 4 : 25));
   const std::string out = args.get("out", "BENCH_service.json");
+  const std::string journal = args.get("journal", "");
+  const std::string fsync_name = args.get("journal-fsync", "always");
   warn_unused(args);
   print_header("Service Throughput & Queue Latency", "daemon closed loop");
 
@@ -124,8 +126,7 @@ int run(const CliArgs& args) {
   config.admission.max_queue_per_tenant = static_cast<std::size_t>(jobs) + 1;
   config.admission.max_queued_total =
       static_cast<std::size_t>(tenants) * static_cast<std::size_t>(jobs) + 1;
-  config.journal.path = args.get("journal", "");
-  const std::string fsync_name = args.get("journal-fsync", "always");
+  config.journal.path = journal;
   if (const auto policy = service::parse_fsync_policy(fsync_name)) {
     config.journal.fsync = *policy;
   } else {

@@ -23,7 +23,10 @@
 # reuse-distance must not pay more eviction-caused transfer bytes than LRU
 # on f0d2/f0d4), the
 # Release-mode tracing-overhead gate (bench_overhead --gate: full tracing
-# must cost < 2 % end to end), and — when LLVM tooling is on
+# must cost < 2 % end to end), the end-to-end benchmark smoke
+# (perfbench/run.py --smoke: every workload in both modes with all of its
+# correctness checks, including the bit-identical reference run), and — when
+# LLVM tooling is on
 # PATH — a clang-tidy pass over the compilation database plus a Clang build
 # with -Werror=thread-safety checking the MICCO_GUARDED_BY/REQUIRES
 # annotations (both skip with a notice on GCC-only hosts).
@@ -35,6 +38,7 @@ BUILD_DIR="${1:-build-ci}"
 SAN_BUILD_DIR="${BUILD_DIR}-asan"
 TSAN_BUILD_DIR="${BUILD_DIR}-tsan"
 REL_BUILD_DIR="${BUILD_DIR}-rel"
+PERFBENCH_BUILD_DIR="${BUILD_DIR}-perfbench"
 CLANG_BUILD_DIR="${BUILD_DIR}-clang"
 
 echo "== configure (${BUILD_DIR}, Debug, -Wall -Wextra -Werror, lock ranks) =="
@@ -264,7 +268,8 @@ echo "== bench_sched_micro gate (Release) =="
 # Groute/MICCO decisions-per-sec ratio regresses past the checked-in
 # threshold (1.8 at 8 GPUs — measured ~1.5 after the incremental scheduler,
 # plus headroom), or if the tuner's 4-thread speedup drops below 1.0
-# (0.9 on sub-4-core runners; see bench_sched_micro.cpp). BENCH_sched.json
+# (skipped and recorded as such on runners with fewer than 4 hardware
+# threads; see bench_sched_micro.cpp). BENCH_sched.json
 # is refreshed on every run so the tracked numbers never go stale silently.
 "${REL_BUILD_DIR}/bench/bench_sched_micro" --smoke --gate \
   --out="BENCH_sched.json"
@@ -290,6 +295,15 @@ echo "== tracing overhead gate (Release) =="
 # Exits non-zero when full tracing (spans + decision-latency scratch) costs
 # more than 2 % of end-to-end run time (DESIGN.md §7).
 "${REL_BUILD_DIR}/bench/bench_overhead" --gate --gpus=4
+
+echo "== end-to-end benchmark smoke (Release) =="
+# Every perfbench workload in both modes on a short window. The numbers are
+# not gated here; the run fails on any correctness check: stream structure,
+# FLOP and operand accounting, a model file or reference run that differs
+# across set-ups, simulated metrics that are not bit-identical across
+# repetitions, and daemon results that differ from offline runs. perfbench
+# builds its own Release tree.
+CARGO_TARGET_DIR="${PERFBENCH_BUILD_DIR}" python3 perfbench/run.py --smoke
 
 echo "== clang-tidy =="
 if command -v clang-tidy >/dev/null 2>&1; then

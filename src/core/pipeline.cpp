@@ -114,8 +114,11 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
   };
   // Lineage map: the task that produced each intermediate, so tensors lost
   // with a device can be recomputed from surviving inputs (their operands
-  // are either host-staged originals or themselves recoverable).
+  // are either host-staged originals or themselves recoverable). Filled
+  // only under a fault injector: without one no device can fail, so the
+  // map would never be read.
   std::unordered_map<TensorId, ContractionTask> producers;
+  const bool record_lineage = injector.has_value();
   std::int64_t vector_index = -1;
 
   // Builds the recovery work list for one device loss: producers of the
@@ -212,7 +215,7 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
       const ExecuteResult exec = sim.execute(item.task, dev);
       switch (exec.outcome) {
         case TaskOutcome::kCompleted:
-          producers[item.task.out.id] = item.task;
+          if (record_lineage) producers[item.task.out.id] = item.task;
           break;
         case TaskOutcome::kDeviceFailed: {
           scheduler.on_device_failure(dev, sim);

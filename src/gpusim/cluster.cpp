@@ -92,8 +92,7 @@ bool ClusterSimulator::resident_anywhere(TensorId id) const {
 bool ClusterSimulator::host_resident(TensorId id) const {
   // Originals are staged in host memory by the frontend; intermediates
   // gain a host copy only via eviction write-back.
-  if (!produced_.contains(id)) return true;
-  return host_copies_.contains(id);
+  return index_.host_resident(id);
 }
 
 void ClusterSimulator::index_add(TensorId id, DeviceId dev) {
@@ -214,7 +213,7 @@ std::optional<double> ClusterSimulator::make_room(DeviceId dev,
     metrics_.writeback_bytes += ev->bytes;
     cost += cost_model_.d2h_time(ev->bytes);
     if (ev->dirty) ++metrics_.dirty_evictions;
-    if (produced_.contains(ev->id)) host_copies_.insert(ev->id);
+    index_.note_writeback(ev->id);
     if (observing()) {
       double age = 0.0;
       if (telemetry_ != nullptr) {
@@ -530,7 +529,7 @@ ExecuteResult ClusterSimulator::execute_impl(const ContractionTask& task,
   }
 
   unpin_held();
-  produced_.insert(task.out.id);
+  index_.mark_produced(task.out.id);
 
   d.work_s += copy_cost + kernel_cost;
   metrics_.total_flops += task.flops();
@@ -564,8 +563,7 @@ std::vector<TensorId> ClusterSimulator::fail_device(DeviceId dev,
   // for the recovery path's determinism contract.
   std::vector<TensorId> lost;
   for (const TensorId id : resident) {
-    if (produced_.contains(id) && !host_copies_.contains(id) &&
-        !resident_anywhere(id)) {
+    if (!index_.host_resident(id) && !resident_anywhere(id)) {
       lost.push_back(id);
     }
   }

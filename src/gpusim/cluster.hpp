@@ -401,12 +401,9 @@ class ClusterSimulator final : public ClusterView {
   std::vector<DeviceState> devices_;
   /// Incremental residency/load/headroom index, maintained as deltas by
   /// index_add/index_remove and sync_device_mirror (replaces the old
-  /// residency hash map; holders keep the same insertion order).
+  /// residency hash map; holders keep the same insertion order). It also
+  /// carries each tensor's produced/host-copy bits (host_resident()).
   ClusterIndex index_;
-  /// Tensors ever produced by a kernel (everything else is an original).
-  std::unordered_set<TensorId> produced_;
-  /// Produced tensors with a live host copy (eviction write-backs).
-  std::unordered_set<TensorId> host_copies_;
   ExecutionMetrics metrics_;
   TraceRecorder* trace_ = nullptr;
   obs::Telemetry* telemetry_ = nullptr;

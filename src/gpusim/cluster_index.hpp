@@ -18,6 +18,9 @@
 //   * Per-device SoA mirrors: busy time, memory used/capacity and an alive
 //     bitmask in parallel flat arrays, so candidate selection runs
 //     branch-light over contiguous doubles instead of virtual calls.
+//   * Per-tensor host-copy bits: whether a kernel produced the tensor and
+//     whether an eviction wrote it back, which together say whether a host
+//     copy exists (the fetch invariant and lost-tensor accounting).
 //
 // The index stores ids densely (TensorIds are assigned sequentially from 0
 // by every generator) with a hash-map spill for pathological ids, and is
@@ -53,6 +56,11 @@ class ClusterIndex {
     /// numGPU <= 64 case stays allocation-free), further words spilled.
     std::uint64_t mask0 = 0;
     std::vector<std::uint64_t> mask_ext;
+    /// A kernel produced this tensor (otherwise it is a host-staged
+    /// original), and an eviction has since written a copy back to the
+    /// host. Both stay set for the rest of the run.
+    bool produced = false;
+    bool host_copy = false;
 
     bool holds(DeviceId dev) const {
       const auto bit = static_cast<std::size_t>(dev);
@@ -103,6 +111,24 @@ class ClusterIndex {
   /// Total residency changes ever applied; also the largest epoch issued.
   /// Exported as the cluster.index.epoch_bumps counter.
   std::uint64_t epoch_bumps() const { return global_epoch_; }
+
+  // -- Host copies (read by the simulator's fetch and failure paths) -----
+  /// Records that a kernel produced `id`.
+  void mark_produced(TensorId id) { entry(id).produced = true; }
+
+  /// Records an eviction write-back of `id`: a produced tensor gains a host
+  /// copy (originals always had one).
+  void note_writeback(TensorId id) {
+    Residency& res = entry(id);
+    res.host_copy = res.host_copy || res.produced;
+  }
+
+  /// True when a host copy of `id` exists: originals always, produced
+  /// tensors only after a write-back.
+  bool host_resident(TensorId id) const {
+    const Residency* res = find(id);
+    return res == nullptr || !res->produced || res->host_copy;
+  }
 
   // -- Per-device mirrors (synced by the owning cluster) ------------------
   void set_busy(DeviceId dev, double busy_s) {

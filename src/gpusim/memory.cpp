@@ -1,122 +1,153 @@
 #include "gpusim/memory.hpp"
 
 #include <algorithm>
-
-#include "common/assert.hpp"
+#include <bit>
 
 namespace micco {
+
+namespace {
+
+/// Smallest id table; the table doubles whenever it would pass half full.
+constexpr std::size_t kMinBuckets = 16;
+
+}  // namespace
 
 DeviceMemory::DeviceMemory(std::uint64_t capacity_bytes)
     : capacity_(capacity_bytes) {
   MICCO_EXPECTS(capacity_bytes > 0);
 }
 
-DeviceMemory::DeviceMemory(const DeviceMemory& other)
-    : capacity_(other.capacity_), used_(other.used_), lru_(other.lru_) {
-  // Entries must point into OUR list, not the source's.
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    Entry entry = other.entries_.at(*it);
-    entry.lru_pos = it;
-    entries_.emplace(*it, entry);
-  }
-}
-
-DeviceMemory& DeviceMemory::operator=(const DeviceMemory& other) {
-  if (this == &other) return *this;
-  DeviceMemory copy(other);
-  capacity_ = copy.capacity_;
-  used_ = copy.used_;
-  lru_ = std::move(copy.lru_);
-  entries_ = std::move(copy.entries_);
-  return *this;
+std::size_t DeviceMemory::occupied_bucket(TensorId id,
+                                          const char* violation) const {
+  const std::size_t b = buckets_.empty() ? 0 : probe(id);
+  MICCO_EXPECTS_MSG(!buckets_.empty() && buckets_[b].slot != kNoSlot,
+                    violation);
+  return b;
 }
 
 void DeviceMemory::allocate(TensorId id, std::uint64_t bytes, bool dirty) {
-  MICCO_EXPECTS_MSG(!resident(id), "double allocation of a tensor");
+  if (2 * (count_ + 1) > buckets_.size()) grow_table();
+  const std::size_t b = probe(id);
+  MICCO_EXPECTS_MSG(buckets_[b].slot == kNoSlot,
+                    "double allocation of a tensor");
   MICCO_EXPECTS_MSG(fits(bytes), "allocate() requires prior eviction");
-  lru_.push_back(id);
-  Entry entry;
-  entry.bytes = bytes;
-  entry.dirty = dirty;
-  entry.pinned = false;
-  entry.lru_pos = std::prev(lru_.end());
-  entries_.emplace(id, entry);
+  std::uint32_t slot = free_head_;
+  if (slot != kNoSlot) {
+    free_head_ = slots_[slot].next;
+  } else {
+    MICCO_ASSERT(slots_.size() < kNoSlot);
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  Node& node = slots_[slot];
+  node.id = id;
+  node.bytes = bytes;
+  node.dirty = dirty;
+  node.pinned = false;
+  link_back(slot);
+  buckets_[b] = Bucket{id, slot};
   used_ += bytes;
+  ++count_;
 }
 
 void DeviceMemory::release(TensorId id) {
-  const auto it = entries_.find(id);
-  MICCO_EXPECTS_MSG(it != entries_.end(), "release of a non-resident tensor");
-  used_ -= it->second.bytes;
-  lru_.erase(it->second.lru_pos);
-  entries_.erase(it);
+  (void)remove_at(occupied_bucket(id, "release of a non-resident tensor"));
 }
 
 void DeviceMemory::touch(TensorId id) {
-  const auto it = entries_.find(id);
-  MICCO_EXPECTS_MSG(it != entries_.end(), "touch of a non-resident tensor");
-  lru_.erase(it->second.lru_pos);
-  lru_.push_back(id);
-  it->second.lru_pos = std::prev(lru_.end());
-}
-
-void DeviceMemory::set_dirty(TensorId id, bool dirty) {
-  const auto it = entries_.find(id);
-  MICCO_EXPECTS(it != entries_.end());
-  it->second.dirty = dirty;
-}
-
-bool DeviceMemory::is_dirty(TensorId id) const {
-  const auto it = entries_.find(id);
-  MICCO_EXPECTS(it != entries_.end());
-  return it->second.dirty;
-}
-
-void DeviceMemory::pin(TensorId id) {
-  const auto it = entries_.find(id);
-  MICCO_EXPECTS(it != entries_.end());
-  it->second.pinned = true;
-}
-
-void DeviceMemory::unpin(TensorId id) {
-  const auto it = entries_.find(id);
-  MICCO_EXPECTS(it != entries_.end());
-  it->second.pinned = false;
+  const std::uint32_t slot =
+      buckets_[occupied_bucket(id, "touch of a non-resident tensor")].slot;
+  if (slot == tail_) return;
+  unlink(slot);
+  link_back(slot);
 }
 
 std::optional<Eviction> DeviceMemory::evict_lru() {
-  for (const TensorId id : lru_) {
-    const Entry& entry = entries_.at(id);
-    if (entry.pinned) continue;
-    Eviction ev{id, entry.bytes, entry.dirty};
-    release(id);
-    return ev;
+  for (std::uint32_t slot = head_; slot != kNoSlot; slot = slots_[slot].next) {
+    if (!slots_[slot].pinned) return remove_at(probe(slots_[slot].id));
   }
   return std::nullopt;
 }
 
 Eviction DeviceMemory::evict(TensorId id) {
-  const auto it = entries_.find(id);
-  MICCO_EXPECTS_MSG(it != entries_.end(), "eviction of a non-resident tensor");
-  MICCO_EXPECTS_MSG(!it->second.pinned, "eviction of a pinned tensor");
-  Eviction ev{id, it->second.bytes, it->second.dirty};
-  release(id);
-  return ev;
+  const std::size_t b =
+      occupied_bucket(id, "eviction of a non-resident tensor");
+  MICCO_EXPECTS_MSG(!slots_[buckets_[b].slot].pinned,
+                    "eviction of a pinned tensor");
+  return remove_at(b);
 }
 
 std::vector<TensorId> DeviceMemory::resident_ids() const {
   std::vector<TensorId> ids;
-  ids.reserve(entries_.size());
-  // entries_ is a hash map; its iteration order is unspecified and must not
-  // escape this class (determinism gate, DESIGN.md §5e). Sorting here, at
-  // the emission point, keeps every consumer — failure-path lost-tensor
-  // accounting, residency rebuilds, tests — independent of hash layout.
-  for (const auto& [id, entry] : entries_) {
-    (void)entry;
-    ids.push_back(id);
-  }
+  ids.reserve(count_);
+  for (const TensorId id : lru_order()) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
   return ids;
+}
+
+Eviction DeviceMemory::remove_at(std::size_t b) {
+  const std::uint32_t slot = buckets_[b].slot;
+  Node& node = slots_[slot];
+  const Eviction ev{node.id, node.bytes, node.dirty};
+  erase_bucket(b);
+  unlink(slot);
+  node.next = free_head_;
+  free_head_ = slot;
+  used_ -= ev.bytes;
+  --count_;
+  return ev;
+}
+
+void DeviceMemory::grow_table() {
+  const std::size_t size =
+      buckets_.empty() ? kMinBuckets : 2 * buckets_.size();
+  std::vector<Bucket> old = std::exchange(buckets_, std::vector<Bucket>(size));
+  hash_shift_ = 64 - std::countr_zero(size);
+  for (const Bucket& bucket : old) {
+    if (bucket.slot != kNoSlot) buckets_[probe(bucket.id)] = bucket;
+  }
+}
+
+void DeviceMemory::erase_bucket(std::size_t hole) {
+  // Backward-shift deletion: pull later members of the probe run into the
+  // hole whenever the hole lies between their home bucket and where they
+  // sit, so every lookup still finds its id before the first empty bucket.
+  const std::size_t mask = buckets_.size() - 1;
+  for (std::size_t next = (hole + 1) & mask; buckets_[next].slot != kNoSlot;
+       next = (next + 1) & mask) {
+    const std::size_t home = home_bucket(buckets_[next].id);
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      buckets_[hole] = buckets_[next];
+      hole = next;
+    }
+  }
+  buckets_[hole].slot = kNoSlot;
+}
+
+void DeviceMemory::link_back(std::uint32_t slot) {
+  Node& node = slots_[slot];
+  node.prev = tail_;
+  node.next = kNoSlot;
+  if (tail_ != kNoSlot) {
+    slots_[tail_].next = slot;
+  } else {
+    head_ = slot;
+  }
+  tail_ = slot;
+}
+
+void DeviceMemory::unlink(std::uint32_t slot) {
+  const Node& node = slots_[slot];
+  if (node.prev != kNoSlot) {
+    slots_[node.prev].next = node.next;
+  } else {
+    head_ = node.next;
+  }
+  if (node.next != kNoSlot) {
+    slots_[node.next].prev = node.prev;
+  } else {
+    tail_ = node.prev;
+  }
 }
 
 }  // namespace micco

@@ -89,7 +89,11 @@ std::optional<RegressionTree::SplitChoice> RegressionTree::best_split(
       const double decrease = parent_sse - left_sse - right_sse;
 
       if (!best || decrease > best->score) {
-        best = SplitChoice{feature, 0.5 * (prev + curr), decrease};
+        // For adjacent doubles the midpoint can round up to `curr`, which
+        // would send order[k] left and apply a partition other than the one
+        // just scored; `prev` separates them exactly.
+        const double mid = 0.5 * (prev + curr);
+        best = SplitChoice{feature, mid < curr ? mid : prev, decrease};
       }
     }
   }

@@ -236,6 +236,24 @@ TEST(Cluster, EvictionCreatesHostCopyOfIntermediate) {
   EXPECT_TRUE(sim.resident_on(0, 2));
 }
 
+TEST(Cluster, WriteBackGivesHostCopyToSparseIdIntermediate) {
+  // Ids at or above 2^20 live in the residency index's sparse spill; the
+  // produced and host-copy bits must work there as in the dense table.
+  const TensorId big = (TensorId{1} << 20) + 7;
+  const std::uint64_t tensor_bytes = make_desc(0).bytes();
+  ClusterSimulator sim(small_cluster(1, 3 * tensor_bytes));
+  EXPECT_TRUE(sim.host_resident(big + 1));  // an original, never seen
+  sim.execute(make_task(0, 1, big), 0);
+  EXPECT_FALSE(sim.host_resident(big));  // produced, not yet written back
+  sim.execute(make_task(3, 4, 5), 0);  // evicts 0, 1 and the output
+  EXPECT_FALSE(sim.resident_anywhere(big));
+  EXPECT_GT(sim.metrics().dirty_evictions, 0u);
+  EXPECT_TRUE(sim.host_resident(big));  // written back on eviction
+  sim.execute(make_task(big, 5, 6), 0);  // refetched from the host copy
+  EXPECT_TRUE(sim.resident_on(0, big));
+  EXPECT_TRUE(sim.host_resident(big));
+}
+
 TEST(Cluster, FetchingDiscardedIntermediateAborts) {
   ClusterSimulator sim(small_cluster());
   sim.execute(make_task(0, 1, 2), 0);

@@ -148,6 +148,26 @@ TEST(RegressionTree, DeterministicForFixedSeed) {
   }
 }
 
+TEST(RegressionTree, SplitsBetweenAdjacentDoubles) {
+  // x = 1 + 2^-52 has an odd mantissa, so 0.5 * (x + nextafter(x)) rounds
+  // up to nextafter(x): a midpoint threshold would send both values left.
+  const double lo = std::nextafter(1.0, 2.0);
+  const double hi = std::nextafter(lo, 2.0);
+  ASSERT_EQ(0.5 * (lo + hi), hi);
+  const double low[1] = {lo};
+  const double high[1] = {hi};
+  Dataset d(1);
+  for (int i = 0; i < 4; ++i) {
+    d.add(low, 1.0);
+    d.add(high, 9.0);
+  }
+  RegressionTree tree;
+  tree.fit(d);
+  EXPECT_EQ(tree.node_count(), 3u);
+  EXPECT_DOUBLE_EQ(tree.predict(low), 1.0);
+  EXPECT_DOUBLE_EQ(tree.predict(high), 9.0);
+}
+
 TEST(RegressionTree, PredictBeforeFitAborts) {
   RegressionTree tree;
   const double probe[1] = {0.0};

@@ -186,6 +186,23 @@ TEST(Integration, EndToEndRegressionPipelineImprovesOrMatchesNaive) {
   EXPECT_GT(ratio, 0.95);  // never materially worse than naive
 }
 
+TEST(Integration, TunerCorpusSeed9Trains) {
+  // `micco train --seed=9` once aborted in the forest fit: its corpus holds
+  // adjacent doubles in a feature column, whose midpoint threshold split no
+  // samples off. The first 80 samples of that corpus already trip it.
+  TunerConfig tuner;
+  tuner.samples = 80;
+  tuner.batch = 32;
+  tuner.seed = 9;
+  const TuningData data = generate_tuning_data(tuner);
+  const TrainedBoundsModel trained = train_bounds_model(
+      data.samples, random_forest_factory(), "RandomForest", tuner.max_bound);
+  ASSERT_NE(trained.provider, nullptr);
+  for (const ml::Dataset& set : build_bound_datasets(data.samples)) {
+    random_forest_factory()()->fit(set);
+  }
+}
+
 TEST(Integration, RedstarWorkloadSchedulesOnCluster) {
   redstar::CorrelatorSpec spec = redstar::make_a1_rhopi();
   spec.time_slices = 4;
