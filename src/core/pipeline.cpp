@@ -1,7 +1,6 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <numeric>
 #include <unordered_map>
@@ -112,6 +111,11 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
     std::int64_t pair_index = -1;
     std::int64_t policy_pos = -1;
   };
+  // The pending work: queue[head..] in visit order. One queue serves every
+  // vector and recovery round, so its storage is reused across the run;
+  // recovery re-queues insert at the head, ahead of the vector's remainder.
+  std::vector<QueueItem> queue;
+  std::size_t head = 0;
   // Lineage map: the task that produced each intermediate, so tensors lost
   // with a device can be recomputed from surviving inputs (their operands
   // are either host-staged originals or themselves recoverable). Filled
@@ -169,18 +173,17 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
     }
   };
 
-  // Drains one work queue, absorbing device failures by re-enqueuing lost
+  // Drains the work queue, absorbing device failures by re-enqueuing lost
   // lineage plus the interrupted task. Returns false when the run cannot
   // continue (result.error is set).
-  const auto drain = [&](std::deque<QueueItem>& queue) {
-    while (!queue.empty()) {
+  const auto drain = [&] {
+    while (head < queue.size()) {
       if (sim.num_alive_devices() == 0) {
         result.error = "all devices failed; stream cannot complete";
         result.completed = false;
         return false;
       }
-      const QueueItem item = queue.front();
-      queue.pop_front();
+      const QueueItem item = queue[head++];
       // A re-queued task may already have run: a device that dies while
       // *re-executing* a producer puts the same task in the queue twice —
       // once as the interrupted pair, once via the lineage of its own
@@ -221,7 +224,8 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
           scheduler.on_device_failure(dev, sim);
           std::vector<QueueItem> requeue = recovery_items(exec.lost_tensors);
           requeue.push_back(item);  // the interrupted pair itself
-          queue.insert(queue.begin(), requeue.begin(), requeue.end());
+          queue.insert(queue.begin() + static_cast<std::ptrdiff_t>(head),
+                       requeue.begin(), requeue.end());
           note_recovery(dev, requeue.size());
           break;
         }
@@ -252,12 +256,12 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
         result.completed = false;
         return false;
       }
-      std::deque<QueueItem> queue;
       const std::vector<QueueItem> items =
           recovery_items(failures.lost_tensors);
-      queue.insert(queue.end(), items.begin(), items.end());
+      queue.assign(items.begin(), items.end());
+      head = 0;
       note_recovery(failures.devices.front(), items.size());
-      if (!drain(queue)) return false;
+      if (!drain()) return false;
       sim.barrier();
     }
     return true;
@@ -284,14 +288,15 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
     overhead_us += watch.elapsed_us();
     result.per_vector_characteristics.push_back(characteristics);
 
-    std::deque<QueueItem> queue;
+    queue.clear();
+    head = 0;
     std::int64_t policy_pos = 0;
     for (const std::size_t index : order) {
       queue.push_back(QueueItem{vec.tasks[index],
                                 static_cast<std::int64_t>(index),
                                 policy_pos++});
     }
-    if (!drain(queue)) break;
+    if (!drain()) break;
 
     watch.restart();
     scheduler.end_vector();

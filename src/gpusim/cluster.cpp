@@ -34,7 +34,7 @@ int ClusterSimulator::num_devices() const {
   return static_cast<int>(devices_.size());
 }
 
-const std::vector<DeviceId>& ClusterSimulator::devices_holding(
+std::span<const DeviceId> ClusterSimulator::devices_holding(
     TensorId id) const {
   return index_.holders(id);
 }
@@ -258,8 +258,8 @@ ClusterSimulator::FetchResult ClusterSimulator::fetch_operand(
 
   // Prefer a peer copy over the host link when a replica exists and P2P is
   // enabled; the source device's timeline is not charged (DMA engines).
-  // Reference stays valid: index_add for this fetch runs after the last read.
-  const std::vector<DeviceId>& holders = devices_holding(desc.id);
+  // The span stays valid: index_add for this fetch runs after the last read.
+  const std::span<const DeviceId> holders = devices_holding(desc.id);
   TraceEventKind fetch_kind;
   double transfer_cost = 0.0;
   if (config_.p2p_enabled && !holders.empty()) {
@@ -701,9 +701,11 @@ void ClusterSimulator::barrier() {
 }
 
 void ClusterSimulator::discard(TensorId id) {
-  // Copy: index_remove below edits the very entry the reference aliases.
-  const std::vector<DeviceId> holders = devices_holding(id);
-  for (const DeviceId dev : holders) {
+  // Releases holders front to back, in placement order. index_remove edits
+  // the list the span aliases, so the span is re-read after every removal.
+  for (std::span<const DeviceId> holders = devices_holding(id);
+       !holders.empty(); holders = devices_holding(id)) {
+    const DeviceId dev = holders.front();
     DeviceState& d = device(dev);
     d.memory.release(id);
     d.alloc_time.erase(id);

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -39,12 +40,12 @@ class ClusterView : public ResidencyOracle {
   virtual int num_devices() const = 0;
 
   /// Devices currently holding the tensor (unordered, possibly empty). The
-  /// returned reference aliases the residency index — valid only until the
-  /// next mutation of cluster state (execute, barrier, discard, failure);
+  /// returned span aliases the residency index — valid only until the next
+  /// mutation of cluster state (execute, barrier, discard, failure);
   /// schedulers read it within one decision and never hold it across calls.
-  /// Returning a reference keeps the decision hot path allocation-free
-  /// (a miss returns a shared static empty vector, not a fresh copy).
-  virtual const std::vector<DeviceId>& devices_holding(TensorId id) const = 0;
+  /// Returning a view keeps the decision hot path allocation-free (a miss
+  /// returns an empty span, not a fresh container).
+  virtual std::span<const DeviceId> devices_holding(TensorId id) const = 0;
 
   virtual bool resident_on(DeviceId dev, TensorId id) const = 0;
   virtual std::uint64_t memory_used(DeviceId dev) const = 0;
@@ -202,7 +203,7 @@ class ClusterSimulator final : public ClusterView {
 
   // -- ClusterView -----------------------------------------------------
   int num_devices() const override;
-  const std::vector<DeviceId>& devices_holding(TensorId id) const override;
+  std::span<const DeviceId> devices_holding(TensorId id) const override;
   bool resident_on(DeviceId dev, TensorId id) const override;
   std::uint64_t memory_used(DeviceId dev) const override;
   std::uint64_t memory_capacity(DeviceId dev) const override;

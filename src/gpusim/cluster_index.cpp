@@ -34,13 +34,39 @@ const ClusterIndex::Residency* ClusterIndex::find(TensorId id) const {
   return it == sparse_.end() ? nullptr : &it->second;
 }
 
-const std::vector<DeviceId>& ClusterIndex::holders(TensorId id) const {
-  // Shared empty result for misses: the common empty-miss case (fresh
-  // tensors) must not allocate — this sits on every scheduler's per-decision
-  // path.
-  static const std::vector<DeviceId> kNoHolders;
+std::span<const DeviceId> ClusterIndex::holders(TensorId id) const {
   const Residency* res = find(id);
-  return res == nullptr ? kNoHolders : res->holders;
+  return res == nullptr ? std::span<const DeviceId>{} : res->holders.span();
+}
+
+void ClusterIndex::HolderList::push_back(DeviceId dev) {
+  if (size_ < kInline) {
+    inline_[size_] = dev;
+  } else {
+    if (size_ == kInline) spill_.assign(inline_.begin(), inline_.end());
+    spill_.push_back(dev);
+  }
+  ++size_;
+}
+
+void ClusterIndex::HolderList::erase(DeviceId dev) {
+  if (!spilled()) {
+    DeviceId* const first = inline_.data();
+    DeviceId* const last = first + size_;
+    DeviceId* const pos = std::find(first, last, dev);
+    MICCO_ASSERT(pos != last);
+    std::copy(pos + 1, last, pos);
+    --size_;
+    return;
+  }
+  const auto pos = std::find(spill_.begin(), spill_.end(), dev);
+  MICCO_ASSERT(pos != spill_.end());
+  spill_.erase(pos);
+  --size_;
+  if (size_ == kInline) {
+    std::copy(spill_.begin(), spill_.end(), inline_.begin());
+    spill_ = std::vector<DeviceId>();  // back inline: free the heap block
+  }
 }
 
 void ClusterIndex::place(TensorId id, DeviceId dev) {
@@ -48,13 +74,7 @@ void ClusterIndex::place(TensorId id, DeviceId dev) {
   Residency& res = entry(id);
   MICCO_ASSERT(!res.holds(dev));
   res.holders.push_back(dev);
-  if (bit < 64) {
-    res.mask0 |= 1ULL << bit;
-  } else {
-    const std::size_t word = bit / 64 - 1;
-    if (word >= res.mask_ext.size()) res.mask_ext.resize(word + 1, 0);
-    res.mask_ext[word] |= 1ULL << (bit % 64);
-  }
+  if (bit < 64) res.mask0 |= 1ULL << bit;
   res.epoch = ++global_epoch_;
 }
 
@@ -62,14 +82,8 @@ void ClusterIndex::remove(TensorId id, DeviceId dev) {
   const auto bit = static_cast<std::size_t>(checked(dev));
   Residency& res = entry(id);
   MICCO_ASSERT(res.holds(dev));
-  const auto pos = std::find(res.holders.begin(), res.holders.end(), dev);
-  MICCO_ASSERT(pos != res.holders.end());
-  res.holders.erase(pos);
-  if (bit < 64) {
-    res.mask0 &= ~(1ULL << bit);
-  } else {
-    res.mask_ext[bit / 64 - 1] &= ~(1ULL << (bit % 64));
-  }
+  res.holders.erase(dev);
+  if (bit < 64) res.mask0 &= ~(1ULL << bit);
   res.epoch = ++global_epoch_;
 }
 

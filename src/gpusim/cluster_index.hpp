@@ -8,7 +8,8 @@
 // barrier, failure and discard):
 //
 //   * Per-tensor residency: the holder list in insertion order (candidate
-//     enumeration order is part of the decision-log byte-identity contract)
+//     enumeration order is part of the decision-log byte-identity contract;
+//     up to four holders inline, so placing a tensor allocates nothing)
 //     plus a device bitmask for O(1) membership tests, and a **residency
 //     epoch** stamped from a global monotonic counter on every place and
 //     remove. Anything derived from a tensor's holder set (the reuse-pattern
@@ -27,7 +28,9 @@
 // plain-copyable: the oracle clones whole simulators per candidate.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -41,6 +44,38 @@ constexpr DeviceId kNoDevice = -1;
 
 class ClusterIndex {
  public:
+  /// Holder devices of one tensor in insertion (placement) order. Up to
+  /// kInline ids live inline; placing a fifth replica moves the whole list
+  /// to the heap, and removals back down to kInline move it inline again
+  /// and free the block. The ids are always contiguous, so span() views
+  /// them in order either way. Copies are deep (defaulted members).
+  class HolderList {
+   public:
+    static constexpr std::size_t kInline = 4;
+
+    std::span<const DeviceId> span() const { return {data(), size_}; }
+    const DeviceId* begin() const { return data(); }
+    const DeviceId* end() const { return data() + size_; }
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    /// True while the ids live on the heap (more than kInline holders).
+    bool spilled() const { return size_ > kInline; }
+
+    void push_back(DeviceId dev);
+    /// Removes `dev` (must be present), keeping the others' order.
+    void erase(DeviceId dev);
+
+   private:
+    const DeviceId* data() const {
+      return spilled() ? spill_.data() : inline_.data();
+    }
+
+    std::array<DeviceId, kInline> inline_{};
+    std::size_t size_ = 0;
+    /// Every id while spilled(); empty, with no capacity, otherwise.
+    std::vector<DeviceId> spill_;
+  };
+
   /// Residency record of one tensor. Entries persist after the last replica
   /// is removed (empty holders) so the epoch keeps counting across
   /// re-placements — a cache keyed on (id, epoch) must never see an epoch
@@ -48,14 +83,14 @@ class ClusterIndex {
   struct Residency {
     /// Holder devices in insertion (placement) order; schedulers enumerate
     /// candidates in exactly this order.
-    std::vector<DeviceId> holders;
+    HolderList holders;
     /// Value of the global epoch counter at this tensor's last residency
     /// change; 0 only for tensors never placed.
     std::uint64_t epoch = 0;
-    /// Membership bitmask over device ids: word 0 inline (the common
-    /// numGPU <= 64 case stays allocation-free), further words spilled.
+    /// Membership bitmask over devices 0-63 (the common numGPU <= 64 case).
+    /// Devices past 63 are looked up in the holder list instead, so no
+    /// record needs a heap-allocated mask.
     std::uint64_t mask0 = 0;
-    std::vector<std::uint64_t> mask_ext;
     /// A kernel produced this tensor (otherwise it is a host-staged
     /// original), and an eviction has since written a copy back to the
     /// host. Both stay set for the rest of the run.
@@ -65,9 +100,10 @@ class ClusterIndex {
     bool holds(DeviceId dev) const {
       const auto bit = static_cast<std::size_t>(dev);
       if (bit < 64) return ((mask0 >> bit) & 1ULL) != 0;
-      const std::size_t word = bit / 64 - 1;
-      return word < mask_ext.size() &&
-             ((mask_ext[word] >> (bit % 64)) & 1ULL) != 0;
+      for (const DeviceId holder : holders) {
+        if (holder == dev) return true;
+      }
+      return false;
     }
   };
 
@@ -87,8 +123,10 @@ class ClusterIndex {
   /// The tensor's residency record, or nullptr when it was never placed.
   const Residency* find(TensorId id) const;
 
-  /// Holder list (empty static vector when never placed / not resident).
-  const std::vector<DeviceId>& holders(TensorId id) const;
+  /// Holder list in placement order (empty when never placed / not
+  /// resident). The span aliases the record: valid until the next mutation
+  /// of this index.
+  std::span<const DeviceId> holders(TensorId id) const;
 
   bool holds(DeviceId dev, TensorId id) const {
     MICCO_EXPECTS(dev >= 0 && dev < num_devices_);

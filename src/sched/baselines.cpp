@@ -64,8 +64,8 @@ void DataReuseOnlyScheduler::begin_vector(const VectorWorkload&,
 
 DeviceId DataReuseOnlyScheduler::assign(const ContractionTask& task,
                                         const ClusterView& view) {
-  const std::vector<DeviceId>& holders_a = view.devices_holding(task.a.id);
-  const std::vector<DeviceId>& holders_b = view.devices_holding(task.b.id);
+  const std::span<const DeviceId> holders_a = view.devices_holding(task.a.id);
+  const std::span<const DeviceId> holders_b = view.devices_holding(task.b.id);
 
   const auto chose = [&](DeviceId dev) {
     last_ = dev;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <utility>
 
 #include "obs/names.hpp"
 
@@ -20,21 +21,39 @@ std::uint64_t mix_id(TensorId id) {
 
 constexpr std::size_t kInitialTableSlots = 64;  // power of two (mask probing)
 
+/// True when the record exists and `dev` holds a replica.
+bool held(const ClusterIndex::Residency* res, DeviceId dev) {
+  return res != nullptr && res->holds(dev);
+}
+
+/// Alive devices in ascending id order via the alive-mask word scan (bit
+/// position == device id, so set-bit order is ascending) — the reference
+/// path's `for (dev = 0; ...)` enumeration.
+template <typename Fn>
+void for_each_alive(const std::vector<std::uint64_t>& alive, Fn fn) {
+  for (std::size_t w = 0; w < alive.size(); ++w) {
+    std::uint64_t bits = alive[w];
+    while (bits != 0) {
+      fn(static_cast<DeviceId>(
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+      bits &= bits - 1;
+    }
+  }
+}
+
 }  // namespace
 
 void DistinctTensorCounts::reset(std::size_t num_devices) {
   tables_.resize(num_devices);
-  for (Table& table : tables_) {
-    ++table.gen;
-    table.live = 0;
-  }
+  for (Table& table : tables_) ++table.gen;
+  live_.assign(num_devices, 0);
 }
 
 void DistinctTensorCounts::clear_device(DeviceId dev) {
   const auto idx = static_cast<std::size_t>(dev);
   if (idx >= tables_.size()) return;
   ++tables_[idx].gen;
-  tables_[idx].live = 0;
+  live_[idx] = 0;
 }
 
 void DistinctTensorCounts::grow(Table& table) {
@@ -54,7 +73,8 @@ void DistinctTensorCounts::grow(Table& table) {
 
 bool DistinctTensorCounts::insert(DeviceId dev, TensorId id) {
   MICCO_EXPECTS(dev >= 0 && static_cast<std::size_t>(dev) < tables_.size());
-  Table& table = tables_[static_cast<std::size_t>(dev)];
+  const auto idx = static_cast<std::size_t>(dev);
+  Table& table = tables_[idx];
   if (table.keys.empty()) {
     table.keys.assign(kInitialTableSlots, 0);
     table.gens.assign(kInitialTableSlots, 0);
@@ -67,10 +87,10 @@ bool DistinctTensorCounts::insert(DeviceId dev, TensorId id) {
   }
   table.keys[slot] = id;
   table.gens[slot] = table.gen;
-  ++table.live;
+  const std::int64_t live = ++live_[idx];
   // Grow at 3/4 load: the table must never fill completely (linear probing
   // needs a free slot to terminate misses).
-  if (static_cast<std::size_t>(table.live) * 4 > table.keys.size() * 3) {
+  if (static_cast<std::size_t>(live) * 4 > table.keys.size() * 3) {
     grow(table);
   }
   return true;
@@ -78,7 +98,7 @@ bool DistinctTensorCounts::insert(DeviceId dev, TensorId id) {
 
 std::int64_t DistinctTensorCounts::count(DeviceId dev) const {
   MICCO_EXPECTS(dev >= 0 && static_cast<std::size_t>(dev) < tables_.size());
-  return tables_[static_cast<std::size_t>(dev)].live;
+  return live_[static_cast<std::size_t>(dev)];
 }
 
 MiccoScheduler::MiccoScheduler(MiccoSchedulerOptions options)
@@ -99,9 +119,6 @@ void MiccoScheduler::begin_vector(const VectorWorkload& vec,
                                   const ClusterView& view) {
   const auto num_devices = static_cast<std::size_t>(view.num_devices());
   counts_.reset(num_devices);
-  if (compute_cost_.size() != num_devices) {
-    compute_cost_.assign(num_devices, 0.0);
-  }
   // Decision scratch sized once per vector; assign() then runs without a
   // single heap allocation in steady state.
   candidate_mask_.assign((num_devices + 63) / 64, 0);
@@ -129,9 +146,7 @@ void MiccoScheduler::begin_vector(const VectorWorkload& vec,
 void MiccoScheduler::on_device_failure(DeviceId dev, const ClusterView& view) {
   // The casualty's per-vector accounting is void (its tensors are gone and
   // its pending pairs will be re-assigned); survivors split the stage.
-  const auto idx = static_cast<std::size_t>(dev);
   counts_.clear_device(dev);
-  if (idx < compute_cost_.size()) compute_cost_[idx] = 0.0;
   balance_num_ = std::max<std::int64_t>(
       1, vector_unique_inputs_ /
              std::max<std::int64_t>(1, view.num_alive_devices()));
@@ -155,11 +170,35 @@ void MiccoScheduler::push_unique(DeviceId dev) {
   }
 }
 
+template <typename KeyFn>
+DeviceId MiccoScheduler::pick_best(const std::vector<DeviceId>& candidates,
+                                   KeyFn keys) {
+  // Exact ties on both keys break randomly (Alg. 2, lines 9/15).
+  best_.clear();
+  double best_primary = std::numeric_limits<double>::infinity();
+  double best_secondary = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const auto [primary, secondary] = keys(i, candidates[i]);
+    if (primary < best_primary ||
+        (primary == best_primary && secondary < best_secondary)) {
+      best_primary = primary;
+      best_secondary = secondary;
+      best_.clear();
+      best_.push_back(candidates[i]);
+    } else if (primary == best_primary && secondary == best_secondary) {
+      best_.push_back(candidates[i]);
+    }
+  }
+
+  if (best_.size() == 1) return best_.front();
+  return best_[rng_.uniform_below(static_cast<std::uint32_t>(best_.size()))];
+}
+
 void MiccoScheduler::gather_candidates(const ContractionTask& task,
                                        const ClusterView& view, int& tier,
                                        bool& fallback) {
-  const std::vector<DeviceId>& holders_a = view.devices_holding(task.a.id);
-  const std::vector<DeviceId>& holders_b = view.devices_holding(task.b.id);
+  const std::span<const DeviceId> holders_a = view.devices_holding(task.a.id);
+  const std::span<const DeviceId> holders_b = view.devices_holding(task.b.id);
 
   // Step I — data-centric, TwoRepeatedSame tier: devices holding BOTH
   // tensors, gated by reuse bound 0 (Alg. 1, lines 4-7).
@@ -212,75 +251,101 @@ void MiccoScheduler::gather_candidates(const ContractionTask& task,
   }
 }
 
-void MiccoScheduler::gather_candidates(const ContractionTask& task,
-                                       const ClusterIndex& index, int& tier,
-                                       bool& fallback) {
+DeviceId MiccoScheduler::decide(const ContractionTask& task,
+                                const ClusterIndex& index, int& tier,
+                                bool& fallback) {
+  // One contract check covers every flat per-device read below: the count
+  // table and the index mirrors span the same device ids.
+  MICCO_EXPECTS(counts_.size() >=
+                static_cast<std::size_t>(index.num_devices()));
+  const std::int64_t* counts = counts_.data();
+  const std::uint64_t* mem_used = index.memory_used_data();
+  const std::uint64_t* mem_capacity = index.memory_capacity_data();
+  const auto at = [](DeviceId dev) { return static_cast<std::size_t>(dev); };
+
+  // The pair's residency, looked up once for the whole decision.
   const ClusterIndex::Residency* res_a = index.find(task.a.id);
   const ClusterIndex::Residency* res_b = index.find(task.b.id);
   const bool a_resident = res_a != nullptr && !res_a->holders.empty();
   const bool b_resident = res_b != nullptr && !res_b->holders.empty();
 
-  // Step I — the holders_a walk keeps the reference path's enumeration
-  // order; the membership scan over holders_b collapses to one bit test.
+  // Alg. 2's oversubscription test (lines 3-5) runs on each candidate as it
+  // is admitted: would placing the pair there push it past capacity? The
+  // bytes are bytes_needed_on's, from operand sizes computed once, and a
+  // candidate's test is skipped once any earlier one found the risk.
+  const bool sensitive = options_.eviction_sensitive;
+  const bool same_operand = task.a.id == task.b.id;
+  const std::uint64_t a_bytes = sensitive ? task.a.bytes() : 0;
+  const std::uint64_t b_bytes = sensitive ? task.b.bytes() : 0;
+  const std::uint64_t out_bytes = sensitive ? task.out.bytes() : 0;
+  bool evict_risk = false;
+  const auto admit = [&](DeviceId dev) {
+    candidates_.push_back(dev);
+    if (!sensitive || evict_risk) return;
+    std::uint64_t needed = out_bytes;
+    if (!held(res_a, dev)) needed += a_bytes;
+    if (!same_operand && !held(res_b, dev)) needed += b_bytes;
+    evict_risk = mem_used[at(dev)] + needed > mem_capacity[at(dev)];
+  };
+
+  // Step I — data-centric, TwoRepeatedSame tier: a's holders that also hold
+  // b, gated by reuse bound 0 (Alg. 1, lines 4-7). Holder lists carry no
+  // duplicates, so neither does the candidate queue.
   if (a_resident && b_resident) {
+    const std::int64_t limit = bounds_[0] + balance_num_;
     for (const DeviceId dev : res_a->holders) {
-      if (res_b->holds(dev) && available(dev, 0)) push_unique(dev);
+      if (res_b->holds(dev) && counts[at(dev)] < limit) admit(dev);
     }
-  }
-  if (!candidates_.empty()) {
-    tier = 0;
-    return;
+    if (!candidates_.empty()) tier = 0;
   }
 
-  // Step II — holders of either tensor, in holders_a-then-holders_b order
-  // exactly as the reference path enumerates them.
-  if (a_resident || b_resident) {
+  // Step II — one-reused tier: holders of either tensor in holders_a-then-
+  // holders_b order, gated by reuse bound 1 (Alg. 1, lines 8-14). A b-holder
+  // that also holds a was already judged as an a-holder against the same
+  // limit (admitted, or rejected again), so it is skipped.
+  if (tier < 0 && (a_resident || b_resident)) {
+    const std::int64_t limit = bounds_[1] + balance_num_;
     if (a_resident) {
       for (const DeviceId dev : res_a->holders) {
-        if (available(dev, 1)) push_unique(dev);
+        if (counts[at(dev)] < limit) admit(dev);
       }
     }
     if (b_resident) {
       for (const DeviceId dev : res_b->holders) {
-        if (available(dev, 1)) push_unique(dev);
+        if (!held(res_a, dev) && counts[at(dev)] < limit) admit(dev);
       }
     }
-    if (!candidates_.empty()) {
-      tier = 1;
-      return;
-    }
+    if (!candidates_.empty()) tier = 1;
   }
 
-  // Step II' — alive devices in ascending id order via the alive-mask word
-  // scan (bit position == device id, so set-bit order is ascending).
-  const std::vector<std::uint64_t>& alive = index.alive_mask();
-  for (std::size_t w = 0; w < alive.size(); ++w) {
-    std::uint64_t bits = alive[w];
-    while (bits != 0) {
-      const auto dev =
-          static_cast<DeviceId>(w * 64 + static_cast<std::size_t>(
-                                             std::countr_zero(bits)));
-      bits &= bits - 1;
-      if (available(dev, 2)) push_unique(dev);
-    }
-  }
-  if (!candidates_.empty()) {
-    tier = 2;
-    return;
+  // Step II' — TwoNew tier: any alive device under reuse bound 2 (lines
+  // 15-18), ascending. Tiers I/II need no liveness filter: residency dies
+  // with a device, so holder lists only ever name survivors.
+  if (tier < 0) {
+    const std::int64_t limit = bounds_[2] + balance_num_;
+    for_each_alive(index.alive_mask(), [&](DeviceId dev) {
+      if (counts[at(dev)] < limit) admit(dev);
+    });
+    if (!candidates_.empty()) tier = 2;
   }
 
-  // Fallback: all survivors, ascending.
-  fallback = true;
-  for (std::size_t w = 0; w < alive.size(); ++w) {
-    std::uint64_t bits = alive[w];
-    while (bits != 0) {
-      const auto dev =
-          static_cast<DeviceId>(w * 64 + static_cast<std::size_t>(
-                                             std::countr_zero(bits)));
-      bits &= bits - 1;
-      candidates_.push_back(dev);
-    }
+  // Fallback: every tier ran dry, so all survivors, ascending.
+  if (tier < 0) {
+    fallback = true;
+    for_each_alive(index.alive_mask(), admit);
   }
+  MICCO_EXPECTS(!candidates_.empty());
+  last_evict_risk_ = evict_risk;
+
+  // Alg. 2's selection, keys gathered straight from the flat device mirrors
+  // inside the argmin — the same doubles the reference path reads through
+  // virtual calls, so comparisons (and tie sets) agree bit-for-bit.
+  const double* busy = index.busy_data();
+  return pick_best(candidates_, [&](std::size_t, DeviceId dev) {
+    const double load = busy[at(dev)];
+    const double used = static_cast<double>(mem_used[at(dev)]);
+    return evict_risk ? std::pair{used, load} : std::pair{load, used};
+  });
 }
 
 DeviceId MiccoScheduler::assign(const ContractionTask& task,
@@ -291,14 +356,13 @@ DeviceId MiccoScheduler::assign(const ContractionTask& task,
       sched_incremental() ? view.cluster_index() : nullptr;
 
   candidates_.clear();
-  std::fill(candidate_mask_.begin(), candidate_mask_.end(), 0);
   int tier = -1;        ///< reuse-bound tier that produced the candidates
   bool fallback = false;
   DeviceId chosen = kNoDevice;
   if (index != nullptr) {
-    gather_candidates(task, *index, tier, fallback);
-    chosen = select_from_candidates(candidates_, task, *index);
+    chosen = decide(task, *index, tier, fallback);
   } else {
+    std::fill(candidate_mask_.begin(), candidate_mask_.end(), 0);
     gather_candidates(task, view, tier, fallback);
     chosen = select_from_candidates(candidates_, task, view);
   }
@@ -313,35 +377,11 @@ DeviceId MiccoScheduler::assign(const ContractionTask& task,
                     balance_num_, fallback, last_evict_risk_);
   }
 
-  // Step IV — update mapGPUTensor / mapGPUCom (Alg. 1, line 20).
+  // Step IV — update mapGPUTensor (Alg. 1, line 20). mapGPUCom is the
+  // device's busy time, which the simulator accumulates itself.
   counts_.insert(chosen, task.a.id);
   counts_.insert(chosen, task.b.id);
-  compute_cost_[static_cast<std::size_t>(chosen)] +=
-      static_cast<double>(task.flops());
   return chosen;
-}
-
-DeviceId MiccoScheduler::pick_best(const std::vector<DeviceId>& candidates) {
-  // Exact ties on both keys break randomly (Alg. 2, lines 9/15).
-  best_.clear();
-  double best_primary = std::numeric_limits<double>::infinity();
-  double best_secondary = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const double primary = cand_primary_[i];
-    const double secondary = cand_secondary_[i];
-    if (primary < best_primary ||
-        (primary == best_primary && secondary < best_secondary)) {
-      best_primary = primary;
-      best_secondary = secondary;
-      best_.clear();
-      best_.push_back(candidates[i]);
-    } else if (primary == best_primary && secondary == best_secondary) {
-      best_.push_back(candidates[i]);
-    }
-  }
-
-  if (best_.size() == 1) return best_.front();
-  return best_[rng_.uniform_below(static_cast<std::uint32_t>(best_.size()))];
 }
 
 DeviceId MiccoScheduler::select_from_candidates(
@@ -379,45 +419,9 @@ DeviceId MiccoScheduler::select_from_candidates(
     cand_primary_[i] = evict_risk ? used : busy;
     cand_secondary_[i] = evict_risk ? busy : used;
   }
-  return pick_best(candidates);
-}
-
-DeviceId MiccoScheduler::select_from_candidates(
-    const std::vector<DeviceId>& candidates, const ContractionTask& task,
-    const ClusterIndex& index) {
-  MICCO_EXPECTS(!candidates.empty());
-
-  const std::uint64_t* mem_used = index.memory_used_data();
-  const std::uint64_t* mem_capacity = index.memory_capacity_data();
-  const double* busy = index.busy_data();
-
-  bool evict_risk = false;
-  if (options_.eviction_sensitive) {
-    for (const DeviceId dev : candidates) {
-      const std::uint64_t needed = bytes_needed_on(task, dev, index);
-      const auto d = static_cast<std::size_t>(dev);
-      if (mem_used[d] + needed > mem_capacity[d]) {
-        evict_risk = true;
-        break;
-      }
-    }
-  }
-  last_evict_risk_ = evict_risk;
-
-  // SoA gather from the flat device mirrors — same doubles the view path
-  // reads through virtual calls, so comparisons (and tie sets) agree
-  // bit-for-bit.
-  const std::size_t n = candidates.size();
-  cand_primary_.resize(n);
-  cand_secondary_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto d = static_cast<std::size_t>(candidates[i]);
-    const double load = busy[d];
-    const double used = static_cast<double>(mem_used[d]);
-    cand_primary_[i] = evict_risk ? used : load;
-    cand_secondary_[i] = evict_risk ? load : used;
-  }
-  return pick_best(candidates);
+  return pick_best(candidates, [&](std::size_t i, DeviceId) {
+    return std::pair{cand_primary_[i], cand_secondary_[i]};
+  });
 }
 
 }  // namespace micco

@@ -9,9 +9,10 @@
 //                         pick the device with the most free memory instead.
 //
 // Two equivalent hot paths implement the tier walk and Alg. 2 selection
-// (DESIGN.md §9): the incremental path reads the cluster's delta-maintained
-// ClusterIndex (holder bitmasks, alive-mask word scan, SoA key arrays over
-// flat busy/memory mirrors), the reference path recomputes everything from
+// (DESIGN.md §9): the incremental path is one decision kernel over the
+// cluster's delta-maintained ClusterIndex (each operand's residency record
+// looked up once, flat count/busy/memory arrays, an alive-mask word scan and
+// a fused key-gather argmin), the reference path recomputes everything from
 // ClusterView queries. Both enumerate candidates in the same order, compare
 // the same doubles and draw the same tie-break randomness, so decision logs
 // are byte-identical; sched_incremental() picks the path at run time (the
@@ -37,8 +38,10 @@ namespace micco {
 /// every device's generation (an O(devices) reset instead of freeing every
 /// node of an unordered_set), a device failure bumps only the casualty's.
 /// A slot whose stamp differs from the table's current generation is free.
-/// Both scheduler paths share this accounting — only the per-device counts
-/// are observable, so the container swap cannot perturb decisions.
+/// The per-device counts live in one flat array beside the tables, so the
+/// tier scans read them without touching a table. Both scheduler paths
+/// share this accounting — only the per-device counts are observable, so
+/// the container swap cannot perturb decisions.
 class DistinctTensorCounts {
  public:
   /// Starts a fresh vector over `num_devices` tables (capacity retained).
@@ -52,6 +55,9 @@ class DistinctTensorCounts {
 
   std::int64_t count(DeviceId dev) const;
 
+  /// Every device's count, indexed by device id (size() entries).
+  const std::int64_t* data() const { return live_.data(); }
+
   std::size_t size() const { return tables_.size(); }
 
  private:
@@ -59,12 +65,13 @@ class DistinctTensorCounts {
     std::vector<TensorId> keys;
     std::vector<std::uint64_t> gens;  ///< slot live iff gens[s] == gen
     std::uint64_t gen = 0;            ///< 0 never marks a live slot
-    std::int64_t live = 0;
   };
 
   void grow(Table& table);
 
   std::vector<Table> tables_;
+  /// Live keys per table (the distinct-tensor counts), parallel to tables_.
+  std::vector<std::int64_t> live_;
 };
 
 struct MiccoSchedulerOptions {
@@ -112,35 +119,40 @@ class MiccoScheduler final : public Scheduler {
   /// Device passes the availability test for tier `bound_index`.
   bool available(DeviceId dev, std::size_t bound_index) const;
 
-  /// Alg. 1's tier walk: fills candidates_ and reports the admitting tier
-  /// (-1 with fallback when every tier ran dry). The two overloads must
-  /// enumerate identical candidates in identical order.
+  /// The incremental path's whole decision: Alg. 1's tier walk over the
+  /// index with Alg. 2's oversubscription test folded into each admitted
+  /// candidate, then one fused key-gather argmin. Each operand's residency
+  /// record is looked up once; fills candidates_ and reports the admitting
+  /// tier (-1 with fallback when every tier ran dry) exactly as the
+  /// reference path does.
+  DeviceId decide(const ContractionTask& task, const ClusterIndex& index,
+                  int& tier, bool& fallback);
+
+  /// Reference path, Alg. 1's tier walk from ClusterView queries: fills
+  /// candidates_ in the order decide() admits them.
   void gather_candidates(const ContractionTask& task, const ClusterView& view,
                          int& tier, bool& fallback);
-  void gather_candidates(const ContractionTask& task,
-                         const ClusterIndex& index, int& tier, bool& fallback);
 
-  /// Alg. 2: selects from the candidate queue, switching between the
-  /// computation-centric and memory-eviction-sensitive policies. The index
-  /// overload gathers the primary/secondary keys into SoA scratch arrays
-  /// first and runs the argmin over flat doubles.
+  /// Reference path, Alg. 2: selects from the candidate queue, switching
+  /// between the computation-centric and memory-eviction-sensitive
+  /// policies. Gathers the primary/secondary keys into the SoA scratch
+  /// arrays, then runs pick_best over them.
   DeviceId select_from_candidates(const std::vector<DeviceId>& candidates,
                                   const ContractionTask& task,
                                   const ClusterView& view);
-  DeviceId select_from_candidates(const std::vector<DeviceId>& candidates,
-                                  const ContractionTask& task,
-                                  const ClusterIndex& index);
 
-  /// Shared argmin tail of both select overloads: scans the key arrays,
+  /// Shared argmin tail of both paths: scans the candidates' keys
+  /// (`keys(i, dev)` returns {primary, secondary} for candidate i),
   /// collects exact ties and applies the random tie-break.
-  DeviceId pick_best(const std::vector<DeviceId>& candidates);
+  template <typename KeyFn>
+  DeviceId pick_best(const std::vector<DeviceId>& candidates, KeyFn keys);
 
   MiccoSchedulerOptions options_;
   ReuseBounds bounds_;
   Pcg32 rng_;
 
-  /// Whether the last select_from_candidates ran the memory-eviction-
-  /// sensitive policy (surfaced into the decision log).
+  /// Whether the last decision ran the memory-eviction-sensitive policy
+  /// (surfaced into the decision log).
   bool last_evict_risk_ = false;
   /// Bound-slack utilization histogram (resolved at set_telemetry).
   obs::Histogram* slack_hist_ = nullptr;
@@ -154,19 +166,18 @@ class MiccoScheduler final : public Scheduler {
   /// Scratch for begin_vector's distinct-input count (single-table reuse of
   /// the same flat-set machinery; replaces an unordered_set built per call).
   DistinctTensorCounts unique_scratch_;
-  /// Per-device cumulative assigned kernel FLOPs (mapGPUCom).
-  std::vector<double> compute_cost_;
 
   // -- Per-decision scratch (reused, never reallocated in steady state) ---
   /// Candidate queue of the decision in flight.
   std::vector<DeviceId> candidates_;
-  /// Membership bitmask over device ids backing push_unique: one word for
-  /// the common numGPU <= 64 case, more for larger clusters.
+  /// Reference path only: membership bitmask over device ids backing
+  /// push_unique (one word for the common numGPU <= 64 case, more for
+  /// larger clusters). The index path admits no duplicates by construction.
   std::vector<std::uint64_t> candidate_mask_;
-  /// SoA selection keys, parallel to candidates_ (index path).
+  /// Reference path only: SoA selection keys, parallel to candidates_.
   std::vector<double> cand_primary_;
   std::vector<double> cand_secondary_;
-  /// Tie set of select_from_candidates.
+  /// Tie set of pick_best.
   std::vector<DeviceId> best_;
 
   /// Appends dev to candidates_ unless already present: O(1) via the

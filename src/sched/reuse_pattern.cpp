@@ -16,8 +16,8 @@ const char* to_string(LocalReusePattern p) {
 
 LocalReusePattern classify_pair(const ContractionTask& task,
                                 const ClusterView& view) {
-  const std::vector<DeviceId>& holders_a = view.devices_holding(task.a.id);
-  const std::vector<DeviceId>& holders_b = view.devices_holding(task.b.id);
+  const std::span<const DeviceId> holders_a = view.devices_holding(task.a.id);
+  const std::span<const DeviceId> holders_b = view.devices_holding(task.b.id);
 
   if (holders_a.empty() && holders_b.empty()) {
     return LocalReusePattern::kTwoNew;
@@ -36,14 +36,14 @@ LocalReusePattern classify_pair(const ContractionTask& task,
 
 namespace {
 
-/// True when the two tensors share at least one holder device (bitmask
-/// intersection over the inline word and any spill words).
+/// True when the two tensors share at least one holder device: one word
+/// intersection for devices 0-63, membership probes for a's holders past
+/// that (wide clusters only).
 bool masks_overlap(const ClusterIndex::Residency& a,
                    const ClusterIndex::Residency& b) {
   if ((a.mask0 & b.mask0) != 0) return true;
-  const std::size_t words = std::min(a.mask_ext.size(), b.mask_ext.size());
-  for (std::size_t w = 0; w < words; ++w) {
-    if ((a.mask_ext[w] & b.mask_ext[w]) != 0) return true;
+  for (const DeviceId dev : a.holders) {
+    if (dev >= 64 && b.holds(dev)) return true;
   }
   return false;
 }
@@ -136,17 +136,6 @@ std::uint64_t bytes_needed_on(const ContractionTask& task, DeviceId dev,
   if (!view.resident_on(dev, task.a.id)) bytes += task.a.bytes();
   const bool same_operand = task.a.id == task.b.id;
   if (!same_operand && !view.resident_on(dev, task.b.id)) {
-    bytes += task.b.bytes();
-  }
-  return bytes;
-}
-
-std::uint64_t bytes_needed_on(const ContractionTask& task, DeviceId dev,
-                              const ClusterIndex& index) {
-  std::uint64_t bytes = task.out.bytes();
-  if (!index.holds(dev, task.a.id)) bytes += task.a.bytes();
-  const bool same_operand = task.a.id == task.b.id;
-  if (!same_operand && !index.holds(dev, task.b.id)) {
     bytes += task.b.bytes();
   }
   return bytes;

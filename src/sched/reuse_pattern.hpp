@@ -4,12 +4,12 @@
 // into one of four patterns; together with the chosen device this fixes the
 // memory-operation cost of the assignment (the seven canonical mappings).
 //
-// Each query exists in two forms: the original recompute-from-view form, and
-// an overload over the incremental ClusterIndex that answers the same
-// question from bitmask intersections instead of holder-list scans. The two
-// forms return identical results on identical state — the byte-identity
-// tests hold the schedulers to that. PatternCache sits on top of the index
-// form, memoizing classifications per (pair, residency epochs).
+// Each classification exists in two forms: the original recompute-from-view
+// form, and an overload over the incremental ClusterIndex that answers the
+// same question from bitmask intersections instead of holder-list scans.
+// The two forms return identical results on identical state — the
+// byte-identity tests hold the schedulers to that. PatternCache sits on top
+// of the index form, memoizing classifications per (pair, residency epochs).
 #pragma once
 
 #include <cstdint>
@@ -62,11 +62,10 @@ int fetches_for(MappingClass m);
 
 /// Bytes that must move onto `dev` to run `task` there (absent operands plus
 /// the output allocation). The eviction-sensitive policy compares this
-/// against the device's headroom.
+/// against the device's headroom; MICCO's incremental decision kernel
+/// computes the same sum from the operands' residency records in hand.
 std::uint64_t bytes_needed_on(const ContractionTask& task, DeviceId dev,
                               const ClusterView& view);
-std::uint64_t bytes_needed_on(const ContractionTask& task, DeviceId dev,
-                              const ClusterIndex& index);
 
 /// Memoized pair classification keyed on (tensor pair, residency epochs).
 ///

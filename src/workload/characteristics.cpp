@@ -1,11 +1,22 @@
 #include "workload/characteristics.hpp"
 
+#include <array>
+#include <cstddef>
+#include <memory_resource>
 #include <unordered_map>
 
 namespace micco {
 
 double multiplicity_skew(const VectorWorkload& vec) {
-  std::unordered_map<TensorId, std::int64_t> counts;
+  // The count map's nodes and bucket arrays come from a stack arena (new and
+  // delete only once a vector outgrows it) instead of one heap allocation
+  // per distinct tensor. libstdc++ sizes and links the buckets the same way
+  // whatever the allocator, so the iteration order below — and with it the
+  // summation order of the HHI — matches a plain std::unordered_map.
+  alignas(std::max_align_t) std::array<std::byte, 16 * 1024> arena;
+  std::pmr::monotonic_buffer_resource pool(arena.data(), arena.size(),
+                                           std::pmr::new_delete_resource());
+  std::pmr::unordered_map<TensorId, std::int64_t> counts(&pool);
   std::int64_t slots = 0;
   for (const ContractionTask& t : vec.tasks) {
     ++counts[t.a.id];

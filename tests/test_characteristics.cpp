@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <unordered_map>
 #include <unordered_set>
+
+#include "common/rng.hpp"
 
 namespace micco {
 namespace {
@@ -85,6 +90,72 @@ TEST(MultiplicitySkew, MonotoneInConcentration) {
                  make_task(0, 1, 12), make_task(2, 3, 13)};
   EXPECT_LT(multiplicity_skew(spread), multiplicity_skew(mild));
   EXPECT_LT(multiplicity_skew(mild), multiplicity_skew(heavy));
+}
+
+/// multiplicity_skew over a plain heap-allocated std::unordered_map: the
+/// formula the arena-backed version must reproduce bit for bit (its HHI is
+/// a floating-point sum in the map's iteration order).
+double reference_skew(const VectorWorkload& vec) {
+  std::unordered_map<TensorId, std::int64_t> counts;
+  std::int64_t slots = 0;
+  for (const ContractionTask& t : vec.tasks) {
+    ++counts[t.a.id];
+    ++counts[t.b.id];
+    slots += 2;
+  }
+  if (slots == 0 || counts.empty()) return 0.0;
+  const double n = static_cast<double>(counts.size());
+  double hhi = 0.0;
+  for (const auto& [id, c] : counts) {
+    (void)id;
+    const double share = static_cast<double>(c) / static_cast<double>(slots);
+    hhi += share * share;
+  }
+  const double uniform_floor = 1.0 / n;
+  if (n <= 1.0) return 1.0;
+  const double skew = (hhi - uniform_floor) / (1.0 - uniform_floor);
+  return skew < 0.0 ? 0.0 : (skew > 1.0 ? 1.0 : skew);
+}
+
+/// `pairs` tasks whose operands are drawn from `distinct` ids with uneven
+/// multiplicities (half the draws from a small hot set), seeded.
+VectorWorkload uneven_vector(int pairs, std::uint32_t distinct,
+                             std::uint64_t seed) {
+  Pcg32 rng(seed);
+  const auto draw = [&] {
+    const std::uint32_t range =
+        rng.uniform_below(2) == 0 ? distinct : distinct / 16 + 1;
+    return static_cast<TensorId>(rng.uniform_below(range));
+  };
+  VectorWorkload v;
+  for (int i = 0; i < pairs; ++i) {
+    const TensorId a = draw();
+    const TensorId b = draw();
+    v.tasks.push_back(make_task(a, b, 1'000'000 + static_cast<TensorId>(i)));
+  }
+  return v;
+}
+
+TEST(MultiplicitySkew, BitIdenticalToPlainMapWithinArena) {
+  const VectorWorkload v = uneven_vector(96, 120, 17);
+  const double skew = multiplicity_skew(v);
+  EXPECT_GT(skew, 0.0);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(skew),
+            std::bit_cast<std::uint64_t>(reference_skew(v)));
+}
+
+TEST(MultiplicitySkew, BitIdenticalToPlainMapPastArena) {
+  // 5,000 distinct ids (one per pair's first operand) plus a repeated
+  // second operand: the count map outgrows the stack arena and continues
+  // on the heap.
+  VectorWorkload v = uneven_vector(5000, 700, 23);
+  for (std::size_t i = 0; i < v.tasks.size(); ++i) {
+    v.tasks[i].a.id = 10'000 + i;
+  }
+  const double skew = multiplicity_skew(v);
+  EXPECT_GT(skew, 0.0);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(skew),
+            std::bit_cast<std::uint64_t>(reference_skew(v)));
 }
 
 TEST(Characteristics, FeatureVectorOrderIsStable) {

@@ -1,6 +1,7 @@
 // ClusterIndex unit tests: residency deltas (holder order, bitmask,
-// epochs), wide clusters past the 64-bit inline mask word, the sparse id
-// spill, and — via a live ClusterSimulator — the contract that the
+// epochs), the inline holder list and its heap spill, wide clusters past
+// the 64-bit inline mask word, the sparse id spill, copies, and — via a
+// live ClusterSimulator — the contract that the
 // per-device mirrors and the residency sets always agree with the virtual
 // ClusterView getters at every scheduler observation point (after execute,
 // barrier, failure and discard).
@@ -8,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "gpusim/cluster.hpp"
@@ -26,6 +29,11 @@ ContractionTask task(TensorId a, TensorId b, TensorId out,
   return ContractionTask{desc(a, extent), desc(b, extent), desc(out, extent)};
 }
 
+/// Holder ids as a vector, so assertions compare element-wise and print.
+std::vector<DeviceId> ids(std::span<const DeviceId> holders) {
+  return {holders.begin(), holders.end()};
+}
+
 // ------------------------------------------------------------ residency core
 
 TEST(ClusterIndex, HoldersKeepInsertionOrder) {
@@ -33,7 +41,7 @@ TEST(ClusterIndex, HoldersKeepInsertionOrder) {
   index.place(5, 3);
   index.place(5, 0);
   index.place(5, 6);
-  EXPECT_EQ(index.holders(5), (std::vector<DeviceId>{3, 0, 6}));
+  EXPECT_EQ(ids(index.holders(5)), (std::vector<DeviceId>{3, 0, 6}));
   EXPECT_TRUE(index.holds(3, 5));
   EXPECT_TRUE(index.holds(0, 5));
   EXPECT_TRUE(index.holds(6, 5));
@@ -41,7 +49,7 @@ TEST(ClusterIndex, HoldersKeepInsertionOrder) {
 
   // Removing the middle holder preserves the relative order of the rest.
   index.remove(5, 0);
-  EXPECT_EQ(index.holders(5), (std::vector<DeviceId>{3, 6}));
+  EXPECT_EQ(ids(index.holders(5)), (std::vector<DeviceId>{3, 6}));
   EXPECT_FALSE(index.holds(0, 5));
 }
 
@@ -91,11 +99,116 @@ TEST(ClusterIndex, SparseSpillHandlesHugeIds) {
   const TensorId huge = (1ULL << 20) + 17;  // past the dense table
   index.place(huge, 2);
   EXPECT_TRUE(index.holds(2, huge));
-  EXPECT_EQ(index.holders(huge), (std::vector<DeviceId>{2}));
+  EXPECT_EQ(ids(index.holders(huge)), (std::vector<DeviceId>{2}));
   EXPECT_GT(index.tensor_epoch(huge), 0u);
   index.remove(huge, 2);
   EXPECT_FALSE(index.resident_anywhere(huge));
   EXPECT_NE(index.find(huge), nullptr);
+}
+
+// ------------------------------------------------------------ holder lists
+
+/// Places `id` on each device in turn.
+void place_all(ClusterIndex& index, TensorId id,
+               const std::vector<DeviceId>& devs) {
+  for (const DeviceId dev : devs) index.place(id, dev);
+}
+
+/// The holder list, its membership bits and the record's spill state agree
+/// with `want` (in order).
+void expect_holders(const ClusterIndex& index, TensorId id,
+                    const std::vector<DeviceId>& want) {
+  EXPECT_EQ(ids(index.holders(id)), want) << "tensor " << id;
+  const ClusterIndex::Residency* res = index.find(id);
+  ASSERT_NE(res, nullptr);
+  EXPECT_EQ(res->holders.size(), want.size());
+  EXPECT_EQ(res->holders.spilled(),
+            want.size() > ClusterIndex::HolderList::kInline);
+  for (DeviceId dev = 0; dev < index.num_devices(); ++dev) {
+    const bool member = std::find(want.begin(), want.end(), dev) != want.end();
+    EXPECT_EQ(index.holds(dev, id), member) << "tensor " << id << " dev "
+                                            << dev;
+  }
+}
+
+TEST(ClusterIndexHolders, SpillPastInlineCapacityKeepsOrder) {
+  static_assert(ClusterIndex::HolderList::kInline == 4);
+  ClusterIndex index(16);
+  place_all(index, 3, {9, 2, 14, 0});
+  expect_holders(index, 3, {9, 2, 14, 0});  // exactly full, still inline
+  index.place(3, 5);
+  expect_holders(index, 3, {9, 2, 14, 0, 5});  // fifth replica spills
+  place_all(index, 3, {11, 1, 7});
+  expect_holders(index, 3, {9, 2, 14, 0, 5, 11, 1, 7});
+}
+
+TEST(ClusterIndexHolders, InlineRemovalPreservesOrder) {
+  ClusterIndex index(8);
+  place_all(index, 1, {6, 1, 4, 3});
+  index.remove(1, 4);  // middle
+  expect_holders(index, 1, {6, 1, 3});
+  index.remove(1, 6);  // front
+  expect_holders(index, 1, {1, 3});
+  index.remove(1, 3);  // back
+  expect_holders(index, 1, {1});
+  index.remove(1, 1);
+  expect_holders(index, 1, {});
+}
+
+TEST(ClusterIndexHolders, SpilledRemovalPreservesOrderAndMovesBackInline) {
+  ClusterIndex index(16);
+  place_all(index, 2, {10, 3, 12, 5, 0, 8, 15});
+  index.remove(2, 5);  // middle
+  expect_holders(index, 2, {10, 3, 12, 0, 8, 15});
+  index.remove(2, 10);  // front
+  expect_holders(index, 2, {3, 12, 0, 8, 15});
+  index.remove(2, 15);  // back: down to the inline capacity
+  expect_holders(index, 2, {3, 12, 0, 8});
+  // Inline again; the list keeps working in both directions.
+  index.remove(2, 12);
+  expect_holders(index, 2, {3, 0, 8});
+  place_all(index, 2, {1, 13});
+  expect_holders(index, 2, {3, 0, 8, 1, 13});
+}
+
+TEST(ClusterIndexHolders, ReplacementAfterLastHolderRemoved) {
+  ClusterIndex index(8);
+  place_all(index, 4, {2, 5, 7, 0, 1});  // spilled
+  for (const DeviceId dev : {5, 0, 2, 7, 1}) index.remove(4, dev);
+  expect_holders(index, 4, {});
+  EXPECT_FALSE(index.resident_anywhere(4));
+  const std::uint64_t emptied = index.tensor_epoch(4);
+
+  index.place(4, 6);
+  expect_holders(index, 4, {6});
+  EXPECT_TRUE(index.resident_anywhere(4));
+  EXPECT_GT(index.tensor_epoch(4), emptied);
+  place_all(index, 4, {3, 2, 0, 5});
+  expect_holders(index, 4, {6, 3, 2, 0, 5});
+}
+
+TEST(ClusterIndexHolders, CopyEvolvesIndependentlyOfSource) {
+  ClusterIndex source(70);
+  place_all(source, 1, {4, 66});                  // inline, one wide device
+  place_all(source, 2, {0, 1, 2, 3, 4, 5, 69});  // spilled
+  ClusterIndex copy = source;
+  expect_holders(copy, 1, {4, 66});
+  expect_holders(copy, 2, {0, 1, 2, 3, 4, 5, 69});
+
+  copy.remove(1, 4);
+  copy.place(1, 9);
+  copy.remove(2, 3);
+  copy.place(2, 68);
+  source.remove(2, 0);
+  source.remove(2, 69);
+  source.remove(2, 5);
+  source.place(1, 65);
+
+  expect_holders(source, 1, {4, 66, 65});
+  expect_holders(source, 2, {1, 2, 3, 4});
+  expect_holders(copy, 1, {66, 9});
+  expect_holders(copy, 2, {0, 1, 2, 4, 5, 69, 68});
+  EXPECT_NE(source.tensor_epoch(2), copy.tensor_epoch(2));
 }
 
 // ---------------------------------------------------------- wide clusters
@@ -109,7 +222,7 @@ TEST(ClusterIndex, MaskExtendsPast64Devices) {
   EXPECT_TRUE(index.holds(64, 9));
   EXPECT_TRUE(index.holds(69, 9));
   EXPECT_FALSE(index.holds(65, 9));
-  EXPECT_EQ(index.holders(9), (std::vector<DeviceId>{63, 64, 69}));
+  EXPECT_EQ(ids(index.holders(9)), (std::vector<DeviceId>{63, 64, 69}));
 
   index.remove(9, 64);
   EXPECT_FALSE(index.holds(64, 9));
@@ -176,7 +289,8 @@ void expect_index_consistent(const ClusterSimulator& sim,
   }
   EXPECT_EQ(index->num_alive(), alive);
   for (const TensorId id : tensors) {
-    EXPECT_EQ(index->holders(id), sim.devices_holding(id)) << "tensor " << id;
+    EXPECT_EQ(ids(index->holders(id)), ids(sim.devices_holding(id)))
+        << "tensor " << id;
     for (DeviceId dev = 0; dev < sim.num_devices(); ++dev) {
       EXPECT_EQ(index->holds(dev, id), sim.resident_on(dev, id))
           << "tensor " << id << " dev " << dev;

@@ -4,10 +4,11 @@
 // logs, cluster-event logs and run reports — the only permitted report
 // difference is the pattern-cache counter pair, which is registered only on
 // the incremental path. Exercised across the three Table VI meson
-// workloads, a fault-recovery sweep, the reuse-tier visit ordering and
-// clusters past the 64-bit mask word. Plus the PatternCache unit suite:
-// epoch-keyed hits, invalidation on eviction, discard and device failure,
-// and counter export.
+// workloads (also at 200 % memory oversubscription, where Alg. 2's
+// eviction-sensitive ordering decides), a fault-recovery sweep, the
+// reuse-tier visit ordering and clusters past the 64-bit mask word. Plus
+// the PatternCache unit suite: epoch-keyed hits, invalidation on eviction,
+// discard and device failure, and counter export.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -94,6 +95,10 @@ struct ModeRun {
   std::string cluster_events;
   std::string stripped_report;
   bool cache_counters_present = false;
+  /// Decisions taken under the memory-eviction-sensitive policy, and the
+  /// evictions the run paid (both from the report).
+  std::int64_t evict_risk_decisions = 0;
+  std::int64_t evictions = 0;
 };
 
 ModeRun run_mode(bool incremental, const WorkloadStream& stream, int gpus,
@@ -127,21 +132,29 @@ ModeRun run_mode(bool incremental, const WorkloadStream& stream, int gpus,
   const obs::JsonValue report = make_run_report(result, telemetry);
   out.cache_counters_present = report_mentions_cache(report);
   out.stripped_report = strip_cache_counters(report).dump();
+  out.evict_risk_decisions = report.at("registry")
+                                 .at("counters")
+                                 .at(obs::names::kSchedEvictRisk)
+                                 .as_int();
+  out.evictions = report.at("metrics").at("evictions").as_int();
   return out;
 }
 
-void expect_modes_identical(const WorkloadStream& stream, int gpus,
-                            const FaultPlan* plan = nullptr,
-                            PairOrdering ordering = PairOrdering::kAsGiven) {
-  const ModeRun on = run_mode(true, stream, gpus, plan, ordering);
-  const ModeRun off = run_mode(false, stream, gpus, plan, ordering);
-  ASSERT_FALSE(on.decisions.empty());
+/// Runs both modes and compares them; returns the incremental run.
+ModeRun expect_modes_identical(const WorkloadStream& stream, int gpus,
+                               const FaultPlan* plan = nullptr,
+                               PairOrdering ordering = PairOrdering::kAsGiven,
+                               std::uint64_t capacity = 256ull << 20) {
+  const ModeRun on = run_mode(true, stream, gpus, plan, ordering, capacity);
+  const ModeRun off = run_mode(false, stream, gpus, plan, ordering, capacity);
+  EXPECT_FALSE(on.decisions.empty());
   EXPECT_EQ(on.decisions, off.decisions);
   EXPECT_EQ(on.cluster_events, off.cluster_events);
   EXPECT_EQ(on.stripped_report, off.stripped_report);
   // The cache pair is the single intentional report difference.
   EXPECT_TRUE(on.cache_counters_present);
   EXPECT_FALSE(off.cache_counters_present);
+  return on;
 }
 
 // ------------------------------------------------------- end-to-end identity
@@ -173,6 +186,38 @@ TEST(SchedIncremental, F0d4ByteIdenticalAcrossModes) {
   const redstar::CorrelatorWorkload w =
       redstar::build_workload(shrunk(redstar::make_f0d4()));
   expect_modes_identical(w.stream, 8);
+}
+
+/// The correlator at Fig. 11's 200 % oversubscription on 8 GPUs: capacity
+/// from capacity_for_oversubscription, floored at eight operands so one
+/// task's working set always fits. Every candidate device is then short of
+/// memory for most pairs, so Alg. 2 orders by free memory first — the
+/// branch the 256 MiB runs above never reach.
+void expect_oversubscribed_modes_identical(redstar::CorrelatorSpec spec) {
+  const redstar::CorrelatorWorkload w = redstar::build_workload(shrunk(spec));
+  const std::uint64_t capacity = capacity_for_oversubscription(
+      w.stream, 8, 2.0, 8 * w.stream.vectors[0].tasks[0].a.bytes());
+  const ModeRun on = expect_modes_identical(w.stream, 8, nullptr,
+                                            PairOrdering::kAsGiven, capacity);
+  EXPECT_GT(on.evict_risk_decisions, 0);
+  EXPECT_GT(on.evictions, 0);
+}
+
+TEST(SchedIncremental, OversubscribedF0d4ByteIdenticalAcrossModes) {
+  expect_oversubscribed_modes_identical(redstar::make_f0d4());
+}
+
+TEST(SchedIncremental, OversubscribedF0d2ByteIdenticalAcrossModes) {
+  expect_oversubscribed_modes_identical(redstar::make_f0d2());
+}
+
+TEST(SchedIncremental, OversubscribedNnSystemByteIdenticalAcrossModes) {
+  // The meson correlators' tensors are all one size, so full candidates
+  // tie on free memory and the busy-time tie-break decides either way. The
+  // two-nucleon system mixes rank-3 and rank-2 tensors: free memory differs
+  // between candidates and the free-memory-first ordering itself decides
+  // (swapping the key order changes this run's schedule, not the others').
+  expect_oversubscribed_modes_identical(redstar::make_nn_system());
 }
 
 SyntheticConfig synth(int vectors, int vector_size, std::uint64_t seed) {
