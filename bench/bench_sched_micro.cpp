@@ -12,7 +12,10 @@
 //      scheduler's reported rate is its median round's.
 //   2. Tuner samples/sec at 1/2/4/8 worker threads, asserting the labels
 //      are bit-identical across every width (the parallel layer's
-//      determinism contract, checked here on every bench run).
+//      determinism contract, checked here on every bench run). The widths
+//      interleave round by round too, and each width's speedup is the
+//      median of its per-round 1-thread/N-thread time ratios. The JSON
+//      also records the share of grid runs the sweep simulated.
 //
 // Flags: the shared bench set (--gpus --seed --threads ...), plus
 //   --smoke     shrink both measurements for CI
@@ -25,9 +28,10 @@
 //                   ratio measured ~1.1-1.2 at 8 GPUs, plus headroom;
 //                   ci.sh additionally gates 64 GPUs at 1.0, where MICCO
 //                   beats Groute's all-device scan outright);
-//                 * tuner speedup at 4 threads below 1.0; skipped (and
-//                   recorded as such) on hosts with fewer than 4 hardware
-//                   threads, where the lane cap serialises the sweep.
+//                 * paired tuner speedup at 4 threads below 1.0; skipped
+//                   (and recorded as such) on hosts with fewer than 4
+//                   hardware threads, where the lane cap serialises the
+//                   sweep.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -189,66 +193,85 @@ int run(const CliArgs& args) {
               kRounds, ratio);
 
   // -- 2. tuner sweep throughput ----------------------------------------
+  // `micco train`'s sweep (configuration space, 27-triple grid) on fewer
+  // samples. Its work items are (sample, stream) pairs, each sweeping its
+  // grid serially: 16 samples x 4 streams give 64 items, sixteen per lane
+  // at 4 threads (smoke: 8 x 4 = 32, eight per lane).
   TunerConfig tuner;
-  tuner.samples = smoke ? 3 : 8;
-  tuner.vector_sizes = {8, 16};
-  tuner.tensor_extents = {128, 256};
-  tuner.num_vectors = 3;
-  tuner.batch = 8;
+  tuner.samples = smoke ? 8 : 16;
+  tuner.seeds_per_sample = 4;
   tuner.num_devices = env.gpus;
-  tuner.max_bound = 1;
-  tuner.seeds_per_sample = 2;
   tuner.seed = env.seed;
+
+  // Every round times one sweep at each width, ascending in even rounds and
+  // descending in odd ones; a width's speedup is the median over rounds of
+  // its 1-thread/N-thread time ratio (paired, like the decision ratio), and
+  // its rate comes from its median round.
+  const std::vector<int> widths{1, 2, 4, 8};
+  std::vector<std::vector<double>> sweep_s(widths.size());
+  std::vector<TrainingSample> reference;
+  bool labels_identical = true;
+  std::uint64_t simulated = 0;
+  std::uint64_t grid_runs = 0;
+  // Untimed warm-up pass: the first sweep pays one-off costs (page faults,
+  // lazy pool spin-up, cold caches) that would otherwise land on one width.
+  parallel::set_threads(1);
+  (void)generate_tuning_data(tuner);
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::size_t i = 0; i < widths.size(); ++i) {
+      const std::size_t w = round % 2 == 0 ? i : widths.size() - 1 - i;
+      parallel::set_threads(widths[w]);
+      Stopwatch sw;
+      TuningData data = generate_tuning_data(tuner);
+      sweep_s[w].push_back(sw.elapsed_ms() / 1e3);
+      if (reference.empty()) {
+        reference = std::move(data.samples);
+        simulated = data.grid_runs_simulated;
+        grid_runs = data.grid_runs_simulated + data.grid_runs_reused;
+      } else if (!same_labels(reference, data.samples)) {
+        labels_identical = false;
+      }
+    }
+  }
+  parallel::set_threads(env.threads);  // restore the --threads setting
 
   TextTable tuner_table;
   tuner_table.add_column("threads", Align::kLeft);
   tuner_table.add_column("samples/sec");
   tuner_table.add_column("speedup");
   obs::JsonValue sweeps = obs::JsonValue::array();
-  std::vector<TrainingSample> reference;
-  bool labels_identical = true;
-  double base_rate = 0.0;
   double speedup_4t = 0.0;
-  // Untimed warm-up pass: the first sweep pays one-off costs (page faults,
-  // lazy pool spin-up, cold caches) that used to land entirely on the 1-
-  // thread row and inflate every speedup below it.
-  parallel::set_threads(1);
-  (void)generate_tuning_data(tuner);
-  const int reps = smoke ? 2 : 3;
-  for (const int threads : {1, 2, 4, 8}) {
-    parallel::set_threads(threads);
-    // Best-of-N: the minimum elapsed time is the least-perturbed
-    // measurement on a shared host; means drag in scheduler noise.
-    double rate = 0.0;
-    std::vector<TrainingSample> samples;
-    for (int rep = 0; rep < reps; ++rep) {
-      Stopwatch sw;
-      TuningData data = generate_tuning_data(tuner);
-      const double r =
-          static_cast<double>(tuner.samples) / (sw.elapsed_ms() / 1e3);
-      if (r > rate) rate = r;
-      samples = std::move(data.samples);
+  for (std::size_t w = 0; w < widths.size(); ++w) {
+    std::vector<double> ratios;
+    for (int round = 0; round < kRounds; ++round) {
+      ratios.push_back(sweep_s[0][static_cast<std::size_t>(round)] /
+                       sweep_s[w][static_cast<std::size_t>(round)]);
     }
-    if (threads == 1) {
-      reference = samples;
-      base_rate = rate;
-    } else if (!same_labels(reference, samples)) {
-      labels_identical = false;
-    }
-    if (threads == 4) speedup_4t = rate / base_rate;
+    const double speedup = stats::median(ratios);
+    const double rate =
+        static_cast<double>(tuner.samples) / stats::median(sweep_s[w]);
+    if (widths[w] == 4) speedup_4t = speedup;
     obs::JsonValue row = obs::JsonValue::object();
-    row.set("threads", threads);
+    row.set("threads", widths[w]);
     row.set("samples_per_sec", rate);
-    row.set("speedup_vs_1t", rate / base_rate);
+    row.set("speedup_vs_1t", speedup);
     sweeps.push_back(std::move(row));
-    tuner_table.add_row({std::to_string(threads),
-                         stats::format(rate, 2),
-                         fmt_speedup(rate / base_rate)});
+    tuner_table.add_row({std::to_string(widths[w]), stats::format(rate, 2),
+                         fmt_speedup(speedup)});
   }
-  parallel::set_threads(env.threads);  // restore the --threads setting
   report.set("tuner", std::move(sweeps));
+  report.set("tuner_rounds", kRounds);
+  report.set("tuner_work_items", tuner.samples * tuner.seeds_per_sample);
+  report.set("tuner_grid_runs", grid_runs);
+  report.set("tuner_grid_runs_simulated", simulated);
+  report.set("tuner_simulated_fraction",
+             static_cast<double>(simulated) / static_cast<double>(grid_runs));
   report.set("tuner_labels_identical_across_threads", labels_identical);
   std::printf("%s", tuner_table.render().c_str());
+  std::printf("tuner: simulated %llu of %llu grid runs; speedups are medians "
+              "of %d paired rounds\n",
+              static_cast<unsigned long long>(simulated),
+              static_cast<unsigned long long>(grid_runs), kRounds);
 
   if (!labels_identical) {
     std::fprintf(stderr,

@@ -9,7 +9,9 @@
 # scheduling daemon end to end: submit/wait/drain over a Unix socket with
 # byte-identical decision logs AND byte-identical span traces across
 # sessions, a `micco top --once` dashboard frame, and an offline
-# `micco report --spans` well-formedness pass), a chaos smoke test
+# `micco report --spans` well-formedness pass), a configuration smoke test
+# (out-of-range train/run/report/generate/serve flags exit 2, never abort),
+# a chaos smoke test
 # (tools/chaos_smoke.sh: kill -9 the daemon at every scripted journal crash
 # point, restart on the same journal, and require byte-identical recovered
 # decision logs plus exactly-once idempotent resubmits), an eviction-policy
@@ -172,6 +174,34 @@ grep -q '"schema_version"' "${SMOKE_DIR}/sr1.json"
 grep -q '"well_formed": true' "${SMOKE_DIR}/trace_summary.json"
 echo "serve smoke test OK: deterministic decision logs + span traces," \
   "top frame rendered, trace summary well-formed"
+
+echo "== configuration validation smoke test =="
+# Out-of-range configuration is a usage error: the verb names the problem
+# and exits 2 instead of tripping a library precondition (exit 134).
+expect_exit_2() {
+  set +e
+  "$@" > /dev/null 2> "${SMOKE_DIR}/config_err.txt"
+  rc=$?
+  set -e
+  if [ "${rc}" != 2 ]; then
+    echo "config smoke test FAILED: exit ${rc}, want 2: $*" >&2
+    cat "${SMOKE_DIR}/config_err.txt" >&2
+    exit 1
+  fi
+}
+for flag in --samples=0 --samples=-4 --batch=0 --gpus=0; do
+  expect_exit_2 "${BUILD_DIR}/tools/micco" train \
+    --out="${SMOKE_DIR}/bad.mm" "${flag}"
+done
+expect_exit_2 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" --gpus=0
+expect_exit_2 "${BUILD_DIR}/tools/micco" report "${SMOKE_DIR}/w.mw" --gpus=0
+for flag in --vectors=0 --vector-size=3 --tensor=0 --batch=0 --repeat=2; do
+  expect_exit_2 "${BUILD_DIR}/tools/micco" generate \
+    --out="${SMOKE_DIR}/bad.mw" "${flag}"
+done
+expect_exit_2 "${BUILD_DIR}/tools/micco" serve \
+  --socket="${SMOKE_DIR}/bad.sock" --gpus=0
+echo "config smoke test OK: every out-of-range flag exited 2"
 
 echo "== eviction-policy smoke test =="
 # Memory co-design subsystem (DESIGN.md §11): every eviction policy must

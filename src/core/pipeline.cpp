@@ -72,16 +72,23 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
   RunResult result;
   result.scheduler_name = scheduler.name();
 
-  // Validate the fault configuration up front: a malformed plan is a user
-  // error reported through the result, never an abort mid-run.
+  // Validate the cluster and fault configuration up front: a malformed one
+  // is a user error reported through the result, never an abort mid-run.
+  const auto reject = [&](std::string error) {
+    result.error = std::move(error);
+    result.completed = false;
+    result.num_devices = cluster.num_devices;
+  };
+  if (const std::string problem = cluster.validate(); !problem.empty()) {
+    reject("invalid cluster configuration: " + problem);
+    return result;
+  }
   std::optional<FaultInjector> injector;
   if (options.faults != nullptr) {
     std::string problem = options.faults->validate(cluster.num_devices);
     if (problem.empty()) problem = options.retry.validate();
     if (!problem.empty()) {
-      result.error = "invalid fault configuration: " + problem;
-      result.completed = false;
-      result.num_devices = cluster.num_devices;
+      reject("invalid fault configuration: " + problem);
       return result;
     }
     injector.emplace(*options.faults, options.retry);

@@ -3,10 +3,39 @@
 #include <algorithm>
 #include <array>
 #include <vector>
+
 #include "common/log.hpp"
 #include "parallel/parallel.hpp"
 
 namespace micco {
+
+std::string TunerConfig::validate() const {
+  if (samples < 1) return "tuner: samples must be >= 1";
+  if (vector_sizes.empty() || tensor_extents.empty() ||
+      repeated_rates.empty()) {
+    return "tuner: vector sizes, tensor extents and repeated rates must be "
+           "non-empty";
+  }
+  if (max_bound < 0) return "tuner: max_bound must be >= 0";
+  for (const std::int64_t vector_size : vector_sizes) {
+    for (const std::int64_t extent : tensor_extents) {
+      for (const double rate : repeated_rates) {
+        SyntheticConfig synth;
+        synth.num_vectors = num_vectors;
+        synth.batch = batch;
+        synth.vector_size = vector_size;
+        synth.tensor_extent = extent;
+        synth.repeated_rate = rate;
+        const std::string problem = synth.validate();
+        if (!problem.empty()) return "tuner: " + problem;
+      }
+    }
+  }
+  ClusterConfig cluster;
+  cluster.num_devices = num_devices;
+  cluster.device_capacity_bytes = device_capacity_bytes;
+  return cluster.validate();
+}
 
 double measure_gflops(const WorkloadStream& stream, ReuseBounds bounds,
                       const ClusterConfig& cluster) {
@@ -17,105 +46,94 @@ double measure_gflops(const WorkloadStream& stream, ReuseBounds bounds,
   return result.metrics.gflops();
 }
 
+BoundSweep sweep_bound_grid(const WorkloadStream& stream,
+                            std::span<const ReuseBounds> triples,
+                            const ClusterConfig& cluster) {
+  // Each simulated run vouches for every triple in its recorded box: with
+  // any of them, each decision — and so every metric — comes out the same.
+  struct Run {
+    BoundInterval box;
+    double gflops = 0.0;
+  };
+  std::vector<Run> runs;
+  BoundSweep sweep;
+  sweep.gflops.reserve(triples.size());
+  for (const ReuseBounds& bounds : triples) {
+    const auto earlier =
+        std::find_if(runs.begin(), runs.end(),
+                     [&](const Run& run) { return run.box.contains(bounds); });
+    if (earlier != runs.end()) {
+      sweep.gflops.push_back(earlier->gflops);
+      ++sweep.reused;
+      continue;
+    }
+    MiccoSchedulerOptions options;
+    options.bounds = bounds;
+    options.record_bound_interval = true;
+    MiccoScheduler scheduler(options);
+    const RunResult result = run_stream(stream, scheduler, cluster);
+    runs.push_back(Run{scheduler.bound_interval(), result.metrics.gflops()});
+    sweep.gflops.push_back(runs.back().gflops);
+    ++sweep.simulated;
+  }
+  return sweep;
+}
+
 namespace {
 
-/// Everything one sample contributes, computed independently of every other
-/// sample so the sweep fans out across the pool: the probe-run features and
-/// the mean GFLOPS of each bound triple.
-struct SampleSweep {
+/// Everything one stream of one sample contributes, computed independently
+/// of every other (sample, stream) item so the sweep fans out across the
+/// pool: the grid's GFLOPS, plus the probe-run features for a sample's
+/// first stream.
+struct StreamSweep {
   DataCharacteristics characteristics;
-  std::vector<double> grid_gflops;
+  BoundSweep grid;
 };
 
-SampleSweep sweep_sample(const SyntheticConfig& base,
-                         std::uint64_t config_hash, int group,
-                         const std::vector<ReuseBounds>& grid,
-                         const ClusterConfig& cluster) {
-  // Several independent streams of the same configuration; bounds are
-  // scored on their mean GFLOPS across the group. The group's seeds are a
-  // pure function of the configuration (not of the sample index), so the
-  // measured "optimal bounds of this configuration" is a deterministic
-  // label — re-sampling a configuration reproduces it, as re-measuring a
-  // setting on hardware would.
-  std::vector<WorkloadStream> streams;
-  streams.reserve(static_cast<std::size_t>(group));
-  for (int g = 0; g < group; ++g) {
-    SyntheticConfig synth = base;
-    synth.seed =
-        config_hash +
-        static_cast<std::uint64_t>(static_cast<unsigned>(g)) * 0x2545f491ULL;
-    streams.push_back(generate_synthetic(synth));
+/// Features are derived exactly the way the online path derives them — by
+/// extracting per-vector characteristics during a probe run and averaging
+/// the steady-state vectors. Training on generator ground truth instead
+/// would put online queries (estimated bias, observed residency rate) in a
+/// region of feature space the model never saw.
+DataCharacteristics probe_characteristics(const WorkloadStream& stream,
+                                          const ClusterConfig& cluster) {
+  MiccoScheduler probe;
+  const RunResult probe_run = run_stream(stream, probe, cluster);
+  const auto& per_vector = probe_run.per_vector_characteristics;
+  MICCO_ASSERT(!per_vector.empty());
+  const std::size_t skip = per_vector.size() > 1 ? 1 : 0;  // warm-up
+  double n = 0.0;
+  DataCharacteristics c;
+  for (std::size_t v = skip; v < per_vector.size(); ++v) {
+    c.vector_size += per_vector[v].vector_size;
+    c.tensor_extent += per_vector[v].tensor_extent;
+    c.distribution_bias += per_vector[v].distribution_bias;
+    c.repeated_rate += per_vector[v].repeated_rate;
+    n += 1.0;
   }
-
-  SampleSweep sweep;
-
-  // Features are derived exactly the way the online path derives them —
-  // by extracting per-vector characteristics during a probe run and
-  // averaging the steady-state vectors. Training on generator ground
-  // truth instead would put online queries (estimated bias, observed
-  // residency rate) in a region of feature space the model never saw.
-  {
-    MiccoScheduler probe;
-    const RunResult probe_run = run_stream(streams[0], probe, cluster);
-    const auto& per_vector = probe_run.per_vector_characteristics;
-    MICCO_ASSERT(!per_vector.empty());
-    const std::size_t skip = per_vector.size() > 1 ? 1 : 0;  // warm-up
-    double n = 0.0;
-    DataCharacteristics& c = sweep.characteristics;
-    for (std::size_t v = skip; v < per_vector.size(); ++v) {
-      c.vector_size += per_vector[v].vector_size;
-      c.tensor_extent += per_vector[v].tensor_extent;
-      c.distribution_bias += per_vector[v].distribution_bias;
-      c.repeated_rate += per_vector[v].repeated_rate;
-      n += 1.0;
-    }
-    c.vector_size /= n;
-    c.tensor_extent /= n;
-    c.distribution_bias /= n;
-    c.repeated_rate /= n;
-  }
-
-  // Each grid point is itself an independent batch of simulations, so the
-  // inner loop fans out too — idle lanes join it once the outer sample loop
-  // has no unclaimed samples left (few-sample sweeps on many cores).
-  sweep.grid_gflops = parallel::parallel_map(grid.size(), [&](std::size_t g) {
-    double gflops = 0.0;
-    for (const WorkloadStream& stream : streams) {
-      gflops += measure_gflops(stream, grid[g], cluster);
-    }
-    return gflops / static_cast<double>(streams.size());
-  });
-  return sweep;
+  c.vector_size /= n;
+  c.tensor_extent /= n;
+  c.distribution_bias /= n;
+  c.repeated_rate /= n;
+  return c;
 }
 
 }  // namespace
 
-TuningData generate_tuning_data(const TunerConfig& config) {
-  MICCO_EXPECTS(config.samples >= 1);
-  MICCO_EXPECTS(!config.vector_sizes.empty());
-  MICCO_EXPECTS(!config.tensor_extents.empty());
-  MICCO_EXPECTS(!config.repeated_rates.empty());
-
-  Pcg32 rng(config.seed, /*stream=*/0x70405ULL);
-  TuningData data;
-  data.samples.reserve(static_cast<std::size_t>(config.samples));
-
-  const std::vector<ReuseBounds> grid = bound_grid(config.max_bound);
-
-  ClusterConfig cluster;
-  cluster.num_devices = config.num_devices;
-  cluster.device_capacity_bytes = config.device_capacity_bytes;
+std::vector<SyntheticConfig> tuning_stream_configs(const TunerConfig& config) {
+  const std::string problem = config.validate();
+  MICCO_EXPECTS_MSG(problem.empty(), problem.c_str());
 
   // The configuration draws are the sweep's only cross-sample RNG, so they
   // happen serially up front (cheap, same draw order as ever); the heavy
-  // simulation work per sample is then a pure function of its configuration
+  // simulation work per stream is then a pure function of its configuration
   // and fans out across the pool with bit-identical results at any thread
   // count.
-  const auto num_samples = static_cast<std::size_t>(config.samples);
-  std::vector<SyntheticConfig> synths;
-  std::vector<std::uint64_t> hashes;
-  synths.reserve(num_samples);
-  hashes.reserve(num_samples);
+  Pcg32 rng(config.seed, /*stream=*/0x70405ULL);
+  const auto group =
+      static_cast<std::size_t>(std::max(1, config.seeds_per_sample));
+  std::vector<SyntheticConfig> configs;
+  configs.reserve(static_cast<std::size_t>(config.samples) * group);
   for (int s = 0; s < config.samples; ++s) {
     SyntheticConfig synth;
     synth.num_vectors = config.num_vectors;
@@ -129,34 +147,79 @@ TuningData generate_tuning_data(const TunerConfig& config) {
     synth.distribution = rng.uniform_below(2) == 0
                              ? DataDistribution::kUniform
                              : DataDistribution::kGaussian;
-    hashes.push_back(
+    // Several independent streams of each configuration; bounds are scored
+    // on their mean GFLOPS across the group. The group's seeds are a pure
+    // function of the configuration (not of the sample index), so the
+    // measured "optimal bounds of this configuration" is a deterministic
+    // label — re-sampling a configuration reproduces it, as re-measuring a
+    // setting on hardware would.
+    const std::uint64_t config_hash =
         (static_cast<std::uint64_t>(synth.vector_size) * 0x9e3779b1ULL) ^
         (static_cast<std::uint64_t>(synth.tensor_extent) * 0x85ebca6bULL) ^
         (static_cast<std::uint64_t>(synth.repeated_rate * 100.0) *
          0xc2b2ae35ULL) ^
         (synth.distribution == DataDistribution::kGaussian ? 0x27d4eb2fULL
                                                            : 0ULL) ^
-        config.seed);
-    synths.push_back(synth);
+        config.seed;
+    for (std::size_t k = 0; k < group; ++k) {
+      synth.seed = config_hash + static_cast<std::uint64_t>(k) * 0x2545f491ULL;
+      configs.push_back(synth);
+    }
   }
+  return configs;
+}
 
-  const int group = std::max(1, config.seeds_per_sample);
-  const std::vector<SampleSweep> sweeps =
-      parallel::parallel_map(num_samples, [&](std::size_t s) {
-        return sweep_sample(synths[s], hashes[s], group, grid, cluster);
+TuningData generate_tuning_data(const TunerConfig& config) {
+  const std::vector<SyntheticConfig> synths = tuning_stream_configs(config);
+  const auto num_samples = static_cast<std::size_t>(config.samples);
+  const std::size_t group = synths.size() / num_samples;
+  const std::vector<ReuseBounds> grid = bound_grid(config.max_bound);
+
+  ClusterConfig cluster;
+  cluster.num_devices = config.num_devices;
+  cluster.device_capacity_bytes = config.device_capacity_bytes;
+
+  // Each (sample, stream) pair is one work item; a stream's grid is swept
+  // serially so its later triples can reuse its earlier runs.
+  const std::vector<StreamSweep> items =
+      parallel::parallel_map(synths.size(), [&](std::size_t item) {
+        const WorkloadStream stream = generate_synthetic(synths[item]);
+        StreamSweep sweep;
+        if (item % group == 0) {
+          sweep.characteristics = probe_characteristics(stream, cluster);
+        }
+        sweep.grid = sweep_bound_grid(stream, grid, cluster);
+        return sweep;
       });
 
+  TuningData data;
+  data.samples.reserve(num_samples);
+
   // Merge in sample order: record and label layout match the historical
-  // serial sweep byte for byte.
+  // serial sweep byte for byte, and each triple's mean sums its streams in
+  // stream order, as that sweep did.
+  std::vector<double> grid_gflops(grid.size());
   for (std::size_t s = 0; s < num_samples; ++s) {
-    const SampleSweep& sweep = sweeps[s];
+    const StreamSweep* streams = &items[s * group];
+    for (std::size_t k = 0; k < group; ++k) {
+      data.grid_runs_simulated += streams[k].grid.simulated;
+      data.grid_runs_reused += streams[k].grid.reused;
+    }
+    for (std::size_t g = 0; g < grid.size(); ++g) {
+      double gflops = 0.0;
+      for (std::size_t k = 0; k < group; ++k) {
+        gflops += streams[k].grid.gflops[g];
+      }
+      grid_gflops[g] = gflops / static_cast<double>(group);
+    }
+
     TrainingSample sample;
-    sample.characteristics = sweep.characteristics;
+    sample.characteristics = streams[0].characteristics;
     bool first = true;
     for (std::size_t g = 0; g < grid.size(); ++g) {
-      const double gflops = sweep.grid_gflops[g];
+      const double gflops = grid_gflops[g];
       data.records.push_back(
-          TuningRecord{sweep.characteristics, grid[g], gflops});
+          TuningRecord{sample.characteristics, grid[g], gflops});
       if (first || gflops > sample.best_gflops) sample.best_gflops = gflops;
       if (first || gflops < sample.worst_gflops) sample.worst_gflops = gflops;
       first = false;
@@ -167,7 +230,7 @@ TuningData generate_tuning_data(const TunerConfig& config) {
     // arbitrary member of the tie set and poison the regression target.
     std::array<std::vector<std::int64_t>, 3> near_best;
     for (std::size_t g = 0; g < grid.size(); ++g) {
-      if (sweep.grid_gflops[g] >= 0.99 * sample.best_gflops) {
+      if (grid_gflops[g] >= 0.99 * sample.best_gflops) {
         for (std::size_t b = 0; b < 3; ++b) {
           near_best[b].push_back(grid[g][b]);
         }

@@ -5,10 +5,14 @@
 // bound grid for each, measure GFLOPS on the simulated cluster and label
 // the sample with the best-performing triple. Every individual measurement
 // is kept as a TuningRecord so the Spearman analysis of Fig. 5 can run on
-// the same corpus.
+// the same corpus. A grid point whose schedule an earlier run of the same
+// stream provably repeats takes that run's GFLOPS instead of a simulation
+// (sweep_bound_grid); the corpus is bit-identical either way.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -49,19 +53,47 @@ struct TunerConfig {
   /// expected optimum of the configuration, not one stream's noise.
   int seeds_per_sample = 5;
   std::uint64_t seed = 2022;
+
+  /// Empty string when generate_tuning_data accepts the config, else a
+  /// complaint: every configuration the sweep can draw must be a valid
+  /// synthetic config on a valid cluster.
+  std::string validate() const;
 };
 
 struct TuningData {
   std::vector<TrainingSample> samples;
   std::vector<TuningRecord> records;
+  /// Grid runs (sample x stream x triple) the sweep simulated, and those it
+  /// took from an earlier run's bound interval instead (sweep_bound_grid).
+  std::uint64_t grid_runs_simulated = 0;
+  std::uint64_t grid_runs_reused = 0;
 };
 
 /// Runs the offline sweep. Deterministic in `config.seed`.
 TuningData generate_tuning_data(const TunerConfig& config);
 
+/// The streams the sweep measures: seeds_per_sample configurations per
+/// sample, sample-major (stream k of sample s sits at s * seeds_per_sample
+/// + k). A sample's records are its streams' GFLOPS averaged per triple.
+std::vector<SyntheticConfig> tuning_stream_configs(const TunerConfig& config);
+
 /// Measures GFLOPS of one stream under MICCO with fixed bounds on a fresh
-/// cluster (the tuner's inner evaluation, also used by Fig. 8).
+/// cluster (the tuner's inner evaluation).
 double measure_gflops(const WorkloadStream& stream, ReuseBounds bounds,
                       const ClusterConfig& cluster);
+
+/// GFLOPS of one stream at each of a list of bound triples.
+struct BoundSweep {
+  std::vector<double> gflops;  ///< parallel to the triples
+  std::size_t simulated = 0;   ///< triples that took a simulation
+  std::size_t reused = 0;      ///< triples answered by an earlier run
+};
+
+/// measure_gflops at every triple, in order, bit for bit — but a triple
+/// inside the recorded bound interval of an earlier run on this stream
+/// takes that run's GFLOPS instead of simulating (DESIGN.md §5d).
+BoundSweep sweep_bound_grid(const WorkloadStream& stream,
+                            std::span<const ReuseBounds> triples,
+                            const ClusterConfig& cluster);
 
 }  // namespace micco

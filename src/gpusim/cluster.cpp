@@ -8,6 +8,14 @@
 
 namespace micco {
 
+std::string ClusterConfig::validate() const {
+  if (num_devices < 1) return "cluster: num_devices must be >= 1";
+  if (device_capacity_bytes == 0) {
+    return "cluster: device_capacity_bytes must be > 0";
+  }
+  return cost.validate();
+}
+
 ClusterSimulator::ClusterSimulator(ClusterConfig config)
     : config_(config), cost_model_(config.cost), index_(config.num_devices) {
   MICCO_EXPECTS(config_.num_devices >= 1);

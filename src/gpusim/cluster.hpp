@@ -195,6 +195,10 @@ struct ClusterConfig {
   /// inter-node link. 0 means a single node holds every device.
   int devices_per_node = 0;
   CostModelConfig cost;
+
+  /// Empty string when ClusterSimulator accepts the config, else a
+  /// complaint (CLI flags and daemon configs are checked with it).
+  std::string validate() const;
 };
 
 class ClusterSimulator final : public ClusterView {

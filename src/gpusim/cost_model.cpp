@@ -10,6 +10,23 @@ namespace {
 constexpr double kGiga = 1.0e9;
 }
 
+std::string CostModelConfig::validate() const {
+  if (!(peak_gflops > 0.0)) return "cost: peak_gflops must be > 0";
+  if (!(sustained_fraction > 0.0 && sustained_fraction <= 1.0)) {
+    return "cost: sustained_fraction must be in (0, 1]";
+  }
+  if (saturating_extent < 1) return "cost: saturating_extent must be >= 1";
+  if (!(min_occupancy > 0.0 && min_occupancy <= 1.0)) {
+    return "cost: min_occupancy must be in (0, 1]";
+  }
+  if (!(hbm_bandwidth_gbs > 0.0 && h2d_bandwidth_gbs > 0.0 &&
+        d2h_bandwidth_gbs > 0.0 && p2p_bandwidth_gbs > 0.0 &&
+        internode_bandwidth_gbs > 0.0)) {
+    return "cost: every bandwidth must be > 0";
+  }
+  return {};
+}
+
 CostModel::CostModel(CostModelConfig config) : config_(config) {
   MICCO_EXPECTS(config_.peak_gflops > 0.0);
   MICCO_EXPECTS(config_.sustained_fraction > 0.0 &&

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "workload/task.hpp"
 
@@ -49,6 +50,9 @@ struct CostModelConfig {
   double transfer_latency_s = 12.0e-6;
   double alloc_latency_s = 200.0e-6;
   double free_latency_s = 10.0e-6;
+
+  /// Empty string when CostModel accepts the config, else a complaint.
+  std::string validate() const;
 };
 
 /// Pure cost-evaluation functions over a fixed config. All results are in

@@ -152,6 +152,18 @@ void MiccoScheduler::on_device_failure(DeviceId dev, const ClusterView& view) {
              std::max<std::int64_t>(1, view.num_alive_devices()));
 }
 
+void MiccoScheduler::set_reuse_bounds(ReuseBounds bounds) {
+  // No single fixed triple reproduces a run whose bounds change mid-way.
+  if (decided_ && bounds != bounds_) interval_exact_ = false;
+  bounds_ = bounds;
+}
+
+BoundInterval MiccoScheduler::bound_interval() const {
+  MICCO_EXPECTS_MSG(options_.record_bound_interval,
+                    "bound_interval needs record_bound_interval");
+  return interval_exact_ ? interval_ : BoundInterval::point(bounds_);
+}
+
 std::int64_t MiccoScheduler::assigned_count(DeviceId dev) const {
   return counts_.count(dev);
 }
@@ -348,6 +360,103 @@ DeviceId MiccoScheduler::decide(const ContractionTask& task,
   });
 }
 
+void MiccoScheduler::narrow_interval(const ContractionTask& task,
+                                     const ClusterIndex& index, int tier,
+                                     bool fallback, DeviceId chosen) {
+  // Replays decide()'s scans over the state it decided on (nothing has
+  // executed since) and keeps only the triples that repeat the decision.
+  // Device dev passes tier k's availability test exactly when bound_k >= t,
+  // with threshold t = count - balanceNum + 1.
+  decided_ = true;
+  const std::int64_t* counts = counts_.data();
+  const std::uint64_t* mem_used = index.memory_used_data();
+  const std::uint64_t* mem_capacity = index.memory_capacity_data();
+  const double* busy = index.busy_data();
+  const auto at = [](DeviceId dev) { return static_cast<std::size_t>(dev); };
+  const ClusterIndex::Residency* res_a = index.find(task.a.id);
+  const ClusterIndex::Residency* res_b = index.find(task.b.id);
+  const bool a_resident = res_a != nullptr && !res_a->holders.empty();
+  const bool b_resident = res_b != nullptr && !res_b->holders.empty();
+
+  // decide()'s scan set of each tier, in its admission order.
+  const auto scan = [&](std::size_t k, const auto& fn) {
+    if (k == 0) {
+      for (const DeviceId dev : res_a->holders) {
+        if (res_b->holds(dev)) fn(dev);
+      }
+    } else if (k == 1) {
+      if (a_resident) {
+        for (const DeviceId dev : res_a->holders) fn(dev);
+      }
+      if (b_resident) {
+        for (const DeviceId dev : res_b->holders) {
+          if (!held(res_a, dev)) fn(dev);
+        }
+      }
+    } else {
+      for_each_alive(index.alive_mask(), fn);
+    }
+  };
+  const auto threshold = [&](DeviceId dev) {
+    return counts[at(dev)] - balance_num_ + 1;
+  };
+  const auto keep_out = [&](std::size_t k, DeviceId dev) {
+    interval_.hi[k] = std::min(interval_.hi[k], threshold(dev) - 1);
+  };
+  const auto keep_in = [&](std::size_t k, std::int64_t t) {
+    interval_.lo[k] = std::max(interval_.lo[k], t);
+  };
+
+  // Every tier walked before the admitting one (all three on fallback)
+  // must stay empty: each device it rejected stays rejected.
+  const std::size_t admitting = fallback ? 3 : static_cast<std::size_t>(tier);
+  const bool walked[3] = {a_resident && b_resident, a_resident || b_resident,
+                          true};
+  for (std::size_t k = 0; k < admitting; ++k) {
+    if (walked[k]) scan(k, [&](DeviceId dev) { keep_out(k, dev); });
+  }
+
+  // The admitting tier must admit the whole tie set and nothing that would
+  // beat or join it, and keep the risk flag: at least one at-risk device
+  // while the flag is up, none while it is down. Keys and the risk test are
+  // decide()'s, on the same doubles and bytes.
+  if (!fallback) {
+    const auto k = static_cast<std::size_t>(tier);
+    const std::int64_t limit = bounds_[k] + balance_num_;
+    const bool sensitive = options_.eviction_sensitive;
+    const bool evict_risk = last_evict_risk_;
+    const bool same_operand = task.a.id == task.b.id;
+    const auto at_risk = [&](DeviceId dev) {
+      std::uint64_t needed = task.out.bytes();
+      if (!held(res_a, dev)) needed += task.a.bytes();
+      if (!same_operand && !held(res_b, dev)) needed += task.b.bytes();
+      return mem_used[at(dev)] + needed > mem_capacity[at(dev)];
+    };
+    const auto key = [&](DeviceId dev) {
+      const double load = busy[at(dev)];
+      const double used = static_cast<double>(mem_used[at(dev)]);
+      return evict_risk ? std::pair{used, load} : std::pair{load, used};
+    };
+    const auto [best_primary, best_secondary] = key(chosen);
+    std::int64_t risk_floor = BoundInterval::kMax;
+    scan(k, [&](DeviceId dev) {
+      const auto [primary, secondary] = key(dev);
+      const bool contends =
+          primary < best_primary ||
+          (primary == best_primary && secondary <= best_secondary);
+      const bool risky = sensitive && at_risk(dev);
+      if (counts[at(dev)] < limit) {
+        if (contends) keep_in(k, threshold(dev));  // a tie-set member
+      } else if (contends || (risky && !evict_risk)) {
+        keep_out(k, dev);
+      }
+      if (risky) risk_floor = std::min(risk_floor, threshold(dev));
+    });
+    if (evict_risk) keep_in(k, risk_floor);
+  }
+  MICCO_ASSERT(interval_.contains(bounds_));
+}
+
 DeviceId MiccoScheduler::assign(const ContractionTask& task,
                                 const ClusterView& view) {
   MICCO_EXPECTS_MSG(counts_.size() > 0,
@@ -361,10 +470,14 @@ DeviceId MiccoScheduler::assign(const ContractionTask& task,
   DeviceId chosen = kNoDevice;
   if (index != nullptr) {
     chosen = decide(task, *index, tier, fallback);
+    if (options_.record_bound_interval && interval_exact_) {
+      narrow_interval(task, *index, tier, fallback, chosen);
+    }
   } else {
     std::fill(candidate_mask_.begin(), candidate_mask_.end(), 0);
     gather_candidates(task, view, tier, fallback);
     chosen = select_from_candidates(candidates_, task, view);
+    interval_exact_ = false;  // the reference path records no box
   }
 
   if (telemetry_ != nullptr) {

@@ -85,6 +85,11 @@ struct MiccoSchedulerOptions {
 
   /// Tie-break RNG seed (Alg. 2 breaks exact ties randomly).
   std::uint64_t seed = 7;
+
+  /// Records bound_interval(): the box of triples under which every
+  /// decision would have come out the same. Only the offline tuner sweep
+  /// sets it; batch and daemon runs keep the unrecorded kernel.
+  bool record_bound_interval = false;
 };
 
 class MiccoScheduler final : public Scheduler {
@@ -106,8 +111,17 @@ class MiccoScheduler final : public Scheduler {
   /// Installs the reuse bounds used from the next assignment on; the online
   /// pipeline calls this right after the regression model's inference (step
   /// 2 of Fig. 6).
-  void set_reuse_bounds(ReuseBounds bounds) { bounds_ = bounds; }
+  void set_reuse_bounds(ReuseBounds bounds);
   ReuseBounds reuse_bounds() const { return bounds_; }
+
+  /// With record_bound_interval on: the box of triples inside which a run
+  /// of this scheduler with that fixed triple would repeat every decision
+  /// made since construction (same devices, hence identical
+  /// ExecutionMetrics; DESIGN.md §5d). The box always contains the triple
+  /// in force. It is the point [b, b] when the run cannot vouch for any
+  /// other triple: a decision took the reference path, or the bounds
+  /// changed after the first decision.
+  BoundInterval bound_interval() const;
 
   /// Distinct input tensors assigned to `dev` within the current vector
   /// (the paper's mapGPUTensor.at(dev).size()); exposed for tests.
@@ -127,6 +141,12 @@ class MiccoScheduler final : public Scheduler {
   /// reference path does.
   DeviceId decide(const ContractionTask& task, const ClusterIndex& index,
                   int& tier, bool& fallback);
+
+  /// Bound-interval recording: narrows interval_ to the triples under which
+  /// decide() would have made the decision it just made (`chosen`, from
+  /// `tier` or the fallback) the same way (DESIGN.md §5d).
+  void narrow_interval(const ContractionTask& task, const ClusterIndex& index,
+                       int tier, bool fallback, DeviceId chosen);
 
   /// Reference path, Alg. 1's tier walk from ClusterView queries: fills
   /// candidates_ in the order decide() admits them.
@@ -184,6 +204,12 @@ class MiccoScheduler final : public Scheduler {
   /// membership bitmask (the old linear scan made candidate enumeration
   /// quadratic in the holder count).
   void push_unique(DeviceId dev);
+
+  // -- Bound-interval recording (options_.record_bound_interval) ----------
+  BoundInterval interval_;
+  /// False once the box can no longer be vouched for (bound_interval()).
+  bool interval_exact_ = true;
+  bool decided_ = false;
 };
 
 }  // namespace micco

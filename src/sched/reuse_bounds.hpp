@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,35 @@ struct ReuseBounds {
   bool operator==(const ReuseBounds&) const = default;
 
   std::string to_string() const;
+};
+
+/// A box of bound triples: an integer interval [lo[k], hi[k]] per tier. A
+/// MiccoScheduler that records its bound interval reports the box inside
+/// which every triple would have made each of its decisions the same way
+/// (DESIGN.md §5d).
+struct BoundInterval {
+  static constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  static constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+
+  std::array<std::int64_t, 3> lo{kMin, kMin, kMin};
+  std::array<std::int64_t, 3> hi{kMax, kMax, kMax};
+
+  /// The degenerate box holding `bounds` alone.
+  static BoundInterval point(const ReuseBounds& bounds) {
+    BoundInterval box;
+    box.lo = bounds.values;
+    box.hi = bounds.values;
+    return box;
+  }
+
+  bool contains(const ReuseBounds& bounds) const {
+    for (std::size_t k = 0; k < 3; ++k) {
+      if (bounds[k] < lo[k] || bounds[k] > hi[k]) return false;
+    }
+    return true;
+  }
+
+  bool operator==(const BoundInterval&) const = default;
 };
 
 /// The thirteen bound triples swept in Fig. 8 (values 0..2).

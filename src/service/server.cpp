@@ -75,6 +75,10 @@ bool Server::start(std::string* error) {
   std::memcpy(addr.sun_path, config_.socket_path.c_str(),
               config_.socket_path.size() + 1);
 
+  // A cluster the simulator would refuse fails every job it dispatches,
+  // and a journal would replay those jobs on every restart.
+  const std::string cluster_problem = config_.cluster.validate();
+  if (!cluster_problem.empty()) return fail(cluster_problem);
   const std::string policy_problem = config_.retry.validate();
   if (!policy_problem.empty()) return fail(policy_problem);
   if (config_.faults != nullptr) {

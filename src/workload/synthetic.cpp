@@ -5,18 +5,26 @@
 
 namespace micco {
 
+std::string SyntheticConfig::validate() const {
+  if (num_vectors < 1) return "need at least one vector";
+  if (vector_size < 2 || vector_size % 2 != 0) {
+    return "vector size must be even and >= 2";
+  }
+  if (tensor_extent < 1) return "tensor extent must be >= 1";
+  if (batch < 1) return "batch must be >= 1";
+  if (rank != 2 && rank != 3) return "rank must be 2 (meson) or 3 (baryon)";
+  if (!(repeated_rate >= 0.0 && repeated_rate <= 1.0)) {
+    return "repeated rate must lie in [0, 1]";
+  }
+  if (!(gaussian_sigma_fraction > 0.0)) {
+    return "gaussian sigma fraction must be positive";
+  }
+  return {};
+}
+
 void validate(const SyntheticConfig& config) {
-  MICCO_EXPECTS_MSG(config.num_vectors >= 1, "need at least one vector");
-  MICCO_EXPECTS_MSG(config.vector_size >= 2 && config.vector_size % 2 == 0,
-                    "vector size must be even and >= 2");
-  MICCO_EXPECTS_MSG(config.tensor_extent >= 1, "tensor extent must be >= 1");
-  MICCO_EXPECTS_MSG(config.batch >= 1, "batch must be >= 1");
-  MICCO_EXPECTS_MSG(config.rank == 2 || config.rank == 3,
-                    "rank must be 2 (meson) or 3 (baryon)");
-  MICCO_EXPECTS_MSG(config.repeated_rate >= 0.0 && config.repeated_rate <= 1.0,
-                    "repeated rate must lie in [0, 1]");
-  MICCO_EXPECTS_MSG(config.gaussian_sigma_fraction > 0.0,
-                    "gaussian sigma fraction must be positive");
+  const std::string problem = config.validate();
+  MICCO_EXPECTS_MSG(problem.empty(), problem.c_str());
 }
 
 namespace {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "common/rng.hpp"
 #include "workload/task.hpp"
@@ -26,6 +27,9 @@ struct SyntheticConfig {
   double gaussian_sigma_fraction = 0.12;
 
   std::uint64_t seed = 42;
+
+  /// Empty string when the config is well formed, else a complaint.
+  std::string validate() const;
 };
 
 /// Generates a reproducible stream. Repeated slots of each vector are drawn
@@ -34,8 +38,8 @@ struct SyntheticConfig {
 /// first vector is therefore all-new. Fresh tensors get new TensorIds.
 WorkloadStream generate_synthetic(const SyntheticConfig& config);
 
-/// Validates a config, aborting with a message on nonsensical values
-/// (odd vector size, repeated_rate outside [0,1], ...).
+/// Validates a config, aborting with SyntheticConfig::validate()'s message
+/// on nonsensical values (odd vector size, repeated_rate outside [0,1], ...).
 void validate(const SyntheticConfig& config);
 
 }  // namespace micco

@@ -267,5 +267,27 @@ TEST(Cluster, InvalidDeviceAborts) {
   EXPECT_DEATH((void)sim.memory_used(-1), "dev >= 0");
 }
 
+TEST(ClusterValidate, ReportsWhatTheSimulatorWouldRefuse) {
+  EXPECT_EQ(ClusterConfig{}.validate(), "");
+  EXPECT_EQ(small_cluster().validate(), "");
+  ClusterConfig c;
+  c.num_devices = 0;
+  EXPECT_NE(c.validate().find("num_devices"), std::string::npos);
+  c.num_devices = -2;
+  EXPECT_NE(c.validate(), "");
+  c = ClusterConfig{};
+  c.device_capacity_bytes = 0;
+  EXPECT_NE(c.validate().find("capacity"), std::string::npos);
+  c = ClusterConfig{};
+  c.cost.h2d_bandwidth_gbs = 0.0;
+  EXPECT_NE(c.validate().find("bandwidth"), std::string::npos);
+  c = ClusterConfig{};
+  c.cost.sustained_fraction = 1.5;
+  EXPECT_NE(c.validate(), "");
+  c = ClusterConfig{};
+  c.cost.saturating_extent = 0;
+  EXPECT_NE(c.validate(), "");
+}
+
 }  // namespace
 }  // namespace micco

@@ -36,6 +36,18 @@ TEST(Pipeline, RunsAllTasks) {
   EXPECT_EQ(result.scheduler_name, "MICCO");
 }
 
+TEST(Pipeline, InvalidClusterReportedInResult) {
+  // Reported like an invalid fault plan: no abort, no simulated work.
+  const WorkloadStream stream = generate_synthetic(small_workload());
+  MiccoScheduler sched;
+  const RunResult result = run_stream(stream, sched, small_cluster(0));
+  EXPECT_FALSE(result.completed);
+  EXPECT_NE(result.error.find("invalid cluster configuration"),
+            std::string::npos)
+      << result.error;
+  EXPECT_EQ(result.metrics.total_flops, 0u);
+}
+
 TEST(Pipeline, RecordsPerVectorCharacteristics) {
   const WorkloadStream stream = generate_synthetic(small_workload());
   MiccoScheduler sched;

@@ -11,6 +11,8 @@
 // discard and device failure, and counter export.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -264,6 +266,158 @@ TEST(SchedIncremental, WideClusterFailuresByteIdenticalAcrossModes) {
   plan.device_failures.push_back(DeviceFailure{65, 0.001});
   plan.device_failures.push_back(DeviceFailure{3, 0.002});
   expect_modes_identical(stream, 70, &plan);
+}
+
+// ------------------------------------------------------ recorded intervals
+
+/// What a run decided, decision by decision, and what it cost: everything a
+/// triple inside a recorded bound interval must repeat. Candidate lists and
+/// the logged bound value may differ; these may not.
+struct DecisionTrace {
+  std::vector<std::array<int, 4>> decisions;  ///< chosen, tier, fallback, risk
+  std::vector<std::uint64_t> metric_bits;     ///< ExecutionMetrics, bitwise
+  BoundInterval box;
+  std::int64_t evict_risk_decisions = 0;
+
+  bool operator==(const DecisionTrace& other) const {
+    return decisions == other.decisions && metric_bits == other.metric_bits;
+  }
+};
+
+std::vector<std::uint64_t> metric_bits(const ExecutionMetrics& m) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  return {bits(m.makespan_s),      m.total_flops,
+          m.h2d_transfers,         m.h2d_bytes,
+          m.p2p_transfers,         m.p2p_bytes,
+          m.internode_transfers,   m.internode_bytes,
+          m.writeback_bytes,       m.allocations,
+          m.evictions,             m.dirty_evictions,
+          m.eviction_refetch_bytes, m.reused_operands,
+          m.fetched_operands,      bits(m.barrier_idle_s),
+          bits(m.kernel_time_s),   bits(m.transfer_time_s),
+          bits(m.gflops())};
+}
+
+DecisionTrace traced_run(const WorkloadStream& stream, ReuseBounds bounds,
+                         const ClusterConfig& cluster, bool sensitive,
+                         BoundsProvider* provider = nullptr) {
+  obs::MemoryEventSink sink;
+  obs::Telemetry telemetry;
+  telemetry.sink = &sink;
+  MiccoSchedulerOptions options;
+  options.bounds = bounds;
+  options.eviction_sensitive = sensitive;
+  options.record_bound_interval = true;
+  MiccoScheduler scheduler(options);
+  RunOptions run_options;
+  run_options.telemetry = &telemetry;
+  run_options.bounds = provider;
+  const RunResult result = run_stream(stream, scheduler, cluster, run_options);
+  EXPECT_TRUE(result.completed) << result.error;
+
+  DecisionTrace trace;
+  for (const obs::DecisionEvent& e : sink.decisions()) {
+    trace.decisions.push_back(
+        {e.chosen, e.bound_tier, e.fallback ? 1 : 0, e.evict_risk ? 1 : 0});
+    trace.evict_risk_decisions += e.evict_risk ? 1 : 0;
+  }
+  trace.metric_bits = metric_bits(result.metrics);
+  trace.box = scheduler.bound_interval();
+  return trace;
+}
+
+TEST(BoundInterval, EveryGridTripleInsideABoxRepeatsTheRun) {
+  // Brute force over small seeded streams on 2-8 GPUs, roomy and at 200 %
+  // oversubscription (so Alg. 2's risk flag fires), with the eviction-
+  // sensitive policy on and off: every grid triple inside another triple's
+  // recorded box must make the same decisions — device, tier, fallback and
+  // risk flag, one by one — and bit-identical ExecutionMetrics.
+  const std::vector<ReuseBounds> grid = bound_grid(2);
+  std::size_t pairs_checked = 0;
+  std::int64_t risky_decisions = 0;
+  for (const int gpus : {2, 4, 8}) {
+    for (const DataDistribution dist :
+         {DataDistribution::kUniform, DataDistribution::kGaussian}) {
+      SyntheticConfig cfg = synth(6, 16, 40 + static_cast<std::uint64_t>(gpus));
+      cfg.repeated_rate = 0.75;
+      cfg.distribution = dist;
+      const WorkloadStream stream = generate_synthetic(cfg);
+      for (const bool oversubscribed : {false, true}) {
+        ClusterConfig cluster;
+        cluster.num_devices = gpus;
+        if (oversubscribed) {
+          cluster.device_capacity_bytes = capacity_for_oversubscription(
+              stream, gpus, 2.0, 8 * stream.vectors[0].tasks[0].a.bytes());
+        }
+        for (const bool sensitive : {true, false}) {
+          SCOPED_TRACE(testing::Message()
+                       << gpus << " GPUs, " << to_string(dist)
+                       << (oversubscribed ? ", 200 %" : ", roomy")
+                       << (sensitive ? ", sensitive" : ", insensitive"));
+          std::vector<DecisionTrace> traces;
+          for (const ReuseBounds& bounds : grid) {
+            traces.push_back(traced_run(stream, bounds, cluster, sensitive));
+            EXPECT_TRUE(traces.back().box.contains(bounds));
+            risky_decisions += traces.back().evict_risk_decisions;
+          }
+          for (std::size_t i = 0; i < grid.size(); ++i) {
+            for (std::size_t j = 0; j < grid.size(); ++j) {
+              if (i == j || !traces[i].box.contains(grid[j])) continue;
+              ++pairs_checked;
+              EXPECT_TRUE(traces[i] == traces[j])
+                  << grid[j].to_string() << " lies in the box of "
+                  << grid[i].to_string();
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(pairs_checked, 500u);  // the boxes do cover other triples
+  EXPECT_GT(risky_decisions, 0);   // and the risk flag was exercised
+}
+
+TEST(BoundInterval, ReferencePathReportsThePoint) {
+  const WorkloadStream stream = generate_synthetic(synth(6, 16, 5));
+  ClusterConfig cluster;
+  cluster.num_devices = 4;
+  const ReuseBounds bounds{1, 0, 2};
+  const DecisionTrace incremental = traced_run(stream, bounds, cluster, true);
+  EXPECT_NE(incremental.box, BoundInterval::point(bounds));
+
+  const ScopedMode mode(false);
+  const DecisionTrace reference = traced_run(stream, bounds, cluster, true);
+  EXPECT_EQ(reference.box, BoundInterval::point(bounds));
+  EXPECT_TRUE(reference == incremental);
+}
+
+TEST(BoundInterval, BoundsThatChangeMidRunCollapseToThePoint) {
+  // A provider answering with one fixed triple leaves the box as recorded
+  // without it; one that changes the triple after the first decision leaves
+  // no single triple that reproduces the run.
+  class Alternating final : public BoundsProvider {
+   public:
+    ReuseBounds bounds_for(const DataCharacteristics&) override {
+      return (calls_++ % 2 == 0) ? ReuseBounds{0, 0, 0} : ReuseBounds{2, 2, 2};
+    }
+
+   private:
+    int calls_ = 0;
+  };
+  const WorkloadStream stream = generate_synthetic(synth(6, 16, 6));
+  ClusterConfig cluster;
+  cluster.num_devices = 4;
+  const ReuseBounds bounds{0, 0, 0};
+  const DecisionTrace plain = traced_run(stream, bounds, cluster, true);
+  FixedBounds fixed(bounds);
+  EXPECT_EQ(traced_run(stream, bounds, cluster, true, &fixed).box, plain.box);
+  EXPECT_NE(plain.box, BoundInterval::point(bounds));
+
+  Alternating alternating;
+  const DecisionTrace changing =
+      traced_run(stream, bounds, cluster, true, &alternating);
+  // Six vectors: the last one ran under (2,2,2).
+  EXPECT_EQ(changing.box, BoundInterval::point(ReuseBounds{2, 2, 2}));
 }
 
 // --------------------------------------------------------- PatternCache unit

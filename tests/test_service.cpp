@@ -714,6 +714,20 @@ TEST(Service, StartFailsCleanlyOnBadConfig) {
   EXPECT_NE(error.find("model"), std::string::npos) << error;
 }
 
+TEST(Service, ZeroGpuServerDoesNotStart) {
+  // Refused before the socket is bound: a job it admitted would fail on
+  // dispatch, and a journal would replay it on every restart.
+  ServerConfig config;
+  config.socket_path = test_socket_path("nogpus");
+  config.cluster.num_devices = 0;
+  Server server(std::move(config));
+  std::string error;
+  EXPECT_FALSE(server.start(&error));
+  EXPECT_NE(error.find("num_devices"), std::string::npos) << error;
+  Client client;
+  EXPECT_FALSE(client.connect(test_socket_path("nogpus"), &error));
+}
+
 TEST(Service, ClientDeadlineExpiresAsStructuredTimeout) {
   // A listener that accepts connections but never replies: the deadline
   // must surface as a structured {"ok": false, "code": "timeout"} reply —

@@ -208,6 +208,27 @@ TEST(SyntheticValidate, RejectsBadConfigs) {
   EXPECT_DEATH(validate(c), "rank");
 }
 
+TEST(SyntheticValidate, ReportsProblemsWithoutAborting) {
+  EXPECT_EQ(base_config().validate(), "");
+  const auto problem = [](auto edit) {
+    SyntheticConfig c = base_config();
+    edit(c);
+    return c.validate();
+  };
+  EXPECT_NE(problem([](SyntheticConfig& c) { c.num_vectors = 0; }), "");
+  EXPECT_NE(problem([](SyntheticConfig& c) { c.vector_size = 0; }), "");
+  EXPECT_NE(problem([](SyntheticConfig& c) { c.vector_size = 3; })
+                .find("vector size"),
+            std::string::npos);
+  EXPECT_NE(problem([](SyntheticConfig& c) { c.tensor_extent = 0; }), "");
+  EXPECT_NE(problem([](SyntheticConfig& c) { c.batch = 0; }), "");
+  EXPECT_NE(problem([](SyntheticConfig& c) { c.repeated_rate = 2.0; }), "");
+  EXPECT_NE(problem([](SyntheticConfig& c) { c.rank = 1; }), "");
+  EXPECT_NE(
+      problem([](SyntheticConfig& c) { c.gaussian_sigma_fraction = 0.0; }),
+      "");
+}
+
 TEST(Synthetic, Rank3WorkloadsSupported) {
   SyntheticConfig c = base_config();
   c.rank = 3;

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <set>
+
+#include "parallel/parallel.hpp"
+#include "sched/scheduler.hpp"
 
 namespace micco {
 namespace {
@@ -110,6 +114,130 @@ TEST(Tuner, MeasureGflopsPositiveAndBoundsSensitive) {
     distinct.insert(gflops);
   }
   EXPECT_GE(distinct.size(), 2u);  // bounds must matter somewhere on the grid
+}
+
+/// The sweep before interval reuse: every (sample, stream, triple) run
+/// simulated through measure_gflops, averaged over a sample's streams in
+/// stream order.
+std::vector<double> brute_force_gflops(const TunerConfig& cfg) {
+  const std::vector<SyntheticConfig> synths = tuning_stream_configs(cfg);
+  const std::size_t group =
+      synths.size() / static_cast<std::size_t>(cfg.samples);
+  ClusterConfig cluster;
+  cluster.num_devices = cfg.num_devices;
+  cluster.device_capacity_bytes = cfg.device_capacity_bytes;
+  std::vector<double> gflops;
+  for (std::size_t s = 0; s < synths.size(); s += group) {
+    std::vector<WorkloadStream> streams;
+    for (std::size_t k = 0; k < group; ++k) {
+      streams.push_back(generate_synthetic(synths[s + k]));
+    }
+    for (const ReuseBounds& bounds : bound_grid(cfg.max_bound)) {
+      double sum = 0.0;
+      for (const WorkloadStream& stream : streams) {
+        sum += measure_gflops(stream, bounds, cluster);
+      }
+      gflops.push_back(sum / static_cast<double>(group));
+    }
+  }
+  return gflops;
+}
+
+TunerConfig reuse_tuner() {
+  TunerConfig c = tiny_tuner();
+  c.samples = 4;
+  c.num_devices = 4;
+  c.max_bound = 2;
+  c.seeds_per_sample = 3;
+  return c;
+}
+
+TEST(Tuner, RecordsMatchBruteForceMeasureGflops) {
+  const TunerConfig cfg = reuse_tuner();
+  const std::vector<double> reference = brute_force_gflops(cfg);
+  for (const int threads : {1, 4}) {
+    parallel::set_threads(threads);
+    const TuningData data = generate_tuning_data(cfg);
+    parallel::set_threads(1);
+    ASSERT_EQ(data.records.size(), reference.size());
+    for (std::size_t r = 0; r < reference.size(); ++r) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(data.records[r].gflops),
+                std::bit_cast<std::uint64_t>(reference[r]))
+          << "record " << r << " at " << threads << " threads";
+    }
+    EXPECT_EQ(data.grid_runs_simulated + data.grid_runs_reused, 4u * 3 * 27);
+    EXPECT_GT(data.grid_runs_reused, 0u);  // the intervals did prune
+  }
+}
+
+TEST(Tuner, ReferencePathSimulatesEveryRunAndKeepsLabels) {
+  // The --sched-incremental=off path records no box, so nothing is reused,
+  // and the corpus is the same bit for bit.
+  const TunerConfig cfg = reuse_tuner();
+  const TuningData incremental = generate_tuning_data(cfg);
+  set_sched_incremental(false);
+  const TuningData reference = generate_tuning_data(cfg);
+  set_sched_incremental(true);
+  EXPECT_EQ(reference.grid_runs_reused, 0u);
+  EXPECT_EQ(reference.grid_runs_simulated, 4u * 3 * 27);
+  ASSERT_EQ(reference.records.size(), incremental.records.size());
+  for (std::size_t r = 0; r < reference.records.size(); ++r) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(reference.records[r].gflops),
+              std::bit_cast<std::uint64_t>(incremental.records[r].gflops));
+  }
+  ASSERT_EQ(reference.samples.size(), incremental.samples.size());
+  for (std::size_t s = 0; s < reference.samples.size(); ++s) {
+    EXPECT_EQ(reference.samples[s].best_bounds,
+              incremental.samples[s].best_bounds);
+  }
+}
+
+TEST(Tuner, SweepBoundGridMatchesMeasureGflops) {
+  SyntheticConfig synth;
+  synth.num_vectors = 6;
+  synth.vector_size = 16;
+  synth.tensor_extent = 64;
+  synth.batch = 1;
+  synth.repeated_rate = 0.75;
+  synth.distribution = DataDistribution::kGaussian;
+  synth.seed = 12;
+  const WorkloadStream stream = generate_synthetic(synth);
+  ClusterConfig cluster;
+  cluster.num_devices = 4;
+  const auto& triples = fig8_bound_sweep();
+  const BoundSweep sweep = sweep_bound_grid(stream, triples, cluster);
+  ASSERT_EQ(sweep.gflops.size(), triples.size());
+  EXPECT_EQ(sweep.simulated + sweep.reused, triples.size());
+  EXPECT_GE(sweep.simulated, 1u);
+  for (std::size_t t = 0; t < triples.size(); ++t) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sweep.gflops[t]),
+              std::bit_cast<std::uint64_t>(
+                  measure_gflops(stream, triples[t], cluster)))
+        << triples[t].to_string();
+  }
+}
+
+TEST(TunerValidate, RejectsBadConfigs) {
+  EXPECT_EQ(TunerConfig{}.validate(), "");
+  EXPECT_EQ(tiny_tuner().validate(), "");
+  const auto problem = [](auto edit) {
+    TunerConfig c = tiny_tuner();
+    edit(c);
+    return c.validate();
+  };
+  EXPECT_NE(problem([](TunerConfig& c) { c.samples = 0; }), "");
+  EXPECT_NE(problem([](TunerConfig& c) { c.samples = -3; }), "");
+  EXPECT_NE(problem([](TunerConfig& c) { c.batch = 0; }), "");
+  EXPECT_NE(problem([](TunerConfig& c) { c.num_vectors = 0; }), "");
+  EXPECT_NE(problem([](TunerConfig& c) { c.num_devices = 0; }), "");
+  EXPECT_NE(problem([](TunerConfig& c) { c.device_capacity_bytes = 0; }), "");
+  EXPECT_NE(problem([](TunerConfig& c) { c.max_bound = -1; }), "");
+  EXPECT_NE(problem([](TunerConfig& c) { c.vector_sizes.clear(); }), "");
+  EXPECT_NE(problem([](TunerConfig& c) { c.vector_sizes = {8, 3}; }), "");
+  EXPECT_NE(problem([](TunerConfig& c) { c.tensor_extents = {0}; }), "");
+  EXPECT_NE(problem([](TunerConfig& c) { c.repeated_rates = {1.5}; }), "");
+  EXPECT_NE(problem([](TunerConfig& c) { c.samples = 0; }).find("samples"),
+            std::string::npos);
 }
 
 }  // namespace

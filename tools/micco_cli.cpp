@@ -179,6 +179,14 @@ bool load_evict_policy_flag(const CliArgs& args, const char* cmd,
   return true;
 }
 
+/// Prints "cmd: problem" when a config's validate() found one; the verbs
+/// then exit 2 instead of tripping a library precondition.
+bool rejected(const char* cmd, const std::string& problem) {
+  if (problem.empty()) return false;
+  std::fprintf(stderr, "%s: %s\n", cmd, problem.c_str());
+  return true;
+}
+
 /// Conservative per-task capacity floor for --oversub; zero for a workload
 /// with no tasks (where oversubscription is meaningless).
 std::uint64_t first_task_bytes(const WorkloadStream& stream) {
@@ -231,6 +239,7 @@ int cmd_generate(const CliArgs& args) {
                          ? DataDistribution::kGaussian
                          : DataDistribution::kUniform;
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  if (rejected("generate", cfg.validate())) return 2;
   const WorkloadStream stream = generate_synthetic(cfg);
   save_stream_file(stream, out);
   std::printf("wrote %zu vectors (%llu contractions, %.2f GiB footprint) to "
@@ -277,6 +286,7 @@ int cmd_run(const CliArgs& args) {
     cluster.device_capacity_bytes = capacity_for_oversubscription(
         *stream, cluster.num_devices, oversub, 8 * task_bytes);
   }
+  if (rejected("run", cluster.validate())) return 2;
 
   std::optional<FaultPlan> plan;
   RetryPolicy retry;
@@ -367,12 +377,17 @@ int cmd_train(const CliArgs& args) {
   tuner.num_devices = static_cast<int>(args.get_int("gpus", 8));
   tuner.batch = args.get_int("batch", 32);
   tuner.seed = static_cast<std::uint64_t>(args.get_int("seed", 2022));
+  if (rejected("train", tuner.validate())) return 2;
   // Sweep and forest fitting both fan out over the worker pool; labels and
   // the written model are byte-identical at every thread count.
   parallel::set_threads(static_cast<int>(args.get_int("threads", 0)));
   std::printf("sweeping %d samples x 27 bound triples (%d threads)...\n",
               tuner.samples, parallel::configured_threads());
   const TuningData data = generate_tuning_data(tuner);
+  std::printf("simulated %llu of %llu grid runs\n",
+              static_cast<unsigned long long>(data.grid_runs_simulated),
+              static_cast<unsigned long long>(data.grid_runs_simulated +
+                                              data.grid_runs_reused));
   const TrainedBoundsModel trained = train_bounds_model(
       data.samples, random_forest_factory(), "RandomForest", tuner.max_bound);
   std::printf("RandomForest held-out R^2 = %.2f\n", trained.report.mean_r2);
@@ -631,6 +646,7 @@ int cmd_report(const CliArgs& args) {
     cfg.num_vectors = args.get_int("vectors", 4);
     cfg.vector_size = args.get_int("vector-size", 48);
     cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+    if (rejected("report", cfg.validate())) return 2;
     stream = generate_synthetic(cfg);
   }
 
@@ -648,6 +664,7 @@ int cmd_report(const CliArgs& args) {
     cluster.device_capacity_bytes = capacity_for_oversubscription(
         *stream, cluster.num_devices, oversub, 8 * task_bytes);
   }
+  if (rejected("report", cluster.validate())) return 2;
 
   std::optional<FaultPlan> plan;
   RetryPolicy retry;
@@ -791,6 +808,7 @@ int cmd_serve(const CliArgs& args) {
   cfg.cluster.num_devices = static_cast<int>(args.get_int("gpus", 8));
   cfg.cluster.p2p_enabled = args.get_bool("p2p", false);
   cfg.cluster.overlap_transfers = args.get_bool("async-copy", false);
+  if (rejected("serve", cfg.cluster.validate())) return 2;
 
   std::optional<FaultPlan> plan;
   RetryPolicy retry;
