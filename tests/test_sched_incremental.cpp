@@ -1,25 +1,37 @@
-// The incremental-scheduler equivalence contract (DESIGN.md §9): the
-// delta-maintained hot path (--sched-incremental=on, the default) and the
-// recompute-from-view reference path must produce byte-identical decision
-// logs, cluster-event logs and run reports — the only permitted report
-// difference is the pattern-cache counter pair, which is registered only on
-// the incremental path. Exercised across the three Table VI meson
-// workloads (also at 200 % memory oversubscription, where Alg. 2's
-// eviction-sensitive ordering decides), a fault-recovery sweep, the
-// reuse-tier visit ordering and clusters past the 64-bit mask word. Plus
-// the PatternCache unit suite: epoch-keyed hits, invalidation on eviction,
-// discard and device failure, and counter export.
+// The incremental-scheduler identity contract (DESIGN.md §9): decision
+// logs, cluster-event logs and run reports must stay byte-identical to the
+// golden files in tests/golden/. The goldens were written by this harness
+// after it checked that the delta-maintained hot path (the default) and the
+// recompute-from-view reference path (--sched-incremental=off) agree; the
+// only report difference between the two, the pattern-cache counter pair,
+// is stripped before hashing. Cases: the three Table VI meson workloads
+// (also at 200 % memory oversubscription, where Alg. 2's eviction-sensitive
+// ordering decides, and f0d4 there under each eviction policy), a
+// fault-recovery sweep, the reuse-tier visit ordering and clusters past the
+// 64-bit mask word. Plus the PatternCache unit suite: epoch-keyed hits,
+// invalidation on eviction, discard and device failure, and counter export.
+//
+// Each golden file holds FNV-1a-64 digests of the three outputs and a
+// compact per-decision trace, so a failure names the first decision that
+// moved. A missing golden file is written from the current build and the
+// case fails once: delete a file and re-run the suite to regenerate it.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <bit>
+#include <cctype>
 #include <cstdint>
+#include <fstream>
+#include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/pipeline.hpp"
 #include "faults/fault_plan.hpp"
 #include "gpusim/cluster.hpp"
+#include "mem/policy.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
@@ -28,6 +40,7 @@
 #include "sched/micco_scheduler.hpp"
 #include "sched/reuse_pattern.hpp"
 #include "sched/scheduler.hpp"
+#include "service/journal.hpp"
 #include "workload/synthetic.hpp"
 
 namespace micco {
@@ -41,18 +54,10 @@ class ScopedMode {
   ~ScopedMode() { set_sched_incremental(true); }
 };
 
-std::string decisions_dump(const obs::MemoryEventSink& sink) {
+template <typename Event>
+std::string jsonl(const std::vector<Event>& events) {
   std::string out;
-  for (const obs::DecisionEvent& e : sink.decisions()) {
-    out += e.to_json().dump();
-    out += '\n';
-  }
-  return out;
-}
-
-std::string cluster_events_dump(const obs::MemoryEventSink& sink) {
-  std::string out;
-  for (const obs::ClusterEvent& e : sink.cluster_events()) {
+  for (const Event& e : events) {
     out += e.to_json().dump();
     out += '\n';
   }
@@ -92,10 +97,33 @@ bool report_mentions_cache(const obs::JsonValue& report) {
          std::string::npos;
 }
 
-struct ModeRun {
+/// One decision as a token: the chosen device, then the admitting tier as
+/// a letter (a, b, c for tiers I, II, II'; f for the fallback), upper case
+/// when Alg. 2's eviction-risk flag was up. "12b": device 12, tier II.
+std::string trace_token(const obs::DecisionEvent& e) {
+  EXPECT_TRUE(e.fallback || (e.bound_tier >= 0 && e.bound_tier < 3));
+  const char tier = e.fallback ? 'f' : static_cast<char>('a' + e.bound_tier);
+  return std::to_string(e.chosen) +
+         (e.evict_risk ? static_cast<char>(std::toupper(tier)) : tier);
+}
+
+/// What a golden case runs: MICCO with bounds (1, 1, 1), so the tiers both
+/// admit and overflow.
+struct GoldenInput {
+  WorkloadStream stream;
+  int gpus = 8;
+  std::uint64_t capacity = 256ull << 20;
+  std::optional<FaultPlan> plan;
+  PairOrdering ordering = PairOrdering::kAsGiven;
+  std::optional<mem::EvictPolicyKind> evict_policy;
+};
+
+/// One run's observable output.
+struct Capture {
   std::string decisions;
   std::string cluster_events;
-  std::string stripped_report;
+  std::string report;  ///< wall-clock field zeroed, cache counters stripped
+  std::vector<std::string> trace;
   bool cache_counters_present = false;
   /// Decisions taken under the memory-eviction-sensitive policy, and the
   /// evictions the run paid (both from the report).
@@ -103,37 +131,41 @@ struct ModeRun {
   std::int64_t evictions = 0;
 };
 
-ModeRun run_mode(bool incremental, const WorkloadStream& stream, int gpus,
-                 const FaultPlan* plan = nullptr,
-                 PairOrdering ordering = PairOrdering::kAsGiven,
-                 std::uint64_t capacity = 256ull << 20) {
+Capture run_mode(bool incremental, const GoldenInput& in) {
   const ScopedMode mode(incremental);
   obs::MemoryEventSink sink;
   obs::Telemetry telemetry;
   telemetry.sink = &sink;
 
   MiccoSchedulerOptions options;
-  options.bounds = ReuseBounds{1, 1, 1};  // tiers admit *and* overflow
+  options.bounds = ReuseBounds{1, 1, 1};
   MiccoScheduler scheduler(options);
 
   ClusterConfig cluster;
-  cluster.num_devices = gpus;
-  cluster.device_capacity_bytes = capacity;
+  cluster.num_devices = in.gpus;
+  cluster.device_capacity_bytes = in.capacity;
+
+  std::unique_ptr<mem::EvictionPolicy> policy;
+  if (in.evict_policy.has_value()) policy = mem::make_policy(*in.evict_policy);
 
   RunOptions run_options;
   run_options.telemetry = &telemetry;
-  run_options.faults = plan;
-  run_options.ordering = ordering;
-  RunResult result = run_stream(stream, scheduler, cluster, run_options);
+  run_options.faults = in.plan.has_value() ? &*in.plan : nullptr;
+  run_options.ordering = in.ordering;
+  run_options.evict_policy = policy.get();
+  RunResult result = run_stream(in.stream, scheduler, cluster, run_options);
   EXPECT_TRUE(result.completed) << result.error;
   result.scheduling_overhead_ms = 0.0;  // the one wall-clock report field
 
-  ModeRun out;
-  out.decisions = decisions_dump(sink);
-  out.cluster_events = cluster_events_dump(sink);
+  Capture out;
+  out.decisions = jsonl(sink.decisions());
+  out.cluster_events = jsonl(sink.cluster_events());
+  for (const obs::DecisionEvent& e : sink.decisions()) {
+    out.trace.push_back(trace_token(e));
+  }
   const obs::JsonValue report = make_run_report(result, telemetry);
   out.cache_counters_present = report_mentions_cache(report);
-  out.stripped_report = strip_cache_counters(report).dump();
+  out.report = strip_cache_counters(report).dump();
   out.evict_risk_decisions = report.at("registry")
                                  .at("counters")
                                  .at(obs::names::kSchedEvictRisk)
@@ -142,20 +174,95 @@ ModeRun run_mode(bool incremental, const WorkloadStream& stream, int gpus,
   return out;
 }
 
-/// Runs both modes and compares them; returns the incremental run.
-ModeRun expect_modes_identical(const WorkloadStream& stream, int gpus,
-                               const FaultPlan* plan = nullptr,
-                               PairOrdering ordering = PairOrdering::kAsGiven,
-                               std::uint64_t capacity = 256ull << 20) {
-  const ModeRun on = run_mode(true, stream, gpus, plan, ordering, capacity);
-  const ModeRun off = run_mode(false, stream, gpus, plan, ordering, capacity);
-  EXPECT_FALSE(on.decisions.empty());
+// ------------------------------------------------------------ golden files
+
+constexpr std::size_t kTokensPerLine = 16;
+
+std::string golden_path(const std::string& name) {
+  return std::string(MICCO_GOLDEN_DIR) + "/" + name + ".txt";
+}
+
+std::string golden_text(const Capture& run) {
+  std::ostringstream out;
+  out << "decisions " << service::fnv1a64_hex(run.decisions) << '\n'
+      << "cluster_events " << service::fnv1a64_hex(run.cluster_events) << '\n'
+      << "report " << service::fnv1a64_hex(run.report) << '\n'
+      << "trace " << run.trace.size() << '\n';
+  for (std::size_t i = 0; i < run.trace.size(); ++i) {
+    out << run.trace[i]
+        << ((i + 1) % kTokensPerLine == 0 || i + 1 == run.trace.size() ? '\n'
+                                                                      : ' ');
+  }
+  return out.str();
+}
+
+struct Golden {
+  std::string decisions;
+  std::string cluster_events;
+  std::string report;
+  std::vector<std::string> trace;
+};
+
+/// Parses a golden file; nullopt when it is absent or malformed.
+std::optional<Golden> read_golden(const std::string& path) {
+  std::ifstream in(path);
+  if (!in.good()) return std::nullopt;
+  Golden g;
+  std::string key;
+  std::size_t count = 0;
+  if (!(in >> key >> g.decisions) || key != "decisions" ||
+      !(in >> key >> g.cluster_events) || key != "cluster_events" ||
+      !(in >> key >> g.report) || key != "report" || !(in >> key >> count) ||
+      key != "trace") {
+    return std::nullopt;
+  }
+  for (std::string token; in >> token;) g.trace.push_back(token);
+  if (g.trace.size() != count) return std::nullopt;
+  return g;
+}
+
+/// Compares one run against its golden file, decision by decision first so
+/// a failure names the earliest decision that moved. Writes the file (and
+/// fails) when it does not exist yet.
+void expect_matches_golden(const std::string& name, const Capture& run) {
+  ASSERT_FALSE(run.trace.empty());
+  const std::string path = golden_path(name);
+  if (!std::ifstream(path).good()) {
+    std::ofstream(path) << golden_text(run);
+    ADD_FAILURE() << "wrote missing golden file " << path
+                  << "; review it, commit it and re-run";
+    return;
+  }
+  const std::optional<Golden> golden = read_golden(path);
+  ASSERT_TRUE(golden.has_value()) << "malformed golden file " << path;
+  const std::size_t common = std::min(golden->trace.size(), run.trace.size());
+  for (std::size_t i = 0; i < common; ++i) {
+    ASSERT_EQ(golden->trace[i], run.trace[i])
+        << name << ": decision " << i << " moved (golden " << golden->trace[i]
+        << ", now " << run.trace[i] << ")";
+  }
+  ASSERT_EQ(golden->trace.size(), run.trace.size())
+      << name << ": decision count changed";
+  EXPECT_EQ(golden->decisions, service::fnv1a64_hex(run.decisions))
+      << name << ": decision log differs";
+  EXPECT_EQ(golden->cluster_events, service::fnv1a64_hex(run.cluster_events))
+      << name << ": cluster-event log differs";
+  EXPECT_EQ(golden->report, service::fnv1a64_hex(run.report))
+      << name << ": run report differs";
+}
+
+/// Runs both modes, requires them to agree, and holds the result to the
+/// case's golden file; returns the incremental run.
+Capture expect_golden(const std::string& name, const GoldenInput& in) {
+  const Capture on = run_mode(true, in);
+  const Capture off = run_mode(false, in);
   EXPECT_EQ(on.decisions, off.decisions);
   EXPECT_EQ(on.cluster_events, off.cluster_events);
-  EXPECT_EQ(on.stripped_report, off.stripped_report);
+  EXPECT_EQ(on.report, off.report);
   // The cache pair is the single intentional report difference.
   EXPECT_TRUE(on.cache_counters_present);
   EXPECT_FALSE(off.cache_counters_present);
+  expect_matches_golden(name, on);
   return on;
 }
 
@@ -163,31 +270,27 @@ ModeRun expect_modes_identical(const WorkloadStream& stream, int gpus,
 
 /// Table VI shapes shrunk the same way test_integration.cpp does (fewer
 /// time slices, smaller extent/batch): the diagram structure — and with it
-/// the residency/reuse behaviour the two paths must agree on — is
-/// unchanged, only the simulated tensor volume shrinks.
-redstar::CorrelatorSpec shrunk(redstar::CorrelatorSpec spec) {
+/// the residency/reuse behaviour the goldens pin — is unchanged, only the
+/// simulated tensor volume shrinks.
+GoldenInput correlator(redstar::CorrelatorSpec spec) {
   spec.time_slices = 3;
   spec.extent = 32;
   spec.batch = 2;
-  return spec;
+  GoldenInput in;
+  in.stream = redstar::build_workload(spec).stream;
+  return in;
 }
 
 TEST(SchedIncremental, A1RhopiByteIdenticalAcrossModes) {
-  const redstar::CorrelatorWorkload w =
-      redstar::build_workload(shrunk(redstar::make_a1_rhopi()));
-  expect_modes_identical(w.stream, 8);
+  expect_golden("a1rhopi", correlator(redstar::make_a1_rhopi()));
 }
 
 TEST(SchedIncremental, F0d2ByteIdenticalAcrossModes) {
-  const redstar::CorrelatorWorkload w =
-      redstar::build_workload(shrunk(redstar::make_f0d2()));
-  expect_modes_identical(w.stream, 8);
+  expect_golden("f0d2", correlator(redstar::make_f0d2()));
 }
 
 TEST(SchedIncremental, F0d4ByteIdenticalAcrossModes) {
-  const redstar::CorrelatorWorkload w =
-      redstar::build_workload(shrunk(redstar::make_f0d4()));
-  expect_modes_identical(w.stream, 8);
+  expect_golden("f0d4", correlator(redstar::make_f0d4()));
 }
 
 /// The correlator at Fig. 11's 200 % oversubscription on 8 GPUs: capacity
@@ -195,22 +298,38 @@ TEST(SchedIncremental, F0d4ByteIdenticalAcrossModes) {
 /// task's working set always fits. Every candidate device is then short of
 /// memory for most pairs, so Alg. 2 orders by free memory first — the
 /// branch the 256 MiB runs above never reach.
-void expect_oversubscribed_modes_identical(redstar::CorrelatorSpec spec) {
-  const redstar::CorrelatorWorkload w = redstar::build_workload(shrunk(spec));
-  const std::uint64_t capacity = capacity_for_oversubscription(
-      w.stream, 8, 2.0, 8 * w.stream.vectors[0].tasks[0].a.bytes());
-  const ModeRun on = expect_modes_identical(w.stream, 8, nullptr,
-                                            PairOrdering::kAsGiven, capacity);
-  EXPECT_GT(on.evict_risk_decisions, 0);
-  EXPECT_GT(on.evictions, 0);
+GoldenInput oversubscribed(redstar::CorrelatorSpec spec) {
+  GoldenInput in = correlator(spec);
+  in.capacity = capacity_for_oversubscription(
+      in.stream, 8, 2.0, 8 * in.stream.vectors[0].tasks[0].a.bytes());
+  return in;
+}
+
+void expect_oversubscribed_golden(const std::string& name,
+                                  const GoldenInput& in) {
+  const Capture run = expect_golden(name, in);
+  EXPECT_GT(run.evict_risk_decisions, 0);
+  EXPECT_GT(run.evictions, 0);
 }
 
 TEST(SchedIncremental, OversubscribedF0d4ByteIdenticalAcrossModes) {
-  expect_oversubscribed_modes_identical(redstar::make_f0d4());
+  expect_oversubscribed_golden("f0d4_oversub",
+                               oversubscribed(redstar::make_f0d4()));
+}
+
+TEST(SchedIncremental, OversubscribedF0d4EvictionPoliciesMatchGolden) {
+  // The same run with an eviction policy attached: victims come from the
+  // policy and the report gains its mem.* fields.
+  GoldenInput in = oversubscribed(redstar::make_f0d4());
+  in.evict_policy = mem::EvictPolicyKind::kLru;
+  expect_oversubscribed_golden("f0d4_oversub_lru", in);
+  in.evict_policy = mem::EvictPolicyKind::kReuseDistance;
+  expect_oversubscribed_golden("f0d4_oversub_reuse_distance", in);
 }
 
 TEST(SchedIncremental, OversubscribedF0d2ByteIdenticalAcrossModes) {
-  expect_oversubscribed_modes_identical(redstar::make_f0d2());
+  expect_oversubscribed_golden("f0d2_oversub",
+                               oversubscribed(redstar::make_f0d2()));
 }
 
 TEST(SchedIncremental, OversubscribedNnSystemByteIdenticalAcrossModes) {
@@ -219,7 +338,8 @@ TEST(SchedIncremental, OversubscribedNnSystemByteIdenticalAcrossModes) {
   // two-nucleon system mixes rank-3 and rank-2 tensors: free memory differs
   // between candidates and the free-memory-first ordering itself decides
   // (swapping the key order changes this run's schedule, not the others').
-  expect_oversubscribed_modes_identical(redstar::make_nn_system());
+  expect_oversubscribed_golden("nn_system_oversub",
+                               oversubscribed(redstar::make_nn_system()));
 }
 
 SyntheticConfig synth(int vectors, int vector_size, std::uint64_t seed) {
@@ -233,39 +353,48 @@ SyntheticConfig synth(int vectors, int vector_size, std::uint64_t seed) {
   return c;
 }
 
+GoldenInput synthetic(int vectors, int vector_size, std::uint64_t seed,
+                      int gpus) {
+  GoldenInput in;
+  in.stream = generate_synthetic(synth(vectors, vector_size, seed));
+  in.gpus = gpus;
+  return in;
+}
+
 TEST(SchedIncremental, ReuseTierOrderingByteIdenticalAcrossModes) {
-  // kReuseTierFirst classifies every pair up front (through the epoch-keyed
-  // cache on the incremental path) to sort the visit order — the ordering
-  // itself must come out identical.
-  const WorkloadStream stream = generate_synthetic(synth(5, 24, 11));
-  expect_modes_identical(stream, 4, nullptr, PairOrdering::kReuseTierFirst);
+  // kReuseTierFirst classifies every pair up front to sort the visit
+  // order — the ordering itself must come out identical.
+  GoldenInput in = synthetic(5, 24, 11, 4);
+  in.ordering = PairOrdering::kReuseTierFirst;
+  expect_golden("reuse_tier_first", in);
 }
 
 TEST(SchedIncremental, FaultSweepByteIdenticalAcrossModes) {
-  const WorkloadStream stream = generate_synthetic(synth(6, 24, 7));
+  GoldenInput in = synthetic(6, 24, 7, 4);
   FaultPlan plan;
   plan.device_failures.push_back(DeviceFailure{2, 0.001});
   plan.transfer.probability = 0.05;
   plan.transfer.seed = 99;
-  expect_modes_identical(stream, 4, &plan);
+  in.plan = plan;
+  expect_golden("fault_sweep", in);
 }
 
 TEST(SchedIncremental, WideClustersByteIdenticalAcrossModes) {
   // 64 exactly fills the inline mask word; 70 exercises the spill words in
   // both the residency masks and the alive-mask fallback scan.
-  const WorkloadStream stream = generate_synthetic(synth(6, 96, 21));
-  expect_modes_identical(stream, 64);
-  expect_modes_identical(stream, 70);
+  expect_golden("wide64", synthetic(6, 96, 21, 64));
+  expect_golden("wide70", synthetic(6, 96, 21, 70));
 }
 
 TEST(SchedIncremental, WideClusterFailuresByteIdenticalAcrossModes) {
   // Failing device 65 flips a bit in the second alive-mask word mid-run;
-  // the recovery path must keep the two modes in lockstep.
-  const WorkloadStream stream = generate_synthetic(synth(6, 96, 22));
+  // the recovery path must replay the golden schedule exactly.
+  GoldenInput in = synthetic(6, 96, 22, 70);
   FaultPlan plan;
   plan.device_failures.push_back(DeviceFailure{65, 0.001});
   plan.device_failures.push_back(DeviceFailure{3, 0.002});
-  expect_modes_identical(stream, 70, &plan);
+  in.plan = plan;
+  expect_golden("wide70_failures", in);
 }
 
 // ------------------------------------------------------ recorded intervals
