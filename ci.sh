@@ -10,12 +10,13 @@
 # byte-identical decision logs AND byte-identical span traces across
 # sessions, a `micco top --once` dashboard frame, and an offline
 # `micco report --spans` well-formedness pass), a configuration smoke test
-# (out-of-range train/run/report/generate/serve flags exit 2, never abort),
+# (out-of-range train/run/report/generate/serve flags and unknown flags exit
+# 2, never abort or run),
 # a chaos smoke test
 # (tools/chaos_smoke.sh: kill -9 the daemon at every scripted journal crash
 # point, restart on the same journal, and require byte-identical recovered
 # decision logs plus exactly-once idempotent resubmits), an eviction-policy
-# smoke test (all three mem/ policies on an oversubscribed workload plus a
+# smoke test (both mem/ policies on an oversubscribed workload plus a
 # daemon session with the cross-tenant memory arbiter on), an
 # ASan+UBSan-instrumented build + test pass (which covers the protocol fuzz
 # and journal torn-write suites under ASan), a TSan pass over the
@@ -177,7 +178,8 @@ echo "serve smoke test OK: deterministic decision logs + span traces," \
 
 echo "== configuration validation smoke test =="
 # Out-of-range configuration is a usage error: the verb names the problem
-# and exits 2 instead of tripping a library precondition (exit 134).
+# and exits 2 instead of tripping a library precondition (exit 134). So is
+# a flag the verb never reads: a typo must not silently run the default.
 expect_exit_2() {
   set +e
   "$@" > /dev/null 2> "${SMOKE_DIR}/config_err.txt"
@@ -201,14 +203,18 @@ for flag in --vectors=0 --vector-size=3 --tensor=0 --batch=0 --repeat=2; do
 done
 expect_exit_2 "${BUILD_DIR}/tools/micco" serve \
   --socket="${SMOKE_DIR}/bad.sock" --gpus=0
-echo "config smoke test OK: every out-of-range flag exited 2"
+expect_exit_2 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" --gpus=4 \
+  --oversub=2 --evict-polcy=reuse-distance
+expect_exit_2 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" \
+  --sched-incremental=off
+echo "config smoke test OK: every out-of-range or unknown flag exited 2"
 
 echo "== eviction-policy smoke test =="
-# Memory co-design subsystem (DESIGN.md §11): every eviction policy must
+# Memory co-design subsystem (DESIGN.md §11): both eviction policies must
 # complete the same oversubscribed meson workload via the CLI, and a daemon
 # session with the cross-tenant arbiter on must surface the memory section
 # in stats replies and the top dashboard.
-for policy in lru reuse-distance pin-until-last-use; do
+for policy in lru reuse-distance; do
   "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" --gpus=4 --oversub=2 \
     --evict-policy="${policy}" > "${SMOKE_DIR}/policy_${policy}.txt"
   grep -q 'eviction policy' "${SMOKE_DIR}/policy_${policy}.txt"
@@ -235,7 +241,7 @@ grep -q 'memory:' "${SMOKE_DIR}/arbiter_top.txt"
 grep -q 'resident_bytes' "${SMOKE_DIR}/arbiter_top.txt"
 "${BUILD_DIR}/tools/micco" drain --socket="${SMOKE_DIR}/svc.sock"
 wait "${SERVE_PID}"
-echo "eviction-policy smoke test OK: three policies ran, arbiter session" \
+echo "eviction-policy smoke test OK: both policies ran, arbiter session" \
   "surfaced per-tenant residency"
 
 echo "== chaos smoke test (kill -9 + journal recovery) =="

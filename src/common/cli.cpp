@@ -84,4 +84,16 @@ std::vector<std::string> CliArgs::unused() const {
   return result;
 }
 
+std::vector<std::string> CliArgs::unknown(
+    std::initializer_list<std::string_view> known) const {
+  std::vector<std::string> result;
+  for (const auto& [name, value] : flags_) {
+    (void)value;
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      result.push_back(name);
+    }
+  }
+  return result;
+}
+
 }  // namespace micco

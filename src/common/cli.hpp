@@ -4,9 +4,11 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace micco {
@@ -38,6 +40,11 @@ class CliArgs {
   /// Flags that were present but never queried; used by binaries to warn
   /// about typos before running a long experiment.
   std::vector<std::string> unused() const;
+
+  /// Flags that were present but are not named in `known`, in name order;
+  /// lets a binary reject typos before it reads anything.
+  std::vector<std::string> unknown(
+      std::initializer_list<std::string_view> known) const;
 
   /// Program name (argv[0]).
   const std::string& program() const { return program_; }

@@ -37,16 +37,10 @@ std::vector<std::size_t> visit_order(const VectorWorkload& vec,
     case PairOrdering::kAsGiven:
       break;
     case PairOrdering::kReuseTierFirst: {
-      // Classification from the incremental index when the view maintains
-      // one (bitmask intersections instead of holder-list scans; identical
-      // results either way).
-      const ClusterIndex* index =
-          sched_incremental() ? view.cluster_index() : nullptr;
+      const ClusterIndex& index = view.cluster_index();
       std::vector<int> tier(vec.tasks.size());
       for (std::size_t i = 0; i < vec.tasks.size(); ++i) {
-        tier[i] = static_cast<int>(
-            index != nullptr ? classify_pair(vec.tasks[i], *index)
-                             : classify_pair(vec.tasks[i], view));
+        tier[i] = static_cast<int>(classify_pair(vec.tasks[i], index));
       }
       std::stable_sort(order.begin(), order.end(),
                        [&](std::size_t a, std::size_t b) {
@@ -346,7 +340,7 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
   for (int dev = 0; dev < result.num_devices; ++dev) {
     result.device_resident_bytes.push_back(sim.memory_used(dev));
   }
-  result.residency_epoch = sim.cluster_index()->epoch_bumps();
+  result.residency_epoch = sim.cluster_index().epoch_bumps();
   result.device_busy_s.reserve(result.device_utilization.size());
   for (const double u : result.device_utilization) {
     result.device_busy_s.push_back(u * result.metrics.makespan_s);

@@ -48,8 +48,6 @@ class ClusterView : public ResidencyOracle {
   virtual std::span<const DeviceId> devices_holding(TensorId id) const = 0;
 
   virtual bool resident_on(DeviceId dev, TensorId id) const = 0;
-  virtual std::uint64_t memory_used(DeviceId dev) const = 0;
-  virtual std::uint64_t memory_capacity(DeviceId dev) const = 0;
 
   /// Accumulated busy time of the device's timeline, in seconds. "Earliest
   /// available device" baselines key off this.
@@ -65,12 +63,10 @@ class ClusterView : public ResidencyOracle {
   /// balanceNum over this count instead of num_devices().
   virtual int num_alive_devices() const { return num_devices(); }
 
-  /// The incremental cluster-state index, when this view maintains one
-  /// (ClusterSimulator does). Schedulers use it for the delta-maintained
-  /// hot path; a nullptr return sends them down the recompute-from-view
-  /// reference path, so lightweight views (tests, oracles' probes) need not
-  /// implement it.
-  virtual const ClusterIndex* cluster_index() const { return nullptr; }
+  /// The delta-maintained cluster-state index (DESIGN.md §9): residency,
+  /// load and headroom as flat arrays. Scheduler decisions and pair
+  /// classification read it instead of the per-query accessors above.
+  virtual const ClusterIndex& cluster_index() const = 0;
 };
 
 /// Aggregated execution metrics for one simulated run.
@@ -209,13 +205,14 @@ class ClusterSimulator final : public ClusterView {
   int num_devices() const override;
   std::span<const DeviceId> devices_holding(TensorId id) const override;
   bool resident_on(DeviceId dev, TensorId id) const override;
-  std::uint64_t memory_used(DeviceId dev) const override;
-  std::uint64_t memory_capacity(DeviceId dev) const override;
   double busy_time(DeviceId dev) const override;
   bool resident_anywhere(TensorId id) const override;
   bool device_alive(DeviceId dev) const override;
   int num_alive_devices() const override;
-  const ClusterIndex* cluster_index() const override { return &index_; }
+  const ClusterIndex& cluster_index() const override { return index_; }
+
+  std::uint64_t memory_used(DeviceId dev) const;
+  std::uint64_t memory_capacity(DeviceId dev) const;
 
   // -- Execution --------------------------------------------------------
   /// Executes one contraction on the given device: fetches absent operands
@@ -420,8 +417,7 @@ class ClusterSimulator final : public ClusterView {
   obs::Histogram* fetch_bytes_hist_ = nullptr;
   obs::Histogram* victim_age_hist_ = nullptr;
   obs::Histogram* barrier_idle_hist_ = nullptr;
-  /// Residency-epoch bumps (one per place/remove) — the invalidation rate
-  /// the pattern cache pays for.
+  /// Residency-epoch bumps (one per place/remove).
   obs::Counter* epoch_bumps_counter_ = nullptr;
   /// mem.* instruments, resolved only while BOTH telemetry and an eviction
   /// policy are attached (resolve_mem_instruments); the policy-free default

@@ -10,12 +10,9 @@
 //   * Per-tensor residency: the holder list in insertion order (candidate
 //     enumeration order is part of the decision-log byte-identity contract;
 //     up to four holders inline, so placing a tensor allocates nothing)
-//     plus a device bitmask for O(1) membership tests, and a **residency
-//     epoch** stamped from a global monotonic counter on every place and
-//     remove. Anything derived from a tensor's holder set (the reuse-pattern
-//     cache) is valid exactly as long as the tensor's epoch is unchanged —
-//     evictions, device failures and discards all bump it, which is the
-//     whole invalidation protocol.
+//     plus a device bitmask for O(1) membership tests. A global monotonic
+//     epoch counts every place and remove; the memory arbiter reads it as
+//     a run's coldness clock.
 //   * Per-device SoA mirrors: busy time, memory used/capacity and an alive
 //     bitmask in parallel flat arrays, so candidate selection runs
 //     branch-light over contiguous doubles instead of virtual calls.
@@ -77,16 +74,11 @@ class ClusterIndex {
   };
 
   /// Residency record of one tensor. Entries persist after the last replica
-  /// is removed (empty holders) so the epoch keeps counting across
-  /// re-placements — a cache keyed on (id, epoch) must never see an epoch
-  /// reset to a previously issued value.
+  /// is removed (empty holders), keeping the host-copy bits below.
   struct Residency {
     /// Holder devices in insertion (placement) order; schedulers enumerate
     /// candidates in exactly this order.
     HolderList holders;
-    /// Value of the global epoch counter at this tensor's last residency
-    /// change; 0 only for tensors never placed.
-    std::uint64_t epoch = 0;
     /// Membership bitmask over devices 0-63 (the common numGPU <= 64 case).
     /// Devices past 63 are looked up in the holder list instead, so no
     /// record needs a heap-allocated mask.
@@ -113,11 +105,11 @@ class ClusterIndex {
 
   // -- Residency deltas --------------------------------------------------
   /// Records a new replica of `id` on `dev` (must not already hold it) and
-  /// bumps the tensor's epoch.
+  /// bumps the global epoch.
   void place(TensorId id, DeviceId dev);
 
-  /// Drops the replica of `id` on `dev` (must hold it) and bumps the
-  /// tensor's epoch. The entry survives with an empty holder list.
+  /// Drops the replica of `id` on `dev` (must hold it) and bumps the global
+  /// epoch. The entry survives with an empty holder list.
   void remove(TensorId id, DeviceId dev);
 
   /// The tensor's residency record, or nullptr when it was never placed.
@@ -139,15 +131,9 @@ class ClusterIndex {
     return res != nullptr && !res->holders.empty();
   }
 
-  /// Epoch of the tensor's last residency change (0: never placed). The
-  /// pattern cache keys on this.
-  std::uint64_t tensor_epoch(TensorId id) const {
-    const Residency* res = find(id);
-    return res == nullptr ? 0 : res->epoch;
-  }
-
-  /// Total residency changes ever applied; also the largest epoch issued.
-  /// Exported as the cluster.index.epoch_bumps counter.
+  /// Total residency changes ever applied. Exported as the
+  /// cluster.index.epoch_bumps counter and, at run end, as the memory
+  /// arbiter's coldness generation (RunResult::residency_epoch).
   std::uint64_t epoch_bumps() const { return global_epoch_; }
 
   // -- Host copies (read by the simulator's fetch and failure paths) -----
@@ -198,8 +184,7 @@ class ClusterIndex {
     return mem_capacity_.data();
   }
   /// Alive devices as bitmask words (bit d%64 of word d/64); iterating set
-  /// bits yields devices in ascending id order, matching the reference
-  /// path's `for (dev = 0; ...)` enumeration.
+  /// bits yields devices in ascending id order.
   const std::vector<std::uint64_t>& alive_mask() const { return alive_mask_; }
 
  private:

@@ -5,7 +5,7 @@
 // the runtime *exact* future-use information per vector: every pair a
 // scheduler will feed to the cluster is known up front, so an eviction
 // policy can rank victims by their true next-use distance (Belady) instead
-// of by recency. This header defines the policy interface and its three
+// of by recency. This header defines the policy interface and its two
 // implementations:
 //
 //   * LruPolicy            — exactly today's behavior (the default path in
@@ -16,10 +16,6 @@
 //                            farthest in the vector's remaining pair
 //                            sequence (never-used-again wins outright);
 //                            ties break toward the least recently used.
-//   * PinUntilLastUsePolicy— tensors with pending consumers are evicted
-//                            only under hard pressure (nothing consumer-
-//                            free is left unpinned); the pressure spill
-//                            order is deterministic Belady order.
 //
 // Determinism rules. pick_victim() is const and must read only the memory
 // state plus the tracker state fed by run_stream — the oracle scheduler
@@ -46,12 +42,11 @@ namespace micco::mem {
 enum class EvictPolicyKind : std::uint8_t {
   kLru,
   kReuseDistance,
-  kPinUntilLastUse,
 };
 
-/// Metric-segment-safe policy name ("lru", "reuse_distance",
-/// "pin_until_last_use") — used verbatim in mem.evictions.<policy> and in
-/// run reports, so it must never contain a dot.
+/// Metric-segment-safe policy name ("lru", "reuse_distance") — used
+/// verbatim in mem.evictions.<policy> and in run reports, so it must never
+/// contain a dot.
 const char* to_string(EvictPolicyKind kind);
 
 /// Accepts both hyphenated CLI spellings ("reuse-distance") and the
@@ -139,43 +134,22 @@ class LruPolicy final : public EvictionPolicy {
       const DeviceMemory& memory) const override;
 };
 
-/// Shared base of the future-use-aware policies: owns the tracker and wires
-/// the feed hooks into it.
-class FutureUsePolicy : public EvictionPolicy {
- public:
-  void begin_vector(const VectorWorkload& vec,
-                    const std::vector<std::size_t>& order) override;
-  void observe_use(const ContractionTask& task, std::int64_t pos) override;
-
-  const FutureUseTracker& tracker() const { return tracker_; }
-
- protected:
-  /// Belady selection: the unpinned resident with the farthest next use
-  /// (never-used-again counts as infinitely far); ties toward the least
-  /// recently used. Shared by ReuseDistance (always) and PinUntilLastUse
-  /// (pressure spill).
-  std::optional<VictimChoice> pick_farthest_use(
-      const DeviceMemory& memory) const;
-
-  FutureUseTracker tracker_;
-};
-
-class ReuseDistancePolicy final : public FutureUsePolicy {
+/// Belady selection: the unpinned resident with the farthest next use in
+/// the vector's remaining pairs (never-used-again counts as infinitely
+/// far); ties toward the least recently used.
+class ReuseDistancePolicy final : public EvictionPolicy {
  public:
   EvictPolicyKind kind() const override {
     return EvictPolicyKind::kReuseDistance;
   }
   std::optional<VictimChoice> pick_victim(
       const DeviceMemory& memory) const override;
-};
+  void begin_vector(const VectorWorkload& vec,
+                    const std::vector<std::size_t>& order) override;
+  void observe_use(const ContractionTask& task, std::int64_t pos) override;
 
-class PinUntilLastUsePolicy final : public FutureUsePolicy {
- public:
-  EvictPolicyKind kind() const override {
-    return EvictPolicyKind::kPinUntilLastUse;
-  }
-  std::optional<VictimChoice> pick_victim(
-      const DeviceMemory& memory) const override;
+ private:
+  FutureUseTracker tracker_;
 };
 
 std::unique_ptr<EvictionPolicy> make_policy(EvictPolicyKind kind);

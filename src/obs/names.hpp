@@ -47,12 +47,10 @@ inline constexpr const char* kSchedTier[3] = {
     "sched.tier.two_repeated_same", "sched.tier.one_reused",
     "sched.tier.two_new"};
 
-/// Epoch-keyed reuse-pattern cache (incremental scheduler core): a hit
-/// answers classification from the cached (pair, epochs) entry, a miss
-/// recomputes it against the residency index. Registered only while the
-/// incremental path is active — the --sched-incremental=off escape hatch
-/// has no cache, and these two counters are the single intentional report
-/// difference between the two modes.
+/// Counters of the retired reuse-pattern cache. Nothing registers them any
+/// more; perfbench's ledger still reads them (its
+/// sched.pattern_cache_hit_ratio row, now 0 over 0 lookups) until the next
+/// benchmark change drops that row.
 inline constexpr const char* kSchedPatternCacheHits =
     "sched.pattern_cache.hits";
 inline constexpr const char* kSchedPatternCacheMisses =
@@ -65,7 +63,7 @@ inline constexpr const char* kClusterEvictionVictimAgeS =
 inline constexpr const char* kClusterBarrierIdleS = "cluster.barrier.idle_s";
 /// Residency-epoch bumps in the incremental cluster index: one per tensor
 /// placement or removal (fetch, output alloc, eviction, discard, device
-/// failure). The pattern cache invalidates on these.
+/// failure).
 inline constexpr const char* kClusterEpochBumps = "cluster.index.epoch_bumps";
 /// Per-device gauge prefix: "cluster.device.<N>." + {utilization, busy_s}.
 inline constexpr const char* kClusterDevicePrefix = "cluster.device.";
@@ -75,7 +73,7 @@ inline constexpr const char* kDeviceBusySSuffix = "busy_s";
 // -- mem.* (memory co-design subsystem, DESIGN.md §11) ---------------------
 /// Per-policy eviction counters: "mem.evictions.<policy>" /
 /// "mem.evicted_bytes.<policy>" with the policy's metric-safe name ("lru",
-/// "reuse_distance", "pin_until_last_use") appended via mem_policy_metric().
+/// "reuse_distance") appended via mem_policy_metric().
 /// Registered only while an eviction policy is attached — the policy-free
 /// default path keeps registry snapshots byte-identical to pre-policy runs.
 inline constexpr const char* kMemEvictionsPrefix = "mem.evictions.";

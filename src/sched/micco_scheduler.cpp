@@ -27,8 +27,7 @@ bool held(const ClusterIndex::Residency* res, DeviceId dev) {
 }
 
 /// Alive devices in ascending id order via the alive-mask word scan (bit
-/// position == device id, so set-bit order is ascending) — the reference
-/// path's `for (dev = 0; ...)` enumeration.
+/// position == device id, so set-bit order is ascending).
 template <typename Fn>
 void for_each_alive(const std::vector<std::uint64_t>& alive, Fn fn) {
   for (std::size_t w = 0; w < alive.size(); ++w) {
@@ -121,7 +120,6 @@ void MiccoScheduler::begin_vector(const VectorWorkload& vec,
   counts_.reset(num_devices);
   // Decision scratch sized once per vector; assign() then runs without a
   // single heap allocation in steady state.
-  candidate_mask_.assign((num_devices + 63) / 64, 0);
   candidates_.reserve(num_devices);
   best_.reserve(num_devices);
   // balanceNum is the per-device share of *distinct* tensors, matching what
@@ -168,20 +166,6 @@ std::int64_t MiccoScheduler::assigned_count(DeviceId dev) const {
   return counts_.count(dev);
 }
 
-bool MiccoScheduler::available(DeviceId dev, std::size_t bound_index) const {
-  return assigned_count(dev) < bounds_[bound_index] + balance_num_;
-}
-
-void MiccoScheduler::push_unique(DeviceId dev) {
-  const auto idx = static_cast<std::size_t>(dev);
-  std::uint64_t& word = candidate_mask_[idx / 64];
-  const std::uint64_t bit = 1ULL << (idx % 64);
-  if ((word & bit) == 0) {
-    word |= bit;
-    candidates_.push_back(dev);
-  }
-}
-
 template <typename KeyFn>
 DeviceId MiccoScheduler::pick_best(const std::vector<DeviceId>& candidates,
                                    KeyFn keys) {
@@ -189,78 +173,21 @@ DeviceId MiccoScheduler::pick_best(const std::vector<DeviceId>& candidates,
   best_.clear();
   double best_primary = std::numeric_limits<double>::infinity();
   double best_secondary = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const auto [primary, secondary] = keys(i, candidates[i]);
+  for (const DeviceId dev : candidates) {
+    const auto [primary, secondary] = keys(dev);
     if (primary < best_primary ||
         (primary == best_primary && secondary < best_secondary)) {
       best_primary = primary;
       best_secondary = secondary;
       best_.clear();
-      best_.push_back(candidates[i]);
+      best_.push_back(dev);
     } else if (primary == best_primary && secondary == best_secondary) {
-      best_.push_back(candidates[i]);
+      best_.push_back(dev);
     }
   }
 
   if (best_.size() == 1) return best_.front();
   return best_[rng_.uniform_below(static_cast<std::uint32_t>(best_.size()))];
-}
-
-void MiccoScheduler::gather_candidates(const ContractionTask& task,
-                                       const ClusterView& view, int& tier,
-                                       bool& fallback) {
-  const std::span<const DeviceId> holders_a = view.devices_holding(task.a.id);
-  const std::span<const DeviceId> holders_b = view.devices_holding(task.b.id);
-
-  // Step I — data-centric, TwoRepeatedSame tier: devices holding BOTH
-  // tensors, gated by reuse bound 0 (Alg. 1, lines 4-7).
-  for (const DeviceId dev : holders_a) {
-    const bool holds_both =
-        std::find(holders_b.begin(), holders_b.end(), dev) != holders_b.end();
-    if (holds_both && available(dev, 0)) push_unique(dev);
-  }
-  if (!candidates_.empty()) {
-    tier = 0;
-    return;
-  }
-
-  // Step II — one-reused tier: devices holding either tensor, gated by
-  // reuse bound 1 (Alg. 1, lines 8-14). Entered both for the
-  // TwoRepeatedDiff / OneRepeated patterns and when every TwoRepeatedSame
-  // device failed its availability test.
-  if (!holders_a.empty() || !holders_b.empty()) {
-    for (const DeviceId dev : holders_a) {
-      if (available(dev, 1)) push_unique(dev);
-    }
-    for (const DeviceId dev : holders_b) {
-      if (available(dev, 1)) push_unique(dev);
-    }
-    if (!candidates_.empty()) {
-      tier = 1;
-      return;
-    }
-  }
-
-  // Step II' — TwoNew tier: any alive device under reuse bound 2 (lines
-  // 15-18). Tiers I/II need no filter: residency dies with a device, so
-  // holder lists only ever name survivors.
-  for (DeviceId dev = 0; dev < view.num_devices(); ++dev) {
-    if (view.device_alive(dev) && available(dev, 2)) {
-      push_unique(dev);
-    }
-  }
-  if (!candidates_.empty()) {
-    tier = 2;
-    return;
-  }
-
-  // Fallback the pseudocode leaves implicit: when every device exceeds even
-  // the TwoNew bound (possible late in a vector with small bounds and an
-  // uneven tensor count), consider all survivors so the pair is still placed.
-  fallback = true;
-  for (DeviceId dev = 0; dev < view.num_devices(); ++dev) {
-    if (view.device_alive(dev)) candidates_.push_back(dev);
-  }
 }
 
 DeviceId MiccoScheduler::decide(const ContractionTask& task,
@@ -283,7 +210,8 @@ DeviceId MiccoScheduler::decide(const ContractionTask& task,
 
   // Alg. 2's oversubscription test (lines 3-5) runs on each candidate as it
   // is admitted: would placing the pair there push it past capacity? The
-  // bytes are bytes_needed_on's, from operand sizes computed once, and a
+  // bytes to move are the absent operands (a self-pair's operand counts
+  // once) plus the output allocation, from sizes computed once; a
   // candidate's test is skipped once any earlier one found the risk.
   const bool sensitive = options_.eviction_sensitive;
   const bool same_operand = task.a.id == task.b.id;
@@ -349,11 +277,15 @@ DeviceId MiccoScheduler::decide(const ContractionTask& task,
   MICCO_EXPECTS(!candidates_.empty());
   last_evict_risk_ = evict_risk;
 
-  // Alg. 2's selection, keys gathered straight from the flat device mirrors
-  // inside the argmin — the same doubles the reference path reads through
-  // virtual calls, so comparisons (and tie sets) agree bit-for-bit.
+  // Alg. 2's selection. The computation-centric policy keys on the
+  // least-loaded device, then the most free memory; the memory-eviction-
+  // sensitive policy swaps the two. Load is the device's accumulated
+  // timeline (mapGPUCom): kernels plus the memory operations earlier
+  // assignments induced — balancing on raw FLOPs alone would let
+  // transfer-heavy devices fall behind and waste the stage barrier. Keys
+  // are gathered straight from the flat device mirrors inside the argmin.
   const double* busy = index.busy_data();
-  return pick_best(candidates_, [&](std::size_t, DeviceId dev) {
+  return pick_best(candidates_, [&](DeviceId dev) {
     const double load = busy[at(dev)];
     const double used = static_cast<double>(mem_used[at(dev)]);
     return evict_risk ? std::pair{used, load} : std::pair{load, used};
@@ -461,23 +393,14 @@ DeviceId MiccoScheduler::assign(const ContractionTask& task,
                                 const ClusterView& view) {
   MICCO_EXPECTS_MSG(counts_.size() > 0,
                     "begin_vector must run before assign");
-  const ClusterIndex* index =
-      sched_incremental() ? view.cluster_index() : nullptr;
+  const ClusterIndex& index = view.cluster_index();
 
   candidates_.clear();
   int tier = -1;        ///< reuse-bound tier that produced the candidates
   bool fallback = false;
-  DeviceId chosen = kNoDevice;
-  if (index != nullptr) {
-    chosen = decide(task, *index, tier, fallback);
-    if (options_.record_bound_interval && interval_exact_) {
-      narrow_interval(task, *index, tier, fallback, chosen);
-    }
-  } else {
-    std::fill(candidate_mask_.begin(), candidate_mask_.end(), 0);
-    gather_candidates(task, view, tier, fallback);
-    chosen = select_from_candidates(candidates_, task, view);
-    interval_exact_ = false;  // the reference path records no box
+  const DeviceId chosen = decide(task, index, tier, fallback);
+  if (options_.record_bound_interval && interval_exact_) {
+    narrow_interval(task, index, tier, fallback, chosen);
   }
 
   if (telemetry_ != nullptr) {
@@ -495,46 +418,6 @@ DeviceId MiccoScheduler::assign(const ContractionTask& task,
   counts_.insert(chosen, task.a.id);
   counts_.insert(chosen, task.b.id);
   return chosen;
-}
-
-DeviceId MiccoScheduler::select_from_candidates(
-    const std::vector<DeviceId>& candidates, const ContractionTask& task,
-    const ClusterView& view) {
-  MICCO_EXPECTS(!candidates.empty());
-
-  // Step III — detect oversubscription among the candidates (Alg. 2,
-  // lines 3-5): would placing this pair push any candidate past capacity?
-  bool evict_risk = false;
-  if (options_.eviction_sensitive) {
-    for (const DeviceId dev : candidates) {
-      const std::uint64_t needed = bytes_needed_on(task, dev, view);
-      if (view.memory_used(dev) + needed > view.memory_capacity(dev)) {
-        evict_risk = true;
-        break;
-      }
-    }
-  }
-  last_evict_risk_ = evict_risk;
-
-  // Primary/secondary keys swap between the computation-centric policy
-  // (least-loaded device, then most free memory) and the memory-eviction-
-  // sensitive policy (most free memory, then least-loaded). Load is the
-  // device's accumulated timeline (mapGPUCom): kernels plus the memory
-  // operations earlier assignments induced — balancing on raw FLOPs alone
-  // would let transfer-heavy devices fall behind and waste the stage
-  // barrier.
-  const std::size_t n = candidates.size();
-  cand_primary_.resize(n);
-  cand_secondary_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double busy = view.busy_time(candidates[i]);
-    const double used = static_cast<double>(view.memory_used(candidates[i]));
-    cand_primary_[i] = evict_risk ? used : busy;
-    cand_secondary_[i] = evict_risk ? busy : used;
-  }
-  return pick_best(candidates, [&](std::size_t i, DeviceId) {
-    return std::pair{cand_primary_[i], cand_secondary_[i]};
-  });
 }
 
 }  // namespace micco

@@ -8,15 +8,10 @@
 //   * memory-eviction-sensitive — if any candidate would oversubscribe,
 //                         pick the device with the most free memory instead.
 //
-// Two equivalent hot paths implement the tier walk and Alg. 2 selection
-// (DESIGN.md §9): the incremental path is one decision kernel over the
-// cluster's delta-maintained ClusterIndex (each operand's residency record
-// looked up once, flat count/busy/memory arrays, an alive-mask word scan and
-// a fused key-gather argmin), the reference path recomputes everything from
-// ClusterView queries. Both enumerate candidates in the same order, compare
-// the same doubles and draw the same tie-break randomness, so decision logs
-// are byte-identical; sched_incremental() picks the path at run time (the
-// --sched-incremental=off escape hatch, kept for one release).
+// One decision kernel implements the tier walk and Alg. 2 selection
+// (DESIGN.md §9) over the cluster's delta-maintained ClusterIndex: each
+// operand's residency record looked up once, flat count/busy/memory arrays,
+// an alive-mask word scan and a fused key-gather argmin.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +20,6 @@
 #include "common/rng.hpp"
 #include "gpusim/cluster_index.hpp"
 #include "sched/reuse_bounds.hpp"
-#include "sched/reuse_pattern.hpp"
 #include "sched/scheduler.hpp"
 
 namespace micco {
@@ -39,9 +33,7 @@ namespace micco {
 /// node of an unordered_set), a device failure bumps only the casualty's.
 /// A slot whose stamp differs from the table's current generation is free.
 /// The per-device counts live in one flat array beside the tables, so the
-/// tier scans read them without touching a table. Both scheduler paths
-/// share this accounting — only the per-device counts are observable, so
-/// the container swap cannot perturb decisions.
+/// tier scans read them without touching a table.
 class DistinctTensorCounts {
  public:
   /// Starts a fresh vector over `num_devices` tables (capacity retained).
@@ -119,8 +111,7 @@ class MiccoScheduler final : public Scheduler {
   /// made since construction (same devices, hence identical
   /// ExecutionMetrics; DESIGN.md §5d). The box always contains the triple
   /// in force. It is the point [b, b] when the run cannot vouch for any
-  /// other triple: a decision took the reference path, or the bounds
-  /// changed after the first decision.
+  /// other triple: the bounds changed after the first decision.
   BoundInterval bound_interval() const;
 
   /// Distinct input tensors assigned to `dev` within the current vector
@@ -130,15 +121,11 @@ class MiccoScheduler final : public Scheduler {
   std::int64_t balance_num() const { return balance_num_; }
 
  private:
-  /// Device passes the availability test for tier `bound_index`.
-  bool available(DeviceId dev, std::size_t bound_index) const;
-
-  /// The incremental path's whole decision: Alg. 1's tier walk over the
-  /// index with Alg. 2's oversubscription test folded into each admitted
-  /// candidate, then one fused key-gather argmin. Each operand's residency
-  /// record is looked up once; fills candidates_ and reports the admitting
-  /// tier (-1 with fallback when every tier ran dry) exactly as the
-  /// reference path does.
+  /// The whole decision: Alg. 1's tier walk over the index with Alg. 2's
+  /// oversubscription test folded into each admitted candidate, then one
+  /// fused key-gather argmin. Each operand's residency record is looked up
+  /// once; fills candidates_ and reports the admitting tier (-1 with
+  /// fallback when every tier ran dry).
   DeviceId decide(const ContractionTask& task, const ClusterIndex& index,
                   int& tier, bool& fallback);
 
@@ -148,22 +135,9 @@ class MiccoScheduler final : public Scheduler {
   void narrow_interval(const ContractionTask& task, const ClusterIndex& index,
                        int tier, bool fallback, DeviceId chosen);
 
-  /// Reference path, Alg. 1's tier walk from ClusterView queries: fills
-  /// candidates_ in the order decide() admits them.
-  void gather_candidates(const ContractionTask& task, const ClusterView& view,
-                         int& tier, bool& fallback);
-
-  /// Reference path, Alg. 2: selects from the candidate queue, switching
-  /// between the computation-centric and memory-eviction-sensitive
-  /// policies. Gathers the primary/secondary keys into the SoA scratch
-  /// arrays, then runs pick_best over them.
-  DeviceId select_from_candidates(const std::vector<DeviceId>& candidates,
-                                  const ContractionTask& task,
-                                  const ClusterView& view);
-
-  /// Shared argmin tail of both paths: scans the candidates' keys
-  /// (`keys(i, dev)` returns {primary, secondary} for candidate i),
-  /// collects exact ties and applies the random tie-break.
+  /// Alg. 2's argmin over the candidates' keys (`keys(dev)` returns
+  /// {primary, secondary}): collects exact ties and applies the random
+  /// tie-break.
   template <typename KeyFn>
   DeviceId pick_best(const std::vector<DeviceId>& candidates, KeyFn keys);
 
@@ -190,20 +164,8 @@ class MiccoScheduler final : public Scheduler {
   // -- Per-decision scratch (reused, never reallocated in steady state) ---
   /// Candidate queue of the decision in flight.
   std::vector<DeviceId> candidates_;
-  /// Reference path only: membership bitmask over device ids backing
-  /// push_unique (one word for the common numGPU <= 64 case, more for
-  /// larger clusters). The index path admits no duplicates by construction.
-  std::vector<std::uint64_t> candidate_mask_;
-  /// Reference path only: SoA selection keys, parallel to candidates_.
-  std::vector<double> cand_primary_;
-  std::vector<double> cand_secondary_;
   /// Tie set of pick_best.
   std::vector<DeviceId> best_;
-
-  /// Appends dev to candidates_ unless already present: O(1) via the
-  /// membership bitmask (the old linear scan made candidate enumeration
-  /// quadratic in the holder count).
-  void push_unique(DeviceId dev);
 
   // -- Bound-interval recording (options_.record_bound_interval) ----------
   BoundInterval interval_;

@@ -5,32 +5,13 @@
 
 namespace micco {
 
-namespace {
-/// Configuration-time switch (CLI parse / test setup); read-only while
-/// decisions are in flight, so no synchronisation is needed.
-bool g_sched_incremental = true;
-}  // namespace
-
-void set_sched_incremental(bool on) { g_sched_incremental = on; }
-bool sched_incremental() { return g_sched_incremental; }
-
 void Scheduler::set_telemetry(obs::Telemetry* telemetry) {
   telemetry_ = telemetry;
   if (telemetry_ == nullptr) {
     instruments_ = DecisionInstruments{};
-    pattern_cache_.set_counters(nullptr, nullptr);
     return;
   }
   obs::MetricsRegistry& reg = telemetry_->registry;
-  // The cache only runs on the incremental path; registering its counters
-  // under the escape hatch would pollute off-mode reports with dead zeros.
-  if (sched_incremental()) {
-    pattern_cache_.set_counters(
-        &reg.counter(obs::names::kSchedPatternCacheHits),
-        &reg.counter(obs::names::kSchedPatternCacheMisses));
-  } else {
-    pattern_cache_.set_counters(nullptr, nullptr);
-  }
   instruments_.decisions = &reg.counter(obs::names::kSchedDecisions);
   for (int i = 0; i < 4; ++i) {
     instruments_.pattern[i] = &reg.counter(obs::names::kSchedPattern[i]);
@@ -68,18 +49,12 @@ void Scheduler::record_decision(const ContractionTask& task,
                                 bool evict_risk) {
   if (telemetry_ == nullptr) return;
 
-  // The mapping is classified against residency *before* execution mutates
-  // it, which is exactly the state the decision was made on. With the
-  // incremental index available, classification goes through the epoch-keyed
-  // cache (hot pairs re-classify only after a residency change).
-  const ClusterIndex* index =
-      sched_incremental() ? view.cluster_index() : nullptr;
-  const LocalReusePattern pattern = index != nullptr
-                                        ? pattern_cache_.classify(task, *index)
-                                        : classify_pair(task, view);
-  const MappingClass mapping = index != nullptr
-                                   ? classify_mapping(task, chosen, *index)
-                                   : classify_mapping(task, chosen, view);
+  // The pair and the mapping are classified against residency *before*
+  // execution mutates it, which is exactly the state the decision was made
+  // on.
+  const ClusterIndex& index = view.cluster_index();
+  const LocalReusePattern pattern = classify_pair(task, index);
+  const MappingClass mapping = classify_mapping(task, chosen, index);
 
   instruments_.decisions->add();
   instruments_.pattern[static_cast<int>(pattern)]->add();

@@ -13,19 +13,9 @@
 
 #include "gpusim/cluster.hpp"
 #include "obs/telemetry.hpp"
-#include "sched/reuse_pattern.hpp"
 #include "workload/task.hpp"
 
 namespace micco {
-
-/// Process-global switch for the incremental scheduler core. On (the
-/// default), schedulers consume the cluster's delta-maintained ClusterIndex
-/// (flat residency/load/headroom arrays, epoch-keyed pattern cache); off is
-/// the recompute-from-view escape hatch kept for one release, byte-identical
-/// in every decision log. Set at configuration time (CLI parse), never
-/// mid-run.
-void set_sched_incremental(bool on);
-bool sched_incremental();
 
 class Scheduler {
  public:
@@ -62,10 +52,6 @@ class Scheduler {
   /// base to keep the shared instruments resolved.
   virtual void set_telemetry(obs::Telemetry* telemetry);
 
-  /// The epoch-keyed pattern cache backing record_decision's classification
-  /// on the incremental path (hit/miss counts exposed for tests and tools).
-  const PatternCache& pattern_cache() const { return pattern_cache_; }
-
  protected:
   /// Logs one decision to the attached telemetry: classifies the pair,
   /// classifies the chosen mapping, bumps the shared counters and — when a
@@ -101,9 +87,6 @@ class Scheduler {
   };
   DecisionInstruments instruments_;
   std::vector<DeviceId> candidate_scratch_;
-  /// Memoizes classify_pair per (pair, residency epochs) when the view
-  /// offers a ClusterIndex and the incremental core is on.
-  PatternCache pattern_cache_;
 };
 
 }  // namespace micco

@@ -74,6 +74,16 @@ TEST(CliArgs, UnusedFlagsReported) {
   EXPECT_EQ(unused[0], "typo");
 }
 
+TEST(CliArgs, UnknownFlagsReportedBeforeAnyRead) {
+  const CliArgs args =
+      parse({"--gpus=4", "--evict-polcy=lru", "file", "--oversub", "2"});
+  EXPECT_TRUE(args.unknown({"gpus", "oversub", "evict-policy"}) ==
+              std::vector<std::string>{"evict-polcy"});
+  EXPECT_TRUE(args.unknown({"gpus", "oversub", "evict-polcy"}).empty());
+  // unknown() does not count as a read.
+  EXPECT_EQ(args.unused().size(), 3u);
+}
+
 TEST(CliArgs, EmptyFlagNameIsError) {
   const CliArgs args = parse({"--=x"});
   EXPECT_TRUE(args.error().has_value());

@@ -1,5 +1,5 @@
-// ClusterIndex unit tests: residency deltas (holder order, bitmask,
-// epochs), the inline holder list and its heap spill, wide clusters past
+// ClusterIndex unit tests: residency deltas (holder order, bitmask, the
+// global epoch), the inline holder list and its heap spill, wide clusters past
 // the 64-bit inline mask word, the sparse id spill, copies, and — via a
 // live ClusterSimulator — the contract that the
 // per-device mirrors and the residency sets always agree with the virtual
@@ -59,26 +59,26 @@ TEST(ClusterIndex, NeverPlacedTensorHasEmptyState) {
   EXPECT_TRUE(index.holders(42).empty());
   EXPECT_FALSE(index.resident_anywhere(42));
   EXPECT_FALSE(index.holds(0, 42));
-  EXPECT_EQ(index.tensor_epoch(42), 0u);
+  EXPECT_EQ(index.epoch_bumps(), 0u);
 }
 
 TEST(ClusterIndex, EpochsAreMonotonicAndNeverReset) {
   ClusterIndex index(4);
   index.place(7, 1);
-  const std::uint64_t after_place = index.tensor_epoch(7);
+  const std::uint64_t after_place = index.epoch_bumps();
   EXPECT_GT(after_place, 0u);
 
   index.remove(7, 1);
-  const std::uint64_t after_remove = index.tensor_epoch(7);
+  const std::uint64_t after_remove = index.epoch_bumps();
   EXPECT_GT(after_remove, after_place);
 
-  // The entry survives the last removal with an empty holder list, so a
-  // re-placement continues the epoch sequence instead of restarting it —
-  // a cache keyed on (id, epoch) must never see a recycled value.
+  // The entry survives the last removal with an empty holder list, and a
+  // re-placement keeps counting: the memory arbiter orders runs by this
+  // clock, so it must never go back.
   EXPECT_NE(index.find(7), nullptr);
   EXPECT_FALSE(index.resident_anywhere(7));
   index.place(7, 2);
-  EXPECT_GT(index.tensor_epoch(7), after_remove);
+  EXPECT_GT(index.epoch_bumps(), after_remove);
 }
 
 TEST(ClusterIndex, GlobalEpochCountsEveryResidencyChange) {
@@ -89,9 +89,6 @@ TEST(ClusterIndex, GlobalEpochCountsEveryResidencyChange) {
   index.place(1, 3);
   index.remove(1, 0);
   EXPECT_EQ(index.epoch_bumps(), 4u);
-  // Interleaved tensors stamp distinct epochs from the shared counter.
-  EXPECT_EQ(index.tensor_epoch(1), 4u);
-  EXPECT_EQ(index.tensor_epoch(2), 2u);
 }
 
 TEST(ClusterIndex, SparseSpillHandlesHugeIds) {
@@ -100,7 +97,6 @@ TEST(ClusterIndex, SparseSpillHandlesHugeIds) {
   index.place(huge, 2);
   EXPECT_TRUE(index.holds(2, huge));
   EXPECT_EQ(ids(index.holders(huge)), (std::vector<DeviceId>{2}));
-  EXPECT_GT(index.tensor_epoch(huge), 0u);
   index.remove(huge, 2);
   EXPECT_FALSE(index.resident_anywhere(huge));
   EXPECT_NE(index.find(huge), nullptr);
@@ -177,12 +173,10 @@ TEST(ClusterIndexHolders, ReplacementAfterLastHolderRemoved) {
   for (const DeviceId dev : {5, 0, 2, 7, 1}) index.remove(4, dev);
   expect_holders(index, 4, {});
   EXPECT_FALSE(index.resident_anywhere(4));
-  const std::uint64_t emptied = index.tensor_epoch(4);
 
   index.place(4, 6);
   expect_holders(index, 4, {6});
   EXPECT_TRUE(index.resident_anywhere(4));
-  EXPECT_GT(index.tensor_epoch(4), emptied);
   place_all(index, 4, {3, 2, 0, 5});
   expect_holders(index, 4, {6, 3, 2, 0, 5});
 }
@@ -192,6 +186,8 @@ TEST(ClusterIndexHolders, CopyEvolvesIndependentlyOfSource) {
   place_all(source, 1, {4, 66});                  // inline, one wide device
   place_all(source, 2, {0, 1, 2, 3, 4, 5, 69});  // spilled
   ClusterIndex copy = source;
+  const std::uint64_t at_copy = source.epoch_bumps();
+  EXPECT_EQ(copy.epoch_bumps(), at_copy);
   expect_holders(copy, 1, {4, 66});
   expect_holders(copy, 2, {0, 1, 2, 3, 4, 5, 69});
 
@@ -208,7 +204,9 @@ TEST(ClusterIndexHolders, CopyEvolvesIndependentlyOfSource) {
   expect_holders(source, 2, {1, 2, 3, 4});
   expect_holders(copy, 1, {66, 9});
   expect_holders(copy, 2, {0, 1, 2, 4, 5, 69, 68});
-  EXPECT_NE(source.tensor_epoch(2), copy.tensor_epoch(2));
+  // Each counts its own four changes, not the other's.
+  EXPECT_EQ(source.epoch_bumps(), at_copy + 4);
+  EXPECT_EQ(copy.epoch_bumps(), at_copy + 4);
 }
 
 // ---------------------------------------------------------- wide clusters
@@ -275,24 +273,23 @@ TEST(ClusterIndex, AliveMaskSpansMultipleWordsAscending) {
 /// every point the scheduler can observe the cluster.
 void expect_index_consistent(const ClusterSimulator& sim,
                              const std::vector<TensorId>& tensors) {
-  const ClusterIndex* index = sim.cluster_index();
-  ASSERT_NE(index, nullptr);
+  const ClusterIndex& index = sim.cluster_index();
   for (DeviceId dev = 0; dev < sim.num_devices(); ++dev) {
-    EXPECT_EQ(index->memory_used(dev), sim.memory_used(dev)) << "dev " << dev;
-    EXPECT_EQ(index->memory_capacity(dev), sim.memory_capacity(dev));
-    EXPECT_EQ(index->alive(dev), sim.device_alive(dev)) << "dev " << dev;
-    EXPECT_EQ(index->busy(dev), sim.busy_time(dev)) << "dev " << dev;
+    EXPECT_EQ(index.memory_used(dev), sim.memory_used(dev)) << "dev " << dev;
+    EXPECT_EQ(index.memory_capacity(dev), sim.memory_capacity(dev));
+    EXPECT_EQ(index.alive(dev), sim.device_alive(dev)) << "dev " << dev;
+    EXPECT_EQ(index.busy(dev), sim.busy_time(dev)) << "dev " << dev;
   }
   int alive = 0;
   for (DeviceId dev = 0; dev < sim.num_devices(); ++dev) {
     if (sim.device_alive(dev)) ++alive;
   }
-  EXPECT_EQ(index->num_alive(), alive);
+  EXPECT_EQ(index.num_alive(), alive);
   for (const TensorId id : tensors) {
-    EXPECT_EQ(ids(index->holders(id)), ids(sim.devices_holding(id)))
+    EXPECT_EQ(ids(index.holders(id)), ids(sim.devices_holding(id)))
         << "tensor " << id;
     for (DeviceId dev = 0; dev < sim.num_devices(); ++dev) {
-      EXPECT_EQ(index->holds(dev, id), sim.resident_on(dev, id))
+      EXPECT_EQ(index.holds(dev, id), sim.resident_on(dev, id))
           << "tensor " << id << " dev " << dev;
     }
   }
@@ -317,11 +314,11 @@ TEST(ClusterIndexMirror, TracksExecuteBarrierFailureAndDiscard) {
 
   sim.fail_device(1, 0.0);
   expect_index_consistent(sim, ids);
-  EXPECT_FALSE(sim.cluster_index()->alive(1));
+  EXPECT_FALSE(sim.cluster_index().alive(1));
 
   sim.discard(1);
   expect_index_consistent(sim, ids);
-  EXPECT_FALSE(sim.cluster_index()->resident_anywhere(1));
+  EXPECT_FALSE(sim.cluster_index().resident_anywhere(1));
 }
 
 TEST(ClusterIndexMirror, FailureBumpsEpochOfEveryResidentTensor) {
@@ -330,16 +327,15 @@ TEST(ClusterIndexMirror, FailureBumpsEpochOfEveryResidentTensor) {
   ClusterSimulator sim(config);
   ASSERT_TRUE(sim.execute(task(10, 11, 12), 0).ok());
 
-  const ClusterIndex* index = sim.cluster_index();
-  const std::uint64_t epoch_a = index->tensor_epoch(10);
-  const std::uint64_t epoch_out = index->tensor_epoch(12);
-  ASSERT_GT(epoch_a, 0u);
+  const ClusterIndex& index = sim.cluster_index();
+  const std::uint64_t before = index.epoch_bumps();
+  ASSERT_EQ(before, 3u);  // two operand fetches and the output
 
   sim.fail_device(0, 0.0);
-  // Every tensor the dead device held changed residency: epochs must move,
-  // which is what invalidates any cached classification involving them.
-  EXPECT_GT(index->tensor_epoch(10), epoch_a);
-  EXPECT_GT(index->tensor_epoch(12), epoch_out);
+  // Every tensor the dead device held changed residency: one bump each.
+  EXPECT_EQ(index.epoch_bumps(), before + 3);
+  EXPECT_FALSE(index.resident_anywhere(10));
+  EXPECT_FALSE(index.resident_anywhere(12));
 }
 
 }  // namespace

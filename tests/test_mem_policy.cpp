@@ -65,8 +65,6 @@ TEST(EvictPolicyNames, RoundTripAndSpellings) {
   EXPECT_STREQ(mem::to_string(EvictPolicyKind::kLru), "lru");
   EXPECT_STREQ(mem::to_string(EvictPolicyKind::kReuseDistance),
                "reuse_distance");
-  EXPECT_STREQ(mem::to_string(EvictPolicyKind::kPinUntilLastUse),
-               "pin_until_last_use");
   for (const EvictPolicyKind kind : mem::all_evict_policies()) {
     const auto parsed = mem::parse_evict_policy(mem::to_string(kind));
     ASSERT_TRUE(parsed.has_value());
@@ -75,11 +73,10 @@ TEST(EvictPolicyNames, RoundTripAndSpellings) {
   // CLI hyphen spellings parse to the same kinds.
   EXPECT_EQ(mem::parse_evict_policy("reuse-distance"),
             EvictPolicyKind::kReuseDistance);
-  EXPECT_EQ(mem::parse_evict_policy("pin-until-last-use"),
-            EvictPolicyKind::kPinUntilLastUse);
+  EXPECT_FALSE(mem::parse_evict_policy("pin-until-last-use").has_value());
   EXPECT_FALSE(mem::parse_evict_policy("belady").has_value());
   EXPECT_FALSE(mem::parse_evict_policy("").has_value());
-  EXPECT_EQ(mem::all_evict_policies().size(), 3u);
+  EXPECT_EQ(mem::all_evict_policies().size(), 2u);
 }
 
 TEST(EvictPolicyNames, MetricSegmentsAreDotFree) {
@@ -221,40 +218,6 @@ TEST(ReuseDistancePolicy, SkipsPinnedResidents) {
   const auto choice = policy.pick_victim(mem);
   ASSERT_TRUE(choice.has_value());
   EXPECT_EQ(choice->id, 6u);
-}
-
-TEST(PinUntilLastUsePolicy, PrefersConsumerFreeVictims) {
-  // Tensor 1 still has a pending consumer (pair 1); tensor 9 does not.
-  // Even though 1 is least recently used, the policy spares it.
-  VectorWorkload vec;
-  vec.tasks = {make_task(1, 2, 10), make_task(1, 3, 11)};
-  mem::PinUntilLastUsePolicy policy;
-  policy.begin_vector(vec, identity_order(vec));
-
-  DeviceMemory mem(1000);
-  mem.allocate(1, 100, false);
-  mem.allocate(9, 100, false);
-  const auto choice = policy.pick_victim(mem);
-  ASSERT_TRUE(choice.has_value());
-  EXPECT_EQ(choice->id, 9u);
-  EXPECT_EQ(choice->reuse_distance, mem::kNoFutureUse);
-}
-
-TEST(PinUntilLastUsePolicy, HardPressureSpillsInBeladyOrder) {
-  // Every resident has a pending consumer: the pressure spill must pick
-  // the farthest next use, not refuse.
-  VectorWorkload vec;
-  vec.tasks = {make_task(1, 2, 10), make_task(3, 4, 11), make_task(1, 3, 12)};
-  mem::PinUntilLastUsePolicy policy;
-  policy.begin_vector(vec, identity_order(vec));
-
-  DeviceMemory mem(1000);
-  mem.allocate(3, 100, false);  // next use: pos 1
-  mem.allocate(2, 100, false);  // next use: pos 0
-  const auto choice = policy.pick_victim(mem);
-  ASSERT_TRUE(choice.has_value());
-  EXPECT_EQ(choice->id, 3u);
-  EXPECT_EQ(choice->reuse_distance, 1u);
 }
 
 // -------------------------------------------------------- deep-copy safety

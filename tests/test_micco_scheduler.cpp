@@ -186,6 +186,44 @@ TEST(MiccoScheduler, EvictionSensitivePolicyAvoidsFullDevice) {
   EXPECT_EQ(sched.assign(v.tasks[0], sim), 1);
 }
 
+/// Whether Alg. 2's eviction-risk flag fires for `task`, decided alone in
+/// its own vector on `sim`.
+bool decision_risk(const ContractionTask& task, const ClusterSimulator& sim) {
+  obs::MemoryEventSink sink;
+  obs::Telemetry telemetry;
+  telemetry.sink = &sink;
+  MiccoScheduler sched;
+  sched.set_telemetry(&telemetry);
+  sched.begin_vector(make_vector({task}), sim);
+  (void)sched.assign(task, sim);
+  return sink.decisions().at(0).evict_risk;
+}
+
+TEST(MiccoScheduler, SelfPairThatExactlyFitsRaisesNoRisk) {
+  // A self-pair fetches its one operand once and allocates its output: an
+  // empty device of exactly that size needs no eviction.
+  const std::uint64_t tensor_bytes = make_desc(0).bytes();
+  const ClusterSimulator fits(cluster_of(1, 2 * tensor_bytes));
+  EXPECT_FALSE(decision_risk(make_task(7, 7, 20), fits));
+  // Two distinct operands on the same device would not fit, and neither
+  // would the self-pair one byte short.
+  EXPECT_TRUE(decision_risk(make_task(7, 8, 20), fits));
+  const ClusterSimulator short_by_one(cluster_of(1, 2 * tensor_bytes - 1));
+  EXPECT_TRUE(decision_risk(make_task(7, 7, 20), short_by_one));
+}
+
+TEST(MiccoScheduler, ResidentOperandsNeedNoRoom) {
+  // Device 0 holds 0, 1 and 2 with room for one more tensor: a pair of
+  // residents only allocates its output, a pair with one absent operand
+  // needs two frames.
+  const std::uint64_t tensor_bytes = make_desc(0).bytes();
+  ClusterSimulator sim(cluster_of(1, 4 * tensor_bytes));
+  ASSERT_TRUE(sim.execute(make_task(0, 1, 2), 0).ok());
+  EXPECT_FALSE(decision_risk(make_task(0, 1, 20), sim));
+  EXPECT_FALSE(decision_risk(make_task(1, 0, 20), sim));
+  EXPECT_TRUE(decision_risk(make_task(0, 9, 20), sim));
+}
+
 TEST(MiccoScheduler, EvictionPolicyCanBeDisabled) {
   const std::uint64_t tensor_bytes = make_desc(0).bytes();
   ClusterSimulator sim(cluster_of(2, 4 * tensor_bytes));
@@ -262,8 +300,8 @@ TEST(MiccoScheduler, DeterministicAcrossRunsWithSameSeed) {
 }
 
 TEST(MiccoScheduler, CandidateMaskHandlesMoreThan64Devices) {
-  // The candidate dedup bitmask spans multiple 64-bit words here; device
-  // ids past 63 must set bits in the second word, not alias the first.
+  // The alive mask spans two 64-bit words here; device ids past 63 must
+  // come from the second word, not alias the first.
   constexpr int kDevices = 70;
   obs::MemoryEventSink sink;
   obs::Telemetry telemetry;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "gpusim/cluster.hpp"
+
 namespace micco {
 namespace {
 
@@ -33,28 +35,29 @@ class ReusePatternTest : public ::testing::Test {
     sim_.execute(make_task(/*B1=*/2, /*C1=*/4, 101), 0);
     sim_.execute(make_task(/*B2=*/3, /*E=*/5, 102), 1);
   }
+  const ClusterIndex& index() const { return sim_.cluster_index(); }
   ClusterSimulator sim_;
 };
 
 TEST_F(ReusePatternTest, TwoRepeatedSame) {
-  EXPECT_EQ(classify_pair(make_task(0, 1, 200), sim_),
+  EXPECT_EQ(classify_pair(make_task(0, 1, 200), index()),
             LocalReusePattern::kTwoRepeatedSame);
 }
 
 TEST_F(ReusePatternTest, TwoRepeatedDiff) {
-  EXPECT_EQ(classify_pair(make_task(2, 3, 200), sim_),
+  EXPECT_EQ(classify_pair(make_task(2, 3, 200), index()),
             LocalReusePattern::kTwoRepeatedDiff);
 }
 
 TEST_F(ReusePatternTest, OneRepeated) {
-  EXPECT_EQ(classify_pair(make_task(4, /*new=*/77, 200), sim_),
+  EXPECT_EQ(classify_pair(make_task(4, /*new=*/77, 200), index()),
             LocalReusePattern::kOneRepeated);
-  EXPECT_EQ(classify_pair(make_task(/*new=*/77, 4, 200), sim_),
+  EXPECT_EQ(classify_pair(make_task(/*new=*/77, 4, 200), index()),
             LocalReusePattern::kOneRepeated);
 }
 
 TEST_F(ReusePatternTest, TwoNew) {
-  EXPECT_EQ(classify_pair(make_task(77, 78, 200), sim_),
+  EXPECT_EQ(classify_pair(make_task(77, 78, 200), index()),
             LocalReusePattern::kTwoNew);
 }
 
@@ -62,21 +65,21 @@ TEST_F(ReusePatternTest, ReplicatedTensorStillSame) {
   // Replicate tensor 0 onto device 1; the pair (0, 1) still has a common
   // holder (device 0), so it stays TwoRepeatedSame.
   sim_.execute(make_task(0, 99, 103), 1);
-  EXPECT_EQ(classify_pair(make_task(0, 1, 200), sim_),
+  EXPECT_EQ(classify_pair(make_task(0, 1, 200), index()),
             LocalReusePattern::kTwoRepeatedSame);
 }
 
 TEST_F(ReusePatternTest, MappingClassesPerDevice) {
   // Pair (A1, A2): device 0 reuses both (mapping 1); device 1 none (4-7).
-  EXPECT_EQ(classify_mapping(make_task(0, 1, 200), 0, sim_),
+  EXPECT_EQ(classify_mapping(make_task(0, 1, 200), 0, index()),
             MappingClass::kBothReused);
-  EXPECT_EQ(classify_mapping(make_task(0, 1, 200), 1, sim_),
+  EXPECT_EQ(classify_mapping(make_task(0, 1, 200), 1, index()),
             MappingClass::kNoneReused);
   // Pair (B1, B2) on device 0: only operand A reused (mapping 2).
-  EXPECT_EQ(classify_mapping(make_task(2, 3, 200), 0, sim_),
+  EXPECT_EQ(classify_mapping(make_task(2, 3, 200), 0, index()),
             MappingClass::kFirstReused);
   // ... and on device 1: only operand B reused (mapping 3).
-  EXPECT_EQ(classify_mapping(make_task(2, 3, 200), 1, sim_),
+  EXPECT_EQ(classify_mapping(make_task(2, 3, 200), 1, index()),
             MappingClass::kSecondReused);
 }
 
@@ -87,20 +90,36 @@ TEST_F(ReusePatternTest, FetchCountsMatchFigureCosts) {
   EXPECT_EQ(fetches_for(MappingClass::kNoneReused), 2);
 }
 
-TEST_F(ReusePatternTest, BytesNeededSkipsResidentOperands) {
-  const std::uint64_t tensor_bytes = make_desc(0).bytes();
-  // (A1, A2) on device 0: only the output must be allocated.
-  EXPECT_EQ(bytes_needed_on(make_task(0, 1, 200), 0, sim_), tensor_bytes);
-  // (A1, A2) on device 1: both operands plus output.
-  EXPECT_EQ(bytes_needed_on(make_task(0, 1, 200), 1, sim_), 3 * tensor_bytes);
-  // (B1, B2) on device 0: operand B plus output.
-  EXPECT_EQ(bytes_needed_on(make_task(2, 3, 200), 0, sim_), 2 * tensor_bytes);
+// Clusters past 64 devices: membership past device 63 lives in the holder
+// list, not the one-word mask.
+TEST(ReusePatternWide, CommonHolderPastDevice63IsSame) {
+  // The masks over devices 0-63 do not intersect (2 vs 5); the only common
+  // holder is device 66.
+  ClusterIndex index(70);
+  index.place(0, 2);
+  index.place(0, 66);
+  index.place(1, 5);
+  index.place(1, 66);
+  EXPECT_EQ(classify_pair(make_task(0, 1, 200), index),
+            LocalReusePattern::kTwoRepeatedSame);
+  EXPECT_EQ(classify_pair(make_task(1, 0, 200), index),
+            LocalReusePattern::kTwoRepeatedSame);
+  EXPECT_EQ(classify_mapping(make_task(0, 1, 200), 66, index),
+            MappingClass::kBothReused);
+  EXPECT_EQ(classify_mapping(make_task(0, 1, 200), 5, index),
+            MappingClass::kSecondReused);
 }
 
-TEST_F(ReusePatternTest, BytesNeededCountsSelfPairOnce) {
-  const std::uint64_t tensor_bytes = make_desc(0).bytes();
-  EXPECT_EQ(bytes_needed_on(make_task(77, 77, 200), 0, sim_),
-            2 * tensor_bytes);  // one operand + output
+TEST(ReusePatternWide, HoldersOnOppositeSidesOf63AreDiff) {
+  ClusterIndex index(70);
+  index.place(0, 2);
+  index.place(1, 66);
+  EXPECT_EQ(classify_pair(make_task(0, 1, 200), index),
+            LocalReusePattern::kTwoRepeatedDiff);
+  EXPECT_EQ(classify_pair(make_task(1, 0, 200), index),
+            LocalReusePattern::kTwoRepeatedDiff);
+  EXPECT_EQ(classify_mapping(make_task(0, 1, 200), 66, index),
+            MappingClass::kSecondReused);
 }
 
 TEST(ReusePatternNames, ToStringCoversAll) {

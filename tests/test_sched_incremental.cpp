@@ -1,15 +1,14 @@
 // The incremental-scheduler identity contract (DESIGN.md §9): decision
 // logs, cluster-event logs and run reports must stay byte-identical to the
-// golden files in tests/golden/. The goldens were written by this harness
-// after it checked that the delta-maintained hot path (the default) and the
-// recompute-from-view reference path (--sched-incremental=off) agree; the
-// only report difference between the two, the pattern-cache counter pair,
-// is stripped before hashing. Cases: the three Table VI meson workloads
-// (also at 200 % memory oversubscription, where Alg. 2's eviction-sensitive
-// ordering decides, and f0d4 there under each eviction policy), a
-// fault-recovery sweep, the reuse-tier visit ordering and clusters past the
-// 64-bit mask word. Plus the PatternCache unit suite: epoch-keyed hits,
-// invalidation on eviction, discard and device failure, and counter export.
+// golden files in tests/golden/. The goldens were written when the tree
+// still had a second, recompute-from-view decision path, after checking
+// that both paths agreed on every case; they are the reference that path
+// used to be. Cases: the three Table VI meson workloads; f0d2, f0d4 and the
+// two-nucleon system at 200 % memory oversubscription, where Alg. 2's
+// eviction-sensitive ordering decides, with f0d4 there also under each
+// eviction policy; a fault-recovery sweep; the reuse-tier visit ordering;
+// and clusters past the 64-bit mask word. Plus the bound-interval checks
+// the tuner sweep relies on.
 //
 // Each golden file holds FNV-1a-64 digests of the three outputs and a
 // compact per-decision trace, so a failure names the first decision that
@@ -33,26 +32,15 @@
 #include "gpusim/cluster.hpp"
 #include "mem/policy.hpp"
 #include "obs/events.hpp"
-#include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "obs/telemetry.hpp"
 #include "redstar/correlator.hpp"
 #include "sched/micco_scheduler.hpp"
-#include "sched/reuse_pattern.hpp"
-#include "sched/scheduler.hpp"
 #include "service/journal.hpp"
 #include "workload/synthetic.hpp"
 
 namespace micco {
 namespace {
-
-/// Restores the default (incremental on) on scope exit so one test's mode
-/// never leaks into another.
-class ScopedMode {
- public:
-  explicit ScopedMode(bool on) { set_sched_incremental(on); }
-  ~ScopedMode() { set_sched_incremental(true); }
-};
 
 template <typename Event>
 std::string jsonl(const std::vector<Event>& events) {
@@ -62,39 +50,6 @@ std::string jsonl(const std::vector<Event>& events) {
     out += '\n';
   }
   return out;
-}
-
-/// Deep copy with the two pattern-cache counter keys removed — the single
-/// intentional report difference between the modes.
-obs::JsonValue strip_cache_counters(const obs::JsonValue& v) {
-  using obs::JsonValue;
-  switch (v.kind()) {
-    case JsonValue::Kind::kObject: {
-      JsonValue out = JsonValue::object();
-      for (const auto& [key, value] : v.members()) {
-        if (key == obs::names::kSchedPatternCacheHits ||
-            key == obs::names::kSchedPatternCacheMisses) {
-          continue;
-        }
-        out.set(key, strip_cache_counters(value));
-      }
-      return out;
-    }
-    case JsonValue::Kind::kArray: {
-      JsonValue out = JsonValue::array();
-      for (const JsonValue& item : v.items()) {
-        out.push_back(strip_cache_counters(item));
-      }
-      return out;
-    }
-    default:
-      return v;
-  }
-}
-
-bool report_mentions_cache(const obs::JsonValue& report) {
-  return report.dump().find(obs::names::kSchedPatternCacheHits) !=
-         std::string::npos;
 }
 
 /// One decision as a token: the chosen device, then the admitting tier as
@@ -122,17 +77,15 @@ struct GoldenInput {
 struct Capture {
   std::string decisions;
   std::string cluster_events;
-  std::string report;  ///< wall-clock field zeroed, cache counters stripped
+  std::string report;  ///< wall-clock field zeroed
   std::vector<std::string> trace;
-  bool cache_counters_present = false;
   /// Decisions taken under the memory-eviction-sensitive policy, and the
   /// evictions the run paid (both from the report).
   std::int64_t evict_risk_decisions = 0;
   std::int64_t evictions = 0;
 };
 
-Capture run_mode(bool incremental, const GoldenInput& in) {
-  const ScopedMode mode(incremental);
+Capture run_case(const GoldenInput& in) {
   obs::MemoryEventSink sink;
   obs::Telemetry telemetry;
   telemetry.sink = &sink;
@@ -164,8 +117,7 @@ Capture run_mode(bool incremental, const GoldenInput& in) {
     out.trace.push_back(trace_token(e));
   }
   const obs::JsonValue report = make_run_report(result, telemetry);
-  out.cache_counters_present = report_mentions_cache(report);
-  out.report = strip_cache_counters(report).dump();
+  out.report = report.dump();
   out.evict_risk_decisions = report.at("registry")
                                  .at("counters")
                                  .at(obs::names::kSchedEvictRisk)
@@ -251,19 +203,11 @@ void expect_matches_golden(const std::string& name, const Capture& run) {
       << name << ": run report differs";
 }
 
-/// Runs both modes, requires them to agree, and holds the result to the
-/// case's golden file; returns the incremental run.
+/// Runs the case and holds it to its golden file; returns the run.
 Capture expect_golden(const std::string& name, const GoldenInput& in) {
-  const Capture on = run_mode(true, in);
-  const Capture off = run_mode(false, in);
-  EXPECT_EQ(on.decisions, off.decisions);
-  EXPECT_EQ(on.cluster_events, off.cluster_events);
-  EXPECT_EQ(on.report, off.report);
-  // The cache pair is the single intentional report difference.
-  EXPECT_TRUE(on.cache_counters_present);
-  EXPECT_FALSE(off.cache_counters_present);
-  expect_matches_golden(name, on);
-  return on;
+  const Capture run = run_case(in);
+  expect_matches_golden(name, run);
+  return run;
 }
 
 // ------------------------------------------------------- end-to-end identity
@@ -506,20 +450,6 @@ TEST(BoundInterval, EveryGridTripleInsideABoxRepeatsTheRun) {
   EXPECT_GT(risky_decisions, 0);   // and the risk flag was exercised
 }
 
-TEST(BoundInterval, ReferencePathReportsThePoint) {
-  const WorkloadStream stream = generate_synthetic(synth(6, 16, 5));
-  ClusterConfig cluster;
-  cluster.num_devices = 4;
-  const ReuseBounds bounds{1, 0, 2};
-  const DecisionTrace incremental = traced_run(stream, bounds, cluster, true);
-  EXPECT_NE(incremental.box, BoundInterval::point(bounds));
-
-  const ScopedMode mode(false);
-  const DecisionTrace reference = traced_run(stream, bounds, cluster, true);
-  EXPECT_EQ(reference.box, BoundInterval::point(bounds));
-  EXPECT_TRUE(reference == incremental);
-}
-
 TEST(BoundInterval, BoundsThatChangeMidRunCollapseToThePoint) {
   // A provider answering with one fixed triple leaves the box as recorded
   // without it; one that changes the triple after the first decision leaves
@@ -547,131 +477,6 @@ TEST(BoundInterval, BoundsThatChangeMidRunCollapseToThePoint) {
       traced_run(stream, bounds, cluster, true, &alternating);
   // Six vectors: the last one ran under (2,2,2).
   EXPECT_EQ(changing.box, BoundInterval::point(ReuseBounds{2, 2, 2}));
-}
-
-// --------------------------------------------------------- PatternCache unit
-
-TensorDesc desc(TensorId id) { return TensorDesc{id, 2, 16, 1}; }
-
-ContractionTask task_of(TensorId a, TensorId b, TensorId out) {
-  return ContractionTask{desc(a), desc(b), desc(out)};
-}
-
-ClusterSimulator sim_of(int devices, std::uint64_t capacity = 1ULL << 20) {
-  ClusterConfig config;
-  config.num_devices = devices;
-  config.device_capacity_bytes = capacity;
-  return ClusterSimulator(config);
-}
-
-TEST(PatternCache, HitsWhileEpochsUnchanged) {
-  ClusterSimulator sim = sim_of(2);
-  ASSERT_TRUE(sim.execute(task_of(1, 2, 3), 0).ok());
-  const ClusterIndex& index = *sim.cluster_index();
-
-  PatternCache cache;
-  const LocalReusePattern first = cache.classify(task_of(1, 2, 4), index);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 0u);
-
-  const LocalReusePattern second = cache.classify(task_of(1, 2, 4), index);
-  EXPECT_EQ(second, first);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-
-  // Distinct pair: its own entry, not a false hit on (1, 2).
-  (void)cache.classify(task_of(1, 5, 6), index);
-  EXPECT_EQ(cache.misses(), 2u);
-}
-
-TEST(PatternCache, MatchesReferenceClassification) {
-  ClusterSimulator sim = sim_of(3);
-  ASSERT_TRUE(sim.execute(task_of(1, 2, 3), 0).ok());
-  ASSERT_TRUE(sim.execute(task_of(2, 4, 5), 1).ok());
-  const ClusterIndex& index = *sim.cluster_index();
-
-  PatternCache cache;
-  const ContractionTask probes[] = {
-      task_of(1, 2, 90),  // both resident, dev 0 holds both
-      task_of(1, 4, 91),  // both resident, disjoint holders
-      task_of(3, 7, 92),  // one resident
-      task_of(7, 8, 93),  // neither resident
-      task_of(2, 2, 94),  // same operand twice
-  };
-  for (const ContractionTask& probe : probes) {
-    // Twice: the miss path and the hit path must both agree with the
-    // recompute-from-view reference.
-    EXPECT_EQ(cache.classify(probe, index), classify_pair(probe, sim));
-    EXPECT_EQ(cache.classify(probe, index), classify_pair(probe, sim));
-  }
-}
-
-TEST(PatternCache, DiscardInvalidates) {
-  ClusterSimulator sim = sim_of(2);
-  ASSERT_TRUE(sim.execute(task_of(1, 2, 3), 0).ok());
-  const ClusterIndex& index = *sim.cluster_index();
-
-  PatternCache cache;
-  (void)cache.classify(task_of(1, 2, 4), index);
-  sim.discard(1);  // residency change -> epoch bump -> stale entry
-  (void)cache.classify(task_of(1, 2, 4), index);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 2u);
-}
-
-TEST(PatternCache, DeviceFailureInvalidates) {
-  ClusterSimulator sim = sim_of(2);
-  ASSERT_TRUE(sim.execute(task_of(1, 2, 3), 0).ok());
-  const ClusterIndex& index = *sim.cluster_index();
-
-  PatternCache cache;
-  (void)cache.classify(task_of(1, 2, 4), index);
-  sim.fail_device(0, 0.0);  // recovery path must bump epochs too
-  const LocalReusePattern after = cache.classify(task_of(1, 2, 4), index);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(after, classify_pair(task_of(1, 2, 4), sim));
-}
-
-TEST(PatternCache, EvictionInvalidates) {
-  // Capacity fits one task's three tensors (3 * 4 KiB of complex doubles);
-  // the second task's working set can only be fetched by evicting the
-  // first's.
-  ClusterSimulator sim = sim_of(1, 13 * 1024);
-  ASSERT_TRUE(sim.execute(task_of(1, 2, 3), 0).ok());
-  const ClusterIndex& index = *sim.cluster_index();
-
-  PatternCache cache;
-  (void)cache.classify(task_of(1, 2, 4), index);
-  ASSERT_TRUE(cache.classify(task_of(1, 2, 4), index) ==
-              cache.classify(task_of(1, 2, 4), index));
-  const std::uint64_t hits_before = cache.hits();
-
-  ASSERT_TRUE(sim.execute(task_of(10, 11, 12), 0).ok());
-  EXPECT_FALSE(sim.resident_on(0, 1));  // 1 was evicted to make room
-  (void)cache.classify(task_of(1, 2, 4), index);
-  EXPECT_EQ(cache.hits(), hits_before);  // stale entry missed, not hit
-}
-
-TEST(PatternCache, CountersFlowIntoRegistry) {
-  ClusterSimulator sim = sim_of(2);
-  ASSERT_TRUE(sim.execute(task_of(1, 2, 3), 0).ok());
-  const ClusterIndex& index = *sim.cluster_index();
-
-  obs::MetricsRegistry registry;
-  obs::Counter& hits = registry.counter(obs::names::kSchedPatternCacheHits);
-  obs::Counter& misses =
-      registry.counter(obs::names::kSchedPatternCacheMisses);
-
-  PatternCache cache;
-  cache.set_counters(&hits, &misses);
-  (void)cache.classify(task_of(1, 2, 4), index);
-  (void)cache.classify(task_of(1, 2, 4), index);
-  (void)cache.classify(task_of(5, 6, 7), index);
-  EXPECT_EQ(hits.value(), 1);
-  EXPECT_EQ(misses.value(), 2);
-  EXPECT_EQ(static_cast<std::uint64_t>(hits.value()), cache.hits());
-  EXPECT_EQ(static_cast<std::uint64_t>(misses.value()), cache.misses());
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <set>
 
 #include "parallel/parallel.hpp"
-#include "sched/scheduler.hpp"
 
 namespace micco {
 namespace {
@@ -167,28 +166,6 @@ TEST(Tuner, RecordsMatchBruteForceMeasureGflops) {
     }
     EXPECT_EQ(data.grid_runs_simulated + data.grid_runs_reused, 4u * 3 * 27);
     EXPECT_GT(data.grid_runs_reused, 0u);  // the intervals did prune
-  }
-}
-
-TEST(Tuner, ReferencePathSimulatesEveryRunAndKeepsLabels) {
-  // The --sched-incremental=off path records no box, so nothing is reused,
-  // and the corpus is the same bit for bit.
-  const TunerConfig cfg = reuse_tuner();
-  const TuningData incremental = generate_tuning_data(cfg);
-  set_sched_incremental(false);
-  const TuningData reference = generate_tuning_data(cfg);
-  set_sched_incremental(true);
-  EXPECT_EQ(reference.grid_runs_reused, 0u);
-  EXPECT_EQ(reference.grid_runs_simulated, 4u * 3 * 27);
-  ASSERT_EQ(reference.records.size(), incremental.records.size());
-  for (std::size_t r = 0; r < reference.records.size(); ++r) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(reference.records[r].gflops),
-              std::bit_cast<std::uint64_t>(incremental.records[r].gflops));
-  }
-  ASSERT_EQ(reference.samples.size(), incremental.samples.size());
-  for (std::size_t s = 0; s < reference.samples.size(); ++s) {
-    EXPECT_EQ(reference.samples[s].best_bounds,
-              incremental.samples[s].best_bounds);
   }
 }
 

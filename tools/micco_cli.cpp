@@ -41,6 +41,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -85,7 +86,7 @@ int usage() {
                "  run FILE [--scheduler=groute|dmda|micco|roundrobin] "
                "[--model=FILE] [--gpus=8] [--oversub=R] [--trace=FILE]\n"
                "      [--fault-plan=FILE --retry-max=N --retry-backoff=S]\n"
-               "      [--evict-policy=lru|reuse-distance|pin-until-last-use]"
+               "      [--evict-policy=lru|reuse-distance]"
                "   (unset: the byte-identical legacy LRU path)\n"
                "  train --out=FILE [--samples=120 --gpus=8 --seed=N --threads=N]\n"
                "  inspect FILE\n"
@@ -124,10 +125,7 @@ int usage() {
                "  top --socket=PATH [--interval-ms=1000 --iterations=N "
                "--once]   (live telemetry dashboard)\n"
                "  drain --socket=PATH [--shutdown]   (--shutdown cancels "
-               "queued jobs)\n"
-               "  global: --sched-incremental=on|off   (off: recompute-from-"
-               "view scheduler hot path, escape hatch for one release; "
-               "decisions are byte-identical either way)\n");
+               "queued jobs)\n");
   return 2;
 }
 
@@ -171,12 +169,29 @@ bool load_evict_policy_flag(const CliArgs& args, const char* cmd,
   *kind = mem::parse_evict_policy(name);
   if (!kind->has_value()) {
     std::fprintf(stderr,
-                 "%s: unknown eviction policy '%s' (want lru, "
-                 "reuse-distance or pin-until-last-use)\n",
+                 "%s: unknown eviction policy '%s' (want lru or "
+                 "reuse-distance)\n",
                  cmd, name.c_str());
     return false;
   }
   return true;
+}
+
+/// Prints "cmd: unknown flag --x" for every flag `known` does not name (and
+/// the parse error of a malformed one). Each verb calls it first, with the
+/// flags it reads, and exits 2 on true: a misspelt flag fails before any
+/// work instead of silently running with the default.
+bool rejects_flags(const CliArgs& args, const char* cmd,
+                   std::initializer_list<std::string_view> known) {
+  if (args.error().has_value()) {
+    std::fprintf(stderr, "%s: %s\n", cmd, args.error()->c_str());
+    return true;
+  }
+  const std::vector<std::string> unknown = args.unknown(known);
+  for (const std::string& name : unknown) {
+    std::fprintf(stderr, "%s: unknown flag --%s\n", cmd, name.c_str());
+  }
+  return !unknown.empty();
 }
 
 /// Prints "cmd: problem" when a config's validate() found one; the verbs
@@ -224,6 +239,11 @@ std::unique_ptr<Scheduler> scheduler_by_name(const std::string& which) {
 }
 
 int cmd_generate(const CliArgs& args) {
+  if (rejects_flags(args, "generate",
+                    {"out", "vectors", "vector-size", "tensor", "batch",
+                     "repeat", "gaussian", "seed"})) {
+    return 2;
+  }
   const std::string out = args.get("out", "");
   if (out.empty()) {
     std::fprintf(stderr, "generate: --out is required\n");
@@ -253,6 +273,12 @@ int cmd_generate(const CliArgs& args) {
 }
 
 int cmd_run(const CliArgs& args) {
+  if (rejects_flags(args, "run",
+                    {"scheduler", "model", "gpus", "oversub", "p2p",
+                     "async-copy", "devices-per-node", "trace", "fault-plan",
+                     "retry-max", "retry-backoff", "evict-policy"})) {
+    return 2;
+  }
   if (args.positional().size() < 2) {
     std::fprintf(stderr, "run: workload file required\n");
     return 2;
@@ -367,6 +393,10 @@ int cmd_run(const CliArgs& args) {
 }
 
 int cmd_train(const CliArgs& args) {
+  if (rejects_flags(args, "train",
+                    {"out", "samples", "gpus", "batch", "seed", "threads"})) {
+    return 2;
+  }
   const std::string out = args.get("out", "");
   if (out.empty()) {
     std::fprintf(stderr, "train: --out is required\n");
@@ -411,6 +441,7 @@ int cmd_train(const CliArgs& args) {
 }
 
 int cmd_inspect(const CliArgs& args) {
+  if (rejects_flags(args, "inspect", {})) return 2;
   if (args.positional().size() < 2) {
     std::fprintf(stderr, "inspect: file required\n");
     return 2;
@@ -628,8 +659,20 @@ int cmd_report_lock_graph(const CliArgs& args) {
 int cmd_report(const CliArgs& args) {
   // --spans / --lock-graph select the offline summary modes: no workload
   // is run.
-  if (args.has("spans")) return cmd_report_spans(args);
-  if (args.has("lock-graph")) return cmd_report_lock_graph(args);
+  if (args.has("spans")) {
+    if (rejects_flags(args, "report", {"spans", "pretty"})) return 2;
+    return cmd_report_spans(args);
+  }
+  if (args.has("lock-graph")) {
+    if (rejects_flags(args, "report", {"lock-graph", "pretty"})) return 2;
+    return cmd_report_lock_graph(args);
+  }
+  if (rejects_flags(args, "report",
+                    {"scheduler", "gpus", "oversub", "out", "decisions",
+                     "pretty", "fault-plan", "retry-max", "retry-backoff",
+                     "evict-policy", "seed", "vectors", "vector-size"})) {
+    return 2;
+  }
 
   // Workload: a file when given, otherwise a small deterministic synthetic
   // stream so the telemetry path can be exercised with no setup.
@@ -743,6 +786,7 @@ int cmd_report(const CliArgs& args) {
 }
 
 int cmd_faults(const CliArgs& args) {
+  if (rejects_flags(args, "faults", {"gpus"})) return 2;
   if (args.positional().size() < 2) {
     std::fprintf(stderr, "faults: plan file required\n");
     return 2;
@@ -793,6 +837,15 @@ bool parse_weights(const std::string& spec,
 }
 
 int cmd_serve(const CliArgs& args) {
+  if (rejects_flags(
+          args, "serve",
+          {"socket", "scheduler", "seed", "model", "gpus", "p2p", "async-copy",
+           "max-queue", "max-total", "weights", "slo-ms", "fault-plan",
+           "retry-max", "retry-backoff", "evict-policy", "mem-arbiter",
+           "decisions", "report", "spans", "journal", "journal-fsync",
+           "journal-fsync-interval", "journal-crash-after", "threads"})) {
+    return 2;
+  }
   const std::string socket = args.get("socket", "");
   if (socket.empty()) {
     std::fprintf(stderr, "serve: --socket is required\n");
@@ -905,6 +958,11 @@ int print_terminal_state(const obs::JsonValue& reply) {
 }
 
 int cmd_submit(const CliArgs& args) {
+  if (rejects_flags(args, "submit",
+                    {"socket", "tenant", "name", "wait", "idem", "deadline-ms",
+                     "retry-max", "retry-backoff"})) {
+    return 2;
+  }
   if (args.positional().size() < 2) {
     std::fprintf(stderr, "submit: workload file required\n");
     return 2;
@@ -995,6 +1053,7 @@ int cmd_submit(const CliArgs& args) {
 }
 
 int cmd_status(const CliArgs& args) {
+  if (rejects_flags(args, "status", {"socket"})) return 2;
   const std::string socket = args.get("socket", "");
   if (socket.empty()) {
     std::fprintf(stderr, "status: --socket is required\n");
@@ -1059,20 +1118,12 @@ void render_top(const obs::JsonValue& reply) {
     }
   }
 
-  // Scheduler hot-path counters (PR: incremental scheduler core). The cache
-  // pair is registered only on the incremental path, so the line doubles as
-  // a visual check of which mode the daemon runs in.
+  // Residency churn of the incremental cluster index.
   if (const obs::JsonValue* counters = reply.at("metrics").find("counters")) {
-    const auto counter = [counters](const char* key) -> long long {
-      const obs::JsonValue* v = counters->find(key);
-      return v == nullptr ? 0 : static_cast<long long>(v->as_int());
-    };
-    if (counters->find(obs::names::kClusterEpochBumps) != nullptr) {
-      std::printf("sched: pattern-cache hits %lld misses %lld | "
-                  "residency epoch bumps %lld\n",
-                  counter(obs::names::kSchedPatternCacheHits),
-                  counter(obs::names::kSchedPatternCacheMisses),
-                  counter(obs::names::kClusterEpochBumps));
+    if (const obs::JsonValue* bumps =
+            counters->find(obs::names::kClusterEpochBumps)) {
+      std::printf("sched: residency epoch bumps %lld\n",
+                  static_cast<long long>(bumps->as_int()));
     }
   }
 
@@ -1108,6 +1159,10 @@ void render_top(const obs::JsonValue& reply) {
 }
 
 int cmd_top(const CliArgs& args) {
+  if (rejects_flags(args, "top",
+                    {"socket", "once", "iterations", "interval-ms"})) {
+    return 2;
+  }
   const std::string socket = args.get("socket", "");
   if (socket.empty()) {
     std::fprintf(stderr, "top: --socket is required\n");
@@ -1149,6 +1204,7 @@ int cmd_top(const CliArgs& args) {
 }
 
 int cmd_drain(const CliArgs& args) {
+  if (rejects_flags(args, "drain", {"socket", "shutdown"})) return 2;
   const std::string socket = args.get("socket", "");
   if (socket.empty()) {
     std::fprintf(stderr, "drain: --socket is required\n");
@@ -1174,11 +1230,6 @@ int dispatch(int argc, char** argv) {
   if (argc < 2) return usage();
   const CliArgs args(argc, argv);
   const std::string command = argv[1];
-  // Global escape hatch, kept for one release (DESIGN.md §9): off reverts
-  // every scheduler to the recompute-from-view hot path. Decision logs are
-  // byte-identical either way; only the pattern-cache counters disappear
-  // from reports. Set here, before any scheduler exists — never mid-run.
-  set_sched_incremental(args.get_bool("sched-incremental", true));
   if (command == "generate") return cmd_generate(args);
   if (command == "run") return cmd_run(args);
   if (command == "train") return cmd_train(args);
