@@ -5,10 +5,11 @@
 // that both paths agreed on every case; they are the reference that path
 // used to be. Cases: the three Table VI meson workloads; f0d2, f0d4 and the
 // two-nucleon system at 200 % memory oversubscription, where Alg. 2's
-// eviction-sensitive ordering decides, with f0d4 there also under each
-// eviction policy; a fault-recovery sweep; the reuse-tier visit ordering;
-// and clusters past the 64-bit mask word. Plus the bound-interval checks
-// the tuner sweep relies on.
+// eviction-sensitive ordering decides, with f0d4 there also under the
+// reuse-distance eviction policy; a fault-recovery sweep; the reuse-tier
+// visit ordering; and clusters past the 64-bit mask word. Every other case
+// evicts under LRU. Plus the bound-interval checks the tuner sweep relies
+// on.
 //
 // Each golden file holds FNV-1a-64 digests of the three outputs and a
 // compact per-decision trace, so a failure names the first decision that
@@ -70,7 +71,7 @@ struct GoldenInput {
   std::uint64_t capacity = 256ull << 20;
   std::optional<FaultPlan> plan;
   PairOrdering ordering = PairOrdering::kAsGiven;
-  std::optional<mem::EvictPolicyKind> evict_policy;
+  mem::EvictPolicyKind evict_policy = mem::EvictPolicyKind::kLru;
 };
 
 /// One run's observable output.
@@ -98,8 +99,8 @@ Capture run_case(const GoldenInput& in) {
   cluster.num_devices = in.gpus;
   cluster.device_capacity_bytes = in.capacity;
 
-  std::unique_ptr<mem::EvictionPolicy> policy;
-  if (in.evict_policy.has_value()) policy = mem::make_policy(*in.evict_policy);
+  const std::unique_ptr<mem::EvictionPolicy> policy =
+      mem::make_policy(in.evict_policy);
 
   RunOptions run_options;
   run_options.telemetry = &telemetry;
@@ -262,11 +263,9 @@ TEST(SchedIncremental, OversubscribedF0d4ByteIdenticalAcrossModes) {
 }
 
 TEST(SchedIncremental, OversubscribedF0d4EvictionPoliciesMatchGolden) {
-  // The same run with an eviction policy attached: victims come from the
-  // policy and the report gains its mem.* fields.
+  // The same run under the other eviction policy: victims come from their
+  // next use in the vector, not from recency.
   GoldenInput in = oversubscribed(redstar::make_f0d4());
-  in.evict_policy = mem::EvictPolicyKind::kLru;
-  expect_oversubscribed_golden("f0d4_oversub_lru", in);
   in.evict_policy = mem::EvictPolicyKind::kReuseDistance;
   expect_oversubscribed_golden("f0d4_oversub_reuse_distance", in);
 }
