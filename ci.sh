@@ -10,14 +10,15 @@
 # byte-identical decision logs AND byte-identical span traces across
 # sessions, a `micco top --once` dashboard frame, and an offline
 # `micco report --spans` well-formedness pass), a configuration smoke test
-# (out-of-range train/run/report/generate/serve flags and unknown flags exit
-# 2, never abort or run),
+# (out-of-range train/run/report/generate/serve flags, malformed flag values
+# and unknown flags exit 2, never abort or run),
 # a chaos smoke test
 # (tools/chaos_smoke.sh: kill -9 the daemon at every scripted journal crash
 # point, restart on the same journal, and require byte-identical recovered
 # decision logs plus exactly-once idempotent resubmits), an eviction-policy
-# smoke test (both mem/ policies on an oversubscribed workload plus a
-# daemon session with the cross-tenant memory arbiter on), an
+# smoke test (both mem/ policies on an oversubscribed workload, LRU as the
+# default, plus a two-tenant daemon session whose dashboard lists each
+# tenant's modeled residency), an
 # ASan+UBSan-instrumented build + test pass (which covers the protocol fuzz
 # and journal torn-write suites under ASan), a TSan pass over the
 # parallel-layer, observability and service tests at 8 worker threads, a Release-mode bench_sched_micro smoke
@@ -179,7 +180,8 @@ echo "serve smoke test OK: deterministic decision logs + span traces," \
 echo "== configuration validation smoke test =="
 # Out-of-range configuration is a usage error: the verb names the problem
 # and exits 2 instead of tripping a library precondition (exit 134). So is
-# a flag the verb never reads: a typo must not silently run the default.
+# a flag the verb never reads, and a value its parser cannot read in full:
+# a typo must not silently run the default or a truncated number.
 expect_exit_2() {
   set +e
   "$@" > /dev/null 2> "${SMOKE_DIR}/config_err.txt"
@@ -207,21 +209,37 @@ expect_exit_2 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" --gpus=4 \
   --oversub=2 --evict-polcy=reuse-distance
 expect_exit_2 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" \
   --sched-incremental=off
-echo "config smoke test OK: every out-of-range or unknown flag exited 2"
+for flag in --gpus=4x --p2p=ture --oversub=2x --evict-policy=; do
+  expect_exit_2 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" \
+    --oversub=2 "${flag}"
+done
+expect_exit_2 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" --gpus=4x \
+  --p2p=ture --oversub=2x
+expect_exit_2 "${BUILD_DIR}/tools/micco" train --out="${SMOKE_DIR}/bad.mm" \
+  --samples=12x
+for flag in --mem-arbiter=on --mem-arbiter=maybe --gpus=4x; do
+  expect_exit_2 "${BUILD_DIR}/tools/micco" serve \
+    --socket="${SMOKE_DIR}/bad.sock" "${flag}"
+done
+echo "config smoke test OK: every out-of-range, malformed or unknown flag" \
+  "exited 2"
 
 echo "== eviction-policy smoke test =="
 # Memory co-design subsystem (DESIGN.md §11): both eviction policies must
-# complete the same oversubscribed meson workload via the CLI, and a daemon
-# session with the cross-tenant arbiter on must surface the memory section
-# in stats replies and the top dashboard.
+# complete the same oversubscribed meson workload via the CLI, a run with no
+# policy flag must evict under LRU, and a two-tenant daemon session must
+# list each tenant's modeled residency on the top dashboard.
 for policy in lru reuse-distance; do
   "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" --gpus=4 --oversub=2 \
     --evict-policy="${policy}" > "${SMOKE_DIR}/policy_${policy}.txt"
   grep -q 'eviction policy' "${SMOKE_DIR}/policy_${policy}.txt"
 done
+"${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" --gpus=4 --oversub=2 \
+  > "${SMOKE_DIR}/policy_default.txt"
+grep -q 'eviction policy lru' "${SMOKE_DIR}/policy_default.txt"
 rm -f "${SMOKE_DIR}/svc.sock"
 "${BUILD_DIR}/tools/micco" serve --socket="${SMOKE_DIR}/svc.sock" \
-  --gpus=4 --threads=1 --evict-policy=reuse-distance --mem-arbiter=on &
+  --gpus=4 --threads=1 --evict-policy=reuse-distance &
 SERVE_PID=$!
 for _ in $(seq 1 100); do
   [ -S "${SMOKE_DIR}/svc.sock" ] && break
@@ -231,18 +249,14 @@ done
   --socket="${SMOKE_DIR}/svc.sock" --tenant=alice --wait
 "${BUILD_DIR}/tools/micco" submit "${SMOKE_DIR}/w.mw" \
   --socket="${SMOKE_DIR}/svc.sock" --tenant=bob --wait
-"${BUILD_DIR}/tools/micco" status --socket="${SMOKE_DIR}/svc.sock" \
-  > "${SMOKE_DIR}/arbiter_stats.txt"
-grep -q '"memory"' "${SMOKE_DIR}/arbiter_stats.txt"
-grep -q '"admissions"' "${SMOKE_DIR}/arbiter_stats.txt"
 "${BUILD_DIR}/tools/micco" top --socket="${SMOKE_DIR}/svc.sock" --once \
-  > "${SMOKE_DIR}/arbiter_top.txt"
-grep -q 'memory:' "${SMOKE_DIR}/arbiter_top.txt"
-grep -q 'resident_bytes' "${SMOKE_DIR}/arbiter_top.txt"
+  > "${SMOKE_DIR}/residency_top.txt"
+grep -q 'mem.tenant.alice.resident_bytes' "${SMOKE_DIR}/residency_top.txt"
+grep -q 'mem.tenant.bob.resident_bytes' "${SMOKE_DIR}/residency_top.txt"
 "${BUILD_DIR}/tools/micco" drain --socket="${SMOKE_DIR}/svc.sock"
 wait "${SERVE_PID}"
-echo "eviction-policy smoke test OK: both policies ran, arbiter session" \
-  "surfaced per-tenant residency"
+echo "eviction-policy smoke test OK: both policies ran, lru is the default," \
+  "the daemon listed per-tenant residency"
 
 echo "== chaos smoke test (kill -9 + journal recovery) =="
 # DESIGN.md §8: SIGKILL the daemon at each journal crash point, restart on

@@ -1,6 +1,7 @@
 #include "common/cli.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 
 namespace micco {
@@ -41,37 +42,59 @@ bool CliArgs::has(const std::string& name) const {
   return flags_.contains(name);
 }
 
-std::string CliArgs::get(const std::string& name,
-                         const std::string& fallback) const {
+const std::string* CliArgs::find(const std::string& name) const {
   queried_[name] = true;
   const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : it->second;
+  return it == flags_.end() ? nullptr : &it->second;
+}
+
+void CliArgs::malformed(const std::string& name,
+                        const std::string& value) const {
+  if (!error_) error_ = "malformed value for --" + name + ": '" + value + "'";
+}
+
+std::string CliArgs::get(const std::string& name,
+                         const std::string& fallback) const {
+  const std::string* value = find(name);
+  return value == nullptr ? fallback : *value;
 }
 
 std::int64_t CliArgs::get_int(const std::string& name,
                               std::int64_t fallback) const {
-  queried_[name] = true;
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::string* value = find(name);
+  if (value == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(value->c_str(), &end, 10);
+  if (value->empty() || *end != '\0' || errno == ERANGE) {
+    malformed(name, *value);
+    return fallback;
+  }
+  return parsed;
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
-  queried_[name] = true;
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  const std::string* value = find(name);
+  if (value == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(value->c_str(), &end);
+  if (value->empty() || *end != '\0' || errno == ERANGE) {
+    malformed(name, *value);
+    return fallback;
+  }
+  return parsed;
 }
 
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {
-  queried_[name] = true;
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  std::string v = it->second;
+  const std::string* value = find(name);
+  if (value == nullptr) return fallback;
+  std::string v = *value;
   std::transform(v.begin(), v.end(), v.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
   if (v == "1" || v == "true" || v == "on" || v == "yes") return true;
   if (v == "0" || v == "false" || v == "off" || v == "no") return false;
+  malformed(name, *value);
   return fallback;
 }
 

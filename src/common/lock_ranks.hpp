@@ -28,11 +28,6 @@ inline constexpr int kLockRankServerState = 60;  ///< Server::state_mutex_
 inline constexpr int kLockRankJobManager = 50;   ///< JobManager::mutex_
 inline constexpr int kLockRankJournal = 45;      ///< JournalWriter::mutex_
 
-// mem/: the cross-tenant memory arbiter is consulted from the submit path
-// (under no server lock) and from the dispatcher after a job finishes; it
-// only records metrics below it, never calls back into service locks.
-inline constexpr int kLockRankMemArbiter = 40;   ///< mem::MemoryArbiter::mutex_
-
 // obs/: sinks and metrics are leaves — everything may log or record a
 // metric, so nothing below them may acquire anything above.
 inline constexpr int kLockRankEventSink = 30;  ///< BufferedJsonlEventSink

@@ -91,8 +91,10 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
   ClusterSimulator sim(cluster);
   if (injector.has_value()) sim.set_fault_injector(&*injector);
   sim.set_trace(options.trace);
-  sim.set_telemetry(options.telemetry);
+  // Policy before telemetry: the registry gains only the mem.* names of the
+  // policy that runs, never the default LRU's.
   sim.set_eviction_policy(options.evict_policy);
+  sim.set_telemetry(options.telemetry);
   scheduler.set_telemetry(options.telemetry);
   result.per_vector_characteristics.reserve(stream.vectors.size());
 
@@ -340,7 +342,6 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
   for (int dev = 0; dev < result.num_devices; ++dev) {
     result.device_resident_bytes.push_back(sim.memory_used(dev));
   }
-  result.residency_epoch = sim.cluster_index().epoch_bumps();
   result.device_busy_s.reserve(result.device_utilization.size());
   for (const double u : result.device_utilization) {
     result.device_busy_s.push_back(u * result.metrics.makespan_s);

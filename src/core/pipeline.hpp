@@ -65,12 +65,9 @@ struct RunResult {
   /// Accumulated non-idle seconds, per device.
   std::vector<double> device_busy_s;
   /// Bytes left resident per device when the stream finished — the modeled
-  /// footprint the job would keep warm. The memory arbiter (mem/arbiter.hpp)
-  /// books this per tenant.
+  /// footprint the job would keep warm. The daemon reports its sum per
+  /// tenant (mem.tenant.<t>.resident_bytes).
   std::vector<std::uint64_t> device_resident_bytes;
-  /// Cluster-index residency epoch at run end (total residency changes);
-  /// the arbiter uses it as the footprint's coldness generation.
-  std::uint64_t residency_epoch = 0;
 
   // -- Fault tolerance ----------------------------------------------------
   /// Tasks re-enqueued after device losses: lineage re-executions of lost
@@ -129,9 +126,9 @@ struct RunOptions {
   /// Optional eviction policy (mem/, not owned; must outlive the run).
   /// run_stream attaches it to the simulator and feeds it the per-vector
   /// future-use information (begin_vector with the visit order, observe_use
-  /// per executed pair). Detached (nullptr, the default) the simulator runs
-  /// the legacy hard-coded LRU and every log/report stays byte-identical to
-  /// pre-policy builds. Non-const: the feed hooks mutate tracker state.
+  /// per executed pair). Detached (nullptr, the default) the simulator
+  /// evicts under its own LruPolicy. Non-const: the feed hooks mutate
+  /// tracker state.
   mem::EvictionPolicy* evict_policy = nullptr;
 };
 

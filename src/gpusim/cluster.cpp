@@ -8,6 +8,17 @@
 
 namespace micco {
 
+namespace {
+
+/// The policy every simulator starts with. LRU keeps no state, so one
+/// instance serves all simulators and their copies.
+const mem::EvictionPolicy& default_eviction_policy() {
+  static const mem::LruPolicy lru;
+  return lru;
+}
+
+}  // namespace
+
 std::string ClusterConfig::validate() const {
   if (num_devices < 1) return "cluster: num_devices must be >= 1";
   if (device_capacity_bytes == 0) {
@@ -17,7 +28,10 @@ std::string ClusterConfig::validate() const {
 }
 
 ClusterSimulator::ClusterSimulator(ClusterConfig config)
-    : config_(config), cost_model_(config.cost), index_(config.num_devices) {
+    : config_(config),
+      cost_model_(config.cost),
+      index_(config.num_devices),
+      evict_policy_(&default_eviction_policy()) {
   MICCO_EXPECTS(config_.num_devices >= 1);
   MICCO_EXPECTS(config_.device_capacity_bytes > 0);
   devices_.reserve(static_cast<std::size_t>(config_.num_devices));
@@ -36,6 +50,27 @@ const ClusterSimulator::DeviceState& ClusterSimulator::device(
     DeviceId dev) const {
   MICCO_EXPECTS(dev >= 0 && dev < num_devices());
   return devices_[static_cast<std::size_t>(dev)];
+}
+
+void ClusterSimulator::DeviceState::note_evicted(TensorId id) {
+  if (id < ClusterIndex::kDenseLimit) {
+    const auto word = static_cast<std::size_t>(id / 64);
+    if (word >= evicted_bits.size()) evicted_bits.resize(word + 1, 0);
+    evicted_bits[word] |= 1ULL << (id % 64);
+    return;
+  }
+  const auto pos =
+      std::lower_bound(evicted_large.begin(), evicted_large.end(), id);
+  if (pos == evicted_large.end() || *pos != id) evicted_large.insert(pos, id);
+}
+
+bool ClusterSimulator::DeviceState::evicted_before(TensorId id) const {
+  if (id < ClusterIndex::kDenseLimit) {
+    const auto word = static_cast<std::size_t>(id / 64);
+    return word < evicted_bits.size() &&
+           ((evicted_bits[word] >> (id % 64)) & 1ULL) != 0;
+  }
+  return std::binary_search(evicted_large.begin(), evicted_large.end(), id);
 }
 
 int ClusterSimulator::num_devices() const {
@@ -122,6 +157,7 @@ void ClusterSimulator::sync_device_mirror(DeviceId dev) {
 
 void ClusterSimulator::set_telemetry(obs::Telemetry* telemetry) {
   telemetry_ = telemetry;
+  resolve_mem_instruments();
   if (telemetry_ == nullptr) {
     fetch_bytes_hist_ = nullptr;
     victim_age_hist_ = nullptr;
@@ -142,12 +178,11 @@ void ClusterSimulator::set_telemetry(obs::Telemetry* telemetry) {
   barrier_idle_hist_ = &reg.histogram(
       obs::names::kClusterBarrierIdleS,
       {1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0});
-  resolve_mem_instruments();
 }
 
 void ClusterSimulator::set_eviction_policy(const mem::EvictionPolicy* policy) {
-  evict_policy_ = policy;
-  metrics_.evict_policy = policy != nullptr ? policy->name() : "";
+  evict_policy_ = policy != nullptr ? policy : &default_eviction_policy();
+  metrics_.evict_policy = evict_policy_->name();
   resolve_mem_instruments();
 }
 
@@ -155,11 +190,7 @@ void ClusterSimulator::resolve_mem_instruments() {
   mem_evictions_counter_ = nullptr;
   mem_evicted_bytes_counter_ = nullptr;
   mem_reuse_distance_hist_ = nullptr;
-  // Registered only when BOTH a policy and telemetry are attached: the
-  // policy-free default must leave registry snapshots untouched (the
-  // byte-identity contract), and without a registry there is nowhere to
-  // count into.
-  if (telemetry_ == nullptr || evict_policy_ == nullptr) return;
+  if (telemetry_ == nullptr) return;
   obs::MetricsRegistry& reg = telemetry_->registry;
   mem_evictions_counter_ = &reg.counter(obs::names::mem_policy_metric(
       obs::names::kMemEvictionsPrefix, evict_policy_->name()));
@@ -183,56 +214,36 @@ std::optional<double> ClusterSimulator::make_room(DeviceId dev,
   if (bytes > d.memory.capacity()) return std::nullopt;
   double cost = 0.0;
   while (!d.memory.fits(bytes)) {
-    // Victim selection: the attached policy's pick, or — on the policy-free
-    // default path — the legacy hard-coded LRU, untouched so default runs
-    // stay byte-identical to pre-policy builds.
-    std::optional<Eviction> ev;
-    std::uint64_t reuse_distance = mem::kNoFutureUse;
-    if (evict_policy_ != nullptr) {
-      const std::optional<mem::VictimChoice> victim =
-          evict_policy_->pick_victim(d.memory);
-      if (!victim.has_value()) return std::nullopt;
-      reuse_distance = victim->reuse_distance;
-      ev = d.memory.evict(victim->id);
-    } else {
-      ev = d.memory.evict_lru();
-      if (!ev.has_value()) return std::nullopt;
-    }
-    index_remove(ev->id, dev);
+    const std::optional<mem::VictimChoice> victim =
+        evict_policy_->pick_victim(d.memory);
+    if (!victim.has_value()) return std::nullopt;
+    const Eviction ev = d.memory.evict(victim->id);
+    index_remove(ev.id, dev);
     ++metrics_.evictions;
-    if (evict_policy_ != nullptr) {
-      d.evicted_ever.insert(ev->id);
-      if (mem_evictions_counter_ != nullptr) mem_evictions_counter_->add();
-      if (mem_evicted_bytes_counter_ != nullptr) {
-        mem_evicted_bytes_counter_->add(ev->bytes);
-      }
-      if (mem_reuse_distance_hist_ != nullptr &&
-          reuse_distance != mem::kNoFutureUse) {
-        mem_reuse_distance_hist_->observe(
-            static_cast<double>(reuse_distance));
-      }
+    d.note_evicted(ev.id);
+    if (mem_evictions_counter_ != nullptr) {
+      mem_evictions_counter_->add();
+      mem_evicted_bytes_counter_->add(ev.bytes);
+    }
+    if (mem_reuse_distance_hist_ != nullptr &&
+        victim->reuse_distance != mem::kNoFutureUse) {
+      mem_reuse_distance_hist_->observe(
+          static_cast<double>(victim->reuse_distance));
     }
     cost += cost_model_.free_time();
     // Oversubscribed executions run UVM-style: an evicted frame migrates to
     // host memory whether or not it is dirty (pages move, they are not
     // dropped), which is what makes evictions the dominant cost of Fig. 11.
     const double eviction_cost =
-        cost_model_.free_time() + cost_model_.d2h_time(ev->bytes);
-    metrics_.writeback_bytes += ev->bytes;
-    cost += cost_model_.d2h_time(ev->bytes);
-    if (ev->dirty) ++metrics_.dirty_evictions;
-    index_.note_writeback(ev->id);
+        cost_model_.free_time() + cost_model_.d2h_time(ev.bytes);
+    metrics_.writeback_bytes += ev.bytes;
+    cost += cost_model_.d2h_time(ev.bytes);
+    if (ev.dirty) ++metrics_.dirty_evictions;
+    index_.note_writeback(ev.id);
     if (observing()) {
-      double age = 0.0;
-      if (telemetry_ != nullptr) {
-        const auto it = d.alloc_time.find(ev->id);
-        if (it != d.alloc_time.end()) {
-          age = std::max(0.0, busy_time(dev) - it->second);
-          d.alloc_time.erase(it);
-        }
-      }
-      pending_ops_.push_back(PendingOp{TraceEventKind::kEviction, ev->id,
-                                       eviction_cost, ev->bytes, cause, age});
+      const double age = std::max(0.0, busy_time(dev) - ev.alloc_time_s);
+      pending_ops_.push_back(PendingOp{TraceEventKind::kEviction, ev.id,
+                                       eviction_cost, ev.bytes, cause, age});
     }
   }
   return cost;
@@ -327,16 +338,12 @@ ClusterSimulator::FetchResult ClusterSimulator::fetch_operand(
         fetch_kind, desc.id, cost_model_.alloc_time() + transfer_cost, bytes});
   }
 
-  d.memory.allocate(desc.id, bytes, /*dirty=*/false);
+  d.memory.allocate(desc.id, bytes, /*dirty=*/false, busy_time(dev));
   d.memory.pin(desc.id);
   index_add(desc.id, dev);
-  if (telemetry_ != nullptr) d.alloc_time[desc.id] = busy_time(dev);
   // Re-fetch of a tensor this run already evicted from this device: the
-  // avoidable half of the eviction-caused transfer bill (policy runs only;
-  // evicted_ever is not maintained on the legacy path).
-  if (evict_policy_ != nullptr && d.evicted_ever.contains(desc.id)) {
-    metrics_.eviction_refetch_bytes += bytes;
-  }
+  // avoidable half of the eviction-caused transfer bill.
+  if (d.evicted_before(desc.id)) metrics_.eviction_refetch_bytes += bytes;
   ++metrics_.fetched_operands;
   result.cost_s = cost;
   return result;
@@ -477,9 +484,8 @@ ExecuteResult ClusterSimulator::execute_impl(const ContractionTask& task,
                                      task.out.id, cost_model_.alloc_time(),
                                      out_bytes});
   }
-  d.memory.allocate(task.out.id, out_bytes, /*dirty=*/true);
+  d.memory.allocate(task.out.id, out_bytes, /*dirty=*/true, busy_time(dev));
   index_add(task.out.id, dev);
-  if (telemetry_ != nullptr) d.alloc_time[task.out.id] = busy_time(dev);
   ++metrics_.allocations;
 
   double kernel_cost = cost_model_.kernel_time(task);
@@ -562,7 +568,6 @@ std::vector<TensorId> ClusterSimulator::fail_device(DeviceId dev,
     d.memory.release(id);
     index_remove(id, dev);
   }
-  d.alloc_time.clear();
 
   // A produced tensor with no host copy and no surviving replica died with
   // the device; its producer must be re-executed (lineage recovery).
@@ -626,13 +631,11 @@ void ClusterSimulator::emit_task_events(DeviceId dev,
       if (op.kind == TraceEventKind::kEviction) {
         victim_age_hist_->observe(op.victim_age_s);
         ev.kind = obs::ClusterEventKind::kEviction;
-        // With a policy attached, the event detail carries "<cause>/<policy>"
-        // so traces attribute every eviction to the policy that chose the
-        // victim; the policy-free default keeps the bare cause (byte-identity).
+        // "<cause>/<policy>": traces attribute every eviction to the policy
+        // that chose the victim.
         ev.detail = to_string(op.cause);
-        if (evict_policy_ != nullptr) {
-          ev.detail += std::string("/") + evict_policy_->name();
-        }
+        ev.detail += '/';
+        ev.detail += evict_policy_->name();
         ev.victim_age_s = op.victim_age_s;
       } else if (op.kind == TraceEventKind::kTransferRetry) {
         ev.kind = obs::ClusterEventKind::kTransferRetry;
@@ -716,7 +719,6 @@ void ClusterSimulator::discard(TensorId id) {
     const DeviceId dev = holders.front();
     DeviceState& d = device(dev);
     d.memory.release(id);
-    d.alloc_time.erase(id);
     index_remove(id, dev);
     const double start = std::max(d.compute_free_s, d.copy_free_s);
     d.compute_free_s = start + cost_model_.free_time();
@@ -744,13 +746,8 @@ obs::JsonValue to_json(const ExecutionMetrics& m) {
   out.set("barrier_idle_s", m.barrier_idle_s);
   out.set("kernel_time_s", m.kernel_time_s);
   out.set("transfer_time_s", m.transfer_time_s);
-  // Eviction-policy fields appear only when a policy was attached: the
-  // policy-free default must serialise byte-identically to reports from
-  // before the mem/ subsystem existed.
-  if (!m.evict_policy.empty()) {
-    out.set("evict_policy", m.evict_policy);
-    out.set("eviction_refetch_bytes", m.eviction_refetch_bytes);
-  }
+  out.set("evict_policy", m.evict_policy);
+  out.set("eviction_refetch_bytes", m.eviction_refetch_bytes);
   // Fault counters appear only when a fault actually fired: fault-free runs
   // must serialise byte-identically to reports from before the fault model.
   if (m.any_faults()) {

@@ -12,8 +12,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "faults/injector.hpp"
@@ -28,7 +26,7 @@
 namespace micco {
 
 namespace mem {
-class EvictionPolicy;  // mem/policy.hpp; attached via set_eviction_policy()
+class EvictionPolicy;  // mem/policy.hpp; replaced via set_eviction_policy()
 }
 
 /// Read-only cluster state offered to schedulers. Doubles as the residency
@@ -86,11 +84,9 @@ struct ExecutionMetrics {
   std::uint64_t evictions = 0;
   std::uint64_t dirty_evictions = 0;
 
-  // -- Eviction-policy accounting (mem/, set only while a policy is
-  // -- attached; the policy-free default leaves both at their zero values
-  // -- and neither field is serialised) ----------------------------------
-  /// Metric-safe name of the attached eviction policy ("" = legacy path).
-  std::string evict_policy;
+  // -- Eviction-policy accounting (mem/) -----------------------------------
+  /// Metric-safe name of the eviction policy that picked the victims.
+  std::string evict_policy = "lru";
   /// Bytes re-fetched for tensors this run had previously evicted from the
   /// fetching device — the "came back after we threw it out" half of the
   /// eviction-caused transfer bill (write-backs are the other half).
@@ -217,12 +213,12 @@ class ClusterSimulator final : public ClusterView {
   // -- Execution --------------------------------------------------------
   /// Executes one contraction on the given device: fetches absent operands
   /// (P2P when available and enabled, otherwise H2D), allocates the output,
-  /// evicts LRU tensors on capacity pressure and advances the device
-  /// timeline. With a fault injector attached, transient transfer faults
-  /// are retried under the configured policy and planned device failures
-  /// fire here (fail-on-next-use detection). Returns how the attempt ended;
-  /// anything but kCompleted leaves the device timeline frozen at the
-  /// failure instant and the task un-executed.
+  /// evicts the eviction policy's victims on capacity pressure and advances
+  /// the device timeline. With a fault injector attached, transient transfer
+  /// faults are retried under the configured policy and planned device
+  /// failures fire here (fail-on-next-use detection). Returns how the
+  /// attempt ended; anything but kCompleted leaves the device timeline
+  /// frozen at the failure instant and the task un-executed.
   ExecuteResult execute(const ContractionTask& task, DeviceId dev);
 
   /// Stage barrier: devices synchronise to the slowest timeline; the idle
@@ -263,20 +259,22 @@ class ClusterSimulator final : public ClusterView {
 
   /// Attaches the telemetry bundle (nullptr detaches): memory events flow to
   /// its sink, fetch/eviction/barrier distributions into its registry.
-  /// Attach before the first execute(); the simulator does not own it.
+  /// Attach before the first execute(); the simulator does not own it. The
+  /// registry gains the current eviction policy's mem.* instruments, so
+  /// set the policy first (a later policy registers its own names too).
   void set_telemetry(obs::Telemetry* telemetry);
 
-  /// Attaches an eviction policy (mem/, nullptr detaches; not owned, must
-  /// outlive all execute() calls). Detached, make_room() runs the legacy
-  /// hard-coded LRU exactly as before the policy subsystem existed — zero
-  /// new state, byte-identical decisions, logs and reports. Attached, every
-  /// eviction victim is the policy's pick, evictions count into the
-  /// mem.evictions.<policy> / mem.evicted_bytes.<policy> counters, victim
-  /// reuse distances feed the mem.reuse_distance histogram (future-use-aware
-  /// policies only) and re-fetches of previously evicted tensors accrue into
-  /// metrics().eviction_refetch_bytes. The policy pointer is shared by
-  /// simulator copies (the oracle's candidate clones), which is safe because
-  /// pick_victim() is const — see mem/policy.hpp's determinism rules.
+  /// Replaces the eviction policy (mem/; not owned, must outlive all
+  /// execute() calls). Every simulator starts with one shared, stateless
+  /// LruPolicy, which nullptr restores. Every eviction victim is the
+  /// policy's pick; with telemetry attached, evictions count into the
+  /// mem.evictions.<policy> / mem.evicted_bytes.<policy> counters and
+  /// victim reuse distances feed the mem.reuse_distance histogram
+  /// (future-use-aware policies only). Re-fetches of previously evicted
+  /// tensors accrue into metrics().eviction_refetch_bytes. The policy
+  /// pointer is shared by simulator copies (the oracle's candidate clones),
+  /// which is safe because pick_victim() is const — see mem/policy.hpp's
+  /// determinism rules.
   void set_eviction_policy(const mem::EvictionPolicy* policy);
   const mem::EvictionPolicy* eviction_policy() const { return evict_policy_; }
 
@@ -310,6 +308,9 @@ class ClusterSimulator final : public ClusterView {
  private:
   struct DeviceState {
     explicit DeviceState(std::uint64_t capacity) : memory(capacity) {}
+    void note_evicted(TensorId id);
+    bool evicted_before(TensorId id) const;
+
     DeviceMemory memory;
     double compute_free_s = 0.0;  ///< when the compute engine frees up
     double copy_free_s = 0.0;     ///< when the copy engine frees up
@@ -319,12 +320,12 @@ class ClusterSimulator final : public ClusterView {
     /// exhaustion afterwards escalates to a device failure instead of a
     /// capacity error (the hardware is suspect).
     bool capacity_faulted = false;
-    /// Allocation timestamp per resident tensor; maintained only while
-    /// telemetry is attached (feeds the eviction-victim-age histogram).
-    std::unordered_map<TensorId, double> alloc_time;
-    /// Tensors ever evicted from this device; maintained only while an
-    /// eviction policy is attached (feeds the eviction-refetch accounting).
-    std::unordered_set<TensorId> evicted_ever;
+    /// Tensors ever evicted from this device (the eviction-refetch
+    /// accounting): a bitset over ids below ClusterIndex::kDenseLimit,
+    /// grown on demand, so it stays empty on a device that never evicted,
+    /// and the rarer larger ids in ascending order.
+    std::vector<std::uint64_t> evicted_bits;
+    std::vector<TensorId> evicted_large;
   };
 
   /// How one operand fetch ended (only kOk commits residency).
@@ -410,8 +411,8 @@ class ClusterSimulator final : public ClusterView {
   TraceRecorder* trace_ = nullptr;
   obs::Telemetry* telemetry_ = nullptr;
   FaultInjector* injector_ = nullptr;  ///< not owned; nullptr = fault-free
-  /// Attached eviction policy (not owned); nullptr = legacy LRU fast path.
-  const mem::EvictionPolicy* evict_policy_ = nullptr;
+  /// Eviction policy (not owned); never null.
+  const mem::EvictionPolicy* evict_policy_;
   BarrierFailures barrier_failures_;
   /// Registry instruments resolved once at set_telemetry (hot-path cheap).
   obs::Histogram* fetch_bytes_hist_ = nullptr;
@@ -419,9 +420,8 @@ class ClusterSimulator final : public ClusterView {
   obs::Histogram* barrier_idle_hist_ = nullptr;
   /// Residency-epoch bumps (one per place/remove).
   obs::Counter* epoch_bumps_counter_ = nullptr;
-  /// mem.* instruments, resolved only while BOTH telemetry and an eviction
-  /// policy are attached (resolve_mem_instruments); the policy-free default
-  /// never registers them, keeping registry snapshots byte-identical.
+  /// mem.* instruments of the current policy, resolved while telemetry is
+  /// attached (resolve_mem_instruments).
   obs::Counter* mem_evictions_counter_ = nullptr;
   obs::Counter* mem_evicted_bytes_counter_ = nullptr;
   obs::Histogram* mem_reuse_distance_hist_ = nullptr;

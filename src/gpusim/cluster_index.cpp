@@ -75,7 +75,6 @@ void ClusterIndex::place(TensorId id, DeviceId dev) {
   MICCO_ASSERT(!res.holds(dev));
   res.holders.push_back(dev);
   if (bit < 64) res.mask0 |= 1ULL << bit;
-  ++global_epoch_;
 }
 
 void ClusterIndex::remove(TensorId id, DeviceId dev) {
@@ -84,7 +83,6 @@ void ClusterIndex::remove(TensorId id, DeviceId dev) {
   MICCO_ASSERT(res.holds(dev));
   res.holders.erase(dev);
   if (bit < 64) res.mask0 &= ~(1ULL << bit);
-  ++global_epoch_;
 }
 
 void ClusterIndex::set_alive(DeviceId dev, bool alive) {

@@ -10,9 +10,7 @@
 //   * Per-tensor residency: the holder list in insertion order (candidate
 //     enumeration order is part of the decision-log byte-identity contract;
 //     up to four holders inline, so placing a tensor allocates nothing)
-//     plus a device bitmask for O(1) membership tests. A global monotonic
-//     epoch counts every place and remove; the memory arbiter reads it as
-//     a run's coldness clock.
+//     plus a device bitmask for O(1) membership tests.
 //   * Per-device SoA mirrors: busy time, memory used/capacity and an alive
 //     bitmask in parallel flat arrays, so candidate selection runs
 //     branch-light over contiguous doubles instead of virtual calls.
@@ -41,6 +39,10 @@ constexpr DeviceId kNoDevice = -1;
 
 class ClusterIndex {
  public:
+  /// Ids below this are stored in the dense table (generators assign ids
+  /// sequentially from 0, so in practice everything lands here).
+  static constexpr std::uint64_t kDenseLimit = 1ULL << 20;
+
   /// Holder devices of one tensor in insertion (placement) order. Up to
   /// kInline ids live inline; placing a fifth replica moves the whole list
   /// to the heap, and removals back down to kInline move it inline again
@@ -104,12 +106,11 @@ class ClusterIndex {
   int num_devices() const { return num_devices_; }
 
   // -- Residency deltas --------------------------------------------------
-  /// Records a new replica of `id` on `dev` (must not already hold it) and
-  /// bumps the global epoch.
+  /// Records a new replica of `id` on `dev` (must not already hold it).
   void place(TensorId id, DeviceId dev);
 
-  /// Drops the replica of `id` on `dev` (must hold it) and bumps the global
-  /// epoch. The entry survives with an empty holder list.
+  /// Drops the replica of `id` on `dev` (must hold it). The entry survives
+  /// with an empty holder list.
   void remove(TensorId id, DeviceId dev);
 
   /// The tensor's residency record, or nullptr when it was never placed.
@@ -130,11 +131,6 @@ class ClusterIndex {
     const Residency* res = find(id);
     return res != nullptr && !res->holders.empty();
   }
-
-  /// Total residency changes ever applied. Exported as the
-  /// cluster.index.epoch_bumps counter and, at run end, as the memory
-  /// arbiter's coldness generation (RunResult::residency_epoch).
-  std::uint64_t epoch_bumps() const { return global_epoch_; }
 
   // -- Host copies (read by the simulator's fetch and failure paths) -----
   /// Records that a kernel produced `id`.
@@ -188,10 +184,6 @@ class ClusterIndex {
   const std::vector<std::uint64_t>& alive_mask() const { return alive_mask_; }
 
  private:
-  /// Ids below this are stored in the dense table (generators assign ids
-  /// sequentially from 0, so in practice everything lands here).
-  static constexpr std::uint64_t kDenseLimit = 1ULL << 20;
-
   std::size_t checked(DeviceId dev) const {
     MICCO_EXPECTS(dev >= 0 && dev < num_devices_);
     return static_cast<std::size_t>(dev);
@@ -200,7 +192,6 @@ class ClusterIndex {
   Residency& entry(TensorId id);
 
   int num_devices_ = 0;
-  std::uint64_t global_epoch_ = 0;
   std::vector<Residency> dense_;                    ///< ids < kDenseLimit
   std::unordered_map<TensorId, Residency> sparse_;  ///< spill for huge ids
   std::vector<double> busy_;

@@ -25,7 +25,8 @@ std::size_t DeviceMemory::occupied_bucket(TensorId id,
   return b;
 }
 
-void DeviceMemory::allocate(TensorId id, std::uint64_t bytes, bool dirty) {
+void DeviceMemory::allocate(TensorId id, std::uint64_t bytes, bool dirty,
+                            double alloc_time_s) {
   if (2 * (count_ + 1) > buckets_.size()) grow_table();
   const std::size_t b = probe(id);
   MICCO_EXPECTS_MSG(buckets_[b].slot == kNoSlot,
@@ -44,6 +45,7 @@ void DeviceMemory::allocate(TensorId id, std::uint64_t bytes, bool dirty) {
   node.bytes = bytes;
   node.dirty = dirty;
   node.pinned = false;
+  node.alloc_time_s = alloc_time_s;
   link_back(slot);
   buckets_[b] = Bucket{id, slot};
   used_ += bytes;
@@ -60,13 +62,6 @@ void DeviceMemory::touch(TensorId id) {
   if (slot == tail_) return;
   unlink(slot);
   link_back(slot);
-}
-
-std::optional<Eviction> DeviceMemory::evict_lru() {
-  for (std::uint32_t slot = head_; slot != kNoSlot; slot = slots_[slot].next) {
-    if (!slots_[slot].pinned) return remove_at(probe(slots_[slot].id));
-  }
-  return std::nullopt;
 }
 
 Eviction DeviceMemory::evict(TensorId id) {
@@ -88,7 +83,7 @@ std::vector<TensorId> DeviceMemory::resident_ids() const {
 Eviction DeviceMemory::remove_at(std::size_t b) {
   const std::uint32_t slot = buckets_[b].slot;
   Node& node = slots_[slot];
-  const Eviction ev{node.id, node.bytes, node.dirty};
+  const Eviction ev{node.id, node.bytes, node.dirty, node.alloc_time_s};
   erase_bucket(b);
   unlink(slot);
   node.next = free_head_;

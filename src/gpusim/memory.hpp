@@ -2,9 +2,10 @@
 //
 // Tracks which tensors are resident in one simulated device memory, with
 // capacity accounting, pinning (current kernel operands must not be evicted
-// from under the kernel) and LRU victim selection for the oversubscription
-// experiments (Fig. 11). Dirty tensors (kernel outputs not yet on the host)
-// must be written back on eviction; clean cached inputs can be dropped.
+// from under the kernel) and the recency order the eviction policies
+// (src/mem/) pick victims from in the oversubscription experiments
+// (Fig. 11). Dirty tensors (kernel outputs not yet on the host) must be
+// written back on eviction; clean cached inputs can be dropped.
 //
 // Storage is flat and allocation-free in steady state: residents live in a
 // slab of nodes (freed slots are recycled through a free list), the recency
@@ -18,7 +19,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -32,6 +32,9 @@ struct Eviction {
   TensorId id = kInvalidTensor;
   std::uint64_t bytes = 0;
   bool dirty = false;
+  /// Simulated time the tensor was allocated (its age feeds the
+  /// victim-age histogram).
+  double alloc_time_s = 0.0;
 };
 
 class DeviceMemory {
@@ -46,6 +49,7 @@ class DeviceMemory {
     std::uint32_t next = kNoSlot;  ///< towards the most recently used end
     bool dirty = false;
     bool pinned = false;
+    double alloc_time_s = 0.0;
   };
 
  public:
@@ -121,9 +125,11 @@ class DeviceMemory {
   /// True when `bytes` more can be allocated without eviction.
   bool fits(std::uint64_t bytes) const { return used_ + bytes <= capacity_; }
 
-  /// Allocates a tensor (must not already be resident, must fit). Newly
+  /// Allocates a tensor (must not already be resident, must fit) at
+  /// simulated time `alloc_time_s`, which its Eviction reports back. Newly
   /// allocated tensors are the most recently used.
-  void allocate(TensorId id, std::uint64_t bytes, bool dirty);
+  void allocate(TensorId id, std::uint64_t bytes, bool dirty,
+                double alloc_time_s = 0.0);
 
   /// Releases a resident tensor.
   void release(TensorId id);
@@ -139,11 +145,6 @@ class DeviceMemory {
   /// Pins/unpins a tensor against eviction for the duration of a kernel.
   void pin(TensorId id) { node(id).pinned = true; }
   void unpin(TensorId id) { node(id).pinned = false; }
-
-  /// Evicts the least-recently-used unpinned tensor. Returns nullopt when
-  /// every resident tensor is pinned (caller must treat this as a scheduling
-  /// bug: a single task's working set exceeded device capacity).
-  std::optional<Eviction> evict_lru();
 
   /// Evicts a specific resident tensor — the victim an eviction policy
   /// (src/mem/) selected. The tensor must be resident and unpinned.

@@ -1,17 +1,14 @@
 // Pluggable eviction policies (memory co-design subsystem, DESIGN.md §11).
 //
-// The oversubscription experiments (Fig. 11) originally ran on a hard-coded
-// per-device LRU inside DeviceMemory. The contraction graph, however, gives
-// the runtime *exact* future-use information per vector: every pair a
-// scheduler will feed to the cluster is known up front, so an eviction
-// policy can rank victims by their true next-use distance (Belady) instead
-// of by recency. This header defines the policy interface and its two
-// implementations:
+// The oversubscription experiments (Fig. 11) evict the least recently used
+// tensor of a full device. The contraction graph, however, gives the
+// runtime *exact* future-use information per vector: every pair a scheduler
+// will feed to the cluster is known up front, so an eviction policy can rank
+// victims by their true next-use distance (Belady) instead of by recency.
+// This header defines the policy interface and its two implementations:
 //
-//   * LruPolicy            — exactly today's behavior (the default path in
-//                            ClusterSimulator stays policy-free and
-//                            byte-identical; attaching LruPolicy makes the
-//                            same decisions through the policy interface).
+//   * LruPolicy            — the least recently used unpinned resident; the
+//                            policy every ClusterSimulator starts with.
 //   * ReuseDistancePolicy  — evicts the unpinned resident whose next use is
 //                            farthest in the vector's remaining pair
 //                            sequence (never-used-again wins outright);
@@ -113,9 +110,9 @@ class EvictionPolicy {
   const char* name() const { return to_string(kind()); }
 
   /// Selects the next victim among the unpinned residents of `memory`, or
-  /// nullopt when everything resident is pinned (the caller escalates this
-  /// exactly as the legacy evict_lru() nullopt). Const on purpose — see the
-  /// determinism rules in the header comment.
+  /// nullopt when everything resident is pinned (the caller reports a
+  /// capacity error). Const on purpose — see the determinism rules in the
+  /// header comment.
   virtual std::optional<VictimChoice> pick_victim(
       const DeviceMemory& memory) const = 0;
 
@@ -125,8 +122,8 @@ class EvictionPolicy {
   virtual void observe_use(const ContractionTask& task, std::int64_t pos);
 };
 
-/// The extracted legacy behavior: least recently used unpinned resident.
-/// Decision-for-decision identical to DeviceMemory::evict_lru().
+/// Least recently used unpinned resident. Stateless, so one instance can
+/// serve any number of simulators.
 class LruPolicy final : public EvictionPolicy {
  public:
   EvictPolicyKind kind() const override { return EvictPolicyKind::kLru; }

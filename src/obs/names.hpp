@@ -12,7 +12,7 @@
 //   sched.*            scheduler decisions and their classification
 //   cluster.*          simulated-cluster events (fetches, evictions, barriers)
 //   cluster.device.N.* per-device rollups
-//   mem.*              eviction-policy and memory-arbiter accounting
+//   mem.*              eviction-policy accounting
 //   mem.tenant.T.*     per-tenant modeled residency gauges
 //   service.*          daemon lifecycle counters and queue gauges
 //   service.tenant.T.* per-tenant latency histograms and SLO counters
@@ -73,21 +73,16 @@ inline constexpr const char* kDeviceBusySSuffix = "busy_s";
 // -- mem.* (memory co-design subsystem, DESIGN.md §11) ---------------------
 /// Per-policy eviction counters: "mem.evictions.<policy>" /
 /// "mem.evicted_bytes.<policy>" with the policy's metric-safe name ("lru",
-/// "reuse_distance") appended via mem_policy_metric().
-/// Registered only while an eviction policy is attached — the policy-free
-/// default path keeps registry snapshots byte-identical to pre-policy runs.
+/// "reuse_distance") appended via mem_policy_metric(), registered for the
+/// simulator's policy while telemetry is attached.
 inline constexpr const char* kMemEvictionsPrefix = "mem.evictions.";
 inline constexpr const char* kMemEvictedBytesPrefix = "mem.evicted_bytes.";
 /// Victim next-use distance (pairs until reuse) observed at each eviction by
 /// the future-use-aware policies; victims with no known future use are not
 /// observed (they are the free wins, not part of the tradeoff).
 inline constexpr const char* kMemReuseDistance = "mem.reuse_distance";
-/// Cold cross-tenant bytes the arbiter pre-evicted at job admissions.
-inline constexpr const char* kMemArbiterPreevictedBytes =
-    "mem.arbiter.preevicted_bytes";
-/// Admissions the arbiter arbitrated (with or without pre-eviction).
-inline constexpr const char* kMemArbiterAdmissions = "mem.arbiter.admissions";
-/// Per-tenant modeled residency gauge: "mem.tenant.<T>." + suffix.
+/// Per-tenant modeled residency gauge: "mem.tenant.<T>." + suffix. The
+/// daemon sets it after every job to the bytes the job left resident.
 inline constexpr const char* kMemTenantPrefix = "mem.tenant.";
 inline constexpr const char* kMemTenantResidentBytesSuffix = "resident_bytes";
 

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -134,11 +135,6 @@ bool Server::start(std::string* error) {
   scheduler_name_ = make_scheduler(config_.scheduler, config_.seed)->name();
   device_busy_s_.assign(
       static_cast<std::size_t>(config_.cluster.num_devices), 0.0);
-
-  if (config_.mem_arbiter) {
-    arbiter_ = std::make_unique<mem::MemoryArbiter>(
-        config_.cluster.num_devices, config_.cluster.device_capacity_bytes);
-  }
 
   // Startup serialization: an exclusive flock on a sidecar lock file,
   // acquired before journal recovery and held until this server is
@@ -475,7 +471,6 @@ obs::JsonValue Server::handle_request(const Request& request) {
     case MessageType::kStats: {
       obs::JsonValue reply = make_ok_response();
       reply.set("stats", jobs_.stats());
-      if (arbiter_ != nullptr) reply.set("memory", arbiter_->stats_json());
       return reply;
     }
     case MessageType::kMetrics: {
@@ -486,7 +481,6 @@ obs::JsonValue Server::handle_request(const Request& request) {
         reply.set("started_at", started_at_utc_);
       }
       reply.set("stats", jobs_.stats());
-      if (arbiter_ != nullptr) reply.set("memory", arbiter_->stats_json());
       reply.set("metrics", telemetry_.registry.quantile_summary());
       reply.set("prometheus", telemetry_.registry.prometheus_text());
       return reply;
@@ -503,13 +497,6 @@ obs::JsonValue Server::handle_submit(const Request& request) {
     return make_error_response(error_code::kBadWorkload,
                                "workload rejected: " + load_error);
   }
-  // Arbiter admission estimate: the per-device share of the distinct-tensor
-  // footprint. Computed before the stream is moved into the book of record.
-  const std::uint64_t estimated_bytes_per_device =
-      config_.cluster.num_devices > 0
-          ? stream->total_distinct_bytes() /
-                static_cast<std::uint64_t>(config_.cluster.num_devices)
-          : 0;
   // With a journal open the job is admitted *held*: present in the book of
   // record (and the dedup table) but invisible to the dispatcher until its
   // admitted record is durable. Without the hold, a parallel-mode
@@ -600,19 +587,6 @@ obs::JsonValue Server::handle_submit(const Request& request) {
       return reply;
     }
     jobs_.release_job(outcome.job_id);
-  }
-  // Cross-tenant arbitration on the accepted path only: pre-evict the
-  // coldest other-tenant footprints the estimate would displace, and book
-  // the decision in the registry. Never rejects — admission control proper
-  // stays with the JobManager.
-  if (arbiter_ != nullptr) {
-    const mem::ArbiterAdmission admission =
-        arbiter_->admit(request.tenant, estimated_bytes_per_device);
-    telemetry_.registry.counter(obs::names::kMemArbiterAdmissions).add();
-    if (admission.preevicted_bytes > 0) {
-      telemetry_.registry.counter(obs::names::kMemArbiterPreevictedBytes)
-          .add(admission.preevicted_bytes);
-    }
   }
   {
     const MutexLock lock(state_mutex_);
@@ -709,24 +683,20 @@ void Server::run_job(std::uint64_t job_id) {
   options.decision_latency = decision_scratch_.get();
   // Fresh policy instance per job: tracker state is per-stream and must not
   // leak between tenants.
-  std::unique_ptr<mem::EvictionPolicy> evict_policy;
-  if (config_.evict_policy.has_value()) {
-    evict_policy = mem::make_policy(*config_.evict_policy);
-    options.evict_policy = evict_policy.get();
-  }
+  const std::unique_ptr<mem::EvictionPolicy> evict_policy =
+      mem::make_policy(config_.evict_policy);
+  options.evict_policy = evict_policy.get();
   const RunResult result =
       run_stream(stream, *scheduler, config_.cluster, options);
 
-  // Book the job's modeled residual footprint against its tenant so the
-  // next admission sees it; mirror the total in a per-tenant gauge.
-  if (arbiter_ != nullptr) {
-    arbiter_->record_run(info.tenant, result.device_resident_bytes,
-                         result.residency_epoch);
-    telemetry_.registry
-        .gauge(obs::names::mem_tenant_metric(
-            info.tenant, obs::names::kMemTenantResidentBytesSuffix))
-        .set(static_cast<double>(arbiter_->tenant_resident_bytes(info.tenant)));
-  }
+  // The tenant's modeled residency: what its latest job left resident. Each
+  // job runs on a fresh simulator, so nothing else holds these bytes.
+  telemetry_.registry
+      .gauge(obs::names::mem_tenant_metric(
+          info.tenant, obs::names::kMemTenantResidentBytesSuffix))
+      .set(static_cast<double>(std::accumulate(
+          result.device_resident_bytes.begin(),
+          result.device_resident_bytes.end(), std::uint64_t{0})));
 
   // One lock amortised over the whole job's scheduling decisions.
   if (decision_scratch_ != nullptr) {
@@ -757,9 +727,7 @@ void Server::run_job(std::uint64_t job_id) {
   doc.set("gflops", result.metrics.gflops());
   doc.set("reuse_rate", result.metrics.reuse_rate());
   doc.set("scheduling_overhead_ms", result.scheduling_overhead_ms);
-  if (!result.metrics.evict_policy.empty()) {
-    doc.set("evict_policy", result.metrics.evict_policy);
-  }
+  doc.set("evict_policy", result.metrics.evict_policy);
   doc.set("vectors",
           static_cast<std::uint64_t>(result.per_vector_characteristics.size()));
   if (result.devices_lost > 0 || result.tasks_reexecuted > 0) {

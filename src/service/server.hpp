@@ -38,7 +38,6 @@
 #include <fstream>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,7 +49,6 @@
 #include "core/pipeline.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/retry.hpp"
-#include "mem/arbiter.hpp"
 #include "mem/policy.hpp"
 #include "obs/clock.hpp"
 #include "obs/events.hpp"
@@ -94,17 +92,10 @@ struct ServerConfig {
   AdmissionConfig admission;
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
 
-  /// Optional eviction policy for every job's simulator (mem/, DESIGN.md
-  /// §11). Unset: the legacy LRU default path — decision logs, reports and
-  /// traces stay byte-identical to pre-policy sessions. A fresh policy
-  /// instance is built per job, so tracker state never leaks across jobs.
-  std::optional<mem::EvictPolicyKind> evict_policy;
-
-  /// Cross-tenant memory arbiter (mem/arbiter.hpp): admission consults
-  /// modeled per-tenant residency, pre-evicts cold cross-tenant footprints,
-  /// and surfaces the accounting in stats/metrics replies and mem.* metrics.
-  /// Off by default — replies and registry snapshots are unchanged then.
-  bool mem_arbiter = false;
+  /// Eviction policy for every job's simulator (mem/, DESIGN.md §11). A
+  /// fresh policy instance is built per job, so tracker state never leaks
+  /// across jobs.
+  mem::EvictPolicyKind evict_policy = mem::EvictPolicyKind::kLru;
 
   /// Durable job journal (path empty: journaling + recovery disabled). An
   /// existing journal at the configured path is replayed at start().
@@ -160,8 +151,6 @@ class Server {
 
   JobManager& jobs() { return jobs_; }
   const obs::Telemetry& telemetry() const { return telemetry_; }
-  /// The cross-tenant memory arbiter; nullptr unless config.mem_arbiter.
-  mem::MemoryArbiter* arbiter() { return arbiter_.get(); }
 
   /// Builds the session run report from the aggregates accumulated by the
   /// dispatcher. Meaningful once serve() returned (or between jobs in
@@ -245,9 +234,6 @@ class Server {
 
   std::unique_ptr<RegressionBoundsProvider> model_bounds_;
   std::unique_ptr<FixedBounds> static_bounds_;
-  /// Cross-tenant residency arbitration (created at start() when enabled;
-  /// internally locked at rank kLockRankMemArbiter).
-  std::unique_ptr<mem::MemoryArbiter> arbiter_;
 
   obs::Clock* clock_ = nullptr;   ///< config_.clock or the process default
   double session_start_ms_ = 0.0; ///< monotonic zero for latencies + uptime

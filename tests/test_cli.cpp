@@ -84,6 +84,53 @@ TEST(CliArgs, UnknownFlagsReportedBeforeAnyRead) {
   EXPECT_EQ(args.unused().size(), 3u);
 }
 
+TEST(CliArgs, MalformedNumbersAreErrorsAndFallBack) {
+  // strtoll/strtod stop at the first bad character; a value they cannot
+  // consume in full is an error, not a shorter number.
+  const CliArgs args = parse({"--gpus=4x", "--oversub=2x", "--n=", "--big",
+                              "99999999999999999999", "--rate=1e999"});
+  EXPECT_FALSE(args.error().has_value());  // nothing read yet
+  EXPECT_EQ(args.get_int("gpus", 8), 8);
+  ASSERT_TRUE(args.error().has_value());
+  EXPECT_EQ(*args.error(), "malformed value for --gpus: '4x'");
+  EXPECT_DOUBLE_EQ(args.get_double("oversub", 0.0), 0.0);
+  EXPECT_EQ(args.get_int("n", 3), 3);
+  EXPECT_EQ(args.get_int("big", 5), 5);
+  EXPECT_DOUBLE_EQ(args.get_double("rate", 0.5), 0.5);
+  // The first malformed value read stays the reported one.
+  EXPECT_EQ(*args.error(), "malformed value for --gpus: '4x'");
+
+  for (const char* flag : {"--oversub=2x", "--oversub=", "--oversub=1e999"}) {
+    const CliArgs one = parse({flag});
+    (void)one.get_double("oversub", 0.0);
+    ASSERT_TRUE(one.error().has_value()) << flag;
+    EXPECT_NE(one.error()->find("--oversub"), std::string::npos) << flag;
+  }
+}
+
+TEST(CliArgs, UnknownBooleanWordIsError) {
+  const CliArgs args = parse({"--p2p=ture"});
+  EXPECT_FALSE(args.get_bool("p2p", false));
+  ASSERT_TRUE(args.error().has_value());
+  EXPECT_EQ(*args.error(), "malformed value for --p2p: 'ture'");
+}
+
+TEST(CliArgs, WellFormedValuesLeaveNoError) {
+  const CliArgs args =
+      parse({"--gpus=4", "--seed=-3", "--rate=0.75", "--tiny=1e-4",
+             "--p2p=ON", "--quick", "--name=4x", "--evict-policy="});
+  EXPECT_EQ(args.get_int("gpus", 0), 4);
+  EXPECT_EQ(args.get_int("seed", 0), -3);
+  EXPECT_DOUBLE_EQ(args.get_double("rate", 0.0), 0.75);
+  EXPECT_DOUBLE_EQ(args.get_double("tiny", 0.0), 1e-4);
+  EXPECT_TRUE(args.get_bool("p2p", false));
+  EXPECT_TRUE(args.get_bool("quick", false));
+  // String values are taken as they are, empty ones included.
+  EXPECT_EQ(args.get("name", ""), "4x");
+  EXPECT_EQ(args.get("evict-policy", "lru"), "");
+  EXPECT_FALSE(args.error().has_value());
+}
+
 TEST(CliArgs, EmptyFlagNameIsError) {
   const CliArgs args = parse({"--=x"});
   EXPECT_TRUE(args.error().has_value());

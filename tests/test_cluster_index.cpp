@@ -1,10 +1,10 @@
-// ClusterIndex unit tests: residency deltas (holder order, bitmask, the
-// global epoch), the inline holder list and its heap spill, wide clusters past
-// the 64-bit inline mask word, the sparse id spill, copies, and — via a
-// live ClusterSimulator — the contract that the
-// per-device mirrors and the residency sets always agree with the virtual
-// ClusterView getters at every scheduler observation point (after execute,
-// barrier, failure and discard).
+// ClusterIndex unit tests: residency deltas (holder order, bitmask), the
+// inline holder list and its heap spill, wide clusters past the 64-bit
+// inline mask word, the sparse id spill, copies, and — via a live
+// ClusterSimulator — the cluster.index.epoch_bumps counter and the contract
+// that the per-device mirrors and the residency sets always agree with the
+// virtual ClusterView getters at every scheduler observation point (after
+// execute, barrier, failure and discard).
 #include "gpusim/cluster_index.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "gpusim/cluster.hpp"
+#include "obs/names.hpp"
+#include "obs/telemetry.hpp"
 #include "workload/task.hpp"
 
 namespace micco {
@@ -32,6 +34,11 @@ ContractionTask task(TensorId a, TensorId b, TensorId out,
 /// Holder ids as a vector, so assertions compare element-wise and print.
 std::vector<DeviceId> ids(std::span<const DeviceId> holders) {
   return {holders.begin(), holders.end()};
+}
+
+/// The simulator's residency-change count, read from its telemetry.
+std::uint64_t epoch_bumps(obs::Telemetry& telemetry) {
+  return telemetry.registry.counter(obs::names::kClusterEpochBumps).value();
 }
 
 // ------------------------------------------------------------ residency core
@@ -59,36 +66,53 @@ TEST(ClusterIndex, NeverPlacedTensorHasEmptyState) {
   EXPECT_TRUE(index.holders(42).empty());
   EXPECT_FALSE(index.resident_anywhere(42));
   EXPECT_FALSE(index.holds(0, 42));
-  EXPECT_EQ(index.epoch_bumps(), 0u);
 }
 
 TEST(ClusterIndex, EpochsAreMonotonicAndNeverReset) {
+  // The entry survives the last removal with an empty holder list, and a
+  // re-placement starts a new holder list.
   ClusterIndex index(4);
   index.place(7, 1);
-  const std::uint64_t after_place = index.epoch_bumps();
-  EXPECT_GT(after_place, 0u);
-
   index.remove(7, 1);
-  const std::uint64_t after_remove = index.epoch_bumps();
-  EXPECT_GT(after_remove, after_place);
-
-  // The entry survives the last removal with an empty holder list, and a
-  // re-placement keeps counting: the memory arbiter orders runs by this
-  // clock, so it must never go back.
   EXPECT_NE(index.find(7), nullptr);
   EXPECT_FALSE(index.resident_anywhere(7));
   index.place(7, 2);
-  EXPECT_GT(index.epoch_bumps(), after_remove);
+  EXPECT_EQ(ids(index.holders(7)), (std::vector<DeviceId>{2}));
+
+  // The simulator's count of residency changes only ever grows, through
+  // evictions and re-fetches alike.
+  ClusterConfig config;
+  config.num_devices = 1;
+  config.device_capacity_bytes = 3 * desc(0).bytes();
+  ClusterSimulator sim(config);
+  obs::Telemetry telemetry;
+  sim.set_telemetry(&telemetry);
+  std::uint64_t last = 0;
+  for (const ContractionTask& t :
+       {task(1, 2, 3), task(4, 5, 6), task(1, 4, 7), task(2, 5, 8)}) {
+    ASSERT_TRUE(sim.execute(t, 0).ok());
+    EXPECT_GT(epoch_bumps(telemetry), last);
+    last = epoch_bumps(telemetry);
+  }
 }
 
 TEST(ClusterIndex, GlobalEpochCountsEveryResidencyChange) {
-  ClusterIndex index(4);
-  EXPECT_EQ(index.epoch_bumps(), 0u);
-  index.place(1, 0);
-  index.place(2, 0);
-  index.place(1, 3);
-  index.remove(1, 0);
-  EXPECT_EQ(index.epoch_bumps(), 4u);
+  // One bump per placement or removal: two fetches and an output, then
+  // three evictions, three placements and the discard of a replica.
+  ClusterConfig config;
+  config.num_devices = 4;
+  config.device_capacity_bytes = 3 * desc(0).bytes();
+  ClusterSimulator sim(config);
+  obs::Telemetry telemetry;
+  sim.set_telemetry(&telemetry);
+  EXPECT_EQ(epoch_bumps(telemetry), 0u);
+  ASSERT_TRUE(sim.execute(task(1, 2, 3), 0).ok());
+  EXPECT_EQ(epoch_bumps(telemetry), 3u);
+  ASSERT_TRUE(sim.execute(task(4, 5, 6), 0).ok());
+  EXPECT_EQ(sim.metrics().evictions, 3u);
+  EXPECT_EQ(epoch_bumps(telemetry), 9u);
+  sim.discard(6);
+  EXPECT_EQ(epoch_bumps(telemetry), 10u);
 }
 
 TEST(ClusterIndex, SparseSpillHandlesHugeIds) {
@@ -186,8 +210,6 @@ TEST(ClusterIndexHolders, CopyEvolvesIndependentlyOfSource) {
   place_all(source, 1, {4, 66});                  // inline, one wide device
   place_all(source, 2, {0, 1, 2, 3, 4, 5, 69});  // spilled
   ClusterIndex copy = source;
-  const std::uint64_t at_copy = source.epoch_bumps();
-  EXPECT_EQ(copy.epoch_bumps(), at_copy);
   expect_holders(copy, 1, {4, 66});
   expect_holders(copy, 2, {0, 1, 2, 3, 4, 5, 69});
 
@@ -204,9 +226,6 @@ TEST(ClusterIndexHolders, CopyEvolvesIndependentlyOfSource) {
   expect_holders(source, 2, {1, 2, 3, 4});
   expect_holders(copy, 1, {66, 9});
   expect_holders(copy, 2, {0, 1, 2, 4, 5, 69, 68});
-  // Each counts its own four changes, not the other's.
-  EXPECT_EQ(source.epoch_bumps(), at_copy + 4);
-  EXPECT_EQ(copy.epoch_bumps(), at_copy + 4);
 }
 
 // ---------------------------------------------------------- wide clusters
@@ -325,15 +344,17 @@ TEST(ClusterIndexMirror, FailureBumpsEpochOfEveryResidentTensor) {
   ClusterConfig config;
   config.num_devices = 2;
   ClusterSimulator sim(config);
+  obs::Telemetry telemetry;
+  sim.set_telemetry(&telemetry);
   ASSERT_TRUE(sim.execute(task(10, 11, 12), 0).ok());
 
   const ClusterIndex& index = sim.cluster_index();
-  const std::uint64_t before = index.epoch_bumps();
+  const std::uint64_t before = epoch_bumps(telemetry);
   ASSERT_EQ(before, 3u);  // two operand fetches and the output
 
   sim.fail_device(0, 0.0);
   // Every tensor the dead device held changed residency: one bump each.
-  EXPECT_EQ(index.epoch_bumps(), before + 3);
+  EXPECT_EQ(epoch_bumps(telemetry), before + 3);
   EXPECT_FALSE(index.resident_anywhere(10));
   EXPECT_FALSE(index.resident_anywhere(12));
 }

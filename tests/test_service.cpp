@@ -370,6 +370,52 @@ TEST(Service, MetricsVerbQuantilesMatchOfflineTraceRecomputation) {
   std::remove(spans.c_str());
 }
 
+TEST(Service, TwoTenantSessionExposesResidencyGauges) {
+  // Every finished job sets its tenant's modeled-residency gauge; no flag
+  // turns this on, and the replies carry no separate memory section.
+  const std::string socket = test_socket_path("residency");
+  ServerConfig config;
+  config.socket_path = socket;
+  config.cluster.num_devices = 4;
+
+  ServeSession session(std::move(config));
+  std::string error;
+  ASSERT_TRUE(session.begin(&error)) << error;
+
+  Client client;
+  ASSERT_TRUE(client.connect(socket, &error)) << error;
+  for (const auto& [tenant, seed] :
+       {std::pair<const char*, std::uint64_t>{"alice", 71},
+        {"bob", 72}}) {
+    const auto reply = client.submit(tenant, "", workload_text(seed), &error);
+    ASSERT_TRUE(reply.has_value()) << error;
+    ASSERT_TRUE(reply->at("ok").as_bool()) << reply->dump();
+    const obs::JsonValue done = wait_for_job(
+        client, static_cast<std::uint64_t>(reply->at("job_id").as_int()));
+    EXPECT_EQ(done.at("state").as_string(), "DONE");
+    EXPECT_EQ(done.at("result").at("evict_policy").as_string(), "lru");
+  }
+
+  const auto metrics_reply = client.metrics(&error);
+  ASSERT_TRUE(metrics_reply.has_value()) << error;
+  ASSERT_TRUE(metrics_reply->at("ok").as_bool()) << metrics_reply->dump();
+  EXPECT_EQ(metrics_reply->find("memory"), nullptr);
+  const obs::JsonValue& gauges = metrics_reply->at("metrics").at("gauges");
+  for (const char* tenant : {"alice", "bob"}) {
+    const obs::JsonValue* gauge = gauges.find(obs::names::mem_tenant_metric(
+        tenant, obs::names::kMemTenantResidentBytesSuffix));
+    ASSERT_NE(gauge, nullptr) << tenant << ": " << gauges.dump();
+    EXPECT_GT(gauge->as_double(), 0.0) << tenant;
+  }
+  const auto stats_reply = client.stats(&error);
+  ASSERT_TRUE(stats_reply.has_value()) << error;
+  EXPECT_EQ(stats_reply->find("memory"), nullptr);
+
+  ASSERT_TRUE(client.drain(&error).has_value()) << error;
+  client.close();
+  EXPECT_EQ(session.join(), 0);
+}
+
 TEST(Service, InjectedManualClockScriptsLatenciesAndUptime) {
   // All scripting happens before the server thread exists (thread creation
   // orders it), and the clock never moves afterwards — so every wall

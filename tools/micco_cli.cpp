@@ -86,8 +86,7 @@ int usage() {
                "  run FILE [--scheduler=groute|dmda|micco|roundrobin] "
                "[--model=FILE] [--gpus=8] [--oversub=R] [--trace=FILE]\n"
                "      [--fault-plan=FILE --retry-max=N --retry-backoff=S]\n"
-               "      [--evict-policy=lru|reuse-distance]"
-               "   (unset: the byte-identical legacy LRU path)\n"
+               "      [--evict-policy=lru|reuse-distance]   (default lru)\n"
                "  train --out=FILE [--samples=120 --gpus=8 --seed=N --threads=N]\n"
                "  inspect FILE\n"
                "  report [FILE] [--scheduler=NAME] [--gpus=8] [--oversub=R] "
@@ -110,9 +109,7 @@ int usage() {
                "        [--fault-plan=FILE --retry-max=N --retry-backoff=S]\n"
                "        [--journal=FILE --journal-fsync=never|interval|always"
                " --journal-fsync-interval=N]\n"
-               "        [--evict-policy=NAME --mem-arbiter=on]   "
-               "(cross-tenant residency arbitration; stats/top gain a "
-               "memory section)\n"
+               "        [--evict-policy=NAME]\n"
                "        (an existing --journal is replayed: finished jobs "
                "answer again, interrupted jobs re-run)\n"
                "  submit FILE --socket=PATH [--tenant=NAME --name=LABEL "
@@ -159,21 +156,29 @@ bool load_fault_flags(const CliArgs& args, const char* cmd, int num_devices,
   return true;
 }
 
-/// Parses the optional --evict-policy flag shared by `run`, `report` and
-/// `serve`. A missing flag leaves `kind` unset — the legacy LRU path, whose
-/// logs and reports stay byte-identical to pre-policy builds.
-bool load_evict_policy_flag(const CliArgs& args, const char* cmd,
-                            std::optional<mem::EvictPolicyKind>* kind) {
-  const std::string name = args.get("evict-policy", "");
-  if (name.empty()) return true;
-  *kind = mem::parse_evict_policy(name);
-  if (!kind->has_value()) {
+/// Parses the --evict-policy flag shared by `run`, `report` and `serve`
+/// (default lru); nullopt, after a diagnostic, for an unknown name.
+std::optional<mem::EvictPolicyKind> evict_policy_flag(const CliArgs& args,
+                                                      const char* cmd) {
+  const std::string name = args.get("evict-policy", "lru");
+  const std::optional<mem::EvictPolicyKind> kind =
+      mem::parse_evict_policy(name);
+  if (!kind.has_value()) {
     std::fprintf(stderr,
                  "%s: unknown eviction policy '%s' (want lru or "
                  "reuse-distance)\n",
                  cmd, name.c_str());
-    return false;
   }
+  return kind;
+}
+
+/// Prints "cmd: <error>" for a malformed flag or for a malformed value a
+/// typed getter has read so far. Each verb calls it once it has read its
+/// flags, before any work, and exits 2 on true: `--gpus=4x` must not run
+/// on 4 (or 8) GPUs.
+bool rejects_values(const CliArgs& args, const char* cmd) {
+  if (!args.error().has_value()) return false;
+  std::fprintf(stderr, "%s: %s\n", cmd, args.error()->c_str());
   return true;
 }
 
@@ -183,10 +188,7 @@ bool load_evict_policy_flag(const CliArgs& args, const char* cmd,
 /// work instead of silently running with the default.
 bool rejects_flags(const CliArgs& args, const char* cmd,
                    std::initializer_list<std::string_view> known) {
-  if (args.error().has_value()) {
-    std::fprintf(stderr, "%s: %s\n", cmd, args.error()->c_str());
-    return true;
-  }
+  if (rejects_values(args, cmd)) return true;
   const std::vector<std::string> unknown = args.unknown(known);
   for (const std::string& name : unknown) {
     std::fprintf(stderr, "%s: unknown flag --%s\n", cmd, name.c_str());
@@ -225,17 +227,20 @@ void print_fault_summary(const RunResult& result) {
                   : "FAILED");
 }
 
-/// Scheduler-by-name shared by `run` and `report`. Returns null and prints
-/// a diagnostic for unknown names.
-std::unique_ptr<Scheduler> scheduler_by_name(const std::string& which) {
-  if (which == "groute") return make_scheduler(SchedulerKind::kGroute);
-  if (which == "dmda") return make_scheduler(SchedulerKind::kDmda);
-  if (which == "roundrobin") {
-    return make_scheduler(SchedulerKind::kRoundRobin);
-  }
-  if (which == "micco") return make_scheduler(SchedulerKind::kMiccoNaive);
+/// SchedulerKind by name; nullopt, after a diagnostic, for unknown names.
+std::optional<SchedulerKind> scheduler_kind_by_name(const std::string& which) {
+  if (which == "groute") return SchedulerKind::kGroute;
+  if (which == "dmda") return SchedulerKind::kDmda;
+  if (which == "roundrobin") return SchedulerKind::kRoundRobin;
+  if (which == "micco") return SchedulerKind::kMiccoNaive;
   std::fprintf(stderr, "unknown scheduler '%s'\n", which.c_str());
-  return nullptr;
+  return std::nullopt;
+}
+
+/// Scheduler-by-name shared by `run` and `report`; null for unknown names.
+std::unique_ptr<Scheduler> scheduler_by_name(const std::string& which) {
+  const std::optional<SchedulerKind> kind = scheduler_kind_by_name(which);
+  return kind.has_value() ? make_scheduler(*kind) : nullptr;
 }
 
 int cmd_generate(const CliArgs& args) {
@@ -259,6 +264,7 @@ int cmd_generate(const CliArgs& args) {
                          ? DataDistribution::kGaussian
                          : DataDistribution::kUniform;
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  if (rejects_values(args, "generate")) return 2;
   if (rejected("generate", cfg.validate())) return 2;
   const WorkloadStream stream = generate_synthetic(cfg);
   save_stream_file(stream, out);
@@ -348,10 +354,11 @@ int cmd_run(const CliArgs& args) {
         ml::MultiOutputRegressor::from_models(std::move(models)), 2);
   }
 
-  std::optional<mem::EvictPolicyKind> policy_kind;
-  if (!load_evict_policy_flag(args, "run", &policy_kind)) return 2;
-  std::unique_ptr<mem::EvictionPolicy> evict_policy;
-  if (policy_kind.has_value()) evict_policy = mem::make_policy(*policy_kind);
+  const std::optional<mem::EvictPolicyKind> policy_kind =
+      evict_policy_flag(args, "run");
+  if (!policy_kind.has_value() || rejects_values(args, "run")) return 2;
+  const std::unique_ptr<mem::EvictionPolicy> evict_policy =
+      mem::make_policy(*policy_kind);
 
   TraceRecorder trace;
   RunOptions options;
@@ -370,13 +377,11 @@ int cmd_run(const CliArgs& args) {
               static_cast<unsigned long long>(m.fetched_operands),
               static_cast<unsigned long long>(m.evictions),
               result.scheduling_overhead_ms);
-  if (!m.evict_policy.empty()) {
-    std::printf("eviction policy %s: %llu eviction(s), %llu refetched "
-                "byte(s) of evicted tensors\n",
-                m.evict_policy.c_str(),
-                static_cast<unsigned long long>(m.evictions),
-                static_cast<unsigned long long>(m.eviction_refetch_bytes));
-  }
+  std::printf("eviction policy %s: %llu eviction(s), %llu refetched "
+              "byte(s) of evicted tensors\n",
+              m.evict_policy.c_str(),
+              static_cast<unsigned long long>(m.evictions),
+              static_cast<unsigned long long>(m.eviction_refetch_bytes));
   print_fault_summary(result);
   if (!result.completed) {
     std::fprintf(stderr, "run: %s\n", result.error.c_str());
@@ -407,10 +412,12 @@ int cmd_train(const CliArgs& args) {
   tuner.num_devices = static_cast<int>(args.get_int("gpus", 8));
   tuner.batch = args.get_int("batch", 32);
   tuner.seed = static_cast<std::uint64_t>(args.get_int("seed", 2022));
+  const auto threads = static_cast<int>(args.get_int("threads", 0));
+  if (rejects_values(args, "train")) return 2;
   if (rejected("train", tuner.validate())) return 2;
   // Sweep and forest fitting both fan out over the worker pool; labels and
   // the written model are byte-identical at every thread count.
-  parallel::set_threads(static_cast<int>(args.get_int("threads", 0)));
+  parallel::set_threads(threads);
   std::printf("sweeping %d samples x 27 bound triples (%d threads)...\n",
               tuner.samples, parallel::configured_threads());
   const TuningData data = generate_tuning_data(tuner);
@@ -480,6 +487,8 @@ int cmd_inspect(const CliArgs& args) {
 /// verb uses, so the offline numbers match the served ones exactly.
 int cmd_report_spans(const CliArgs& args) {
   const std::string path = args.get("spans", "");
+  const bool pretty = args.get_bool("pretty", true);
+  if (rejects_values(args, "report")) return 2;
   std::ifstream in(path);
   if (!in.good()) {
     std::fprintf(stderr, "report: cannot open %s\n", path.c_str());
@@ -598,7 +607,6 @@ int cmd_report_spans(const CliArgs& args) {
     for (const std::string& problem : problems) list.push_back(problem);
     out.set("problems", std::move(list));
   }
-  const bool pretty = args.get_bool("pretty", true);
   std::printf("%s\n", pretty ? out.dump_pretty().c_str() : out.dump().c_str());
   return problems.empty() ? 0 : 1;
 }
@@ -611,6 +619,8 @@ int cmd_report_spans(const CliArgs& args) {
 /// across lint-only changes.
 int cmd_report_lock_graph(const CliArgs& args) {
   const std::string path = args.get("lock-graph", "");
+  const bool pretty = args.get_bool("pretty", false);
+  if (rejects_values(args, "report")) return 2;
   std::ifstream in(path);
   if (!in.good()) {
     std::fprintf(stderr, "report: cannot open %s\n", path.c_str());
@@ -650,7 +660,6 @@ int cmd_report_lock_graph(const CliArgs& args) {
   }
   summary.set("lock_order", std::move(order));
 
-  const bool pretty = args.get_bool("pretty", false);
   std::printf("%s\n",
               (pretty ? summary.dump_pretty() : summary.dump()).c_str());
   return 0;
@@ -719,6 +728,14 @@ int cmd_report(const CliArgs& args) {
       scheduler_by_name(args.get("scheduler", "micco"));
   if (!scheduler) return 2;
 
+  const std::string out = args.get("out", "");
+  const bool pretty = args.get_bool("pretty", out.empty());
+  const std::optional<mem::EvictPolicyKind> policy_kind =
+      evict_policy_flag(args, "report");
+  if (!policy_kind.has_value() || rejects_values(args, "report")) return 2;
+  const std::unique_ptr<mem::EvictionPolicy> evict_policy =
+      mem::make_policy(*policy_kind);
+
   // The decision log streams to its JSONL file during the run, batched
   // behind the buffered sink (fault records flush through immediately); the
   // report is assembled from the registry afterwards.
@@ -739,16 +756,10 @@ int cmd_report(const CliArgs& args) {
 
   // Fail on an unwritable --out before spending the run (write_report_file
   // aborts on I/O errors; a bad flag deserves a diagnostic, not an abort).
-  const std::string out = args.get("out", "");
   if (!out.empty() && !std::ofstream(out).good()) {
     std::fprintf(stderr, "report: cannot open %s\n", out.c_str());
     return 1;
   }
-
-  std::optional<mem::EvictPolicyKind> policy_kind;
-  if (!load_evict_policy_flag(args, "report", &policy_kind)) return 2;
-  std::unique_ptr<mem::EvictionPolicy> evict_policy;
-  if (policy_kind.has_value()) evict_policy = mem::make_policy(*policy_kind);
 
   RunOptions options;
   options.telemetry = &telemetry;
@@ -764,7 +775,6 @@ int cmd_report(const CliArgs& args) {
     return 1;
   }
 
-  const bool pretty = args.get_bool("pretty", out.empty());
   const std::string text = pretty ? report.dump_pretty() : report.dump();
   if (out.empty()) {
     std::printf("%s\n", text.c_str());
@@ -799,6 +809,7 @@ int cmd_faults(const CliArgs& args) {
     return 1;
   }
   const int gpus = static_cast<int>(args.get_int("gpus", 8));
+  if (rejects_values(args, "faults")) return 2;
   const std::string problem = plan->validate(gpus);
   if (!problem.empty()) {
     std::fprintf(stderr, "faults: invalid for %d device(s): %s\n", gpus,
@@ -808,17 +819,6 @@ int cmd_faults(const CliArgs& args) {
   std::printf("%s", plan->summary().c_str());
   std::printf("valid for %d device(s)\n", gpus);
   return 0;
-}
-
-/// SchedulerKind-by-name for `serve` (which defers construction to the
-/// server so every job gets a fresh instance).
-std::optional<SchedulerKind> scheduler_kind_by_name(const std::string& which) {
-  if (which == "groute") return SchedulerKind::kGroute;
-  if (which == "dmda") return SchedulerKind::kDmda;
-  if (which == "roundrobin") return SchedulerKind::kRoundRobin;
-  if (which == "micco") return SchedulerKind::kMiccoNaive;
-  std::fprintf(stderr, "unknown scheduler '%s'\n", which.c_str());
-  return std::nullopt;
 }
 
 /// Parses --weights=tenant:w,tenant:w into the admission config.
@@ -841,8 +841,7 @@ int cmd_serve(const CliArgs& args) {
           args, "serve",
           {"socket", "scheduler", "seed", "model", "gpus", "p2p", "async-copy",
            "max-queue", "max-total", "weights", "slo-ms", "fault-plan",
-           "retry-max", "retry-backoff", "evict-policy", "mem-arbiter",
-           "decisions", "report", "spans", "journal", "journal-fsync",
+           "retry-max", "retry-backoff", "evict-policy", "decisions", "report", "spans", "journal", "journal-fsync",
            "journal-fsync-interval", "journal-crash-after", "threads"})) {
     return 2;
   }
@@ -884,8 +883,10 @@ int cmd_serve(const CliArgs& args) {
     return 2;
   }
   cfg.admission.slo_ms = args.get_double("slo-ms", 0.0);
-  if (!load_evict_policy_flag(args, "serve", &cfg.evict_policy)) return 2;
-  cfg.mem_arbiter = args.get_bool("mem-arbiter", false);
+  const std::optional<mem::EvictPolicyKind> policy_kind =
+      evict_policy_flag(args, "serve");
+  if (!policy_kind.has_value()) return 2;
+  cfg.evict_policy = *policy_kind;
   cfg.decisions_path = args.get("decisions", "");
   cfg.report_path = args.get("report", "");
   cfg.spans_path = args.get("spans", "");
@@ -908,9 +909,11 @@ int cmd_serve(const CliArgs& args) {
   cfg.journal.crash_after_records =
       static_cast<std::uint64_t>(args.get_int("journal-crash-after", 0));
 
+  const auto threads = static_cast<int>(args.get_int("threads", 1));
+  if (rejects_values(args, "serve")) return 2;
   // --threads=1 (the default) is the deterministic serial configuration:
   // one thread alternates between socket I/O and job dispatch.
-  parallel::set_threads(static_cast<int>(args.get_int("threads", 1)));
+  parallel::set_threads(threads);
   cfg.io_lanes = parallel::configured_threads() - 1;
 
   cfg.stop_flag = &g_stop_requested;
@@ -987,12 +990,14 @@ int cmd_submit(const CliArgs& args) {
   const std::string name = args.get("name", path);
   const std::string idem = args.get("idem", "");
   const auto retry_max = static_cast<int>(args.get_int("retry-max", 0));
+  const bool wait = args.get_bool("wait", false);
   std::string error;
 
   RetryPolicy policy;
   policy.max_attempts = retry_max > 0 ? retry_max : 1;
   policy.base_backoff_s = args.get_double("retry-backoff", 0.05);
   policy.max_backoff_s = std::max(policy.base_backoff_s, 1.0);
+  if (rejects_values(args, "submit")) return 2;
   if (retry_max > 0
           ? !client.connect_retry(socket, policy, &error)
           : !client.connect(socket, &error)) {
@@ -1030,7 +1035,7 @@ int cmd_submit(const CliArgs& args) {
                 static_cast<unsigned long long>(job_id),
                 reply->at("tenant").as_string().c_str());
   }
-  if (!args.get_bool("wait", false)) return 0;
+  if (!wait) return 0;
 
   for (;;) {
     const auto status = client.status(job_id, &error);
@@ -1127,21 +1132,11 @@ void render_top(const obs::JsonValue& reply) {
     }
   }
 
-  // Cross-tenant memory arbitration (mem/arbiter.hpp): present only when
-  // the daemon runs with --mem-arbiter=on.
-  if (const obs::JsonValue* memory = reply.find("memory")) {
-    std::printf("memory: %lld admission(s), %.1f MiB pre-evicted\n",
-                static_cast<long long>(memory->at("admissions").as_int()),
-                static_cast<double>(memory->at("preevicted_bytes").as_int()) /
-                    (1024.0 * 1024.0));
-    const obs::JsonValue& mem_tenants = memory->at("tenants");
-    if (!mem_tenants.members().empty()) {
-      std::printf("%-16s %14s %8s\n", "tenant", "resident_bytes", "epoch");
-      for (const auto& [name, t] : mem_tenants.members()) {
-        std::printf("%-16s %14lld %8lld\n", name.c_str(),
-                    static_cast<long long>(t.at("resident_bytes").as_int()),
-                    static_cast<long long>(t.at("epoch").as_int()));
-      }
+  // Modeled residency: the bytes each tenant's latest job left resident.
+  for (const auto& [name, value] :
+       reply.at("metrics").at("gauges").members()) {
+    if (name.starts_with(obs::names::kMemTenantPrefix)) {
+      std::printf("%-38s %14.0f\n", name.c_str(), value.as_double());
     }
   }
 
@@ -1173,6 +1168,7 @@ int cmd_top(const CliArgs& args) {
       once ? 1 : static_cast<long long>(args.get_int("iterations", 0));
   const long long interval_ms =
       static_cast<long long>(args.get_int("interval-ms", 1000));
+  if (rejects_values(args, "top")) return 2;
   service::Client client;
   std::string error;
   if (!client.connect(socket, &error)) {
@@ -1210,14 +1206,16 @@ int cmd_drain(const CliArgs& args) {
     std::fprintf(stderr, "drain: --socket is required\n");
     return 2;
   }
+  const bool shutdown = args.get_bool("shutdown", false);
+  if (rejects_values(args, "drain")) return 2;
   service::Client client;
   std::string error;
   if (!client.connect(socket, &error)) {
     std::fprintf(stderr, "drain: %s\n", error.c_str());
     return 1;
   }
-  const auto reply = args.get_bool("shutdown", false) ? client.shutdown(&error)
-                                                      : client.drain(&error);
+  const auto reply =
+      shutdown ? client.shutdown(&error) : client.drain(&error);
   if (!reply.has_value()) {
     std::fprintf(stderr, "drain: %s\n", error.c_str());
     return 1;
