@@ -346,18 +346,6 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
   for (const double u : result.device_utilization) {
     result.device_busy_s.push_back(u * result.metrics.makespan_s);
   }
-  if (options.telemetry != nullptr) {
-    obs::MetricsRegistry& reg = options.telemetry->registry;
-    for (int dev = 0; dev < result.num_devices; ++dev) {
-      const auto i = static_cast<std::size_t>(dev);
-      const std::string prefix =
-          obs::names::kClusterDevicePrefix + std::to_string(dev) + ".";
-      reg.gauge(prefix + obs::names::kDeviceUtilizationSuffix)
-          .set(result.device_utilization[i]);
-      reg.gauge(prefix + obs::names::kDeviceBusySSuffix)
-          .set(result.device_busy_s[i]);
-    }
-  }
   return result;
 }
 

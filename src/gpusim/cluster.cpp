@@ -138,16 +138,6 @@ bool ClusterSimulator::host_resident(TensorId id) const {
   return index_.host_resident(id);
 }
 
-void ClusterSimulator::index_add(TensorId id, DeviceId dev) {
-  index_.place(id, dev);
-  if (epoch_bumps_counter_ != nullptr) epoch_bumps_counter_->add();
-}
-
-void ClusterSimulator::index_remove(TensorId id, DeviceId dev) {
-  index_.remove(id, dev);
-  if (epoch_bumps_counter_ != nullptr) epoch_bumps_counter_->add();
-}
-
 void ClusterSimulator::sync_device_mirror(DeviceId dev) {
   const DeviceState& d = device(dev);
   index_.set_busy(dev, std::max(d.compute_free_s, d.copy_free_s));
@@ -162,11 +152,9 @@ void ClusterSimulator::set_telemetry(obs::Telemetry* telemetry) {
     fetch_bytes_hist_ = nullptr;
     victim_age_hist_ = nullptr;
     barrier_idle_hist_ = nullptr;
-    epoch_bumps_counter_ = nullptr;
     return;
   }
   obs::MetricsRegistry& reg = telemetry_->registry;
-  epoch_bumps_counter_ = &reg.counter(obs::names::kClusterEpochBumps);
   // Bucket bounds span hadron-node payloads (KiB..GiB) and simulated times
   // (us..minutes) on a log scale; the overflow bucket catches the rest.
   fetch_bytes_hist_ = &reg.histogram(
@@ -187,19 +175,12 @@ void ClusterSimulator::set_eviction_policy(const mem::EvictionPolicy* policy) {
 }
 
 void ClusterSimulator::resolve_mem_instruments() {
-  mem_evictions_counter_ = nullptr;
-  mem_evicted_bytes_counter_ = nullptr;
   mem_reuse_distance_hist_ = nullptr;
-  if (telemetry_ == nullptr) return;
-  obs::MetricsRegistry& reg = telemetry_->registry;
-  mem_evictions_counter_ = &reg.counter(obs::names::mem_policy_metric(
-      obs::names::kMemEvictionsPrefix, evict_policy_->name()));
-  mem_evicted_bytes_counter_ = &reg.counter(obs::names::mem_policy_metric(
-      obs::names::kMemEvictedBytesPrefix, evict_policy_->name()));
   // Reuse distances exist only where future uses are tracked; the LRU
-  // policy would observe nothing, so it gets no histogram either.
-  if (evict_policy_->kind() != mem::EvictPolicyKind::kLru) {
-    mem_reuse_distance_hist_ = &reg.histogram(
+  // policy would observe nothing, so it gets no histogram.
+  if (telemetry_ != nullptr &&
+      evict_policy_->kind() != mem::EvictPolicyKind::kLru) {
+    mem_reuse_distance_hist_ = &telemetry_->registry.histogram(
         obs::names::kMemReuseDistance, obs::names::reuse_distance_bounds());
   }
 }
@@ -218,13 +199,9 @@ std::optional<double> ClusterSimulator::make_room(DeviceId dev,
         evict_policy_->pick_victim(d.memory);
     if (!victim.has_value()) return std::nullopt;
     const Eviction ev = d.memory.evict(victim->id);
-    index_remove(ev.id, dev);
+    index_.remove(ev.id, dev);
     ++metrics_.evictions;
     d.note_evicted(ev.id);
-    if (mem_evictions_counter_ != nullptr) {
-      mem_evictions_counter_->add();
-      mem_evicted_bytes_counter_->add(ev.bytes);
-    }
     if (mem_reuse_distance_hist_ != nullptr &&
         victim->reuse_distance != mem::kNoFutureUse) {
       mem_reuse_distance_hist_->observe(
@@ -277,7 +254,8 @@ ClusterSimulator::FetchResult ClusterSimulator::fetch_operand(
 
   // Prefer a peer copy over the host link when a replica exists and P2P is
   // enabled; the source device's timeline is not charged (DMA engines).
-  // The span stays valid: index_add for this fetch runs after the last read.
+  // The span stays valid: the index placement of this fetch runs after the
+  // last read.
   const std::span<const DeviceId> holders = devices_holding(desc.id);
   TraceEventKind fetch_kind;
   double transfer_cost = 0.0;
@@ -340,7 +318,7 @@ ClusterSimulator::FetchResult ClusterSimulator::fetch_operand(
 
   d.memory.allocate(desc.id, bytes, /*dirty=*/false, busy_time(dev));
   d.memory.pin(desc.id);
-  index_add(desc.id, dev);
+  index_.place(desc.id, dev);
   // Re-fetch of a tensor this run already evicted from this device: the
   // avoidable half of the eviction-caused transfer bill.
   if (d.evicted_before(desc.id)) metrics_.eviction_refetch_bytes += bytes;
@@ -485,7 +463,7 @@ ExecuteResult ClusterSimulator::execute_impl(const ContractionTask& task,
                                      out_bytes});
   }
   d.memory.allocate(task.out.id, out_bytes, /*dirty=*/true, busy_time(dev));
-  index_add(task.out.id, dev);
+  index_.place(task.out.id, dev);
   ++metrics_.allocations;
 
   double kernel_cost = cost_model_.kernel_time(task);
@@ -566,7 +544,7 @@ std::vector<TensorId> ClusterSimulator::fail_device(DeviceId dev,
   const std::vector<TensorId> resident = d.memory.resident_ids();
   for (const TensorId id : resident) {
     d.memory.release(id);
-    index_remove(id, dev);
+    index_.remove(id, dev);
   }
 
   // A produced tensor with no host copy and no surviving replica died with
@@ -712,14 +690,14 @@ void ClusterSimulator::barrier() {
 }
 
 void ClusterSimulator::discard(TensorId id) {
-  // Releases holders front to back, in placement order. index_remove edits
+  // Releases holders front to back, in placement order. index_.remove edits
   // the list the span aliases, so the span is re-read after every removal.
   for (std::span<const DeviceId> holders = devices_holding(id);
        !holders.empty(); holders = devices_holding(id)) {
     const DeviceId dev = holders.front();
     DeviceState& d = device(dev);
     d.memory.release(id);
-    index_remove(id, dev);
+    index_.remove(id, dev);
     const double start = std::max(d.compute_free_s, d.copy_free_s);
     d.compute_free_s = start + cost_model_.free_time();
     d.copy_free_s = d.compute_free_s;

@@ -259,19 +259,18 @@ class ClusterSimulator final : public ClusterView {
 
   /// Attaches the telemetry bundle (nullptr detaches): memory events flow to
   /// its sink, fetch/eviction/barrier distributions into its registry.
-  /// Attach before the first execute(); the simulator does not own it. The
-  /// registry gains the current eviction policy's mem.* instruments, so
-  /// set the policy first (a later policy registers its own names too).
+  /// Attach before the first execute(); the simulator does not own it.
+  /// Totals (evictions, write-back bytes, ...) stay in metrics() only.
   void set_telemetry(obs::Telemetry* telemetry);
 
   /// Replaces the eviction policy (mem/; not owned, must outlive all
   /// execute() calls). Every simulator starts with one shared, stateless
   /// LruPolicy, which nullptr restores. Every eviction victim is the
-  /// policy's pick; with telemetry attached, evictions count into the
-  /// mem.evictions.<policy> / mem.evicted_bytes.<policy> counters and
-  /// victim reuse distances feed the mem.reuse_distance histogram
-  /// (future-use-aware policies only). Re-fetches of previously evicted
-  /// tensors accrue into metrics().eviction_refetch_bytes. The policy
+  /// policy's pick and counts into metrics().evictions and
+  /// metrics().writeback_bytes; with telemetry attached, victim reuse
+  /// distances feed the mem.reuse_distance histogram (future-use-aware
+  /// policies only). Re-fetches of previously evicted tensors accrue into
+  /// metrics().eviction_refetch_bytes. The policy
   /// pointer is shared by simulator copies (the oracle's candidate clones),
   /// which is safe because pick_victim() is const — see mem/policy.hpp's
   /// determinism rules.
@@ -358,10 +357,7 @@ class ClusterSimulator final : public ClusterView {
   /// new capacity (escalated by the caller).
   std::optional<double> apply_capacity_faults(DeviceId dev, double now_s);
 
-  void index_add(TensorId id, DeviceId dev);
-  void index_remove(TensorId id, DeviceId dev);
-
-  /// (Re-)resolves the mem.* registry instruments; called whenever the
+  /// (Re-)resolves the mem.reuse_distance histogram; called whenever the
   /// telemetry bundle or the eviction policy changes (both are inputs).
   void resolve_mem_instruments();
 
@@ -403,7 +399,7 @@ class ClusterSimulator final : public ClusterView {
   CostModel cost_model_;
   std::vector<DeviceState> devices_;
   /// Incremental residency/load/headroom index, maintained as deltas by
-  /// index_add/index_remove and sync_device_mirror (replaces the old
+  /// place/remove calls and sync_device_mirror (replaces the old
   /// residency hash map; holders keep the same insertion order). It also
   /// carries each tensor's produced/host-copy bits (host_resident()).
   ClusterIndex index_;
@@ -418,12 +414,8 @@ class ClusterSimulator final : public ClusterView {
   obs::Histogram* fetch_bytes_hist_ = nullptr;
   obs::Histogram* victim_age_hist_ = nullptr;
   obs::Histogram* barrier_idle_hist_ = nullptr;
-  /// Residency-epoch bumps (one per place/remove).
-  obs::Counter* epoch_bumps_counter_ = nullptr;
-  /// mem.* instruments of the current policy, resolved while telemetry is
-  /// attached (resolve_mem_instruments).
-  obs::Counter* mem_evictions_counter_ = nullptr;
-  obs::Counter* mem_evicted_bytes_counter_ = nullptr;
+  /// Set while telemetry is attached under a future-use-aware policy
+  /// (resolve_mem_instruments).
   obs::Histogram* mem_reuse_distance_hist_ = nullptr;
   std::vector<PendingOp> pending_ops_;
 };

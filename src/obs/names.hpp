@@ -9,13 +9,17 @@
 // lint finding.
 //
 // Naming conventions:
-//   sched.*            scheduler decisions and their classification
-//   cluster.*          simulated-cluster events (fetches, evictions, barriers)
-//   cluster.device.N.* per-device rollups
-//   mem.*              eviction-policy accounting
+//   sched.*            classification of scheduler decisions
+//   cluster.*          simulated-cluster event distributions (fetches,
+//                      evictions, barriers)
+//   mem.*              eviction-policy distributions
 //   mem.tenant.T.*     per-tenant modeled residency gauges
-//   service.*          daemon lifecycle counters and queue gauges
-//   service.tenant.T.* per-tenant latency histograms and SLO counters
+//   service.*          daemon dispatch, journal and recovery counters and
+//                      latency histograms
+//   service.tenant.T.* per-tenant latency histograms
+// The registry holds only numbers with no other home: run totals live in
+// ExecutionMetrics, per-device rollups in the report's devices[], and the
+// daemon's job and SLO totals in JobManager::stats().
 // Histogram names carry their unit as the last suffix segment (_ms, _us,
 // _bytes, _s); counters are unsuffixed event counts.
 #pragma once
@@ -26,7 +30,6 @@
 namespace micco::obs::names {
 
 // -- sched.* ---------------------------------------------------------------
-inline constexpr const char* kSchedDecisions = "sched.decisions";
 inline constexpr const char* kSchedFallback = "sched.fallback";
 inline constexpr const char* kSchedEvictRisk = "sched.evict_risk";
 inline constexpr const char* kSchedBoundSlack = "sched.bound_slack";
@@ -61,22 +64,8 @@ inline constexpr const char* kClusterFetchBytes = "cluster.fetch.bytes";
 inline constexpr const char* kClusterEvictionVictimAgeS =
     "cluster.eviction.victim_age_s";
 inline constexpr const char* kClusterBarrierIdleS = "cluster.barrier.idle_s";
-/// Residency-epoch bumps in the incremental cluster index: one per tensor
-/// placement or removal (fetch, output alloc, eviction, discard, device
-/// failure).
-inline constexpr const char* kClusterEpochBumps = "cluster.index.epoch_bumps";
-/// Per-device gauge prefix: "cluster.device.<N>." + {utilization, busy_s}.
-inline constexpr const char* kClusterDevicePrefix = "cluster.device.";
-inline constexpr const char* kDeviceUtilizationSuffix = "utilization";
-inline constexpr const char* kDeviceBusySSuffix = "busy_s";
 
 // -- mem.* (memory co-design subsystem, DESIGN.md §11) ---------------------
-/// Per-policy eviction counters: "mem.evictions.<policy>" /
-/// "mem.evicted_bytes.<policy>" with the policy's metric-safe name ("lru",
-/// "reuse_distance") appended via mem_policy_metric(), registered for the
-/// simulator's policy while telemetry is attached.
-inline constexpr const char* kMemEvictionsPrefix = "mem.evictions.";
-inline constexpr const char* kMemEvictedBytesPrefix = "mem.evicted_bytes.";
 /// Victim next-use distance (pairs until reuse) observed at each eviction by
 /// the future-use-aware policies; victims with no known future use are not
 /// observed (they are the free wins, not part of the tradeoff).
@@ -86,34 +75,17 @@ inline constexpr const char* kMemReuseDistance = "mem.reuse_distance";
 inline constexpr const char* kMemTenantPrefix = "mem.tenant.";
 inline constexpr const char* kMemTenantResidentBytesSuffix = "resident_bytes";
 
-inline std::string mem_policy_metric(const char* prefix,
-                                     const char* policy_name) {
-  return std::string(prefix) + policy_name;
-}
-
 inline std::string mem_tenant_metric(const std::string& tenant,
                                      const char* suffix) {
   return std::string(kMemTenantPrefix) + tenant + "." + suffix;
 }
 
 // -- service.* -------------------------------------------------------------
-inline constexpr const char* kServiceQueued = "service.queued";
-inline constexpr const char* kServiceRunning = "service.running";
-inline constexpr const char* kServiceQueueDepthPrefix = "service.queue_depth.";
-inline constexpr const char* kServiceSubmitted = "service.submitted";
-inline constexpr const char* kServiceAdmitted = "service.admitted";
-inline constexpr const char* kServiceRejected = "service.rejected";
+/// Jobs handed to the dispatcher (stats() keeps the lifecycle totals).
 inline constexpr const char* kServiceDispatched = "service.dispatched";
-inline constexpr const char* kServiceCompleted = "service.completed";
-inline constexpr const char* kServiceFailed = "service.failed";
-inline constexpr const char* kServiceCancelled = "service.cancelled";
 /// Submit → dispatch wall time across all tenants.
 inline constexpr const char* kServiceQueueLatencyMs =
     "service.queue_latency_ms";
-/// A submit carrying an already-journaled (tenant, idempotency token) pair
-/// answered from the dedup table instead of admitting a second run.
-inline constexpr const char* kServiceDuplicateSubmits =
-    "service.duplicate_submits";
 
 // -- service.journal.* / service.recovery.* --------------------------------
 inline constexpr const char* kServiceJournalRecords = "service.journal.records";
@@ -121,13 +93,6 @@ inline constexpr const char* kServiceJournalBytes = "service.journal.bytes";
 /// Wall latency of each policy-required fsync on the journal append path.
 inline constexpr const char* kServiceJournalFsyncMs =
     "service.journal.fsync_ms";
-/// Jobs whose finished record replayed from the journal at startup (they
-/// answer status/result without re-running).
-inline constexpr const char* kServiceReplayedFinished =
-    "service.recovery.replayed_finished";
-/// Jobs re-admitted at startup because they were QUEUED or RUNNING at crash
-/// time.
-inline constexpr const char* kServiceRequeued = "service.recovery.requeued";
 /// Journal recoveries that dropped a torn or corrupt tail before replay.
 inline constexpr const char* kServiceTornTail = "service.recovery.torn_tail";
 
@@ -140,8 +105,6 @@ inline constexpr const char* kTenantE2eLatencyMs = "e2e_latency_ms";
 /// Simulated job makespan (deterministic; cross-checkable against the root
 /// job span's duration_ms in the trace file).
 inline constexpr const char* kTenantJobSimMs = "job_sim_ms";
-inline constexpr const char* kTenantSloOk = "slo_ok";
-inline constexpr const char* kTenantSloMiss = "slo_miss";
 
 inline std::string tenant_metric(const std::string& tenant,
                                  const char* suffix) {

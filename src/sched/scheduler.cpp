@@ -12,7 +12,6 @@ void Scheduler::set_telemetry(obs::Telemetry* telemetry) {
     return;
   }
   obs::MetricsRegistry& reg = telemetry_->registry;
-  instruments_.decisions = &reg.counter(obs::names::kSchedDecisions);
   for (int i = 0; i < 4; ++i) {
     instruments_.pattern[i] = &reg.counter(obs::names::kSchedPattern[i]);
     instruments_.mapping[i] = &reg.counter(obs::names::kSchedMapping[i]);
@@ -56,7 +55,6 @@ void Scheduler::record_decision(const ContractionTask& task,
   const LocalReusePattern pattern = classify_pair(task, index);
   const MappingClass mapping = classify_mapping(task, chosen, index);
 
-  instruments_.decisions->add();
   instruments_.pattern[static_cast<int>(pattern)]->add();
   instruments_.mapping[static_cast<int>(mapping) - 1]->add();
   if (bound_tier >= 0 && bound_tier < 3) {

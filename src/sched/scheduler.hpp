@@ -78,7 +78,6 @@ class Scheduler {
   /// Registry instruments resolved once at attach time so record_decision
   /// never does a name lookup on the hot path.
   struct DecisionInstruments {
-    obs::Counter* decisions = nullptr;
     obs::Counter* pattern[4] = {};
     obs::Counter* mapping[4] = {};
     obs::Counter* tier[3] = {};

@@ -26,31 +26,15 @@ void JobManager::set_registry(obs::MetricsRegistry* registry) {
   registry_ = registry;
 }
 
-void JobManager::refresh_gauges_locked() {
-  if (registry_ == nullptr) return;
-  registry_->gauge(obs::names::kServiceQueued)
-      .set(static_cast<double>(queued_));
-  registry_->gauge(obs::names::kServiceRunning)
-      .set(static_cast<double>(running_));
-  for (const auto& [name, tenant] : tenants_) {
-    registry_->gauge(obs::names::kServiceQueueDepthPrefix + name)
-        .set(static_cast<double>(tenant.queue.size()));
-  }
-}
-
 SubmitOutcome JobManager::reject_locked(const std::string& tenant_name,
                                         const char* code,
                                         const std::string& reason) {
   ++rejected_;
   tenants_[tenant_name].rejected += 1;
-  if (registry_ != nullptr) {
-    registry_->counter(obs::names::kServiceRejected).add();
-  }
   SubmitOutcome outcome;
   outcome.admitted = false;
   outcome.reject_code = code;
   outcome.reject_reason = reason;
-  refresh_gauges_locked();
   return outcome;
 }
 
@@ -76,10 +60,6 @@ void JobManager::enqueue_locked(Job job) {
   jobs_.emplace(job.id, std::move(job));
   ++queued_;
   ++admitted_;
-  if (registry_ != nullptr) {
-    registry_->counter(obs::names::kServiceAdmitted).add();
-  }
-  refresh_gauges_locked();
 }
 
 SubmitOutcome JobManager::submit(const std::string& tenant_name,
@@ -89,9 +69,6 @@ SubmitOutcome JobManager::submit(const std::string& tenant_name,
                                  const std::string& idem, bool hold) {
   const MutexLock lock(mutex_);
   ++submitted_;
-  if (registry_ != nullptr) {
-    registry_->counter(obs::names::kServiceSubmitted).add();
-  }
 
   // Idempotent resubmit: an already-known (tenant, token) pair answers with
   // the original job — before the draining check, so a client retrying a
@@ -100,9 +77,6 @@ SubmitOutcome JobManager::submit(const std::string& tenant_name,
     const auto dup = dedup_.find(tenant_name + '\x1f' + idem);
     if (dup != dedup_.end()) {
       ++duplicates_;
-      if (registry_ != nullptr) {
-        registry_->counter(obs::names::kServiceDuplicateSubmits).add();
-      }
       SubmitOutcome outcome;
       outcome.admitted = true;
       outcome.duplicate = true;
@@ -196,12 +170,6 @@ void JobManager::restore_finished(std::uint64_t job_id,
     case JobState::kFailed: ++failed_; break;
     default: ++cancelled_; break;
   }
-  if (registry_ != nullptr) {
-    registry_->counter(obs::names::kServiceSubmitted).add();
-    registry_->counter(obs::names::kServiceAdmitted).add();
-    registry_->counter(obs::names::kServiceReplayedFinished).add();
-  }
-  refresh_gauges_locked();
 }
 
 void JobManager::restore_queued(std::uint64_t job_id,
@@ -223,10 +191,6 @@ void JobManager::restore_queued(std::uint64_t job_id,
   job.interrupted = true;
   ++submitted_;
   ++requeued_;
-  if (registry_ != nullptr) {
-    registry_->counter(obs::names::kServiceSubmitted).add();
-    registry_->counter(obs::names::kServiceRequeued).add();
-  }
   enqueue_locked(std::move(job));
   next_id_ = std::max(next_id_, job_id + 1);
 }
@@ -260,7 +224,6 @@ std::optional<std::uint64_t> JobManager::next_job() {
   if (registry_ != nullptr) {
     registry_->counter(obs::names::kServiceDispatched).add();
   }
-  refresh_gauges_locked();
   return id;
 }
 
@@ -274,11 +237,10 @@ WorkloadStream JobManager::take_stream(std::uint64_t job_id) {
 
 void JobManager::record_finish_locked(const Job& job,
                                       const CompletionTiming& timing) {
-  Tenant& tenant = tenants_[job.tenant];
-  const bool slo_ok =
-      config_.slo_ms <= 0.0 || timing.e2e_latency_ms <= config_.slo_ms;
   if (config_.slo_ms > 0.0) {
-    (slo_ok ? tenant.slo_ok : tenant.slo_miss) += 1;
+    Tenant& tenant = tenants_[job.tenant];
+    (timing.e2e_latency_ms <= config_.slo_ms ? tenant.slo_ok
+                                              : tenant.slo_miss) += 1;
   }
   if (registry_ == nullptr) return;
   namespace names = obs::names;
@@ -298,12 +260,6 @@ void JobManager::record_finish_locked(const Job& job,
       ->histogram(names::tenant_metric(job.tenant, names::kTenantJobSimMs),
                   names::job_sim_ms_bounds())
       .observe(timing.sim_makespan_ms);
-  if (config_.slo_ms > 0.0) {
-    registry_
-        ->counter(names::tenant_metric(
-            job.tenant, slo_ok ? names::kTenantSloOk : names::kTenantSloMiss))
-        .add();
-  }
 }
 
 void JobManager::complete(std::uint64_t job_id, obs::JsonValue result,
@@ -317,11 +273,7 @@ void JobManager::complete(std::uint64_t job_id, obs::JsonValue result,
   MICCO_ASSERT(running_ > 0);
   --running_;
   ++completed_;
-  if (registry_ != nullptr) {
-    registry_->counter(obs::names::kServiceCompleted).add();
-  }
   record_finish_locked(job, timing);
-  refresh_gauges_locked();
 }
 
 void JobManager::fail(std::uint64_t job_id, const std::string& error,
@@ -336,11 +288,7 @@ void JobManager::fail(std::uint64_t job_id, const std::string& error,
   MICCO_ASSERT(running_ > 0);
   --running_;
   ++failed_;
-  if (registry_ != nullptr) {
-    registry_->counter(obs::names::kServiceFailed).add();
-  }
   record_finish_locked(job, timing);
-  refresh_gauges_locked();
 }
 
 void JobManager::begin_drain() {
@@ -369,10 +317,6 @@ std::vector<std::uint64_t> JobManager::cancel_queued() {
   MICCO_ASSERT(cancelled.size() == queued_);
   queued_ = 0;
   cancelled_ += cancelled.size();
-  if (registry_ != nullptr && !cancelled.empty()) {
-    registry_->counter(obs::names::kServiceCancelled).add(cancelled.size());
-  }
-  refresh_gauges_locked();
   return cancelled;
 }
 
@@ -393,10 +337,6 @@ bool JobManager::cancel_queued_job(std::uint64_t job_id) {
   MICCO_ASSERT(queued_ > 0);
   --queued_;
   ++cancelled_;
-  if (registry_ != nullptr) {
-    registry_->counter(obs::names::kServiceCancelled).add();
-  }
-  refresh_gauges_locked();
   return true;
 }
 

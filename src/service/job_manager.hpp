@@ -63,7 +63,7 @@ struct AdmissionConfig {
   int default_weight = 1;
 
   /// End-to-end latency objective (wall ms, submit → terminal state). Each
-  /// finished job increments its tenant's slo_ok or slo_miss counter;
+  /// finished job increments its tenant's slo_ok or slo_miss in stats();
   /// 0 disables SLO accounting.
   double slo_ms = 0.0;
 
@@ -130,9 +130,9 @@ class JobManager {
  public:
   explicit JobManager(AdmissionConfig config = {});
 
-  /// Optional metrics registry: admission/lifecycle counters and queue-depth
-  /// gauges are kept current under the manager's own lock. Not owned; must
-  /// outlive the manager (or be detached with nullptr).
+  /// Optional metrics registry for what stats() does not hold: the dispatch
+  /// counter and the latency histograms, kept under the manager's own lock.
+  /// Not owned; must outlive the manager (or be detached with nullptr).
   void set_registry(obs::MetricsRegistry* registry);
 
   /// Admission-controlled enqueue. On success the stream is stored and a
@@ -190,7 +190,7 @@ class JobManager {
 
   /// Terminal transitions for the dispatcher. `result` is retained for
   /// pickup via result(); `timing` feeds the global queue-latency histogram,
-  /// the per-tenant latency histograms and the tenant's SLO counters.
+  /// the per-tenant latency histograms and the tenant's SLO totals.
   void complete(std::uint64_t job_id, obs::JsonValue result,
                 const CompletionTiming& timing);
   void fail(std::uint64_t job_id, const std::string& error,
@@ -225,8 +225,9 @@ class JobManager {
   bool idle() const;
   std::size_t queued_total() const;
 
-  /// {"queued": n, "running": n, "submitted": n, "admitted": n, ...,
-  ///  "tenants": {name: {"queued": n, "weight": w, "admitted": n}}}.
+  /// The one book of the session's job totals: {"queued": n, "running": n,
+  /// "submitted": n, "admitted": n, ..., "tenants": {name: {"queued": n,
+  /// "weight": w, "admitted": n, ..., "slo_ok": n, "slo_miss": n}}}.
   obs::JsonValue stats() const;
 
  private:
@@ -265,12 +266,11 @@ class JobManager {
 
   static constexpr std::uint64_t kStrideUnit = 1u << 20;
 
-  void refresh_gauges_locked() MICCO_REQUIRES(mutex_);
   SubmitOutcome reject_locked(const std::string& tenant, const char* code,
                               const std::string& reason)
       MICCO_REQUIRES(mutex_);
   /// Shared enqueue tail of submit() and restore_queued(): stride re-entry,
-  /// queue push, admission counters.
+  /// queue push, admission totals.
   void enqueue_locked(Job job) MICCO_REQUIRES(mutex_);
   /// Registers a (tenant, token) pair in the dedup table (no-op for empty
   /// tokens; first writer wins so replayed registrations cannot clobber).
@@ -298,7 +298,7 @@ class JobManager {
   /// tenant cannot bank credit while idle (standard stride re-entry rule).
   std::uint64_t global_pass_ MICCO_GUARDED_BY(mutex_) = 0;
 
-  // Session totals (also mirrored into the registry when attached).
+  // Session totals, read by stats() only.
   std::uint64_t submitted_ MICCO_GUARDED_BY(mutex_) = 0;
   std::uint64_t admitted_ MICCO_GUARDED_BY(mutex_) = 0;
   std::uint64_t rejected_ MICCO_GUARDED_BY(mutex_) = 0;

@@ -253,6 +253,8 @@ class Server {
   double total_overhead_ms_ = 0.0;
   std::uint64_t total_reused_ = 0;
   std::uint64_t total_fetched_ = 0;
+  std::uint64_t total_evictions_ = 0;
+  std::uint64_t total_writeback_bytes_ = 0;
   std::vector<double> device_busy_s_;
 };
 

@@ -1,10 +1,11 @@
 // ClusterIndex unit tests: residency deltas (holder order, bitmask), the
 // inline holder list and its heap spill, wide clusters past the 64-bit
 // inline mask word, the sparse id spill, copies, and — via a live
-// ClusterSimulator — the cluster.index.epoch_bumps counter and the contract
-// that the per-device mirrors and the residency sets always agree with the
-// virtual ClusterView getters at every scheduler observation point (after
-// execute, barrier, failure and discard).
+// ClusterSimulator — holder lists that follow every allocation, eviction,
+// discard and failure, and the contract that the per-device mirrors and the
+// residency sets always agree with the virtual ClusterView getters at every
+// scheduler observation point (after execute, barrier, failure and
+// discard).
 #include "gpusim/cluster_index.hpp"
 
 #include <gtest/gtest.h>
@@ -15,8 +16,6 @@
 #include <vector>
 
 #include "gpusim/cluster.hpp"
-#include "obs/names.hpp"
-#include "obs/telemetry.hpp"
 #include "workload/task.hpp"
 
 namespace micco {
@@ -36,9 +35,13 @@ std::vector<DeviceId> ids(std::span<const DeviceId> holders) {
   return {holders.begin(), holders.end()};
 }
 
-/// The simulator's residency-change count, read from its telemetry.
-std::uint64_t epoch_bumps(obs::Telemetry& telemetry) {
-  return telemetry.registry.counter(obs::names::kClusterEpochBumps).value();
+/// Asserts that each of `tensors` is held by exactly `holders`.
+void expect_holders(const ClusterIndex& index,
+                    std::initializer_list<TensorId> tensors,
+                    const std::vector<DeviceId>& holders) {
+  for (const TensorId id : tensors) {
+    EXPECT_EQ(ids(index.holders(id)), holders) << "tensor " << id;
+  }
 }
 
 // ------------------------------------------------------------ residency core
@@ -68,7 +71,7 @@ TEST(ClusterIndex, NeverPlacedTensorHasEmptyState) {
   EXPECT_FALSE(index.holds(0, 42));
 }
 
-TEST(ClusterIndex, EpochsAreMonotonicAndNeverReset) {
+TEST(ClusterIndex, EntrySurvivesLastRemovalAndReplacement) {
   // The entry survives the last removal with an empty holder list, and a
   // re-placement starts a new holder list.
   ClusterIndex index(4);
@@ -79,40 +82,45 @@ TEST(ClusterIndex, EpochsAreMonotonicAndNeverReset) {
   index.place(7, 2);
   EXPECT_EQ(ids(index.holders(7)), (std::vector<DeviceId>{2}));
 
-  // The simulator's count of residency changes only ever grows, through
-  // evictions and re-fetches alike.
+  // The same through the simulator: on a device that holds three tensors,
+  // every task evicts earlier ones and re-fetches evicted operands, and
+  // the residency changes (allocations + evictions) only ever grow.
   ClusterConfig config;
   config.num_devices = 1;
   config.device_capacity_bytes = 3 * desc(0).bytes();
   ClusterSimulator sim(config);
-  obs::Telemetry telemetry;
-  sim.set_telemetry(&telemetry);
   std::uint64_t last = 0;
   for (const ContractionTask& t :
        {task(1, 2, 3), task(4, 5, 6), task(1, 4, 7), task(2, 5, 8)}) {
     ASSERT_TRUE(sim.execute(t, 0).ok());
-    EXPECT_GT(epoch_bumps(telemetry), last);
-    last = epoch_bumps(telemetry);
+    expect_holders(sim.cluster_index(), {t.a.id, t.b.id, t.out.id}, {0});
+    const std::uint64_t changes =
+        sim.metrics().allocations + sim.metrics().evictions;
+    EXPECT_GT(changes, last);
+    last = changes;
   }
 }
 
-TEST(ClusterIndex, GlobalEpochCountsEveryResidencyChange) {
-  // One bump per placement or removal: two fetches and an output, then
-  // three evictions, three placements and the discard of a replica.
+TEST(ClusterIndex, EveryResidencyChangeShowsInHoldersAndMetrics) {
+  // Two fetches and an output, then three evictions and three
+  // placements, then the discard of one tensor.
   ClusterConfig config;
   config.num_devices = 4;
   config.device_capacity_bytes = 3 * desc(0).bytes();
   ClusterSimulator sim(config);
-  obs::Telemetry telemetry;
-  sim.set_telemetry(&telemetry);
-  EXPECT_EQ(epoch_bumps(telemetry), 0u);
+  const ClusterIndex& index = sim.cluster_index();
   ASSERT_TRUE(sim.execute(task(1, 2, 3), 0).ok());
-  EXPECT_EQ(epoch_bumps(telemetry), 3u);
+  EXPECT_EQ(sim.metrics().allocations, 3u);
+  EXPECT_EQ(sim.metrics().evictions, 0u);
+  expect_holders(index, {1, 2, 3}, {0});
   ASSERT_TRUE(sim.execute(task(4, 5, 6), 0).ok());
+  EXPECT_EQ(sim.metrics().allocations, 6u);
   EXPECT_EQ(sim.metrics().evictions, 3u);
-  EXPECT_EQ(epoch_bumps(telemetry), 9u);
+  expect_holders(index, {1, 2, 3}, {});
+  expect_holders(index, {4, 5, 6}, {0});
   sim.discard(6);
-  EXPECT_EQ(epoch_bumps(telemetry), 10u);
+  expect_holders(index, {6}, {});
+  expect_holders(index, {4, 5}, {0});
 }
 
 TEST(ClusterIndex, SparseSpillHandlesHugeIds) {
@@ -340,21 +348,19 @@ TEST(ClusterIndexMirror, TracksExecuteBarrierFailureAndDiscard) {
   EXPECT_FALSE(sim.cluster_index().resident_anywhere(1));
 }
 
-TEST(ClusterIndexMirror, FailureBumpsEpochOfEveryResidentTensor) {
+TEST(ClusterIndexMirror, FailureRemovesEveryResidentTensor) {
   ClusterConfig config;
   config.num_devices = 2;
   ClusterSimulator sim(config);
-  obs::Telemetry telemetry;
-  sim.set_telemetry(&telemetry);
   ASSERT_TRUE(sim.execute(task(10, 11, 12), 0).ok());
 
   const ClusterIndex& index = sim.cluster_index();
-  const std::uint64_t before = epoch_bumps(telemetry);
-  ASSERT_EQ(before, 3u);  // two operand fetches and the output
+  ASSERT_EQ(sim.metrics().allocations, 3u);  // two operand fetches, output
+  expect_holders(index, {10, 11, 12}, {0});
 
   sim.fail_device(0, 0.0);
-  // Every tensor the dead device held changed residency: one bump each.
-  EXPECT_EQ(epoch_bumps(telemetry), before + 3);
+  // Every tensor the dead device held lost that holder.
+  expect_holders(index, {10, 11, 12}, {});
   EXPECT_FALSE(index.resident_anywhere(10));
   EXPECT_FALSE(index.resident_anywhere(12));
 }

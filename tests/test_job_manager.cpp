@@ -215,13 +215,16 @@ TEST(JobManager, StatsAndMetricsAccounting) {
   EXPECT_EQ(stats.at("queued").as_int(), 0);
   EXPECT_EQ(stats.at("tenants").at("a").at("admitted").as_int(), 1);
   EXPECT_EQ(stats.at("tenants").at("a").at("rejected").as_int(), 1);
+  EXPECT_EQ(stats.at("running").as_int(), 0);
 
-  // The registry mirrors the same accounting.
-  EXPECT_EQ(registry.counter("service.submitted").value(), 2u);
-  EXPECT_EQ(registry.counter("service.admitted").value(), 1u);
-  EXPECT_EQ(registry.counter("service.rejected").value(), 1u);
-  EXPECT_EQ(registry.counter("service.completed").value(), 1u);
-  EXPECT_DOUBLE_EQ(registry.gauge("service.queued").value(), 0.0);
+  // stats() is the one book of these totals: the registry keeps only the
+  // dispatch count, which stats() does not hold, and no gauge.
+  const obs::JsonValue snapshot = registry.snapshot();
+  ASSERT_EQ(snapshot.at("counters").members().size(), 1u)
+      << snapshot.dump();
+  EXPECT_EQ(snapshot.at("counters").at(obs::names::kServiceDispatched).as_int(),
+            1);
+  EXPECT_TRUE(snapshot.at("gauges").members().empty()) << snapshot.dump();
 }
 
 TEST(JobManager, ConcurrentSubmitsKeepAccountingExact) {
@@ -382,14 +385,15 @@ TEST(JobManager, SloCountersJudgeE2eLatencyWhenConfigured) {
   const obs::JsonValue& alice = stats.at("tenants").at("alice");
   EXPECT_EQ(alice.at("slo_ok").as_int(), 2);
   EXPECT_EQ(alice.at("slo_miss").as_int(), 1);
-  const obs::Counter* ok = registry.find_counter(
-      obs::names::tenant_metric("alice", obs::names::kTenantSloOk));
-  const obs::Counter* miss = registry.find_counter(
-      obs::names::tenant_metric("alice", obs::names::kTenantSloMiss));
-  ASSERT_NE(ok, nullptr);
-  ASSERT_NE(miss, nullptr);
-  EXPECT_EQ(ok->value(), 2u);
-  EXPECT_EQ(miss->value(), 1u);
+  // Only stats() counts SLO outcomes; the registry keeps the latencies.
+  const obs::Histogram* e2e = registry.find_histogram(
+      obs::names::tenant_metric("alice", obs::names::kTenantE2eLatencyMs));
+  ASSERT_NE(e2e, nullptr);
+  EXPECT_EQ(e2e->count(), 3u);
+  const obs::JsonValue snapshot = registry.snapshot();
+  for (const auto& [name, value] : snapshot.at("counters").members()) {
+    EXPECT_FALSE(name.starts_with(obs::names::kTenantPrefix)) << name;
+  }
 }
 
 TEST(JobManager, HeldSubmitIsInvisibleUntilReleased) {

@@ -250,6 +250,22 @@ TEST(EvictionPolicy, SimulatorClonesShareThePolicyWithoutCrosstalk) {
 
 // ------------------------------------------------------ the default policy
 
+/// The report's metrics carry the run's eviction totals, which the registry
+/// does not restate.
+void expect_report_counts_evictions(const obs::JsonValue& report,
+                                    const ExecutionMetrics& metrics) {
+  const obs::JsonValue& m = report.at("metrics");
+  EXPECT_EQ(m.at("evictions").as_int(),
+            static_cast<std::int64_t>(metrics.evictions));
+  EXPECT_EQ(m.at("writeback_bytes").as_int(),
+            static_cast<std::int64_t>(metrics.writeback_bytes));
+  EXPECT_GT(metrics.writeback_bytes, 0u);
+  for (const auto& [name, value] :
+       report.at("registry").at("counters").members()) {
+    EXPECT_FALSE(name.starts_with("mem.")) << name;
+  }
+}
+
 TEST(EvictionPolicy, DefaultRunReportCarriesNoPolicyKeys) {
   // A run that attaches no policy evicts under the simulator's own LRU and
   // reports it like any other policy.
@@ -266,12 +282,13 @@ TEST(EvictionPolicy, DefaultRunReportCarriesNoPolicyKeys) {
   EXPECT_EQ(result.metrics.evict_policy, "lru");
   EXPECT_GT(result.metrics.eviction_refetch_bytes, 0u);
 
-  const std::string report = make_run_report(result, telemetry).dump();
-  EXPECT_NE(report.find("\"evict_policy\":\"lru\""), std::string::npos);
-  EXPECT_NE(report.find("\"eviction_refetch_bytes\":" +
-                        std::to_string(result.metrics.eviction_refetch_bytes)),
+  const obs::JsonValue report = make_run_report(result, telemetry);
+  const std::string text = report.dump();
+  EXPECT_NE(text.find("\"evict_policy\":\"lru\""), std::string::npos);
+  EXPECT_NE(text.find("\"eviction_refetch_bytes\":" +
+                      std::to_string(result.metrics.eviction_refetch_bytes)),
             std::string::npos);
-  EXPECT_NE(report.find("mem.evictions.lru"), std::string::npos);
+  expect_report_counts_evictions(report, result.metrics);
 }
 
 TEST(EvictionPolicy, NullptrRestoresTheSharedLruDefault) {
@@ -290,27 +307,6 @@ TEST(EvictionPolicy, NullptrRestoresTheSharedLruDefault) {
   sim.set_eviction_policy(nullptr);
   EXPECT_EQ(sim.eviction_policy(), other.eviction_policy());
   EXPECT_EQ(sim.metrics().evict_policy, "lru");
-}
-
-TEST(EvictionPolicy, ReuseDistanceRunRegistersNoLruNames) {
-  // The simulator starts under LRU, but a run under another policy must not
-  // leave the default's mem.* names in its registry.
-  const WorkloadStream stream = pressured_stream();
-  const ClusterConfig cluster = pressured_cluster(stream);
-
-  obs::Telemetry telemetry;
-  MiccoScheduler scheduler;
-  mem::ReuseDistancePolicy policy;
-  RunOptions options;
-  options.telemetry = &telemetry;
-  options.evict_policy = &policy;
-  ASSERT_TRUE(run_stream(stream, scheduler, cluster, options).completed);
-  const obs::JsonValue counters =
-      telemetry.registry.quantile_summary().at("counters");
-  EXPECT_NE(counters.find("mem.evictions.reuse_distance"), nullptr);
-  for (const auto& [name, value] : counters.members()) {
-    EXPECT_FALSE(name.starts_with("mem.") && name.ends_with(".lru")) << name;
-  }
 }
 
 /// Runs the same evict-then-refetch sequence on device `dev` of a 70-device
@@ -363,12 +359,10 @@ TEST(EvictionPolicy, AttachedPolicySurfacesInMetricsAndReport) {
   EXPECT_GT(result.metrics.evictions, 0u);
   EXPECT_EQ(result.metrics.evict_policy, "reuse_distance");
 
-  const std::string report = make_run_report(result, telemetry).dump();
-  EXPECT_NE(report.find("\"evict_policy\":\"reuse_distance\""),
+  const obs::JsonValue report = make_run_report(result, telemetry);
+  EXPECT_NE(report.dump().find("\"evict_policy\":\"reuse_distance\""),
             std::string::npos);
-  EXPECT_NE(report.find("mem.evictions.reuse_distance"), std::string::npos);
-  EXPECT_NE(report.find("mem.evicted_bytes.reuse_distance"),
-            std::string::npos);
+  expect_report_counts_evictions(report, result.metrics);
 }
 
 }  // namespace
