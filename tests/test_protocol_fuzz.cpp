@@ -7,75 +7,20 @@
 // survived, and nothing ever aborts. Runs under ASan in CI.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <optional>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "obs/json.hpp"
-#include "service/client.hpp"
+#include "serve_harness.hpp"
 #include "service/protocol.hpp"
-#include "service/server.hpp"
-#include "workload/serialize.hpp"
-#include "workload/synthetic.hpp"
 
 namespace micco::service {
 namespace {
 
-std::string test_socket_path(const std::string& tag) {
-  const std::string path =
-      "/tmp/micco_fuzz_" + std::to_string(::getpid()) + "_" + tag + ".sock";
-  ::unlink(path.c_str());
-  return path;
-}
-
-std::string workload_text(std::uint64_t seed) {
-  SyntheticConfig cfg;
-  cfg.num_vectors = 1;
-  cfg.vector_size = 8;
-  cfg.seed = seed;
-  std::ostringstream out;
-  save_stream(generate_synthetic(cfg), out);
-  return out.str();
-}
-
-/// Runs serve() on a background thread once start() succeeded.
-class ServeSession {
- public:
-  explicit ServeSession(ServerConfig config) : server_(std::move(config)) {}
-
-  ~ServeSession() {
-    if (thread_.joinable()) {
-      server_.request_shutdown();
-      thread_.join();
-    }
-  }
-
-  bool begin(std::string* error) {
-    if (!server_.start(error)) return false;
-    thread_ = std::thread([this] { exit_code_ = server_.serve(); });
-    return true;
-  }
-
-  int join() {
-    thread_.join();
-    return exit_code_;
-  }
-
-  Server& server() { return server_; }
-
- private:
-  Server server_;
-  std::thread thread_;
-  int exit_code_ = -1;
-};
+using namespace harness;
 
 /// A pool of valid request frames to mutate.
 std::vector<std::string> valid_frames() {
