@@ -1,24 +1,24 @@
 #include "core/verify.hpp"
 
 #include <sstream>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "common/assert.hpp"
 
 namespace micco {
 
 std::string validate_stream_structure(const WorkloadStream& stream) {
-  // Determinism audit (DESIGN.md §5e): these sets are membership-tested
-  // only; validation walks vectors/tasks in stream order, so the first
-  // error reported is a pure function of the stream, not of hash layout.
-  std::unordered_set<TensorId> produced;     // outputs seen so far (any stage)
-  std::unordered_set<TensorId> ready;        // usable as operands
-  std::unordered_set<TensorId> ever_output;  // for originals detection
-
-  // First pass: collect every output id so originals can be identified.
-  for (const VectorWorkload& vec : stream.vectors) {
-    for (const ContractionTask& task : vec.tasks) {
-      if (!ever_output.insert(task.out.id).second) {
+  // Determinism audit (DESIGN.md §5e): this map is probed only; validation
+  // walks vectors/tasks in stream order, so the first error reported is a
+  // pure function of the stream, not of hash layout. One map (output ->
+  // producing stage) keeps the check cheap enough for daemon admission.
+  std::size_t tasks = 0;
+  for (const VectorWorkload& vec : stream.vectors) tasks += vec.tasks.size();
+  std::unordered_map<TensorId, std::size_t> produced_in;
+  produced_in.reserve(tasks);
+  for (std::size_t stage = 0; stage < stream.vectors.size(); ++stage) {
+    for (const ContractionTask& task : stream.vectors[stage].tasks) {
+      if (!produced_in.emplace(task.out.id, stage).second) {
         std::ostringstream os;
         os << "output tensor " << task.out.id << " produced twice";
         return os.str();
@@ -27,13 +27,13 @@ std::string validate_stream_structure(const WorkloadStream& stream) {
   }
 
   for (std::size_t stage = 0; stage < stream.vectors.size(); ++stage) {
-    const VectorWorkload& vec = stream.vectors[stage];
-    std::vector<TensorId> stage_outputs;
-    for (const ContractionTask& task : vec.tasks) {
+    for (const ContractionTask& task : stream.vectors[stage].tasks) {
       for (const TensorDesc* operand : {&task.a, &task.b}) {
         if (!operand->valid()) return "invalid operand descriptor";
-        const bool is_original = !ever_output.contains(operand->id);
-        if (!is_original && !ready.contains(operand->id)) {
+        // Originals are never produced; a produced tensor is usable only
+        // after the barrier of the stage producing it.
+        const auto it = produced_in.find(operand->id);
+        if (it != produced_in.end() && it->second >= stage) {
           std::ostringstream os;
           os << "stage " << stage << " consumes tensor " << operand->id
              << " before the stage producing it has completed";
@@ -50,11 +50,7 @@ std::string validate_stream_structure(const WorkloadStream& stream) {
       if (task.out.rank != contraction_result_rank(task.a.rank, task.b.rank)) {
         return "output rank does not match the contraction rules";
       }
-      stage_outputs.push_back(task.out.id);
-      produced.insert(task.out.id);
     }
-    // Outputs become usable only after the stage barrier.
-    for (const TensorId id : stage_outputs) ready.insert(id);
   }
   return "";
 }

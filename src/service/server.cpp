@@ -16,6 +16,7 @@
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
+#include "core/verify.hpp"
 #include "obs/names.hpp"
 #include "obs/report.hpp"
 #include "parallel/parallel.hpp"
@@ -38,6 +39,20 @@ bool set_nonblocking(int fd) {
 /// Advisory backoff (seconds) on transient submit rejections (draining,
 /// queue_full, journal_error).
 constexpr double kRetryAfterHintS = 1.0;
+
+/// Parses a submitted workload text and checks its structure, the check
+/// `micco run` makes: a stream that consumes a tensor before producing it
+/// would trip a simulator precondition. nullopt, with the problem in
+/// `error`, for text admission must reject and replay must fail.
+std::optional<WorkloadStream> read_workload(const std::string& text,
+                                            std::string* error) {
+  std::istringstream in(text);
+  std::optional<WorkloadStream> stream = load_stream(in, error);
+  if (!stream.has_value()) return std::nullopt;
+  *error = validate_stream_structure(*stream);
+  if (!error->empty()) return std::nullopt;
+  return stream;
+}
 
 }  // namespace
 
@@ -278,16 +293,18 @@ bool Server::recover_from_journal(std::string* error) {
       ++recovered_finished_;
       continue;
     }
-    std::istringstream in(record.workload_text);
     std::string load_error;
-    std::optional<WorkloadStream> stream = load_stream(in, &load_error);
+    std::optional<WorkloadStream> stream =
+        read_workload(record.workload_text, &load_error);
     if (!stream.has_value()) {
-      // Admission validated this workload, so an unreadable one here is a
-      // serialization regression; surface it as a FAILED job that answers
-      // status instead of silently vanishing from the book.
+      // Admission checks every workload the same way, so a rejected one
+      // here is a serialization regression or a record an older daemon
+      // admitted unchecked. Either way it must not run: surface it as a
+      // FAILED job that answers status instead of aborting the replay or
+      // vanishing from the book.
       jobs_.restore_finished(record.job_id, record.tenant, record.name,
                              record.trace_id, record.idem, JobState::kFailed,
-                             "workload unreadable after recovery: " +
+                             "workload rejected after recovery: " +
                                  load_error,
                              std::nullopt);
       ++recovered_finished_;
@@ -479,9 +496,9 @@ obs::JsonValue Server::handle_request(const Request& request) {
 }
 
 obs::JsonValue Server::handle_submit(const Request& request) {
-  std::istringstream in(request.workload_text);
   std::string load_error;
-  std::optional<WorkloadStream> stream = load_stream(in, &load_error);
+  std::optional<WorkloadStream> stream =
+      read_workload(request.workload_text, &load_error);
   if (!stream.has_value()) {
     return make_error_response(error_code::kBadWorkload,
                                "workload rejected: " + load_error);

@@ -47,6 +47,16 @@ inline std::string workload_text(std::uint64_t seed, int vectors = 1,
   return out.str();
 }
 
+/// Parses, but is structurally invalid: the one task's output is its own
+/// first operand, so it consumes tensor 1 before any stage produced it. A
+/// daemon that ran it would trip a simulator precondition.
+inline constexpr const char* kSelfConsumingWorkload =
+    "micco-workload v1\n"
+    "meta 1 4 1 0.5 uniform\n"
+    "vectors 1\n"
+    "vector 1\n"
+    "task 1 2 4 1 2 2 4 1 1 2 4 1\n";
+
 inline std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream out;

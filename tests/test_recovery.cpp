@@ -2,7 +2,8 @@
 // Server session replaying the journal of a first one. Finished jobs answer
 // status/result again, interrupted jobs re-run with a byte-identical
 // decision log and span trace, idempotent resubmits dedupe across the
-// restart, and a torn journal tail is dropped and truncated before serving
+// restart, an admission that fails the structure check replays as FAILED,
+// and a torn journal tail is dropped and truncated before serving
 // continues.
 #include <gtest/gtest.h>
 
@@ -359,6 +360,51 @@ TEST(Recovery, OrphanedFinishedRecordNeverSettlesALaterAdmission) {
     client.close();
     EXPECT_EQ(session.join(), 0);
   }
+}
+
+TEST(Recovery, StructurallyInvalidAdmissionReplaysAsFailed) {
+  // A journal holding the admission of a workload that consumes its own
+  // output (an older daemon admitted it unchecked and aborted running it,
+  // on every restart). Replay fails the job, and the daemon serves.
+  const std::string journal = tmp_file_path("selfmw_replay.journal");
+  std::string error;
+  {
+    JournalConfig journal_config;
+    journal_config.path = journal;
+    JournalWriter writer;
+    ASSERT_TRUE(writer.open(journal_config, &error)) << error;
+    JournalRecord admitted;
+    admitted.kind = RecordKind::kAdmitted;
+    admitted.job_id = 1;
+    admitted.tenant = "alice";
+    admitted.name = "self";
+    admitted.workload_text = kSelfConsumingWorkload;
+    ASSERT_TRUE(writer.append(admitted, &error)) << error;
+  }
+
+  const std::string socket = test_socket_path("selfmw_replay");
+  ServerConfig config;
+  config.socket_path = socket;
+  config.cluster.num_devices = 1;
+  config.journal.path = journal;
+  ServeSession session(std::move(config));
+  ASSERT_TRUE(session.begin(&error)) << error;
+  Client client;
+  ASSERT_TRUE(client.connect(socket, &error)) << error;
+  const auto status = client.status(1, &error);
+  ASSERT_TRUE(status.has_value()) << error;
+  EXPECT_EQ(status->at("state").as_string(), "FAILED") << status->dump();
+  EXPECT_NE(status->at("error").as_string().find("consumes tensor 1"),
+            std::string::npos)
+      << status->dump();
+
+  const auto good = client.submit("alice", "valid", workload_text(3), &error);
+  ASSERT_TRUE(good.has_value()) << error;
+  ASSERT_TRUE(good->at("ok").as_bool()) << good->dump();
+  EXPECT_EQ(wait_for_job(client, 2).at("state").as_string(), "DONE");
+  ASSERT_TRUE(client.drain(&error).has_value()) << error;
+  client.close();
+  EXPECT_EQ(session.join(), 0);
 }
 
 TEST(Recovery, TornTailIsDroppedAndServingContinues) {

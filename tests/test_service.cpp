@@ -4,7 +4,8 @@
 // traces across sessions), trace-id propagation into the span file, the
 // metrics verb against offline trace recomputation, injected-clock latency
 // accounting, concurrent submits from many client threads, oversized-frame
-// handling over the wire, and fault-tolerant serving.
+// handling over the wire, admission's structure check, and fault-tolerant
+// serving.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -28,6 +29,7 @@
 #include "obs/report.hpp"
 #include "parallel/parallel.hpp"
 #include "serve_harness.hpp"
+#include "service/journal.hpp"
 
 namespace micco::service {
 namespace {
@@ -589,6 +591,43 @@ TEST(Service, OversizedFrameGetsStructuredErrorOverTheWire) {
   ASSERT_TRUE(client.drain(&error).has_value()) << error;
   client.close();
   EXPECT_EQ(session.join(), 0);
+}
+
+TEST(Service, StructurallyInvalidWorkloadIsRejectedAndServingContinues) {
+  // Admission checks structure, not just syntax: the journaled daemon
+  // answers bad_workload, journals nothing for it, and runs the next job.
+  const std::string socket = test_socket_path("selfmw");
+  const std::string journal = tmp_file_path("selfmw.journal");
+  ServerConfig config;
+  config.socket_path = socket;
+  config.cluster.num_devices = 1;
+  config.journal.path = journal;
+  ServeSession session(std::move(config));
+  std::string error;
+  ASSERT_TRUE(session.begin(&error)) << error;
+  Client client;
+  ASSERT_TRUE(client.connect(socket, &error)) << error;
+
+  const auto bad = client.submit("alice", "self", kSelfConsumingWorkload,
+                                 &error);
+  ASSERT_TRUE(bad.has_value()) << error;
+  ASSERT_FALSE(bad->at("ok").as_bool()) << bad->dump();
+  EXPECT_EQ(bad->at("code").as_string(), error_code::kBadWorkload);
+  EXPECT_NE(bad->at("message").as_string().find("consumes tensor 1"),
+            std::string::npos)
+      << bad->dump();
+
+  const auto good = client.submit("alice", "valid", workload_text(3), &error);
+  ASSERT_TRUE(good.has_value()) << error;
+  ASSERT_TRUE(good->at("ok").as_bool()) << good->dump();
+  const auto job_id = static_cast<std::uint64_t>(good->at("job_id").as_int());
+  EXPECT_EQ(wait_for_job(client, job_id).at("state").as_string(), "DONE");
+  ASSERT_TRUE(client.drain(&error).has_value()) << error;
+  client.close();
+  EXPECT_EQ(session.join(), 0);
+  for (const JournalRecord& record : read_journal_file(journal).records) {
+    EXPECT_EQ(record.job_id, job_id);
+  }
 }
 
 TEST(Service, MalformedFramesGetStructuredErrorReplies) {
