@@ -2,17 +2,18 @@
 # Local CI: strict-warning Debug build with runtime lock-rank enforcement
 # compiled in, the micco-lint determinism & concurrency gate (required —
 # scope-aware lock-order/blocking/WAL rules, lock-graph export, and a stale-
-# suppression audit), full test suite, a telemetry smoke test (the
-# `report` subcommand must emit a valid, deterministic report + decision
-# log on a synthetic stream), a fault-injection smoke test (kill a device
+# suppression audit), full test suite, a telemetry smoke test (`micco run
+# --report --decisions` must emit a valid, deterministic report + decision
+# log on a generated stream), a fault-injection smoke test (kill a device
 # mid-stream and require a clean recovery), a serve smoke test (the
 # scheduling daemon end to end: submit/wait/drain over a Unix socket with
 # byte-identical decision logs AND byte-identical span traces across
 # sessions, a `micco top --once` dashboard frame, and an offline
 # `micco report --spans` well-formedness pass), a configuration smoke test
-# (out-of-range train/run/report/generate/serve flags, malformed flag values
-# and unknown flags exit 2, unwritable output paths exit 1, never abort or
-# run),
+# (out-of-range train/run/generate/serve flags, malformed flag values,
+# unknown flags and a workload given to `report` exit 2, unwritable output
+# paths and a structurally invalid workload exit 1, and a daemon rejects
+# that workload and keeps serving; nothing aborts or runs),
 # a chaos smoke test
 # (tools/chaos_smoke.sh: kill -9 the daemon at every scripted journal crash
 # point, restart on the same journal, and require byte-identical recovered
@@ -63,13 +64,13 @@ echo "== lint (micco_lint, required) =="
 # fails CI — including lock-order cycles, blocking-under-lock and WAL-rule
 # findings from the scope-aware analysis; the JSON invocation is what
 # dashboards/scripts consume and doubles as a schema smoke test. The
-# tree-wide run also exports the extracted lock-order graph, which `micco
-# report --lock-graph` summarises into the CI log so the certified
+# tree-wide run also exports the extracted lock-order graph as Graphviz,
+# printed into the CI log (one line per node and per edge) so the certified
 # concurrency surface is recorded alongside the build.
 "${BUILD_DIR}/tools/micco_lint" --format=text \
-  --lock-graph="${BUILD_DIR}/lock_graph.json" src tools bench
+  --lock-graph="${BUILD_DIR}/lock_graph.dot" src tools bench
 "${BUILD_DIR}/tools/micco_lint" --format=json src > /dev/null
-"${BUILD_DIR}/tools/micco" report --lock-graph="${BUILD_DIR}/lock_graph.json"
+cat "${BUILD_DIR}/lock_graph.dot"
 
 echo "== lint suppressions (no stale allow() directives) =="
 # Lists every in-tree allow() with its rule, reason and blame date; exits
@@ -83,10 +84,12 @@ echo "== report smoke test =="
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "${SMOKE_DIR}"' EXIT
 
-"${BUILD_DIR}/tools/micco" report --gpus=4 --vectors=2 --vector-size=24 \
-  --out="${SMOKE_DIR}/r1.json" --decisions="${SMOKE_DIR}/d1.jsonl"
-"${BUILD_DIR}/tools/micco" report --gpus=4 --vectors=2 --vector-size=24 \
-  --out="${SMOKE_DIR}/r2.json" --decisions="${SMOKE_DIR}/d2.jsonl"
+"${BUILD_DIR}/tools/micco" generate --out="${SMOKE_DIR}/smoke.mw" \
+  --vectors=2 --vector-size=24 --batch=16
+"${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/smoke.mw" --gpus=4 \
+  --report="${SMOKE_DIR}/r1.json" --decisions="${SMOKE_DIR}/d1.jsonl"
+"${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/smoke.mw" --gpus=4 \
+  --report="${SMOKE_DIR}/r2.json" --decisions="${SMOKE_DIR}/d2.jsonl"
 
 # The decision log must be byte-identical across identical runs.
 cmp "${SMOKE_DIR}/d1.jsonl" "${SMOKE_DIR}/d2.jsonl"
@@ -123,8 +126,9 @@ cat > "${SMOKE_DIR}/plan.txt" <<'EOF'
 fail 1 0.001
 EOF
 "${BUILD_DIR}/tools/micco" faults "${SMOKE_DIR}/plan.txt" --gpus=4
-"${BUILD_DIR}/tools/micco" report --gpus=4 --vectors=2 --vector-size=24 \
-  --fault-plan="${SMOKE_DIR}/plan.txt" --out="${SMOKE_DIR}/rf.json"
+"${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/smoke.mw" --gpus=4 \
+  --fault-plan="${SMOKE_DIR}/plan.txt" --report="${SMOKE_DIR}/rf.json" \
+  --decisions="${SMOKE_DIR}/df.jsonl"
 grep -q '"recovered": true' "${SMOKE_DIR}/rf.json"
 grep -q '"devices_lost": 1' "${SMOKE_DIR}/rf.json"
 echo "fault smoke test OK: device loss absorbed, recovered=true"
@@ -208,7 +212,10 @@ for flag in --samples=0 --samples=-4 --batch=0 --gpus=0; do
     --out="${SMOKE_DIR}/bad.mm" "${flag}"
 done
 expect_exit_2 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" --gpus=0
-expect_exit_2 "${BUILD_DIR}/tools/micco" report "${SMOKE_DIR}/w.mw" --gpus=0
+expect_exit_2 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" --gpus=0 \
+  --report="${SMOKE_DIR}/bad.json"
+# `report` only summarises span traces; workloads run through `run`.
+expect_exit_2 "${BUILD_DIR}/tools/micco" report "${SMOKE_DIR}/w.mw"
 for flag in --vectors=0 --vector-size=3 --tensor=0 --batch=0 --repeat=2; do
   expect_exit_2 "${BUILD_DIR}/tools/micco" generate \
     --out="${SMOKE_DIR}/bad.mw" "${flag}"
@@ -232,14 +239,45 @@ for flag in --mem-arbiter=on --mem-arbiter=maybe --gpus=4x; do
     --socket="${SMOKE_DIR}/bad.sock" "${flag}"
 done
 # An output path that cannot be opened fails before any work with exit 1.
-expect_exit 1 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" \
-  --trace="${SMOKE_DIR}/missing/t.json"
+for flag in --trace --report --decisions; do
+  expect_exit 1 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" \
+    "${flag}=${SMOKE_DIR}/missing/out"
+done
 expect_exit 1 "${BUILD_DIR}/tools/micco" generate \
   --out="${SMOKE_DIR}/missing/w.mw"
 expect_exit 1 "${BUILD_DIR}/tools/micco" train \
   --out="${SMOKE_DIR}/missing/m.mm"
+# A workload that parses but consumes a tensor before producing it: `run`
+# refuses it (exit 1), `report` takes no workload (exit 2), and a journaled
+# daemon answers its submit with bad_workload, runs the next job and drains
+# cleanly instead of aborting in a simulator precondition.
+cat > "${SMOKE_DIR}/self.mw" <<'EOF'
+micco-workload v1
+meta 1 4 1 0.5 uniform
+vectors 1
+vector 1
+task 1 2 4 1 2 2 4 1 1 2 4 1
+EOF
+expect_exit 1 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/self.mw"
+expect_exit_2 "${BUILD_DIR}/tools/micco" report "${SMOKE_DIR}/self.mw"
+rm -f "${SMOKE_DIR}/svc.sock"
+"${BUILD_DIR}/tools/micco" serve --socket="${SMOKE_DIR}/svc.sock" \
+  --gpus=1 --threads=1 --journal="${SMOKE_DIR}/self.journal" &
+SERVE_PID=$!
+for _ in $(seq 1 100); do
+  [ -S "${SMOKE_DIR}/svc.sock" ] && break
+  sleep 0.1
+done
+expect_exit 1 "${BUILD_DIR}/tools/micco" submit "${SMOKE_DIR}/self.mw" \
+  --socket="${SMOKE_DIR}/svc.sock"
+grep -q 'bad_workload' "${SMOKE_DIR}/config_err.txt"
+"${BUILD_DIR}/tools/micco" submit "${SMOKE_DIR}/w.mw" \
+  --socket="${SMOKE_DIR}/svc.sock" --wait
+"${BUILD_DIR}/tools/micco" drain --socket="${SMOKE_DIR}/svc.sock"
+wait "${SERVE_PID}"
 echo "config smoke test OK: every out-of-range, malformed or unknown flag" \
-  "exited 2, every unwritable output path exited 1"
+  "exited 2, every unwritable output path and the invalid workload" \
+  "exited 1, the daemon rejected that workload and kept serving"
 
 echo "== eviction-policy smoke test =="
 # Memory co-design subsystem (DESIGN.md §11): both eviction policies must

@@ -5,7 +5,7 @@
 //   run        schedule a workload file on the simulated cluster
 //   train      sweep the tuner and write a trained bounds model
 //   inspect    describe a workload or model file
-//   report     run with telemetry and emit the machine-readable run report
+//   report     summarise a span-tree trace file written by `serve --spans`
 //   faults     parse and validate a fault-plan file
 //   serve      run the multi-tenant scheduling daemon on a Unix socket
 //   submit     send a workload file to a running daemon
@@ -17,7 +17,7 @@
 //   micco generate --out=w.mw --vector-size=64 --repeat=0.75 --gaussian
 //   micco train --out=model.mm --samples=120 --gpus=8
 //   micco run w.mw --scheduler=micco --model=model.mm --gpus=8 --trace=t.json
-//   micco report w.mw --scheduler=micco --gpus=8 --decisions=d.jsonl --pretty
+//   micco run w.mw --gpus=8 --report=r.json --decisions=d.jsonl
 //   micco run w.mw --gpus=4 --fault-plan=faults.txt --retry-max=4
 //   micco faults faults.txt --gpus=4
 //   micco inspect w.mw
@@ -85,20 +85,14 @@ int usage() {
                "--tensor=384 --batch=32 --repeat=0.5 --gaussian --seed=N]\n"
                "  run FILE [--scheduler=groute|dmda|micco|roundrobin] "
                "[--model=FILE] [--gpus=8] [--oversub=R] [--trace=FILE]\n"
+               "      [--report=FILE --decisions=FILE]   (versioned run "
+               "report, JSONL decision log)\n"
                "      [--fault-plan=FILE --retry-max=N --retry-backoff=S]\n"
                "      [--evict-policy=lru|reuse-distance]   (default lru)\n"
                "  train --out=FILE [--samples=120 --gpus=8 --seed=N --threads=N]\n"
                "  inspect FILE\n"
-               "  report [FILE] [--scheduler=NAME] [--gpus=8] [--oversub=R] "
-               "[--out=FILE] [--decisions=FILE] [--pretty]\n"
-               "         [--fault-plan=FILE --retry-max=N --retry-backoff=S] "
-               "[--evict-policy=NAME]\n"
-               "         (no FILE: a small deterministic synthetic stream, "
-               "--seed=N --vectors=N --vector-size=N)\n"
                "  report --spans=FILE [--pretty]   (summarise a span-tree "
-               "trace file instead of running)\n"
-               "  report --lock-graph=FILE [--pretty]   (summarise a "
-               "micco_lint lock-graph export)\n"
+               "trace file)\n"
                "  faults PLANFILE [--gpus=8]   (validate and summarise a "
                "fault plan)\n"
                "  serve --socket=PATH [--scheduler=NAME --gpus=8 "
@@ -127,7 +121,7 @@ int usage() {
 }
 
 /// Loads and validates the optional --fault-plan / --retry-* flags shared by
-/// `run` and `report`. Returns false (after printing a diagnostic) on any
+/// `run` and `serve`. Returns false (after printing a diagnostic) on any
 /// malformed input; a missing --fault-plan leaves `plan` empty.
 bool load_fault_flags(const CliArgs& args, const char* cmd, int num_devices,
                       std::optional<FaultPlan>* plan, RetryPolicy* retry) {
@@ -156,8 +150,8 @@ bool load_fault_flags(const CliArgs& args, const char* cmd, int num_devices,
   return true;
 }
 
-/// Parses the --evict-policy flag shared by `run`, `report` and `serve`
-/// (default lru); nullopt, after a diagnostic, for an unknown name.
+/// Parses the --evict-policy flag shared by `run` and `serve` (default
+/// lru); nullopt, after a diagnostic, for an unknown name.
 std::optional<mem::EvictPolicyKind> evict_policy_flag(const CliArgs& args,
                                                       const char* cmd) {
   const std::string name = args.get("evict-policy", "lru");
@@ -246,12 +240,6 @@ std::optional<SchedulerKind> scheduler_kind_by_name(const std::string& which) {
   return std::nullopt;
 }
 
-/// Scheduler-by-name shared by `run` and `report`; null for unknown names.
-std::unique_ptr<Scheduler> scheduler_by_name(const std::string& which) {
-  const std::optional<SchedulerKind> kind = scheduler_kind_by_name(which);
-  return kind.has_value() ? make_scheduler(*kind) : nullptr;
-}
-
 int cmd_generate(const CliArgs& args) {
   if (rejects_flags(args, "generate",
                     {"out", "vectors", "vector-size", "tensor", "batch",
@@ -291,8 +279,9 @@ int cmd_generate(const CliArgs& args) {
 int cmd_run(const CliArgs& args) {
   if (rejects_flags(args, "run",
                     {"scheduler", "model", "gpus", "oversub", "p2p",
-                     "async-copy", "devices-per-node", "trace", "fault-plan",
-                     "retry-max", "retry-backoff", "evict-policy"})) {
+                     "async-copy", "devices-per-node", "trace", "report",
+                     "decisions", "fault-plan", "retry-max", "retry-backoff",
+                     "evict-policy"})) {
     return 2;
   }
   if (args.positional().size() < 2) {
@@ -336,9 +325,10 @@ int cmd_run(const CliArgs& args) {
     return 1;
   }
 
-  std::unique_ptr<Scheduler> scheduler =
-      scheduler_by_name(args.get("scheduler", "micco"));
-  if (!scheduler) return 2;
+  const std::optional<SchedulerKind> kind =
+      scheduler_kind_by_name(args.get("scheduler", "micco"));
+  if (!kind.has_value()) return 2;
+  const std::unique_ptr<Scheduler> scheduler = make_scheduler(*kind);
 
   // Optional pre-trained bounds model (only meaningful for MICCO).
   std::unique_ptr<RegressionBoundsProvider> provider;
@@ -352,17 +342,34 @@ int cmd_run(const CliArgs& args) {
   }
 
   const std::string trace_path = args.get("trace", "");
+  const std::string report_path = args.get("report", "");
+  const std::string decisions_path = args.get("decisions", "");
   const std::optional<mem::EvictPolicyKind> policy_kind =
       evict_policy_flag(args, "run");
   if (!policy_kind.has_value() || rejects_values(args, "run")) return 2;
-  if (!trace_path.empty() && cannot_write("run", trace_path)) return 1;
+  for (const std::string* path : {&trace_path, &report_path, &decisions_path}) {
+    if (!path->empty() && cannot_write("run", *path)) return 1;
+  }
   const std::unique_ptr<mem::EvictionPolicy> evict_policy =
       mem::make_policy(*policy_kind);
+
+  // Telemetry only when an output needs it: the decision log streams to its
+  // JSONL file during the run, and the report is assembled from the
+  // registry afterwards.
+  obs::Telemetry telemetry;
+  std::ofstream decisions_file;
+  std::optional<obs::BufferedJsonlEventSink> sink;
+  if (!decisions_path.empty()) {
+    decisions_file.open(decisions_path);
+    telemetry.sink = &sink.emplace(decisions_file);
+  }
 
   TraceRecorder trace;
   RunOptions options;
   options.bounds = provider.get();
   options.trace = args.has("trace") ? &trace : nullptr;
+  options.telemetry =
+      report_path.empty() && decisions_path.empty() ? nullptr : &telemetry;
   options.faults = plan.has_value() ? &*plan : nullptr;
   options.retry = retry;
   options.evict_policy = evict_policy.get();
@@ -382,6 +389,27 @@ int cmd_run(const CliArgs& args) {
               static_cast<unsigned long long>(m.evictions),
               static_cast<unsigned long long>(m.eviction_refetch_bytes));
   print_fault_summary(result);
+
+  // The report (with its "error" field) is written for a failed run too;
+  // the exit code below tells scripts the stream did not complete.
+  if (!report_path.empty()) {
+    const obs::JsonValue report = make_run_report(result, telemetry);
+    const std::string complaint = obs::validate_report(report);
+    if (!complaint.empty()) {
+      std::fprintf(stderr, "run: internal error: %s\n", complaint.c_str());
+      return 1;
+    }
+    obs::write_report_file(report, report_path);
+    std::printf("report written to %s\n", report_path.c_str());
+  }
+  if (sink.has_value()) {
+    sink->flush();
+    if (!decisions_file) {
+      std::fprintf(stderr, "run: cannot write %s\n", decisions_path.c_str());
+      return 1;
+    }
+    std::printf("decision log written to %s\n", decisions_path.c_str());
+  }
   if (!result.completed) {
     std::fprintf(stderr, "run: %s\n", result.error.c_str());
     return 1;
@@ -474,13 +502,21 @@ int cmd_inspect(const CliArgs& args) {
 }
 
 /// `micco report --spans=FILE`: offline summary of a span-tree trace file
-/// (the JSONL written by `serve --spans`), instead of running a workload.
-/// Validates well-formedness — one root job span per trace, every parent id
-/// resolving inside its trace, contiguous sink sequence numbers — and
-/// recomputes per-tenant simulated-makespan quantiles from the root spans
-/// with the same bucket bounds and interpolation the daemon's `metrics`
-/// verb uses, so the offline numbers match the served ones exactly.
-int cmd_report_spans(const CliArgs& args) {
+/// (the JSONL written by `serve --spans`); workloads run through `micco run
+/// --report`. Validates well-formedness — one root job span per trace, every
+/// parent id resolving inside its trace, contiguous sink sequence numbers —
+/// and recomputes per-tenant simulated-makespan quantiles from the root
+/// spans with the same bucket bounds and interpolation the daemon's
+/// `metrics` verb uses, so the offline numbers match the served ones
+/// exactly.
+int cmd_report(const CliArgs& args) {
+  if (rejects_flags(args, "report", {"spans", "pretty"})) return 2;
+  if (!args.has("spans")) {
+    std::fprintf(stderr,
+                 "report: --spans=FILE is required (run a workload with "
+                 "`micco run FILE --report=R`)\n");
+    return 2;
+  }
   const std::string path = args.get("spans", "");
   const bool pretty = args.get_bool("pretty", true);
   if (rejects_values(args, "report")) return 2;
@@ -604,185 +640,6 @@ int cmd_report_spans(const CliArgs& args) {
   }
   std::printf("%s\n", pretty ? out.dump_pretty().c_str() : out.dump().c_str());
   return problems.empty() ? 0 : 1;
-}
-
-/// `micco report --lock-graph=FILE`: offline summary of the lock-order
-/// graph JSON written by `micco_lint --lock-graph=FILE` — node and edge
-/// counts plus the edge list, so CI logs record the concurrency surface
-/// the linter certified cycle-free (DESIGN.md §10). A separate mode (not a
-/// field on the run report) on purpose: run reports stay byte-stable
-/// across lint-only changes.
-int cmd_report_lock_graph(const CliArgs& args) {
-  const std::string path = args.get("lock-graph", "");
-  const bool pretty = args.get_bool("pretty", false);
-  if (rejects_values(args, "report")) return 2;
-  std::ifstream in(path);
-  if (!in.good()) {
-    std::fprintf(stderr, "report: cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::string parse_error;
-  const std::optional<obs::JsonValue> doc =
-      obs::parse_json(buffer.str(), &parse_error);
-  if (!doc.has_value()) {
-    std::fprintf(stderr, "report: %s: unparseable: %s\n", path.c_str(),
-                 parse_error.c_str());
-    return 1;
-  }
-  const obs::JsonValue* nodes = doc->find("nodes");
-  const obs::JsonValue* edges = doc->find("edges");
-  if (nodes == nullptr || edges == nullptr ||
-      nodes->kind() != obs::JsonValue::Kind::kArray ||
-      edges->kind() != obs::JsonValue::Kind::kArray) {
-    std::fprintf(stderr, "report: %s is not a lock-graph export\n",
-                 path.c_str());
-    return 1;
-  }
-
-  obs::JsonValue summary = obs::JsonValue::object();
-  summary.set("schema_version", 1);
-  summary.set("nodes", static_cast<std::int64_t>(nodes->items().size()));
-  summary.set("edges", static_cast<std::int64_t>(edges->items().size()));
-  obs::JsonValue order = obs::JsonValue::array();
-  for (const obs::JsonValue& edge : edges->items()) {
-    const obs::JsonValue* from = edge.find("from");
-    const obs::JsonValue* to = edge.find("to");
-    if (from == nullptr || to == nullptr) continue;
-    order.push_back(obs::JsonValue(from->as_string() + " -> " +
-                                   to->as_string()));
-  }
-  summary.set("lock_order", std::move(order));
-
-  std::printf("%s\n",
-              (pretty ? summary.dump_pretty() : summary.dump()).c_str());
-  return 0;
-}
-
-int cmd_report(const CliArgs& args) {
-  // --spans / --lock-graph select the offline summary modes: no workload
-  // is run.
-  if (args.has("spans")) {
-    if (rejects_flags(args, "report", {"spans", "pretty"})) return 2;
-    return cmd_report_spans(args);
-  }
-  if (args.has("lock-graph")) {
-    if (rejects_flags(args, "report", {"lock-graph", "pretty"})) return 2;
-    return cmd_report_lock_graph(args);
-  }
-  if (rejects_flags(args, "report",
-                    {"scheduler", "gpus", "oversub", "out", "decisions",
-                     "pretty", "fault-plan", "retry-max", "retry-backoff",
-                     "evict-policy", "seed", "vectors", "vector-size"})) {
-    return 2;
-  }
-
-  // Workload: a file when given, otherwise a small deterministic synthetic
-  // stream so the telemetry path can be exercised with no setup.
-  std::optional<WorkloadStream> stream;
-  if (args.positional().size() >= 2) {
-    std::string error;
-    stream = load_stream_file(args.positional()[1], &error);
-    if (!stream) {
-      std::fprintf(stderr, "report: %s\n", error.c_str());
-      return 1;
-    }
-  } else {
-    SyntheticConfig cfg;
-    cfg.num_vectors = args.get_int("vectors", 4);
-    cfg.vector_size = args.get_int("vector-size", 48);
-    cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-    if (rejected("report", cfg.validate())) return 2;
-    stream = generate_synthetic(cfg);
-  }
-
-  ClusterConfig cluster;
-  cluster.num_devices = static_cast<int>(args.get_int("gpus", 8));
-  const double oversub = args.get_double("oversub", 0.0);
-  if (oversub > 0.0) {
-    const std::uint64_t task_bytes = first_task_bytes(*stream);
-    if (task_bytes == 0) {
-      std::fprintf(
-          stderr,
-          "report: --oversub needs a workload with at least one task\n");
-      return 1;
-    }
-    cluster.device_capacity_bytes = capacity_for_oversubscription(
-        *stream, cluster.num_devices, oversub, 8 * task_bytes);
-  }
-  if (rejected("report", cluster.validate())) return 2;
-
-  std::optional<FaultPlan> plan;
-  RetryPolicy retry;
-  if (!load_fault_flags(args, "report", cluster.num_devices, &plan, &retry)) {
-    return 1;
-  }
-
-  std::unique_ptr<Scheduler> scheduler =
-      scheduler_by_name(args.get("scheduler", "micco"));
-  if (!scheduler) return 2;
-
-  const std::string out = args.get("out", "");
-  const bool pretty = args.get_bool("pretty", out.empty());
-  const std::optional<mem::EvictPolicyKind> policy_kind =
-      evict_policy_flag(args, "report");
-  if (!policy_kind.has_value() || rejects_values(args, "report")) return 2;
-  const std::unique_ptr<mem::EvictionPolicy> evict_policy =
-      mem::make_policy(*policy_kind);
-
-  // The decision log streams to its JSONL file during the run, batched
-  // behind the buffered sink (fault records flush through immediately); the
-  // report is assembled from the registry afterwards.
-  obs::Telemetry telemetry;
-  std::ofstream decisions_file;
-  std::unique_ptr<obs::BufferedJsonlEventSink> sink;
-  const std::string decisions_path = args.get("decisions", "");
-  if (!decisions_path.empty()) {
-    decisions_file.open(decisions_path);
-    if (!decisions_file.good()) {
-      std::fprintf(stderr, "report: cannot open %s\n",
-                   decisions_path.c_str());
-      return 1;
-    }
-    sink = std::make_unique<obs::BufferedJsonlEventSink>(decisions_file);
-    telemetry.sink = sink.get();
-  }
-
-  if (!out.empty() && cannot_write("report", out)) return 1;
-
-  RunOptions options;
-  options.telemetry = &telemetry;
-  options.faults = plan.has_value() ? &*plan : nullptr;
-  options.retry = retry;
-  options.evict_policy = evict_policy.get();
-  const RunResult result = run_stream(*stream, *scheduler, cluster, options);
-
-  const obs::JsonValue report = make_run_report(result, telemetry);
-  const std::string complaint = obs::validate_report(report);
-  if (!complaint.empty()) {
-    std::fprintf(stderr, "report: internal error: %s\n", complaint.c_str());
-    return 1;
-  }
-
-  const std::string text = pretty ? report.dump_pretty() : report.dump();
-  if (out.empty()) {
-    std::printf("%s\n", text.c_str());
-  } else {
-    obs::write_report_file(report, out);
-    std::fprintf(stderr, "report written to %s\n", out.c_str());
-  }
-  if (!decisions_path.empty()) {
-    std::fprintf(stderr, "decision log written to %s\n",
-                 decisions_path.c_str());
-  }
-  // The report (with its "error" field) is still emitted for a failed run;
-  // the exit code tells scripts the stream did not complete.
-  if (!result.completed) {
-    std::fprintf(stderr, "report: %s\n", result.error.c_str());
-    return 1;
-  }
-  return 0;
 }
 
 int cmd_faults(const CliArgs& args) {
