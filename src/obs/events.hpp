@@ -83,13 +83,6 @@ class EventSink {
   virtual void cluster(const ClusterEvent& event) = 0;
 };
 
-/// Swallows everything (telemetry attached for the registry alone).
-class NullEventSink final : public EventSink {
- public:
-  void decision(const DecisionEvent&) override {}
-  void cluster(const ClusterEvent&) override {}
-};
-
 /// Writes one compact JSON object per event per line ("JSON Lines"). The
 /// stream is borrowed and must outlive the sink.
 class JsonlEventSink final : public EventSink {

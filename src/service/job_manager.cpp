@@ -386,17 +386,9 @@ DispatchInfo JobManager::dispatch_info(std::uint64_t job_id) const {
   DispatchInfo info;
   info.trace_id = it->second.trace_id;
   info.tenant = it->second.tenant;
-  info.name = it->second.name;
   info.dispatch_seq = it->second.dispatch_seq;
   info.depth_at_submit = it->second.depth_at_submit;
   return info;
-}
-
-std::optional<obs::JsonValue> JobManager::result(std::uint64_t job_id) const {
-  const MutexLock lock(mutex_);
-  const auto it = jobs_.find(job_id);
-  if (it == jobs_.end() || !it->second.has_result) return std::nullopt;
-  return it->second.result;
 }
 
 bool JobManager::idle() const {

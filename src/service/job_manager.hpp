@@ -113,7 +113,6 @@ struct StatusSnapshot {
 struct DispatchInfo {
   std::string trace_id;  ///< client-minted, may be empty
   std::string tenant;
-  std::string name;
   std::uint64_t dispatch_seq = 0;    ///< 1-based daemon dispatch order
   std::uint64_t depth_at_submit = 0; ///< total queued jobs when admitted
 };
@@ -189,8 +188,9 @@ class JobManager {
   DispatchInfo dispatch_info(std::uint64_t job_id) const;
 
   /// Terminal transitions for the dispatcher. `result` is retained for
-  /// pickup via result(); `timing` feeds the global queue-latency histogram,
-  /// the per-tenant latency histograms and the tenant's SLO totals.
+  /// pickup via status_with_result(); `timing` feeds the global
+  /// queue-latency histogram, the per-tenant latency histograms and the
+  /// tenant's SLO totals.
   void complete(std::uint64_t job_id, obs::JsonValue result,
                 const CompletionTiming& timing);
   void fail(std::uint64_t job_id, const std::string& error,
@@ -214,9 +214,6 @@ class JobManager {
 
   // -- Queries --------------------------------------------------------------
   std::optional<JobStatus> status(std::uint64_t job_id) const;
-  /// Result document of a DONE/FAILED job; nullopt when unknown or not
-  /// finished yet.
-  std::optional<obs::JsonValue> result(std::uint64_t job_id) const;
   /// Status and result in one lock acquisition — the snapshot is internally
   /// consistent even while the dispatcher races to finish the job.
   std::optional<StatusSnapshot> status_with_result(std::uint64_t job_id) const;

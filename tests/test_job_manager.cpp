@@ -38,7 +38,7 @@ TEST(JobManager, LifecycleQueuedRunningDone) {
   EXPECT_EQ(outcome.job_id, 1u);
   EXPECT_EQ(jobs.status(1)->state, JobState::kQueued);
   EXPECT_EQ(jobs.status(1)->queue_position, 0);
-  EXPECT_FALSE(jobs.result(1).has_value());
+  EXPECT_FALSE(jobs.status_with_result(1)->result.has_value());
 
   const auto picked = jobs.next_job();
   ASSERT_TRUE(picked.has_value());
@@ -51,8 +51,9 @@ TEST(JobManager, LifecycleQueuedRunningDone) {
   result.set("makespan_s", 0.5);
   jobs.complete(1, std::move(result), queue_only(12.0));
   EXPECT_EQ(jobs.status(1)->state, JobState::kDone);
-  ASSERT_TRUE(jobs.result(1).has_value());
-  EXPECT_DOUBLE_EQ(jobs.result(1)->at("makespan_s").as_double(), 0.5);
+  ASSERT_TRUE(jobs.status_with_result(1)->result.has_value());
+  EXPECT_DOUBLE_EQ(
+      jobs.status_with_result(1)->result->at("makespan_s").as_double(), 0.5);
   EXPECT_TRUE(jobs.idle());
 }
 
@@ -65,13 +66,13 @@ TEST(JobManager, FailedJobKeepsErrorAndResult) {
   jobs.fail(1, "device 0 lost", std::move(result), queue_only(3.0));
   EXPECT_EQ(jobs.status(1)->state, JobState::kFailed);
   EXPECT_EQ(jobs.status(1)->error, "device 0 lost");
-  EXPECT_TRUE(jobs.result(1).has_value());
+  EXPECT_TRUE(jobs.status_with_result(1)->result.has_value());
 }
 
 TEST(JobManager, UnknownJobQueriesReturnNullopt) {
   JobManager jobs;
   EXPECT_FALSE(jobs.status(42).has_value());
-  EXPECT_FALSE(jobs.result(42).has_value());
+  EXPECT_FALSE(jobs.status_with_result(42).has_value());
   EXPECT_FALSE(jobs.next_job().has_value());
 }
 
@@ -319,7 +320,7 @@ TEST(JobManager, DispatchInfoCarriesTraceIdentityAndProvenance) {
   const DispatchInfo first = jobs.dispatch_info(1);
   EXPECT_EQ(first.trace_id, "t-abc-0");
   EXPECT_EQ(first.tenant, "alice");
-  EXPECT_EQ(first.name, "first");
+  EXPECT_EQ(jobs.status(1)->name, "first");  // the name lives in status
   EXPECT_EQ(first.dispatch_seq, 1u);
   EXPECT_EQ(first.depth_at_submit, 0u);  // queue was empty at submit
 
