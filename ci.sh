@@ -11,9 +11,10 @@
 # sessions, a `micco top --once` dashboard frame, and an offline
 # `micco report --spans` well-formedness pass), a configuration smoke test
 # (out-of-range train/run/generate/serve flags, malformed flag values,
-# unknown flags and a workload given to `report` exit 2, unwritable output
-# paths and a structurally invalid workload exit 1, and a daemon rejects
-# that workload and keeps serving; nothing aborts or runs),
+# tenant weights and job ids, unknown flags and a workload given to
+# `report` exit 2, unwritable output paths and a structurally invalid
+# workload exit 1, and a daemon rejects that workload and keeps serving;
+# nothing aborts or runs),
 # a chaos smoke test
 # (tools/chaos_smoke.sh: kill -9 the daemon at every scripted journal crash
 # point, restart on the same journal, and require byte-identical recovered
@@ -238,6 +239,14 @@ for flag in --mem-arbiter=on --mem-arbiter=maybe --gpus=4x; do
   expect_exit_2 "${BUILD_DIR}/tools/micco" serve \
     --socket="${SMOKE_DIR}/bad.sock" "${flag}"
 done
+# Tenant weights and job ids are read in full too: `2x` is not 2, and a
+# weight past 2^20 would stop its tenant's stride pass from advancing.
+for weights in alice:2x alice:2000000; do
+  expect_exit_2 "${BUILD_DIR}/tools/micco" serve \
+    --socket="${SMOKE_DIR}/bad.sock" --weights="${weights}"
+done
+expect_exit_2 "${BUILD_DIR}/tools/micco" status 3x \
+  --socket="${SMOKE_DIR}/bad.sock"
 # An output path that cannot be opened fails before any work with exit 1.
 for flag in --trace --report --decisions; do
   expect_exit 1 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" \

@@ -1,7 +1,6 @@
-// Side-by-side comparison of every scheduler in the library — the two
-// degenerate corners of Fig. 2 (pure data reuse, pure load balance), the
-// Groute-style earliest-available baseline, round-robin, and MICCO — on a
-// user-configurable workload, with the full metric breakdown.
+// Side-by-side comparison of the Groute-style earliest-available baseline,
+// round-robin and MICCO on a user-configurable workload, with the full
+// metric breakdown.
 //
 //   ./scheduler_comparison [--gpus=8] [--vector-size=64] [--repeat=0.5]
 //                          [--gaussian] [--oversub=1.0] [--tensor=384]
@@ -51,7 +50,6 @@ int main(int argc, char** argv) {
   const auto entries = compare_schedulers(
       stream, cluster,
       {SchedulerKind::kGroute, SchedulerKind::kRoundRobin,
-       SchedulerKind::kDataReuseOnly, SchedulerKind::kLoadBalanceOnly,
        SchedulerKind::kMiccoNaive});
 
   TextTable table;
@@ -78,9 +76,8 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.render().c_str());
   std::printf(
-      "\nDataReuseOnly maximises reuse hits but starves most devices "
-      "(case 1 of Fig. 2); LoadBalanceOnly and Groute keep devices busy but "
-      "re-fetch repeated tensors (case 2); MICCO trades the two off "
+      "\nGroute and RoundRobin keep devices busy but re-fetch repeated "
+      "tensors (case 2 of Fig. 2); MICCO trades reuse against balance "
       "(case 3).\n");
   return 0;
 }

@@ -6,6 +6,14 @@
 
 namespace micco {
 
+std::optional<std::int64_t> parse_int(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE) return std::nullopt;
+  return parsed;
+}
+
 CliArgs::CliArgs(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
@@ -63,14 +71,12 @@ std::int64_t CliArgs::get_int(const std::string& name,
                               std::int64_t fallback) const {
   const std::string* value = find(name);
   if (value == nullptr) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(value->c_str(), &end, 10);
-  if (value->empty() || *end != '\0' || errno == ERANGE) {
+  const std::optional<std::int64_t> parsed = parse_int(*value);
+  if (!parsed.has_value()) {
     malformed(name, *value);
     return fallback;
   }
-  return parsed;
+  return *parsed;
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {

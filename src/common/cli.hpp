@@ -14,6 +14,10 @@
 
 namespace micco {
 
+/// `text` as a base-10 integer, read in full: nullopt for "", "4x" or a
+/// value outside int64. CliArgs::get_int applies the same rule.
+std::optional<std::int64_t> parse_int(const std::string& text);
+
 class CliArgs {
  public:
   /// Parses argv. On malformed input, records an error retrievable via

@@ -9,8 +9,6 @@ const char* to_string(SchedulerKind kind) {
   switch (kind) {
     case SchedulerKind::kGroute: return "Groute";
     case SchedulerKind::kRoundRobin: return "RoundRobin";
-    case SchedulerKind::kDataReuseOnly: return "DataReuseOnly";
-    case SchedulerKind::kLoadBalanceOnly: return "LoadBalanceOnly";
     case SchedulerKind::kDmda: return "dmda";
     case SchedulerKind::kMiccoNaive: return "MICCO-naive";
     case SchedulerKind::kMiccoOptimal: return "MICCO-optimal";
@@ -25,10 +23,6 @@ std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind,
       return std::make_unique<GrouteScheduler>();
     case SchedulerKind::kRoundRobin:
       return std::make_unique<RoundRobinScheduler>();
-    case SchedulerKind::kDataReuseOnly:
-      return std::make_unique<DataReuseOnlyScheduler>();
-    case SchedulerKind::kLoadBalanceOnly:
-      return std::make_unique<LoadBalanceOnlyScheduler>();
     case SchedulerKind::kDmda:
       return std::make_unique<DmdaScheduler>();
     case SchedulerKind::kMiccoNaive:

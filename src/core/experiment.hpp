@@ -16,8 +16,6 @@ namespace micco {
 enum class SchedulerKind {
   kGroute,
   kRoundRobin,
-  kDataReuseOnly,
-  kLoadBalanceOnly,
   kDmda,          ///< StarPU-style data-aware earliest-finish baseline
   kMiccoNaive,    ///< MICCO heuristic, zero reuse bounds
   kMiccoOptimal,  ///< MICCO heuristic + regression-predicted bounds

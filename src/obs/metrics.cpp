@@ -54,14 +54,6 @@ void Histogram::absorb(const std::vector<std::uint64_t>& bucket_counts,
   sum_ += sum;
 }
 
-void Histogram::merge_from(const Histogram& other) {
-  MICCO_EXPECTS_MSG(bounds_ == other.bounds_,
-                    "histogram merge: bucket bounds differ");
-  // Copy out under the source lock, apply under our own; the two scopes
-  // never nest, so self-merge and cross-merge from any thread are safe.
-  absorb(other.bucket_counts(), other.count(), other.sum());
-}
-
 std::vector<std::uint64_t> Histogram::bucket_counts() const {
   const MutexLock lock(mutex_);
   return counts_;
@@ -220,49 +212,6 @@ JsonValue MetricsRegistry::quantile_summary() const {
     entry.set("p99",
               Histogram::quantile_from(h.upper_bounds(), counts, total, 0.99));
     histograms.set(name, std::move(entry));
-  }
-  return out;
-}
-
-namespace {
-
-std::string prometheus_name(const std::string& dotted) {
-  std::string out = "micco_";
-  for (const char c : dotted) {
-    out += c == '.' ? '_' : c;
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string MetricsRegistry::prometheus_text() const {
-  const MutexLock lock(mutex_);
-  std::string out;
-  for (const auto& [name, c] : counters_) {
-    const std::string pname = prometheus_name(name);
-    out += "# TYPE " + pname + " counter\n";
-    out += pname + " " + std::to_string(c.value()) + "\n";
-  }
-  for (const auto& [name, g] : gauges_) {
-    const std::string pname = prometheus_name(name);
-    out += "# TYPE " + pname + " gauge\n";
-    out += pname + " " + json_number(g.value()) + "\n";
-  }
-  for (const auto& [name, h] : histograms_) {
-    const std::string pname = prometheus_name(name);
-    const std::vector<std::uint64_t> counts = h.bucket_counts();
-    out += "# TYPE " + pname + " histogram\n";
-    std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < h.upper_bounds().size(); ++i) {
-      cum += counts[i];
-      out += pname + "_bucket{le=\"" + json_number(h.upper_bounds()[i]) +
-             "\"} " + std::to_string(cum) + "\n";
-    }
-    cum += counts.back();
-    out += pname + "_bucket{le=\"+Inf\"} " + std::to_string(cum) + "\n";
-    out += pname + "_sum " + json_number(h.sum()) + "\n";
-    out += pname + "_count " + std::to_string(cum) + "\n";
   }
   return out;
 }

@@ -68,11 +68,7 @@ class Histogram {
 
   void observe(double value);
 
-  /// Adds `other`'s observations to this histogram. Bucket bounds must be
-  /// identical; merging is associative and commutative (exact integer
-  /// counts, one float sum).
-  void merge_from(const Histogram& other);
-  /// Raw merge used by HistogramScratch::flush_into.
+  /// Adds pre-bucketed observations (HistogramScratch::flush_into).
   void absorb(const std::vector<std::uint64_t>& bucket_counts,
               std::uint64_t count, double sum);
 
@@ -167,11 +163,6 @@ class MetricsRegistry {
   /// Live-exposition summary: counters and gauges as in snapshot(), each
   /// histogram reduced to {count, sum, mean, p50, p90, p99}.
   JsonValue quantile_summary() const;
-
-  /// Prometheus text exposition: names prefixed "micco_" with dots mapped
-  /// to underscores, counters/gauges one sample each, histograms as
-  /// cumulative le-labelled buckets plus _sum and _count.
-  std::string prometheus_text() const;
 
  private:
   mutable Mutex mutex_{"MetricsRegistry::mutex_", kLockRankMetrics};

@@ -5,13 +5,9 @@
 // on the earliest available device to achieve good load balance" — i.e. pick
 // the device whose timeline frees up first, blind to data residency.
 //
-// The remaining schedulers are the two degenerate corners of Fig. 2 used as
-// ablations: pure data reuse (case 1) and pure load balance (case 2), plus a
-// round-robin strawman.
+// RoundRobinScheduler is a strawman that ignores both load and residency,
+// and DmdaScheduler is StarPU's data-aware earliest-finish rule.
 #pragma once
-
-#include <cstdint>
-#include <vector>
 
 #include "gpusim/cost_model.hpp"
 #include "sched/scheduler.hpp"
@@ -41,22 +37,6 @@ class RoundRobinScheduler final : public Scheduler {
   DeviceId next_ = 0;
 };
 
-/// Case 1 of Fig. 2: always chase data reuse — place the pair on a device
-/// already holding its tensors no matter how unbalanced that gets; fresh
-/// pairs go wherever the most recent placement went (maximising future
-/// locality, minimising balance).
-class DataReuseOnlyScheduler final : public Scheduler {
- public:
-  std::string name() const override { return "DataReuseOnly"; }
-  void begin_vector(const VectorWorkload& vec,
-                    const ClusterView& view) override;
-  DeviceId assign(const ContractionTask& task,
-                  const ClusterView& view) override;
-
- private:
-  DeviceId last_ = 0;
-};
-
 /// StarPU-style deque-model-data-aware (dmda) assignment: estimate each
 /// device's completion time for the incoming task — current availability
 /// plus the transfers its absent operands would need plus the kernel — and
@@ -76,21 +56,6 @@ class DmdaScheduler final : public Scheduler {
 
  private:
   CostModel cost_;
-};
-
-/// Case 2 of Fig. 2: perfect pair-count balance, blind to residency (unlike
-/// Groute it counts pairs instead of timeline time, so it stays exactly
-/// balanced even when kernels vary).
-class LoadBalanceOnlyScheduler final : public Scheduler {
- public:
-  std::string name() const override { return "LoadBalanceOnly"; }
-  void begin_vector(const VectorWorkload& vec,
-                    const ClusterView& view) override;
-  DeviceId assign(const ContractionTask& task,
-                  const ClusterView& view) override;
-
- private:
-  std::vector<std::int64_t> pair_counts_;
 };
 
 }  // namespace micco

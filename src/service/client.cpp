@@ -206,17 +206,6 @@ std::optional<obs::JsonValue> Client::submit(const std::string& tenant,
               error);
 }
 
-std::optional<obs::JsonValue> Client::submit_idempotent(
-    const std::string& tenant, const std::string& job_name,
-    const std::string& workload_text, const std::string& idem,
-    std::string* error) {
-  const std::string trace_id =
-      mint_trace_id(tenant, job_name, submit_seq_++);
-  return call(
-      make_submit_request(tenant, job_name, workload_text, trace_id, idem),
-      error);
-}
-
 std::optional<obs::JsonValue> Client::submit_retrying(
     const std::string& tenant, const std::string& job_name,
     const std::string& workload_text, const std::string& idem,
@@ -279,11 +268,6 @@ std::optional<obs::JsonValue> Client::submit_retrying(
 std::optional<obs::JsonValue> Client::status(std::uint64_t job_id,
                                              std::string* error) {
   return call(make_job_request(MessageType::kStatus, job_id), error);
-}
-
-std::optional<obs::JsonValue> Client::result(std::uint64_t job_id,
-                                             std::string* error) {
-  return call(make_job_request(MessageType::kResult, job_id), error);
 }
 
 std::optional<obs::JsonValue> Client::stats(std::string* error) {

@@ -73,14 +73,6 @@ class Client {
                                        const std::string& job_name,
                                        const std::string& workload_text,
                                        std::string* error);
-  /// submit() carrying a client-minted idempotency token: the daemon runs
-  /// the job at most once per (tenant, token), so the call is safe to
-  /// repeat after a lost reply. A duplicate answers with the original job
-  /// id and "duplicate": true.
-  std::optional<obs::JsonValue> submit_idempotent(
-      const std::string& tenant, const std::string& job_name,
-      const std::string& workload_text, const std::string& idem,
-      std::string* error);
   /// The crash-safe submit loop: one trace id and one idempotency token are
   /// minted up front, then the request is retried across timeouts and
   /// transport failures (reconnecting with backoff between attempts).
@@ -89,14 +81,14 @@ class Client {
   /// path is known. `idem` may be empty to auto-mint a token from the
   /// trace id plus per-client entropy — unique across client processes, so
   /// an independent submit of the same (tenant, name) is never mistaken
-  /// for a retry.
+  /// for a retry. The daemon runs the job at most once per (tenant, token)
+  /// and answers a duplicate with the original job id and "duplicate":
+  /// true, so a one-attempt policy is a single send that still dedupes.
   std::optional<obs::JsonValue> submit_retrying(
       const std::string& tenant, const std::string& job_name,
       const std::string& workload_text, const std::string& idem,
       const RetryPolicy& policy, std::string* error);
   std::optional<obs::JsonValue> status(std::uint64_t job_id,
-                                       std::string* error);
-  std::optional<obs::JsonValue> result(std::uint64_t job_id,
                                        std::string* error);
   std::optional<obs::JsonValue> stats(std::string* error);
   std::optional<obs::JsonValue> metrics(std::string* error);

@@ -12,8 +12,8 @@
 //
 // Crash recovery (DESIGN.md §8): the server replays its journal through
 // restore_finished() / restore_queued() before serving, so the book of
-// record survives a restart — finished jobs answer status/result again
-// (marked replayed), interrupted jobs re-enter their tenant queue in the
+// record survives a restart — finished jobs answer status again (marked
+// replayed), interrupted jobs re-enter their tenant queue in the
 // original admission order. Submits may carry a client-minted idempotency
 // token; a (tenant, token) pair already in the dedup table answers with the
 // original job id (duplicate = true) instead of admitting a second run.
@@ -53,6 +53,11 @@ const char* to_string(JobState state);
 
 /// Admission + fair-share policy knobs.
 struct AdmissionConfig {
+  /// Largest dispatch weight. A dispatch advances its tenant's stride pass
+  /// by JobManager's kStrideUnit / weight; a heavier tenant would advance
+  /// by 0, and every tenant that sorts after it would wait out its backlog.
+  static constexpr int kMaxWeight = 1 << 20;
+
   /// Queued jobs allowed per tenant; a submit beyond this rejects.
   std::size_t max_queue_per_tenant = 64;
   /// Queued jobs allowed across all tenants.
@@ -66,6 +71,10 @@ struct AdmissionConfig {
   /// finished job increments its tenant's slo_ok or slo_miss in stats();
   /// 0 disables SLO accounting.
   double slo_ms = 0.0;
+
+  /// Empty when default_weight and every tenant weight lie in
+  /// 1..kMaxWeight, else a complaint naming the first one that does not.
+  std::string validate() const;
 
   int weight_for(const std::string& tenant) const {
     const auto it = tenant_weights.find(tenant);
@@ -103,7 +112,7 @@ struct JobStatus {
 };
 
 /// Status and (when finished) result in one consistent capture — the
-/// status/result reply assembly takes exactly one lock acquisition.
+/// status reply assembly takes exactly one lock acquisition.
 struct StatusSnapshot {
   JobStatus status;
   std::optional<obs::JsonValue> result;  ///< present once DONE/FAILED
@@ -159,7 +168,7 @@ class JobManager {
 
   // -- Journal replay (server startup, before serving) ----------------------
   /// Restores a job whose finished record replayed from the journal: it
-  /// answers status/result immediately (marked replayed), is never re-run,
+  /// answers status immediately (marked replayed), is never re-run,
   /// and re-registers its idempotency token. `state` must be terminal.
   void restore_finished(std::uint64_t job_id, const std::string& tenant,
                         const std::string& name, const std::string& trace_id,
@@ -261,7 +270,9 @@ class JobManager {
     std::uint64_t slo_miss = 0;
   };
 
-  static constexpr std::uint64_t kStrideUnit = 1u << 20;
+  /// Pass advance of a weight-1 dispatch; a weight of kMaxWeight advances
+  /// by 1.
+  static constexpr std::uint64_t kStrideUnit = AdmissionConfig::kMaxWeight;
 
   SubmitOutcome reject_locked(const std::string& tenant, const char* code,
                               const std::string& reason)

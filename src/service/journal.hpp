@@ -1,13 +1,13 @@
 // Durable write-ahead journal of job lifecycle records (DESIGN.md §8).
 //
 // The daemon's crash-safety contract rests on one append-only NDJSON file:
-// every job transition that must survive a crash — admitted, dispatched,
-// finished — is appended (and, per the fsync policy, flushed to stable
-// storage) *before* the transition becomes externally visible. On restart
-// the journal is replayed in order: finished jobs answer status/result
-// again, jobs that were QUEUED or RUNNING re-enter the queue in their
-// original admission order, and a (tenant, idempotency-token) dedup table
-// is rebuilt so a client's resubmit after a lost reply never double-runs.
+// every job transition that must survive a crash — admitted, finished — is
+// appended (and, per the fsync policy, flushed to stable storage) *before*
+// the transition becomes externally visible. On restart the journal is
+// replayed in order: finished jobs answer status again, jobs that were
+// QUEUED or RUNNING re-enter the queue in their original admission order,
+// and a (tenant, idempotency-token) dedup table is rebuilt so a client's
+// resubmit after a lost reply never double-runs.
 //
 // Wire format. One record per line, wrapped in a fixed-offset checksum
 // envelope:
@@ -74,7 +74,9 @@ struct JournalConfig {
 
 enum class RecordKind {
   kAdmitted,    ///< job accepted; workload + identity made durable
-  kDispatched,  ///< job handed to the dispatcher (RUNNING at crash time)
+  /// Job handed to the dispatcher. No longer written; older journals hold
+  /// it, so the reader still parses it and replay skips it.
+  kDispatched,
   kFinished,    ///< terminal transition with retained result + digest
 };
 

@@ -8,7 +8,6 @@ const char* to_string(MessageType type) {
   switch (type) {
     case MessageType::kSubmit: return "submit";
     case MessageType::kStatus: return "status";
-    case MessageType::kResult: return "result";
     case MessageType::kDrain: return "drain";
     case MessageType::kShutdown: return "shutdown";
     case MessageType::kStats: return "stats";
@@ -20,7 +19,6 @@ const char* to_string(MessageType type) {
 std::optional<MessageType> parse_message_type(const std::string& text) {
   if (text == "submit") return MessageType::kSubmit;
   if (text == "status") return MessageType::kStatus;
-  if (text == "result") return MessageType::kResult;
   if (text == "drain") return MessageType::kDrain;
   if (text == "shutdown") return MessageType::kShutdown;
   if (text == "stats") return MessageType::kStats;
@@ -153,13 +151,12 @@ std::optional<Request> parse_request(const obs::JsonValue& doc,
       }
       break;
     }
-    case MessageType::kStatus:
-    case MessageType::kResult: {
+    case MessageType::kStatus: {
       const obs::JsonValue* id = doc.find("job_id");
       if (id == nullptr || id->kind() != obs::JsonValue::Kind::kInt ||
           id->as_int() < 0) {
         return fail(error_code::kBadRequest,
-                    "status/result need an integer 'job_id'");
+                    "status needs an integer 'job_id'");
       }
       req.job_id = static_cast<std::uint64_t>(id->as_int());
       break;

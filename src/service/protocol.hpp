@@ -10,9 +10,8 @@
 // JSON gets an error reply, and nothing on this path ever aborts the
 // daemon — external bytes are data, not contracts.
 //
-// Request types (v1): submit, status, result, drain, shutdown, stats,
-// metrics. Every response carries "ok" (bool); failures add "code" and
-// "message". Submit optionally carries a client-minted "trace" id that the
+// Request types (v1): submit, status, drain, shutdown, stats, metrics.
+// Every response carries "ok" (bool); failures add "code" and "message". Submit optionally carries a client-minted "trace" id that the
 // daemon threads through the job's whole span tree (DESIGN.md §7) and a
 // client-minted "idem" idempotency token (DESIGN.md §8): a resubmit with
 // the same (tenant, token) answers from the daemon's journaled dedup table
@@ -45,12 +44,11 @@ inline constexpr std::size_t kDefaultMaxFrameBytes = 8u * 1024u * 1024u;
 /// v1 request vocabulary.
 enum class MessageType {
   kSubmit,    ///< enqueue a workload for a tenant
-  kStatus,    ///< query one job's lifecycle state
-  kResult,    ///< fetch a finished job's result document
+  kStatus,    ///< one job's lifecycle state, and its result once finished
   kDrain,     ///< stop admitting, finish queued + in-flight work, exit
   kShutdown,  ///< stop admitting, cancel queued work, finish in-flight, exit
   kStats,     ///< per-tenant queue depths and session totals
-  kMetrics,   ///< live telemetry: uptime, quantiles, Prometheus exposition
+  kMetrics,   ///< live telemetry: uptime, job totals, registry quantiles
 };
 
 const char* to_string(MessageType type);
@@ -59,8 +57,8 @@ const char* to_string(MessageType type);
 std::optional<MessageType> parse_message_type(const std::string& text);
 
 /// One parsed v1 request. Fields are populated per type: submit fills
-/// tenant/job_name/workload_text, status and result fill job_id, the rest
-/// carry no payload.
+/// tenant/job_name/workload_text, status fills job_id, the rest carry no
+/// payload.
 struct Request {
   MessageType type = MessageType::kStats;
   std::string tenant;         ///< submit; defaults to "default"
@@ -68,7 +66,7 @@ struct Request {
   std::string workload_text;  ///< submit; micco-workload v1 text
   std::string trace_id;       ///< submit; optional client-minted trace id
   std::string idem;           ///< submit; optional idempotency token
-  std::uint64_t job_id = 0;   ///< status / result
+  std::uint64_t job_id = 0;   ///< status
 };
 
 /// Error vocabulary used in response "code" fields. Stable strings —
@@ -83,7 +81,6 @@ inline constexpr const char* kBadWorkload = "bad_workload";
 inline constexpr const char* kQueueFull = "queue_full";
 inline constexpr const char* kDraining = "draining";
 inline constexpr const char* kUnknownJob = "unknown_job";
-inline constexpr const char* kNotFinished = "not_finished";
 /// Client-side: the per-request deadline expired before a reply arrived.
 inline constexpr const char* kTimeout = "timeout";
 /// The daemon could not make the admission durable (journal append/fsync

@@ -96,6 +96,8 @@ bool Server::start(std::string* error) {
   if (!cluster_problem.empty()) return fail(cluster_problem);
   const std::string policy_problem = config_.retry.validate();
   if (!policy_problem.empty()) return fail(policy_problem);
+  const std::string admission_problem = config_.admission.validate();
+  if (!admission_problem.empty()) return fail(admission_problem);
   if (config_.faults != nullptr) {
     const std::string plan_problem =
         config_.faults->validate(config_.cluster.num_devices);
@@ -274,9 +276,10 @@ bool Server::recover_from_journal(std::string* error) {
     finished[record.job_id] = &record;
   }
 
-  // Replay admitted records in journal order. Recovery order equals journal
-  // order, so the re-run jobs dispatch exactly as a fresh session would and
-  // the --threads=1 decision log stays byte-identical.
+  // Replay admitted records in journal order (the dispatched records older
+  // daemons wrote carry nothing replay needs). Recovery order equals
+  // journal order, so the re-run jobs dispatch exactly as a fresh session
+  // would and the --threads=1 decision log stays byte-identical.
   for (const JournalRecord& record : read.records) {
     if (record.kind != RecordKind::kAdmitted) continue;
     const auto fin = finished.find(record.job_id);
@@ -374,12 +377,13 @@ void Server::request_drain() {
   dispatch_ready_.notify_all();
 }
 
-void Server::request_shutdown() {
+std::size_t Server::request_shutdown() {
   jobs_.begin_drain();
-  cancel_backlog();
+  const std::size_t cancelled = cancel_backlog();
   const MutexLock lock(state_mutex_);
   phase_ = Phase::kDraining;
   dispatch_ready_.notify_all();
+  return cancelled;
 }
 
 void Server::check_stop_flag() {
@@ -414,8 +418,7 @@ obs::JsonValue Server::handle_request(const Request& request) {
   switch (request.type) {
     case MessageType::kSubmit:
       return handle_submit(request);
-    case MessageType::kStatus:
-    case MessageType::kResult: {
+    case MessageType::kStatus: {
       // One lock acquisition captures status AND result together, so the
       // reply can never pair a RUNNING state with a result document (or a
       // DONE state with a missing one) when the dispatcher races us.
@@ -440,19 +443,9 @@ obs::JsonValue Server::handle_request(const Request& request) {
       if (status.state == JobState::kFailed && !status.error.empty()) {
         reply.set("error", status.error);
       }
-      if (request.type == MessageType::kResult) {
-        if (!snap->result.has_value()) {
-          return make_error_response(
-              error_code::kNotFinished,
-              "job " + std::to_string(request.job_id) + " is " +
-                  to_string(status.state));
-        }
-        reply.set("result", *snap->result);
-      } else if (snap->result.has_value()) {
-        // status replies include the result document once the job finished
-        // (the "per-vector scheduling stats" a DONE poll reads).
-        reply.set("result", *snap->result);
-      }
+      // The result document once the job finished (the "per-vector
+      // scheduling stats" a DONE poll reads).
+      if (snap->result.has_value()) reply.set("result", *snap->result);
       return reply;
     }
     case MessageType::kDrain: {
@@ -462,13 +455,7 @@ obs::JsonValue Server::handle_request(const Request& request) {
       return reply;
     }
     case MessageType::kShutdown: {
-      jobs_.begin_drain();
-      const std::size_t cancelled = cancel_backlog();
-      {
-        const MutexLock lock(state_mutex_);
-        phase_ = Phase::kDraining;
-        dispatch_ready_.notify_all();
-      }
+      const std::size_t cancelled = request_shutdown();
       obs::JsonValue reply = make_ok_response();
       reply.set("draining", true);
       reply.set("cancelled", static_cast<std::uint64_t>(cancelled));
@@ -488,7 +475,6 @@ obs::JsonValue Server::handle_request(const Request& request) {
       }
       reply.set("stats", jobs_.stats());
       reply.set("metrics", telemetry_.registry.quantile_summary());
-      reply.set("prometheus", telemetry_.registry.prometheus_text());
       return reply;
     }
   }
@@ -613,18 +599,6 @@ obs::JsonValue Server::handle_submit(const Request& request) {
 void Server::run_job(std::uint64_t job_id) {
   const WorkloadStream stream = jobs_.take_stream(job_id);
   const DispatchInfo info = jobs_.dispatch_info(job_id);
-
-  if (journal_.is_open()) {
-    JournalRecord record;
-    record.kind = RecordKind::kDispatched;
-    record.job_id = job_id;
-    std::string journal_error;
-    if (!journal_.append(record, &journal_error)) {
-      // Not fatal: without the dispatched record a restart re-runs the job
-      // from its admitted record, which is exactly what happens anyway.
-      log_error() << "dispatch of job " << job_id << ": " << journal_error;
-    }
-  }
 
   double submit_ms = -1.0;
   {
@@ -890,6 +864,24 @@ void Server::io_once(std::vector<std::unique_ptr<Connection>>& conns,
               conns.end());
 }
 
+void Server::flush_and_close(
+    std::vector<std::unique_ptr<Connection>>& conns) {
+  // Give queued replies (the drain acknowledgement, typically) one last
+  // chance to leave, then hang up.
+  const auto pending = [&conns] {
+    return std::any_of(conns.begin(), conns.end(),
+                       [](const std::unique_ptr<Connection>& conn) {
+                         return !conn->outbuf.empty();
+                       });
+  };
+  Stopwatch flush_watch;
+  while (pending() && flush_watch.elapsed_ms() < 500.0) io_once(conns, 10);
+  for (const std::unique_ptr<Connection>& conn : conns) {
+    if (conn->fd >= 0) ::close(conn->fd);
+  }
+  conns.clear();
+}
+
 void Server::io_loop(std::vector<std::unique_ptr<Connection>>& conns) {
   for (;;) {
     check_stop_flag();
@@ -899,21 +891,7 @@ void Server::io_loop(std::vector<std::unique_ptr<Connection>>& conns) {
     }
     io_once(conns, config_.poll_timeout_ms);
   }
-  // Give queued replies one last chance to leave, then hang up.
-  Stopwatch flush_watch;
-  bool pending = true;
-  while (pending && flush_watch.elapsed_ms() < 500.0) {
-    pending = false;
-    for (const std::unique_ptr<Connection>& conn : conns) {
-      if (!conn->outbuf.empty()) pending = true;
-    }
-    if (pending) io_once(conns, 10);
-  }
-  for (const std::unique_ptr<Connection>& conn : conns) {
-    if (conn->fd >= 0) ::close(conn->fd);
-    conn->fd = -1;
-  }
-  conns.clear();
+  flush_and_close(conns);
 }
 
 void Server::dispatcher_loop() {
@@ -950,19 +928,7 @@ void Server::serve_serial() {
     const MutexLock lock(state_mutex_);
     stopped_ = true;
   }
-  // Flush pending replies (the drain acknowledgement, typically).
-  Stopwatch flush_watch;
-  bool pending = true;
-  while (pending && flush_watch.elapsed_ms() < 500.0) {
-    pending = false;
-    for (const std::unique_ptr<Connection>& conn : conns) {
-      if (!conn->outbuf.empty()) pending = true;
-    }
-    if (pending) io_once(conns, 10);
-  }
-  for (const std::unique_ptr<Connection>& conn : conns) {
-    if (conn->fd >= 0) ::close(conn->fd);
-  }
+  flush_and_close(conns);
 }
 
 void Server::serve_parallel(int lanes) {

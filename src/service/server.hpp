@@ -24,10 +24,10 @@
 // the session run report (same schema as batch reports) and exits 0.
 //
 // Crash safety (DESIGN.md §8). With a journal configured, every admission
-// is made durable before the submit reply leaves (write-ahead), dispatch
-// and terminal transitions are journaled as they happen, and start()
-// replays an existing journal before serving: finished jobs answer again,
-// interrupted jobs re-enter the queue in admission order. Replay order
+// is made durable before the submit reply leaves (write-ahead), each
+// terminal transition is made durable before a client can observe it, and
+// start() replays an existing journal before serving: finished jobs answer
+// again, interrupted jobs re-enter the queue in admission order. Replay order
 // equals journal order, so a recovering `--threads=1` session's decision
 // log is byte-identical to an uninterrupted session running the same
 // remaining jobs.
@@ -145,9 +145,10 @@ class Server {
   int serve();
 
   /// Thread-safe in-process equivalents of the wire requests, used by
-  /// tests/benches embedding the server.
+  /// tests/benches embedding the server. request_shutdown() returns the
+  /// number of queued jobs it cancelled.
   void request_drain();
-  void request_shutdown();
+  std::size_t request_shutdown();
 
   JobManager& jobs() { return jobs_; }
   const obs::Telemetry& telemetry() const { return telemetry_; }
@@ -176,6 +177,9 @@ class Server {
   void serve_parallel(int lanes);
   void dispatcher_loop();
   void io_loop(std::vector<std::unique_ptr<Connection>>& conns);
+  /// The end of both serving loops: flush pending replies for up to 500 ms,
+  /// then close every connection.
+  void flush_and_close(std::vector<std::unique_ptr<Connection>>& conns);
   /// One poll/accept/read/write round over `conns`; returns after at most
   /// `timeout_ms`. `listener` < 0 skips accepting (lane without listener).
   void io_once(std::vector<std::unique_ptr<Connection>>& conns,

@@ -69,65 +69,10 @@ TEST(RoundRobin, CyclesThroughDevices) {
   EXPECT_EQ(sched.assign(make_task(6, 7, 13), sim), 0);
 }
 
-TEST(DataReuseOnly, FollowsDataWhereverItIs) {
-  DataReuseOnlyScheduler sched;
-  ClusterSimulator sim(cluster_of(2));
-  sim.execute(make_task(0, 1, 2), 1);
-  // Both operands on device 1 -> must go there, regardless of balance.
-  EXPECT_EQ(sched.assign(make_task(0, 1, 3), sim), 1);
-  // One operand on device 1 -> still follows it.
-  EXPECT_EQ(sched.assign(make_task(0, 9, 4), sim), 1);
-}
-
-TEST(DataReuseOnly, FreshPairsStickToLastDevice) {
-  DataReuseOnlyScheduler sched;
-  ClusterSimulator sim(cluster_of(4));
-  const DeviceId first = sched.assign(make_task(0, 1, 10), sim);
-  sim.execute(make_task(0, 1, 10), first);
-  // Fresh pair: stays on the same device (no balancing at all).
-  EXPECT_EQ(sched.assign(make_task(2, 3, 11), sim), first);
-}
-
-TEST(DataReuseOnly, PrefersDeviceWithBothOperands) {
-  DataReuseOnlyScheduler sched;
-  ClusterSimulator sim(cluster_of(3));
-  sim.execute(make_task(0, 5, 6), 1);  // tensor 0 on device 1
-  sim.execute(make_task(0, 1, 7), 2);  // tensors 0 and 1 on device 2
-  EXPECT_EQ(sched.assign(make_task(0, 1, 8), sim), 2);
-}
-
-TEST(LoadBalanceOnly, PerfectPairCounts) {
-  LoadBalanceOnlyScheduler sched;
-  ClusterSimulator sim(cluster_of(2));
-  VectorWorkload v;
-  for (TensorId i = 0; i < 8; i += 2) v.tasks.push_back(make_task(i, i + 1, 50 + i));
-  sched.begin_vector(v, sim);
-  std::vector<int> counts(2, 0);
-  for (const ContractionTask& t : v.tasks) {
-    const DeviceId d = sched.assign(t, sim);
-    ++counts[static_cast<std::size_t>(d)];
-    sim.execute(t, d);
-  }
-  EXPECT_EQ(counts[0], 2);
-  EXPECT_EQ(counts[1], 2);
-}
-
-TEST(LoadBalanceOnly, ResetsEachVector) {
-  LoadBalanceOnlyScheduler sched;
-  ClusterSimulator sim(cluster_of(2));
-  VectorWorkload v;
-  v.tasks = {make_task(0, 1, 10)};
-  sched.begin_vector(v, sim);
-  EXPECT_EQ(sched.assign(v.tasks[0], sim), 0);
-  sched.begin_vector(v, sim);
-  EXPECT_EQ(sched.assign(v.tasks[0], sim), 0);  // counts reset, device 0 again
-}
-
 TEST(Baselines, NamesAreStable) {
   EXPECT_EQ(GrouteScheduler{}.name(), "Groute");
   EXPECT_EQ(RoundRobinScheduler{}.name(), "RoundRobin");
-  EXPECT_EQ(DataReuseOnlyScheduler{}.name(), "DataReuseOnly");
-  EXPECT_EQ(LoadBalanceOnlyScheduler{}.name(), "LoadBalanceOnly");
+  EXPECT_EQ(DmdaScheduler{}.name(), "dmda");
 }
 
 }  // namespace

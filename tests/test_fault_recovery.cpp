@@ -261,9 +261,8 @@ TEST(FaultRecovery, InvalidPlanForClusterIsStructuredError) {
 // --------------------------------------------------- scheduler-side property
 
 std::vector<SchedulerKind> all_scheduler_kinds() {
-  return {SchedulerKind::kGroute,          SchedulerKind::kRoundRobin,
-          SchedulerKind::kDataReuseOnly,   SchedulerKind::kLoadBalanceOnly,
-          SchedulerKind::kDmda,            SchedulerKind::kMiccoNaive,
+  return {SchedulerKind::kGroute, SchedulerKind::kRoundRobin,
+          SchedulerKind::kDmda, SchedulerKind::kMiccoNaive,
           SchedulerKind::kMiccoOptimal};
 }
 

@@ -196,6 +196,42 @@ TEST(JobManager, IdleTenantCannotBankCredit) {
   EXPECT_EQ(order, expected);
 }
 
+TEST(JobManager, MaxWeightTenantStillLetsOthersThrough) {
+  // At the largest weight a dispatch still advances the tenant's pass (by
+  // 1), so a weight-1 tenant behind a 20-job backlog dispatches second.
+  AdmissionConfig config;
+  config.tenant_weights["alice"] = AdmissionConfig::kMaxWeight;
+  ASSERT_EQ(config.validate(), "");
+  JobManager jobs(config);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(jobs.submit("alice", "", tiny_stream()).admitted);
+  }
+  ASSERT_TRUE(jobs.submit("bob", "", tiny_stream()).admitted);
+  std::vector<std::string> order;
+  while (const auto id = jobs.next_job()) {
+    order.push_back(jobs.status(*id)->tenant);
+    jobs.complete(*id, obs::JsonValue::object(), queue_only(0.0));
+  }
+  ASSERT_EQ(order.size(), 21u);
+  EXPECT_EQ(order[1], "bob");
+}
+
+TEST(JobManager, AdmissionConfigBoundsEveryWeight) {
+  AdmissionConfig config;
+  EXPECT_EQ(config.validate(), "");
+  for (const int weight : {0, -1, AdmissionConfig::kMaxWeight + 1}) {
+    config.tenant_weights["bob"] = weight;
+    EXPECT_NE(config.validate().find("tenant 'bob' has weight " +
+                                     std::to_string(weight)),
+              std::string::npos)
+        << config.validate();
+  }
+  config.tenant_weights.clear();
+  config.default_weight = 0;
+  EXPECT_NE(config.validate().find("default weight"), std::string::npos)
+      << config.validate();
+}
+
 TEST(JobManager, StatsAndMetricsAccounting) {
   obs::MetricsRegistry registry;
   AdmissionConfig config;

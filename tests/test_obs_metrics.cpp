@@ -156,37 +156,7 @@ TEST(ObsMetrics, QuantileFromMatchesMemberQuantile) {
   }
 }
 
-// -- merge / scratch --------------------------------------------------------
-
-TEST(ObsMetrics, MergeIsAssociativeAndExact) {
-  const std::vector<double> bounds{1.0, 10.0, 100.0};
-  Histogram a(bounds);
-  Histogram b(bounds);
-  Histogram c(bounds);
-  for (const double v : {0.1, 5.0}) a.observe(v);
-  for (const double v : {50.0, 500.0}) b.observe(v);
-  c.observe(7.5);
-
-  // (a ⊕ b) ⊕ c  vs  a ⊕ (b ⊕ c), materialised via fresh accumulators.
-  Histogram left(bounds);
-  left.merge_from(a);
-  left.merge_from(b);
-  left.merge_from(c);
-  Histogram right_tail(bounds);
-  right_tail.merge_from(b);
-  right_tail.merge_from(c);
-  Histogram right(bounds);
-  right.merge_from(a);
-  right.merge_from(right_tail);
-
-  EXPECT_EQ(left.bucket_counts(), right.bucket_counts());
-  EXPECT_EQ(left.count(), right.count());
-  EXPECT_EQ(left.count(), 5u);
-  EXPECT_DOUBLE_EQ(left.sum(), right.sum());
-  for (const double q : {0.5, 0.9, 0.99}) {
-    EXPECT_DOUBLE_EQ(left.quantile(q), right.quantile(q));
-  }
-}
+// -- scratch ----------------------------------------------------------------
 
 TEST(ObsMetrics, ScratchFlushMatchesDirectObservation) {
   const std::vector<double> bounds{1.0, 10.0};
@@ -226,32 +196,6 @@ TEST(ObsMetrics, QuantileSummaryReducesHistograms) {
   EXPECT_DOUBLE_EQ(entry.at("p50").as_double(), h.quantile(0.5));
   EXPECT_DOUBLE_EQ(entry.at("p90").as_double(), h.quantile(0.9));
   EXPECT_DOUBLE_EQ(entry.at("p99").as_double(), h.quantile(0.99));
-}
-
-TEST(ObsMetrics, PrometheusTextExposesAllKinds) {
-  MetricsRegistry reg;
-  reg.counter("svc.requests").add(2);
-  reg.gauge("svc.depth").set(1.5);
-  Histogram& h = reg.histogram("lat.ms", {1.0, 10.0});
-  h.observe(0.5);
-  h.observe(99.0);
-
-  const std::string text = reg.prometheus_text();
-  // Dots map to underscores under the micco_ prefix.
-  EXPECT_NE(text.find("# TYPE micco_svc_requests counter"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("micco_svc_requests 2"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE micco_svc_depth gauge"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE micco_lat_ms histogram"), std::string::npos);
-  // Cumulative buckets with the +Inf catch-all, plus _sum and _count.
-  EXPECT_NE(text.find("micco_lat_ms_bucket{le=\"1\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("micco_lat_ms_bucket{le=\"10\"} 1"),
-            std::string::npos);
-  EXPECT_NE(text.find("micco_lat_ms_bucket{le=\"+Inf\"} 2"),
-            std::string::npos);
-  EXPECT_NE(text.find("micco_lat_ms_count 2"), std::string::npos);
-  EXPECT_NE(text.find("micco_lat_ms_sum 99.5"), std::string::npos);
 }
 
 // -- concurrency (suite name starts with "Parallel" so ci.sh runs it under

@@ -188,8 +188,6 @@ TEST(Comparison, SchedulerKindNames) {
 TEST(Comparison, MakeSchedulerProducesCorrectTypes) {
   EXPECT_EQ(make_scheduler(SchedulerKind::kGroute)->name(), "Groute");
   EXPECT_EQ(make_scheduler(SchedulerKind::kMiccoNaive)->name(), "MICCO");
-  EXPECT_EQ(make_scheduler(SchedulerKind::kDataReuseOnly)->name(),
-            "DataReuseOnly");
 }
 
 }  // namespace

@@ -65,8 +65,7 @@ TEST_P(SchedulerProperties, AllWorkIsConservedUnderEveryScheduler) {
   const WorkloadStream stream = make_stream();
   for (const SchedulerKind kind :
        {SchedulerKind::kGroute, SchedulerKind::kRoundRobin,
-        SchedulerKind::kMiccoNaive, SchedulerKind::kDataReuseOnly,
-        SchedulerKind::kLoadBalanceOnly}) {
+        SchedulerKind::kMiccoNaive}) {
     const std::unique_ptr<Scheduler> sched = make_scheduler(kind);
     const RunResult r = run_stream(stream, *sched, make_cluster());
     EXPECT_EQ(r.metrics.total_flops, stream.total_flops())

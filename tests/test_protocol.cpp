@@ -167,14 +167,15 @@ TEST(Protocol, ParseDefaultsSubmitTenant) {
 
 TEST(Protocol, MessageTypeNamesRoundTrip) {
   for (const MessageType type :
-       {MessageType::kSubmit, MessageType::kStatus, MessageType::kResult,
-        MessageType::kDrain, MessageType::kShutdown, MessageType::kStats,
-        MessageType::kMetrics}) {
+       {MessageType::kSubmit, MessageType::kStatus, MessageType::kDrain,
+        MessageType::kShutdown, MessageType::kStats, MessageType::kMetrics}) {
     const auto parsed = parse_message_type(to_string(type));
     ASSERT_TRUE(parsed.has_value()) << to_string(type);
     EXPECT_EQ(*parsed, type);
   }
   EXPECT_FALSE(parse_message_type("nope").has_value());
+  // `status` carries a finished job's result; there is no `result` verb.
+  EXPECT_FALSE(parse_message_type("result").has_value());
 }
 
 TEST(Protocol, MetricsRequestRoundTrips) {

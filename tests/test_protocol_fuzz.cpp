@@ -22,13 +22,14 @@ namespace {
 
 using namespace harness;
 
-/// A pool of valid request frames to mutate.
+/// A pool of request frames to mutate, among them the `result` frame of a
+/// verb the daemon no longer has (answered unknown_type).
 std::vector<std::string> valid_frames() {
   return {
       encode_frame(make_submit_request("alice", "j", workload_text(3),
                                        "t-1-0", "tok")),
       encode_frame(make_job_request(MessageType::kStatus, 1)),
-      encode_frame(make_job_request(MessageType::kResult, 2)),
+      R"({"v":1,"type":"result","job_id":2})" "\n",
       encode_frame(make_plain_request(MessageType::kStats)),
       encode_frame(make_plain_request(MessageType::kMetrics)),
   };

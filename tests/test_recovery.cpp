@@ -1,13 +1,16 @@
 // Restart recovery of the scheduling daemon (DESIGN.md §8): a second
-// Server session replaying the journal of a first one. Finished jobs answer
-// status/result again, interrupted jobs re-run with a byte-identical
-// decision log and span trace, idempotent resubmits dedupe across the
-// restart, an admission that fails the structure check replays as FAILED,
-// and a torn journal tail is dropped and truncated before serving
-// continues.
+// Server session replaying the journal of a first one. A finished job
+// journals exactly [admitted, finished] and answers status again,
+// interrupted jobs re-run with a byte-identical decision log and span
+// trace (also from a journal holding the `dispatched` records older daemons
+// wrote), idempotent resubmits dedupe across the restart, an admission that
+// fails the structure check replays as FAILED, and a torn journal tail is
+// dropped and truncated before serving continues.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,6 +30,26 @@ std::vector<RecordKind> journal_kinds(const std::string& path) {
     kinds.push_back(record.kind);
   }
   return kinds;
+}
+
+/// A registry counter from a `metrics` reply; 0 when it was never created.
+std::int64_t served_counter(const obs::JsonValue& metrics_reply,
+                            const char* name) {
+  const obs::JsonValue* counter =
+      metrics_reply.at("metrics").at("counters").find(name);
+  return counter == nullptr ? 0 : counter->as_int();
+}
+
+/// submit_retrying with one attempt: a single send carrying `idem`.
+std::optional<obs::JsonValue> submit_once(Client& client,
+                                          const std::string& tenant,
+                                          const std::string& name,
+                                          const std::string& workload,
+                                          const std::string& idem,
+                                          std::string* error) {
+  RetryPolicy once;
+  once.max_attempts = 1;
+  return client.submit_retrying(tenant, name, workload, idem, once, error);
 }
 
 TEST(Recovery, FinishedJobsAnswerAfterRestart) {
@@ -49,20 +72,24 @@ TEST(Recovery, FinishedJobsAnswerAfterRestart) {
     ASSERT_TRUE(submitted.has_value()) << error;
     ASSERT_TRUE(submitted->at("ok").as_bool()) << submitted->dump();
     EXPECT_EQ(wait_for_job(client, 1).at("state").as_string(), "DONE");
+    // Two appends for the one job: its admission and its finish.
+    const auto reply = client.metrics(&error);
+    ASSERT_TRUE(reply.has_value()) << error;
+    EXPECT_EQ(served_counter(*reply, obs::names::kServiceJournalRecords), 2);
     ASSERT_TRUE(client.drain(&error).has_value()) << error;
     client.close();
     EXPECT_EQ(session.join(), 0);
   }
 
-  // The journal recorded the whole lifecycle, write-ahead first.
+  // The journal recorded the lifecycle, write-ahead first, and nothing a
+  // replay does not read.
   const std::vector<RecordKind> kinds = journal_kinds(journal);
-  ASSERT_EQ(kinds.size(), 3u);
+  ASSERT_EQ(kinds.size(), 2u);
   EXPECT_EQ(kinds[0], RecordKind::kAdmitted);
-  EXPECT_EQ(kinds[1], RecordKind::kDispatched);
-  EXPECT_EQ(kinds[2], RecordKind::kFinished);
+  EXPECT_EQ(kinds[1], RecordKind::kFinished);
 
-  // Session 2: replay. The finished job answers status and result without
-  // re-running, flagged as replayed.
+  // Session 2: replay. The finished job answers status, result included,
+  // without re-running, flagged as replayed.
   {
     const std::string socket = test_socket_path("fin2");
     ServerConfig config;
@@ -79,12 +106,8 @@ TEST(Recovery, FinishedJobsAnswerAfterRestart) {
     ASSERT_TRUE(status->at("ok").as_bool()) << status->dump();
     EXPECT_EQ(status->at("state").as_string(), "DONE");
     EXPECT_TRUE(status->at("replayed").as_bool()) << status->dump();
-
-    const auto result = client.result(1, &error);
-    ASSERT_TRUE(result.has_value()) << error;
-    ASSERT_TRUE(result->at("ok").as_bool()) << result->dump();
-    EXPECT_TRUE(result->at("result").at("completed").as_bool());
-    EXPECT_GT(result->at("result").at("makespan_s").as_double(), 0.0);
+    EXPECT_TRUE(status->at("result").at("completed").as_bool());
+    EXPECT_GT(status->at("result").at("makespan_s").as_double(), 0.0);
 
     // stats() is the one book of job totals: it counts the replayed job
     // as submitted, admitted and completed, and the registry restates
@@ -114,6 +137,12 @@ TEST(Recovery, FinishedJobsAnswerAfterRestart) {
 }
 
 TEST(Recovery, InterruptedJobRerunsByteIdentically) {
+  // The journal compatibility case: the crashed journal below is written
+  // by hand the way older daemons wrote it, with a `dispatched` record
+  // after the admission. Replay must read that record and skip it — not
+  // truncate the journal there — both while the job is interrupted and
+  // once it has finished.
+  //
   // Reference: an uninterrupted session running the job, logging decisions
   // and spans.
   const std::string ref_decisions = tmp_file_path("ref.decisions");
@@ -141,7 +170,7 @@ TEST(Recovery, InterruptedJobRerunsByteIdentically) {
     EXPECT_EQ(session.join(), 0);
   }
 
-  // Crash simulation: a journal holding the admitted (and dispatched)
+  // Crash simulation: a journal holding the admitted and dispatched
   // records but no finished one — the daemon died mid-run.
   const std::string journal = tmp_file_path("redo.journal");
   {
@@ -198,12 +227,37 @@ TEST(Recovery, InterruptedJobRerunsByteIdentically) {
   EXPECT_NE(extra.find(obs::names::kSpanJournalReplay), std::string::npos);
   EXPECT_EQ(extra.find('\n'), extra.size() - 1);
 
-  // The journal now closes the story: ... dispatched, finished(DONE).
+  // The journal now closes the story: admitted, dispatched, finished(DONE).
   const JournalReadResult replayed = read_journal_file(journal);
   EXPECT_FALSE(replayed.truncated) << replayed.note;
-  ASSERT_GE(replayed.records.size(), 4u);
-  EXPECT_EQ(replayed.records.back().kind, RecordKind::kFinished);
-  EXPECT_EQ(replayed.records.back().state, "DONE");
+  ASSERT_EQ(replayed.records.size(), 3u);
+  EXPECT_EQ(replayed.records[1].kind, RecordKind::kDispatched);
+  EXPECT_EQ(replayed.records[2].kind, RecordKind::kFinished);
+  EXPECT_EQ(replayed.records[2].state, "DONE");
+
+  // A second restart answers DONE from that journal, flagged replayed, and
+  // runs nothing.
+  const std::string done_decisions = tmp_file_path("done.decisions");
+  {
+    const std::string socket = test_socket_path("done");
+    ServerConfig config;
+    config.socket_path = socket;
+    config.cluster.num_devices = 4;
+    config.journal.path = journal;
+    config.decisions_path = done_decisions;
+    ServeSession session(std::move(config));
+    ASSERT_TRUE(session.begin(&error)) << error;
+    Client client;
+    ASSERT_TRUE(client.connect(socket, &error)) << error;
+    const auto status = client.status(1, &error);
+    ASSERT_TRUE(status.has_value()) << error;
+    EXPECT_EQ(status->at("state").as_string(), "DONE") << status->dump();
+    EXPECT_TRUE(status->at("replayed").as_bool()) << status->dump();
+    ASSERT_TRUE(client.drain(&error).has_value()) << error;
+    client.close();
+    EXPECT_EQ(session.join(), 0);
+  }
+  EXPECT_EQ(read_file(done_decisions), "");
 }
 
 TEST(Recovery, IdempotentResubmitRunsExactlyOnceAcrossRestart) {
@@ -222,26 +276,23 @@ TEST(Recovery, IdempotentResubmitRunsExactlyOnceAcrossRestart) {
     Client client;
     ASSERT_TRUE(client.connect(socket, &error)) << error;
 
-    const auto first = client.submit_idempotent("alice", "once",
-                                                workload_text(31), "tok-1",
-                                                &error);
+    const auto first = submit_once(client, "alice", "once",
+                                   workload_text(31), "tok-1", &error);
     ASSERT_TRUE(first.has_value()) << error;
     ASSERT_TRUE(first->at("ok").as_bool()) << first->dump();
     EXPECT_EQ(first->at("job_id").as_int(), 1);
     EXPECT_EQ(first->find("duplicate"), nullptr);
 
-    const auto again = client.submit_idempotent("alice", "once",
-                                                workload_text(31), "tok-1",
-                                                &error);
+    const auto again = submit_once(client, "alice", "once",
+                                   workload_text(31), "tok-1", &error);
     ASSERT_TRUE(again.has_value()) << error;
     ASSERT_TRUE(again->at("ok").as_bool()) << again->dump();
     EXPECT_EQ(again->at("job_id").as_int(), 1);
     EXPECT_TRUE(again->at("duplicate").as_bool());
 
     // Same token, different tenant → an independent job, not a duplicate.
-    const auto other = client.submit_idempotent("bob", "once",
-                                                workload_text(31), "tok-1",
-                                                &error);
+    const auto other = submit_once(client, "bob", "once", workload_text(31),
+                                   "tok-1", &error);
     ASSERT_TRUE(other.has_value()) << error;
     ASSERT_TRUE(other->at("ok").as_bool()) << other->dump();
     EXPECT_EQ(other->at("job_id").as_int(), 2);
@@ -266,9 +317,8 @@ TEST(Recovery, IdempotentResubmitRunsExactlyOnceAcrossRestart) {
     Client client;
     ASSERT_TRUE(client.connect(socket, &error)) << error;
 
-    const auto resubmit = client.submit_idempotent("alice", "once",
-                                                   workload_text(31), "tok-1",
-                                                   &error);
+    const auto resubmit = submit_once(client, "alice", "once",
+                                      workload_text(31), "tok-1", &error);
     ASSERT_TRUE(resubmit.has_value()) << error;
     ASSERT_TRUE(resubmit->at("ok").as_bool()) << resubmit->dump();
     EXPECT_EQ(resubmit->at("job_id").as_int(), 1);
@@ -276,16 +326,18 @@ TEST(Recovery, IdempotentResubmitRunsExactlyOnceAcrossRestart) {
     EXPECT_EQ(resubmit->at("state").as_string(), "DONE");
     EXPECT_TRUE(resubmit->at("replayed").as_bool());
 
-    const auto stats = client.stats(&error);
-    ASSERT_TRUE(stats.has_value()) << error;
-    EXPECT_EQ(stats->at("stats").at("duplicates").as_int(), 1);
+    const auto reply = client.metrics(&error);
+    ASSERT_TRUE(reply.has_value()) << error;
+    EXPECT_EQ(reply->at("stats").at("duplicates").as_int(), 1);
+    // Nothing ran in this session.
+    EXPECT_EQ(served_counter(*reply, obs::names::kServiceDispatched), 0);
     ASSERT_TRUE(client.drain(&error).has_value()) << error;
     client.close();
     EXPECT_EQ(session.join(), 0);
   }
 
-  // Exactly-once across both sessions: one dispatch of job 1, one DONE
-  // finished record for it, in the whole journal.
+  // Exactly-once across both sessions: one DONE finished record for job 1
+  // in the whole journal, and no dispatched record.
   int dispatched_job1 = 0;
   int finished_job1 = 0;
   for (const JournalRecord& record : read_journal_file(journal).records) {
@@ -293,7 +345,7 @@ TEST(Recovery, IdempotentResubmitRunsExactlyOnceAcrossRestart) {
     if (record.kind == RecordKind::kDispatched) ++dispatched_job1;
     if (record.kind == RecordKind::kFinished) ++finished_job1;
   }
-  EXPECT_EQ(dispatched_job1, 1);
+  EXPECT_EQ(dispatched_job1, 0);
   EXPECT_EQ(finished_job1, 1);
 }
 
@@ -340,8 +392,8 @@ TEST(Recovery, OrphanedFinishedRecordNeverSettlesALaterAdmission) {
   }
 
   // A finished record that FOLLOWS the admission settles it as usual: the
-  // re-run above appended dispatched + finished(DONE), so a second replay
-  // answers DONE without re-running.
+  // re-run above appended finished(DONE), so a second replay answers DONE
+  // without re-running.
   {
     const std::string socket = test_socket_path("orphan2");
     ServerConfig config;
@@ -411,7 +463,8 @@ TEST(Recovery, TornTailIsDroppedAndServingContinues) {
   const std::string journal = tmp_file_path("torn.journal");
   std::string error;
 
-  // An admitted record followed by a torn half-append.
+  // An admitted record followed by a torn half-append (a dispatched record,
+  // as older daemons wrote one after each admission).
   JournalRecord admitted;
   admitted.kind = RecordKind::kAdmitted;
   admitted.job_id = 1;
@@ -446,14 +499,13 @@ TEST(Recovery, TornTailIsDroppedAndServingContinues) {
   }
 
   // The tail was truncated before appending: the journal reads back clean,
-  // with the re-run's records following the intact prefix directly.
+  // with the re-run's finished record following the intact prefix directly.
   const JournalReadResult read = read_journal_file(journal);
   EXPECT_FALSE(read.truncated) << read.note;
-  ASSERT_EQ(read.records.size(), 3u);
+  ASSERT_EQ(read.records.size(), 2u);
   EXPECT_EQ(read.records[0].kind, RecordKind::kAdmitted);
-  EXPECT_EQ(read.records[1].kind, RecordKind::kDispatched);
-  EXPECT_EQ(read.records[2].kind, RecordKind::kFinished);
-  EXPECT_EQ(read.records[2].state, "DONE");
+  EXPECT_EQ(read.records[1].kind, RecordKind::kFinished);
+  EXPECT_EQ(read.records[1].state, "DONE");
 }
 
 }  // namespace

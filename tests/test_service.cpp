@@ -1,6 +1,6 @@
 // End-to-end tests of the scheduling daemon: a real Server on a Unix-domain
-// socket, driven through the Client library — submit/status/result/stats/
-// drain, deterministic serving (byte-identical decision logs and span
+// socket, driven through the Client library — submit/status/stats/drain,
+// deterministic serving (byte-identical decision logs and span
 // traces across sessions), trace-id propagation into the span file, the
 // metrics verb against offline trace recomputation, injected-clock latency
 // accounting, concurrent submits from many client threads, oversized-frame
@@ -65,16 +65,25 @@ TEST(Service, EndToEndSubmitStatusResultDrain) {
   EXPECT_EQ(final_status.at("tenant").as_string(), "alice");
   EXPECT_EQ(final_status.at("job_name").as_string(), "first-job");
 
-  // The result document is available both piggybacked on status and via a
-  // dedicated result request.
-  const auto result_reply = client.result(job_id, &error);
-  ASSERT_TRUE(result_reply.has_value()) << error;
-  ASSERT_TRUE(result_reply->at("ok").as_bool()) << result_reply->dump();
-  const obs::JsonValue& result = result_reply->at("result");
+  // A finished job's status carries its result document.
+  const obs::JsonValue& result = final_status.at("result");
   EXPECT_TRUE(result.at("completed").as_bool());
   EXPECT_GT(result.at("makespan_s").as_double(), 0.0);
   EXPECT_GT(result.at("gflops").as_double(), 0.0);
   EXPECT_EQ(result.at("vectors").as_int(), 1);
+
+  // `status` is the one read of a job: a `result` request is an unknown
+  // type, and the connection answers the next request.
+  const std::string result_frame =
+      R"({"v":1,"type":"result","job_id":1})" "\n";
+  ASSERT_TRUE(client.send_raw(result_frame, &error)) << error;
+  const auto result_reply = client.read_reply(&error);
+  ASSERT_TRUE(result_reply.has_value()) << error;
+  EXPECT_FALSE(result_reply->at("ok").as_bool());
+  EXPECT_EQ(result_reply->at("code").as_string(), error_code::kUnknownType);
+  const auto status_again = client.status(job_id, &error);
+  ASSERT_TRUE(status_again.has_value()) << error;
+  EXPECT_EQ(status_again->at("state").as_string(), "DONE");
 
   // Unknown job → structured error, connection stays usable.
   const auto unknown = client.status(999, &error);
@@ -82,8 +91,6 @@ TEST(Service, EndToEndSubmitStatusResultDrain) {
   EXPECT_FALSE(unknown->at("ok").as_bool());
   EXPECT_EQ(unknown->at("code").as_string(), error_code::kUnknownJob);
 
-  // Result of a queued-but-unfinished job → not_finished. Submit during
-  // normal serving, then query result immediately after drain begins.
   const auto stats = client.stats(&error);
   ASSERT_TRUE(stats.has_value()) << error;
   EXPECT_EQ(stats->at("stats").at("completed").as_int(), 1);
@@ -263,11 +270,11 @@ TEST(Service, MetricsVerbQuantilesMatchOfflineTraceRecomputation) {
       metrics_reply->at("metrics").at("histograms").at(
           obs::names::tenant_metric("alice", obs::names::kTenantJobSimMs));
   EXPECT_EQ(served.at("count").as_int(), 4);
-  // The Prometheus exposition carries the same series.
-  const std::string prom = metrics_reply->at("prometheus").as_string();
-  EXPECT_NE(prom.find("micco_service_tenant_alice_job_sim_ms_bucket"),
-            std::string::npos)
-      << prom;
+  // The reply renders the registry once, as the structured summary.
+  for (const char* field : {"uptime_s", "stats", "metrics"}) {
+    EXPECT_NE(metrics_reply->find(field), nullptr) << field;
+  }
+  EXPECT_EQ(metrics_reply->find("prometheus"), nullptr);
 
   ASSERT_TRUE(client.drain(&error).has_value()) << error;
   client.close();
@@ -811,6 +818,21 @@ TEST(Service, ZeroGpuServerDoesNotStart) {
   EXPECT_NE(error.find("num_devices"), std::string::npos) << error;
   Client client;
   EXPECT_FALSE(client.connect(test_socket_path("nogpus"), &error));
+}
+
+TEST(Service, OverweightTenantDoesNotStart) {
+  // A tenant weight above AdmissionConfig::kMaxWeight would stride 0: its
+  // pass would never advance, and every tenant that sorts after it would
+  // wait out its whole backlog. Refused before the socket is bound.
+  ServerConfig config;
+  config.socket_path = test_socket_path("heavy");
+  config.admission.tenant_weights["alice"] = 1 << 21;
+  Server server(std::move(config));
+  std::string error;
+  EXPECT_FALSE(server.start(&error));
+  EXPECT_NE(error.find("tenant 'alice'"), std::string::npos) << error;
+  Client client;
+  EXPECT_FALSE(client.connect(test_socket_path("heavy"), &error));
 }
 
 TEST(Service, ClientDeadlineExpiresAsStructuredTimeout) {

@@ -33,7 +33,6 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -668,7 +667,9 @@ int cmd_faults(const CliArgs& args) {
   return 0;
 }
 
-/// Parses --weights=tenant:w,tenant:w into the admission config.
+/// Parses --weights=tenant:w,tenant:w into the admission config; false for
+/// an entry with no tenant or a weight that is not an int read in full
+/// (`2x`). AdmissionConfig::validate checks the weights' range.
 bool parse_weights(const std::string& spec,
                    std::map<std::string, int>* weights) {
   std::stringstream list(spec);
@@ -676,9 +677,12 @@ bool parse_weights(const std::string& spec,
   while (std::getline(list, entry, ',')) {
     const std::size_t colon = entry.find(':');
     if (colon == std::string::npos || colon == 0) return false;
-    const int weight = std::atoi(entry.c_str() + colon + 1);
-    if (weight <= 0) return false;
-    (*weights)[entry.substr(0, colon)] = weight;
+    const std::optional<std::int64_t> weight =
+        parse_int(entry.substr(colon + 1));
+    if (!weight.has_value() || *weight != static_cast<int>(*weight)) {
+      return false;
+    }
+    (*weights)[entry.substr(0, colon)] = static_cast<int>(*weight);
   }
   return true;
 }
@@ -726,9 +730,10 @@ int cmd_serve(const CliArgs& args) {
   if (!weights.empty() &&
       !parse_weights(weights, &cfg.admission.tenant_weights)) {
     std::fprintf(stderr,
-                 "serve: --weights wants tenant:w,tenant:w with w > 0\n");
+                 "serve: --weights wants tenant:w,tenant:w with integer w\n");
     return 2;
   }
+  if (rejected("serve", cfg.admission.validate())) return 2;
   cfg.admission.slo_ms = args.get_double("slo-ms", 0.0);
   const std::optional<mem::EvictPolicyKind> policy_kind =
       evict_policy_flag(args, "serve");
@@ -852,16 +857,13 @@ int cmd_submit(const CliArgs& args) {
     return 1;
   }
   // --retry-max selects the crash-safe loop (reconnect + resend under one
-  // idempotency token); --idem alone sends once but dedupes server-side.
-  std::optional<obs::JsonValue> reply;
-  if (retry_max > 0) {
-    reply =
-        client.submit_retrying(tenant, name, text.str(), idem, policy, &error);
-  } else if (!idem.empty()) {
-    reply = client.submit_idempotent(tenant, name, text.str(), idem, &error);
-  } else {
-    reply = client.submit(tenant, name, text.str(), &error);
-  }
+  // idempotency token); --idem alone is that loop's one attempt: a single
+  // send that still dedupes server-side.
+  std::optional<obs::JsonValue> reply =
+      retry_max > 0 || !idem.empty()
+          ? client.submit_retrying(tenant, name, text.str(), idem, policy,
+                                   &error)
+          : client.submit(tenant, name, text.str(), &error);
   if (!reply.has_value()) {
     std::fprintf(stderr, "submit: %s\n", error.c_str());
     return 1;
@@ -911,20 +913,25 @@ int cmd_status(const CliArgs& args) {
     std::fprintf(stderr, "status: --socket is required\n");
     return 2;
   }
+  std::optional<std::int64_t> job_id;
+  if (args.positional().size() >= 2) {
+    job_id = parse_int(args.positional()[1]);
+    if (!job_id.has_value() || *job_id < 0) {
+      std::fprintf(stderr, "status: malformed job id '%s'\n",
+                   args.positional()[1].c_str());
+      return 2;
+    }
+  }
   service::Client client;
   std::string error;
   if (!client.connect(socket, &error)) {
     std::fprintf(stderr, "status: %s\n", error.c_str());
     return 1;
   }
-  std::optional<obs::JsonValue> reply;
-  if (args.positional().size() >= 2) {
-    const std::uint64_t job_id =
-        std::strtoull(args.positional()[1].c_str(), nullptr, 10);
-    reply = client.status(job_id, &error);
-  } else {
-    reply = client.stats(&error);
-  }
+  const std::optional<obs::JsonValue> reply =
+      job_id.has_value()
+          ? client.status(static_cast<std::uint64_t>(*job_id), &error)
+          : client.stats(&error);
   if (!reply.has_value()) {
     std::fprintf(stderr, "status: %s\n", error.c_str());
     return 1;
