@@ -72,7 +72,6 @@ TEST(RoundRobin, CyclesThroughDevices) {
 TEST(Baselines, NamesAreStable) {
   EXPECT_EQ(GrouteScheduler{}.name(), "Groute");
   EXPECT_EQ(RoundRobinScheduler{}.name(), "RoundRobin");
-  EXPECT_EQ(DmdaScheduler{}.name(), "dmda");
 }
 
 }  // namespace
