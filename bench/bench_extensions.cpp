@@ -105,8 +105,7 @@ int run(const CliArgs& args) {
       table.add_column("pair ordering", Align::kLeft);
       table.add_column("MICCO GFLOPS");
       for (const PairOrdering ordering :
-           {PairOrdering::kAsGiven, PairOrdering::kReuseTierFirst,
-            PairOrdering::kLargestFirst}) {
+           {PairOrdering::kAsGiven, PairOrdering::kReuseTierFirst}) {
         table.add_row(
             {to_string(ordering),
              fmt_gflops(gflops_of(stream, env.cluster(),

@@ -11,8 +11,8 @@
 # sessions, a `micco top --once` dashboard frame, and an offline
 # `micco report --spans` well-formedness pass), a configuration smoke test
 # (out-of-range train/run/generate/serve flags, malformed flag values,
-# tenant weights and job ids, unknown flags and a workload given to
-# `report` exit 2, unwritable output paths and a structurally invalid
+# tenant weights and job ids, the retired `interval` fsync policy and its
+# flag, unknown flags and a workload given to `report` exit 2, unwritable output paths and a structurally invalid
 # workload exit 1, and a daemon rejects that workload and keeps serving;
 # nothing aborts or runs),
 # a chaos smoke test
@@ -247,6 +247,12 @@ for weights in alice:2x alice:2000000; do
 done
 expect_exit_2 "${BUILD_DIR}/tools/micco" status 3x \
   --socket="${SMOKE_DIR}/bad.sock"
+# The journal fsyncs `never` or `always`; the retired `interval` policy and
+# its --journal-fsync-interval flag are usage errors.
+for flag in --journal-fsync=interval --journal-fsync-interval=4; do
+  expect_exit_2 "${BUILD_DIR}/tools/micco" serve \
+    --socket="${SMOKE_DIR}/bad.sock" "${flag}"
+done
 # An output path that cannot be opened fails before any work with exit 1.
 for flag in --trace --report --decisions; do
   expect_exit 1 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" \

@@ -17,7 +17,6 @@ const char* to_string(PairOrdering ordering) {
   switch (ordering) {
     case PairOrdering::kAsGiven: return "as-given";
     case PairOrdering::kReuseTierFirst: return "reuse-tier-first";
-    case PairOrdering::kLargestFirst: return "largest-first";
   }
   return "?";
 }
@@ -33,28 +32,16 @@ std::vector<std::size_t> visit_order(const VectorWorkload& vec,
                                      PairOrdering ordering) {
   std::vector<std::size_t> order(vec.tasks.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  switch (ordering) {
-    case PairOrdering::kAsGiven:
-      break;
-    case PairOrdering::kReuseTierFirst: {
-      const ClusterIndex& index = view.cluster_index();
-      std::vector<int> tier(vec.tasks.size());
-      for (std::size_t i = 0; i < vec.tasks.size(); ++i) {
-        tier[i] = static_cast<int>(classify_pair(vec.tasks[i], index));
-      }
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return tier[a] < tier[b];
-                       });
-      break;
-    }
-    case PairOrdering::kLargestFirst:
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return vec.tasks[a].flops() > vec.tasks[b].flops();
-                       });
-      break;
+  if (ordering == PairOrdering::kAsGiven) return order;
+  const ClusterIndex& index = view.cluster_index();
+  std::vector<int> tier(vec.tasks.size());
+  for (std::size_t i = 0; i < vec.tasks.size(); ++i) {
+    tier[i] = static_cast<int>(classify_pair(vec.tasks[i], index));
   }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return tier[a] < tier[b];
+                   });
   return order;
 }
 
@@ -156,7 +143,8 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
 
   const auto note_recovery = [&](DeviceId dev, std::size_t requeued) {
     result.tasks_reexecuted += requeued;
-    if (options.telemetry != nullptr && requeued > 0) {
+    if (options.telemetry != nullptr && options.telemetry->has_sink() &&
+        requeued > 0) {
       obs::ClusterEvent ev;
       ev.kind = obs::ClusterEventKind::kRecovery;
       ev.device = dev;

@@ -90,7 +90,6 @@ struct RunResult {
 enum class PairOrdering {
   kAsGiven,         ///< arrival order (the paper's setting)
   kReuseTierFirst,  ///< pairs with resident operands first (greedy locality)
-  kLargestFirst,    ///< LPT on kernel FLOPs (classic makespan heuristic)
 };
 
 const char* to_string(PairOrdering ordering);

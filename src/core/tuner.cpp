@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <utility>
 #include <vector>
 
 #include "common/log.hpp"
@@ -71,7 +72,11 @@ BoundSweep sweep_bound_grid(const WorkloadStream& stream,
     options.bounds = bounds;
     options.record_bound_interval = true;
     MiccoScheduler scheduler(options);
-    const RunResult result = run_stream(stream, scheduler, cluster);
+    RunResult result = run_stream(stream, scheduler, cluster);
+    if (runs.empty()) {
+      sweep.first_run_characteristics =
+          std::move(result.per_vector_characteristics);
+    }
     runs.push_back(Run{scheduler.bound_interval(), result.metrics.gflops()});
     sweep.gflops.push_back(runs.back().gflops);
     ++sweep.simulated;
@@ -83,23 +88,19 @@ namespace {
 
 /// Everything one stream of one sample contributes, computed independently
 /// of every other (sample, stream) item so the sweep fans out across the
-/// pool: the grid's GFLOPS, plus the probe-run features for a sample's
-/// first stream.
+/// pool: the grid's GFLOPS, plus the features for a sample's first stream.
 struct StreamSweep {
   DataCharacteristics characteristics;
   BoundSweep grid;
 };
 
 /// Features are derived exactly the way the online path derives them — by
-/// extracting per-vector characteristics during a probe run and averaging
-/// the steady-state vectors. Training on generator ground truth instead
-/// would put online queries (estimated bias, observed residency rate) in a
-/// region of feature space the model never saw.
-DataCharacteristics probe_characteristics(const WorkloadStream& stream,
-                                          const ClusterConfig& cluster) {
-  MiccoScheduler probe;
-  const RunResult probe_run = run_stream(stream, probe, cluster);
-  const auto& per_vector = probe_run.per_vector_characteristics;
+/// extracting per-vector characteristics during a MICCO-naive run and
+/// averaging the steady-state vectors. Training on generator ground truth
+/// instead would put online queries (estimated bias, observed residency
+/// rate) in a region of feature space the model never saw.
+DataCharacteristics steady_state_mean(
+    const std::vector<DataCharacteristics>& per_vector) {
   MICCO_ASSERT(!per_vector.empty());
   const std::size_t skip = per_vector.size() > 1 ? 1 : 0;  // warm-up
   double n = 0.0;
@@ -174,6 +175,9 @@ TuningData generate_tuning_data(const TunerConfig& config) {
   const auto num_samples = static_cast<std::size_t>(config.samples);
   const std::size_t group = synths.size() / num_samples;
   const std::vector<ReuseBounds> grid = bound_grid(config.max_bound);
+  // The grid opens with MICCO-naive's zero triple, so a stream's first grid
+  // run is the MICCO-naive run its features come from.
+  MICCO_ASSERT(grid.front() == ReuseBounds::naive());
 
   ClusterConfig cluster;
   cluster.num_devices = config.num_devices;
@@ -185,10 +189,11 @@ TuningData generate_tuning_data(const TunerConfig& config) {
       parallel::parallel_map(synths.size(), [&](std::size_t item) {
         const WorkloadStream stream = generate_synthetic(synths[item]);
         StreamSweep sweep;
-        if (item % group == 0) {
-          sweep.characteristics = probe_characteristics(stream, cluster);
-        }
         sweep.grid = sweep_bound_grid(stream, grid, cluster);
+        if (item % group == 0) {
+          sweep.characteristics =
+              steady_state_mean(sweep.grid.first_run_characteristics);
+        }
         return sweep;
       });
 

@@ -87,6 +87,8 @@ struct BoundSweep {
   std::vector<double> gflops;  ///< parallel to the triples
   std::size_t simulated = 0;   ///< triples that took a simulation
   std::size_t reused = 0;      ///< triples answered by an earlier run
+  /// The first triple's run's per-vector characteristics.
+  std::vector<DataCharacteristics> first_run_characteristics;
 };
 
 /// measure_gflops at every triple, in order, bit for bit — but a triple

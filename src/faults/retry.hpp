@@ -20,26 +20,22 @@ struct RetryPolicy {
   /// Total tries per transfer (first attempt included). Must be >= 1.
   int max_attempts = 4;
   /// Backoff charged after the first failed attempt, seconds of simulated
-  /// time.
+  /// time. Each later backoff doubles the one before.
   double base_backoff_s = 1e-4;
-  /// Growth factor between consecutive backoffs (2.0 = classic doubling).
-  double multiplier = 2.0;
   /// Ceiling on any single backoff interval.
   double max_backoff_s = 0.1;
 
   /// Backoff charged after the `attempt`-th failed try (1-based):
-  /// min(base * multiplier^(attempt-1), max_backoff_s). Closed form, so the
-  /// cost is O(1) at any attempt count, and saturating: huge exponents that
+  /// min(base * 2^(attempt-1), max_backoff_s). Closed form, so the cost is
+  /// O(1) at any attempt count, and saturating: huge exponents that
   /// overflow double (pow → inf) clamp to max_backoff_s instead of
   /// propagating inf/nan into simulated time.
   double backoff(int attempt) const {
     MICCO_EXPECTS(attempt >= 1);
     if (base_backoff_s <= 0.0) return 0.0;
-    if (multiplier <= 1.0 || attempt == 1) {
-      return std::min(base_backoff_s, max_backoff_s);
-    }
+    if (attempt == 1) return std::min(base_backoff_s, max_backoff_s);
     const double wait =
-        base_backoff_s * std::pow(multiplier, static_cast<double>(attempt - 1));
+        base_backoff_s * std::pow(2.0, static_cast<double>(attempt - 1));
     if (!std::isfinite(wait) || wait >= max_backoff_s) return max_backoff_s;
     return wait;
   }
@@ -48,7 +44,6 @@ struct RetryPolicy {
   std::string validate() const {
     if (max_attempts < 1) return "retry: max_attempts must be >= 1";
     if (base_backoff_s < 0.0) return "retry: base_backoff_s must be >= 0";
-    if (multiplier < 1.0) return "retry: multiplier must be >= 1";
     if (max_backoff_s < base_backoff_s) {
       return "retry: max_backoff_s must be >= base_backoff_s";
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
+#include "gpusim/cost_model.hpp"
 #include "mem/policy.hpp"
 #include "obs/names.hpp"
 
@@ -24,12 +25,11 @@ std::string ClusterConfig::validate() const {
   if (device_capacity_bytes == 0) {
     return "cluster: device_capacity_bytes must be > 0";
   }
-  return cost.validate();
+  return {};
 }
 
 ClusterSimulator::ClusterSimulator(ClusterConfig config)
     : config_(config),
-      cost_model_(config.cost),
       index_(config.num_devices),
       evict_policy_(&default_eviction_policy()) {
   MICCO_EXPECTS(config_.num_devices >= 1);
@@ -207,14 +207,13 @@ std::optional<double> ClusterSimulator::make_room(DeviceId dev,
       mem_reuse_distance_hist_->observe(
           static_cast<double>(victim->reuse_distance));
     }
-    cost += cost_model_.free_time();
+    cost += kFreeLatencyS;
     // Oversubscribed executions run UVM-style: an evicted frame migrates to
     // host memory whether or not it is dirty (pages move, they are not
     // dropped), which is what makes evictions the dominant cost of Fig. 11.
-    const double eviction_cost =
-        cost_model_.free_time() + cost_model_.d2h_time(ev.bytes);
+    const double eviction_cost = kFreeLatencyS + d2h_time(ev.bytes);
     metrics_.writeback_bytes += ev.bytes;
-    cost += cost_model_.d2h_time(ev.bytes);
+    cost += d2h_time(ev.bytes);
     if (ev.dirty) ++metrics_.dirty_evictions;
     index_.note_writeback(ev.id);
     if (observing()) {
@@ -249,7 +248,7 @@ ClusterSimulator::FetchResult ClusterSimulator::fetch_operand(
     return result;
   }
   double cost = *room;
-  cost += cost_model_.alloc_time();
+  cost += kAllocLatencyS;
   ++metrics_.allocations;
 
   // Prefer a peer copy over the host link when a replica exists and P2P is
@@ -265,17 +264,17 @@ ClusterSimulator::FetchResult ClusterSimulator::fetch_operand(
         holders.begin(), holders.end(),
         [&](DeviceId holder) { return node_of(holder) == node_of(dev); });
     if (same_node) {
-      transfer_cost = cost_model_.p2p_time(bytes);
+      transfer_cost = p2p_time(bytes);
       ++metrics_.p2p_transfers;
       metrics_.p2p_bytes += bytes;
     } else {
-      transfer_cost = cost_model_.internode_time(bytes);
+      transfer_cost = internode_time(bytes);
       ++metrics_.internode_transfers;
       metrics_.internode_bytes += bytes;
     }
     fetch_kind = TraceEventKind::kFetchP2P;
   } else {
-    transfer_cost = cost_model_.h2d_time(bytes);
+    transfer_cost = h2d_time(bytes);
     ++metrics_.h2d_transfers;
     metrics_.h2d_bytes += bytes;
     fetch_kind = TraceEventKind::kFetchH2D;
@@ -313,7 +312,7 @@ ClusterSimulator::FetchResult ClusterSimulator::fetch_operand(
     // fetch = alloc + the one successful transfer (wasted attempts were
     // already recorded as kTransferRetry ops above).
     pending_ops_.push_back(PendingOp{
-        fetch_kind, desc.id, cost_model_.alloc_time() + transfer_cost, bytes});
+        fetch_kind, desc.id, kAllocLatencyS + transfer_cost, bytes});
   }
 
   d.memory.allocate(desc.id, bytes, /*dirty=*/false, busy_time(dev));
@@ -456,17 +455,17 @@ ExecuteResult ClusterSimulator::execute_impl(const ContractionTask& task,
     return result;
   }
   copy_cost += *out_room;
-  copy_cost += cost_model_.alloc_time();
+  copy_cost += kAllocLatencyS;
   if (observing()) {
     pending_ops_.push_back(PendingOp{TraceEventKind::kOutputAlloc,
-                                     task.out.id, cost_model_.alloc_time(),
+                                     task.out.id, kAllocLatencyS,
                                      out_bytes});
   }
   d.memory.allocate(task.out.id, out_bytes, /*dirty=*/true, busy_time(dev));
   index_.place(task.out.id, dev);
   ++metrics_.allocations;
 
-  double kernel_cost = cost_model_.kernel_time(task);
+  double kernel_cost = kernel_time(task);
 
   // Straggler injection: stretch this task's copy and kernel work by the
   // configured factor (pending-op durations too, so traces stay consistent).
@@ -568,7 +567,7 @@ std::vector<TensorId> ClusterSimulator::fail_device(DeviceId dev,
         TraceEvent{TraceEventKind::kDeviceFailure, dev, kInvalidTensor, at_s,
                    0.0});
   }
-  if (telemetry_ != nullptr) {
+  if (telemetry_ != nullptr && telemetry_->has_sink()) {
     obs::ClusterEvent ev;
     ev.kind = obs::ClusterEventKind::kDeviceFailure;
     ev.device = dev;
@@ -598,7 +597,17 @@ void ClusterSimulator::emit_task_events(DeviceId dev,
       trace_->record(TraceEvent{op.kind, dev, op.tensor, cursor,
                                 op.duration_s, op.bytes, op.cause});
     }
-    if (telemetry_ != nullptr &&
+    if (telemetry_ != nullptr) {
+      if (op.kind == TraceEventKind::kEviction) {
+        victim_age_hist_->observe(op.victim_age_s);
+      } else if (op.kind == TraceEventKind::kFetchH2D ||
+                 op.kind == TraceEventKind::kFetchP2P) {
+        fetch_bytes_hist_->observe(static_cast<double>(op.bytes));
+      }
+    }
+    // Events are built only for a sink: registry-only telemetry keeps the
+    // histograms above and skips each event's detail string.
+    if (telemetry_ != nullptr && telemetry_->has_sink() &&
         op.kind != TraceEventKind::kOutputAlloc) {  // allocs stay trace-only
       obs::ClusterEvent ev;
       ev.device = dev;
@@ -607,7 +616,6 @@ void ClusterSimulator::emit_task_events(DeviceId dev,
       ev.time_s = cursor + op.duration_s;
       ev.duration_s = op.duration_s;
       if (op.kind == TraceEventKind::kEviction) {
-        victim_age_hist_->observe(op.victim_age_s);
         ev.kind = obs::ClusterEventKind::kEviction;
         // "<cause>/<policy>": traces attribute every eviction to the policy
         // that chose the victim.
@@ -621,7 +629,6 @@ void ClusterSimulator::emit_task_events(DeviceId dev,
       } else if (op.kind == TraceEventKind::kCapacityLoss) {
         ev.kind = obs::ClusterEventKind::kCapacityLoss;
       } else {
-        fetch_bytes_hist_->observe(static_cast<double>(op.bytes));
         ev.kind = obs::ClusterEventKind::kFetch;
         ev.detail = op.kind == TraceEventKind::kFetchH2D ? "h2d" : "p2p";
       }
@@ -673,7 +680,7 @@ void ClusterSimulator::barrier() {
     }
     if (telemetry_ != nullptr) {
       barrier_idle_hist_->observe(t_max - busy);
-      if (t_max > busy) {
+      if (t_max > busy && telemetry_->has_sink()) {
         obs::ClusterEvent idle;
         idle.kind = obs::ClusterEventKind::kBarrier;
         idle.device = dev;
@@ -699,7 +706,7 @@ void ClusterSimulator::discard(TensorId id) {
     d.memory.release(id);
     index_.remove(id, dev);
     const double start = std::max(d.compute_free_s, d.copy_free_s);
-    d.compute_free_s = start + cost_model_.free_time();
+    d.compute_free_s = start + kFreeLatencyS;
     d.copy_free_s = d.compute_free_s;
     sync_device_mirror(dev);
   }

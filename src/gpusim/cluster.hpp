@@ -16,7 +16,6 @@
 
 #include "faults/injector.hpp"
 #include "gpusim/cluster_index.hpp"
-#include "gpusim/cost_model.hpp"
 #include "gpusim/memory.hpp"
 #include "gpusim/trace.hpp"
 #include "obs/telemetry.hpp"
@@ -186,7 +185,6 @@ struct ClusterConfig {
   /// into nodes of this size; peer fetches across nodes use the slower
   /// inter-node link. 0 means a single node holds every device.
   int devices_per_node = 0;
-  CostModelConfig cost;
 
   /// Empty string when ClusterSimulator accepts the config, else a
   /// complaint (CLI flags and daemon configs are checked with it).
@@ -250,7 +248,6 @@ class ClusterSimulator final : public ClusterView {
   void discard(TensorId id);
 
   const ExecutionMetrics& metrics() const { return metrics_; }
-  const CostModel& cost_model() const { return cost_model_; }
   const ClusterConfig& config() const { return config_; }
 
   /// Attaches an event recorder (nullptr detaches). The simulator does not
@@ -396,7 +393,6 @@ class ClusterSimulator final : public ClusterView {
                         double kernel_cost);
 
   ClusterConfig config_;
-  CostModel cost_model_;
   std::vector<DeviceState> devices_;
   /// Incremental residency/load/headroom index, maintained as deltas by
   /// place/remove calls and sync_device_mirror (replaces the old

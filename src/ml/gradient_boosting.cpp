@@ -38,17 +38,6 @@ void GradientBoosting::fit(const Dataset& data) {
   }
 }
 
-GradientBoosting GradientBoosting::from_stages(
-    double base_prediction, std::vector<RegressionTree> stages,
-    BoostingConfig config) {
-  MICCO_EXPECTS(!stages.empty());
-  config.n_stages = static_cast<int>(stages.size());
-  GradientBoosting model(config);
-  model.base_prediction_ = base_prediction;
-  model.stages_ = std::move(stages);
-  return model;
-}
-
 double GradientBoosting::predict(std::span<const double> features) const {
   MICCO_EXPECTS_MSG(!stages_.empty(), "predict before fit");
   double acc = base_prediction_;

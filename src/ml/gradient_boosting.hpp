@@ -31,19 +31,6 @@ class GradientBoosting final : public Regressor {
 
   std::size_t stage_count() const { return stages_.size(); }
 
-  /// Serialization / inspection accessors.
-  double base_prediction() const { return base_prediction_; }
-  double learning_rate() const { return config_.learning_rate; }
-  const RegressionTree& stage_at(std::size_t i) const {
-    MICCO_EXPECTS(i < stages_.size());
-    return stages_[i];
-  }
-
-  /// Rebuilds a model from deserialized stages.
-  static GradientBoosting from_stages(double base_prediction,
-                                      std::vector<RegressionTree> stages,
-                                      BoostingConfig config = {});
-
  private:
   BoostingConfig config_;
   double base_prediction_ = 0.0;

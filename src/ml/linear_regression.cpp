@@ -73,14 +73,6 @@ void LinearRegression::fit(const Dataset& data) {
   weights_ = solve_linear_system(std::move(xtx), std::move(xty));
 }
 
-LinearRegression LinearRegression::from_weights(std::vector<double> weights,
-                                                double ridge) {
-  MICCO_EXPECTS(!weights.empty());
-  LinearRegression model(ridge);
-  model.weights_ = std::move(weights);
-  return model;
-}
-
 double LinearRegression::predict(std::span<const double> features) const {
   MICCO_EXPECTS_MSG(!weights_.empty(), "predict before fit");
   MICCO_EXPECTS(features.size() + 1 == weights_.size());

@@ -23,10 +23,6 @@ class LinearRegression final : public Regressor {
   /// Learned weights; index 0 is the intercept.
   const std::vector<double>& weights() const { return weights_; }
 
-  /// Rebuilds a model from deserialized weights (index 0 = intercept).
-  static LinearRegression from_weights(std::vector<double> weights,
-                                       double ridge = 1e-8);
-
  private:
   double ridge_;
   std::vector<double> weights_;

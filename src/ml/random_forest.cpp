@@ -1,7 +1,6 @@
 #include "ml/random_forest.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <utility>
 
 #include "parallel/parallel.hpp"
 
@@ -9,17 +8,12 @@ namespace micco::ml {
 
 RandomForest::RandomForest(ForestConfig config) : config_(config) {
   MICCO_EXPECTS(config.n_trees >= 1);
-  MICCO_EXPECTS(config.sample_fraction > 0.0 &&
-                config.sample_fraction <= 1.0);
 }
 
 void RandomForest::fit(const Dataset& data) {
   MICCO_EXPECTS(!data.empty());
 
   Pcg32 rng(config_.seed, /*stream=*/0xf00df00dULL);
-  const auto sample_size = std::max<std::size_t>(
-      1, static_cast<std::size_t>(config_.sample_fraction *
-                                  static_cast<double>(data.size())));
 
   // Regression forests default to considering every feature per split (the
   // scikit-learn convention): with bagging alone decorrelating the trees,
@@ -41,10 +35,10 @@ void RandomForest::fit(const Dataset& data) {
   const auto num_trees = static_cast<std::size_t>(config_.n_trees);
   std::vector<TreeDraw> draws(num_trees);
   for (TreeDraw& draw : draws) {
-    draw.indices.resize(sample_size);  // bootstrap: sample with replacement
-    for (std::size_t i = 0; i < sample_size; ++i) {
-      draw.indices[i] =
-          rng.uniform_below(static_cast<std::uint32_t>(data.size()));
+    // Bootstrap: n rows sampled with replacement.
+    draw.indices.resize(data.size());
+    for (std::size_t& index : draw.indices) {
+      index = rng.uniform_below(static_cast<std::uint32_t>(data.size()));
     }
     draw.seed = static_cast<std::uint64_t>(rng.uniform_int(0, (1LL << 62)));
   }

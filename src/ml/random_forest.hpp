@@ -13,8 +13,6 @@ namespace micco::ml {
 struct ForestConfig {
   int n_trees = 150;  ///< the paper's setting
   TreeConfig tree;
-  /// Bootstrap sample size as a fraction of the training set.
-  double sample_fraction = 1.0;
   std::uint64_t seed = 11;
 };
 

@@ -1,6 +1,5 @@
 #include "ml/serialize.hpp"
 
-#include <fstream>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -60,57 +59,16 @@ bool read_tree_body(std::istream& in, RegressionTree* tree,
 
 }  // namespace
 
-void save_tree(const RegressionTree& tree, std::ostream& out) {
-  MICCO_EXPECTS_MSG(tree.node_count() > 0, "cannot save an unfitted tree");
-  out << kMagic << " " << kVersion << " tree\n";
-  write_tree_body(tree, out);
-}
-
-void save_forest(const RandomForest& forest, std::ostream& out) {
-  MICCO_EXPECTS_MSG(forest.tree_count() > 0,
-                    "cannot save an unfitted forest");
-  out << kMagic << " " << kVersion << " forest " << forest.tree_count()
-      << "\n";
-  for (std::size_t i = 0; i < forest.tree_count(); ++i) {
-    write_tree_body(forest.tree_at(i), out);
-  }
-}
-
-void save_boosting(const GradientBoosting& model, std::ostream& out) {
-  MICCO_EXPECTS_MSG(model.stage_count() > 0,
-                    "cannot save an unfitted boosting model");
-  out << kMagic << " " << kVersion << " boosting " << model.stage_count()
-      << " ";
-  full_precision(out) << model.base_prediction() << " "
-                      << model.learning_rate() << "\n";
-  for (std::size_t i = 0; i < model.stage_count(); ++i) {
-    write_tree_body(model.stage_at(i), out);
-  }
-}
-
-void save_linear(const LinearRegression& model, std::ostream& out) {
-  MICCO_EXPECTS_MSG(!model.weights().empty(),
-                    "cannot save an unfitted linear model");
-  out << kMagic << " " << kVersion << " linear " << model.weights().size()
-      << "\n";
-  for (const double w : model.weights()) {
-    full_precision(out) << w << "\n";
-  }
-}
-
 void save_regressor(const Regressor& model, std::ostream& out) {
-  if (const auto* forest = dynamic_cast<const RandomForest*>(&model)) {
-    save_forest(*forest, out);
-  } else if (const auto* boosting =
-                 dynamic_cast<const GradientBoosting*>(&model)) {
-    save_boosting(*boosting, out);
-  } else if (const auto* linear =
-                 dynamic_cast<const LinearRegression*>(&model)) {
-    save_linear(*linear, out);
-  } else if (const auto* tree = dynamic_cast<const RegressionTree*>(&model)) {
-    save_tree(*tree, out);
-  } else {
-    MICCO_EXPECTS_MSG(false, "unknown regressor type for serialization");
+  const auto* forest = dynamic_cast<const RandomForest*>(&model);
+  MICCO_EXPECTS_MSG(forest != nullptr,
+                    "only RandomForest models can be serialized");
+  MICCO_EXPECTS_MSG(forest->tree_count() > 0,
+                    "cannot save an unfitted forest");
+  out << kMagic << " " << kVersion << " forest " << forest->tree_count()
+      << "\n";
+  for (std::size_t i = 0; i < forest->tree_count(); ++i) {
+    write_tree_body(forest->tree_at(i), out);
   }
 }
 
@@ -125,85 +83,24 @@ std::unique_ptr<Regressor> load_regressor(std::istream& in,
     if (error) *error = "unsupported model version: " + version;
     return nullptr;
   }
-
-  if (type == "tree") {
-    RegressionTree tree;
-    if (!read_tree_body(in, &tree, error)) return nullptr;
-    return std::make_unique<RegressionTree>(std::move(tree));
-  }
-  if (type == "forest") {
-    std::size_t count = 0;
-    if (!(in >> count) || count == 0 || count > 100'000) {
-      if (error) *error = "bad forest tree count";
-      return nullptr;
-    }
-    std::vector<RegressionTree> trees;
-    trees.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      RegressionTree tree;
-      if (!read_tree_body(in, &tree, error)) return nullptr;
-      trees.push_back(std::move(tree));
-    }
-    return std::make_unique<RandomForest>(
-        RandomForest::from_trees(std::move(trees)));
-  }
-  if (type == "boosting") {
-    std::size_t count = 0;
-    double base = 0.0;
-    double lr = 0.0;
-    if (!(in >> count >> base >> lr) || count == 0 || count > 100'000 ||
-        !(lr > 0.0 && lr <= 1.0)) {
-      if (error) *error = "bad boosting header";
-      return nullptr;
-    }
-    std::vector<RegressionTree> stages;
-    stages.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      RegressionTree tree;
-      if (!read_tree_body(in, &tree, error)) return nullptr;
-      stages.push_back(std::move(tree));
-    }
-    BoostingConfig config;
-    config.learning_rate = lr;
-    return std::make_unique<GradientBoosting>(
-        GradientBoosting::from_stages(base, std::move(stages), config));
-  }
-  if (type == "linear") {
-    std::size_t count = 0;
-    if (!(in >> count) || count == 0 || count > 1'000'000) {
-      if (error) *error = "bad linear weight count";
-      return nullptr;
-    }
-    std::vector<double> weights(count);
-    for (double& w : weights) {
-      if (!(in >> w)) {
-        if (error) *error = "truncated linear weights";
-        return nullptr;
-      }
-    }
-    return std::make_unique<LinearRegression>(
-        LinearRegression::from_weights(std::move(weights)));
-  }
-  if (error) *error = "unknown model type: " + type;
-  return nullptr;
-}
-
-void save_regressor_file(const Regressor& model, const std::string& path) {
-  std::ofstream out(path);
-  MICCO_EXPECTS_MSG(out.good(), "cannot open model file for writing");
-  save_regressor(model, out);
-  out.flush();
-  MICCO_EXPECTS_MSG(out.good(), "model file write failed");
-}
-
-std::unique_ptr<Regressor> load_regressor_file(const std::string& path,
-                                               std::string* error) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    if (error) *error = "cannot open model file: " + path;
+  if (type != "forest") {
+    if (error) *error = "unknown model type: " + type;
     return nullptr;
   }
-  return load_regressor(in, error);
+  std::size_t count = 0;
+  if (!(in >> count) || count == 0 || count > 100'000) {
+    if (error) *error = "bad forest tree count";
+    return nullptr;
+  }
+  std::vector<RegressionTree> trees;
+  trees.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    RegressionTree tree;
+    if (!read_tree_body(in, &tree, error)) return nullptr;
+    trees.push_back(std::move(tree));
+  }
+  return std::make_unique<RandomForest>(
+      RandomForest::from_trees(std::move(trees)));
 }
 
 }  // namespace micco::ml

@@ -4,8 +4,8 @@
 // to be deployed.
 //
 // The format is a line-oriented, versioned text format:
-//   micco-model v1 <type>
-//   ... type-specific payload ...
+//   micco-model v1 forest <tree count>
+//   ... one node table per tree ...
 // Doubles round-trip through max_digits10 so a save/load cycle reproduces
 // bit-identical predictions.
 #pragma once
@@ -14,32 +14,20 @@
 #include <memory>
 #include <string>
 
-#include "ml/gradient_boosting.hpp"
-#include "ml/linear_regression.hpp"
 #include "ml/random_forest.hpp"
 #include "ml/regressor.hpp"
 
 namespace micco::ml {
 
-/// Writes a fitted regressor to a stream. Aborts on unfitted models and
-/// unknown concrete types.
+/// Writes a fitted regressor to a stream. Only Random Forests are ever
+/// written (`micco train`, the benches); aborts on an unfitted forest and
+/// on any other concrete type.
 void save_regressor(const Regressor& model, std::ostream& out);
 
-/// Reads a regressor back. Returns nullptr (and sets `error`) on malformed
-/// input; never aborts on bad data - model files are external input.
+/// Reads a forest back. Returns nullptr (and sets `error`) on malformed
+/// input or any other model type; never aborts on bad data - model files
+/// are external input.
 std::unique_ptr<Regressor> load_regressor(std::istream& in,
                                           std::string* error = nullptr);
-
-/// File-based convenience wrappers. Save aborts on I/O failure; load
-/// returns nullptr with `error` set.
-void save_regressor_file(const Regressor& model, const std::string& path);
-std::unique_ptr<Regressor> load_regressor_file(const std::string& path,
-                                               std::string* error = nullptr);
-
-// Type-specific hooks used by save/load (exposed for tests).
-void save_tree(const RegressionTree& tree, std::ostream& out);
-void save_forest(const RandomForest& forest, std::ostream& out);
-void save_boosting(const GradientBoosting& model, std::ostream& out);
-void save_linear(const LinearRegression& model, std::ostream& out);
 
 }  // namespace micco::ml

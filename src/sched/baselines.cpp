@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "common/assert.hpp"
+#include "gpusim/cost_model.hpp"
 
 namespace micco {
 
@@ -71,12 +72,11 @@ DeviceId DmdaScheduler::assign(const ContractionTask& task,
     for (const TensorDesc* operand : {&task.a, &task.b}) {
       if (operand == &task.b && task.a.id == task.b.id) break;
       if (!view.resident_on(dev, operand->id)) {
-        transfer += cost_.alloc_time() + cost_.h2d_time(operand->bytes());
+        transfer += kAllocLatencyS + h2d_time(operand->bytes());
       }
     }
-    transfer += cost_.alloc_time();  // output frame
-    const double finish =
-        view.busy_time(dev) + transfer + cost_.kernel_time(task);
+    transfer += kAllocLatencyS;  // output frame
+    const double finish = view.busy_time(dev) + transfer + kernel_time(task);
     if (finish < best_finish) {
       best_finish = finish;
       best = dev;

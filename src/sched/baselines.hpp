@@ -9,7 +9,6 @@
 // and DmdaScheduler is StarPU's data-aware earliest-finish rule.
 #pragma once
 
-#include "gpusim/cost_model.hpp"
 #include "sched/scheduler.hpp"
 
 namespace micco {
@@ -46,16 +45,11 @@ class RoundRobinScheduler final : public Scheduler {
 /// eviction pressure.
 class DmdaScheduler final : public Scheduler {
  public:
-  explicit DmdaScheduler(CostModelConfig cost = {}) : cost_(cost) {}
-
   std::string name() const override { return "dmda"; }
   void begin_vector(const VectorWorkload& vec,
                     const ClusterView& view) override;
   DeviceId assign(const ContractionTask& task,
                   const ClusterView& view) override;
-
- private:
-  CostModel cost_;
 };
 
 }  // namespace micco

@@ -20,16 +20,11 @@ const char* to_string(JobState state) {
 }
 
 std::string AdmissionConfig::validate() const {
-  const std::string range = ", want 1.." + std::to_string(kMaxWeight);
-  const auto in_range = [](int w) { return w >= 1 && w <= kMaxWeight; };
-  if (!in_range(default_weight)) {
-    return "admission: default weight is " + std::to_string(default_weight) +
-           range;
-  }
   for (const auto& [tenant, weight] : tenant_weights) {
-    if (!in_range(weight)) {
+    if (weight < 1 || weight > kMaxWeight) {
       return "admission: tenant '" + tenant + "' has weight " +
-             std::to_string(weight) + range;
+             std::to_string(weight) + ", want 1.." +
+             std::to_string(kMaxWeight);
     }
   }
   return {};

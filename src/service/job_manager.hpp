@@ -62,23 +62,22 @@ struct AdmissionConfig {
   std::size_t max_queue_per_tenant = 64;
   /// Queued jobs allowed across all tenants.
   std::size_t max_queued_total = 256;
-  /// Dispatch weight per tenant; absent tenants use default_weight.
+  /// Dispatch weight per tenant; absent tenants weigh 1.
   /// Higher weight = proportionally more dispatches under contention.
   std::map<std::string, int> tenant_weights;
-  int default_weight = 1;
 
   /// End-to-end latency objective (wall ms, submit → terminal state). Each
   /// finished job increments its tenant's slo_ok or slo_miss in stats();
   /// 0 disables SLO accounting.
   double slo_ms = 0.0;
 
-  /// Empty when default_weight and every tenant weight lie in
-  /// 1..kMaxWeight, else a complaint naming the first one that does not.
+  /// Empty when every tenant weight lies in 1..kMaxWeight, else a
+  /// complaint naming the first one that does not.
   std::string validate() const;
 
   int weight_for(const std::string& tenant) const {
     const auto it = tenant_weights.find(tenant);
-    const int w = it == tenant_weights.end() ? default_weight : it->second;
+    const int w = it == tenant_weights.end() ? 1 : it->second;
     return w > 0 ? w : 1;
   }
 };

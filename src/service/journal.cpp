@@ -103,7 +103,6 @@ std::string fnv1a64_hex(std::string_view bytes) {
 const char* to_string(FsyncPolicy policy) {
   switch (policy) {
     case FsyncPolicy::kNever: return "never";
-    case FsyncPolicy::kInterval: return "interval";
     case FsyncPolicy::kAlways: return "always";
   }
   return "?";
@@ -111,7 +110,6 @@ const char* to_string(FsyncPolicy policy) {
 
 std::optional<FsyncPolicy> parse_fsync_policy(const std::string& text) {
   if (text == "never") return FsyncPolicy::kNever;
-  if (text == "interval") return FsyncPolicy::kInterval;
   if (text == "always") return FsyncPolicy::kAlways;
   return std::nullopt;
 }
@@ -431,18 +429,9 @@ bool JournalWriter::append(const JournalRecord& record, std::string* error) {
       return false;
     }
     ++appended_;
-    ++since_sync_;
     if (records_counter_ != nullptr) records_counter_->add();
     if (bytes_counter_ != nullptr) bytes_counter_->add(line.size());
-    want_sync = config_.fsync == FsyncPolicy::kAlways ||
-                (config_.fsync == FsyncPolicy::kInterval &&
-                 config_.fsync_interval > 0 &&
-                 since_sync_ >= config_.fsync_interval);
-    // Reset the interval counter at decision time (not after the fsync
-    // lands) so a concurrent append cannot double-claim the same interval.
-    // If the fsync below fails, the append is reported failed anyway and
-    // callers treat the journal as gone.
-    if (want_sync) since_sync_ = 0;
+    want_sync = config_.fsync == FsyncPolicy::kAlways;
     fd = fd_;
     appended = appended_;
     crash_after = config_.crash_after_records;
@@ -477,41 +466,11 @@ bool JournalWriter::append(const JournalRecord& record, std::string* error) {
   return true;
 }
 
-bool JournalWriter::sync(std::string* error) {
-  int fd = -1;
-  obs::Histogram* fsync_ms = nullptr;
-  {
-    const MutexLock lock(mutex_);
-    if (fd_ < 0) return true;
-    fd = fd_;
-    fsync_ms = fsync_ms_;
-    since_sync_ = 0;
-  }
-  // Same shape as append(): the fsync itself runs off the lock (see there
-  // for why that is safe for the durability contract).
-  int err = 0;
-  Stopwatch watch;
-  if (!fsync_retry(fd, &err)) {
-    if (error != nullptr) {
-      *error = "journal fsync failed: " + std::string(strerror(err));
-    }
-    return false;
-  }
-  if (fsync_ms != nullptr) fsync_ms->observe(watch.elapsed_ms());
-  return true;
-}
-
 void JournalWriter::close() {
   const MutexLock lock(mutex_);
   if (fd_ < 0) return;
-  if (config_.fsync != FsyncPolicy::kNever && since_sync_ > 0) {
-    int err = 0;
-    // The shutdown fsync stays under the lock deliberately: it orders
-    // against the ::close below — releasing between them would let another
-    // close() race the fd away mid-sync.
-    // micco-lint: allow(blocking-under-lock) fd lifecycle: final fsync must complete before this very scope closes the fd
-    fsync_retry(fd_, &err);  // best effort on the way out
-  }
+  // Nothing is left to sync: kAlways synced every append, kNever syncs
+  // nothing.
   ::close(fd_);
   fd_ = -1;
 }

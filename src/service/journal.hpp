@@ -51,21 +51,18 @@ std::string fnv1a64_hex(std::string_view bytes);
 
 /// When appended records reach stable storage.
 enum class FsyncPolicy {
-  kNever,     ///< never fsync (tests / throwaway journals)
-  kInterval,  ///< fsync every fsync_interval appends and on close
-  kAlways,    ///< fsync after every append (the durability default)
+  kNever,   ///< never fsync (tests / throwaway journals)
+  kAlways,  ///< fsync after every append (the durability default)
 };
 
 const char* to_string(FsyncPolicy policy);
-/// Parses "never" / "interval" / "always"; nullopt otherwise.
+/// Parses "never" / "always"; nullopt otherwise.
 std::optional<FsyncPolicy> parse_fsync_policy(const std::string& text);
 
 struct JournalConfig {
   /// Journal file path; empty disables journaling entirely.
   std::string path;
   FsyncPolicy fsync = FsyncPolicy::kAlways;
-  /// Appends between fsyncs under FsyncPolicy::kInterval.
-  std::uint64_t fsync_interval = 16;
   /// Crash-injection hook for the chaos harness: when non-zero, the writer
   /// raises SIGKILL immediately after the Nth record (of any kind) becomes
   /// durable — the scripted crash points of the kill-9 tests.
@@ -165,9 +162,6 @@ class JournalWriter {
   /// caller must then treat the transition as not durable.
   bool append(const JournalRecord& record, std::string* error);
 
-  /// Forces an fsync regardless of policy (no-op when closed).
-  bool sync(std::string* error);
-
   void close();
   bool is_open() const;
   std::uint64_t records_appended() const;
@@ -177,7 +171,6 @@ class JournalWriter {
   JournalConfig config_;
   int fd_ MICCO_GUARDED_BY(mutex_) = -1;
   std::uint64_t appended_ MICCO_GUARDED_BY(mutex_) = 0;
-  std::uint64_t since_sync_ MICCO_GUARDED_BY(mutex_) = 0;
   obs::Counter* records_counter_ MICCO_GUARDED_BY(mutex_) = nullptr;
   obs::Counter* bytes_counter_ MICCO_GUARDED_BY(mutex_) = nullptr;
   obs::Histogram* fsync_ms_ MICCO_GUARDED_BY(mutex_) = nullptr;

@@ -40,6 +40,9 @@ bool set_nonblocking(int fd) {
 /// queue_full, journal_error).
 constexpr double kRetryAfterHintS = 1.0;
 
+/// Socket poll granularity; also bounds stop_flag reaction latency.
+constexpr int kPollTimeoutMs = 20;
+
 /// Parses a submitted workload text and checks its structure, the check
 /// `micco run` makes: a stream that consumes a tensor before producing it
 /// would trip a simulator precondition. nullopt, with the problem in
@@ -104,13 +107,12 @@ bool Server::start(std::string* error) {
     if (!plan_problem.empty()) return fail("fault plan: " + plan_problem);
   }
 
-  // Bounds source: trained model when given, static triple otherwise.
+  // Bounds source: the trained model when given. Without one, MICCO keeps
+  // the zero triple it is built with.
   if (!config_.model_path.empty()) {
     std::string model_error;
     model_bounds_ = load_bounds_model(config_.model_path, &model_error);
     if (!model_bounds_) return fail(model_error);
-  } else {
-    static_bounds_ = std::make_unique<FixedBounds>(config_.static_bounds);
   }
 
   // Session decision log.
@@ -223,11 +225,6 @@ bool Server::start(std::string* error) {
   // time.
   started_at_utc_ = clock_->wall_time_utc();
   return true;
-}
-
-BoundsProvider* Server::bounds_provider() {
-  if (model_bounds_ != nullptr) return model_bounds_.get();
-  return static_bounds_.get();
 }
 
 // ---------------------------------------------------------------------------
@@ -652,7 +649,7 @@ void Server::run_job(std::uint64_t job_id) {
       make_scheduler(config_.scheduler, config_.seed);
 
   RunOptions options;
-  options.bounds = bounds_provider();
+  options.bounds = model_bounds_.get();
   options.telemetry = &telemetry_;
   options.faults = config_.faults;
   options.retry = config_.retry;
@@ -889,7 +886,7 @@ void Server::io_loop(std::vector<std::unique_ptr<Connection>>& conns) {
       const MutexLock lock(state_mutex_);
       if (stopped_) break;
     }
-    io_once(conns, config_.poll_timeout_ms);
+    io_once(conns, kPollTimeoutMs);
   }
   flush_and_close(conns);
 }
@@ -917,7 +914,7 @@ void Server::serve_serial() {
   std::vector<std::unique_ptr<Connection>> conns;
   for (;;) {
     check_stop_flag();
-    io_once(conns, jobs_.queued_total() > 0 ? 0 : config_.poll_timeout_ms);
+    io_once(conns, jobs_.queued_total() > 0 ? 0 : kPollTimeoutMs);
     if (const std::optional<std::uint64_t> job = jobs_.next_job()) {
       run_job(*job);
       continue;

@@ -5,8 +5,8 @@
 // JobManager, and dispatches admitted jobs one at a time through the
 // existing pipeline: fresh scheduler per job, fresh simulated cluster per
 // job, per-vector reuse bounds served online from a trained regression
-// model (static bounds when no model is loaded), fault plans and the
-// recovery path applied exactly as in batch runs.
+// model (MICCO-naive's zero triple when no model is loaded), fault plans
+// and the recovery path applied exactly as in batch runs.
 //
 // Threading model. Job execution is *always* single-threaded (one
 // dispatcher), so the session decision log is a pure function of the
@@ -76,10 +76,9 @@ struct ServerConfig {
 
   /// Optional trained bounds model (three concatenated regressors, the
   /// `micco train` format). Loaded at start(); predictions then drive the
-  /// per-vector reuse-bound triple online. Empty: static_bounds is used.
+  /// per-vector reuse-bound triple online. Empty: MICCO keeps the zero
+  /// triple it is built with (MICCO-naive).
   std::string model_path;
-  /// Fallback reuse-bound triple when no model is loaded.
-  ReuseBounds static_bounds{};
 
   ClusterConfig cluster;
 
@@ -121,9 +120,6 @@ struct ServerConfig {
   /// arrived. Not owned; typically a volatile sig_atomic_t set by a signal
   /// handler installed in the CLI.
   const volatile std::sig_atomic_t* stop_flag = nullptr;
-
-  /// Socket poll granularity; also bounds stop_flag reaction latency.
-  int poll_timeout_ms = 20;
 };
 
 class Server {
@@ -194,7 +190,6 @@ class Server {
 
   // -- job execution (dispatcher thread only) --------------------------------
   void run_job(std::uint64_t job_id);
-  BoundsProvider* bounds_provider();
   bool should_stop() MICCO_EXCLUDES(state_mutex_);
 
   // -- crash safety ----------------------------------------------------------
@@ -237,7 +232,6 @@ class Server {
   bool recovered_torn_tail_ = false;
 
   std::unique_ptr<RegressionBoundsProvider> model_bounds_;
-  std::unique_ptr<FixedBounds> static_bounds_;
 
   obs::Clock* clock_ = nullptr;   ///< config_.clock or the process default
   double session_start_ms_ = 0.0; ///< monotonic zero for latencies + uptime

@@ -16,9 +16,6 @@ std::string SyntheticConfig::validate() const {
   if (!(repeated_rate >= 0.0 && repeated_rate <= 1.0)) {
     return "repeated rate must lie in [0, 1]";
   }
-  if (!(gaussian_sigma_fraction > 0.0)) {
-    return "gaussian sigma fraction must be positive";
-  }
   return {};
 }
 
@@ -28,6 +25,11 @@ void validate(const SyntheticConfig& config) {
 }
 
 namespace {
+
+/// Width of the Gaussian used to pick repeated tensors, as a fraction of
+/// the history length. Smaller values concentrate the repeats on fewer
+/// tensors (more bias, more load-imbalance pressure).
+constexpr double kGaussianSigmaFraction = 0.12;
 
 /// Picks the history index of a repeated tensor. Uniform treats all previous
 /// tensors alike; Gaussian folds a normal deviate onto the low indices so a
@@ -39,9 +41,8 @@ std::size_t pick_history_index(const SyntheticConfig& config,
   if (config.distribution == DataDistribution::kUniform) {
     return rng.uniform_below(static_cast<std::uint32_t>(history_size));
   }
-  const double sigma =
-      std::max(1.0, config.gaussian_sigma_fraction *
-                        static_cast<double>(history_size));
+  const double sigma = std::max(
+      1.0, kGaussianSigmaFraction * static_cast<double>(history_size));
   for (;;) {
     const double draw = std::abs(rng.gaussian(0.0, sigma));
     const auto idx = static_cast<std::size_t>(draw);

@@ -20,12 +20,6 @@ struct SyntheticConfig {
   int rank = 2;                    ///< 2 = meson workload, 3 = baryon
   double repeated_rate = 0.5;      ///< fraction of slots drawn from history
   DataDistribution distribution = DataDistribution::kUniform;
-
-  /// Width of the Gaussian used to pick repeated tensors, as a fraction of
-  /// the history length. Smaller values concentrate the repeats on fewer
-  /// tensors (more bias, more load-imbalance pressure).
-  double gaussian_sigma_fraction = 0.12;
-
   std::uint64_t seed = 42;
 
   /// Empty string when the config is well formed, else a complaint.

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "core/experiment.hpp"
+#include "gpusim/cost_model.hpp"
 #include "sched/baselines.hpp"
 #include "workload/synthetic.hpp"
 
@@ -146,10 +147,9 @@ TEST(MultiNode, CrossNodeTrafficCostsMoreTime) {
 }
 
 TEST(MultiNode, InternodeSlowerThanP2PFasterThanNothing) {
-  CostModel m;
   constexpr std::uint64_t kBytes = 64ull << 20;
-  EXPECT_GT(m.internode_time(kBytes), m.p2p_time(kBytes));
-  EXPECT_LT(m.internode_time(kBytes), m.h2d_time(kBytes));
+  EXPECT_GT(internode_time(kBytes), p2p_time(kBytes));
+  EXPECT_LT(internode_time(kBytes), h2d_time(kBytes));
 }
 
 // ------------------------------------------------------------- ordering --
@@ -157,14 +157,12 @@ TEST(MultiNode, InternodeSlowerThanP2PFasterThanNothing) {
 TEST(PairOrdering, Names) {
   EXPECT_STREQ(to_string(PairOrdering::kAsGiven), "as-given");
   EXPECT_STREQ(to_string(PairOrdering::kReuseTierFirst), "reuse-tier-first");
-  EXPECT_STREQ(to_string(PairOrdering::kLargestFirst), "largest-first");
 }
 
 TEST(PairOrdering, AllOrderingsConserveWork) {
   const WorkloadStream stream = test_stream(11);
   for (const PairOrdering ordering :
-       {PairOrdering::kAsGiven, PairOrdering::kReuseTierFirst,
-        PairOrdering::kLargestFirst}) {
+       {PairOrdering::kAsGiven, PairOrdering::kReuseTierFirst}) {
     MiccoScheduler sched;
     RunOptions options;
     options.ordering = ordering;

@@ -18,7 +18,6 @@ namespace {
 TEST(RetryPolicy, BackoffGrowsExponentially) {
   RetryPolicy p;
   p.base_backoff_s = 1e-4;
-  p.multiplier = 2.0;
   p.max_backoff_s = 1.0;
   EXPECT_DOUBLE_EQ(p.backoff(1), 1e-4);
   EXPECT_DOUBLE_EQ(p.backoff(2), 2e-4);
@@ -29,7 +28,6 @@ TEST(RetryPolicy, BackoffGrowsExponentially) {
 TEST(RetryPolicy, BackoffCappedAtMax) {
   RetryPolicy p;
   p.base_backoff_s = 0.05;
-  p.multiplier = 2.0;
   p.max_backoff_s = 0.1;
   EXPECT_DOUBLE_EQ(p.backoff(1), 0.05);
   EXPECT_DOUBLE_EQ(p.backoff(2), 0.1);
@@ -42,7 +40,6 @@ TEST(RetryPolicy, BackoffSaturatesAtHighAttemptCounts) {
   // finite at any attempt count.
   RetryPolicy p;
   p.base_backoff_s = 1e-4;
-  p.multiplier = 2.0;
   p.max_backoff_s = 0.1;
   EXPECT_DOUBLE_EQ(p.backoff(64), 0.1);
   EXPECT_DOUBLE_EQ(p.backoff(1 << 20), 0.1);
@@ -56,14 +53,6 @@ TEST(RetryPolicy, BackoffDegenerateBaseAndMultiplier) {
   zero.base_backoff_s = 0.0;
   EXPECT_DOUBLE_EQ(zero.backoff(1), 0.0);
   EXPECT_DOUBLE_EQ(zero.backoff(1 << 30), 0.0);
-
-  // multiplier 1: constant backoff, no growth, no loop.
-  RetryPolicy flat;
-  flat.base_backoff_s = 5e-3;
-  flat.multiplier = 1.0;
-  flat.max_backoff_s = 0.1;
-  EXPECT_DOUBLE_EQ(flat.backoff(1), 5e-3);
-  EXPECT_DOUBLE_EQ(flat.backoff(1 << 30), 5e-3);
 }
 
 TEST(RetryPolicy, DefaultsAreValid) {
@@ -77,10 +66,6 @@ TEST(RetryPolicy, ValidateRejectsBadFields) {
 
   p = RetryPolicy{};
   p.base_backoff_s = -1.0;
-  EXPECT_FALSE(p.validate().empty());
-
-  p = RetryPolicy{};
-  p.multiplier = 0.5;
   EXPECT_FALSE(p.validate().empty());
 
   p = RetryPolicy{};

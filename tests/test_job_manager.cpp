@@ -226,10 +226,6 @@ TEST(JobManager, AdmissionConfigBoundsEveryWeight) {
               std::string::npos)
         << config.validate();
   }
-  config.tenant_weights.clear();
-  config.default_weight = 0;
-  EXPECT_NE(config.validate().find("default weight"), std::string::npos)
-      << config.validate();
 }
 
 TEST(JobManager, StatsAndMetricsAccounting) {

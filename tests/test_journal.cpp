@@ -136,12 +136,12 @@ TEST(Journal, ResultDigestMismatchRejectsTheRecord) {
 }
 
 TEST(Journal, FsyncPolicyNamesRoundTrip) {
-  for (const FsyncPolicy policy :
-       {FsyncPolicy::kNever, FsyncPolicy::kInterval, FsyncPolicy::kAlways}) {
+  for (const FsyncPolicy policy : {FsyncPolicy::kNever, FsyncPolicy::kAlways}) {
     const auto parsed = parse_fsync_policy(to_string(policy));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, policy);
   }
+  EXPECT_FALSE(parse_fsync_policy("interval").has_value());
   EXPECT_FALSE(parse_fsync_policy("sometimes").has_value());
   EXPECT_FALSE(parse_fsync_policy("").has_value());
 }
@@ -278,25 +278,27 @@ TEST(Journal, TruncateDropsTornTailForReopen) {
   ::unlink(path.c_str());
 }
 
-TEST(Journal, IntervalPolicySyncsEveryNAppends) {
-  const std::string path = tmp_journal_path("interval");
-  JournalConfig config;
-  config.path = path;
-  config.fsync = FsyncPolicy::kInterval;
-  config.fsync_interval = 2;
+TEST(Journal, EachPolicySyncsAsNamed) {
+  // Five appends: `always` fsyncs after each one, `never` not once.
+  for (const FsyncPolicy policy : {FsyncPolicy::kAlways, FsyncPolicy::kNever}) {
+    const std::string path = tmp_journal_path(to_string(policy));
+    JournalConfig config;
+    config.path = path;
+    config.fsync = policy;
 
-  obs::Histogram fsync_ms(obs::names::journal_fsync_bounds_ms());
-  JournalWriter writer;
-  writer.set_telemetry(nullptr, nullptr, &fsync_ms);
-  std::string error;
-  ASSERT_TRUE(writer.open(config, &error)) << error;
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(writer.append(dispatched_record(1), &error)) << error;
+    obs::Histogram fsync_ms(obs::names::journal_fsync_bounds_ms());
+    JournalWriter writer;
+    writer.set_telemetry(nullptr, nullptr, &fsync_ms);
+    std::string error;
+    ASSERT_TRUE(writer.open(config, &error)) << error;
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(writer.append(dispatched_record(1), &error)) << error;
+    }
+    writer.close();
+    EXPECT_EQ(fsync_ms.count(), policy == FsyncPolicy::kAlways ? 5u : 0u)
+        << to_string(policy);
+    ::unlink(path.c_str());
   }
-  // 5 appends at interval 2 → syncs after #2 and #4.
-  EXPECT_EQ(fsync_ms.count(), 2u);
-  writer.close();
-  ::unlink(path.c_str());
 }
 
 }  // namespace

@@ -226,6 +226,31 @@ TEST(ObsEvents, TelemetryDoesNotPerturbScheduling) {
   EXPECT_EQ(base.metrics.reused_operands, traced.metrics.reused_operands);
 }
 
+TEST(ObsEvents, RegistryIsTheSameWithOrWithoutASink) {
+  // The small devices make the run evict; the fetch, victim-age and
+  // barrier-idle histograms must not depend on whether a sink listens.
+  const WorkloadStream stream = generate_synthetic(tiny_workload());
+  const auto registry_dump = [&](obs::EventSink* sink) {
+    obs::Telemetry telemetry;
+    telemetry.sink = sink;
+    MiccoScheduler sched;
+    RunOptions options;
+    options.telemetry = &telemetry;
+    const RunResult run = run_stream(stream, sched, tiny_cluster(), options);
+    EXPECT_GT(run.metrics.evictions, 0u);
+    return telemetry.registry.snapshot().dump();
+  };
+  obs::MemoryEventSink sink;
+  const std::string with_sink = registry_dump(&sink);
+  EXPECT_TRUE(std::any_of(sink.cluster_events().begin(),
+                          sink.cluster_events().end(),
+                          [](const obs::ClusterEvent& event) {
+                            return event.kind ==
+                                   obs::ClusterEventKind::kEviction;
+                          }));
+  EXPECT_EQ(registry_dump(nullptr), with_sink);
+}
+
 // -- BufferedJsonlEventSink ------------------------------------------------
 
 std::string run_buffered_jsonl(const WorkloadStream& stream,

@@ -368,18 +368,15 @@ TEST(Service, SessionReportSumsEachJobsOwnNumbers) {
       streams[0], 4, 2.0, 8 * streams[0].vectors[0].tasks[0].a.bytes());
   config.report_path = report_path;
 
-  // Each job again offline, as the daemon runs it: a fresh scheduler, the
-  // static bounds and the default LRU policy.
+  // Each job again offline, as the daemon runs it: a fresh scheduler, no
+  // bounds model and the default LRU policy.
   std::vector<double> busy(4, 0.0);
   std::uint64_t evictions = 0;
   std::uint64_t writeback = 0;
-  FixedBounds bounds(config.static_bounds);
   for (const WorkloadStream& stream : streams) {
-    RunOptions options;
-    options.bounds = &bounds;
     const RunResult run =
         run_stream(stream, *make_scheduler(config.scheduler, config.seed),
-                   config.cluster, options);
+                   config.cluster);
     ASSERT_TRUE(run.completed) << run.error;
     for (std::size_t d = 0; d < busy.size(); ++d) {
       busy[d] += run.device_busy_s[d];

@@ -224,9 +224,6 @@ TEST(SyntheticValidate, ReportsProblemsWithoutAborting) {
   EXPECT_NE(problem([](SyntheticConfig& c) { c.batch = 0; }), "");
   EXPECT_NE(problem([](SyntheticConfig& c) { c.repeated_rate = 2.0; }), "");
   EXPECT_NE(problem([](SyntheticConfig& c) { c.rank = 1; }), "");
-  EXPECT_NE(
-      problem([](SyntheticConfig& c) { c.gaussian_sigma_fraction = 0.0; }),
-      "");
 }
 
 TEST(Synthetic, Rank3WorkloadsSupported) {

@@ -81,6 +81,41 @@ TEST(Tuner, FeaturesComeFromOnlineExtraction) {
   EXPECT_LT(lo, hi);
 }
 
+TEST(Tuner, FeaturesAreANaiveRunsSteadyStateMean) {
+  // A sample's features are the mean over every vector but the first of
+  // what a plain MICCO-naive run of the sample's first stream extracts.
+  const TunerConfig cfg = tiny_tuner();
+  const TuningData data = generate_tuning_data(cfg);
+  const std::vector<SyntheticConfig> streams = tuning_stream_configs(cfg);
+  const std::size_t group = streams.size() / data.samples.size();
+  ClusterConfig cluster;
+  cluster.num_devices = cfg.num_devices;
+  cluster.device_capacity_bytes = cfg.device_capacity_bytes;
+  for (std::size_t s = 0; s < data.samples.size(); ++s) {
+    MiccoScheduler naive;
+    const RunResult run =
+        run_stream(generate_synthetic(streams[s * group]), naive, cluster);
+    const std::vector<DataCharacteristics>& per_vector =
+        run.per_vector_characteristics;
+    ASSERT_GT(per_vector.size(), 1u);
+    DataCharacteristics mean;
+    double n = 0.0;
+    for (std::size_t v = 1; v < per_vector.size(); ++v) {
+      mean.vector_size += per_vector[v].vector_size;
+      mean.tensor_extent += per_vector[v].tensor_extent;
+      mean.distribution_bias += per_vector[v].distribution_bias;
+      mean.repeated_rate += per_vector[v].repeated_rate;
+      n += 1.0;
+    }
+    const DataCharacteristics& got = data.samples[s].characteristics;
+    EXPECT_EQ(got.vector_size, mean.vector_size / n) << "sample " << s;
+    EXPECT_EQ(got.tensor_extent, mean.tensor_extent / n) << "sample " << s;
+    EXPECT_EQ(got.distribution_bias, mean.distribution_bias / n)
+        << "sample " << s;
+    EXPECT_EQ(got.repeated_rate, mean.repeated_rate / n) << "sample " << s;
+  }
+}
+
 TEST(Tuner, DeterministicInSeed) {
   const TuningData a = generate_tuning_data(tiny_tuner());
   const TuningData b = generate_tuning_data(tiny_tuner());

@@ -100,8 +100,7 @@ int usage() {
                "[--max-queue=N --max-total=N --slo-ms=N "
                "--weights=tenant:w,...]\n"
                "        [--fault-plan=FILE --retry-max=N --retry-backoff=S]\n"
-               "        [--journal=FILE --journal-fsync=never|interval|always"
-               " --journal-fsync-interval=N]\n"
+               "        [--journal=FILE --journal-fsync=never|always]\n"
                "        [--evict-policy=NAME]\n"
                "        (an existing --journal is replayed: finished jobs "
                "answer again, interrupted jobs re-run)\n"
@@ -692,8 +691,9 @@ int cmd_serve(const CliArgs& args) {
           args, "serve",
           {"socket", "scheduler", "seed", "model", "gpus", "p2p", "async-copy",
            "max-queue", "max-total", "weights", "slo-ms", "fault-plan",
-           "retry-max", "retry-backoff", "evict-policy", "decisions", "report", "spans", "journal", "journal-fsync",
-           "journal-fsync-interval", "journal-crash-after", "threads"})) {
+           "retry-max", "retry-backoff", "evict-policy", "decisions", "report",
+           "spans", "journal", "journal-fsync", "journal-crash-after",
+           "threads"})) {
     return 2;
   }
   const std::string socket = args.get("socket", "");
@@ -748,14 +748,11 @@ int cmd_serve(const CliArgs& args) {
   const auto fsync_policy = service::parse_fsync_policy(fsync_name);
   if (!fsync_policy.has_value()) {
     std::fprintf(stderr,
-                 "serve: --journal-fsync wants never|interval|always, got "
-                 "'%s'\n",
+                 "serve: --journal-fsync wants never|always, got '%s'\n",
                  fsync_name.c_str());
     return 2;
   }
   cfg.journal.fsync = *fsync_policy;
-  cfg.journal.fsync_interval =
-      static_cast<std::uint64_t>(args.get_int("journal-fsync-interval", 16));
   // Chaos-harness hook (tools/chaos_smoke.sh): SIGKILL after the Nth
   // durable record.
   cfg.journal.crash_after_records =
