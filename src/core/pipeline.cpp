@@ -77,7 +77,6 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
 
   ClusterSimulator sim(cluster);
   if (injector.has_value()) sim.set_fault_injector(&*injector);
-  sim.set_trace(options.trace);
   // Policy before telemetry: the registry gains only the mem.* names of the
   // policy that runs, never the default LRU's.
   sim.set_eviction_policy(options.evict_policy);
@@ -148,7 +147,8 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
       obs::ClusterEvent ev;
       ev.kind = obs::ClusterEventKind::kRecovery;
       ev.device = dev;
-      ev.time_s = sim.metrics().makespan_s;
+      ev.start_s = sim.metrics().makespan_s;
+      ev.time_s = ev.start_s;
       ev.count = static_cast<std::int64_t>(requeued);
       options.telemetry->emit(ev);
     }

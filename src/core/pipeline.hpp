@@ -97,10 +97,10 @@ const char* to_string(PairOrdering ordering);
 struct RunOptions {
   BoundsProvider* bounds = nullptr;  ///< per-vector reuse bounds (Fig. 6)
   PairOrdering ordering = PairOrdering::kAsGiven;
-  TraceRecorder* trace = nullptr;    ///< optional timeline recording
   /// Optional telemetry bundle: attached to both the scheduler (decision
-  /// log, assignment counters) and the simulator (memory events) for the
-  /// duration of the run; the driver maintains its decision-log cursor.
+  /// log, assignment counters) and the simulator (cluster events, the
+  /// timeline's source) for the duration of the run; the driver maintains
+  /// its decision-log cursor.
   obs::Telemetry* telemetry = nullptr;
   /// Optional fault plan (not owned; must outlive the run). An empty or
   /// absent plan leaves every metric, report and log byte-identical to a

@@ -187,7 +187,7 @@ void ClusterSimulator::resolve_mem_instruments() {
 
 std::optional<double> ClusterSimulator::make_room(DeviceId dev,
                                                   std::uint64_t bytes,
-                                                  EvictionCause cause) {
+                                                  obs::EvictionCause cause) {
   DeviceState& d = device(dev);
   // A single tensor larger than the whole device can never fit; likewise a
   // request that outlives every unpinned victim. Both are recoverable
@@ -216,10 +216,11 @@ std::optional<double> ClusterSimulator::make_room(DeviceId dev,
     cost += d2h_time(ev.bytes);
     if (ev.dirty) ++metrics_.dirty_evictions;
     index_.note_writeback(ev.id);
-    if (observing()) {
+    if (telemetry_ != nullptr) {
       const double age = std::max(0.0, busy_time(dev) - ev.alloc_time_s);
-      pending_ops_.push_back(PendingOp{TraceEventKind::kEviction, ev.id,
-                                       eviction_cost, ev.bytes, cause, age});
+      pending_ops_.push_back(PendingOp{obs::ClusterEventKind::kEviction,
+                                       ev.id, eviction_cost, ev.bytes,
+                                       /*p2p=*/false, cause, age});
     }
   }
   return cost;
@@ -242,7 +243,7 @@ ClusterSimulator::FetchResult ClusterSimulator::fetch_operand(
 
   const std::uint64_t bytes = desc.bytes();
   const std::optional<double> room =
-      make_room(dev, bytes, EvictionCause::kOperandFetch);
+      make_room(dev, bytes, obs::EvictionCause::kOperandFetch);
   if (!room.has_value()) {
     result.status = FetchStatus::kCapacity;
     return result;
@@ -256,9 +257,9 @@ ClusterSimulator::FetchResult ClusterSimulator::fetch_operand(
   // The span stays valid: the index placement of this fetch runs after the
   // last read.
   const std::span<const DeviceId> holders = devices_holding(desc.id);
-  TraceEventKind fetch_kind;
+  const bool p2p = config_.p2p_enabled && !holders.empty();
   double transfer_cost = 0.0;
-  if (config_.p2p_enabled && !holders.empty()) {
+  if (p2p) {
     // Prefer an intra-node replica; fall back to the inter-node link.
     const bool same_node = std::any_of(
         holders.begin(), holders.end(),
@@ -272,12 +273,10 @@ ClusterSimulator::FetchResult ClusterSimulator::fetch_operand(
       ++metrics_.internode_transfers;
       metrics_.internode_bytes += bytes;
     }
-    fetch_kind = TraceEventKind::kFetchP2P;
   } else {
     transfer_cost = h2d_time(bytes);
     ++metrics_.h2d_transfers;
     metrics_.h2d_bytes += bytes;
-    fetch_kind = TraceEventKind::kFetchH2D;
   }
 
   // Transient transfer faults: each failed attempt wastes one full transfer
@@ -300,19 +299,20 @@ ClusterSimulator::FetchResult ClusterSimulator::fetch_operand(
       const double wasted = transfer_cost + backoff;
       cost += wasted;
       ++result.retries;
-      if (observing()) {
-        pending_ops_.push_back(PendingOp{TraceEventKind::kTransferRetry,
-                                         desc.id, wasted, bytes});
+      if (telemetry_ != nullptr) {
+        pending_ops_.push_back(PendingOp{
+            obs::ClusterEventKind::kTransferRetry, desc.id, wasted, bytes});
       }
     }
   }
   cost += transfer_cost;
 
-  if (observing()) {
+  if (telemetry_ != nullptr) {
     // fetch = alloc + the one successful transfer (wasted attempts were
     // already recorded as kTransferRetry ops above).
-    pending_ops_.push_back(PendingOp{
-        fetch_kind, desc.id, kAllocLatencyS + transfer_cost, bytes});
+    pending_ops_.push_back(PendingOp{obs::ClusterEventKind::kFetch, desc.id,
+                                     kAllocLatencyS + transfer_cost, bytes,
+                                     p2p});
   }
 
   d.memory.allocate(desc.id, bytes, /*dirty=*/false, busy_time(dev));
@@ -337,8 +337,8 @@ std::optional<double> ClusterSimulator::apply_capacity_faults(DeviceId dev,
   // Clamp at one byte: a device that "lost" its whole memory fails on the
   // next allocation attempt (escalated to a device failure by execute()).
   const std::uint64_t new_cap = old_cap > lost ? old_cap - lost : 1;
-  if (observing()) {
-    pending_ops_.push_back(PendingOp{TraceEventKind::kCapacityLoss,
+  if (telemetry_ != nullptr) {
+    pending_ops_.push_back(PendingOp{obs::ClusterEventKind::kCapacityLoss,
                                      kInvalidTensor, 0.0, old_cap - new_cap});
   }
   // Squeeze out whatever no longer fits (nothing is pinned at task start,
@@ -354,7 +354,7 @@ std::optional<double> ClusterSimulator::shrink_to_capacity(
   // allocatable again.
   d.memory.set_capacity(new_capacity);
   const std::optional<double> cost =
-      make_room(dev, 0, EvictionCause::kCapacityLoss);
+      make_room(dev, 0, obs::EvictionCause::kCapacityLoss);
   sync_device_mirror(dev);
   return cost;
 }
@@ -449,15 +449,15 @@ ExecuteResult ClusterSimulator::execute_impl(const ContractionTask& task,
                     "output tensor already resident on target device");
   const std::uint64_t out_bytes = task.out.bytes();
   const std::optional<double> out_room =
-      make_room(dev, out_bytes, EvictionCause::kOutputAlloc);
+      make_room(dev, out_bytes, obs::EvictionCause::kOutputAlloc);
   if (!out_room.has_value()) {
     resolve_fetch_failure(FetchStatus::kCapacity);
     return result;
   }
   copy_cost += *out_room;
   copy_cost += kAllocLatencyS;
-  if (observing()) {
-    pending_ops_.push_back(PendingOp{TraceEventKind::kOutputAlloc,
+  if (telemetry_ != nullptr) {
+    pending_ops_.push_back(PendingOp{obs::ClusterEventKind::kOutputAlloc,
                                      task.out.id, kAllocLatencyS,
                                      out_bytes});
   }
@@ -468,7 +468,7 @@ ExecuteResult ClusterSimulator::execute_impl(const ContractionTask& task,
   double kernel_cost = kernel_time(task);
 
   // Straggler injection: stretch this task's copy and kernel work by the
-  // configured factor (pending-op durations too, so traces stay consistent).
+  // configured factor (pending-op durations too, so events stay consistent).
   if (injector_ != nullptr) {
     const double factor = injector_->slowdown(dev, projected_start);
     if (factor != 1.0) {
@@ -515,7 +515,7 @@ ExecuteResult ClusterSimulator::execute_impl(const ContractionTask& task,
   d.copy_free_s = copy_done;
   d.compute_free_s = compute_done;
 
-  if (observing()) {
+  if (telemetry_ != nullptr) {
     emit_task_events(dev, task, copy_window_start, kernel_start, kernel_cost);
   }
 
@@ -562,15 +562,11 @@ std::vector<TensorId> ClusterSimulator::fail_device(DeviceId dev,
   ++metrics_.devices_lost;
   sync_device_mirror(dev);
   if (injector_ != nullptr) injector_->mark_failed(dev);
-  if (trace_ != nullptr) {
-    trace_->record(
-        TraceEvent{TraceEventKind::kDeviceFailure, dev, kInvalidTensor, at_s,
-                   0.0});
-  }
   if (telemetry_ != nullptr && telemetry_->has_sink()) {
     obs::ClusterEvent ev;
     ev.kind = obs::ClusterEventKind::kDeviceFailure;
     ev.device = dev;
+    ev.start_s = at_s;
     ev.time_s = at_s;
     ev.count = static_cast<std::int64_t>(lost.size());
     telemetry_->emit(ev);
@@ -590,55 +586,45 @@ void ClusterSimulator::emit_task_events(DeviceId dev,
                                         double kernel_start,
                                         double kernel_cost) {
   // Memory operations run back-to-back in the copy window; the kernel
-  // follows (or overlaps, in dual-engine mode).
+  // follows (or overlaps, in dual-engine mode). Events are built only for a
+  // sink: registry-only telemetry keeps just the histograms.
+  const bool sink = telemetry_->has_sink();
   double cursor = copy_window_start;
   for (const PendingOp& op : pending_ops_) {
-    if (trace_ != nullptr) {
-      trace_->record(TraceEvent{op.kind, dev, op.tensor, cursor,
-                                op.duration_s, op.bytes, op.cause});
+    if (op.kind == obs::ClusterEventKind::kEviction) {
+      victim_age_hist_->observe(op.victim_age_s);
+    } else if (op.kind == obs::ClusterEventKind::kFetch) {
+      fetch_bytes_hist_->observe(static_cast<double>(op.bytes));
     }
-    if (telemetry_ != nullptr) {
-      if (op.kind == TraceEventKind::kEviction) {
-        victim_age_hist_->observe(op.victim_age_s);
-      } else if (op.kind == TraceEventKind::kFetchH2D ||
-                 op.kind == TraceEventKind::kFetchP2P) {
-        fetch_bytes_hist_->observe(static_cast<double>(op.bytes));
-      }
-    }
-    // Events are built only for a sink: registry-only telemetry keeps the
-    // histograms above and skips each event's detail string.
-    if (telemetry_ != nullptr && telemetry_->has_sink() &&
-        op.kind != TraceEventKind::kOutputAlloc) {  // allocs stay trace-only
+    if (sink) {
       obs::ClusterEvent ev;
+      ev.kind = op.kind;
       ev.device = dev;
       ev.tensor = op.tensor;
       ev.bytes = op.bytes;
+      ev.start_s = cursor;
       ev.time_s = cursor + op.duration_s;
       ev.duration_s = op.duration_s;
-      if (op.kind == TraceEventKind::kEviction) {
-        ev.kind = obs::ClusterEventKind::kEviction;
-        // "<cause>/<policy>": traces attribute every eviction to the policy
-        // that chose the victim.
-        ev.detail = to_string(op.cause);
-        ev.detail += '/';
-        ev.detail += evict_policy_->name();
-        ev.victim_age_s = op.victim_age_s;
-      } else if (op.kind == TraceEventKind::kTransferRetry) {
-        ev.kind = obs::ClusterEventKind::kTransferRetry;
-        ev.detail = "transient";
-      } else if (op.kind == TraceEventKind::kCapacityLoss) {
-        ev.kind = obs::ClusterEventKind::kCapacityLoss;
-      } else {
-        ev.kind = obs::ClusterEventKind::kFetch;
-        ev.detail = op.kind == TraceEventKind::kFetchH2D ? "h2d" : "p2p";
+      ev.p2p = op.p2p;
+      ev.cause = op.cause;
+      if (op.kind == obs::ClusterEventKind::kEviction) {
+        ev.policy = evict_policy_->name();
       }
+      ev.victim_age_s = op.victim_age_s;
       telemetry_->emit(ev);
     }
     cursor += op.duration_s;
   }
-  if (trace_ != nullptr) {
-    trace_->record(TraceEvent{TraceEventKind::kKernel, dev, task.out.id,
-                              kernel_start, kernel_cost, task.kernel_bytes()});
+  if (sink) {
+    obs::ClusterEvent kernel;
+    kernel.kind = obs::ClusterEventKind::kKernel;
+    kernel.device = dev;
+    kernel.tensor = task.out.id;
+    kernel.bytes = task.kernel_bytes();
+    kernel.start_s = kernel_start;
+    kernel.time_s = kernel_start + kernel_cost;
+    kernel.duration_s = kernel_cost;
+    telemetry_->emit(kernel);
   }
 }
 
@@ -674,16 +660,13 @@ void ClusterSimulator::barrier() {
     if (!d.alive) continue;  // dead devices neither sync nor count as idle
     const double busy = std::max(d.compute_free_s, d.copy_free_s);
     metrics_.barrier_idle_s += t_max - busy;
-    if (trace_ != nullptr && t_max > busy) {
-      trace_->record(TraceEvent{TraceEventKind::kBarrier, dev,
-                                kInvalidTensor, busy, t_max - busy});
-    }
     if (telemetry_ != nullptr) {
       barrier_idle_hist_->observe(t_max - busy);
       if (t_max > busy && telemetry_->has_sink()) {
         obs::ClusterEvent idle;
         idle.kind = obs::ClusterEventKind::kBarrier;
         idle.device = dev;
+        idle.start_s = busy;
         idle.time_s = t_max;
         idle.duration_s = t_max - busy;
         telemetry_->emit(idle);

@@ -17,7 +17,6 @@
 #include "faults/injector.hpp"
 #include "gpusim/cluster_index.hpp"
 #include "gpusim/memory.hpp"
-#include "gpusim/trace.hpp"
 #include "obs/telemetry.hpp"
 #include "workload/characteristics.hpp"
 #include "workload/task.hpp"
@@ -250,12 +249,10 @@ class ClusterSimulator final : public ClusterView {
   const ExecutionMetrics& metrics() const { return metrics_; }
   const ClusterConfig& config() const { return config_; }
 
-  /// Attaches an event recorder (nullptr detaches). The simulator does not
-  /// own it; it must outlive all execute()/barrier() calls.
-  void set_trace(TraceRecorder* trace) { trace_ = trace; }
-
-  /// Attaches the telemetry bundle (nullptr detaches): memory events flow to
-  /// its sink, fetch/eviction/barrier distributions into its registry.
+  /// Attaches the telemetry bundle (nullptr detaches): every priced event
+  /// (fetch, output allocation, eviction, kernel, barrier gap, fault) flows
+  /// to its sink as one obs::ClusterEvent, built only when a sink is
+  /// attached; fetch/eviction/barrier distributions go into its registry.
   /// Attach before the first execute(); the simulator does not own it.
   /// Totals (evictions, write-back bytes, ...) stay in metrics() only.
   void set_telemetry(obs::Telemetry* telemetry);
@@ -337,11 +334,11 @@ class ClusterSimulator final : public ClusterView {
 
   /// Makes room for `bytes` on `dev`, charging eviction costs; operands of
   /// the in-flight task must already be pinned. `cause` labels any induced
-  /// evictions in traces and telemetry. Returns nullopt when the bytes can
+  /// evictions in telemetry. Returns nullopt when the bytes can
   /// never fit (single tensor over capacity, or everything left is pinned) —
   /// a recoverable kCapacityExceeded for the caller, not an abort.
   std::optional<double> make_room(DeviceId dev, std::uint64_t bytes,
-                                  EvictionCause cause);
+                                  obs::EvictionCause cause);
 
   /// Ensures `desc` is resident on `dev`, retrying transient transfer
   /// faults under the injector's policy; on kOk the tensor is pinned and
@@ -369,25 +366,21 @@ class ClusterSimulator final : public ClusterView {
   /// already moved memory).
   ExecuteResult execute_impl(const ContractionTask& task, DeviceId dev);
 
-  /// One priced memory operation of the in-flight task, kept so the trace
-  /// and telemetry sink can assign exact start offsets once the task's
-  /// window is known.
+  /// One priced memory operation of the in-flight task, kept while
+  /// telemetry is attached so its histograms and sink get exact start
+  /// offsets once the task's window is known.
   struct PendingOp {
-    TraceEventKind kind;
+    obs::ClusterEventKind kind;
     TensorId tensor;
     double duration_s;
     std::uint64_t bytes = 0;
-    EvictionCause cause = EvictionCause::kNone;
+    bool p2p = false;  ///< fetches only
+    obs::EvictionCause cause = obs::EvictionCause::kNone;
     double victim_age_s = 0.0;  ///< evictions only
   };
 
-  /// True when any observer needs per-operation records buffered.
-  bool observing() const {
-    return trace_ != nullptr || telemetry_ != nullptr;
-  }
-
-  /// Flushes pending_ops_ (and the kernel) to the trace and telemetry sink
-  /// once the copy window and kernel slot are known.
+  /// Flushes pending_ops_ (and the kernel) to the telemetry histograms and
+  /// sink once the copy window and kernel slot are known.
   void emit_task_events(DeviceId dev, const ContractionTask& task,
                         double copy_window_start, double kernel_start,
                         double kernel_cost);
@@ -400,7 +393,6 @@ class ClusterSimulator final : public ClusterView {
   /// carries each tensor's produced/host-copy bits (host_resident()).
   ClusterIndex index_;
   ExecutionMetrics metrics_;
-  TraceRecorder* trace_ = nullptr;
   obs::Telemetry* telemetry_ = nullptr;
   FaultInjector* injector_ = nullptr;  ///< not owned; nullptr = fault-free
   /// Eviction policy (not owned); never null.

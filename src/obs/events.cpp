@@ -7,12 +7,29 @@ namespace micco::obs {
 const char* to_string(ClusterEventKind kind) {
   switch (kind) {
     case ClusterEventKind::kFetch: return "fetch";
+    case ClusterEventKind::kOutputAlloc: return "output-alloc";
     case ClusterEventKind::kEviction: return "eviction";
+    case ClusterEventKind::kKernel: return "kernel";
     case ClusterEventKind::kBarrier: return "barrier";
     case ClusterEventKind::kTransferRetry: return "transfer-retry";
     case ClusterEventKind::kDeviceFailure: return "device-failure";
     case ClusterEventKind::kCapacityLoss: return "capacity-loss";
     case ClusterEventKind::kRecovery: return "recovery";
+  }
+  return "?";
+}
+
+bool in_decision_log(ClusterEventKind kind) {
+  return kind != ClusterEventKind::kKernel &&
+         kind != ClusterEventKind::kOutputAlloc;
+}
+
+const char* to_string(EvictionCause cause) {
+  switch (cause) {
+    case EvictionCause::kNone: return "none";
+    case EvictionCause::kOperandFetch: return "operand_fetch";
+    case EvictionCause::kOutputAlloc: return "output_alloc";
+    case EvictionCause::kCapacityLoss: return "capacity_loss";
   }
   return "?";
 }
@@ -41,35 +58,87 @@ JsonValue DecisionEvent::to_json() const {
   return out;
 }
 
+namespace {
+
+/// Kinds whose record names a tensor (the timeline gives them `args`).
+bool names_tensor(ClusterEventKind kind) {
+  return kind == ClusterEventKind::kFetch ||
+         kind == ClusterEventKind::kOutputAlloc ||
+         kind == ClusterEventKind::kEviction ||
+         kind == ClusterEventKind::kKernel ||
+         kind == ClusterEventKind::kTransferRetry;
+}
+
+/// Slice name on the Chrome timeline.
+const char* slice_name(const ClusterEvent& e) {
+  switch (e.kind) {
+    case ClusterEventKind::kFetch: return e.p2p ? "fetch_p2p" : "fetch_h2d";
+    case ClusterEventKind::kOutputAlloc: return "output_alloc";
+    case ClusterEventKind::kEviction: return "eviction";
+    case ClusterEventKind::kKernel: return "kernel";
+    case ClusterEventKind::kBarrier: return "barrier";
+    case ClusterEventKind::kTransferRetry: return "transfer_retry";
+    case ClusterEventKind::kDeviceFailure: return "device_failure";
+    case ClusterEventKind::kCapacityLoss: return "capacity_loss";
+    case ClusterEventKind::kRecovery: return "recovery";
+  }
+  return "?";
+}
+
+}  // namespace
+
 JsonValue ClusterEvent::to_json() const {
   JsonValue out = JsonValue::object();
   out.set("event", to_string(kind));
   out.set("device", device);
-  // Barrier, device-failure and recovery records carry no tensor payload.
-  const bool payload = kind == ClusterEventKind::kFetch ||
-                       kind == ClusterEventKind::kEviction ||
-                       kind == ClusterEventKind::kTransferRetry ||
-                       kind == ClusterEventKind::kCapacityLoss;
-  if (payload) {
+  // A capacity loss logs the bytes lost beside its unset tensor field.
+  if (names_tensor(kind) || kind == ClusterEventKind::kCapacityLoss) {
     out.set("tensor", tensor);
     out.set("bytes", bytes);
   }
   out.set("t_s", time_s);
   out.set("dur_s", duration_s);
-  if (!detail.empty()) out.set("detail", detail);
-  if (kind == ClusterEventKind::kEviction) {
+  if (kind == ClusterEventKind::kFetch) {
+    out.set("detail", p2p ? "p2p" : "h2d");
+  } else if (kind == ClusterEventKind::kEviction) {
+    // "<cause>/<policy>": the log attributes every eviction to the policy
+    // that chose the victim.
+    std::string detail = to_string(cause);
+    detail += '/';
+    detail += policy;
+    out.set("detail", std::move(detail));
     out.set("victim_age_s", victim_age_s);
+  } else if (kind == ClusterEventKind::kTransferRetry) {
+    out.set("detail", "transient");
   }
   if (count >= 0) out.set("count", count);
   return out;
 }
 
-void JsonlEventSink::decision(const DecisionEvent& event) {
-  out_ << event.to_json().dump() << '\n';
-}
-
-void JsonlEventSink::cluster(const ClusterEvent& event) {
-  out_ << event.to_json().dump() << '\n';
+void write_chrome_trace(const std::vector<ClusterEvent>& events,
+                        std::ostream& out) {
+  out << "{\"traceEvents\":[";
+  bool first = true;
+  for (const ClusterEvent& e : events) {
+    if (e.kind == ClusterEventKind::kRecovery) continue;
+    if (!first) out << ",";
+    first = false;
+    out << "{\"name\":\"" << slice_name(e) << "\"";
+    // Perfetto surfaces `args` in the tooltip; keep the top-level schema
+    // fields (name/ph/pid/tid/ts/dur) untouched for existing tooling.
+    if (names_tensor(e.kind)) {
+      out << ",\"args\":{\"tensor\":" << e.tensor;
+      if (e.bytes > 0) out << ",\"bytes\":" << e.bytes;
+      if (e.kind == ClusterEventKind::kEviction) {
+        out << ",\"cause\":\"" << to_string(e.cause) << "\"";
+      }
+      out << "}";
+    }
+    out << ",\"ph\":\"X\",\"pid\":0,\"tid\":" << e.device
+        << ",\"ts\":" << e.start_s * 1e6 << ",\"dur\":" << e.duration_s * 1e6
+        << "}";
+  }
+  out << "]}\n";
 }
 
 void BufferedJsonlEventSink::append(const JsonValue& json, bool urgent) {
@@ -84,6 +153,7 @@ void BufferedJsonlEventSink::decision(const DecisionEvent& event) {
 }
 
 void BufferedJsonlEventSink::cluster(const ClusterEvent& event) {
+  if (!in_decision_log(event.kind)) return;
   // Fault records must not sit in a process-local buffer: if the run dies
   // right after the fault, the log still has to show it.
   const bool urgent = event.kind == ClusterEventKind::kDeviceFailure ||

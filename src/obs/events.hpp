@@ -4,10 +4,12 @@
 // what it did, one record per occurrence: every scheduler decision (which
 // reuse pattern the pair classified as, which devices were considered, which
 // reuse-bound tier admitted the winner, whether the fallback fired) and
-// every notable cluster event (operand fetch, eviction with victim and
-// cause, stage barrier). Sinks are pluggable; the JSONL sink writes one
-// compact JSON object per line so logs diff, grep and replay deterministically
-// — no wall-clock timestamps, only simulated time and sequence numbers.
+// every simulated cluster event (operand fetch, eviction with victim and
+// cause, kernel, stage barrier, fault). Sinks are pluggable; the JSONL sink
+// writes the decision log, one compact JSON object per line, so logs diff,
+// grep and replay deterministically — no wall-clock timestamps, only
+// simulated time and sequence numbers. The Chrome timeline is written from
+// the same cluster events.
 #pragma once
 
 #include <cstddef>
@@ -47,10 +49,13 @@ struct DecisionEvent {
   JsonValue to_json() const;
 };
 
-/// Kinds of cluster-side events worth a log record.
+/// Kinds of cluster-side events: every event the simulator prices, plus the
+/// pipeline's recovery records.
 enum class ClusterEventKind : std::uint8_t {
   kFetch,          ///< operand materialised on a device (H2D or P2P)
-  kEviction,       ///< LRU victim pushed out under capacity pressure
+  kOutputAlloc,    ///< a kernel's output allocated on its device
+  kEviction,       ///< policy victim pushed out under capacity pressure
+  kKernel,         ///< one contraction kernel
   kBarrier,        ///< stage barrier; one record per idle device
   kTransferRetry,  ///< transient transfer fault: wasted attempt + backoff
   kDeviceFailure,  ///< permanent device loss detected
@@ -60,14 +65,35 @@ enum class ClusterEventKind : std::uint8_t {
 
 const char* to_string(ClusterEventKind kind);
 
+/// True for the kinds the decision log records: every kind except kernels
+/// and output allocations, which cost the same wherever a pair runs.
+bool in_decision_log(ClusterEventKind kind);
+
+/// What forced an eviction.
+enum class EvictionCause : std::uint8_t {
+  kNone,          ///< not an eviction event
+  kOperandFetch,  ///< making room for an incoming operand
+  kOutputAlloc,   ///< making room for the kernel's output
+  kCapacityLoss,  ///< usage squeezed out by a spurious capacity-loss fault
+};
+
+const char* to_string(EvictionCause cause);
+
+/// One simulated event. Building one allocates nothing: the JSONL `detail`
+/// is rendered from `p2p`, `cause` and `policy` by to_json().
 struct ClusterEvent {
   ClusterEventKind kind = ClusterEventKind::kFetch;
   int device = -1;
-  std::uint64_t tensor = 0;  ///< fetched operand / eviction victim; 0: barrier
+  /// Fetched operand / output / eviction victim / kernel output; unused by
+  /// barrier, device-failure and recovery records.
+  std::uint64_t tensor = 0;
   std::uint64_t bytes = 0;
+  double start_s = 0.0;      ///< simulated time the event started
   double time_s = 0.0;       ///< simulated time the event completed
   double duration_s = 0.0;   ///< priced duration (barrier: idle gap)
-  std::string detail;        ///< fetch: "h2d"/"p2p"; eviction: cause
+  bool p2p = false;          ///< fetch only: peer route instead of H2D
+  EvictionCause cause = EvictionCause::kNone;  ///< eviction only
+  const char* policy = "";   ///< eviction only: EvictionPolicy::name()
   double victim_age_s = 0.0; ///< eviction only: residency age of the victim
   /// Fault events only: lost tensors (device failure) or re-enqueued tasks
   /// (recovery); emitted when >= 0.
@@ -76,6 +102,13 @@ struct ClusterEvent {
   JsonValue to_json() const;
 };
 
+/// Writes `events` as a Chrome trace-event JSON document ("traceEvents"
+/// array of X-phase slices, one track per device; chrome://tracing,
+/// Perfetto). Times are in microseconds as the format requires. Recovery
+/// records lie on no device timeline and are skipped.
+void write_chrome_trace(const std::vector<ClusterEvent>& events,
+                        std::ostream& out);
+
 class EventSink {
  public:
   virtual ~EventSink() = default;
@@ -83,23 +116,11 @@ class EventSink {
   virtual void cluster(const ClusterEvent& event) = 0;
 };
 
-/// Writes one compact JSON object per event per line ("JSON Lines"). The
-/// stream is borrowed and must outlive the sink.
-class JsonlEventSink final : public EventSink {
- public:
-  explicit JsonlEventSink(std::ostream& out) : out_(out) {}
-  void decision(const DecisionEvent& event) override;
-  void cluster(const ClusterEvent& event) override;
-
- private:
-  std::ostream& out_;
-};
-
-/// JSONL sink that batches serialized lines in a string and flushes the
-/// batch to the borrowed stream once it crosses `flush_bytes`, amortising
-/// stream-formatting overhead on decision-heavy runs. Output is line-
-/// identical to JsonlEventSink. The buffer drains on destruction, on an
-/// explicit flush(), and *immediately* after fault events (device failure,
+/// The decision-log writer: one line per decision and per cluster event the
+/// log records (in_decision_log), each the event's to_json(). Lines batch in
+/// a string and flush to the borrowed stream once the batch crosses
+/// `flush_bytes`, amortising stream-formatting overhead on decision-heavy
+/// runs. The buffer drains on destruction, on an explicit flush(), and *immediately* after fault events (device failure,
 /// capacity loss) so a crash right after a fault still leaves the fault on
 /// disk. The stream is borrowed and must outlive the sink.
 ///

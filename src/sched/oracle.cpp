@@ -52,7 +52,7 @@ OracleAssignment oracle_search(const VectorWorkload& vec,
   std::vector<Candidate> frontier;
   {
     Candidate root{base, {}};
-    root.sim.set_trace(nullptr);  // clones never record
+    root.sim.set_telemetry(nullptr);  // clones never record
     frontier.push_back(std::move(root));
   }
 

@@ -2,6 +2,7 @@
 // baseline, multi-node topologies, and pair-ordering policies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/experiment.hpp"
@@ -195,12 +196,19 @@ TEST(PairOrdering, DefaultOptionsMatchLegacyOverload) {
 TEST(RunOptions, TraceAttachesThroughPipeline) {
   const WorkloadStream stream = test_stream(19);
   MiccoScheduler sched;
-  TraceRecorder trace;
+  obs::MemoryEventSink sink;
+  obs::Telemetry telemetry;
+  telemetry.sink = &sink;
   RunOptions options;
-  options.trace = &trace;
+  options.telemetry = &telemetry;
   const RunResult r = run_stream(stream, sched, cluster_of(4), options);
-  EXPECT_GT(trace.size(), 0u);
-  EXPECT_EQ(trace.summarize(TraceEventKind::kKernel).count,
+  const std::vector<obs::ClusterEvent>& events = sink.cluster_events();
+  EXPECT_GT(events.size(), 0u);
+  EXPECT_EQ(static_cast<std::size_t>(std::count_if(
+                events.begin(), events.end(),
+                [](const obs::ClusterEvent& e) {
+                  return e.kind == obs::ClusterEventKind::kKernel;
+                })),
             static_cast<std::size_t>(stream.vectors.size()) *
                 stream.vectors[0].tasks.size());
   EXPECT_GT(r.metrics.total_flops, 0u);

@@ -41,16 +41,6 @@
 namespace micco {
 namespace {
 
-template <typename Event>
-std::string jsonl(const std::vector<Event>& events) {
-  std::string out;
-  for (const Event& e : events) {
-    out += e.to_json().dump();
-    out += '\n';
-  }
-  return out;
-}
-
 /// One decision as a token: the chosen device, then the admitting tier as
 /// a letter (a, b, c for tiers I, II, II'; f for the fallback), upper case
 /// when Alg. 2's eviction-risk flag was up. "12b": device 12, tier II.
@@ -110,10 +100,15 @@ Capture run_case(const GoldenInput& in) {
   result.scheduling_overhead_ms = 0.0;  // the one wall-clock report field
 
   Capture out;
-  out.decisions = jsonl(sink.decisions());
-  out.cluster_events = jsonl(sink.cluster_events());
   for (const obs::DecisionEvent& e : sink.decisions()) {
+    out.decisions += e.to_json().dump() + '\n';
     out.trace.push_back(trace_token(e));
+  }
+  // The cluster-event log holds what the decision log's writer keeps.
+  for (const obs::ClusterEvent& e : sink.cluster_events()) {
+    if (obs::in_decision_log(e.kind)) {
+      out.cluster_events += e.to_json().dump() + '\n';
+    }
   }
   const obs::JsonValue report = make_run_report(result, telemetry);
   out.report = report.dump();

@@ -54,15 +54,25 @@ ClusterConfig tiny_cluster() {
   return c;
 }
 
-std::string run_jsonl(const WorkloadStream& stream) {
-  std::ostringstream out;
-  obs::JsonlEventSink sink(out);
+/// Runs the stream with `sink` attached.
+void run_with_sink(const WorkloadStream& stream, obs::EventSink& sink) {
   obs::Telemetry telemetry;
   telemetry.sink = &sink;
   MiccoScheduler sched;
   RunOptions options;
   options.telemetry = &telemetry;
   run_stream(stream, sched, tiny_cluster(), options);
+}
+
+/// The decision log the buffered writer produces with `flush_bytes`.
+std::string run_jsonl(const WorkloadStream& stream,
+                      std::size_t flush_bytes =
+                          obs::BufferedJsonlEventSink::kDefaultFlushBytes) {
+  std::ostringstream out;
+  {
+    obs::BufferedJsonlEventSink sink(out, flush_bytes);
+    run_with_sink(stream, sink);
+  }  // sink destruction drains the buffer
   return out.str();
 }
 
@@ -148,6 +158,7 @@ TEST(ObsEvents, ClusterEventsCoverFetchEvictionAndBarrier) {
   run_stream(stream, sched, tiny_cluster(), options);
 
   std::size_t fetches = 0;
+  std::size_t kernels = 0;
   std::size_t evictions = 0;
   std::size_t barriers = 0;
   for (const obs::ClusterEvent& e : sink.cluster_events()) {
@@ -155,7 +166,12 @@ TEST(ObsEvents, ClusterEventsCoverFetchEvictionAndBarrier) {
       case obs::ClusterEventKind::kFetch:
         ++fetches;
         EXPECT_GT(e.bytes, 0u);
-        EXPECT_EQ(e.detail, "h2d");  // P2P disabled in this cluster
+        EXPECT_FALSE(e.p2p);  // P2P disabled in this cluster
+        break;
+      case obs::ClusterEventKind::kKernel:
+        ++kernels;
+        break;
+      case obs::ClusterEventKind::kOutputAlloc:
         break;
       case obs::ClusterEventKind::kEviction:
         ++evictions;
@@ -171,6 +187,7 @@ TEST(ObsEvents, ClusterEventsCoverFetchEvictionAndBarrier) {
     }
   }
   EXPECT_GT(fetches, 0u);
+  EXPECT_EQ(kernels, total_pairs(stream));
   EXPECT_GT(evictions, 0u);  // 8 MiB devices cannot hold the stream
   EXPECT_GT(barriers, 0u);
 }
@@ -191,11 +208,12 @@ TEST(ObsEvents, EventJsonOmitsIrrelevantFields) {
   evict.device = 0;
   evict.tensor = 7;
   evict.bytes = 128;
-  evict.detail = "operand_fetch";
+  evict.cause = obs::EvictionCause::kOperandFetch;
+  evict.policy = "lru";
   evict.victim_age_s = 0.25;
   const obs::JsonValue edoc = evict.to_json();
   EXPECT_DOUBLE_EQ(edoc.at("victim_age_s").as_double(), 0.25);
-  EXPECT_EQ(edoc.at("detail").as_string(), "operand_fetch");
+  EXPECT_EQ(edoc.at("detail").as_string(), "operand_fetch/lru");
 }
 
 TEST(ObsEvents, TelemetryWithoutSinkStillCounts) {
@@ -253,29 +271,31 @@ TEST(ObsEvents, RegistryIsTheSameWithOrWithoutASink) {
 
 // -- BufferedJsonlEventSink ------------------------------------------------
 
-std::string run_buffered_jsonl(const WorkloadStream& stream,
-                               std::size_t flush_bytes) {
-  std::ostringstream out;
-  {
-    obs::BufferedJsonlEventSink sink(out, flush_bytes);
-    obs::Telemetry telemetry;
-    telemetry.sink = &sink;
-    MiccoScheduler sched;
-    RunOptions options;
-    options.telemetry = &telemetry;
-    run_stream(stream, sched, tiny_cluster(), options);
-  }  // sink destruction drains the buffer
-  return out.str();
-}
+/// Reference log: each recorded event's to_json() line in emission order,
+/// cluster events filtered by the decision-log predicate.
+class LineSink final : public obs::EventSink {
+ public:
+  void decision(const obs::DecisionEvent& event) override {
+    lines += event.to_json().dump() + '\n';
+  }
+  void cluster(const obs::ClusterEvent& event) override {
+    if (obs::in_decision_log(event.kind)) {
+      lines += event.to_json().dump() + '\n';
+    }
+  }
+  std::string lines;
+};
 
 TEST(ObsEvents, BufferedSinkIsLineIdenticalToUnbuffered) {
   const WorkloadStream stream = generate_synthetic(tiny_workload());
-  const std::string plain = run_jsonl(stream);
+  LineSink reference;
+  run_with_sink(stream, reference);
+  ASSERT_FALSE(reference.lines.empty());
   // Thresholds straddle the interesting regimes: every-line flush, mid-run
   // flushes, and one single flush at destruction.
   for (const std::size_t flush_bytes : {std::size_t{1}, std::size_t{4096},
                                         std::size_t{1} << 30}) {
-    EXPECT_EQ(plain, run_buffered_jsonl(stream, flush_bytes))
+    EXPECT_EQ(reference.lines, run_jsonl(stream, flush_bytes))
         << "flush_bytes=" << flush_bytes;
   }
 }

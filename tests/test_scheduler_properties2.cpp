@@ -122,17 +122,21 @@ TEST_P(SchedulerProperties2, TraceDurationsCoverDeviceWork) {
   // device work time (nothing the simulator prices escapes the trace).
   const WorkloadStream stream = make_stream();
   MiccoScheduler sched;
-  TraceRecorder trace;
+  obs::MemoryEventSink sink;
+  obs::Telemetry telemetry;
+  telemetry.sink = &sink;
   RunOptions options;
-  options.trace = &trace;
+  options.telemetry = &telemetry;
   const RunResult r = run_stream(stream, sched, cluster(), options);
 
   double traced = 0.0;
-  for (const TraceEventKind kind :
-       {TraceEventKind::kFetchH2D, TraceEventKind::kFetchP2P,
-        TraceEventKind::kOutputAlloc, TraceEventKind::kEviction,
-        TraceEventKind::kKernel}) {
-    traced += trace.summarize(kind).total_s;
+  for (const obs::ClusterEvent& e : sink.cluster_events()) {
+    if (e.kind == obs::ClusterEventKind::kFetch ||
+        e.kind == obs::ClusterEventKind::kOutputAlloc ||
+        e.kind == obs::ClusterEventKind::kEviction ||
+        e.kind == obs::ClusterEventKind::kKernel) {
+      traced += e.duration_s;
+    }
   }
   EXPECT_NEAR(traced,
               r.metrics.kernel_time_s + r.metrics.transfer_time_s,

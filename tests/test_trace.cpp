@@ -1,13 +1,21 @@
-#include "gpusim/trace.hpp"
-
+// Chrome timeline tests: the simulator reports every priced event once, as
+// an obs::ClusterEvent, and obs::write_chrome_trace renders the recorded
+// events as one track per device.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "gpusim/cluster.hpp"
+#include "obs/events.hpp"
+#include "obs/telemetry.hpp"
 
 namespace micco {
 namespace {
+
+using obs::ClusterEvent;
+using obs::ClusterEventKind;
 
 TensorDesc make_desc(TensorId id) { return TensorDesc{id, 2, 16, 1}; }
 
@@ -26,96 +34,100 @@ ClusterConfig small_cluster(std::uint64_t capacity = 1u << 20) {
   return c;
 }
 
-TEST(Trace, RecordsFetchAllocAndKernelPerTask) {
-  TraceRecorder trace;
-  ClusterSimulator sim(small_cluster());
-  sim.set_trace(&trace);
-  sim.execute(make_task(0, 1, 2), 0);
+/// A simulator whose events land in an in-memory sink.
+struct Recorded {
+  explicit Recorded(ClusterConfig config) : sim(config) {
+    telemetry.sink = &sink;
+    sim.set_telemetry(&telemetry);
+  }
 
-  EXPECT_EQ(trace.summarize(TraceEventKind::kFetchH2D).count, 2u);
-  EXPECT_EQ(trace.summarize(TraceEventKind::kOutputAlloc).count, 1u);
-  EXPECT_EQ(trace.summarize(TraceEventKind::kKernel).count, 1u);
-  EXPECT_EQ(trace.summarize(TraceEventKind::kEviction).count, 0u);
+  std::size_t count(ClusterEventKind kind) const {
+    return static_cast<std::size_t>(
+        std::count_if(sink.cluster_events().begin(),
+                      sink.cluster_events().end(),
+                      [&](const ClusterEvent& e) { return e.kind == kind; }));
+  }
+
+  std::string chrome_json() const {
+    std::ostringstream os;
+    obs::write_chrome_trace(sink.cluster_events(), os);
+    return os.str();
+  }
+
+  obs::MemoryEventSink sink;
+  obs::Telemetry telemetry;
+  ClusterSimulator sim;
+};
+
+TEST(Trace, RecordsFetchAllocAndKernelPerTask) {
+  Recorded rec(small_cluster());
+  rec.sim.execute(make_task(0, 1, 2), 0);
+
+  EXPECT_EQ(rec.count(ClusterEventKind::kFetch), 2u);
+  EXPECT_EQ(rec.count(ClusterEventKind::kOutputAlloc), 1u);
+  EXPECT_EQ(rec.count(ClusterEventKind::kKernel), 1u);
+  EXPECT_EQ(rec.count(ClusterEventKind::kEviction), 0u);
 }
 
 TEST(Trace, ReuseHitsEmitNoFetchEvents) {
-  TraceRecorder trace;
-  ClusterSimulator sim(small_cluster());
-  sim.set_trace(&trace);
-  sim.execute(make_task(0, 1, 2), 0);
-  trace.clear();
-  sim.execute(make_task(0, 1, 3), 0);
-  EXPECT_EQ(trace.summarize(TraceEventKind::kFetchH2D).count, 0u);
-  EXPECT_EQ(trace.summarize(TraceEventKind::kKernel).count, 1u);
+  Recorded rec(small_cluster());
+  rec.sim.execute(make_task(0, 1, 2), 0);
+  rec.sink.clear();
+  rec.sim.execute(make_task(0, 1, 3), 0);
+  EXPECT_EQ(rec.count(ClusterEventKind::kFetch), 0u);
+  EXPECT_EQ(rec.count(ClusterEventKind::kKernel), 1u);
 }
 
 TEST(Trace, EvictionEventsUnderPressure) {
   const std::uint64_t tensor_bytes = make_desc(0).bytes();
-  TraceRecorder trace;
   ClusterConfig cfg = small_cluster(3 * tensor_bytes);
   cfg.num_devices = 1;
-  ClusterSimulator sim(cfg);
-  sim.set_trace(&trace);
-  sim.execute(make_task(0, 1, 2), 0);
-  sim.execute(make_task(3, 4, 5), 0);
-  EXPECT_GT(trace.summarize(TraceEventKind::kEviction).count, 0u);
+  Recorded rec(cfg);
+  rec.sim.execute(make_task(0, 1, 2), 0);
+  rec.sim.execute(make_task(3, 4, 5), 0);
+  EXPECT_GT(rec.count(ClusterEventKind::kEviction), 0u);
 }
 
 TEST(Trace, EventsOnCorrectDeviceTrack) {
-  TraceRecorder trace;
-  ClusterSimulator sim(small_cluster());
-  sim.set_trace(&trace);
-  sim.execute(make_task(0, 1, 2), 1);
-  for (const TraceEvent& e : trace.events()) {
+  Recorded rec(small_cluster());
+  rec.sim.execute(make_task(0, 1, 2), 1);
+  for (const ClusterEvent& e : rec.sink.cluster_events()) {
     EXPECT_EQ(e.device, 1);
   }
 }
 
 TEST(Trace, TimelineIsContiguousWithinTask) {
-  TraceRecorder trace;
-  ClusterSimulator sim(small_cluster());
-  sim.set_trace(&trace);
-  sim.execute(make_task(0, 1, 2), 0);
+  Recorded rec(small_cluster());
+  rec.sim.execute(make_task(0, 1, 2), 0);
 
   // Events run back-to-back from t=0 to the device's busy time.
   double cursor = 0.0;
-  for (const TraceEvent& e : trace.events()) {
+  for (const ClusterEvent& e : rec.sink.cluster_events()) {
     EXPECT_NEAR(e.start_s, cursor, 1e-12);
     cursor += e.duration_s;
   }
-  EXPECT_NEAR(cursor, sim.busy_time(0), 1e-12);
+  EXPECT_NEAR(cursor, rec.sim.busy_time(0), 1e-12);
 }
 
 TEST(Trace, BarrierEmitsIdleGaps) {
-  TraceRecorder trace;
-  ClusterSimulator sim(small_cluster());
-  sim.set_trace(&trace);
-  sim.execute(make_task(0, 1, 2), 0);  // device 1 stays idle
-  sim.barrier();
-  const TraceSummary idle = trace.summarize(TraceEventKind::kBarrier);
-  EXPECT_EQ(idle.count, 1u);
-  EXPECT_NEAR(idle.total_s, sim.metrics().barrier_idle_s, 1e-12);
-}
-
-TEST(Trace, WindowFiltersByInterval) {
-  TraceRecorder trace;
-  trace.record(TraceEvent{TraceEventKind::kKernel, 0, 1, 0.0, 1.0});
-  trace.record(TraceEvent{TraceEventKind::kKernel, 0, 2, 2.0, 1.0});
-  EXPECT_EQ(trace.window(0.5, 1.5).size(), 1u);
-  EXPECT_EQ(trace.window(0.0, 5.0).size(), 2u);
-  EXPECT_EQ(trace.window(1.2, 1.8).size(), 0u);
+  Recorded rec(small_cluster());
+  rec.sim.execute(make_task(0, 1, 2), 0);  // device 1 stays idle
+  rec.sim.barrier();
+  ASSERT_EQ(rec.count(ClusterEventKind::kBarrier), 1u);
+  const ClusterEvent& idle = rec.sink.cluster_events().back();
+  ASSERT_EQ(idle.kind, ClusterEventKind::kBarrier);
+  EXPECT_NEAR(idle.duration_s, rec.sim.metrics().barrier_idle_s, 1e-12);
+  // The slice starts where the device went idle and ends at the barrier.
+  EXPECT_EQ(idle.start_s, 0.0);
+  EXPECT_EQ(idle.time_s, rec.sim.busy_time(1));
 }
 
 TEST(Trace, ChromeJsonIsWellFormedish) {
-  TraceRecorder trace;
-  ClusterSimulator sim(small_cluster());
-  sim.set_trace(&trace);
-  sim.execute(make_task(0, 1, 2), 0);
-  sim.barrier();
+  Recorded rec(small_cluster());
+  rec.sim.execute(make_task(0, 1, 2), 0);
+  rec.sim.barrier();
 
-  std::ostringstream os;
-  trace.write_chrome_json(os);
-  const std::string json = os.str();
+  const std::string json = rec.chrome_json();
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"kernel\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
@@ -125,65 +137,59 @@ TEST(Trace, ChromeJsonIsWellFormedish) {
 }
 
 TEST(Trace, DetachStopsRecording) {
-  TraceRecorder trace;
-  ClusterSimulator sim(small_cluster());
-  sim.set_trace(&trace);
-  sim.execute(make_task(0, 1, 2), 0);
-  const std::size_t before = trace.size();
-  sim.set_trace(nullptr);
-  sim.execute(make_task(3, 4, 5), 0);
-  EXPECT_EQ(trace.size(), before);
+  Recorded rec(small_cluster());
+  rec.sim.execute(make_task(0, 1, 2), 0);
+  const std::size_t before = rec.sink.cluster_events().size();
+  rec.sim.set_telemetry(nullptr);
+  rec.sim.execute(make_task(3, 4, 5), 0);
+  EXPECT_EQ(rec.sink.cluster_events().size(), before);
 }
 
 TEST(Trace, TracingDoesNotPerturbTiming) {
-  ClusterSimulator traced_sim(small_cluster());
-  TraceRecorder trace;
-  traced_sim.set_trace(&trace);
+  Recorded rec(small_cluster());
   ClusterSimulator plain_sim(small_cluster());
   for (TensorId i = 0; i < 12; i += 3) {
-    traced_sim.execute(make_task(i, i + 1, i + 2), 0);
+    rec.sim.execute(make_task(i, i + 1, i + 2), 0);
     plain_sim.execute(make_task(i, i + 1, i + 2), 0);
   }
-  EXPECT_DOUBLE_EQ(traced_sim.busy_time(0), plain_sim.busy_time(0));
+  EXPECT_DOUBLE_EQ(rec.sim.busy_time(0), plain_sim.busy_time(0));
 }
 
 TEST(Trace, KindNamesAreStable) {
-  EXPECT_STREQ(to_string(TraceEventKind::kFetchH2D), "fetch_h2d");
-  EXPECT_STREQ(to_string(TraceEventKind::kKernel), "kernel");
-  EXPECT_STREQ(to_string(TraceEventKind::kBarrier), "barrier");
-  EXPECT_STREQ(to_string(EvictionCause::kOperandFetch), "operand_fetch");
-  EXPECT_STREQ(to_string(EvictionCause::kOutputAlloc), "output_alloc");
+  ClusterEvent fetch;
+  fetch.kind = ClusterEventKind::kFetch;
+  ClusterEvent p2p = fetch;
+  p2p.p2p = true;
+  ClusterEvent kernel;
+  kernel.kind = ClusterEventKind::kKernel;
+  ClusterEvent barrier;
+  barrier.kind = ClusterEventKind::kBarrier;
+  std::ostringstream os;
+  obs::write_chrome_trace({fetch, p2p, kernel, barrier}, os);
+  const std::string json = os.str();
+  for (const char* name : {"fetch_h2d", "fetch_p2p", "kernel", "barrier"}) {
+    EXPECT_NE(json.find(std::string("\"name\":\"") + name + "\""),
+              std::string::npos)
+        << name;
+  }
+  EXPECT_STREQ(to_string(obs::EvictionCause::kOperandFetch), "operand_fetch");
+  EXPECT_STREQ(to_string(obs::EvictionCause::kOutputAlloc), "output_alloc");
 }
 
 TEST(Trace, EmptyRecorderSummarizesAndWindowsToNothing) {
-  const TraceRecorder trace;
-  const TraceSummary s = trace.summarize(TraceEventKind::kKernel);
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_DOUBLE_EQ(s.total_s, 0.0);
-  EXPECT_TRUE(trace.window(0.0, 100.0).empty());
+  const obs::MemoryEventSink sink;
+  EXPECT_TRUE(sink.cluster_events().empty());
 
   std::ostringstream os;
-  trace.write_chrome_json(os);
+  obs::write_chrome_trace(sink.cluster_events(), os);
   EXPECT_EQ(os.str(), "{\"traceEvents\":[]}\n");
 }
 
-TEST(Trace, ZeroLengthWindowMatchesNoHalfOpenInterval) {
-  TraceRecorder trace;
-  trace.record(TraceEvent{TraceEventKind::kKernel, 0, 1, 0.0, 1.0});
-  // [t, t) is empty by the half-open convention, even inside an event.
-  EXPECT_TRUE(trace.window(0.5, 0.5).empty());
-  EXPECT_TRUE(trace.window(0.0, 0.0).empty());
-}
-
 TEST(Trace, ChromeJsonCarriesArgsForPayloadEvents) {
-  TraceRecorder trace;
-  ClusterSimulator sim(small_cluster());
-  sim.set_trace(&trace);
-  sim.execute(make_task(0, 1, 2), 0);
+  Recorded rec(small_cluster());
+  rec.sim.execute(make_task(0, 1, 2), 0);
 
-  std::ostringstream os;
-  trace.write_chrome_json(os);
-  const std::string json = os.str();
+  const std::string json = rec.chrome_json();
   // Fetches carry the tensor id and the bytes moved.
   EXPECT_NE(json.find("\"args\":{\"tensor\":0,\"bytes\":"), std::string::npos);
   // No eviction happened, so no cause is attached anywhere.
@@ -192,38 +198,29 @@ TEST(Trace, ChromeJsonCarriesArgsForPayloadEvents) {
 
 TEST(Trace, ChromeJsonNamesEvictionCause) {
   const std::uint64_t tensor_bytes = make_desc(0).bytes();
-  TraceRecorder trace;
   ClusterConfig cfg = small_cluster(3 * tensor_bytes);
   cfg.num_devices = 1;
-  ClusterSimulator sim(cfg);
-  sim.set_trace(&trace);
-  sim.execute(make_task(0, 1, 2), 0);
-  sim.execute(make_task(3, 4, 5), 0);
+  Recorded rec(cfg);
+  rec.sim.execute(make_task(0, 1, 2), 0);
+  rec.sim.execute(make_task(3, 4, 5), 0);
 
   bool saw_cause = false;
-  for (const TraceEvent& e : trace.events()) {
-    if (e.kind != TraceEventKind::kEviction) continue;
-    EXPECT_NE(e.cause, EvictionCause::kNone);
+  for (const ClusterEvent& e : rec.sink.cluster_events()) {
+    if (e.kind != ClusterEventKind::kEviction) continue;
+    EXPECT_NE(e.cause, obs::EvictionCause::kNone);
     EXPECT_GT(e.bytes, 0u);
     saw_cause = true;
   }
   ASSERT_TRUE(saw_cause);
-
-  std::ostringstream os;
-  trace.write_chrome_json(os);
-  EXPECT_NE(os.str().find("\"cause\":\""), std::string::npos);
+  EXPECT_NE(rec.chrome_json().find("\"cause\":\""), std::string::npos);
 }
 
 TEST(Trace, BarrierEventsCarryNoArgs) {
-  TraceRecorder trace;
-  ClusterSimulator sim(small_cluster());
-  sim.set_trace(&trace);
-  sim.execute(make_task(0, 1, 2), 0);
-  sim.barrier();
+  Recorded rec(small_cluster());
+  rec.sim.execute(make_task(0, 1, 2), 0);
+  rec.sim.barrier();
 
-  std::ostringstream os;
-  trace.write_chrome_json(os);
-  const std::string json = os.str();
+  const std::string json = rec.chrome_json();
   // The barrier line (device 1 idle) has no tensor, hence no args block.
   const std::size_t barrier_pos = json.find("\"name\":\"barrier\"");
   ASSERT_NE(barrier_pos, std::string::npos);

@@ -205,6 +205,26 @@ bool cannot_write(const char* cmd, const std::string& path) {
   return true;
 }
 
+/// Feeds every event to two sinks: `run --trace --decisions` records the
+/// timeline's events in memory while the decision log streams to its file.
+class TeeSink final : public obs::EventSink {
+ public:
+  TeeSink(obs::EventSink& first, obs::EventSink& second)
+      : first_(first), second_(second) {}
+  void decision(const obs::DecisionEvent& event) override {
+    first_.decision(event);
+    second_.decision(event);
+  }
+  void cluster(const obs::ClusterEvent& event) override {
+    first_.cluster(event);
+    second_.cluster(event);
+  }
+
+ private:
+  obs::EventSink& first_;
+  obs::EventSink& second_;
+};
+
 /// Conservative per-task capacity floor for --oversub; zero for a workload
 /// with no tasks (where oversubscription is meaningless).
 std::uint64_t first_task_bytes(const WorkloadStream& stream) {
@@ -352,7 +372,8 @@ int cmd_run(const CliArgs& args) {
       mem::make_policy(*policy_kind);
 
   // Telemetry only when an output needs it: the decision log streams to its
-  // JSONL file during the run, and the report is assembled from the
+  // JSONL file during the run, the timeline is written from the cluster
+  // events recorded in memory, and the report is assembled from the
   // registry afterwards.
   obs::Telemetry telemetry;
   std::ofstream decisions_file;
@@ -361,13 +382,17 @@ int cmd_run(const CliArgs& args) {
     decisions_file.open(decisions_path);
     telemetry.sink = &sink.emplace(decisions_file);
   }
+  obs::MemoryEventSink timeline;
+  std::optional<TeeSink> tee;
+  if (!trace_path.empty()) {
+    telemetry.sink = sink.has_value() ? &tee.emplace(timeline, *sink)
+                                      : static_cast<obs::EventSink*>(&timeline);
+  }
 
-  TraceRecorder trace;
   RunOptions options;
   options.bounds = provider.get();
-  options.trace = args.has("trace") ? &trace : nullptr;
   options.telemetry =
-      report_path.empty() && decisions_path.empty() ? nullptr : &telemetry;
+      report_path.empty() && telemetry.sink == nullptr ? nullptr : &telemetry;
   options.faults = plan.has_value() ? &*plan : nullptr;
   options.retry = retry;
   options.evict_policy = evict_policy.get();
@@ -414,7 +439,13 @@ int cmd_run(const CliArgs& args) {
   }
 
   if (!trace_path.empty()) {
-    trace.write_chrome_json_file(trace_path);
+    std::ofstream trace_file(trace_path);
+    obs::write_chrome_trace(timeline.cluster_events(), trace_file);
+    trace_file.flush();
+    if (!trace_file) {
+      std::fprintf(stderr, "run: cannot write %s\n", trace_path.c_str());
+      return 1;
+    }
     std::printf("timeline written to %s (chrome://tracing)\n",
                 trace_path.c_str());
   }
