@@ -348,23 +348,13 @@ obs::JsonValue make_run_report(const RunResult& result,
   in.scheduling_overhead_ms = result.scheduling_overhead_ms;
   in.reuse_rate = result.metrics.reuse_rate();
 
-  double busy_max = 0.0;
-  double busy_sum = 0.0;
   for (std::size_t i = 0; i < result.device_busy_s.size(); ++i) {
-    const double busy = result.device_busy_s[i];
-    busy_max = std::max(busy_max, busy);
-    busy_sum += busy;
     obs::DeviceRollup rollup;
     rollup.device = static_cast<int>(i);
-    rollup.busy_s = busy;
+    rollup.busy_s = result.device_busy_s[i];
     rollup.utilization = result.device_utilization[i];
     in.devices.push_back(rollup);
   }
-  const double busy_mean =
-      result.device_busy_s.empty()
-          ? 0.0
-          : busy_sum / static_cast<double>(result.device_busy_s.size());
-  in.imbalance_ratio = busy_mean > 0.0 ? busy_max / busy_mean : 0.0;
 
   obs::JsonValue report = obs::build_report(in, telemetry.registry);
 
@@ -390,6 +380,11 @@ obs::JsonValue make_run_report(const RunResult& result,
   if (!result.error.empty()) report.set("error", result.error);
 
   // Per-vector rollup: the observed characteristics the bounds model ran on.
+  report.set("vectors", per_vector_json(result));
+  return report;
+}
+
+obs::JsonValue per_vector_json(const RunResult& result) {
   obs::JsonValue vectors = obs::JsonValue::array();
   for (const DataCharacteristics& c : result.per_vector_characteristics) {
     obs::JsonValue entry = obs::JsonValue::object();
@@ -399,8 +394,7 @@ obs::JsonValue make_run_report(const RunResult& result,
     entry.set("repeated_rate", c.repeated_rate);
     vectors.push_back(std::move(entry));
   }
-  report.set("vectors", std::move(vectors));
-  return report;
+  return vectors;
 }
 
 RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,

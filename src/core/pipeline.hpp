@@ -148,6 +148,11 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
 obs::JsonValue make_run_report(const RunResult& result,
                                const obs::Telemetry& telemetry);
 
+/// The run's per-vector characteristics as a JSON array of {vector_size,
+/// tensor_extent, distribution_bias, repeated_rate} objects: a run report's
+/// "vectors" and a daemon job result's "per_vector".
+obs::JsonValue per_vector_json(const RunResult& result);
+
 /// Sizes device capacity so the run is at the given memory oversubscription
 /// rate: rate = (per-device share of the distinct-tensor footprint) /
 /// capacity. rate 1.0 means the workload exactly fits; 2.0 means each

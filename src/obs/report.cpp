@@ -1,5 +1,6 @@
 #include "obs/report.hpp"
 
+#include <algorithm>
 #include <fstream>
 
 #include "common/assert.hpp"
@@ -21,12 +22,23 @@ JsonValue build_report(const ReportInputs& inputs,
 
   report.set("metrics", inputs.metrics);
 
+  double busy_max = 0.0;
+  double busy_sum = 0.0;
+  for (const DeviceRollup& d : inputs.devices) {
+    busy_max = std::max(busy_max, d.busy_s);
+    busy_sum += d.busy_s;
+  }
+  const double busy_mean =
+      inputs.devices.empty()
+          ? 0.0
+          : busy_sum / static_cast<double>(inputs.devices.size());
+
   JsonValue derived = JsonValue::object();
   derived.set("makespan_s", inputs.makespan_s);
   derived.set("gflops", inputs.gflops);
   derived.set("scheduling_overhead_ms", inputs.scheduling_overhead_ms);
   derived.set("reuse_rate", inputs.reuse_rate);
-  derived.set("imbalance_ratio", inputs.imbalance_ratio);
+  derived.set("imbalance_ratio", busy_mean > 0.0 ? busy_max / busy_mean : 0.0);
   report.set("derived", std::move(derived));
 
   JsonValue devices = JsonValue::array();

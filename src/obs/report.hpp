@@ -37,14 +37,14 @@ struct ReportInputs {
   double gflops = 0.0;
   double scheduling_overhead_ms = 0.0;
   double reuse_rate = 0.0;        ///< reused / (reused + fetched) operands
-  double imbalance_ratio = 0.0;   ///< max device busy / mean device busy
   /// Wall-clock stamp ("YYYY-MM-DDTHH:MM:SSZ") captured once per serving
   /// session via obs::Clock. Empty (the batch-path default) omits the field
   /// entirely so byte-compared batch reports stay deterministic.
   std::string generated_at;
 };
 
-/// Assembles the versioned report document.
+/// Assembles the versioned report document. The derived imbalance_ratio
+/// (max device busy / mean device busy) comes from `devices`.
 JsonValue build_report(const ReportInputs& inputs,
                        const MetricsRegistry& registry);
 

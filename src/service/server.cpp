@@ -714,16 +714,7 @@ void Server::run_job(std::uint64_t job_id) {
     doc.set("tasks_reexecuted", result.tasks_reexecuted);
     doc.set("recovered", result.recovered);
   }
-  obs::JsonValue vectors = obs::JsonValue::array();
-  for (const DataCharacteristics& c : result.per_vector_characteristics) {
-    obs::JsonValue entry = obs::JsonValue::object();
-    entry.set("vector_size", c.vector_size);
-    entry.set("tensor_extent", c.tensor_extent);
-    entry.set("distribution_bias", c.distribution_bias);
-    entry.set("repeated_rate", c.repeated_rate);
-    vectors.push_back(std::move(entry));
-  }
-  doc.set("per_vector", std::move(vectors));
+  doc.set("per_vector", per_vector_json(result));
 
   doc.set("queue_latency_ms", queue_ms);
 
@@ -1022,12 +1013,8 @@ obs::JsonValue Server::session_report() const {
   metrics.set("writeback_bytes", total_writeback_bytes_);
   in.metrics = std::move(metrics);
 
-  double busy_max = 0.0;
-  double busy_sum = 0.0;
   for (std::size_t d = 0; d < device_busy_s_.size(); ++d) {
     const double busy = device_busy_s_[d];
-    busy_max = std::max(busy_max, busy);
-    busy_sum += busy;
     obs::DeviceRollup rollup;
     rollup.device = static_cast<int>(d);
     rollup.busy_s = busy;
@@ -1035,12 +1022,6 @@ obs::JsonValue Server::session_report() const {
         total_makespan_s_ > 0.0 ? busy / total_makespan_s_ : 0.0;
     in.devices.push_back(rollup);
   }
-  const double busy_mean =
-      device_busy_s_.empty()
-          ? 0.0
-          : busy_sum / static_cast<double>(device_busy_s_.size());
-  in.imbalance_ratio = busy_mean > 0.0 ? busy_max / busy_mean : 0.0;
-
   return obs::build_report(in, telemetry_.registry);
 }
 
