@@ -3,9 +3,11 @@
 # compiled in, the micco-lint determinism & concurrency gate (required —
 # scope-aware lock-order/blocking/WAL rules, lock-graph export, and a stale-
 # suppression audit), full test suite, a telemetry smoke test (`micco run
-# --report --decisions` must emit a valid, deterministic report + decision
-# log on a generated stream), a fault-injection smoke test (kill a device
-# mid-stream and require a clean recovery), a serve smoke test (the
+# --report --decisions --trace` must emit a valid, deterministic report,
+# decision log and Chrome timeline on a generated stream), a
+# fault-injection smoke test (kill a device mid-stream and require a clean
+# recovery; lose every device and require exit 1 with a parseable
+# timeline), a serve smoke test (the
 # scheduling daemon end to end: submit/wait/drain over a Unix socket with
 # byte-identical decision logs AND byte-identical span traces across
 # sessions, a `micco top --once` dashboard frame, and an offline
@@ -88,19 +90,27 @@ trap 'rm -rf "${SMOKE_DIR}"' EXIT
 "${BUILD_DIR}/tools/micco" generate --out="${SMOKE_DIR}/smoke.mw" \
   --vectors=2 --vector-size=24 --batch=16
 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/smoke.mw" --gpus=4 \
-  --report="${SMOKE_DIR}/r1.json" --decisions="${SMOKE_DIR}/d1.jsonl"
+  --report="${SMOKE_DIR}/r1.json" --decisions="${SMOKE_DIR}/d1.jsonl" \
+  --trace="${SMOKE_DIR}/t1.json"
 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/smoke.mw" --gpus=4 \
-  --report="${SMOKE_DIR}/r2.json" --decisions="${SMOKE_DIR}/d2.jsonl"
+  --report="${SMOKE_DIR}/r2.json" --decisions="${SMOKE_DIR}/d2.jsonl" \
+  --trace="${SMOKE_DIR}/t2.json"
 
-# The decision log must be byte-identical across identical runs.
+# The decision log and the Chrome timeline (written from the same events
+# through the CLI's tee) must be byte-identical across identical runs.
 cmp "${SMOKE_DIR}/d1.jsonl" "${SMOKE_DIR}/d2.jsonl"
+cmp "${SMOKE_DIR}/t1.json" "${SMOKE_DIR}/t2.json"
 
 # The report must be JSON a stock parser accepts, with the headline fields.
 if command -v python3 >/dev/null 2>&1; then
-  python3 - "${SMOKE_DIR}/r1.json" "${SMOKE_DIR}/d1.jsonl" <<'EOF'
+  python3 - "${SMOKE_DIR}/r1.json" "${SMOKE_DIR}/d1.jsonl" \
+    "${SMOKE_DIR}/t1.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     report = json.load(f)
+with open(sys.argv[3]) as f:
+    slices = json.load(f)["traceEvents"]
+assert any(s["name"] == "kernel" for s in slices), "timeline has no kernel"
 for key in ("schema_version", "scheduler", "derived", "devices", "registry"):
     assert key in report, f"report missing {key!r}"
 # Every decision lands in exactly one sched.pattern.* counter, so the
@@ -132,7 +142,26 @@ EOF
   --decisions="${SMOKE_DIR}/df.jsonl"
 grep -q '"recovered": true' "${SMOKE_DIR}/rf.json"
 grep -q '"devices_lost": 1' "${SMOKE_DIR}/rf.json"
-echo "fault smoke test OK: device loss absorbed, recovered=true"
+
+# Losing every device fails the run (exit 1), but every output is still
+# written: the timeline parses and shows both device failures.
+printf 'fail 0 0.0\nfail 1 0.0\n' > "${SMOKE_DIR}/plan_all.txt"
+if "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/smoke.mw" --gpus=2 \
+    --fault-plan="${SMOKE_DIR}/plan_all.txt" \
+    --report="${SMOKE_DIR}/rx.json" --trace="${SMOKE_DIR}/tx.json" \
+    >/dev/null 2>&1; then
+  echo "fault smoke test FAILED: a run that lost every device exited 0" >&2
+  exit 1
+fi
+python3 - "${SMOKE_DIR}/tx.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    slices = json.load(f)["traceEvents"]
+failures = sum(1 for s in slices if s["name"] == "device_failure")
+assert failures == 2, f"{failures} device_failure slices, want 2"
+EOF
+echo "fault smoke test OK: device loss absorbed, recovered=true;" \
+  "a run that lost every device exits 1 with its timeline written"
 
 # An invalid plan must be rejected with a non-zero exit, not an abort.
 if "${BUILD_DIR}/tools/micco" faults "${SMOKE_DIR}/plan.txt" --gpus=1 \

@@ -413,8 +413,9 @@ int cmd_run(const CliArgs& args) {
               static_cast<unsigned long long>(m.eviction_refetch_bytes));
   print_fault_summary(result);
 
-  // The report (with its "error" field) is written for a failed run too;
-  // the exit code below tells scripts the stream did not complete.
+  // Every output (the report with its "error" field) is written for a
+  // failed run too; the exit code below tells scripts the stream did not
+  // complete.
   if (!report_path.empty()) {
     const obs::JsonValue report = make_run_report(result, telemetry);
     const std::string complaint = obs::validate_report(report);
@@ -433,11 +434,6 @@ int cmd_run(const CliArgs& args) {
     }
     std::printf("decision log written to %s\n", decisions_path.c_str());
   }
-  if (!result.completed) {
-    std::fprintf(stderr, "run: %s\n", result.error.c_str());
-    return 1;
-  }
-
   if (!trace_path.empty()) {
     std::ofstream trace_file(trace_path);
     obs::write_chrome_trace(timeline.cluster_events(), trace_file);
@@ -448,6 +444,10 @@ int cmd_run(const CliArgs& args) {
     }
     std::printf("timeline written to %s (chrome://tracing)\n",
                 trace_path.c_str());
+  }
+  if (!result.completed) {
+    std::fprintf(stderr, "run: %s\n", result.error.c_str());
+    return 1;
   }
   return 0;
 }
