@@ -4,7 +4,8 @@
 # scope-aware lock-order/blocking/WAL rules, lock-graph export, and a stale-
 # suppression audit), full test suite, a telemetry smoke test (`micco run
 # --report --decisions --trace` must emit a valid, deterministic report,
-# decision log and Chrome timeline on a generated stream), a
+# decision log and Chrome timeline on a generated stream), a timeline
+# precision probe (same-track slices of a 17 s simulated stream abut), a
 # fault-injection smoke test (kill a device mid-stream and require a clean
 # recovery; lose every device and require exit 1 with a parseable
 # timeline), a serve smoke test (the
@@ -128,6 +129,29 @@ else
   grep -q '"schema_version"' "${SMOKE_DIR}/r1.json"
   echo "report smoke test OK (python3 unavailable; grep check only)"
 fi
+
+echo "== timeline precision probe =="
+# A 17 s simulated stream: most slices start past one simulated second
+# (1e6 us). Each device books its events back to back, so consecutive
+# slices on one track must still abut once the timeline is parsed back.
+"${BUILD_DIR}/tools/micco" generate --out="${SMOKE_DIR}/long.mw" \
+  --vectors=40 --vector-size=64 --tensor=768 --batch=32 --repeat=0.5 --seed=3
+"${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/long.mw" --gpus=8 \
+  --trace="${SMOKE_DIR}/long.json" > /dev/null
+python3 - "${SMOKE_DIR}/long.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    slices = json.load(f)["traceEvents"]
+track_end = {}
+pairs = gaps = 0
+for s in slices:
+    if s["tid"] in track_end:
+        pairs += 1
+        gaps += abs(s["ts"] - track_end[s["tid"]]) > 1e-6
+    track_end[s["tid"]] = s["ts"] + s["dur"]
+assert pairs > 0 and gaps == 0, f"{gaps} of {pairs} same-track pairs apart"
+print(f"timeline precision probe OK: {pairs} same-track slice pairs abut")
+EOF
 
 echo "== fault-injection smoke test =="
 # Kill 1 of 4 devices shortly after the stream starts; the run must still

@@ -123,20 +123,25 @@ void write_chrome_trace(const std::vector<ClusterEvent>& events,
     if (e.kind == ClusterEventKind::kRecovery) continue;
     if (!first) out << ",";
     first = false;
-    out << "{\"name\":\"" << slice_name(e) << "\"";
+    JsonValue slice = JsonValue::object();
+    slice.set("name", slice_name(e));
     // Perfetto surfaces `args` in the tooltip; keep the top-level schema
     // fields (name/ph/pid/tid/ts/dur) untouched for existing tooling.
     if (names_tensor(e.kind)) {
-      out << ",\"args\":{\"tensor\":" << e.tensor;
-      if (e.bytes > 0) out << ",\"bytes\":" << e.bytes;
+      JsonValue args = JsonValue::object();
+      args.set("tensor", e.tensor);
+      if (e.bytes > 0) args.set("bytes", e.bytes);
       if (e.kind == ClusterEventKind::kEviction) {
-        out << ",\"cause\":\"" << to_string(e.cause) << "\"";
+        args.set("cause", to_string(e.cause));
       }
-      out << "}";
+      slice.set("args", std::move(args));
     }
-    out << ",\"ph\":\"X\",\"pid\":0,\"tid\":" << e.device
-        << ",\"ts\":" << e.start_s * 1e6 << ",\"dur\":" << e.duration_s * 1e6
-        << "}";
+    slice.set("ph", "X");
+    slice.set("pid", 0);
+    slice.set("tid", e.device);
+    slice.set("ts", e.start_s * 1e6);
+    slice.set("dur", e.duration_s * 1e6);
+    out << slice.dump();
   }
   out << "]}\n";
 }

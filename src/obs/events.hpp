@@ -104,8 +104,10 @@ struct ClusterEvent {
 
 /// Writes `events` as a Chrome trace-event JSON document ("traceEvents"
 /// array of X-phase slices, one track per device; chrome://tracing,
-/// Perfetto). Times are in microseconds as the format requires. Recovery
-/// records lie on no device timeline and are skipped.
+/// Perfetto). Times are in microseconds as the format requires, printed
+/// like every JSON number the program writes (shortest round-trip form), so
+/// slices a device runs back to back still abut past one simulated second.
+/// Recovery records lie on no device timeline and are skipped.
 void write_chrome_trace(const std::vector<ClusterEvent>& events,
                         std::ostream& out);
 

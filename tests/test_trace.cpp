@@ -4,12 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <map>
 #include <sstream>
 #include <vector>
 
+#include "core/pipeline.hpp"
 #include "gpusim/cluster.hpp"
 #include "obs/events.hpp"
+#include "obs/json.hpp"
 #include "obs/telemetry.hpp"
+#include "sched/micco_scheduler.hpp"
+#include "workload/synthetic.hpp"
 
 namespace micco {
 namespace {
@@ -227,6 +233,50 @@ TEST(Trace, BarrierEventsCarryNoArgs) {
   const std::size_t args_after = json.find("\"args\"", barrier_pos);
   const std::size_t close_after = json.find("}", barrier_pos);
   EXPECT_TRUE(args_after == std::string::npos || args_after > close_after);
+}
+
+TEST(Trace, SameTrackSlicesAbutPastOneSimulatedSecond) {
+  // The simulator books a device's events back to back, so each slice on a
+  // track starts where the previous one ended. Timestamps past 1e6 us must
+  // keep that to well under a microsecond once written and parsed back.
+  SyntheticConfig cfg;
+  cfg.num_vectors = 6;
+  cfg.vector_size = 64;
+  cfg.tensor_extent = 768;
+  cfg.batch = 32;
+  cfg.repeated_rate = 0.5;
+  cfg.seed = 3;
+  const WorkloadStream stream = generate_synthetic(cfg);
+  obs::MemoryEventSink sink;
+  obs::Telemetry telemetry;
+  telemetry.sink = &sink;
+  MiccoScheduler sched;
+  RunOptions options;
+  options.telemetry = &telemetry;
+  ClusterConfig cluster;
+  cluster.num_devices = 8;
+  const RunResult run = run_stream(stream, sched, cluster, options);
+  ASSERT_GT(run.metrics.makespan_s, 1.0);
+
+  std::ostringstream os;
+  obs::write_chrome_trace(sink.cluster_events(), os);
+  std::string error;
+  const auto doc = obs::parse_json(os.str(), &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  std::map<std::int64_t, double> track_end;
+  std::size_t pairs = 0;
+  std::size_t gaps = 0;
+  for (const obs::JsonValue& slice : doc->at("traceEvents").items()) {
+    const std::int64_t tid = slice.at("tid").as_int();
+    const double ts = slice.at("ts").as_double();
+    if (const auto it = track_end.find(tid); it != track_end.end()) {
+      ++pairs;
+      if (std::fabs(ts - it->second) > 1e-6) ++gaps;
+    }
+    track_end[tid] = ts + slice.at("dur").as_double();
+  }
+  ASSERT_GT(pairs, 0u);
+  EXPECT_EQ(gaps, 0u) << "of " << pairs << " same-track slice pairs";
 }
 
 }  // namespace
