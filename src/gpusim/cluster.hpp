@@ -334,9 +334,9 @@ class ClusterSimulator final : public ClusterView {
 
   /// Makes room for `bytes` on `dev`, charging eviction costs; operands of
   /// the in-flight task must already be pinned. `cause` labels any induced
-  /// evictions in telemetry. Returns nullopt when the bytes can
-  /// never fit (single tensor over capacity, or everything left is pinned) —
-  /// a recoverable kCapacityExceeded for the caller, not an abort.
+  /// evictions in telemetry. Returns nullopt when the bytes can never fit
+  /// (single tensor over capacity, or everything left is pinned) — a
+  /// recoverable kCapacityExceeded for the caller, not an abort.
   std::optional<double> make_room(DeviceId dev, std::uint64_t bytes,
                                   obs::EvictionCause cause);
 

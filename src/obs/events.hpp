@@ -121,10 +121,10 @@ class EventSink {
 /// The decision-log writer: one line per decision and per cluster event the
 /// log records (in_decision_log), each the event's to_json(). Lines batch in
 /// a string and flush to the borrowed stream once the batch crosses
-/// `flush_bytes`, amortising stream-formatting overhead on decision-heavy
-/// runs. The buffer drains on destruction, on an explicit flush(), and *immediately* after fault events (device failure,
-/// capacity loss) so a crash right after a fault still leaves the fault on
-/// disk. The stream is borrowed and must outlive the sink.
+/// `flush_bytes`, amortising stream-formatting overhead. The buffer drains
+/// on destruction, on an explicit flush(), and *immediately* after fault
+/// events (device failure, capacity loss) so a crash right after a fault
+/// still leaves the fault on disk. The stream must outlive the sink.
 ///
 /// The batch buffer (and the borrowed stream, while draining) sit behind an
 /// internal annotated mutex: a sink shared across parallel sweep lanes
@@ -162,7 +162,7 @@ class BufferedJsonlEventSink final : public EventSink {
   std::string buffer_ MICCO_GUARDED_BY(mutex_);
 };
 
-/// Buffers events in memory; used by tests and the CLI's pretty printer.
+/// Buffers events in memory; used by tests and `micco run --trace`.
 class MemoryEventSink final : public EventSink {
  public:
   void decision(const DecisionEvent& event) override {

@@ -385,8 +385,8 @@ int cmd_run(const CliArgs& args) {
   obs::MemoryEventSink timeline;
   std::optional<TeeSink> tee;
   if (!trace_path.empty()) {
-    telemetry.sink = sink.has_value() ? &tee.emplace(timeline, *sink)
-                                      : static_cast<obs::EventSink*>(&timeline);
+    telemetry.sink = &timeline;
+    if (sink.has_value()) telemetry.sink = &tee.emplace(timeline, *sink);
   }
 
   RunOptions options;
