@@ -99,8 +99,8 @@ struct RunOptions {
   PairOrdering ordering = PairOrdering::kAsGiven;
   /// Optional telemetry bundle: attached to both the scheduler (decision
   /// log, assignment counters) and the simulator (cluster events, the
-  /// timeline's source) for the duration of the run; the driver maintains
-  /// its decision-log cursor.
+  /// timeline's source) for the duration of the run; run_stream keeps its
+  /// decision-log cursor.
   obs::Telemetry* telemetry = nullptr;
   /// Optional fault plan (not owned; must outlive the run). An empty or
   /// absent plan leaves every metric, report and log byte-identical to a
