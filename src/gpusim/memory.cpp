@@ -17,6 +17,17 @@ DeviceMemory::DeviceMemory(std::uint64_t capacity_bytes)
   MICCO_EXPECTS(capacity_bytes > 0);
 }
 
+void DeviceMemory::reset(std::uint64_t capacity_bytes) {
+  set_capacity(capacity_bytes);
+  used_ = 0;
+  count_ = 0;
+  slots_.clear();
+  free_head_ = kNoSlot;
+  head_ = kNoSlot;
+  tail_ = kNoSlot;
+  std::fill(buckets_.begin(), buckets_.end(), Bucket{});
+}
+
 std::size_t DeviceMemory::occupied_bucket(TensorId id,
                                           const char* violation) const {
   const std::size_t b = buckets_.empty() ? 0 : probe(id);

@@ -119,6 +119,12 @@ class DeviceMemory {
     capacity_ = capacity_bytes;
   }
 
+  /// Empties the memory at `capacity_bytes`, as DeviceMemory(capacity_bytes)
+  /// would, but keeps the slot slab and the id table allocated. The table
+  /// keeps its grown size, which nothing observes: recency order is the
+  /// intrusive list and resident_ids() sorts.
+  void reset(std::uint64_t capacity_bytes);
+
   bool resident(TensorId id) const { return slot_of(id) != kNoSlot; }
   std::size_t resident_count() const { return count_; }
 

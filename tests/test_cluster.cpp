@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <string>
+#include <vector>
+
+#include "core/pipeline.hpp"
+#include "mem/policy.hpp"
+#include "workload/synthetic.hpp"
+
 namespace micco {
 namespace {
 
@@ -265,6 +273,145 @@ TEST(Cluster, InvalidDeviceAborts) {
   ClusterSimulator sim(small_cluster());
   EXPECT_DEATH(sim.execute(make_task(0, 1, 2), 5), "num_devices");
   EXPECT_DEATH((void)sim.memory_used(-1), "dev >= 0");
+}
+
+/// What one driven run leaves for comparison: the metrics (JSON numbers
+/// print in shortest round-trip form, so equal dumps are equal bits), each
+/// decision and each cluster event with its start time.
+struct RunRecord {
+  std::string metrics;
+  std::vector<std::string> decisions;
+  std::vector<std::string> events;
+
+  bool operator==(const RunRecord&) const = default;
+};
+
+/// Drives `stream` through a fresh MICCO scheduler on `sim` pair by pair,
+/// with a barrier per vector, feeding `policy` (when given) the future uses
+/// run_stream would. A pair that loses its device is dropped after the
+/// scheduler hears of the loss, and barrier failures are left pending: a
+/// faulted run only has to leave the simulator dirty.
+RunRecord drive(const WorkloadStream& stream, ClusterSimulator& sim,
+                mem::EvictionPolicy* policy = nullptr) {
+  obs::MemoryEventSink sink;
+  obs::Telemetry telemetry;
+  telemetry.sink = &sink;
+  MiccoScheduler scheduler;
+  scheduler.set_telemetry(&telemetry);
+  sim.set_telemetry(&telemetry);
+  if (policy != nullptr) sim.set_eviction_policy(policy);
+  for (const VectorWorkload& vec : stream.vectors) {
+    ++telemetry.vector_index;
+    scheduler.begin_vector(vec, sim);
+    std::vector<std::size_t> order(vec.tasks.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    if (policy != nullptr) policy->begin_vector(vec, order);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      if (sim.num_alive_devices() == 0) break;
+      const ContractionTask& task = vec.tasks[i];
+      telemetry.pair_index = static_cast<std::int64_t>(i);
+      const DeviceId dev = scheduler.assign(task, sim);
+      if (policy != nullptr) {
+        policy->observe_use(task, static_cast<std::int64_t>(i));
+      }
+      if (sim.execute(task, dev).outcome == TaskOutcome::kDeviceFailed) {
+        scheduler.on_device_failure(dev, sim);
+      }
+    }
+    sim.barrier();
+  }
+  sim.set_telemetry(nullptr);
+
+  RunRecord record;
+  record.metrics = to_json(sim.metrics()).dump();
+  for (const obs::DecisionEvent& e : sink.decisions()) {
+    record.decisions.push_back(e.to_json().dump());
+  }
+  for (const obs::ClusterEvent& e : sink.cluster_events()) {
+    obs::JsonValue json = e.to_json();
+    json.set("start_s", e.start_s);
+    record.events.push_back(json.dump());
+  }
+  return record;
+}
+
+SyntheticConfig reset_stream(std::uint64_t seed) {
+  SyntheticConfig c;
+  c.num_vectors = 6;
+  c.vector_size = 24;
+  c.tensor_extent = 64;
+  c.batch = 2;
+  c.repeated_rate = 0.75;
+  c.distribution = DataDistribution::kGaussian;
+  c.seed = seed;
+  return c;
+}
+
+TEST(Cluster, ResetRunsLikeAFreshSimulator) {
+  // Dirty a simulator every way a run can: 200 % oversubscribed under
+  // reuse-distance, a capacity loss and two device failures from a fault
+  // plan, a sink attached. After reset() its next run of another stream
+  // must be a fresh simulator's run, metrics bit for bit, decision by
+  // decision and event by event.
+  const WorkloadStream dirty_stream = generate_synthetic(reset_stream(5));
+  const WorkloadStream next_stream = generate_synthetic(reset_stream(6));
+  ClusterConfig config = small_cluster(4);
+  config.device_capacity_bytes = capacity_for_oversubscription(
+      dirty_stream, 4, 2.0, 8 * dirty_stream.vectors[0].tasks[0].a.bytes());
+  double makespan = 0.0;
+  {
+    ClusterSimulator probe(config);
+    drive(dirty_stream, probe);
+    makespan = probe.metrics().makespan_s;
+  }
+
+  FaultPlan plan;
+  plan.capacity_losses.push_back(
+      CapacityLoss{1, config.device_capacity_bytes / 4, 0.25 * makespan});
+  plan.device_failures.push_back(DeviceFailure{2, 0.5 * makespan});
+  plan.device_failures.push_back(DeviceFailure{3, 0.95 * makespan});
+  plan.slowdowns.push_back(DeviceSlowdown{0, 1.5, 0.0});
+  FaultInjector injector(plan);
+  const std::unique_ptr<mem::EvictionPolicy> reuse_distance =
+      mem::make_policy(mem::EvictPolicyKind::kReuseDistance);
+  ClusterSimulator sim(config);
+  sim.set_fault_injector(&injector);
+  drive(dirty_stream, sim, reuse_distance.get());
+  EXPECT_LT(sim.num_alive_devices(), 4);
+  EXPECT_GT(sim.metrics().capacity_faults, 0u);
+  EXPECT_GT(sim.metrics().evictions, 0u);
+  EXPECT_EQ(sim.metrics().evict_policy, "reuse_distance");
+  EXPECT_FALSE(ClusterSimulator(sim).take_barrier_failures().empty());
+
+  // The injector (its slowdown never runs out) and the policy outlive the
+  // reset: a simulator still holding either would run the next stream
+  // differently.
+  sim.reset();
+  ClusterSimulator fresh(config);
+  EXPECT_EQ(sim.num_alive_devices(), 4);
+  EXPECT_EQ(sim.eviction_policy(), fresh.eviction_policy());
+  EXPECT_TRUE(sim.take_barrier_failures().empty());
+  for (DeviceId d = 0; d < 4; ++d) {
+    EXPECT_TRUE(sim.device_alive(d));
+    EXPECT_EQ(sim.memory_used(d), 0u);
+    EXPECT_EQ(sim.memory_capacity(d), config.device_capacity_bytes);
+    EXPECT_EQ(sim.busy_time(d), 0.0);
+    EXPECT_EQ(sim.device_memory(d).resident_count(), 0u);
+  }
+
+  const RunRecord reset_run = drive(next_stream, sim);
+  const RunRecord fresh_run = drive(next_stream, fresh);
+  EXPECT_GT(fresh.metrics().evictions, 0u);
+  EXPECT_EQ(reset_run.metrics, fresh_run.metrics);
+  EXPECT_EQ(reset_run.decisions, fresh_run.decisions);
+  EXPECT_EQ(reset_run.events, fresh_run.events);
+  EXPECT_EQ(sim.utilization(), fresh.utilization());
+  // A task too large for the device that lost capacity is a capacity error
+  // on both; a device still marked capacity-faulted would fail instead.
+  const ContractionTask huge = make_task(1u << 19, (1u << 19) + 1,
+                                         (1u << 19) + 2, 4096, 16);
+  EXPECT_EQ(sim.execute(huge, 1).outcome, TaskOutcome::kCapacityExceeded);
+  EXPECT_EQ(fresh.execute(huge, 1).outcome, TaskOutcome::kCapacityExceeded);
 }
 
 TEST(ClusterValidate, ReportsWhatTheSimulatorWouldRefuse) {
