@@ -47,11 +47,33 @@ double measure_gflops(const WorkloadStream& stream, ReuseBounds bounds,
   return result.metrics.gflops();
 }
 
+namespace {
+
+/// The per-tier bounding box of `triples`: the region whose triples
+/// sweep_bound_grid asks its recorded boxes about.
+BoundInterval bounding_box(std::span<const ReuseBounds> triples) {
+  BoundInterval box;
+  box.lo.fill(BoundInterval::kMax);
+  box.hi.fill(BoundInterval::kMin);
+  for (const ReuseBounds& bounds : triples) {
+    for (std::size_t k = 0; k < 3; ++k) {
+      box.lo[k] = std::min(box.lo[k], bounds[k]);
+      box.hi[k] = std::max(box.hi[k], bounds[k]);
+    }
+  }
+  return box;
+}
+
+}  // namespace
+
 BoundSweep sweep_bound_grid(const WorkloadStream& stream,
                             std::span<const ReuseBounds> triples,
                             const ClusterConfig& cluster) {
   // Each simulated run vouches for every triple in its recorded box: with
   // any of them, each decision — and so every metric — comes out the same.
+  // Only triples of this list are asked about, so each run records its box
+  // inside their bounding box and stops once the box holds its own triple
+  // alone there.
   struct Run {
     BoundInterval box;
     double gflops = 0.0;
@@ -59,6 +81,7 @@ BoundSweep sweep_bound_grid(const WorkloadStream& stream,
   std::vector<Run> runs;
   BoundSweep sweep;
   sweep.gflops.reserve(triples.size());
+  const BoundInterval region = bounding_box(triples);
   for (const ReuseBounds& bounds : triples) {
     const auto earlier =
         std::find_if(runs.begin(), runs.end(),
@@ -70,7 +93,7 @@ BoundSweep sweep_bound_grid(const WorkloadStream& stream,
     }
     MiccoSchedulerOptions options;
     options.bounds = bounds;
-    options.record_bound_interval = true;
+    options.record_bound_interval = region;
     MiccoScheduler scheduler(options);
     RunResult result = run_stream(stream, scheduler, cluster);
     if (runs.empty()) {

@@ -101,7 +101,10 @@ std::int64_t DistinctTensorCounts::count(DeviceId dev) const {
 }
 
 MiccoScheduler::MiccoScheduler(MiccoSchedulerOptions options)
-    : options_(options), bounds_(options.bounds), rng_(options.seed) {}
+    : options_(options),
+      bounds_(options.bounds),
+      rng_(options.seed),
+      recording_(options.record_bound_interval.has_value()) {}
 
 std::string MiccoScheduler::name() const { return "MICCO"; }
 
@@ -152,14 +155,14 @@ void MiccoScheduler::on_device_failure(DeviceId dev, const ClusterView& view) {
 
 void MiccoScheduler::set_reuse_bounds(ReuseBounds bounds) {
   // No single fixed triple reproduces a run whose bounds change mid-way.
-  if (decided_ && bounds != bounds_) interval_exact_ = false;
+  if (decided_ && bounds != bounds_) recording_ = false;
   bounds_ = bounds;
 }
 
 BoundInterval MiccoScheduler::bound_interval() const {
-  MICCO_EXPECTS_MSG(options_.record_bound_interval,
+  MICCO_EXPECTS_MSG(options_.record_bound_interval.has_value(),
                     "bound_interval needs record_bound_interval");
-  return interval_exact_ ? interval_ : BoundInterval::point(bounds_);
+  return recording_ ? interval_ : BoundInterval::point(bounds_);
 }
 
 std::int64_t MiccoScheduler::assigned_count(DeviceId dev) const {
@@ -387,6 +390,14 @@ void MiccoScheduler::narrow_interval(const ContractionTask& task,
     if (evict_risk) keep_in(k, risk_floor);
   }
   MICCO_ASSERT(interval_.contains(bounds_));
+
+  // The box only shrinks and always holds bounds_, so once its part inside
+  // the region is bounds_ alone it stays so: no later decision can change
+  // what the box says about a triple the caller asks about.
+  if (interval_.intersect(*options_.record_bound_interval) ==
+      BoundInterval::point(bounds_)) {
+    recording_ = false;
+  }
 }
 
 DeviceId MiccoScheduler::assign(const ContractionTask& task,
@@ -399,9 +410,7 @@ DeviceId MiccoScheduler::assign(const ContractionTask& task,
   int tier = -1;        ///< reuse-bound tier that produced the candidates
   bool fallback = false;
   const DeviceId chosen = decide(task, index, tier, fallback);
-  if (options_.record_bound_interval && interval_exact_) {
-    narrow_interval(task, index, tier, fallback, chosen);
-  }
+  if (recording_) narrow_interval(task, index, tier, fallback, chosen);
 
   if (telemetry_ != nullptr) {
     // Slack the winner had already consumed beyond its balanced share when

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -78,10 +79,13 @@ struct MiccoSchedulerOptions {
   /// Tie-break RNG seed (Alg. 2 breaks exact ties randomly).
   std::uint64_t seed = 7;
 
-  /// Records bound_interval(): the box of triples under which every
-  /// decision would have come out the same. Only the offline tuner sweep
-  /// sets it; batch and daemon runs keep the unrecorded kernel.
-  bool record_bound_interval = false;
+  /// Records bound_interval(), the box of triples under which every
+  /// decision would have come out the same, for the region of triples the
+  /// caller will ask it about (an unbounded BoundInterval{} asks about all
+  /// of them). Unset, nothing is recorded. Only the offline tuner sweep and
+  /// the brute-force interval tests set it; batch and daemon runs keep the
+  /// unrecorded kernel.
+  std::optional<BoundInterval> record_bound_interval;
 };
 
 class MiccoScheduler final : public Scheduler {
@@ -106,12 +110,14 @@ class MiccoScheduler final : public Scheduler {
   void set_reuse_bounds(ReuseBounds bounds);
   ReuseBounds reuse_bounds() const { return bounds_; }
 
-  /// With record_bound_interval on: the box of triples inside which a run
+  /// With record_bound_interval set: a box of triples inside which a run
   /// of this scheduler with that fixed triple would repeat every decision
   /// made since construction (same devices, hence identical
   /// ExecutionMetrics; DESIGN.md §5d). The box always contains the triple
   /// in force. It is the point [b, b] when the run cannot vouch for any
-  /// other triple: the bounds changed after the first decision.
+  /// other triple of the region: the bounds changed after the first
+  /// decision, or the recorded box held b alone inside the region. Recording
+  /// stops at that point, since the box only shrinks.
   BoundInterval bound_interval() const;
 
   /// Distinct input tensors assigned to `dev` within the current vector
@@ -131,7 +137,8 @@ class MiccoScheduler final : public Scheduler {
 
   /// Bound-interval recording: narrows interval_ to the triples under which
   /// decide() would have made the decision it just made (`chosen`, from
-  /// `tier` or the fallback) the same way (DESIGN.md §5d).
+  /// `tier` or the fallback) the same way (DESIGN.md §5d), and stops
+  /// recording once the box holds bounds_ alone inside the region.
   void narrow_interval(const ContractionTask& task, const ClusterIndex& index,
                        int tier, bool fallback, DeviceId chosen);
 
@@ -169,8 +176,9 @@ class MiccoScheduler final : public Scheduler {
 
   // -- Bound-interval recording (options_.record_bound_interval) ----------
   BoundInterval interval_;
-  /// False once the box can no longer be vouched for (bound_interval()).
-  bool interval_exact_ = true;
+  /// False when nothing is recorded, and once the box vouches for no triple
+  /// of the region but bounds_ (bound_interval() is then the point).
+  bool recording_ = false;
   bool decided_ = false;
 };
 

@@ -9,6 +9,7 @@
 //   bound[2] -> TwoNew pairs (mappings 4-7).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <limits>
@@ -59,6 +60,17 @@ struct BoundInterval {
       if (bounds[k] < lo[k] || bounds[k] > hi[k]) return false;
     }
     return true;
+  }
+
+  /// The part of this box inside `other`, tier by tier (a tier with no
+  /// common bound comes back with lo > hi).
+  BoundInterval intersect(const BoundInterval& other) const {
+    BoundInterval box;
+    for (std::size_t k = 0; k < 3; ++k) {
+      box.lo[k] = std::max(lo[k], other.lo[k]);
+      box.hi[k] = std::min(hi[k], other.hi[k]);
+    }
+    return box;
   }
 
   bool operator==(const BoundInterval&) const = default;

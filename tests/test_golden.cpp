@@ -363,16 +363,19 @@ std::vector<std::uint64_t> metric_bits(const ExecutionMetrics& m) {
           bits(m.gflops())};
 }
 
+/// The run under `bounds`, recording its box over `region` (by default
+/// every triple).
 DecisionTrace traced_run(const WorkloadStream& stream, ReuseBounds bounds,
                          const ClusterConfig& cluster, bool sensitive,
-                         BoundsProvider* provider = nullptr) {
+                         BoundsProvider* provider = nullptr,
+                         const BoundInterval& region = BoundInterval{}) {
   obs::MemoryEventSink sink;
   obs::Telemetry telemetry;
   telemetry.sink = &sink;
   MiccoSchedulerOptions options;
   options.bounds = bounds;
   options.eviction_sensitive = sensitive;
-  options.record_bound_interval = true;
+  options.record_bound_interval = region;
   MiccoScheduler scheduler(options);
   RunOptions run_options;
   run_options.telemetry = &telemetry;
@@ -396,9 +399,15 @@ TEST(BoundInterval, EveryGridTripleInsideABoxRepeatsTheRun) {
   // oversubscription (so Alg. 2's risk flag fires), with the eviction-
   // sensitive policy on and off: every grid triple inside another triple's
   // recorded box must make the same decisions — device, tier, fallback and
-  // risk flag, one by one — and bit-identical ExecutionMetrics.
+  // risk flag, one by one — and bit-identical ExecutionMetrics. The tuner's
+  // recording, limited to the grid's region, must vouch for exactly the
+  // grid triples the unlimited box vouches for.
   const std::vector<ReuseBounds> grid = bound_grid(2);
+  BoundInterval region;
+  region.lo = {0, 0, 0};
+  region.hi = {2, 2, 2};
   std::size_t pairs_checked = 0;
+  std::size_t stopped_early = 0;
   std::int64_t risky_decisions = 0;
   for (const int gpus : {2, 4, 8}) {
     for (const DataDistribution dist :
@@ -422,8 +431,19 @@ TEST(BoundInterval, EveryGridTripleInsideABoxRepeatsTheRun) {
           std::vector<DecisionTrace> traces;
           for (const ReuseBounds& bounds : grid) {
             traces.push_back(traced_run(stream, bounds, cluster, sensitive));
-            EXPECT_TRUE(traces.back().box.contains(bounds));
-            risky_decisions += traces.back().evict_risk_decisions;
+            const DecisionTrace& unlimited = traces.back();
+            EXPECT_TRUE(unlimited.box.contains(bounds));
+            risky_decisions += unlimited.evict_risk_decisions;
+            const DecisionTrace limited = traced_run(
+                stream, bounds, cluster, sensitive, nullptr, region);
+            EXPECT_TRUE(limited == unlimited) << bounds.to_string();
+            for (const ReuseBounds& other : grid) {
+              EXPECT_EQ(limited.box.contains(other),
+                        unlimited.box.contains(other))
+                  << other.to_string() << " in the limited box of "
+                  << bounds.to_string();
+            }
+            if (limited.box != unlimited.box) ++stopped_early;
           }
           for (std::size_t i = 0; i < grid.size(); ++i) {
             for (std::size_t j = 0; j < grid.size(); ++j) {
@@ -440,6 +460,7 @@ TEST(BoundInterval, EveryGridTripleInsideABoxRepeatsTheRun) {
   }
   EXPECT_GT(pairs_checked, 500u);  // the boxes do cover other triples
   EXPECT_GT(risky_decisions, 0);   // and the risk flag was exercised
+  EXPECT_GT(stopped_early, 0u);    // and limited recording did stop early
 }
 
 TEST(BoundInterval, BoundsThatChangeMidRunCollapseToThePoint) {
