@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <utility>
 #include <vector>
 
 #include "common/log.hpp"
@@ -64,11 +63,38 @@ BoundInterval bounding_box(std::span<const ReuseBounds> triples) {
   return box;
 }
 
+/// One grid run: the fault-free part of run_stream that the sweep reads.
+/// Per non-empty vector: characteristics (only into a non-null
+/// `characteristics`), begin_vector, assign + execute per pair in stream
+/// order, end_vector and barrier. No clock is read and no RunResult built.
+/// The run stops at the first pair that does not complete, where run_stream
+/// stops, and returns the GFLOPS reached so far.
+double grid_run(const WorkloadStream& stream, MiccoScheduler& scheduler,
+                ClusterSimulator& sim,
+                std::vector<DataCharacteristics>* characteristics) {
+  for (const VectorWorkload& vec : stream.vectors) {
+    if (vec.tasks.empty()) continue;
+    if (characteristics != nullptr) {
+      characteristics->push_back(extract_characteristics(vec, sim));
+    }
+    scheduler.begin_vector(vec, sim);
+    for (const ContractionTask& task : vec.tasks) {
+      if (!sim.execute(task, scheduler.assign(task, sim)).ok()) {
+        return sim.metrics().gflops();
+      }
+    }
+    scheduler.end_vector();
+    sim.barrier();
+  }
+  return sim.metrics().gflops();
+}
+
 }  // namespace
 
 BoundSweep sweep_bound_grid(const WorkloadStream& stream,
                             std::span<const ReuseBounds> triples,
                             const ClusterConfig& cluster) {
+  MICCO_EXPECTS(cluster.validate().empty());
   // Each simulated run vouches for every triple in its recorded box: with
   // any of them, each decision — and so every metric — comes out the same.
   // Only triples of this list are asked about, so each run records its box
@@ -82,6 +108,9 @@ BoundSweep sweep_bound_grid(const WorkloadStream& stream,
   BoundSweep sweep;
   sweep.gflops.reserve(triples.size());
   const BoundInterval region = bounding_box(triples);
+  // One simulator serves every run; reset() hands each run the state a
+  // fresh one starts from, with its memory tables already grown.
+  ClusterSimulator sim(cluster);
   for (const ReuseBounds& bounds : triples) {
     const auto earlier =
         std::find_if(runs.begin(), runs.end(),
@@ -95,13 +124,12 @@ BoundSweep sweep_bound_grid(const WorkloadStream& stream,
     options.bounds = bounds;
     options.record_bound_interval = region;
     MiccoScheduler scheduler(options);
-    RunResult result = run_stream(stream, scheduler, cluster);
-    if (runs.empty()) {
-      sweep.first_run_characteristics =
-          std::move(result.per_vector_characteristics);
-    }
-    runs.push_back(Run{scheduler.bound_interval(), result.metrics.gflops()});
-    sweep.gflops.push_back(runs.back().gflops);
+    if (!runs.empty()) sim.reset();
+    const double gflops =
+        grid_run(stream, scheduler, sim,
+                 runs.empty() ? &sweep.first_run_characteristics : nullptr);
+    runs.push_back(Run{scheduler.bound_interval(), gflops});
+    sweep.gflops.push_back(gflops);
     ++sweep.simulated;
   }
   return sweep;

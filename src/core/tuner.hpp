@@ -93,7 +93,11 @@ struct BoundSweep {
 
 /// measure_gflops at every triple, in order, bit for bit — but a triple
 /// inside the recorded bound interval of an earlier run on this stream
-/// takes that run's GFLOPS instead of simulating (DESIGN.md §5d).
+/// takes that run's GFLOPS instead of simulating (DESIGN.md §5d). The
+/// simulated runs share one simulator, reset between them, and skip what
+/// run_stream does beyond the GFLOPS (clock reads, the RunResult). Requires
+/// `cluster.validate()` to pass and a stream that produces each output once
+/// (validate_stream_structure), as every generated stream does.
 BoundSweep sweep_bound_grid(const WorkloadStream& stream,
                             std::span<const ReuseBounds> triples,
                             const ClusterConfig& cluster);

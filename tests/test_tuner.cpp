@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <set>
+#include <utility>
 
 #include "parallel/parallel.hpp"
 
@@ -214,18 +215,44 @@ TEST(Tuner, SweepBoundGridMatchesMeasureGflops) {
   synth.distribution = DataDistribution::kGaussian;
   synth.seed = 12;
   const WorkloadStream stream = generate_synthetic(synth);
-  ClusterConfig cluster;
-  cluster.num_devices = 4;
+  ClusterConfig roomy;
+  roomy.num_devices = 4;
+
+  // The second case stops part way: its devices are too small for one
+  // task, a pair of wide tensors set in the middle of the fourth vector, so
+  // every run ends there with the GFLOPS it reached.
+  WorkloadStream stopping = stream;
+  std::vector<ContractionTask>& tasks = stopping.vectors[3].tasks;
+  ContractionTask wide = tasks.front();
+  for (TensorDesc* desc : {&wide.a, &wide.b, &wide.out}) desc->extent = 1024;
+  wide.a.id = TensorId{1} << 19;
+  wide.b.id = wide.a.id + 1;
+  wide.out.id = wide.a.id + 2;
+  tasks.insert(tasks.begin() + static_cast<std::ptrdiff_t>(tasks.size() / 2),
+               wide);
+  ClusterConfig small = roomy;
+  small.device_capacity_bytes = 1ULL << 20;
+  ASSERT_GT(wide.a.bytes(), small.device_capacity_bytes);
+  MiccoScheduler naive;
+  const RunResult stopped = run_stream(stopping, naive, small);
+  ASSERT_FALSE(stopped.completed);
+  ASSERT_GT(stopped.metrics.gflops(), 0.0);
+
   const auto& triples = fig8_bound_sweep();
-  const BoundSweep sweep = sweep_bound_grid(stream, triples, cluster);
-  ASSERT_EQ(sweep.gflops.size(), triples.size());
-  EXPECT_EQ(sweep.simulated + sweep.reused, triples.size());
-  EXPECT_GE(sweep.simulated, 1u);
-  for (std::size_t t = 0; t < triples.size(); ++t) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(sweep.gflops[t]),
-              std::bit_cast<std::uint64_t>(
-                  measure_gflops(stream, triples[t], cluster)))
-        << triples[t].to_string();
+  using Case = std::pair<const WorkloadStream*, ClusterConfig>;
+  for (const auto& [s, cluster] :
+       {Case{&stream, roomy}, Case{&stopping, small}}) {
+    const BoundSweep sweep = sweep_bound_grid(*s, triples, cluster);
+    ASSERT_EQ(sweep.gflops.size(), triples.size());
+    EXPECT_EQ(sweep.simulated + sweep.reused, triples.size());
+    EXPECT_GE(sweep.simulated, 1u);
+    for (std::size_t t = 0; t < triples.size(); ++t) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(sweep.gflops[t]),
+                std::bit_cast<std::uint64_t>(
+                    measure_gflops(*s, triples[t], cluster)))
+          << triples[t].to_string() << " on "
+          << cluster.device_capacity_bytes << "-byte devices";
+    }
   }
 }
 
