@@ -35,7 +35,7 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
         flags_.insert_or_assign(body, std::string(argv[i + 1]));
         ++i;
       } else {
-        flags_.insert_or_assign(body, std::string("1"));
+        flags_.insert_or_assign(body, std::nullopt);
       }
     } else if (eq == 0) {
       if (!error_) error_ = "flag with empty name: " + arg;
@@ -50,10 +50,21 @@ bool CliArgs::has(const std::string& name) const {
   return flags_.contains(name);
 }
 
-const std::string* CliArgs::find(const std::string& name) const {
+const std::optional<std::string>* CliArgs::find(
+    const std::string& name) const {
   queried_[name] = true;
   const auto it = flags_.find(name);
   return it == flags_.end() ? nullptr : &it->second;
+}
+
+const std::string* CliArgs::value(const std::string& name) const {
+  const std::optional<std::string>* entry = find(name);
+  if (entry == nullptr) return nullptr;
+  if (!entry->has_value()) {
+    if (!error_) error_ = "--" + name + " needs a value";
+    return nullptr;
+  }
+  return &**entry;
 }
 
 void CliArgs::malformed(const std::string& name,
@@ -63,44 +74,45 @@ void CliArgs::malformed(const std::string& name,
 
 std::string CliArgs::get(const std::string& name,
                          const std::string& fallback) const {
-  const std::string* value = find(name);
-  return value == nullptr ? fallback : *value;
+  const std::string* text = value(name);
+  return text == nullptr ? fallback : *text;
 }
 
 std::int64_t CliArgs::get_int(const std::string& name,
                               std::int64_t fallback) const {
-  const std::string* value = find(name);
-  if (value == nullptr) return fallback;
-  const std::optional<std::int64_t> parsed = parse_int(*value);
+  const std::string* text = value(name);
+  if (text == nullptr) return fallback;
+  const std::optional<std::int64_t> parsed = parse_int(*text);
   if (!parsed.has_value()) {
-    malformed(name, *value);
+    malformed(name, *text);
     return fallback;
   }
   return *parsed;
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
-  const std::string* value = find(name);
-  if (value == nullptr) return fallback;
+  const std::string* text = value(name);
+  if (text == nullptr) return fallback;
   char* end = nullptr;
   errno = 0;
-  const double parsed = std::strtod(value->c_str(), &end);
-  if (value->empty() || *end != '\0' || errno == ERANGE) {
-    malformed(name, *value);
+  const double parsed = std::strtod(text->c_str(), &end);
+  if (text->empty() || *end != '\0' || errno == ERANGE) {
+    malformed(name, *text);
     return fallback;
   }
   return parsed;
 }
 
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {
-  const std::string* value = find(name);
-  if (value == nullptr) return fallback;
-  std::string v = *value;
+  const std::optional<std::string>* entry = find(name);
+  if (entry == nullptr) return fallback;
+  if (!entry->has_value()) return true;  // bare `--name`
+  std::string v = **entry;
   std::transform(v.begin(), v.end(), v.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
   if (v == "1" || v == "true" || v == "on" || v == "yes") return true;
   if (v == "0" || v == "false" || v == "off" || v == "no") return false;
-  malformed(name, *value);
+  malformed(name, **entry);
   return fallback;
 }
 

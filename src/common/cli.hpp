@@ -27,9 +27,11 @@ class CliArgs {
   /// True when `--name` appeared in any form.
   bool has(const std::string& name) const;
 
-  /// Returns the flag value, or `fallback` when absent. The typed getters
-  /// also return `fallback` for a value they cannot parse in full ("4x",
-  /// "", an out-of-range number) and record it as the error().
+  /// Returns the flag value, or `fallback` when absent. A bare `--name`
+  /// has no value: these getters return `fallback` for it and record
+  /// "--name needs a value" as the error(). The typed getters also return
+  /// `fallback` for a value they cannot parse in full ("4x", "", an
+  /// out-of-range number) and record it as the error().
   std::string get(const std::string& name, const std::string& fallback) const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
@@ -59,13 +61,17 @@ class CliArgs {
 
  private:
   std::string program_;
-  std::map<std::string, std::string> flags_;
+  /// Flag values by name; a bare `--name` maps to nullopt.
+  std::map<std::string, std::optional<std::string>> flags_;
   mutable std::map<std::string, bool> queried_;
   std::vector<std::string> positional_;
   mutable std::optional<std::string> error_;
 
-  /// The value of a present flag (marking it read), or nullptr.
-  const std::string* find(const std::string& name) const;
+  /// The flag's entry (marking it read), or nullptr when absent.
+  const std::optional<std::string>* find(const std::string& name) const;
+  /// The value of a present flag (marking it read), or nullptr when it is
+  /// absent or bare; a bare flag is recorded as the error().
+  const std::string* value(const std::string& name) const;
   /// Records `--name=value` as malformed unless an error is already held.
   void malformed(const std::string& name, const std::string& value) const;
 };

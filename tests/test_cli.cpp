@@ -27,6 +27,30 @@ TEST(CliArgs, BareFlagIsBooleanTrue) {
   EXPECT_TRUE(args.has("verbose"));
 }
 
+TEST(CliArgs, BareFlagHasNoValue) {
+  // `run w.mw --trace` must not write a timeline to a file named "1": a
+  // bare flag read for a value is an error, and the getter falls back.
+  const CliArgs args = parse({"w.mw", "--trace"});
+  EXPECT_TRUE(args.has("trace"));
+  EXPECT_FALSE(args.error().has_value());  // nothing read yet
+  EXPECT_EQ(args.get("trace", ""), "");
+  ASSERT_TRUE(args.error().has_value());
+  EXPECT_EQ(*args.error(), "--trace needs a value");
+
+  const CliArgs numbers = parse({"--gpus", "--oversub"});
+  EXPECT_EQ(numbers.get_int("gpus", 8), 8);
+  EXPECT_DOUBLE_EQ(numbers.get_double("oversub", 0.0), 0.0);
+  ASSERT_TRUE(numbers.error().has_value());
+  EXPECT_EQ(*numbers.error(), "--gpus needs a value");
+
+  // A later valued occurrence wins over the bare one, and back.
+  EXPECT_EQ(parse({"--trace", "--trace=t.json"}).get("trace", ""), "t.json");
+  const CliArgs bare_last = parse({"--trace=t.json", "--trace"});
+  EXPECT_EQ(bare_last.get("trace", "none"), "none");
+  EXPECT_TRUE(bare_last.error().has_value());
+  EXPECT_TRUE(bare_last.get_bool("trace", false));
+}
+
 TEST(CliArgs, MissingFlagFallsBack) {
   const CliArgs args = parse({});
   EXPECT_EQ(args.get("name", "default"), "default");
