@@ -91,9 +91,9 @@ JsonValue ClusterEvent::to_json() const {
   JsonValue out = JsonValue::object();
   out.set("event", to_string(kind));
   out.set("device", device);
-  // A capacity loss logs the bytes lost beside its unset tensor field.
+  if (names_tensor(kind)) out.set("tensor", tensor);
+  // A capacity loss names no tensor; its bytes are the memory lost.
   if (names_tensor(kind) || kind == ClusterEventKind::kCapacityLoss) {
-    out.set("tensor", tensor);
     out.set("bytes", bytes);
   }
   out.set("t_s", time_s);

@@ -214,6 +214,19 @@ TEST(ObsEvents, EventJsonOmitsIrrelevantFields) {
   const obs::JsonValue edoc = evict.to_json();
   EXPECT_DOUBLE_EQ(edoc.at("victim_age_s").as_double(), 0.25);
   EXPECT_EQ(edoc.at("detail").as_string(), "operand_fetch/lru");
+
+  // The simulator leaves a capacity loss's tensor unset: the record carries
+  // the bytes lost and no tensor.
+  obs::ClusterEvent loss;
+  loss.kind = obs::ClusterEventKind::kCapacityLoss;
+  loss.device = 2;
+  loss.tensor = kInvalidTensor;
+  loss.bytes = 200000000;
+  const obs::JsonValue ldoc = loss.to_json();
+  EXPECT_EQ(ldoc.at("event").as_string(), "capacity-loss");
+  EXPECT_EQ(ldoc.find("tensor"), nullptr);
+  EXPECT_EQ(ldoc.at("bytes").as_int(), 200000000);
+  EXPECT_EQ(ldoc.find("detail"), nullptr);
 }
 
 TEST(ObsEvents, TelemetryWithoutSinkStillCounts) {
