@@ -14,7 +14,8 @@
 # sessions, a `micco top --once` dashboard frame, and an offline
 # `micco report --spans` well-formedness pass), a configuration smoke test
 # (out-of-range train/run/generate/serve flags, malformed flag values,
-# tenant weights and job ids, the retired `interval` fsync policy and its
+# bare output flags, tenant weights and job ids, the retired `interval`
+# fsync policy and its
 # flag, unknown flags and a workload given to `report` exit 2, unwritable output paths and a structurally invalid
 # workload exit 1, and a daemon rejects that workload and keeps serving;
 # nothing aborts or runs),
@@ -27,7 +28,9 @@
 # tenant's modeled residency), an
 # ASan+UBSan-instrumented build + test pass (which covers the protocol fuzz
 # and journal torn-write suites under ASan), a TSan pass over the
-# parallel-layer, observability and service tests at 8 worker threads, a Release-mode bench_sched_micro smoke
+# parallel-layer, observability and service tests at 8 worker threads, a
+# Release-mode tuner corpus check (`micco train` at 1 and 4 threads writes
+# one model with the pinned SHA-256), a Release-mode bench_sched_micro smoke
 # run (decision throughput + cross-thread-count tuner label identity), the
 # Release-mode eviction-policy gate (bench_oversubscription --gate:
 # reuse-distance must not pay more eviction-caused transfer bytes than LRU
@@ -306,6 +309,20 @@ for flag in --journal-fsync=interval --journal-fsync-interval=4; do
   expect_exit_2 "${BUILD_DIR}/tools/micco" serve \
     --socket="${SMOKE_DIR}/bad.sock" "${flag}"
 done
+# A bare output flag has no value: it exits 2 before any work instead of
+# writing the output to a file named `1` in the working directory.
+BARE_DIR="${SMOKE_DIR}/bare"
+mkdir -p "${BARE_DIR}"
+MICCO_ABS="$(cd "${BUILD_DIR}" && pwd)/tools/micco"
+for flag in --trace --report --decisions; do
+  (cd "${BARE_DIR}" && expect_exit_2 "${MICCO_ABS}" run "${SMOKE_DIR}/w.mw" \
+    "${flag}")
+  if [ -n "$(ls -A "${BARE_DIR}")" ]; then
+    echo "config smoke test FAILED: run ${flag} wrote" \
+      "$(ls -A "${BARE_DIR}")" >&2
+    exit 1
+  fi
+done
 # An output path that cannot be opened fails before any work with exit 1.
 for flag in --trace --report --decisions; do
   expect_exit 1 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" \
@@ -343,8 +360,8 @@ grep -q 'bad_workload' "${SMOKE_DIR}/config_err.txt"
   --socket="${SMOKE_DIR}/svc.sock" --wait
 "${BUILD_DIR}/tools/micco" drain --socket="${SMOKE_DIR}/svc.sock"
 wait "${SERVE_PID}"
-echo "config smoke test OK: every out-of-range, malformed or unknown flag" \
-  "exited 2, every unwritable output path and the invalid workload" \
+echo "config smoke test OK: every out-of-range, malformed, bare or unknown" \
+  "flag exited 2, every unwritable output path and the invalid workload" \
   "exited 1, the daemon rejected that workload and kept serving"
 
 echo "== eviction-policy smoke test =="
@@ -431,10 +448,33 @@ cmake -B "${REL_BUILD_DIR}" -S . \
   -DMICCO_BUILD_TESTS=OFF \
   -DMICCO_BUILD_EXAMPLES=OFF
 
-echo "== build (Release, bench_sched_micro + bench_overhead + bench_oversubscription) =="
+echo "== build (Release, micco + bench_sched_micro + bench_overhead + bench_oversubscription) =="
 cmake --build "${REL_BUILD_DIR}" -j "$(nproc 2>/dev/null || echo 4)" \
-  --target bench_sched_micro --target bench_overhead \
+  --target micco_cli --target bench_sched_micro --target bench_overhead \
   --target bench_oversubscription
+
+echo "== tuner corpus identity (Release) =="
+# `micco train` labels its corpus by sweeping the bound grid (DESIGN.md
+# §5d). The model must not depend on the thread count, the sweep must
+# simulate the same grid runs, and the file must match the pinned SHA-256.
+# Update the pin only in a commit that moves the model on purpose, and say
+# so in CHANGES.md.
+TUNER_MODEL_SHA256=59154d6de61bbfba4983be984ce8296b4772dd2cf7db1c054f4e0f2a783575db
+for threads in 1 4; do
+  "${REL_BUILD_DIR}/tools/micco" train --threads="${threads}" \
+    --out="${SMOKE_DIR}/tuner_t${threads}.mm" \
+    > "${SMOKE_DIR}/tuner_t${threads}.txt"
+done
+cmp "${SMOKE_DIR}/tuner_t1.mm" "${SMOKE_DIR}/tuner_t4.mm"
+grep -q 'simulated 6216 of 16200 grid runs' "${SMOKE_DIR}/tuner_t1.txt"
+got_sha256="$(sha256sum < "${SMOKE_DIR}/tuner_t1.mm" | cut -d' ' -f1)"
+if [ "${got_sha256}" != "${TUNER_MODEL_SHA256}" ]; then
+  echo "tuner corpus check FAILED: model SHA-256 ${got_sha256}," \
+    "want ${TUNER_MODEL_SHA256}" >&2
+  exit 1
+fi
+echo "tuner corpus check OK: 1- and 4-thread models identical, 6216 of" \
+  "16200 grid runs simulated, model SHA-256 pinned"
 
 echo "== bench_sched_micro gate (Release) =="
 # Exits non-zero if tuner labels diverge across 1/2/4/8 threads, if the
