@@ -349,10 +349,10 @@ SyntheticConfig reset_stream(std::uint64_t seed) {
 
 TEST(Cluster, ResetRunsLikeAFreshSimulator) {
   // Dirty a simulator every way a run can: 200 % oversubscribed under
-  // reuse-distance, a capacity loss and two device failures from a fault
-  // plan, a sink attached. After reset() its next run of another stream
-  // must be a fresh simulator's run, metrics bit for bit, decision by
-  // decision and event by event.
+  // reuse-distance, a capacity loss, two device failures and a slowdown
+  // from a fault plan, a sink attached. After reset() its next run of
+  // another stream must be a fresh simulator's run, metrics bit for bit,
+  // decision by decision and event by event.
   const WorkloadStream dirty_stream = generate_synthetic(reset_stream(5));
   const WorkloadStream next_stream = generate_synthetic(reset_stream(6));
   ClusterConfig config = small_cluster(4);
