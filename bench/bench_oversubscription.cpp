@@ -42,11 +42,9 @@ PolicyRun run_with_policy(const WorkloadStream& stream,
                           mem::EvictPolicyKind policy_kind,
                           BoundsProvider* bounds) {
   const std::unique_ptr<Scheduler> scheduler = make_scheduler(kind);
-  const std::unique_ptr<mem::EvictionPolicy> policy =
-      mem::make_policy(policy_kind);
   RunOptions options;
   options.bounds = bounds;
-  options.evict_policy = policy.get();
+  options.evict_policy = policy_kind;
   const RunResult result = run_stream(stream, *scheduler, cluster, options);
   PolicyRun out;
   out.gflops = result.metrics.gflops();

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/assert.hpp"
-#include "common/stats.hpp"
 
 namespace micco {
 
@@ -17,14 +16,6 @@ void CsvWriter::add_column(std::string header) {
 void CsvWriter::add_row(std::vector<std::string> cells) {
   MICCO_EXPECTS(cells.size() == headers_.size());
   rows_.push_back(std::move(cells));
-}
-
-void CsvWriter::add_row_numeric(const std::vector<double>& values,
-                                int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size());
-  for (const double v : values) cells.push_back(stats::format(v, precision));
-  add_row(std::move(cells));
 }
 
 std::string CsvWriter::escape(const std::string& cell) {

@@ -18,9 +18,6 @@ class CsvWriter {
   /// Appends a row; cell count must match the declared columns.
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience for numeric rows.
-  void add_row_numeric(const std::vector<double>& values, int precision = 6);
-
   std::size_t rows() const { return rows_.size(); }
   std::size_t columns() const { return headers_.size(); }
 

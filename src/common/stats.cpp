@@ -112,18 +112,6 @@ double spearman(std::span<const double> xs, std::span<const double> ys) {
   return pearson(rx, ry);
 }
 
-Summary summarize(std::span<const double> xs) {
-  Summary s;
-  s.count = xs.size();
-  if (xs.empty()) return s;
-  s.mean = mean(xs);
-  s.stddev = stddev(xs);
-  s.min = min(xs);
-  s.median = median(xs);
-  s.max = max(xs);
-  return s;
-}
-
 std::string format(double value, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, value);

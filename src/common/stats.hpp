@@ -1,8 +1,8 @@
 // Small descriptive-statistics helpers shared by the benches and the ML
-// module: means, geometric means, variance, median, min/max summaries.
+// module: means, geometric means, variance, median, min/max, rank
+// correlation.
 #pragma once
 
-#include <cstddef>
 #include <span>
 #include <string>
 #include <vector>
@@ -41,18 +41,6 @@ double pearson(std::span<const double> xs, std::span<const double> ys);
 
 /// Spearman's rank correlation coefficient (used for Fig. 5's heatmap).
 double spearman(std::span<const double> xs, std::span<const double> ys);
-
-/// Five-number-style summary used in bench logs.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double median = 0.0;
-  double max = 0.0;
-};
-
-Summary summarize(std::span<const double> xs);
 
 /// Formats a double with fixed precision (bench table cells).
 std::string format(double value, int precision = 2);

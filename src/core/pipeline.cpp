@@ -75,11 +75,17 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
     injector.emplace(*options.faults, options.retry);
   }
 
+  // An LRU run keeps the simulator's shared, stateless policy and makes no
+  // feed calls; any other kind gets its own instance for this stream.
+  const std::unique_ptr<mem::EvictionPolicy> evict_policy =
+      options.evict_policy == mem::EvictPolicyKind::kLru
+          ? nullptr
+          : mem::make_policy(options.evict_policy);
   ClusterSimulator sim(cluster);
   if (injector.has_value()) sim.set_fault_injector(&*injector);
   // Policy before telemetry: the registry gains only the mem.* names of the
   // policy that runs, never the default LRU's.
-  sim.set_eviction_policy(options.evict_policy);
+  sim.set_eviction_policy(evict_policy.get());
   sim.set_telemetry(options.telemetry);
   scheduler.set_telemetry(options.telemetry);
   result.per_vector_characteristics.reserve(stream.vectors.size());
@@ -126,10 +132,8 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
     return items;
   };
 
-  // Tracing needs both halves: the sink to write to and the context that
-  // carries the job's identity and id allocator.
-  const bool tracing =
-      options.span_sink != nullptr && options.trace_context != nullptr;
+  const bool tracing = options.trace_context != nullptr &&
+                       options.trace_context->sink != nullptr;
   const auto emit_span = [&](obs::SpanEvent event) {
     obs::TraceContext& ctx = *options.trace_context;
     event.trace_id = ctx.trace_id;
@@ -137,7 +141,7 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
     event.tenant = ctx.tenant;
     event.span_id = ctx.alloc();
     event.parent_id = ctx.parent_span;
-    options.span_sink->span(std::move(event));
+    ctx.sink->span(std::move(event));
   };
 
   const auto note_recovery = [&](DeviceId dev, std::size_t requeued) {
@@ -203,8 +207,8 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
       // Retire the pair's future-use positions before execute(): its own
       // operands are pinned for the kernel anyway, so victim selection must
       // rank them by their *next* use, not the one being served now.
-      if (options.evict_policy != nullptr) {
-        options.evict_policy->observe_use(item.task, item.policy_pos);
+      if (evict_policy != nullptr) {
+        evict_policy->observe_use(item.task, item.policy_pos);
       }
       const ExecuteResult exec = sim.execute(item.task, dev);
       switch (exec.outcome) {
@@ -273,9 +277,7 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
     scheduler.begin_vector(vec, sim);
     const std::vector<std::size_t> order =
         visit_order(vec, sim, options.ordering);
-    if (options.evict_policy != nullptr) {
-      options.evict_policy->begin_vector(vec, order);
-    }
+    if (evict_policy != nullptr) evict_policy->begin_vector(vec, order);
     overhead_us += watch.elapsed_us();
     result.per_vector_characteristics.push_back(characteristics);
 
@@ -316,12 +318,8 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
   // with a dangling pointer; the next run_stream reattaches.
   scheduler.set_telemetry(nullptr);
 
-  result.devices_lost = static_cast<int>(sim.metrics().devices_lost);
-  result.recovered = result.completed && result.devices_lost > 0;
-
   result.metrics = sim.metrics();
   result.scheduling_overhead_ms = overhead_us / 1000.0;
-  result.total_time_ms = result.metrics.makespan_s * 1000.0;
 
   result.num_devices = sim.num_devices();
   result.device_utilization = sim.utilization();
@@ -329,10 +327,6 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
       static_cast<std::size_t>(result.num_devices));
   for (int dev = 0; dev < result.num_devices; ++dev) {
     result.device_resident_bytes.push_back(sim.memory_used(dev));
-  }
-  result.device_busy_s.reserve(result.device_utilization.size());
-  for (const double u : result.device_utilization) {
-    result.device_busy_s.push_back(u * result.metrics.makespan_s);
   }
   return result;
 }
@@ -348,10 +342,10 @@ obs::JsonValue make_run_report(const RunResult& result,
   in.scheduling_overhead_ms = result.scheduling_overhead_ms;
   in.reuse_rate = result.metrics.reuse_rate();
 
-  for (std::size_t i = 0; i < result.device_busy_s.size(); ++i) {
+  for (std::size_t i = 0; i < result.device_utilization.size(); ++i) {
     obs::DeviceRollup rollup;
     rollup.device = static_cast<int>(i);
-    rollup.busy_s = result.device_busy_s[i];
+    rollup.busy_s = result.device_utilization[i] * result.metrics.makespan_s;
     rollup.utilization = result.device_utilization[i];
     in.devices.push_back(rollup);
   }
@@ -364,16 +358,13 @@ obs::JsonValue make_run_report(const RunResult& result,
   if (result.metrics.any_faults() || result.tasks_reexecuted > 0 ||
       !result.error.empty()) {
     obs::JsonValue faults = obs::JsonValue::object();
-    faults.set("devices_lost", static_cast<std::uint64_t>(
-                                   result.devices_lost < 0
-                                       ? 0
-                                       : result.devices_lost));
+    faults.set("devices_lost", result.metrics.devices_lost);
     faults.set("transfer_faults", result.metrics.transfer_faults);
     faults.set("retry_backoff_s", result.metrics.retry_backoff_s);
     faults.set("tasks_lost", result.metrics.tasks_lost);
     faults.set("tasks_reexecuted", result.tasks_reexecuted);
     faults.set("capacity_faults", result.metrics.capacity_faults);
-    faults.set("recovered", result.recovered);
+    faults.set("recovered", result.recovered());
     faults.set("completed", result.completed);
     report.set("faults", std::move(faults));
   }

@@ -53,17 +53,14 @@ struct RunResult {
   /// Wall-clock spent inside scheduler + bounds-provider calls (Table V's
   /// "Scheduling Overhead"), milliseconds.
   double scheduling_overhead_ms = 0.0;
-  /// Simulated execution time, milliseconds (Table V's "Total Time").
-  double total_time_ms = 0.0;
   /// Characteristics observed per vector (diagnostics, training data).
   std::vector<DataCharacteristics> per_vector_characteristics;
 
   // -- Per-device rollups captured before the simulator is torn down ------
   int num_devices = 0;
-  /// Busy fraction of the makespan, per device.
+  /// Busy fraction of the makespan, per device; times metrics.makespan_s it
+  /// is the device's busy seconds.
   std::vector<double> device_utilization;
-  /// Accumulated non-idle seconds, per device.
-  std::vector<double> device_busy_s;
   /// Bytes left resident per device when the stream finished — the modeled
   /// footprint the job would keep warm. The daemon reports its sum per
   /// tenant (mem.tenant.<t>.resident_bytes).
@@ -73,15 +70,14 @@ struct RunResult {
   /// Tasks re-enqueued after device losses: lineage re-executions of lost
   /// intermediates plus interrupted tasks retried on survivors.
   std::uint64_t tasks_reexecuted = 0;
-  /// Permanent device failures the run absorbed.
-  int devices_lost = 0;
-  /// True when every pair completed despite at least one device loss.
-  bool recovered = false;
   /// False when the stream could not finish (error below says why).
   bool completed = true;
   /// Structured, human-readable failure cause; empty on success. Replaces
   /// the aborts these conditions used to trigger.
   std::string error;
+
+  /// True when every pair completed despite at least one device loss.
+  bool recovered() const { return completed && metrics.devices_lost > 0; }
 };
 
 /// Order in which a vector's pairs are fed to the scheduler. The paper
@@ -109,12 +105,11 @@ struct RunOptions {
   /// Retry/backoff policy for transient transfer faults (used only when a
   /// plan with transfer faults is attached).
   RetryPolicy retry;
-  /// Optional request tracing (DESIGN.md §7): when BOTH span_sink and
-  /// trace_context are attached, the run emits per-vector "sched"/"exec"
-  /// spans and "recovery" spans, parented at trace_context->parent_span and
-  /// carrying only deterministic values (simulated time, counts) — a
+  /// Optional request tracing (DESIGN.md §7): when a context with a sink is
+  /// attached, the run emits per-vector "sched"/"exec" spans and "recovery"
+  /// spans to trace_context->sink, parented at trace_context->parent_span
+  /// and carrying only deterministic values (simulated time, counts) — a
   /// single-threaded session's trace file is byte-identical across runs.
-  obs::SpanSink* span_sink = nullptr;
   obs::TraceContext* trace_context = nullptr;
   /// Optional wall-clock per-decision latency meter for the scheduling hot
   /// path (bounds: names::decision_latency_bounds_us()). Owned by the
@@ -122,13 +117,12 @@ struct RunOptions {
   /// Detached (the batch default) the hot path does no extra work and runs
   /// stay byte-reproducible.
   obs::HistogramScratch* decision_latency = nullptr;
-  /// Optional eviction policy (mem/, not owned; must outlive the run).
-  /// run_stream attaches it to the simulator and feeds it the per-vector
-  /// future-use information (begin_vector with the visit order, observe_use
-  /// per executed pair). Detached (nullptr, the default) the simulator
-  /// evicts under its own LruPolicy. Non-const: the feed hooks mutate
-  /// tracker state.
-  mem::EvictionPolicy* evict_policy = nullptr;
+  /// Eviction policy (mem/). For kLru, the default, the simulator keeps its
+  /// shared LruPolicy. Any other kind gets a fresh instance per run (its
+  /// tracker state is per stream), which run_stream attaches to the
+  /// simulator and feeds the per-vector future-use information
+  /// (begin_vector with the visit order, observe_use per executed pair).
+  mem::EvictPolicyKind evict_policy = mem::EvictPolicyKind::kLru;
 };
 
 /// Runs `stream` with `scheduler` on a fresh simulated cluster. When

@@ -702,22 +702,6 @@ void ClusterSimulator::barrier() {
   metrics_.makespan_s = std::max(metrics_.makespan_s, t_max);
 }
 
-void ClusterSimulator::discard(TensorId id) {
-  // Releases holders front to back, in placement order. index_.remove edits
-  // the list the span aliases, so the span is re-read after every removal.
-  for (std::span<const DeviceId> holders = devices_holding(id);
-       !holders.empty(); holders = devices_holding(id)) {
-    const DeviceId dev = holders.front();
-    DeviceState& d = device(dev);
-    d.memory.release(id);
-    index_.remove(id, dev);
-    const double start = std::max(d.compute_free_s, d.copy_free_s);
-    d.compute_free_s = start + kFreeLatencyS;
-    d.copy_free_s = d.compute_free_s;
-    sync_device_mirror(dev);
-  }
-}
-
 obs::JsonValue to_json(const ExecutionMetrics& m) {
   obs::JsonValue out = obs::JsonValue::object();
   out.set("makespan_s", m.makespan_s);

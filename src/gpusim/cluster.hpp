@@ -37,7 +37,7 @@ class ClusterView : public ResidencyOracle {
 
   /// Devices currently holding the tensor (unordered, possibly empty). The
   /// returned span aliases the residency index — valid only until the next
-  /// mutation of cluster state (execute, barrier, discard, failure);
+  /// mutation of cluster state (execute, barrier, failure);
   /// schedulers read it within one decision and never hold it across calls.
   /// Returning a view keeps the decision hot path allocation-free (a miss
   /// returns an empty span, not a fresh container).
@@ -250,12 +250,7 @@ class ClusterSimulator final : public ClusterView {
   /// Devices declared dead by the last barrier() sweep; clears the record.
   BarrierFailures take_barrier_failures();
 
-  /// Releases a tensor from every device (e.g. a Redstar intermediate whose
-  /// last consumer has run). Free latency is charged to each holder.
-  void discard(TensorId id);
-
   const ExecutionMetrics& metrics() const { return metrics_; }
-  const ClusterConfig& config() const { return config_; }
 
   /// Attaches the telemetry bundle (nullptr detaches): every priced event
   /// (fetch, output allocation, eviction, kernel, barrier gap, fault) flows
@@ -367,7 +362,7 @@ class ClusterSimulator final : public ClusterView {
 
   /// Re-syncs the device's SoA mirror (busy time, memory, liveness) in the
   /// index. Called at the end of every mutation entry point — execute,
-  /// barrier, fail_device, discard — which is sufficient because schedulers
+  /// barrier, fail_device — which is sufficient because schedulers
   /// only observe cluster state between those calls, never mid-task.
   void sync_device_mirror(DeviceId dev);
 

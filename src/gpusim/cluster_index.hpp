@@ -4,8 +4,8 @@
 // the simulator's hash maps for every tensor pair. ClusterIndex keeps that
 // state as O(1)-updated flat structures maintained *as deltas* by the
 // cluster's own mutation points (place on fetch/alloc, remove on
-// evict/failure/discard, device mirrors re-synced after every execute,
-// barrier, failure and discard):
+// evict/failure, device mirrors re-synced after every execute, barrier and
+// failure):
 //
 //   * Per-tensor residency: the holder list in insertion order (candidate
 //     enumeration order is part of the decision-log byte-identity contract;

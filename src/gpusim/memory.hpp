@@ -143,9 +143,7 @@ class DeviceMemory {
   /// Marks a resident tensor as most recently used (a kernel touched it).
   void touch(TensorId id);
 
-  /// Marks a resident tensor dirty (it became a kernel output) or clean
-  /// (it was written back to the host).
-  void set_dirty(TensorId id, bool dirty) { node(id).dirty = dirty; }
+  /// True when a resident tensor is a kernel output not yet written back.
   bool is_dirty(TensorId id) const { return node(id).dirty; }
 
   /// Pins/unpins a tensor against eviction for the duration of a kernel.

@@ -121,19 +121,6 @@ std::string ContractionGraph::signature() const {
   return os.str();
 }
 
-std::string ContractionGraph::to_dot(const std::string& name) const {
-  std::ostringstream os;
-  os << "graph \"" << name << "\" {\n";
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    os << "  n" << i << " [label=\"T" << nodes_[i].id << "\"];\n";
-  }
-  for (const auto& [u, v] : edges_) {
-    os << "  n" << u << " -- n" << v << ";\n";
-  }
-  os << "}\n";
-  return os.str();
-}
-
 // ---------------------------------------------------- ContractionPlanner --
 
 void ContractionPlanner::add_graph(const ContractionGraph& graph) {

@@ -90,9 +90,6 @@ class ContractionGraph {
   /// graphs produced by Wick enumeration.
   std::string signature() const;
 
-  /// Graphviz DOT rendering for debugging and documentation.
-  std::string to_dot(const std::string& name) const;
-
  private:
   std::vector<TensorDesc> nodes_;
   std::vector<std::pair<std::size_t, std::size_t>> edges_;

@@ -1,8 +1,8 @@
 // Workload characterisation for contraction-graph sets: the structural
 // statistics (sharing factors, degree and stage-width distributions) that
-// determine how much reuse a scheduler can hope to find. bench_redstar
-// prints these next to Table VI, and tests use them to pin the generators'
-// structural properties.
+// determine how much reuse a scheduler can hope to find. `micco generate`
+// and `micco inspect` print the stream statistics; tests use the graph-set
+// statistics to pin the generators' structural properties.
 #pragma once
 
 #include <cstddef>

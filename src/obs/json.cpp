@@ -6,10 +6,22 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "common/assert.hpp"
 
 namespace micco::obs {
+
+JsonValue::JsonValue(std::uint64_t u) {
+  if (u <= static_cast<std::uint64_t>(
+               std::numeric_limits<std::int64_t>::max())) {
+    kind_ = Kind::kInt;
+    int_ = static_cast<std::int64_t>(u);
+  } else {
+    kind_ = Kind::kUint;
+    uint_ = u;
+  }
+}
 
 JsonValue JsonValue::array() {
   JsonValue v;
@@ -35,7 +47,11 @@ std::int64_t JsonValue::as_int() const {
 
 double JsonValue::as_double() const {
   MICCO_EXPECTS(is_number());
-  return kind_ == Kind::kInt ? static_cast<double>(int_) : double_;
+  switch (kind_) {
+    case Kind::kInt: return static_cast<double>(int_);
+    case Kind::kUint: return static_cast<double>(uint_);
+    default: return double_;
+  }
 }
 
 const std::string& JsonValue::as_string() const {
@@ -90,8 +106,10 @@ const JsonValue& JsonValue::at(const std::string& key) const {
 bool JsonValue::operator==(const JsonValue& other) const {
   if (kind_ != other.kind_) {
     // Int/double compare by numeric value so parse(dump(x)) == x even when
-    // the parser picked the other representation.
-    if (is_number() && other.is_number()) {
+    // the parser picked the other representation. kInt and kUint ranges
+    // are disjoint, and a double would round one onto the other.
+    if (is_number() && other.is_number() &&
+        (kind_ == Kind::kDouble || other.kind_ == Kind::kDouble)) {
       return as_double() == other.as_double();
     }
     return false;
@@ -100,6 +118,7 @@ bool JsonValue::operator==(const JsonValue& other) const {
     case Kind::kNull: return true;
     case Kind::kBool: return bool_ == other.bool_;
     case Kind::kInt: return int_ == other.int_;
+    case Kind::kUint: return uint_ == other.uint_;
     case Kind::kDouble: return double_ == other.double_;
     case Kind::kString: return string_ == other.string_;
     case Kind::kArray: return array_ == other.array_;
@@ -159,6 +178,7 @@ void JsonValue::write(std::string& out, int indent, int depth) const {
     case Kind::kNull: out += "null"; break;
     case Kind::kBool: out += bool_ ? "true" : "false"; break;
     case Kind::kInt: out += std::to_string(int_); break;
+    case Kind::kUint: out += std::to_string(uint_); break;
     case Kind::kDouble: out += json_number(double_); break;
     case Kind::kString:
       out += '"';
@@ -290,12 +310,14 @@ class Parser {
     }
     const std::string token = text_.substr(start, pos_ - start);
     if (token.find_first_of(".eE") == std::string::npos) {
+      const char* const end = token.data() + token.size();
       std::int64_t i = 0;
-      const auto [ptr, ec] =
-          std::from_chars(token.data(), token.data() + token.size(), i);
-      if (ec == std::errc{} && ptr == token.data() + token.size()) {
-        return JsonValue(i);
-      }
+      const auto [ptr, ec] = std::from_chars(token.data(), end, i);
+      if (ec == std::errc{} && ptr == end) return JsonValue(i);
+      // Above INT64_MAX: exact as a uint64 up to 2^64 - 1.
+      std::uint64_t u = 0;
+      const auto [uptr, uec] = std::from_chars(token.data(), end, u);
+      if (uec == std::errc{} && uptr == end) return JsonValue(u);
     }
     errno = 0;
     char* end = nullptr;

@@ -4,8 +4,9 @@
 // snapshots, run reports — is built as a JsonValue and serialized through one
 // writer, so output is deterministic (object keys keep insertion order, no
 // locale-dependent number formatting) and round-trippable via parse(). This
-// is intentionally not a general-purpose JSON library: numbers are doubles
-// or int64, strings are assumed UTF-8, and duplicate keys are not rejected.
+// is intentionally not a general-purpose JSON library: numbers are doubles,
+// int64, or uint64 above the int64 range, strings are assumed UTF-8, and
+// duplicate keys are not rejected.
 #pragma once
 
 #include <cstdint>
@@ -19,15 +20,18 @@ namespace micco::obs {
 
 class JsonValue {
  public:
-  enum class Kind { kNull, kBool, kInt, kDouble, kString, kArray, kObject };
+  /// kUint holds only integers above INT64_MAX (tensor ids up to 2^64 - 1);
+  /// every smaller integer is a kInt, whichever constructor built it.
+  enum class Kind {
+    kNull, kBool, kInt, kUint, kDouble, kString, kArray, kObject
+  };
 
   using Member = std::pair<std::string, JsonValue>;
 
   JsonValue() = default;  ///< null
   JsonValue(bool b) : kind_(Kind::kBool), bool_(b) {}                // NOLINT
   JsonValue(std::int64_t i) : kind_(Kind::kInt), int_(i) {}          // NOLINT
-  JsonValue(std::uint64_t u)                                         // NOLINT
-      : kind_(Kind::kInt), int_(static_cast<std::int64_t>(u)) {}
+  JsonValue(std::uint64_t u);                                        // NOLINT
   JsonValue(int i) : kind_(Kind::kInt), int_(i) {}                   // NOLINT
   JsonValue(double d) : kind_(Kind::kDouble), double_(d) {}          // NOLINT
   JsonValue(std::string s)                                           // NOLINT
@@ -40,11 +44,12 @@ class JsonValue {
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }
   bool is_number() const {
-    return kind_ == Kind::kInt || kind_ == Kind::kDouble;
+    return kind_ == Kind::kInt || kind_ == Kind::kUint ||
+           kind_ == Kind::kDouble;
   }
 
   // Typed accessors abort (contract violation) on kind mismatch, except
-  // as_double which accepts both number kinds.
+  // as_double which accepts every number kind.
   bool as_bool() const;
   std::int64_t as_int() const;
   double as_double() const;
@@ -79,6 +84,7 @@ class JsonValue {
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   std::int64_t int_ = 0;
+  std::uint64_t uint_ = 0;
   double double_ = 0.0;
   std::string string_;
   std::vector<JsonValue> array_;

@@ -25,15 +25,19 @@
 
 namespace micco::obs {
 
-/// Identity and id allocator for one job's span tree. Minted by the client
-/// (trace_id), completed by the server (job_id/tenant); lower layers emit
-/// spans parented at `parent_span` and allocate child ids with alloc().
-/// Allocation is eager — a parent's id is always smaller than its
-/// children's — so trees reassemble regardless of emission order.
+class SpanSink;
+
+/// Identity, sink and id allocator for one job's span tree. Minted by the
+/// client (trace_id), completed by the server (job_id/tenant, sink); lower
+/// layers emit spans to `sink` parented at `parent_span` and allocate child
+/// ids with alloc(). Allocation is eager — a parent's id is always smaller
+/// than its children's — so trees reassemble regardless of emission order.
 struct TraceContext {
   std::string trace_id;
   std::uint64_t job_id = 0;
   std::string tenant;
+  /// Where the spans go (not owned); nullptr traces nothing.
+  SpanSink* sink = nullptr;
   /// Next span id to hand out; ids are per-job, starting at 1 (the root).
   std::uint64_t next_span = 1;
   /// Parent for spans emitted by the current layer (the server points this

@@ -7,10 +7,9 @@
 //   * Result ordering is deterministic: parallel_map's results land in index
 //     order regardless of worker interleaving, so merged output is
 //     bit-identical across runs and across thread counts.
-//   * Randomness never crosses work items: a caller either draws all RNG
-//     state serially before fanning out (the tuner and forest do this, which
-//     keeps their output bit-identical to the historical serial code), or
-//     gives each item its own PCG stream via item_rng().
+//   * Randomness never crosses work items: every caller draws its RNG
+//     state serially before it fans out (the tuner and the forest do), so
+//     no item's draws depend on which worker ran it or in what order.
 //   * threads=1 takes a pure inline path — no pool, no queue, no atomics —
 //     byte-identical in behaviour and output to a hand-written serial loop.
 //   * Nested parallel_for is legal: a work item may fan out again (the tuner
@@ -44,7 +43,6 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "common/rng.hpp"
 
 namespace micco::parallel {
 
@@ -87,16 +85,6 @@ auto parallel_map(std::size_t n, Fn&& fn)
     out.push_back(std::move(*slot));
   }
   return out;
-}
-
-/// An independent PCG stream for work item `item`: same seed, distinct
-/// stream selector. Items drawing from their own stream stay deterministic
-/// under any schedule — the draw sequence is a pure function of (seed, item),
-/// never of which worker ran the item or in what order.
-inline Pcg32 item_rng(std::uint64_t seed, std::uint64_t item) {
-  // Offset keeps item streams disjoint from the library's hand-picked
-  // stream constants (0x70405, 0xf00df00d, ...).
-  return Pcg32(seed, 0x9e3779b97f4a7c15ULL + item);
 }
 
 }  // namespace micco::parallel

@@ -56,9 +56,6 @@ struct Construction {
   std::size_t hadron_count() const {
     return hadrons.size() + baryons.size();
   }
-  std::size_t quark_count() const {
-    return hadrons.size() + 3 * baryons.size();
-  }
 };
 
 /// An operator basis at one end of the correlator (several constructions,

@@ -152,18 +152,4 @@ std::vector<ContractionGraph> enumerate_diagrams(const Construction& source,
   return result;
 }
 
-std::size_t count_diagrams(const Construction& source,
-                           const Construction& sink,
-                           std::size_t max_diagrams) {
-  if (!flavor_balanced(source, sink)) return 0;
-  if (source.hadron_count() == 0 && sink.hadron_count() == 0) return 0;
-  const Hadrons h = collect(source, sink, /*sink_time=*/1);
-  std::set<std::string> seen;
-  for_each_matching(h, max_diagrams,
-                    [&](const std::vector<std::size_t>& assignment) {
-                      seen.insert(matching_signature(h, assignment));
-                    });
-  return seen.size();
-}
-
 }  // namespace micco::redstar

@@ -26,12 +26,4 @@ std::vector<ContractionGraph> enumerate_diagrams(
     const Construction& source, const Construction& sink, int sink_time,
     NodeRegistry& registry, std::size_t max_diagrams);
 
-/// Diagram count without materialising graphs (for tests on factorial
-/// growth): the permanent of the flavor-compatibility matrix minus
-/// self-loop-only terms is expensive, so this simply runs the enumeration
-/// counting instead of building.
-std::size_t count_diagrams(const Construction& source,
-                           const Construction& sink,
-                           std::size_t max_diagrams);
-
 }  // namespace micco::redstar

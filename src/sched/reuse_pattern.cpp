@@ -60,14 +60,4 @@ MappingClass classify_mapping(const ContractionTask& task, DeviceId dev,
   return MappingClass::kNoneReused;
 }
 
-int fetches_for(MappingClass m) {
-  switch (m) {
-    case MappingClass::kBothReused: return 0;
-    case MappingClass::kFirstReused:
-    case MappingClass::kSecondReused: return 1;
-    case MappingClass::kNoneReused: return 2;
-  }
-  return 2;
-}
-
 }  // namespace micco

@@ -40,8 +40,4 @@ const char* to_string(MappingClass m);
 MappingClass classify_mapping(const ContractionTask& task, DeviceId dev,
                               const ClusterIndex& index);
 
-/// Number of operand fetches (memory allocation + communication pairs) the
-/// mapping incurs, i.e. the yellow-bar cost of Fig. 4.
-int fetches_for(MappingClass m);
-
 }  // namespace micco

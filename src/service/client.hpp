@@ -50,7 +50,6 @@ class Client {
   /// and closes the connection, so a late reply from a wedged daemon can
   /// never be mistaken for the answer to the next request.
   void set_deadline_ms(double deadline_ms) { deadline_ms_ = deadline_ms; }
-  double deadline_ms() const { return deadline_ms_; }
 
   /// Sends `request` as one frame and blocks for the reply document.
   /// nullopt with a diagnostic on transport failure (daemon gone, reply

@@ -618,6 +618,7 @@ void Server::run_job(std::uint64_t job_id) {
                                          : info.trace_id;
   trace.job_id = job_id;
   trace.tenant = info.tenant;
+  trace.sink = spans_sink_.get();
   const std::uint64_t root_span = trace.alloc();
   const auto emit_span = [&](obs::SpanEvent event, std::uint64_t span_id,
                              std::uint64_t parent_id) {
@@ -653,16 +654,9 @@ void Server::run_job(std::uint64_t job_id) {
   options.telemetry = &telemetry_;
   options.faults = config_.faults;
   options.retry = config_.retry;
-  if (spans_sink_ != nullptr) {
-    options.span_sink = spans_sink_.get();
-    options.trace_context = &trace;
-  }
+  options.trace_context = &trace;
   options.decision_latency = decision_scratch_.get();
-  // Fresh policy instance per job: tracker state is per-stream and must not
-  // leak between tenants.
-  const std::unique_ptr<mem::EvictionPolicy> evict_policy =
-      mem::make_policy(config_.evict_policy);
-  options.evict_policy = evict_policy.get();
+  options.evict_policy = config_.evict_policy;
   const RunResult result =
       run_stream(stream, *scheduler, config_.cluster, options);
 
@@ -692,8 +686,10 @@ void Server::run_job(std::uint64_t job_id) {
   total_evictions_ += result.metrics.evictions;
   total_writeback_bytes_ += result.metrics.writeback_bytes;
   for (std::size_t d = 0;
-       d < result.device_busy_s.size() && d < device_busy_s_.size(); ++d) {
-    device_busy_s_[d] += result.device_busy_s[d];
+       d < result.device_utilization.size() && d < device_busy_s_.size();
+       ++d) {
+    device_busy_s_[d] +=
+        result.device_utilization[d] * result.metrics.makespan_s;
   }
 
   // Result document retained for pickup: the run summary plus the
@@ -709,10 +705,10 @@ void Server::run_job(std::uint64_t job_id) {
   doc.set("evict_policy", result.metrics.evict_policy);
   doc.set("vectors",
           static_cast<std::uint64_t>(result.per_vector_characteristics.size()));
-  if (result.devices_lost > 0 || result.tasks_reexecuted > 0) {
-    doc.set("devices_lost", result.devices_lost);
+  if (result.metrics.devices_lost > 0 || result.tasks_reexecuted > 0) {
+    doc.set("devices_lost", result.metrics.devices_lost);
     doc.set("tasks_reexecuted", result.tasks_reexecuted);
-    doc.set("recovered", result.recovered);
+    doc.set("recovered", result.recovered());
   }
   doc.set("per_vector", per_vector_json(result));
 

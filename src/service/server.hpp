@@ -147,7 +147,6 @@ class Server {
   std::size_t request_shutdown();
 
   JobManager& jobs() { return jobs_; }
-  const obs::Telemetry& telemetry() const { return telemetry_; }
 
   /// Builds the session run report from the aggregates accumulated by the
   /// dispatcher. Meaningful once serve() returned (or between jobs in

@@ -95,17 +95,6 @@ int contraction_result_rank(int rank_a, int rank_b) {
   return 3;  // mixed: one baryon line stays open
 }
 
-cplx batched_trace(const Tensor& m) {
-  const Shape& s = m.shape();
-  MICCO_EXPECTS(s.rank() == 2);
-  MICCO_EXPECTS(s.dim(0) == s.dim(1));
-  cplx acc{0.0, 0.0};
-  for (std::int64_t b = 0; b < s.batch(); ++b) {
-    for (std::int64_t i = 0; i < s.dim(0); ++i) acc += m.at(b, i, i);
-  }
-  return acc;
-}
-
 std::uint64_t meson_contraction_flops(std::int64_t batch, std::int64_t m,
                                       std::int64_t k, std::int64_t n) {
   MICCO_EXPECTS(batch >= 1 && m >= 1 && k >= 1 && n >= 1);

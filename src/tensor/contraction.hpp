@@ -34,10 +34,6 @@ Tensor contract_mixed(const Tensor& m, const Tensor& t);
 /// 2x2 -> 2 (meson), 3x3 -> 2 (double contraction), 2x3 / 3x2 -> 3.
 int contraction_result_rank(int rank_a, int rank_b);
 
-/// Batched trace sum_b sum_i M[b](i, i): the final reduction when only two
-/// hadron nodes remain and the correlator value is extracted.
-cplx batched_trace(const Tensor& m);
-
 /// Exact complex-FLOP counts (a complex multiply-accumulate = 8 real flops)
 /// for each kernel, given the operand shapes. Used by both the executing
 /// kernels' tests and the analytic cost model.

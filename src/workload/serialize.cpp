@@ -27,6 +27,10 @@ bool read_desc(std::istream& in, TensorDesc* d, std::string* error) {
     if (error) *error = "invalid tensor descriptor";
     return false;
   }
+  if (!d->checked_bytes().has_value()) {
+    if (error) *error = "tensor payload exceeds 2^64-1 bytes";
+    return false;
+  }
   return true;
 }
 
@@ -113,6 +117,10 @@ std::optional<WorkloadStream> load_stream(std::istream& in,
       }
       if (task.a.extent != task.b.extent || task.a.batch != task.b.batch) {
         if (error) *error = "operands are not contractable";
+        return std::nullopt;
+      }
+      if (!task.counts_fit()) {
+        if (error) *error = "task FLOPs or kernel bytes exceed 2^64-1";
         return std::nullopt;
       }
       vec.tasks.push_back(task);

@@ -13,6 +13,11 @@ std::string SyntheticConfig::validate() const {
   if (tensor_extent < 1) return "tensor extent must be >= 1";
   if (batch < 1) return "batch must be >= 1";
   if (rank != 2 && rank != 3) return "rank must be 2 (meson) or 3 (baryon)";
+  const TensorDesc input{0, rank, tensor_extent, batch};
+  if (!input.checked_bytes().has_value() ||
+      !ContractionTask{input, input, input}.counts_fit()) {
+    return "tensor extent and batch overflow 64-bit byte or FLOP counts";
+  }
   if (!(repeated_rate >= 0.0 && repeated_rate <= 1.0)) {
     return "repeated rate must lie in [0, 1]";
   }

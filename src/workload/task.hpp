@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -43,6 +44,10 @@ struct TensorDesc {
     return per_entry * static_cast<std::uint64_t>(batch) * sizeof(cplx);
   }
 
+  /// bytes() without its silent wrap: nullopt when the payload exceeds
+  /// 2^64 - 1 bytes. Workload loaders reject such descriptors.
+  std::optional<std::uint64_t> checked_bytes() const;
+
   bool valid() const { return id != kInvalidTensor; }
   bool operator==(const TensorDesc& other) const = default;
 };
@@ -62,6 +67,10 @@ struct ContractionTask {
   std::uint64_t kernel_bytes() const {
     return hadron_contraction_bytes(a.rank, b.rank, a.batch, a.extent);
   }
+
+  /// False when flops() or kernel_bytes() exceeds 2^64 - 1, where both
+  /// would wrap silently. Workload loaders reject such tasks.
+  bool counts_fit() const;
 };
 
 /// How the generator selects which historical tensors repeat.
@@ -85,12 +94,6 @@ struct VectorWorkload {
 
   /// Total FLOPs over all contractions in the vector.
   std::uint64_t total_flops() const;
-
-  /// Sum of distinct input payload bytes (each distinct tensor counted once).
-  std::uint64_t unique_input_bytes() const;
-
-  /// Sum of output payload bytes.
-  std::uint64_t output_bytes() const;
 };
 
 /// A full workload: an ordered sequence of vectors with barriers between

@@ -109,8 +109,9 @@ TEST(BaryonWick, TwoNucleonSystemGrowsFactorially) {
   two.baryons = {BaryonOp{"N+", {Flavor::kUp, Flavor::kUp, Flavor::kDown}, 1},
                  BaryonOp{"N+", {Flavor::kUp, Flavor::kUp, Flavor::kDown},
                           -1}};
-  EXPECT_GT(redstar::count_diagrams(two, two, 10000),
-            3 * redstar::count_diagrams(one, one, 10000));
+  NodeRegistry reg(8, 1);
+  EXPECT_GT(redstar::enumerate_diagrams(two, two, 1, reg, 10000).size(),
+            3 * redstar::enumerate_diagrams(one, one, 1, reg, 10000).size());
 }
 
 TEST(BaryonWick, MesonBaryonMixBalancesWhenFlavorsMatch) {

@@ -187,16 +187,6 @@ TEST(Cluster, GflopsConsistentWithTotals) {
               1e-9);
 }
 
-TEST(Cluster, DiscardReleasesEverywhere) {
-  ClusterSimulator sim(small_cluster());
-  sim.execute(make_task(0, 1, 2), 0);
-  sim.execute(make_task(0, 3, 4), 1);  // replica of 0 on both devices
-  ASSERT_EQ(sim.devices_holding(0).size(), 2u);
-  sim.discard(0);
-  EXPECT_FALSE(sim.resident_anywhere(0));
-  EXPECT_TRUE(sim.devices_holding(0).empty());
-}
-
 TEST(Cluster, OverlapModeShortensElapsedTime) {
   ClusterConfig serial = small_cluster(1);
   ClusterConfig overlap = serial;
@@ -265,7 +255,9 @@ TEST(Cluster, WriteBackGivesHostCopyToSparseIdIntermediate) {
 TEST(Cluster, FetchingDiscardedIntermediateAborts) {
   ClusterSimulator sim(small_cluster());
   sim.execute(make_task(0, 1, 2), 0);
-  sim.discard(2);  // intermediate gone from devices, never written back
+  // The only copy of the intermediate dies with its device; it was never
+  // written back.
+  EXPECT_EQ(sim.fail_device(0, 0.0), std::vector<TensorId>{2});
   EXPECT_DEATH(sim.execute(make_task(2, 3, 4), 1), "lost intermediate");
 }
 

@@ -1,11 +1,10 @@
 // ClusterIndex unit tests: residency deltas (holder order, bitmask), the
 // inline holder list and its heap spill, wide clusters past the 64-bit
 // inline mask word, the sparse id spill, copies, and — via a live
-// ClusterSimulator — holder lists that follow every allocation, eviction,
-// discard and failure, and the contract that the per-device mirrors and the
+// ClusterSimulator — holder lists that follow every allocation, eviction
+// and failure, and the contract that the per-device mirrors and the
 // residency sets always agree with the virtual ClusterView getters at every
-// scheduler observation point (after execute, barrier, failure and
-// discard).
+// scheduler observation point (after execute, barrier and failure).
 #include "gpusim/cluster_index.hpp"
 
 #include <gtest/gtest.h>
@@ -103,7 +102,7 @@ TEST(ClusterIndex, EntrySurvivesLastRemovalAndReplacement) {
 
 TEST(ClusterIndex, EveryResidencyChangeShowsInHoldersAndMetrics) {
   // Two fetches and an output, then three evictions and three
-  // placements, then the discard of one tensor.
+  // placements.
   ClusterConfig config;
   config.num_devices = 4;
   config.device_capacity_bytes = 3 * desc(0).bytes();
@@ -118,9 +117,6 @@ TEST(ClusterIndex, EveryResidencyChangeShowsInHoldersAndMetrics) {
   EXPECT_EQ(sim.metrics().evictions, 3u);
   expect_holders(index, {1, 2, 3}, {});
   expect_holders(index, {4, 5, 6}, {0});
-  sim.discard(6);
-  expect_holders(index, {6}, {});
-  expect_holders(index, {4, 5}, {0});
 }
 
 TEST(ClusterIndex, SparseSpillHandlesHugeIds) {
@@ -322,7 +318,7 @@ void expect_index_consistent(const ClusterSimulator& sim,
   }
 }
 
-TEST(ClusterIndexMirror, TracksExecuteBarrierFailureAndDiscard) {
+TEST(ClusterIndexMirror, TracksExecuteBarrierAndFailure) {
   ClusterConfig config;
   config.num_devices = 3;
   config.device_capacity_bytes = 1ULL << 20;
@@ -342,10 +338,6 @@ TEST(ClusterIndexMirror, TracksExecuteBarrierFailureAndDiscard) {
   sim.fail_device(1, 0.0);
   expect_index_consistent(sim, ids);
   EXPECT_FALSE(sim.cluster_index().alive(1));
-
-  sim.discard(1);
-  expect_index_consistent(sim, ids);
-  EXPECT_FALSE(sim.cluster_index().resident_anywhere(1));
 }
 
 TEST(ClusterIndexMirror, FailureRemovesEveryResidentTensor) {

@@ -109,20 +109,6 @@ TEST(BaryonContraction, OutputIsRank2) {
   EXPECT_EQ(c.shape().batch(), 2);
 }
 
-TEST(BatchedTrace, SumsDiagonalsAcrossBatch) {
-  Tensor m(Shape::matrix(2, 3));
-  m.at(0, 0, 0) = {1, 1};
-  m.at(0, 1, 1) = {2, 0};
-  m.at(0, 2, 2) = {3, 0};
-  m.at(1, 0, 0) = {4, -1};
-  m.at(1, 1, 1) = {5, 0};
-  m.at(1, 2, 2) = {6, 0};
-  m.at(1, 0, 2) = {100, 100};  // off-diagonal must not contribute
-  const cplx tr = batched_trace(m);
-  EXPECT_DOUBLE_EQ(tr.real(), 21.0);
-  EXPECT_DOUBLE_EQ(tr.imag(), 0.0);
-}
-
 TEST(Flops, MesonCountMatchesFormula) {
   EXPECT_EQ(meson_contraction_flops(1, 2, 3, 4), 8ull * 2 * 3 * 4);
   EXPECT_EQ(meson_contraction_flops(10, 384, 384, 384),

@@ -19,14 +19,6 @@ TEST(Csv, HeaderAndRows) {
   EXPECT_EQ(csv.columns(), 2u);
 }
 
-TEST(Csv, NumericRowFormatting) {
-  CsvWriter csv;
-  csv.add_column("a");
-  csv.add_column("b");
-  csv.add_row_numeric({1.5, 2.25}, 2);
-  EXPECT_EQ(csv.render(), "a,b\n1.50,2.25\n");
-}
-
 TEST(Csv, EscapesCommas) {
   EXPECT_EQ(CsvWriter::escape("a,b"), "\"a,b\"");
 }

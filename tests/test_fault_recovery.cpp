@@ -78,8 +78,7 @@ TEST(FaultRecovery, MidStreamDeviceLossRecoversAndCompletes) {
   const RunResult result = run_with(stream, sched, cluster_of(4), &plan);
   EXPECT_TRUE(result.completed);
   EXPECT_TRUE(result.error.empty()) << result.error;
-  EXPECT_TRUE(result.recovered);
-  EXPECT_EQ(result.devices_lost, 1);
+  EXPECT_TRUE(result.recovered());
   EXPECT_EQ(result.metrics.devices_lost, 1u);
   // Every pair still ran; re-executions only add flops on top.
   EXPECT_GE(result.metrics.total_flops, stream.total_flops());
@@ -102,7 +101,7 @@ TEST(FaultRecovery, DegradedMakespanBoundedByThreeGpuRun) {
   MiccoScheduler sched;
   const RunResult faulted = run_with(stream, sched, cluster_of(4), &plan);
   ASSERT_TRUE(faulted.completed);
-  EXPECT_TRUE(faulted.recovered);
+  EXPECT_TRUE(faulted.recovered());
 
   // Losing 1 of 4 devices halfway through must not be meaningfully worse
   // than never having had the device at all. The slack covers recovery's
@@ -149,10 +148,10 @@ TEST(FaultRecovery, AllDevicesFailedIsStructuredError) {
   MiccoScheduler sched;
   const RunResult result = run_with(stream, sched, cluster_of(2), &plan);
   EXPECT_FALSE(result.completed);
-  EXPECT_FALSE(result.recovered);
+  EXPECT_FALSE(result.recovered());
   EXPECT_NE(result.error.find("all devices failed"), std::string::npos)
       << result.error;
-  EXPECT_EQ(result.devices_lost, 2);
+  EXPECT_EQ(result.metrics.devices_lost, 2u);
 }
 
 // ----------------------------------------------------------- transfer faults
@@ -172,7 +171,7 @@ TEST(FaultRecovery, TransientTransferFaultsRetryAndComplete) {
   ASSERT_TRUE(result.completed) << result.error;
   EXPECT_GT(result.metrics.transfer_faults, 0u);
   EXPECT_GT(result.metrics.retry_backoff_s, 0.0);
-  EXPECT_EQ(result.devices_lost, 0);
+  EXPECT_EQ(result.metrics.devices_lost, 0u);
   // Wasted attempts + backoff only ever stretch the simulated clock.
   EXPECT_GE(result.metrics.makespan_s, clean.metrics.makespan_s);
   EXPECT_EQ(result.metrics.total_flops, stream.total_flops());
@@ -192,7 +191,7 @@ TEST(FaultRecovery, RetryExhaustionEscalatesToDeviceFailure) {
   MiccoScheduler sched;
   const RunResult result = run_with(stream, sched, cluster_of(2), &plan, retry);
   EXPECT_GT(result.metrics.transfer_faults, 0u);
-  EXPECT_GT(result.devices_lost, 0);
+  EXPECT_GT(result.metrics.devices_lost, 0u);
   if (!result.completed) {
     EXPECT_NE(result.error.find("all devices failed"), std::string::npos)
         << result.error;
@@ -211,7 +210,7 @@ TEST(FaultRecovery, CapacityLossAppliedAndRunCompletes) {
       run_with(stream, sched, cluster_of(2, 256ull << 20), &plan);
   ASSERT_TRUE(result.completed) << result.error;
   EXPECT_EQ(result.metrics.capacity_faults, 1u);
-  EXPECT_EQ(result.devices_lost, 0);
+  EXPECT_EQ(result.metrics.devices_lost, 0u);
 }
 
 TEST(FaultRecovery, SlowdownStretchesMakespan) {
@@ -281,8 +280,8 @@ TEST(FaultRecovery, NoSchedulerAssignsPairsToFailedDevice) {
     EXPECT_TRUE(result.completed) << to_string(kind) << ": " << result.error;
     EXPECT_TRUE(result.error.empty()) << to_string(kind) << ": "
                                       << result.error;
-    EXPECT_EQ(result.devices_lost, 1) << to_string(kind);
-    EXPECT_TRUE(result.recovered) << to_string(kind);
+    EXPECT_EQ(result.metrics.devices_lost, 1u) << to_string(kind);
+    EXPECT_TRUE(result.recovered()) << to_string(kind);
   }
 }
 

@@ -87,14 +87,11 @@ Capture run_case(const GoldenInput& in) {
   cluster.num_devices = in.gpus;
   cluster.device_capacity_bytes = in.capacity;
 
-  const std::unique_ptr<mem::EvictionPolicy> policy =
-      mem::make_policy(in.evict_policy);
-
   RunOptions run_options;
   run_options.telemetry = &telemetry;
   run_options.faults = in.plan.has_value() ? &*in.plan : nullptr;
   run_options.ordering = in.ordering;
-  run_options.evict_policy = policy.get();
+  run_options.evict_policy = in.evict_policy;
   RunResult result = run_stream(in.stream, scheduler, cluster, run_options);
   EXPECT_TRUE(result.completed) << result.error;
   result.scheduling_overhead_ms = 0.0;  // the one wall-clock report field

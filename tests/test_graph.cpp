@@ -85,15 +85,6 @@ TEST(ContractionGraph, SignatureIdentifiesContent) {
   EXPECT_NE(g1.signature(), g3.signature());
 }
 
-TEST(ContractionGraph, DotExportMentionsNodesAndEdges) {
-  NodeRegistry reg(16, 2);
-  ContractionGraph g;
-  g.add_edge(g.add_node(reg.original("a")), g.add_node(reg.original("b")));
-  const std::string dot = g.to_dot("test");
-  EXPECT_NE(dot.find("graph \"test\""), std::string::npos);
-  EXPECT_NE(dot.find("n0 -- n1"), std::string::npos);
-}
-
 TEST(Planner, TwoNodeGraphYieldsOneContraction) {
   NodeRegistry reg(16, 2);
   ContractionPlanner planner(reg);

@@ -350,10 +350,9 @@ TEST(EvictionPolicy, AttachedPolicySurfacesInMetricsAndReport) {
 
   obs::Telemetry telemetry;
   MiccoScheduler scheduler;
-  mem::ReuseDistancePolicy policy;
   RunOptions options;
   options.telemetry = &telemetry;
-  options.evict_policy = &policy;
+  options.evict_policy = mem::EvictPolicyKind::kReuseDistance;
   const RunResult result = run_stream(stream, scheduler, cluster, options);
   ASSERT_TRUE(result.completed);
   EXPECT_GT(result.metrics.evictions, 0u);

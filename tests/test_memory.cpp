@@ -105,16 +105,6 @@ TEST(DeviceMemory, DirtyFlagTravelsWithEviction) {
   EXPECT_TRUE(ev->dirty);
 }
 
-TEST(DeviceMemory, SetDirtyRoundTrip) {
-  DeviceMemory mem(1000);
-  mem.allocate(1, 100, false);
-  EXPECT_FALSE(mem.is_dirty(1));
-  mem.set_dirty(1, true);
-  EXPECT_TRUE(mem.is_dirty(1));
-  mem.set_dirty(1, false);
-  EXPECT_FALSE(mem.is_dirty(1));
-}
-
 TEST(DeviceMemory, ResidentIdsListsAll) {
   DeviceMemory mem(1000);
   mem.allocate(5, 100, false);

@@ -227,6 +227,31 @@ TEST(ObsEvents, EventJsonOmitsIrrelevantFields) {
   EXPECT_EQ(ldoc.find("tensor"), nullptr);
   EXPECT_EQ(ldoc.at("bytes").as_int(), 200000000);
   EXPECT_EQ(ldoc.find("detail"), nullptr);
+
+  // Tensor ids at and above 2^63 print exactly, never negative.
+  obs::DecisionEvent decision;
+  decision.tensor_a = TensorId{1} << 63;
+  decision.tensor_b = kInvalidTensor - 1;
+  decision.tensor_out = kInvalidTensor - 2;
+  const std::string ddoc = decision.to_json().dump();
+  EXPECT_NE(ddoc.find("\"a\":9223372036854775808,"
+                      "\"b\":18446744073709551614,"
+                      "\"out\":18446744073709551613"),
+            std::string::npos)
+      << ddoc;
+
+  obs::ClusterEvent fetch;
+  fetch.kind = obs::ClusterEventKind::kFetch;
+  fetch.device = 0;
+  fetch.tensor = TensorId{1} << 63;
+  fetch.bytes = 64;
+  EXPECT_NE(fetch.to_json().dump().find("\"tensor\":9223372036854775808,"),
+            std::string::npos);
+  std::ostringstream timeline;
+  obs::write_chrome_trace({fetch}, timeline);
+  EXPECT_NE(timeline.str().find("\"tensor\":9223372036854775808"),
+            std::string::npos)
+      << timeline.str();
 }
 
 TEST(ObsEvents, TelemetryWithoutSinkStillCounts) {

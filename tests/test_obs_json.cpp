@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace micco::obs {
 namespace {
 
@@ -97,11 +99,19 @@ TEST(ObsJson, DumpParseRoundTrip) {
   nested.set("deep", -1);
   arr.push_back(std::move(nested));
   doc.set("items", std::move(arr));
+  // Integers above INT64_MAX (tensor ids) print and parse exactly.
+  doc.set("wide", std::uint64_t{1} << 63);
+  doc.set("widest", ~std::uint64_t{0});
 
   std::string error;
   const auto parsed = parse_json(doc.dump(), &error);
   ASSERT_TRUE(parsed.has_value()) << error;
   EXPECT_EQ(*parsed, doc);
+  EXPECT_NE(doc.dump().find("\"wide\":9223372036854775808,"
+                            "\"widest\":18446744073709551615"),
+            std::string::npos);
+  EXPECT_EQ(parsed->at("wide").kind(), JsonValue::Kind::kUint);
+  EXPECT_FALSE(parsed->at("wide") == JsonValue(INT64_MAX));
   // Pretty output parses back to the same document too.
   const auto reparsed = parse_json(doc.dump_pretty(), &error);
   ASSERT_TRUE(reparsed.has_value()) << error;

@@ -118,19 +118,6 @@ TEST(ParallelConfig, SetThreadsControlsLaneCount) {
   EXPECT_GE(parallel::configured_threads(), 1);
 }
 
-TEST(ParallelRng, ItemStreamsAreReproducibleAndDistinct) {
-  Pcg32 a0 = parallel::item_rng(7, 0);
-  Pcg32 a0_again = parallel::item_rng(7, 0);
-  Pcg32 a1 = parallel::item_rng(7, 1);
-  bool distinct = false;
-  for (int i = 0; i < 16; ++i) {
-    const std::uint32_t v = a0();
-    EXPECT_EQ(v, a0_again());
-    if (v != a1()) distinct = true;
-  }
-  EXPECT_TRUE(distinct);
-}
-
 // -- determinism contract --------------------------------------------------
 
 TunerConfig tiny_tuner() {

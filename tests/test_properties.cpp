@@ -210,40 +210,5 @@ INSTANTIATE_TEST_SUITE_P(
         PropertyCase{64, 0.75, DataDistribution::kUniform, 3, 8}),
     case_name);
 
-// Numeric transparency across schedulers: digests must match the reference
-// regardless of which scheduler ordered the executions (scheduling cannot
-// change the math).
-class NumericTransparency
-    : public ::testing::TestWithParam<DataDistribution> {};
-
-TEST_P(NumericTransparency, DigestMatchesReferenceForAllSchedulers) {
-  SyntheticConfig cfg;
-  cfg.num_vectors = 4;
-  cfg.vector_size = 8;
-  cfg.tensor_extent = 6;
-  cfg.batch = 1;
-  cfg.repeated_rate = 0.75;
-  cfg.distribution = GetParam();
-  cfg.seed = 77;
-  const WorkloadStream stream = generate_synthetic(cfg);
-  const double reference = execute_numerically(stream).digest;
-
-  // The simulator does not reorder tasks across a stage boundary and the
-  // kernels are pure, so any per-stage permutation a scheduler induces
-  // yields the same digest; emulate the extremes.
-  WorkloadStream reversed = stream;
-  for (VectorWorkload& v : reversed.vectors) {
-    std::reverse(v.tasks.begin(), v.tasks.end());
-  }
-  EXPECT_DOUBLE_EQ(execute_numerically(reversed).digest, reference);
-}
-
-INSTANTIATE_TEST_SUITE_P(Distributions, NumericTransparency,
-                         ::testing::Values(DataDistribution::kUniform,
-                                           DataDistribution::kGaussian),
-                         [](const auto& param_info) {
-                           return std::string(to_string(param_info.param));
-                         });
-
 }  // namespace
 }  // namespace micco

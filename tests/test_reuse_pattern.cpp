@@ -83,13 +83,6 @@ TEST_F(ReusePatternTest, MappingClassesPerDevice) {
             MappingClass::kSecondReused);
 }
 
-TEST_F(ReusePatternTest, FetchCountsMatchFigureCosts) {
-  EXPECT_EQ(fetches_for(MappingClass::kBothReused), 0);
-  EXPECT_EQ(fetches_for(MappingClass::kFirstReused), 1);
-  EXPECT_EQ(fetches_for(MappingClass::kSecondReused), 1);
-  EXPECT_EQ(fetches_for(MappingClass::kNoneReused), 2);
-}
-
 // Clusters past 64 devices: membership past device 63 lives in the holder
 // list, not the one-word mask.
 TEST(ReusePatternWide, CommonHolderPastDevice63IsSame) {

@@ -2,10 +2,17 @@
 // interactions and format round-trip properties swept over workload space.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <sstream>
+#include <tuple>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/verify.hpp"
+#include "obs/events.hpp"
 #include "sched/oracle.hpp"
 #include "workload/serialize.hpp"
 #include "workload/synthetic.hpp"
@@ -155,11 +162,72 @@ TEST_P(SchedulerProperties2, DmdaConservesWorkAndStaysReasonable) {
 }
 
 TEST_P(SchedulerProperties2, NumericDigestIndependentOfScheduler) {
-  // The full loop: any scheduler's assignment is numerically irrelevant;
-  // execute the stream and compare against the reference digest.
+  // Numeric transparency through the full loop: each scheduler runs the
+  // stream, the order its kernels ran in is read back from the cluster
+  // events, and executing the stream in that order reproduces the
+  // reference digest.
   const WorkloadStream stream = make_stream();
   const double reference = execute_numerically(stream).digest;
-  EXPECT_DOUBLE_EQ(execute_numerically(stream).digest, reference);
+
+  // Output ids are unique, so each names one task: (vector, task index).
+  std::unordered_map<TensorId, std::pair<std::size_t, std::size_t>> task_of;
+  for (std::size_t v = 0; v < stream.vectors.size(); ++v) {
+    for (std::size_t t = 0; t < stream.vectors[v].tasks.size(); ++t) {
+      task_of.emplace(stream.vectors[v].tasks[t].out.id, std::pair{v, t});
+    }
+  }
+
+  struct Kernel {
+    double start_s;
+    int device;
+    std::size_t task;
+  };
+  FixedBounds bounds(ReuseBounds{1, 1, 1});
+  for (const SchedulerKind kind :
+       {SchedulerKind::kGroute, SchedulerKind::kRoundRobin,
+        SchedulerKind::kDmda, SchedulerKind::kMiccoOptimal}) {
+    SCOPED_TRACE(to_string(kind));
+    const std::unique_ptr<Scheduler> scheduler = make_scheduler(kind);
+    obs::MemoryEventSink sink;
+    obs::Telemetry telemetry;
+    telemetry.sink = &sink;
+    RunOptions options;
+    options.bounds = &bounds;
+    options.telemetry = &telemetry;
+    const RunResult run = run_stream(stream, *scheduler, cluster(), options);
+    ASSERT_TRUE(run.completed) << run.error;
+
+    std::vector<std::vector<Kernel>> ran(stream.vectors.size());
+    for (const obs::ClusterEvent& ev : sink.cluster_events()) {
+      if (ev.kind != obs::ClusterEventKind::kKernel) continue;
+      const auto it = task_of.find(ev.tensor);
+      ASSERT_NE(it, task_of.end()) << "kernel of unknown tensor " << ev.tensor;
+      const auto [v, t] = it->second;
+      ran[v].push_back(Kernel{ev.start_s, ev.device, t});
+    }
+
+    WorkloadStream executed = stream;
+    for (std::size_t v = 0; v < stream.vectors.size(); ++v) {
+      const std::vector<ContractionTask>& tasks = stream.vectors[v].tasks;
+      std::vector<int> kernels_per_task(tasks.size(), 0);
+      for (const Kernel& k : ran[v]) ++kernels_per_task[k.task];
+      EXPECT_EQ(kernels_per_task, std::vector<int>(tasks.size(), 1))
+          << "vector " << v;
+      std::sort(ran[v].begin(), ran[v].end(),
+                [](const Kernel& a, const Kernel& b) {
+                  return std::tie(a.start_s, a.device) <
+                         std::tie(b.start_s, b.device);
+                });
+      executed.vectors[v].tasks.clear();
+      for (const Kernel& k : ran[v]) {
+        executed.vectors[v].tasks.push_back(tasks[k.task]);
+      }
+    }
+    // The digest sums per-task norms in task order, so a reordering may
+    // move its last bits; a wrong operand would move it far more.
+    EXPECT_NEAR(execute_numerically(executed).digest, reference,
+                1e-12 * reference);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -379,7 +379,7 @@ TEST(Service, SessionReportSumsEachJobsOwnNumbers) {
                    config.cluster);
     ASSERT_TRUE(run.completed) << run.error;
     for (std::size_t d = 0; d < busy.size(); ++d) {
-      busy[d] += run.device_busy_s[d];
+      busy[d] += run.device_utilization[d] * run.metrics.makespan_s;
     }
     evictions += run.metrics.evictions;
     writeback += run.metrics.writeback_bytes;
@@ -598,8 +598,9 @@ TEST(Service, OversizedFrameGetsStructuredErrorOverTheWire) {
 }
 
 TEST(Service, StructurallyInvalidWorkloadIsRejectedAndServingContinues) {
-  // Admission checks structure, not just syntax: the journaled daemon
-  // answers bad_workload, journals nothing for it, and runs the next job.
+  // Admission checks structure and sizes, not just syntax: the journaled
+  // daemon answers bad_workload, journals nothing for it, and runs the next
+  // job. The second text's tensors hold 2^64 bytes each.
   const std::string socket = test_socket_path("selfmw");
   const std::string journal = tmp_file_path("selfmw.journal");
   ServerConfig config;
@@ -612,14 +613,20 @@ TEST(Service, StructurallyInvalidWorkloadIsRejectedAndServingContinues) {
   Client client;
   ASSERT_TRUE(client.connect(socket, &error)) << error;
 
-  const auto bad = client.submit("alice", "self", kSelfConsumingWorkload,
-                                 &error);
-  ASSERT_TRUE(bad.has_value()) << error;
-  ASSERT_FALSE(bad->at("ok").as_bool()) << bad->dump();
-  EXPECT_EQ(bad->at("code").as_string(), error_code::kBadWorkload);
-  EXPECT_NE(bad->at("message").as_string().find("consumes tensor 1"),
-            std::string::npos)
-      << bad->dump();
+  const std::pair<const char*, const char*> rejected[] = {
+      {kSelfConsumingWorkload, "consumes tensor 1"},
+      {"micco-workload v1\nmeta 2 1 1 0 uniform\nvectors 1\nvector 1\n"
+       "task 0 2 1073741824 1 1 2 1073741824 1 2 2 1073741824 1\n",
+       "payload exceeds"},
+  };
+  for (const auto& [text, message] : rejected) {
+    const auto bad = client.submit("alice", "bad", text, &error);
+    ASSERT_TRUE(bad.has_value()) << error;
+    ASSERT_FALSE(bad->at("ok").as_bool()) << bad->dump();
+    EXPECT_EQ(bad->at("code").as_string(), error_code::kBadWorkload);
+    EXPECT_NE(bad->at("message").as_string().find(message), std::string::npos)
+        << bad->dump();
+  }
 
   const auto good = client.submit("alice", "valid", workload_text(3), &error);
   ASSERT_TRUE(good.has_value()) << error;

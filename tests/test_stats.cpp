@@ -109,16 +109,6 @@ TEST(Stats, SpearmanAntitone) {
   EXPECT_NEAR(spearman(xs, ys), -1.0, 1e-12);
 }
 
-TEST(Stats, SummaryFields) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0, 5.0};
-  const Summary s = summarize(xs);
-  EXPECT_EQ(s.count, 5u);
-  EXPECT_DOUBLE_EQ(s.mean, 3.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.median, 3.0);
-  EXPECT_DOUBLE_EQ(s.max, 5.0);
-}
-
 TEST(Stats, FormatPrecision) {
   EXPECT_EQ(format(3.14159, 2), "3.14");
   EXPECT_EQ(format(2.0, 0), "2");

@@ -224,6 +224,9 @@ TEST(SyntheticValidate, ReportsProblemsWithoutAborting) {
   EXPECT_NE(problem([](SyntheticConfig& c) { c.batch = 0; }), "");
   EXPECT_NE(problem([](SyntheticConfig& c) { c.repeated_rate = 2.0; }), "");
   EXPECT_NE(problem([](SyntheticConfig& c) { c.rank = 1; }), "");
+  EXPECT_NE(problem([](SyntheticConfig& c) { c.tensor_extent = 1 << 30; })
+                .find("overflow"),
+            std::string::npos);
 }
 
 TEST(Synthetic, Rank3WorkloadsSupported) {

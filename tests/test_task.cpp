@@ -54,23 +54,10 @@ TEST(VectorWorkload, UniqueInputsDeduplicates) {
   EXPECT_TRUE(unique.contains(2));
 }
 
-TEST(VectorWorkload, UniqueInputBytesCountsEachTensorOnce) {
-  VectorWorkload v;
-  v.tasks = {make_task(0, 1, 10), make_task(0, 1, 11)};
-  const std::uint64_t per_tensor = make_desc(0).bytes();
-  EXPECT_EQ(v.unique_input_bytes(), 2 * per_tensor);
-}
-
 TEST(VectorWorkload, TotalFlopsSumsTasks) {
   VectorWorkload v;
   v.tasks = {make_task(0, 1, 10), make_task(2, 3, 11)};
   EXPECT_EQ(v.total_flops(), 2 * v.tasks[0].flops());
-}
-
-TEST(VectorWorkload, OutputBytesSumsAllOutputs) {
-  VectorWorkload v;
-  v.tasks = {make_task(0, 1, 10), make_task(2, 3, 11)};
-  EXPECT_EQ(v.output_bytes(), 2 * make_desc(10).bytes());
 }
 
 TEST(WorkloadStream, TotalDistinctBytesSpansVectors) {

@@ -123,21 +123,17 @@ TEST(Wick, DiagramCapRespected) {
   EXPECT_LE(diagrams.size(), 2u);
 }
 
-TEST(Wick, CountMatchesEnumeration) {
-  NodeRegistry reg(16, 1);
-  const Construction pipi = pair_of(pi_plus(), pi_minus());
-  EXPECT_EQ(count_diagrams(pipi, pipi, 1000),
-            enumerate_diagrams(pipi, pipi, 1, reg, 1000).size());
-}
-
 TEST(Wick, DiagramCountGrowsWithParticleNumber) {
   const Construction one = single(pi_zero());
   const Construction two = pair_of(pi_plus(), pi_minus());
   Construction three = two;
   three.hadrons.push_back(pi_zero());
-  EXPECT_LT(count_diagrams(one, one, 1000), count_diagrams(two, two, 1000));
-  EXPECT_LT(count_diagrams(two, two, 1000),
-            count_diagrams(three, three, 1000));
+  NodeRegistry reg(16, 1);
+  const auto count = [&](const Construction& c) {
+    return enumerate_diagrams(c, c, 1, reg, 1000).size();
+  };
+  EXPECT_LT(count(one), count(two));
+  EXPECT_LT(count(two), count(three));
 }
 
 }  // namespace

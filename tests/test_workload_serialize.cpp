@@ -117,6 +117,39 @@ TEST(WorkloadSerialize, RejectsMismatchedOperands) {
   EXPECT_NE(error.find("contractable"), std::string::npos);
 }
 
+TEST(WorkloadSerialize, RejectsSizesPast64Bits) {
+  // One task of rank-2 tensors: "<extent> <batch>" per descriptor, and the
+  // error (empty: the stream loads).
+  struct Case {
+    const char* shape;
+    const char* error;
+  };
+  for (const Case& c : {
+           // payload 2^60 entries * 16 B = 2^64 bytes
+           Case{"1073741824 1", "payload exceeds"},
+           // payload 2^46 bytes, FLOPs 8 * 2^63
+           Case{"2097152 1", "FLOPs or kernel bytes"},
+           // payload 6.4e18 bytes, FLOPs 1.6e19, kernel bytes 1.92e19
+           Case{"5 16000000000000000", "FLOPs or kernel bytes"},
+           // FLOPs exactly 2^63, kernel bytes 3 * 2^44
+           Case{"1048576 1", ""},
+       }) {
+    const std::string shape = c.shape;
+    std::stringstream buffer(
+        "micco-workload v1\nmeta 2 1 1 0 uniform\nvectors 1\nvector 1\n"
+        "task 0 2 " + shape + " 1 2 " + shape + " 2 2 " + shape + "\n");
+    std::string error;
+    const std::optional<WorkloadStream> loaded = load_stream(buffer, &error);
+    if (*c.error == '\0') {
+      ASSERT_TRUE(loaded.has_value()) << shape << ": " << error;
+      EXPECT_EQ(loaded->total_flops(), std::uint64_t{1} << 63);
+      continue;
+    }
+    EXPECT_FALSE(loaded.has_value()) << shape;
+    EXPECT_NE(error.find(c.error), std::string::npos) << shape << ": " << error;
+  }
+}
+
 TEST(WorkloadSerialize, RejectsUnknownDistribution) {
   std::stringstream buffer(
       "micco-workload v1\nmeta 8 16 2 0.5 exponential\nvectors 0\n");

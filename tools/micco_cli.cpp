@@ -240,11 +240,11 @@ void print_fault_summary(const RunResult& result) {
   if (!m.any_faults() && result.error.empty()) return;
   std::printf("faults: %d device(s) lost, %llu transfer fault(s), "
               "%llu task(s) re-executed, %s\n",
-              result.devices_lost,
+              static_cast<int>(m.devices_lost),
               static_cast<unsigned long long>(m.transfer_faults),
               static_cast<unsigned long long>(result.tasks_reexecuted),
               result.completed
-                  ? (result.recovered ? "recovered" : "completed")
+                  ? (result.recovered() ? "recovered" : "completed")
                   : "FAILED");
 }
 
@@ -368,8 +368,6 @@ int cmd_run(const CliArgs& args) {
   for (const std::string* path : {&trace_path, &report_path, &decisions_path}) {
     if (!path->empty() && cannot_write("run", *path)) return 1;
   }
-  const std::unique_ptr<mem::EvictionPolicy> evict_policy =
-      mem::make_policy(*policy_kind);
 
   // Telemetry only when an output needs it: the decision log streams to its
   // JSONL file during the run, the timeline is written from the cluster
@@ -395,7 +393,7 @@ int cmd_run(const CliArgs& args) {
       report_path.empty() && telemetry.sink == nullptr ? nullptr : &telemetry;
   options.faults = plan.has_value() ? &*plan : nullptr;
   options.retry = retry;
-  options.evict_policy = evict_policy.get();
+  options.evict_policy = *policy_kind;
 
   const RunResult result = run_stream(*stream, *scheduler, cluster, options);
   const ExecutionMetrics& m = result.metrics;
