@@ -360,9 +360,47 @@ grep -q 'bad_workload' "${SMOKE_DIR}/config_err.txt"
   --socket="${SMOKE_DIR}/svc.sock" --wait
 "${BUILD_DIR}/tools/micco" drain --socket="${SMOKE_DIR}/svc.sock"
 wait "${SERVE_PID}"
+# Tensors of 2^30 x 2^30 complex entries hold 2^64 bytes: loading rejects
+# them (exit 1) instead of running on wrapped sizes, generating them is a
+# usage error (exit 2), and none of the three writes an output.
+cat > "${SMOKE_DIR}/over.mw" <<'EOF'
+micco-workload v1
+meta 2 1 1 0 uniform
+vectors 1
+vector 1
+task 0 2 1073741824 1 1 2 1073741824 1 2 2 1073741824 1
+EOF
+OVER_DIR="${SMOKE_DIR}/over"
+rm -rf "${OVER_DIR}"
+mkdir -p "${OVER_DIR}"
+expect_exit 1 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/over.mw" \
+  --report="${OVER_DIR}/r.json" --decisions="${OVER_DIR}/d.jsonl" \
+  --trace="${OVER_DIR}/t.json"
+expect_exit 1 "${BUILD_DIR}/tools/micco" inspect "${SMOKE_DIR}/over.mw"
+expect_exit_2 "${BUILD_DIR}/tools/micco" generate \
+  --out="${OVER_DIR}/g.mw" --tensor=1073741824 --batch=1
+if [ -n "$(ls -A "${OVER_DIR}")" ]; then
+  echo "config smoke test FAILED: the overflowing workload wrote" \
+    "$(ls -A "${OVER_DIR}")" >&2
+  exit 1
+fi
+# Tensor ids at and above 2^63 run, and the decision log prints them
+# unsigned.
+cat > "${SMOKE_DIR}/wide.mw" <<'EOF'
+micco-workload v1
+meta 2 4 1 0 uniform
+vectors 1
+vector 1
+task 9223372036854775808 2 4 1 9223372036854775809 2 4 1 9223372036854775810 2 4 1
+EOF
+expect_exit 0 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/wide.mw" --gpus=2 \
+  --decisions="${SMOKE_DIR}/wide.jsonl"
+grep -q '"a":9223372036854775808' "${SMOKE_DIR}/wide.jsonl"
 echo "config smoke test OK: every out-of-range, malformed, bare or unknown" \
   "flag exited 2, every unwritable output path and the invalid workload" \
-  "exited 1, the daemon rejected that workload and kept serving"
+  "exited 1, the daemon rejected that workload and kept serving, the" \
+  "overflowing workload was refused without output, and ids past 2^63" \
+  "logged unsigned"
 
 echo "== eviction-policy smoke test =="
 # Memory co-design subsystem (DESIGN.md §11): both eviction policies must
