@@ -379,6 +379,17 @@ expect_exit 1 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/over.mw" \
 expect_exit 1 "${BUILD_DIR}/tools/micco" inspect "${SMOKE_DIR}/over.mw"
 expect_exit_2 "${BUILD_DIR}/tools/micco" generate \
   --out="${OVER_DIR}/g.mw" --tensor=1073741824 --batch=1
+# Two tasks of 2^63 FLOPs each pass one by one, but their sum does not:
+# inspect must refuse the stream instead of printing a wrapped total.
+cat > "${SMOKE_DIR}/sum.mw" <<'EOF'
+micco-workload v1
+meta 2 1 1 0 uniform
+vectors 1
+vector 2
+task 0 2 1048576 1 1 2 1048576 1 2 2 1048576 1
+task 3 2 1048576 1 4 2 1048576 1 5 2 1048576 1
+EOF
+expect_exit 1 "${BUILD_DIR}/tools/micco" inspect "${SMOKE_DIR}/sum.mw"
 if [ -n "$(ls -A "${OVER_DIR}")" ]; then
   echo "config smoke test FAILED: the overflowing workload wrote" \
     "$(ls -A "${OVER_DIR}")" >&2
@@ -399,8 +410,8 @@ grep -q '"a":9223372036854775808' "${SMOKE_DIR}/wide.jsonl"
 echo "config smoke test OK: every out-of-range, malformed, bare or unknown" \
   "flag exited 2, every unwritable output path and the invalid workload" \
   "exited 1, the daemon rejected that workload and kept serving, the" \
-  "overflowing workload was refused without output, and ids past 2^63" \
-  "logged unsigned"
+  "overflowing workload was refused without output, so was a stream" \
+  "whose FLOPs sum past 2^64, and ids past 2^63 logged unsigned"
 
 echo "== eviction-policy smoke test =="
 # Memory co-design subsystem (DESIGN.md §11): both eviction policies must

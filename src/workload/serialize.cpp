@@ -127,6 +127,10 @@ std::optional<WorkloadStream> load_stream(std::istream& in,
     }
     stream.vectors.push_back(std::move(vec));
   }
+  if (!stream.totals_fit()) {
+    if (error) *error = "stream total FLOPs or distinct bytes exceed 2^64-1";
+    return std::nullopt;
+  }
   return stream;
 }
 

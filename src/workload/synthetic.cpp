@@ -5,6 +5,17 @@
 
 namespace micco {
 
+namespace {
+
+/// Slots of each vector after the first that repeat an earlier tensor (the
+/// first vector has no history, so all of its slots are fresh).
+std::uint64_t repeated_slots(const SyntheticConfig& config) {
+  return static_cast<std::uint64_t>(std::llround(
+      config.repeated_rate * static_cast<double>(config.vector_size)));
+}
+
+}  // namespace
+
 std::string SyntheticConfig::validate() const {
   if (num_vectors < 1) return "need at least one vector";
   if (vector_size < 2 || vector_size % 2 != 0) {
@@ -20,6 +31,25 @@ std::string SyntheticConfig::validate() const {
   }
   if (!(repeated_rate >= 0.0 && repeated_rate <= 1.0)) {
     return "repeated rate must lie in [0, 1]";
+  }
+  // The stream's totals (WorkloadStream::totals_fit) in closed form: every
+  // pair has one shape and one rank-2 output, and the distinct inputs are
+  // the first vector's slots plus each later vector's unrepeated slots.
+  const auto vectors = static_cast<std::uint64_t>(num_vectors);
+  const auto slots = static_cast<std::uint64_t>(vector_size);
+  const std::uint64_t pair_flops = ContractionTask{input, input, input}.flops();
+  const std::uint64_t output_bytes =
+      TensorDesc{0, 2, tensor_extent, batch}.bytes();
+  std::uint64_t pairs = 0, fresh = 0, flops = 0, bytes = 0, out_bytes = 0;
+  if (__builtin_mul_overflow(vectors, slots / 2, &pairs) ||
+      __builtin_mul_overflow(vectors - 1, slots - repeated_slots(*this),
+                             &fresh) ||
+      __builtin_add_overflow(fresh, slots, &fresh) ||
+      __builtin_mul_overflow(pairs, pair_flops, &flops) ||
+      __builtin_mul_overflow(fresh, input.bytes(), &bytes) ||
+      __builtin_mul_overflow(pairs, output_bytes, &out_bytes) ||
+      __builtin_add_overflow(bytes, out_bytes, &bytes)) {
+    return "stream total FLOPs or distinct bytes overflow 64 bits";
   }
   return {};
 }
@@ -90,10 +120,7 @@ WorkloadStream generate_synthetic(const SyntheticConfig& config) {
     // Decide which slots hold repeats. The first vector has no history, so
     // all of its slots are fresh regardless of the requested rate.
     std::size_t num_repeats = 0;
-    if (!history.empty()) {
-      num_repeats = static_cast<std::size_t>(
-          std::llround(config.repeated_rate * static_cast<double>(slots)));
-    }
+    if (!history.empty()) num_repeats = repeated_slots(config);
     const std::vector<std::size_t> repeat_slots =
         rng.sample_without_replacement(slots, num_repeats);
     std::vector<bool> is_repeat(slots, false);

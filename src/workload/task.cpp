@@ -23,6 +23,43 @@ std::optional<std::uint64_t> entries(int rank, std::int64_t extent) {
   return acc;
 }
 
+/// acc + term, or nullopt once the sum leaves the 64-bit range.
+std::optional<std::uint64_t> plus(std::optional<std::uint64_t> acc,
+                                  std::optional<std::uint64_t> term) {
+  std::uint64_t sum = 0;
+  if (!acc.has_value() || !term.has_value() ||
+      __builtin_add_overflow(*acc, *term, &sum)) {
+    return std::nullopt;
+  }
+  return sum;
+}
+
+std::optional<std::uint64_t> flops_of(const VectorWorkload& vec) {
+  std::optional<std::uint64_t> acc = 0;
+  for (const ContractionTask& t : vec.tasks) acc = plus(acc, t.flops());
+  return acc;
+}
+
+std::optional<std::uint64_t> distinct_bytes_of(const WorkloadStream& stream) {
+  std::unordered_set<TensorId> seen;
+  std::optional<std::uint64_t> acc = 0;
+  for (const VectorWorkload& v : stream.vectors) {
+    for (const ContractionTask& t : v.tasks) {
+      for (const TensorDesc* d : {&t.a, &t.b, &t.out}) {
+        if (seen.insert(d->id).second) acc = plus(acc, d->bytes());
+      }
+    }
+  }
+  return acc;
+}
+
+/// A total that must fit: loaded and generated streams passed totals_fit.
+std::uint64_t fitting(std::optional<std::uint64_t> total) {
+  MICCO_EXPECTS_MSG(total.has_value(),
+                    "stream total exceeds 2^64-1 (see totals_fit)");
+  return *total;
+}
+
 }  // namespace
 
 std::optional<std::uint64_t> TensorDesc::checked_bytes() const {
@@ -68,28 +105,23 @@ std::unordered_set<TensorId> VectorWorkload::unique_inputs() const {
 }
 
 std::uint64_t VectorWorkload::total_flops() const {
-  std::uint64_t acc = 0;
-  for (const ContractionTask& t : tasks) acc += t.flops();
-  return acc;
+  return fitting(flops_of(*this));
 }
 
 std::uint64_t WorkloadStream::total_flops() const {
-  std::uint64_t acc = 0;
-  for (const VectorWorkload& v : vectors) acc += v.total_flops();
-  return acc;
+  std::optional<std::uint64_t> acc = 0;
+  for (const VectorWorkload& v : vectors) acc = plus(acc, v.total_flops());
+  return fitting(acc);
 }
 
 std::uint64_t WorkloadStream::total_distinct_bytes() const {
-  std::unordered_set<TensorId> seen;
-  std::uint64_t acc = 0;
-  for (const VectorWorkload& v : vectors) {
-    for (const ContractionTask& t : v.tasks) {
-      if (seen.insert(t.a.id).second) acc += t.a.bytes();
-      if (seen.insert(t.b.id).second) acc += t.b.bytes();
-      if (seen.insert(t.out.id).second) acc += t.out.bytes();
-    }
-  }
-  return acc;
+  return fitting(distinct_bytes_of(*this));
+}
+
+bool WorkloadStream::totals_fit() const {
+  std::optional<std::uint64_t> flops = 0;
+  for (const VectorWorkload& v : vectors) flops = plus(flops, flops_of(v));
+  return flops.has_value() && distinct_bytes_of(*this).has_value();
 }
 
 }  // namespace micco

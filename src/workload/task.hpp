@@ -92,7 +92,8 @@ struct VectorWorkload {
   /// Distinct input TensorIds in this vector.
   std::unordered_set<TensorId> unique_inputs() const;
 
-  /// Total FLOPs over all contractions in the vector.
+  /// Total FLOPs over all contractions in the vector; the sum must fit in
+  /// 64 bits (it does in every stream that passes totals_fit).
   std::uint64_t total_flops() const;
 };
 
@@ -110,11 +111,18 @@ struct WorkloadStream {
   double repeated_rate = 0.0;      ///< requested repeat fraction
   DataDistribution distribution = DataDistribution::kUniform;
 
+  /// FLOPs over all contractions; requires totals_fit().
   std::uint64_t total_flops() const;
 
   /// Peak footprint if every distinct tensor (inputs + outputs) stayed
-  /// resident: the denominator for oversubscription-rate sizing.
+  /// resident: the denominator for oversubscription-rate sizing. Requires
+  /// totals_fit().
   std::uint64_t total_distinct_bytes() const;
+
+  /// False when the total FLOPs or the total distinct payload bytes exceed
+  /// 2^64 - 1, where the totals above would wrap. Workload loaders reject
+  /// such streams and SyntheticConfig::validate such configurations.
+  bool totals_fit() const;
 };
 
 }  // namespace micco

@@ -229,6 +229,38 @@ TEST(SyntheticValidate, ReportsProblemsWithoutAborting) {
             std::string::npos);
 }
 
+TEST(SyntheticValidate, ChecksTheStreamTotals) {
+  // FLOPs: a pair of rank-2 tensors of extent 2^20 costs 2^63, so one
+  // vector of one pair fits and one of two pairs sums to 2^64.
+  SyntheticConfig c = base_config();
+  c.num_vectors = 1;
+  c.vector_size = 2;
+  c.tensor_extent = 1 << 20;
+  c.batch = 1;
+  EXPECT_EQ(c.validate(), "");
+  EXPECT_EQ(generate_synthetic(c).total_flops(), std::uint64_t{1} << 63);
+  c.vector_size = 4;
+  EXPECT_NE(c.validate().find("stream total"), std::string::npos);
+
+  // Distinct bytes: extent-1 tensors of batch 2.5e17 hold 4e18 bytes each.
+  // Two one-pair vectors fill six slots (2.4e19 bytes, past 2^64), but at a
+  // repeated rate of 1 the second vector repeats both inputs, leaving four
+  // distinct tensors (1.6e19 bytes).
+  c = base_config();
+  c.num_vectors = 2;
+  c.vector_size = 2;
+  c.tensor_extent = 1;
+  constexpr std::int64_t kBatch = 250'000'000'000'000'000;
+  c.batch = kBatch;
+  c.repeated_rate = 1.0;
+  EXPECT_EQ(c.validate(), "");
+  const WorkloadStream s = generate_synthetic(c);
+  EXPECT_TRUE(s.totals_fit());
+  EXPECT_EQ(s.total_distinct_bytes(), 4 * 16 * std::uint64_t{kBatch});
+  c.repeated_rate = 0.0;
+  EXPECT_NE(c.validate().find("stream total"), std::string::npos);
+}
+
 TEST(Synthetic, Rank3WorkloadsSupported) {
   SyntheticConfig c = base_config();
   c.rank = 3;

@@ -150,6 +150,44 @@ TEST(WorkloadSerialize, RejectsSizesPast64Bits) {
   }
 }
 
+TEST(WorkloadSerialize, RejectsStreamTotalsPast64Bits) {
+  // Each task passes on its own; the sums over the stream may not. Tasks
+  // are "<a> <b> <out>" ids over one rank-2 shape "<extent> <batch>".
+  struct Case {
+    const char* shape;
+    std::vector<const char*> tasks;
+    bool loads;
+  };
+  for (const Case& c : {
+           // 2^63 FLOPs per task: one loads, two sum to 2^64
+           Case{"1048576 1", {"0 1 2"}, true},
+           Case{"1048576 1", {"0 1 2", "3 4 5"}, false},
+           // 4e18 bytes per tensor: four distinct tensors hold 1.6e19, six
+           // hold 2.4e19 (past 2^64), though their FLOPs are small
+           Case{"1 250000000000000000", {"0 1 2", "0 1 3"}, true},
+           Case{"1 250000000000000000", {"0 1 2", "3 4 5"}, false},
+       }) {
+    std::stringstream buffer;
+    buffer << "micco-workload v1\nmeta 2 1 1 0 uniform\nvectors 1\nvector "
+           << c.tasks.size() << "\n";
+    for (const char* ids : c.tasks) {
+      std::stringstream in(ids);
+      buffer << "task";
+      for (TensorId id = 0; in >> id;) buffer << " " << id << " 2 " << c.shape;
+      buffer << "\n";
+    }
+    const std::string text = buffer.str();
+    std::string error;
+    const std::optional<WorkloadStream> loaded = load_stream(buffer, &error);
+    EXPECT_EQ(loaded.has_value(), c.loads) << text << error;
+    if (c.loads) {
+      EXPECT_TRUE(loaded->totals_fit());
+    } else {
+      EXPECT_NE(error.find("stream total"), std::string::npos) << error;
+    }
+  }
+}
+
 TEST(WorkloadSerialize, RejectsUnknownDistribution) {
   std::stringstream buffer(
       "micco-workload v1\nmeta 8 16 2 0.5 exponential\nvectors 0\n");
