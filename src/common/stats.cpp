@@ -14,16 +14,6 @@ double mean(std::span<const double> xs) {
   return kahan_sum(xs) / static_cast<double>(xs.size());
 }
 
-double variance(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double acc = 0.0;
-  for (const double x : xs) acc += (x - m) * (x - m);
-  return acc / static_cast<double>(xs.size());
-}
-
-double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
-
 double geomean(std::span<const double> xs) {
   if (xs.empty()) return 0.0;
   double log_acc = 0.0;
@@ -41,11 +31,6 @@ double median(std::span<const double> xs) {
   const std::size_t n = sorted.size();
   if (n % 2 == 1) return sorted[n / 2];
   return 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
-}
-
-double min(std::span<const double> xs) {
-  MICCO_EXPECTS(!xs.empty());
-  return *std::min_element(xs.begin(), xs.end());
 }
 
 double max(std::span<const double> xs) {

@@ -1,6 +1,5 @@
 // Small descriptive-statistics helpers shared by the benches and the ML
-// module: means, geometric means, variance, median, min/max, rank
-// correlation.
+// module: means, geometric means, median, max, rank correlation.
 #pragma once
 
 #include <span>
@@ -12,12 +11,6 @@ namespace micco::stats {
 /// Arithmetic mean; 0 for an empty range.
 double mean(std::span<const double> xs);
 
-/// Population variance (divides by N); 0 for fewer than one element.
-double variance(std::span<const double> xs);
-
-/// Population standard deviation.
-double stddev(std::span<const double> xs);
-
 /// Geometric mean; requires all elements > 0. Used for the paper's
 /// "geometric mean speedup" summaries.
 double geomean(std::span<const double> xs);
@@ -25,7 +18,6 @@ double geomean(std::span<const double> xs);
 /// Median (average of the two central elements for even sizes).
 double median(std::span<const double> xs);
 
-double min(std::span<const double> xs);
 double max(std::span<const double> xs);
 
 /// Sum with Kahan compensation, so long metric accumulations stay exact

@@ -16,25 +16,6 @@ Dataset Dataset::subset(std::span<const std::size_t> indices) const {
   return out;
 }
 
-SplitResult train_test_split(const Dataset& data, double test_fraction,
-                             Pcg32& rng) {
-  MICCO_EXPECTS(test_fraction > 0.0 && test_fraction < 1.0);
-  MICCO_EXPECTS(data.size() >= 2);
-
-  std::vector<std::size_t> order(data.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  rng.shuffle(order);
-
-  auto n_test = static_cast<std::size_t>(
-      static_cast<double>(data.size()) * test_fraction);
-  n_test = std::max<std::size_t>(1, std::min(n_test, data.size() - 1));
-
-  const std::span<const std::size_t> test_idx{order.data(), n_test};
-  const std::span<const std::size_t> train_idx{order.data() + n_test,
-                                               order.size() - n_test};
-  return SplitResult{data.subset(train_idx), data.subset(test_idx)};
-}
-
 double r2_score(std::span<const double> truth,
                 std::span<const double> predicted) {
   MICCO_EXPECTS(truth.size() == predicted.size());

@@ -1,13 +1,13 @@
-// Flat row-major dataset container and train/test splitting for the
-// reuse-bound regression pipeline (Section IV-C: 300 offline samples, 20 %
-// held out for the Table IV comparison).
+// Flat row-major dataset container and fit scores for the reuse-bound
+// regression pipeline (Section IV-C: 300 offline samples, 20 % held out
+// for the Table IV comparison).
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <vector>
 
-#include "common/rng.hpp"
+#include "common/assert.hpp"
 
 namespace micco::ml {
 
@@ -44,15 +44,6 @@ class Dataset {
   std::vector<double> features_;  // row-major, size() * n_features_
   std::vector<double> targets_;
 };
-
-struct SplitResult {
-  Dataset train;
-  Dataset test;
-};
-
-/// Shuffled train/test split; `test_fraction` in (0, 1).
-SplitResult train_test_split(const Dataset& data, double test_fraction,
-                             Pcg32& rng);
 
 /// Coefficient of determination of predictions against ground truth.
 /// 1 is perfect; 0 matches always predicting the mean; negative is worse.

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 namespace micco::ml {
 namespace {
 
@@ -55,39 +53,6 @@ TEST(Dataset, SubsetWithRepeats) {
   const Dataset s = d.subset(idx);
   EXPECT_EQ(s.size(), 3u);
   EXPECT_DOUBLE_EQ(s.target(2), 3.0);
-}
-
-TEST(TrainTestSplit, PartitionSizes) {
-  const Dataset d = make_dataset(10);
-  Pcg32 rng(1);
-  const SplitResult split = train_test_split(d, 0.2, rng);
-  EXPECT_EQ(split.test.size(), 2u);
-  EXPECT_EQ(split.train.size(), 8u);
-}
-
-TEST(TrainTestSplit, CoversAllRowsExactlyOnce) {
-  const Dataset d = make_dataset(10);
-  Pcg32 rng(2);
-  const SplitResult split = train_test_split(d, 0.3, rng);
-  std::vector<double> firsts;
-  for (std::size_t i = 0; i < split.train.size(); ++i) {
-    firsts.push_back(split.train.row(i)[0]);
-  }
-  for (std::size_t i = 0; i < split.test.size(); ++i) {
-    firsts.push_back(split.test.row(i)[0]);
-  }
-  std::sort(firsts.begin(), firsts.end());
-  for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_DOUBLE_EQ(firsts[i], static_cast<double>(i));
-  }
-}
-
-TEST(TrainTestSplit, AtLeastOneRowEachSide) {
-  const Dataset d = make_dataset(2);
-  Pcg32 rng(3);
-  const SplitResult split = train_test_split(d, 0.01, rng);
-  EXPECT_GE(split.test.size(), 1u);
-  EXPECT_GE(split.train.size(), 1u);
 }
 
 TEST(R2Score, PerfectPredictionIsOne) {
