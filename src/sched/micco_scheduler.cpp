@@ -95,6 +95,33 @@ bool DistinctTensorCounts::insert(DeviceId dev, TensorId id) {
   return true;
 }
 
+void DistinctTensorCounts::erase(DeviceId dev, TensorId id) {
+  MICCO_EXPECTS(dev >= 0 && static_cast<std::size_t>(dev) < tables_.size());
+  const auto idx = static_cast<std::size_t>(dev);
+  Table& table = tables_[idx];
+  MICCO_EXPECTS(!table.keys.empty());
+  const std::size_t mask = table.keys.size() - 1;
+  std::size_t hole = mix_id(id) & mask;
+  for (;; hole = (hole + 1) & mask) {
+    MICCO_EXPECTS_MSG(table.gens[hole] == table.gen,
+                      "erase of an uncounted tensor");
+    if (table.keys[hole] == id) break;
+  }
+  // Pull each later key of the probe run into the hole whenever the hole
+  // lies between its home slot and where it sits, so every lookup still
+  // meets its key before the first free slot.
+  for (std::size_t next = (hole + 1) & mask; table.gens[next] == table.gen;
+       next = (next + 1) & mask) {
+    const std::size_t home = mix_id(table.keys[next]) & mask;
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      table.keys[hole] = table.keys[next];
+      hole = next;
+    }
+  }
+  table.gens[hole] = 0;
+  --live_[idx];
+}
+
 std::int64_t DistinctTensorCounts::count(DeviceId dev) const {
   MICCO_EXPECTS(dev >= 0 && static_cast<std::size_t>(dev) < tables_.size());
   return live_[static_cast<std::size_t>(dev)];
@@ -121,6 +148,7 @@ void MiccoScheduler::begin_vector(const VectorWorkload& vec,
                                   const ClusterView& view) {
   const auto num_devices = static_cast<std::size_t>(view.num_devices());
   counts_.reset(num_devices);
+  rewind_.device = kNoDevice;
   // Decision scratch sized once per vector; assign() then runs without a
   // single heap allocation in steady state.
   candidates_.reserve(num_devices);
@@ -148,6 +176,7 @@ void MiccoScheduler::on_device_failure(DeviceId dev, const ClusterView& view) {
   // The casualty's per-vector accounting is void (its tensors are gone and
   // its pending pairs will be re-assigned); survivors split the stage.
   counts_.clear_device(dev);
+  rewind_.device = kNoDevice;
   balance_num_ = std::max<std::int64_t>(
       1, vector_unique_inputs_ /
              std::max<std::int64_t>(1, view.num_alive_devices()));
@@ -163,6 +192,25 @@ BoundInterval MiccoScheduler::bound_interval() const {
   MICCO_EXPECTS_MSG(options_.record_bound_interval.has_value(),
                     "bound_interval needs record_bound_interval");
   return recording_ ? interval_ : BoundInterval::point(bounds_);
+}
+
+void MiccoScheduler::rewind_last_assign() {
+  MICCO_EXPECTS_MSG(rewind_.device != kNoDevice,
+                    "rewind_last_assign needs a recording assign before it");
+  rng_ = rewind_.rng;
+  interval_ = rewind_.interval;
+  recording_ = true;
+  decided_ = rewind_.decided;
+  while (rewind_.num_counted > 0) {
+    counts_.erase(rewind_.device, rewind_.counted[--rewind_.num_counted]);
+  }
+  rewind_.device = kNoDevice;
+}
+
+void MiccoScheduler::rebind_bounds(ReuseBounds bounds) {
+  MICCO_EXPECTS_MSG(recording_ && interval_.contains(bounds),
+                    "rebind_bounds needs a recorded box holding the bounds");
+  bounds_ = bounds;
 }
 
 std::int64_t MiccoScheduler::assigned_count(DeviceId dev) const {
@@ -406,11 +454,20 @@ DeviceId MiccoScheduler::assign(const ContractionTask& task,
                     "begin_vector must run before assign");
   const ClusterIndex& index = view.cluster_index();
 
+  // A recording assign keeps what it is about to change, so the sweep can
+  // rewind a copy of it (rewind_last_assign).
+  const bool recording = recording_;
+  if (recording) {
+    rewind_.rng = rng_;
+    rewind_.interval = interval_;
+    rewind_.decided = decided_;
+  }
+
   candidates_.clear();
   int tier = -1;        ///< reuse-bound tier that produced the candidates
   bool fallback = false;
   const DeviceId chosen = decide(task, index, tier, fallback);
-  if (recording_) narrow_interval(task, index, tier, fallback, chosen);
+  if (recording) narrow_interval(task, index, tier, fallback, chosen);
 
   if (telemetry_ != nullptr) {
     // Slack the winner had already consumed beyond its balanced share when
@@ -424,8 +481,16 @@ DeviceId MiccoScheduler::assign(const ContractionTask& task,
 
   // Step IV — update mapGPUTensor (Alg. 1, line 20). mapGPUCom is the
   // device's busy time, which the simulator accumulates itself.
-  counts_.insert(chosen, task.a.id);
-  counts_.insert(chosen, task.b.id);
+  const bool counted_a = counts_.insert(chosen, task.a.id);
+  const bool counted_b = counts_.insert(chosen, task.b.id);
+  if (recording) {
+    rewind_.device = chosen;
+    rewind_.num_counted = 0;
+    if (counted_a) rewind_.counted[rewind_.num_counted++] = task.a.id;
+    if (counted_b) rewind_.counted[rewind_.num_counted++] = task.b.id;
+  } else {
+    rewind_.device = kNoDevice;
+  }
   return chosen;
 }
 

@@ -14,6 +14,7 @@
 // an alive-mask word scan and a fused key-gather argmin.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -45,6 +46,10 @@ class DistinctTensorCounts {
 
   /// Records `id` against `dev`; false when it was already counted.
   bool insert(DeviceId dev, TensorId id);
+
+  /// Un-records `id` (which must be counted) against `dev`. Backward-shift
+  /// deletion keeps every other key of the table findable.
+  void erase(DeviceId dev, TensorId id);
 
   std::int64_t count(DeviceId dev) const;
 
@@ -120,6 +125,19 @@ class MiccoScheduler final : public Scheduler {
   /// stops at that point, since the box only shrinks.
   BoundInterval bound_interval() const;
 
+  /// Undoes the assign() just made, which must have recorded: its tie-break
+  /// draw, its interval narrowing and its count inserts. The scheduler then
+  /// stands as it did before that call; the cluster is not touched. The
+  /// offline sweep rewinds a copy to checkpoint a run (DESIGN.md §5d).
+  void rewind_last_assign();
+
+  /// Re-targets a recording scheduler to `bounds`, which its box must hold:
+  /// the box is kept and recording stays on, so the scheduler goes on as
+  /// one constructed with `bounds` would have from the same decisions
+  /// (DESIGN.md §5d). set_reuse_bounds instead stops recording once a
+  /// decision was made.
+  void rebind_bounds(ReuseBounds bounds);
+
   /// Distinct input tensors assigned to `dev` within the current vector
   /// (the paper's mapGPUTensor.at(dev).size()); exposed for tests.
   std::int64_t assigned_count(DeviceId dev) const;
@@ -180,6 +198,19 @@ class MiccoScheduler final : public Scheduler {
   /// of the region but bounds_ (bound_interval() is then the point).
   bool recording_ = false;
   bool decided_ = false;
+
+  /// What the last recording assign() changed, for rewind_last_assign():
+  /// the state its decision and narrowing started from, and the operands it
+  /// newly counted against `device` (kNoDevice once nothing is rewindable).
+  struct Rewind {
+    Pcg32 rng;
+    BoundInterval interval;
+    bool decided = false;
+    DeviceId device = kNoDevice;
+    std::array<TensorId, 2> counted{};
+    std::size_t num_counted = 0;
+  };
+  Rewind rewind_;
 };
 
 }  // namespace micco

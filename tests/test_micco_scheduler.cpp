@@ -299,6 +299,160 @@ TEST(MiccoScheduler, DeterministicAcrossRunsWithSameSeed) {
   EXPECT_EQ(run(7), run(7));
 }
 
+TEST(MiccoScheduler, RewindLastAssignRestoresTheScheduler) {
+  // Equal-sized pairs on four devices: fresh pairs tie on idle devices
+  // (the tie-break draws), repeats exercise the reuse tiers and counts.
+  MiccoSchedulerOptions opts;
+  opts.bounds = ReuseBounds{1, 1, 1};
+  opts.record_bound_interval = BoundInterval{};
+  MiccoScheduler sched(opts);
+  MiccoScheduler twin(opts);  // the same run, never rewound
+  ClusterSimulator sim(cluster_of(4));
+  constexpr int kDevices = 4;
+  const auto counts = [&](const MiccoScheduler& s) {
+    std::vector<std::int64_t> c;
+    for (DeviceId dev = 0; dev < kDevices; ++dev) {
+      c.push_back(s.assigned_count(dev));
+    }
+    return c;
+  };
+  int rewound = 0;
+  for (TensorId vec = 0; vec < 3; ++vec) {
+    VectorWorkload v;
+    const TensorId base = vec * 100;
+    for (TensorId i = 0; i < 8; ++i) {
+      v.tasks.push_back(
+          make_task(base + 2 * i, base + 2 * i + 1, base + 50 + i));
+    }
+    for (TensorId i = 0; i < 6; ++i) {
+      v.tasks.push_back(make_task(base + i, base + 2 * i + 1, base + 70 + i));
+    }
+    sched.begin_vector(v, sim);
+    twin.begin_vector(v, sim);
+    for (const ContractionTask& task : v.tasks) {
+      // Only an assign that records can be rewound: one made while the box
+      // still holds more than the scheduler's own triple.
+      const BoundInterval box_before = sched.bound_interval();
+      const bool recording = box_before != BoundInterval::point(opts.bounds);
+      const std::vector<std::int64_t> counts_before = counts(sched);
+      const DeviceId dev = sched.assign(task, sim);
+      const BoundInterval box_after = sched.bound_interval();
+      const std::vector<std::int64_t> counts_after = counts(sched);
+
+      if (recording) {
+        sched.rewind_last_assign();
+        ++rewound;
+        EXPECT_EQ(sched.bound_interval(), box_before);
+        EXPECT_EQ(counts(sched), counts_before);
+        // Assigning again repeats the decision, its draw included: the
+        // twin decides the same device here and on every pair after it.
+        EXPECT_EQ(sched.assign(task, sim), dev);
+        EXPECT_EQ(sched.bound_interval(), box_after);
+        EXPECT_EQ(counts(sched), counts_after);
+      } else {
+        EXPECT_DEATH(sched.rewind_last_assign(), "recording assign");
+      }
+      EXPECT_EQ(twin.assign(task, sim), dev);
+      EXPECT_EQ(twin.bound_interval(), box_after);
+      EXPECT_EQ(counts(twin), counts_after);
+      ASSERT_TRUE(sim.execute(task, dev).ok());
+    }
+  }
+  EXPECT_GE(rewound, 10);
+}
+
+TEST(MiccoScheduler, RewindNeedsARecordingAssign) {
+  ClusterSimulator sim(cluster_of(2));
+  const VectorWorkload v = make_vector({make_task(0, 1, 2)});
+  MiccoScheduler plain;
+  plain.begin_vector(v, sim);
+  (void)plain.assign(v.tasks[0], sim);
+  EXPECT_DEATH(plain.rewind_last_assign(), "recording assign");
+
+  MiccoSchedulerOptions opts;
+  opts.record_bound_interval = BoundInterval{};
+  MiccoScheduler recording(opts);
+  recording.begin_vector(v, sim);
+  (void)recording.assign(v.tasks[0], sim);
+  recording.rewind_last_assign();
+  EXPECT_DEATH(recording.rewind_last_assign(), "recording assign");
+}
+
+TEST(MiccoScheduler, RebindKeepsRecordingInsideTheBox) {
+  MiccoSchedulerOptions opts;
+  opts.record_bound_interval = BoundInterval{};
+  MiccoScheduler sched(opts);
+  ClusterSimulator sim(cluster_of(2));
+  const VectorWorkload v = make_vector({make_task(0, 1, 2)});
+  sched.begin_vector(v, sim);
+  sim.execute(v.tasks[0], sched.assign(v.tasks[0], sim));
+  const BoundInterval box = sched.bound_interval();
+  ASSERT_TRUE(box.contains(ReuseBounds{2, 2, 2}));
+  sched.rebind_bounds(ReuseBounds{2, 2, 2});
+  EXPECT_EQ(sched.reuse_bounds(), (ReuseBounds{2, 2, 2}));
+  EXPECT_EQ(sched.bound_interval(), box);  // still recording, box kept
+  // set_reuse_bounds after a decision gives up the box instead.
+  sched.set_reuse_bounds(ReuseBounds{1, 1, 1});
+  EXPECT_EQ(sched.bound_interval(), BoundInterval::point(ReuseBounds{1, 1, 1}));
+  EXPECT_DEATH(sched.rebind_bounds(ReuseBounds{2, 2, 2}), "rebind_bounds");
+}
+
+/// The counter tables' slot hash (splitmix64's finalizer), to build keys
+/// that share a home slot.
+std::uint64_t counter_hash(TensorId id) {
+  std::uint64_t x = id + 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// True when `id` is counted against `dev`, leaving the counts as found.
+bool counted(DistinctTensorCounts& counts, DeviceId dev, TensorId id) {
+  if (!counts.insert(dev, id)) return true;
+  counts.erase(dev, id);
+  return false;
+}
+
+TEST(DistinctTensorCounts, EraseKeepsCollidingKeysFindable) {
+  // Five keys with one home slot in the initial 64-slot table form one
+  // probe run; erasing from its front, middle and end must leave the rest
+  // findable and the count exact.
+  std::vector<TensorId> run;
+  for (TensorId id = 0; run.size() < 5; ++id) {
+    if ((counter_hash(id) & 63) == 5) run.push_back(id);
+  }
+  DistinctTensorCounts counts;
+  counts.reset(2);
+  for (const TensorId id : run) ASSERT_TRUE(counts.insert(1, id));
+  EXPECT_EQ(counts.count(1), 5);
+  for (const std::size_t gone : {2u, 0u, 4u}) {
+    counts.erase(1, run[gone]);
+    EXPECT_FALSE(counted(counts, 1, run[gone]));
+  }
+  EXPECT_EQ(counts.count(1), 2);
+  EXPECT_TRUE(counted(counts, 1, run[1]));
+  EXPECT_TRUE(counted(counts, 1, run[3]));
+  EXPECT_EQ(counts.count(0), 0);  // the other device is untouched
+  EXPECT_DEATH(counts.erase(1, run[0]), "uncounted");
+}
+
+TEST(DistinctTensorCounts, EraseAfterGrowthAndAcrossVectors) {
+  // 200 keys grow the table past its initial 64 slots twice; erasing every
+  // third must leave exactly the others, in a later vector too.
+  DistinctTensorCounts counts;
+  counts.reset(1);
+  for (const int round : {0, 1}) {
+    for (TensorId id = 0; id < 200; ++id) ASSERT_TRUE(counts.insert(0, id));
+    for (TensorId id = 0; id < 200; id += 3) counts.erase(0, id);
+    EXPECT_EQ(counts.count(0), 200 - 67) << "round " << round;
+    for (TensorId id = 0; id < 200; ++id) {
+      EXPECT_EQ(counted(counts, 0, id), id % 3 != 0) << id;
+    }
+    counts.reset(1);  // the next vector starts empty
+    EXPECT_EQ(counts.count(0), 0);
+  }
+}
+
 TEST(MiccoScheduler, CandidateMaskHandlesMoreThan64Devices) {
   // The alive mask spans two 64-bit words here; device ids past 63 must
   // come from the second word, not alias the first.
