@@ -28,6 +28,28 @@ void DeviceMemory::reset(std::uint64_t capacity_bytes) {
   std::fill(buckets_.begin(), buckets_.end(), Bucket{});
 }
 
+DeviceMemory& DeviceMemory::operator=(const DeviceMemory& other) {
+  if (this == &other) return *this;
+  capacity_ = other.capacity_;
+  used_ = other.used_;
+  count_ = other.count_;
+  slots_ = other.slots_;
+  free_head_ = other.free_head_;
+  head_ = other.head_;
+  tail_ = other.tail_;
+  if (buckets_.size() <= other.buckets_.size()) {
+    buckets_ = other.buckets_;
+    hash_shift_ = other.hash_shift_;
+    return *this;
+  }
+  // Slot indices carry over, so each resident is re-filed under its slot.
+  std::fill(buckets_.begin(), buckets_.end(), Bucket{});
+  for (std::uint32_t slot = head_; slot != kNoSlot; slot = slots_[slot].next) {
+    buckets_[probe(slots_[slot].id)] = Bucket{slots_[slot].id, slot};
+  }
+  return *this;
+}
+
 std::size_t DeviceMemory::occupied_bucket(TensorId id,
                                           const char* violation) const {
   const std::size_t b = buckets_.empty() ? 0 : probe(id);

@@ -12,8 +12,8 @@
 // order is an intrusive doubly linked list over slot indices, and an
 // open-addressing id -> slot table (linear probing, backward-shift deletion)
 // answers lookups. Every member is a vector or a scalar and slot indices
-// are position-independent, so the defaulted copies are deep and exact —
-// the oracle search clones whole simulators per candidate assignment.
+// are position-independent, so copies are deep and exact — the oracle
+// search clones whole simulators per candidate assignment.
 #pragma once
 
 #include <cstddef>
@@ -99,6 +99,15 @@ class DeviceMemory {
   };
 
   explicit DeviceMemory(std::uint64_t capacity_bytes);
+
+  DeviceMemory(const DeviceMemory&) = default;
+  DeviceMemory(DeviceMemory&&) noexcept = default;
+  DeviceMemory& operator=(DeviceMemory&&) noexcept = default;
+  /// Copies `other`'s residents, recency order, pins and usage. A larger id
+  /// table is kept and refilled rather than shrunk to `other`'s, so a
+  /// memory copied back to an earlier state (the tuner sweep's checkpoints)
+  /// does not grow it again; as after reset(), nothing observes its size.
+  DeviceMemory& operator=(const DeviceMemory& other);
 
   std::uint64_t capacity() const { return capacity_; }
   std::uint64_t used() const { return used_; }
