@@ -15,7 +15,8 @@
 //      determinism contract, checked here on every bench run). The widths
 //      interleave round by round too, and each width's speedup is the
 //      median of its per-round 1-thread/N-thread time ratios. The JSON
-//      also records the share of grid runs the sweep simulated.
+//      also records the share of grid runs the sweep simulated, the runs
+//      it resumed from a fork and the pairs it simulated.
 //
 // Flags: the shared bench set (--gpus --seed --threads ...), plus
 //   --smoke     shrink both measurements for CI
@@ -213,6 +214,9 @@ int run(const CliArgs& args) {
   bool labels_identical = true;
   std::uint64_t simulated = 0;
   std::uint64_t grid_runs = 0;
+  std::uint64_t forked = 0;
+  std::uint64_t pairs_simulated = 0;
+  std::uint64_t pairs = 0;
   // Untimed warm-up pass: the first sweep pays one-off costs (page faults,
   // lazy pool spin-up, cold caches) that would otherwise land on one width.
   parallel::set_threads(1);
@@ -228,6 +232,9 @@ int run(const CliArgs& args) {
         reference = std::move(data.samples);
         simulated = data.grid_runs_simulated;
         grid_runs = data.grid_runs_simulated + data.grid_runs_reused;
+        forked = data.grid_runs_forked;
+        pairs_simulated = data.grid_pairs_simulated;
+        pairs = data.grid_pairs;
       } else if (!same_labels(reference, data.samples)) {
         labels_identical = false;
       }
@@ -266,12 +273,20 @@ int run(const CliArgs& args) {
   report.set("tuner_grid_runs_simulated", simulated);
   report.set("tuner_simulated_fraction",
              static_cast<double>(simulated) / static_cast<double>(grid_runs));
+  report.set("tuner_grid_runs_forked", forked);
+  report.set("tuner_grid_pairs", pairs);
+  report.set("tuner_grid_pairs_simulated", pairs_simulated);
   report.set("tuner_labels_identical_across_threads", labels_identical);
   std::printf("%s", tuner_table.render().c_str());
   std::printf("tuner: simulated %llu of %llu grid runs; speedups are medians "
               "of %d paired rounds\n",
               static_cast<unsigned long long>(simulated),
               static_cast<unsigned long long>(grid_runs), kRounds);
+  std::printf("tuner: simulated %llu of the %llu pairs in those runs; %llu "
+              "runs resumed from a fork\n",
+              static_cast<unsigned long long>(pairs_simulated),
+              static_cast<unsigned long long>(pairs),
+              static_cast<unsigned long long>(forked));
 
   if (!labels_identical) {
     std::fprintf(stderr,

@@ -30,7 +30,8 @@
 # and journal torn-write suites under ASan), a TSan pass over the
 # parallel-layer, observability and service tests at 8 worker threads, a
 # Release-mode tuner corpus check (`micco train` at 1 and 4 threads writes
-# one model with the pinned SHA-256), a Release-mode bench_sched_micro smoke
+# one model with the pinned SHA-256 and prints the pinned grid-run and pair
+# counts), a Release-mode bench_sched_micro smoke
 # run (decision throughput + cross-thread-count tuner label identity), the
 # Release-mode eviction-policy gate (bench_oversubscription --gate:
 # reuse-distance must not pay more eviction-caused transfer bytes than LRU
@@ -505,9 +506,10 @@ cmake --build "${REL_BUILD_DIR}" -j "$(nproc 2>/dev/null || echo 4)" \
 echo "== tuner corpus identity (Release) =="
 # `micco train` labels its corpus by sweeping the bound grid (DESIGN.md
 # §5d). The model must not depend on the thread count, the sweep must
-# simulate the same grid runs, and the file must match the pinned SHA-256.
-# Update the pin only in a commit that moves the model on purpose, and say
-# so in CHANGES.md.
+# simulate the same grid runs, resume the same forks and simulate the same
+# pairs at any thread count, and the file must match the pinned SHA-256.
+# Update the pins only in a commit that moves them on purpose, and say so
+# in CHANGES.md.
 TUNER_MODEL_SHA256=59154d6de61bbfba4983be984ce8296b4772dd2cf7db1c054f4e0f2a783575db
 for threads in 1 4; do
   "${REL_BUILD_DIR}/tools/micco" train --threads="${threads}" \
@@ -516,6 +518,16 @@ for threads in 1 4; do
 done
 cmp "${SMOKE_DIR}/tuner_t1.mm" "${SMOKE_DIR}/tuner_t4.mm"
 grep -q 'simulated 6216 of 16200 grid runs' "${SMOKE_DIR}/tuner_t1.txt"
+TUNER_PAIRS_LINE='simulated 860739 of the 1252480 pairs in those runs; 5616'
+TUNER_PAIRS_LINE+=' runs resumed from a fork'
+for threads in 1 4; do
+  if [ "$(grep 'pairs in those runs' "${SMOKE_DIR}/tuner_t${threads}.txt")" \
+      != "${TUNER_PAIRS_LINE}" ]; then
+    echo "tuner corpus check FAILED: ${threads}-thread pairs line is not" \
+      "'${TUNER_PAIRS_LINE}'" >&2
+    exit 1
+  fi
+done
 got_sha256="$(sha256sum < "${SMOKE_DIR}/tuner_t1.mm" | cut -d' ' -f1)"
 if [ "${got_sha256}" != "${TUNER_MODEL_SHA256}" ]; then
   echo "tuner corpus check FAILED: model SHA-256 ${got_sha256}," \
@@ -523,7 +535,8 @@ if [ "${got_sha256}" != "${TUNER_MODEL_SHA256}" ]; then
   exit 1
 fi
 echo "tuner corpus check OK: 1- and 4-thread models identical, 6216 of" \
-  "16200 grid runs simulated, model SHA-256 pinned"
+  "16200 grid runs and 860739 of 1252480 pairs simulated, model SHA-256" \
+  "pinned"
 
 echo "== bench_sched_micro gate (Release) =="
 # Exits non-zero if tuner labels diverge across 1/2/4/8 threads, if the

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <deque>
+#include <utility>
 #include <vector>
 
 #include "common/log.hpp"
@@ -63,31 +65,219 @@ BoundInterval bounding_box(std::span<const ReuseBounds> triples) {
   return box;
 }
 
-/// One grid run: the fault-free part of run_stream that the sweep reads.
-/// Per non-empty vector: characteristics (only into a non-null
-/// `characteristics`), begin_vector, assign + execute per pair in stream
-/// order, end_vector and barrier. No clock is read and no RunResult built.
-/// The run stops at the first pair that does not complete, where run_stream
-/// stops, and returns the GFLOPS reached so far.
-double grid_run(const WorkloadStream& stream, MiccoScheduler& scheduler,
-                ClusterSimulator& sim,
-                std::vector<DataCharacteristics>* characteristics) {
-  for (const VectorWorkload& vec : stream.vectors) {
-    if (vec.tasks.empty()) continue;
-    if (characteristics != nullptr) {
-      characteristics->push_back(extract_characteristics(vec, sim));
+/// A point later triples resume from: the simulator before task `task` of
+/// vector `vector` executes, the scheduler as it stood before it assigned
+/// that pair (the vector begun), and the pairs decided before it.
+struct Checkpoint {
+  explicit Checkpoint(const ClusterConfig& cluster) : sim(cluster) {}
+
+  ClusterSimulator sim;
+  MiccoScheduler scheduler;
+  std::size_t vector = 0;
+  std::size_t task = 0;
+  std::uint64_t depth = 0;
+  int users = 0;  ///< pending triples that resume here
+};
+
+/// One sweep_bound_grid call. Each simulated run vouches for every triple
+/// in its recorded box: with any of them, each decision — and so every
+/// metric — comes out the same. A triple leaves the box at the decision
+/// that no longer vouches for it; until then its own run would repeat this
+/// one, so it can resume from a checkpoint taken there (DESIGN.md §5d).
+class GridSweep {
+ public:
+  GridSweep(const WorkloadStream& stream, std::span<const ReuseBounds> triples,
+            const ClusterConfig& cluster)
+      : stream_(stream),
+        triples_(triples),
+        cluster_(cluster),
+        sim_(cluster),
+        fork_(triples.size(), kNoFork),
+        covered_by_(triples.size(), kNoRun) {
+    // Only triples of this list are asked about, so each run records its
+    // box inside their bounding box and stops once the box holds its own
+    // triple alone there.
+    options_.record_bound_interval = bounding_box(triples);
+  }
+
+  BoundSweep run() {
+    sweep_.gflops.reserve(triples_.size());
+    for (std::size_t i = 0; i < triples_.size(); ++i) {
+      if (covered_by_[i] != kNoRun) {
+        sweep_.gflops.push_back(run_gflops_[covered_by_[i]]);
+        ++sweep_.reused;
+        continue;
+      }
+      sweep_.gflops.push_back(simulate(i));
+      ++sweep_.simulated;
     }
-    scheduler.begin_vector(vec, sim);
-    for (const ContractionTask& task : vec.tasks) {
-      if (!sim.execute(task, scheduler.assign(task, sim)).ok()) {
-        return sim.metrics().gflops();
+    return std::move(sweep_);
+  }
+
+ private:
+  static constexpr std::size_t kNoFork = ~std::size_t{0};
+  static constexpr std::size_t kNoRun = ~std::size_t{0};
+
+  /// The grid run of triple `i`: the fault-free part of run_stream that the
+  /// sweep reads. Per non-empty vector: characteristics (first run only),
+  /// begin_vector, assign + execute per pair in stream order, end_vector
+  /// and barrier. No clock is read and no RunResult built. The run stops at
+  /// the first pair that does not complete, where run_stream stops, and
+  /// returns the GFLOPS reached so far.
+  double simulate(std::size_t i) {
+    const bool first = run_gflops_.empty();
+    const bool resumed = fork_[i] != kNoFork;
+    std::size_t start_vector = 0;
+    std::size_t start_task = 0;
+    std::uint64_t depth = 0;
+    if (resumed) {
+      Checkpoint& cp = slots_[fork_[i]];
+      start_vector = cp.vector;
+      start_task = cp.task;
+      depth = cp.depth;
+      if (cp.users == 1) {  // its last user takes it as it is
+        std::swap(sim_, cp.sim);
+        std::swap(scheduler_, cp.scheduler);
+      } else {
+        sim_ = cp.sim;
+        scheduler_ = cp.scheduler;
+      }
+      release(i);
+      scheduler_.rebind_bounds(triples_[i]);
+      ++sweep_.forked;
+    } else {
+      if (!first) sim_.reset();
+      options_.bounds = triples_[i];
+      scheduler_ = MiccoScheduler(options_);
+    }
+    const std::uint64_t start = depth;
+
+    // The later triples this run may still vouch for: each leaves the
+    // watch at the decision where it leaves the box.
+    watch_.clear();
+    const BoundInterval box = scheduler_.bound_interval();
+    for (std::size_t j = i + 1; j < triples_.size(); ++j) {
+      if (covered_by_[j] == kNoRun && box.contains(triples_[j])) {
+        watch_.push_back(j);
       }
     }
-    scheduler.end_vector();
-    sim.barrier();
+
+    std::vector<DataCharacteristics>* characteristics =
+        first ? &sweep_.first_run_characteristics : nullptr;
+    const std::vector<VectorWorkload>& vectors = stream_.vectors;
+    bool completed = true;
+    for (std::size_t v = start_vector; v < vectors.size(); ++v) {
+      const VectorWorkload& vec = vectors[v];
+      if (vec.tasks.empty()) continue;
+      const bool begun = resumed && v == start_vector;
+      if (!begun) {
+        if (characteristics != nullptr) {
+          characteristics->push_back(extract_characteristics(vec, sim_));
+        }
+        scheduler_.begin_vector(vec, sim_);
+      }
+      for (std::size_t t = begun ? start_task : 0; t < vec.tasks.size(); ++t) {
+        const ContractionTask& task = vec.tasks[t];
+        const DeviceId dev = scheduler_.assign(task, sim_);
+        if (!watch_.empty()) note_departures(v, t, depth);
+        ++depth;
+        if (!sim_.execute(task, dev).ok()) {
+          completed = false;
+          break;
+        }
+      }
+      if (!completed) break;
+      scheduler_.end_vector();
+      sim_.barrier();
+    }
+    sweep_.pairs_simulated += depth - start;
+    sweep_.pairs += depth;
+
+    // The triples still watched are inside the final box: this run answers
+    // them, and their checkpoints go.
+    for (const std::size_t j : watch_) {
+      covered_by_[j] = run_gflops_.size();
+      release(j);
+    }
+    run_gflops_.push_back(sim_.metrics().gflops());
+    return run_gflops_.back();
   }
-  return sim.metrics().gflops();
-}
+
+  /// After the assign of task `task` of vector `vector`, `depth` pairs into
+  /// the run: each watched triple the narrowed box lost resumes here from
+  /// now on, unless it already resumes deeper. One checkpoint serves all.
+  void note_departures(std::size_t vector, std::size_t task,
+                       std::uint64_t depth) {
+    const BoundInterval box = scheduler_.bound_interval();
+    std::size_t slot = kNoFork;
+    std::size_t kept = 0;
+    for (const std::size_t j : watch_) {
+      if (box.contains(triples_[j])) {
+        watch_[kept++] = j;
+        continue;
+      }
+      const std::uint64_t fork_depth =
+          fork_[j] == kNoFork ? 0 : slots_[fork_[j]].depth;
+      if (depth <= fork_depth) continue;
+      if (slot == kNoFork) slot = checkpoint(vector, task, depth);
+      release(j);
+      fork_[j] = slot;
+      ++slots_[slot].users;
+    }
+    watch_.resize(kept);
+  }
+
+  /// Copies the run into a pooled checkpoint: the simulator as it stands
+  /// (the pair is assigned, not yet executed) and the scheduler rewound to
+  /// before that assign.
+  std::size_t checkpoint(std::size_t vector, std::size_t task,
+                         std::uint64_t depth) {
+    std::size_t slot;
+    if (free_.empty()) {
+      slot = slots_.size();
+      slots_.emplace_back(cluster_);
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+    }
+    Checkpoint& cp = slots_[slot];
+    cp.sim = sim_;
+    cp.scheduler = scheduler_;
+    cp.scheduler.rewind_last_assign();
+    cp.vector = vector;
+    cp.task = task;
+    cp.depth = depth;
+    cp.users = 0;
+    return slot;
+  }
+
+  /// Drops triple `j`'s checkpoint; the pool takes back one with no user.
+  void release(std::size_t j) {
+    const std::size_t slot = std::exchange(fork_[j], kNoFork);
+    if (slot != kNoFork && --slots_[slot].users == 0) free_.push_back(slot);
+  }
+
+  const WorkloadStream& stream_;
+  std::span<const ReuseBounds> triples_;
+  ClusterConfig cluster_;
+  MiccoSchedulerOptions options_;
+  /// The run in progress. One simulator serves every run: reset() hands a
+  /// run that starts over the state a fresh one starts from, with its
+  /// memory tables already grown.
+  ClusterSimulator sim_;
+  MiccoScheduler scheduler_;
+  /// GFLOPS of each finished run, in run order.
+  std::vector<double> run_gflops_;
+  /// Per triple: the checkpoint it resumes from, and the first finished
+  /// run whose box holds it.
+  std::vector<std::size_t> fork_;
+  std::vector<std::size_t> covered_by_;
+  /// Checkpoints, in use or free for reuse; a deque keeps them in place.
+  std::deque<Checkpoint> slots_;
+  std::vector<std::size_t> free_;
+  std::vector<std::size_t> watch_;
+  BoundSweep sweep_;
+};
 
 }  // namespace
 
@@ -95,44 +285,7 @@ BoundSweep sweep_bound_grid(const WorkloadStream& stream,
                             std::span<const ReuseBounds> triples,
                             const ClusterConfig& cluster) {
   MICCO_EXPECTS(cluster.validate().empty());
-  // Each simulated run vouches for every triple in its recorded box: with
-  // any of them, each decision — and so every metric — comes out the same.
-  // Only triples of this list are asked about, so each run records its box
-  // inside their bounding box and stops once the box holds its own triple
-  // alone there.
-  struct Run {
-    BoundInterval box;
-    double gflops = 0.0;
-  };
-  std::vector<Run> runs;
-  BoundSweep sweep;
-  sweep.gflops.reserve(triples.size());
-  const BoundInterval region = bounding_box(triples);
-  // One simulator serves every run; reset() hands each run the state a
-  // fresh one starts from, with its memory tables already grown.
-  ClusterSimulator sim(cluster);
-  for (const ReuseBounds& bounds : triples) {
-    const auto earlier =
-        std::find_if(runs.begin(), runs.end(),
-                     [&](const Run& run) { return run.box.contains(bounds); });
-    if (earlier != runs.end()) {
-      sweep.gflops.push_back(earlier->gflops);
-      ++sweep.reused;
-      continue;
-    }
-    MiccoSchedulerOptions options;
-    options.bounds = bounds;
-    options.record_bound_interval = region;
-    MiccoScheduler scheduler(options);
-    if (!runs.empty()) sim.reset();
-    const double gflops =
-        grid_run(stream, scheduler, sim,
-                 runs.empty() ? &sweep.first_run_characteristics : nullptr);
-    runs.push_back(Run{scheduler.bound_interval(), gflops});
-    sweep.gflops.push_back(gflops);
-    ++sweep.simulated;
-  }
-  return sweep;
+  return GridSweep(stream, triples, cluster).run();
 }
 
 namespace {
@@ -260,6 +413,9 @@ TuningData generate_tuning_data(const TunerConfig& config) {
     for (std::size_t k = 0; k < group; ++k) {
       data.grid_runs_simulated += streams[k].grid.simulated;
       data.grid_runs_reused += streams[k].grid.reused;
+      data.grid_runs_forked += streams[k].grid.forked;
+      data.grid_pairs_simulated += streams[k].grid.pairs_simulated;
+      data.grid_pairs += streams[k].grid.pairs;
     }
     for (std::size_t g = 0; g < grid.size(); ++g) {
       double gflops = 0.0;

@@ -6,8 +6,10 @@
 // the sample with the best-performing triple. Every individual measurement
 // is kept as a TuningRecord so the Spearman analysis of Fig. 5 can run on
 // the same corpus. A grid point whose schedule an earlier run of the same
-// stream provably repeats takes that run's GFLOPS instead of a simulation
-// (sweep_bound_grid); the corpus is bit-identical either way.
+// stream provably repeats takes that run's GFLOPS instead of a simulation,
+// and one that repeats an earlier run up to some decision resumes from that
+// run's checkpoint there (sweep_bound_grid); the corpus is bit-identical
+// either way.
 #pragma once
 
 #include <cstdint>
@@ -67,6 +69,11 @@ struct TuningData {
   /// took from an earlier run's bound interval instead (sweep_bound_grid).
   std::uint64_t grid_runs_simulated = 0;
   std::uint64_t grid_runs_reused = 0;
+  /// Of the simulated runs: those resumed from another run's checkpoint, the
+  /// pairs the sweep simulated, and the pairs the runs hold from vector 0.
+  std::uint64_t grid_runs_forked = 0;
+  std::uint64_t grid_pairs_simulated = 0;
+  std::uint64_t grid_pairs = 0;
 };
 
 /// Runs the offline sweep. Deterministic in `config.seed`.
@@ -87,15 +94,23 @@ struct BoundSweep {
   std::vector<double> gflops;  ///< parallel to the triples
   std::size_t simulated = 0;   ///< triples that took a simulation
   std::size_t reused = 0;      ///< triples answered by an earlier run
+  std::size_t forked = 0;      ///< simulated runs resumed from a checkpoint
+  /// Pairs the simulated runs assigned and executed themselves, and the
+  /// pairs those runs hold from vector 0 (the first pair that does not
+  /// complete included): forked runs take their checkpoint's prefix.
+  std::uint64_t pairs_simulated = 0;
+  std::uint64_t pairs = 0;
   /// The first triple's run's per-vector characteristics.
   std::vector<DataCharacteristics> first_run_characteristics;
 };
 
 /// measure_gflops at every triple, in order, bit for bit — but a triple
 /// inside the recorded bound interval of an earlier run on this stream
-/// takes that run's GFLOPS instead of simulating (DESIGN.md §5d). The
-/// simulated runs share one simulator, reset between them, and skip what
-/// run_stream does beyond the GFLOPS (clock reads, the RunResult). Requires
+/// takes that run's GFLOPS instead of simulating, and a triple that left an
+/// earlier run's box resumes from that run's checkpoint at the decision
+/// where it left instead of starting over (DESIGN.md §5d). The simulated
+/// runs share one simulator and skip what run_stream does beyond the
+/// GFLOPS (clock reads, the RunResult). Requires
 /// `cluster.validate()` to pass and a stream that produces each output once
 /// (validate_stream_structure), as every generated stream does.
 BoundSweep sweep_bound_grid(const WorkloadStream& stream,

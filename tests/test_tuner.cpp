@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "parallel/parallel.hpp"
@@ -202,10 +203,118 @@ TEST(Tuner, RecordsMatchBruteForceMeasureGflops) {
     }
     EXPECT_EQ(data.grid_runs_simulated + data.grid_runs_reused, 4u * 3 * 27);
     EXPECT_GT(data.grid_runs_reused, 0u);  // the intervals did prune
+    EXPECT_GT(data.grid_runs_forked, 0u);  // and runs resumed from forks
+    EXPECT_LT(data.grid_pairs_simulated, data.grid_pairs);
   }
 }
 
+/// `stream` with a pair of wide tensors set in the middle of vector
+/// `vector`: on 1 MiB devices no run gets past that pair.
+WorkloadStream with_undersized_pair(const WorkloadStream& stream,
+                                    std::size_t vector) {
+  WorkloadStream stopping = stream;
+  std::vector<ContractionTask>& tasks = stopping.vectors[vector].tasks;
+  ContractionTask wide = tasks.front();
+  for (TensorDesc* desc : {&wide.a, &wide.b, &wide.out}) desc->extent = 1024;
+  wide.a.id = TensorId{1} << 19;
+  wide.b.id = wide.a.id + 1;
+  wide.out.id = wide.a.id + 2;
+  tasks.insert(tasks.begin() + static_cast<std::ptrdiff_t>(tasks.size() / 2),
+               wide);
+  return stopping;
+}
+
 TEST(Tuner, SweepBoundGridMatchesMeasureGflops) {
+  // Every triple of the full grid and of the Fig. 8 list, on seeded Uniform
+  // and Gaussian streams, bit for bit — whether the sweep reused an earlier
+  // run, resumed from a checkpoint or simulated from vector 0.
+  ClusterConfig roomy;
+  roomy.num_devices = 4;
+  const std::vector<ReuseBounds> grid = bound_grid(2);
+  const auto& fig8 = fig8_bound_sweep();
+  const std::vector<ReuseBounds> fig8_list(fig8.begin(), fig8.end());
+  std::vector<WorkloadStream> streams;
+  for (const DataDistribution distribution :
+       {DataDistribution::kUniform, DataDistribution::kGaussian}) {
+    for (const std::uint64_t seed : {12ULL, 31ULL, 47ULL}) {
+      SyntheticConfig synth;
+      synth.num_vectors = 6;
+      synth.vector_size = 16;
+      synth.tensor_extent = 64;
+      synth.batch = 1;
+      synth.repeated_rate = 0.75;
+      synth.distribution = distribution;
+      synth.seed = seed;
+      streams.push_back(generate_synthetic(synth));
+    }
+  }
+
+  // Two cases stop part way: their devices are too small for one pair of
+  // wide tensors, set in the middle of the fourth vector in one and of the
+  // last in the other, so every run ends there with the GFLOPS it reached.
+  // In the second, runs fork before they reach that pair.
+  const WorkloadStream& gaussian = streams[3];
+  const WorkloadStream stops_early = with_undersized_pair(gaussian, 3);
+  const WorkloadStream stops_late =
+      with_undersized_pair(gaussian, gaussian.vectors.size() - 1);
+  ClusterConfig small = roomy;
+  small.device_capacity_bytes = 1ULL << 20;
+  const std::vector<ContractionTask>& early = stops_early.vectors[3].tasks;
+  ASSERT_GT(early[early.size() / 2].a.bytes(), small.device_capacity_bytes);
+  for (const WorkloadStream* s : {&stops_early, &stops_late}) {
+    MiccoScheduler naive;
+    const RunResult stopped = run_stream(*s, naive, small);
+    ASSERT_FALSE(stopped.completed);
+    ASSERT_GT(stopped.metrics.gflops(), 0.0);
+  }
+
+  struct Case {
+    const WorkloadStream* stream;
+    ClusterConfig cluster;
+    const std::vector<ReuseBounds>* triples;
+  };
+  std::vector<Case> cases;
+  for (const WorkloadStream& stream : streams) {
+    cases.push_back(Case{&stream, roomy, &grid});
+    cases.push_back(Case{&stream, roomy, &fig8_list});
+  }
+  cases.push_back(Case{&stops_early, small, &fig8_list});
+  cases.push_back(Case{&stops_late, small, &grid});
+  std::uint64_t forked = 0;
+  for (const Case& c : cases) {
+    const std::vector<ReuseBounds>& triples = *c.triples;
+    const BoundSweep sweep = sweep_bound_grid(*c.stream, triples, c.cluster);
+    ASSERT_EQ(sweep.gflops.size(), triples.size());
+    EXPECT_EQ(sweep.simulated + sweep.reused, triples.size());
+    EXPECT_GE(sweep.simulated, 1u);
+    EXPECT_LE(sweep.forked, sweep.simulated - 1);
+    EXPECT_LE(sweep.pairs_simulated, sweep.pairs);
+    forked += sweep.forked;
+    for (std::size_t t = 0; t < triples.size(); ++t) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(sweep.gflops[t]),
+                std::bit_cast<std::uint64_t>(
+                    measure_gflops(*c.stream, triples[t], c.cluster)))
+          << triples[t].to_string() << " on "
+          << c.cluster.device_capacity_bytes << "-byte devices";
+    }
+  }
+  EXPECT_GT(forked, 0u);  // the cases above do fork
+
+  // Every run of the late stopper ends at its undersized pair, so each
+  // holds the same pairs. A forked run that resumed ahead of that pair
+  // simulates more than the one pair it stops at.
+  const BoundSweep late = sweep_bound_grid(stops_late, grid, small);
+  ASSERT_GT(late.forked, 0u);
+  const std::uint64_t run_pairs = late.pairs / late.simulated;
+  EXPECT_EQ(late.pairs, late.simulated * run_pairs);
+  EXPECT_GT(late.pairs_simulated - (late.simulated - late.forked) * run_pairs,
+            late.forked);
+}
+
+TEST(Tuner, ForkedSweepCountsItsPairs) {
+  // A sweep that forks simulates fewer pairs than its runs hold; a sweep
+  // that never forks simulates them all. With the full grid's first triple
+  // alone, the one run holds every pair of the stream.
   SyntheticConfig synth;
   synth.num_vectors = 6;
   synth.vector_size = 16;
@@ -215,45 +324,25 @@ TEST(Tuner, SweepBoundGridMatchesMeasureGflops) {
   synth.distribution = DataDistribution::kGaussian;
   synth.seed = 12;
   const WorkloadStream stream = generate_synthetic(synth);
-  ClusterConfig roomy;
-  roomy.num_devices = 4;
-
-  // The second case stops part way: its devices are too small for one
-  // task, a pair of wide tensors set in the middle of the fourth vector, so
-  // every run ends there with the GFLOPS it reached.
-  WorkloadStream stopping = stream;
-  std::vector<ContractionTask>& tasks = stopping.vectors[3].tasks;
-  ContractionTask wide = tasks.front();
-  for (TensorDesc* desc : {&wide.a, &wide.b, &wide.out}) desc->extent = 1024;
-  wide.a.id = TensorId{1} << 19;
-  wide.b.id = wide.a.id + 1;
-  wide.out.id = wide.a.id + 2;
-  tasks.insert(tasks.begin() + static_cast<std::ptrdiff_t>(tasks.size() / 2),
-               wide);
-  ClusterConfig small = roomy;
-  small.device_capacity_bytes = 1ULL << 20;
-  ASSERT_GT(wide.a.bytes(), small.device_capacity_bytes);
-  MiccoScheduler naive;
-  const RunResult stopped = run_stream(stopping, naive, small);
-  ASSERT_FALSE(stopped.completed);
-  ASSERT_GT(stopped.metrics.gflops(), 0.0);
-
-  const auto& triples = fig8_bound_sweep();
-  using Case = std::pair<const WorkloadStream*, ClusterConfig>;
-  for (const auto& [s, cluster] :
-       {Case{&stream, roomy}, Case{&stopping, small}}) {
-    const BoundSweep sweep = sweep_bound_grid(*s, triples, cluster);
-    ASSERT_EQ(sweep.gflops.size(), triples.size());
-    EXPECT_EQ(sweep.simulated + sweep.reused, triples.size());
-    EXPECT_GE(sweep.simulated, 1u);
-    for (std::size_t t = 0; t < triples.size(); ++t) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(sweep.gflops[t]),
-                std::bit_cast<std::uint64_t>(
-                    measure_gflops(*s, triples[t], cluster)))
-          << triples[t].to_string() << " on "
-          << cluster.device_capacity_bytes << "-byte devices";
-    }
+  ClusterConfig cluster;
+  cluster.num_devices = 4;
+  std::uint64_t stream_pairs = 0;
+  for (const VectorWorkload& vec : stream.vectors) {
+    stream_pairs += vec.tasks.size();
   }
+
+  const std::vector<ReuseBounds> grid = bound_grid(2);
+  const BoundSweep one =
+      sweep_bound_grid(stream, std::span(grid).first(1), cluster);
+  EXPECT_EQ(one.simulated, 1u);
+  EXPECT_EQ(one.forked, 0u);
+  EXPECT_EQ(one.pairs, stream_pairs);
+  EXPECT_EQ(one.pairs_simulated, stream_pairs);
+
+  const BoundSweep all = sweep_bound_grid(stream, grid, cluster);
+  EXPECT_GT(all.forked, 0u);
+  EXPECT_EQ(all.pairs, all.simulated * stream_pairs);
+  EXPECT_LT(all.pairs_simulated, all.pairs);
 }
 
 TEST(TunerValidate, RejectsBadConfigs) {

@@ -479,6 +479,11 @@ int cmd_train(const CliArgs& args) {
               static_cast<unsigned long long>(data.grid_runs_simulated),
               static_cast<unsigned long long>(data.grid_runs_simulated +
                                               data.grid_runs_reused));
+  std::printf("simulated %llu of the %llu pairs in those runs; %llu runs "
+              "resumed from a fork\n",
+              static_cast<unsigned long long>(data.grid_pairs_simulated),
+              static_cast<unsigned long long>(data.grid_pairs),
+              static_cast<unsigned long long>(data.grid_runs_forked));
   const TrainedBoundsModel trained = train_bounds_model(
       data.samples, random_forest_factory(), "RandomForest", tuner.max_bound);
   std::printf("RandomForest held-out R^2 = %.2f\n", trained.report.mean_r2);
