@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <deque>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -65,121 +66,99 @@ BoundInterval bounding_box(std::span<const ReuseBounds> triples) {
   return box;
 }
 
-/// A point later triples resume from: the simulator before task `task` of
-/// vector `vector` executes, the scheduler as it stood before it assigned
-/// that pair (the vector begun), and the pairs decided before it.
-struct Checkpoint {
-  explicit Checkpoint(const ClusterConfig& cluster) : sim(cluster) {}
-
-  ClusterSimulator sim;
-  MiccoScheduler scheduler;
+/// Where a run resumes: before task `task` of vector `vector` executes,
+/// that vector begun, with `depth` pairs decided before it.
+struct Cursor {
   std::size_t vector = 0;
   std::size_t task = 0;
   std::uint64_t depth = 0;
-  int users = 0;  ///< pending triples that resume here
 };
 
-/// One sweep_bound_grid call. Each simulated run vouches for every triple
-/// in its recorded box: with any of them, each decision — and so every
-/// metric — comes out the same. A triple leaves the box at the decision
-/// that no longer vouches for it; until then its own run would repeat this
-/// one, so it can resume from a checkpoint taken there (DESIGN.md §5d).
+/// Triples that left one run's box at one decision, in list order, and the
+/// checkpoint they resume from: the simulator before the pair at `at`
+/// executes and the scheduler as it stood before it assigned that pair.
+struct Branch {
+  explicit Branch(const ClusterConfig& cluster) : sim(cluster) {}
+
+  std::vector<std::size_t> triples;
+  ClusterSimulator sim;
+  MiccoScheduler scheduler;
+  Cursor at;
+};
+
+/// One sweep_bound_grid call: a depth-first walk over branches. Each
+/// simulated run vouches for every triple in its recorded box: with any of
+/// them, each decision — and so every metric — comes out the same. A
+/// watched triple leaves the box at the decision that no longer vouches for
+/// it; until then its own run would repeat this one, so the triples that
+/// leave at one decision form a branch that resumes there (DESIGN.md §5d).
 class GridSweep {
  public:
   GridSweep(const WorkloadStream& stream, std::span<const ReuseBounds> triples,
             const ClusterConfig& cluster)
-      : stream_(stream),
-        triples_(triples),
-        cluster_(cluster),
-        sim_(cluster),
-        fork_(triples.size(), kNoFork),
-        covered_by_(triples.size(), kNoRun) {
+      : stream_(stream), triples_(triples), cluster_(cluster), sim_(cluster) {}
+
+  BoundSweep run() {
+    sweep_.gflops.resize(triples_.size());
+    if (triples_.empty()) return std::move(sweep_);
+    // The root branch: every triple, from vector 0 on the fresh simulator.
     // Only triples of this list are asked about, so each run records its
     // box inside their bounding box and stops once the box holds its own
     // triple alone there.
-    options_.record_bound_interval = bounding_box(triples);
-  }
-
-  BoundSweep run() {
-    sweep_.gflops.reserve(triples_.size());
-    for (std::size_t i = 0; i < triples_.size(); ++i) {
-      if (covered_by_[i] != kNoRun) {
-        sweep_.gflops.push_back(run_gflops_[covered_by_[i]]);
-        ++sweep_.reused;
-        continue;
-      }
-      sweep_.gflops.push_back(simulate(i));
-      ++sweep_.simulated;
+    MiccoSchedulerOptions options;
+    options.bounds = triples_.front();
+    options.record_bound_interval = bounding_box(triples_);
+    scheduler_ = MiccoScheduler(options);
+    watch_.resize(triples_.size());
+    std::iota(watch_.begin(), watch_.end(), std::size_t{0});
+    simulate(Cursor{}, /*root=*/true);
+    while (!pending_.empty()) {
+      const std::size_t slot = pending_.back();
+      pending_.pop_back();
+      Branch& branch = slots_[slot];
+      // No other branch resumes here, so the run takes the copies as they
+      // are, and the slot is free for the run's own checkpoints.
+      std::swap(sim_, branch.sim);
+      std::swap(scheduler_, branch.scheduler);
+      std::swap(watch_, branch.triples);
+      const Cursor at = branch.at;
+      free_.push_back(slot);
+      scheduler_.rebind_bounds(triples_[watch_.front()]);
+      ++sweep_.forked;
+      simulate(at, /*root=*/false);
     }
     return std::move(sweep_);
   }
 
  private:
-  static constexpr std::size_t kNoFork = ~std::size_t{0};
-  static constexpr std::size_t kNoRun = ~std::size_t{0};
-
-  /// The grid run of triple `i`: the fault-free part of run_stream that the
-  /// sweep reads. Per non-empty vector: characteristics (first run only),
-  /// begin_vector, assign + execute per pair in stream order, end_vector
-  /// and barrier. No clock is read and no RunResult built. The run stops at
-  /// the first pair that does not complete, where run_stream stops, and
-  /// returns the GFLOPS reached so far.
-  double simulate(std::size_t i) {
-    const bool first = run_gflops_.empty();
-    const bool resumed = fork_[i] != kNoFork;
-    std::size_t start_vector = 0;
-    std::size_t start_task = 0;
-    std::uint64_t depth = 0;
-    if (resumed) {
-      Checkpoint& cp = slots_[fork_[i]];
-      start_vector = cp.vector;
-      start_task = cp.task;
-      depth = cp.depth;
-      if (cp.users == 1) {  // its last user takes it as it is
-        std::swap(sim_, cp.sim);
-        std::swap(scheduler_, cp.scheduler);
-      } else {
-        sim_ = cp.sim;
-        scheduler_ = cp.scheduler;
-      }
-      release(i);
-      scheduler_.rebind_bounds(triples_[i]);
-      ++sweep_.forked;
-    } else {
-      if (!first) sim_.reset();
-      options_.bounds = triples_[i];
-      scheduler_ = MiccoScheduler(options_);
-    }
-    const std::uint64_t start = depth;
-
-    // The later triples this run may still vouch for: each leaves the
-    // watch at the decision where it leaves the box.
-    watch_.clear();
-    const BoundInterval box = scheduler_.bound_interval();
-    for (std::size_t j = i + 1; j < triples_.size(); ++j) {
-      if (covered_by_[j] == kNoRun && box.contains(triples_[j])) {
-        watch_.push_back(j);
-      }
-    }
-
-    std::vector<DataCharacteristics>* characteristics =
-        first ? &sweep_.first_run_characteristics : nullptr;
+  /// The run of watch_'s first triple from `from`, watching the others: the
+  /// fault-free part of run_stream that the sweep reads. Per non-empty
+  /// vector: characteristics (root run only), begin_vector, assign +
+  /// execute per pair in stream order, end_vector and barrier. No clock is
+  /// read and no RunResult built. The run stops at the first pair that does
+  /// not complete, where run_stream stops, and answers its triple and the
+  /// triples still watched with the GFLOPS reached so far.
+  void simulate(Cursor from, bool root) {
+    const std::size_t i = watch_.front();
+    watch_.erase(watch_.begin());
+    std::uint64_t depth = from.depth;
     const std::vector<VectorWorkload>& vectors = stream_.vectors;
     bool completed = true;
-    for (std::size_t v = start_vector; v < vectors.size(); ++v) {
+    for (std::size_t v = from.vector; v < vectors.size(); ++v) {
       const VectorWorkload& vec = vectors[v];
       if (vec.tasks.empty()) continue;
-      const bool begun = resumed && v == start_vector;
+      const bool begun = !root && v == from.vector;
       if (!begun) {
-        if (characteristics != nullptr) {
-          characteristics->push_back(extract_characteristics(vec, sim_));
+        if (root) {
+          sweep_.first_run_characteristics.push_back(
+              extract_characteristics(vec, sim_));
         }
         scheduler_.begin_vector(vec, sim_);
       }
-      for (std::size_t t = begun ? start_task : 0; t < vec.tasks.size(); ++t) {
+      for (std::size_t t = begun ? from.task : 0; t < vec.tasks.size(); ++t) {
         const ContractionTask& task = vec.tasks[t];
         const DeviceId dev = scheduler_.assign(task, sim_);
-        if (!watch_.empty()) note_departures(v, t, depth);
+        if (!watch_.empty()) note_departures(Cursor{v, t, depth});
         ++depth;
         if (!sim_.execute(task, dev).ok()) {
           completed = false;
@@ -190,48 +169,39 @@ class GridSweep {
       scheduler_.end_vector();
       sim_.barrier();
     }
-    sweep_.pairs_simulated += depth - start;
+    ++sweep_.simulated;
+    sweep_.pairs_simulated += depth - from.depth;
     sweep_.pairs += depth;
 
     // The triples still watched are inside the final box: this run answers
-    // them, and their checkpoints go.
-    for (const std::size_t j : watch_) {
-      covered_by_[j] = run_gflops_.size();
-      release(j);
-    }
-    run_gflops_.push_back(sim_.metrics().gflops());
-    return run_gflops_.back();
+    // them.
+    const double gflops = sim_.metrics().gflops();
+    sweep_.gflops[i] = gflops;
+    for (const std::size_t j : watch_) sweep_.gflops[j] = gflops;
+    sweep_.reused += watch_.size();
   }
 
-  /// After the assign of task `task` of vector `vector`, `depth` pairs into
-  /// the run: each watched triple the narrowed box lost resumes here from
-  /// now on, unless it already resumes deeper. One checkpoint serves all.
-  void note_departures(std::size_t vector, std::size_t task,
-                       std::uint64_t depth) {
+  /// After the assign at `at`: the watched triples the narrowed box lost
+  /// leave the watch together, as one branch that resumes there.
+  void note_departures(const Cursor& at) {
     const BoundInterval box = scheduler_.bound_interval();
-    std::size_t slot = kNoFork;
+    Branch* branch = nullptr;
     std::size_t kept = 0;
     for (const std::size_t j : watch_) {
       if (box.contains(triples_[j])) {
         watch_[kept++] = j;
         continue;
       }
-      const std::uint64_t fork_depth =
-          fork_[j] == kNoFork ? 0 : slots_[fork_[j]].depth;
-      if (depth <= fork_depth) continue;
-      if (slot == kNoFork) slot = checkpoint(vector, task, depth);
-      release(j);
-      fork_[j] = slot;
-      ++slots_[slot].users;
+      if (branch == nullptr) branch = &checkpoint(at);
+      branch->triples.push_back(j);
     }
     watch_.resize(kept);
   }
 
-  /// Copies the run into a pooled checkpoint: the simulator as it stands
-  /// (the pair is assigned, not yet executed) and the scheduler rewound to
-  /// before that assign.
-  std::size_t checkpoint(std::size_t vector, std::size_t task,
-                         std::uint64_t depth) {
+  /// A new pending branch at `at`, with no triples yet, in a pooled slot:
+  /// a copy of the run as it stands (the pair is assigned, not yet
+  /// executed) with the scheduler rewound to before that assign.
+  Branch& checkpoint(const Cursor& at) {
     std::size_t slot;
     if (free_.empty()) {
       slot = slots_.size();
@@ -240,42 +210,28 @@ class GridSweep {
       slot = free_.back();
       free_.pop_back();
     }
-    Checkpoint& cp = slots_[slot];
-    cp.sim = sim_;
-    cp.scheduler = scheduler_;
-    cp.scheduler.rewind_last_assign();
-    cp.vector = vector;
-    cp.task = task;
-    cp.depth = depth;
-    cp.users = 0;
-    return slot;
-  }
-
-  /// Drops triple `j`'s checkpoint; the pool takes back one with no user.
-  void release(std::size_t j) {
-    const std::size_t slot = std::exchange(fork_[j], kNoFork);
-    if (slot != kNoFork && --slots_[slot].users == 0) free_.push_back(slot);
+    pending_.push_back(slot);
+    Branch& branch = slots_[slot];
+    branch.triples.clear();
+    branch.sim = sim_;
+    branch.scheduler = scheduler_;
+    branch.scheduler.rewind_last_assign();
+    branch.at = at;
+    return branch;
   }
 
   const WorkloadStream& stream_;
   std::span<const ReuseBounds> triples_;
   ClusterConfig cluster_;
-  MiccoSchedulerOptions options_;
-  /// The run in progress. One simulator serves every run: reset() hands a
-  /// run that starts over the state a fresh one starts from, with its
-  /// memory tables already grown.
+  /// The run in progress and the triples it watches, in list order.
   ClusterSimulator sim_;
   MiccoScheduler scheduler_;
-  /// GFLOPS of each finished run, in run order.
-  std::vector<double> run_gflops_;
-  /// Per triple: the checkpoint it resumes from, and the first finished
-  /// run whose box holds it.
-  std::vector<std::size_t> fork_;
-  std::vector<std::size_t> covered_by_;
-  /// Checkpoints, in use or free for reuse; a deque keeps them in place.
-  std::deque<Checkpoint> slots_;
-  std::vector<std::size_t> free_;
   std::vector<std::size_t> watch_;
+  /// Branches, pending or free for reuse; a deque keeps them in place.
+  /// The pending ones form a stack, so the walk is depth-first.
+  std::deque<Branch> slots_;
+  std::vector<std::size_t> pending_;
+  std::vector<std::size_t> free_;
   BoundSweep sweep_;
 };
 

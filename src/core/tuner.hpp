@@ -5,9 +5,9 @@
 // bound grid for each, measure GFLOPS on the simulated cluster and label
 // the sample with the best-performing triple. Every individual measurement
 // is kept as a TuningRecord so the Spearman analysis of Fig. 5 can run on
-// the same corpus. A grid point whose schedule an earlier run of the same
+// the same corpus. A grid point whose schedule another run of the same
 // stream provably repeats takes that run's GFLOPS instead of a simulation,
-// and one that repeats an earlier run up to some decision resumes from that
+// and one that repeats another run up to some decision resumes from that
 // run's checkpoint there (sweep_bound_grid); the corpus is bit-identical
 // either way.
 #pragma once
@@ -66,7 +66,7 @@ struct TuningData {
   std::vector<TrainingSample> samples;
   std::vector<TuningRecord> records;
   /// Grid runs (sample x stream x triple) the sweep simulated, and those it
-  /// took from an earlier run's bound interval instead (sweep_bound_grid).
+  /// took from another run's bound interval instead (sweep_bound_grid).
   std::uint64_t grid_runs_simulated = 0;
   std::uint64_t grid_runs_reused = 0;
   /// Of the simulated runs: those resumed from another run's checkpoint, the
@@ -93,7 +93,7 @@ double measure_gflops(const WorkloadStream& stream, ReuseBounds bounds,
 struct BoundSweep {
   std::vector<double> gflops;  ///< parallel to the triples
   std::size_t simulated = 0;   ///< triples that took a simulation
-  std::size_t reused = 0;      ///< triples answered by an earlier run
+  std::size_t reused = 0;      ///< triples answered by another run
   std::size_t forked = 0;      ///< simulated runs resumed from a checkpoint
   /// Pairs the simulated runs assigned and executed themselves, and the
   /// pairs those runs hold from vector 0 (the first pair that does not
@@ -104,13 +104,12 @@ struct BoundSweep {
   std::vector<DataCharacteristics> first_run_characteristics;
 };
 
-/// measure_gflops at every triple, in order, bit for bit — but a triple
-/// inside the recorded bound interval of an earlier run on this stream
-/// takes that run's GFLOPS instead of simulating, and a triple that left an
-/// earlier run's box resumes from that run's checkpoint at the decision
-/// where it left instead of starting over (DESIGN.md §5d). The simulated
-/// runs share one simulator and skip what run_stream does beyond the
-/// GFLOPS (clock reads, the RunResult). Requires
+/// measure_gflops at every triple, bit for bit — but only the first triple
+/// runs from vector 0: a triple inside the recorded bound interval of a run
+/// on this stream takes that run's GFLOPS instead of simulating, and a
+/// triple that left a run's box resumes from that run's checkpoint at the
+/// decision where it left (DESIGN.md §5d). The simulated runs skip what
+/// run_stream does beyond the GFLOPS (clock reads, the RunResult). Requires
 /// `cluster.validate()` to pass and a stream that produces each output once
 /// (validate_stream_structure), as every generated stream does.
 BoundSweep sweep_bound_grid(const WorkloadStream& stream,

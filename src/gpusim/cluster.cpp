@@ -37,20 +37,8 @@ ClusterSimulator::ClusterSimulator(ClusterConfig config)
   devices_.reserve(static_cast<std::size_t>(config_.num_devices));
   for (int i = 0; i < config_.num_devices; ++i) {
     devices_.emplace_back(config_.device_capacity_bytes);
+    sync_device_mirror(i);
   }
-  reset();
-}
-
-void ClusterSimulator::reset() {
-  for (DeviceState& d : devices_) d.reset(config_.device_capacity_bytes);
-  index_.clear();
-  for (int dev = 0; dev < num_devices(); ++dev) sync_device_mirror(dev);
-  metrics_ = ExecutionMetrics{};
-  injector_ = nullptr;
-  evict_policy_ = &default_eviction_policy();
-  set_telemetry(nullptr);
-  barrier_failures_ = BarrierFailures{};
-  pending_ops_.clear();
 }
 
 ClusterSimulator::DeviceState& ClusterSimulator::device(DeviceId dev) {
@@ -62,17 +50,6 @@ const ClusterSimulator::DeviceState& ClusterSimulator::device(
     DeviceId dev) const {
   MICCO_EXPECTS(dev >= 0 && dev < num_devices());
   return devices_[static_cast<std::size_t>(dev)];
-}
-
-void ClusterSimulator::DeviceState::reset(std::uint64_t capacity) {
-  memory.reset(capacity);
-  compute_free_s = 0.0;
-  copy_free_s = 0.0;
-  work_s = 0.0;
-  alive = true;
-  capacity_faulted = false;
-  evicted_bits.clear();
-  evicted_large.clear();
 }
 
 void ClusterSimulator::DeviceState::note_evicted(TensorId id) {

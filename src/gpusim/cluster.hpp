@@ -194,14 +194,6 @@ class ClusterSimulator final : public ClusterView {
  public:
   explicit ClusterSimulator(ClusterConfig config);
 
-  /// Returns the simulator to the state its constructor leaves: every device
-  /// alive at the configured capacity with no residents, zero timelines and
-  /// metrics, an empty ClusterIndex, the shared LruPolicy, no telemetry, no
-  /// fault injector and no pending barrier failures. The device memory
-  /// tables and the index keep their allocations, so runs on one reset
-  /// simulator do not grow them again (DESIGN.md §5d).
-  void reset();
-
   // -- ClusterView -----------------------------------------------------
   int num_devices() const override;
   std::span<const DeviceId> devices_holding(TensorId id) const override;
@@ -304,8 +296,6 @@ class ClusterSimulator final : public ClusterView {
  private:
   struct DeviceState {
     explicit DeviceState(std::uint64_t capacity) : memory(capacity) {}
-    /// The constructed state at `capacity`, keeping allocations.
-    void reset(std::uint64_t capacity);
     void note_evicted(TensorId id);
     bool evicted_before(TensorId id) const;
 

@@ -11,21 +11,10 @@ ClusterIndex::ClusterIndex(int num_devices) : num_devices_(num_devices) {
   mem_used_.resize(n);
   mem_capacity_.resize(n);
   alive_mask_.resize((n + 63) / 64);
-  clear();
-}
-
-void ClusterIndex::clear() {
-  dense_.clear();
-  sparse_.clear();
-  std::fill(busy_.begin(), busy_.end(), 0.0);
-  std::fill(mem_used_.begin(), mem_used_.end(), 0);
-  std::fill(mem_capacity_.begin(), mem_capacity_.end(), 0);
-  std::fill(alive_mask_.begin(), alive_mask_.end(), 0);
-  const auto n = static_cast<std::size_t>(num_devices_);
   for (std::size_t dev = 0; dev < n; ++dev) {
     alive_mask_[dev / 64] |= 1ULL << (dev % 64);
   }
-  num_alive_ = num_devices_;
+  num_alive_ = num_devices;
 }
 
 ClusterIndex::Residency& ClusterIndex::entry(TensorId id) {

@@ -103,11 +103,6 @@ class ClusterIndex {
 
   explicit ClusterIndex(int num_devices);
 
-  /// Returns the index to the state its constructor leaves: no residency
-  /// records, every device alive, idle and with no memory. The record
-  /// table keeps its allocation.
-  void clear();
-
   int num_devices() const { return num_devices_; }
 
   // -- Residency deltas --------------------------------------------------

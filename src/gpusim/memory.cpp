@@ -17,17 +17,6 @@ DeviceMemory::DeviceMemory(std::uint64_t capacity_bytes)
   MICCO_EXPECTS(capacity_bytes > 0);
 }
 
-void DeviceMemory::reset(std::uint64_t capacity_bytes) {
-  set_capacity(capacity_bytes);
-  used_ = 0;
-  count_ = 0;
-  slots_.clear();
-  free_head_ = kNoSlot;
-  head_ = kNoSlot;
-  tail_ = kNoSlot;
-  std::fill(buckets_.begin(), buckets_.end(), Bucket{});
-}
-
 DeviceMemory& DeviceMemory::operator=(const DeviceMemory& other) {
   if (this == &other) return *this;
   capacity_ = other.capacity_;

@@ -105,8 +105,9 @@ class DeviceMemory {
   DeviceMemory& operator=(DeviceMemory&&) noexcept = default;
   /// Copies `other`'s residents, recency order, pins and usage. A larger id
   /// table is kept and refilled rather than shrunk to `other`'s, so a
-  /// memory copied back to an earlier state (the tuner sweep's checkpoints)
-  /// does not grow it again; as after reset(), nothing observes its size.
+  /// pooled memory copied to an earlier state (the tuner sweep's
+  /// checkpoints) does not grow it again. Nothing observes the table's size:
+  /// recency order is the intrusive list and resident_ids() sorts.
   DeviceMemory& operator=(const DeviceMemory& other);
 
   std::uint64_t capacity() const { return capacity_; }
@@ -127,12 +128,6 @@ class DeviceMemory {
     MICCO_EXPECTS(capacity_bytes > 0);
     capacity_ = capacity_bytes;
   }
-
-  /// Empties the memory at `capacity_bytes`, as DeviceMemory(capacity_bytes)
-  /// would, but keeps the slot slab and the id table allocated. The table
-  /// keeps its grown size, which nothing observes: recency order is the
-  /// intrusive list and resident_ids() sorts.
-  void reset(std::uint64_t capacity_bytes);
 
   bool resident(TensorId id) const { return slot_of(id) != kNoSlot; }
   std::size_t resident_count() const { return count_; }

@@ -287,7 +287,7 @@ TEST(Tuner, SweepBoundGridMatchesMeasureGflops) {
     ASSERT_EQ(sweep.gflops.size(), triples.size());
     EXPECT_EQ(sweep.simulated + sweep.reused, triples.size());
     EXPECT_GE(sweep.simulated, 1u);
-    EXPECT_LE(sweep.forked, sweep.simulated - 1);
+    EXPECT_EQ(sweep.forked, sweep.simulated - 1);  // all but the root resume
     EXPECT_LE(sweep.pairs_simulated, sweep.pairs);
     forked += sweep.forked;
     for (std::size_t t = 0; t < triples.size(); ++t) {
@@ -309,6 +309,64 @@ TEST(Tuner, SweepBoundGridMatchesMeasureGflops) {
   EXPECT_EQ(late.pairs, late.simulated * run_pairs);
   EXPECT_GT(late.pairs_simulated - (late.simulated - late.forked) * run_pairs,
             late.forked);
+}
+
+TEST(Tuner, SweepIsIndependentOfTripleOrder) {
+  // The final boxes the walk simulates, and the pairs it simulates to reach
+  // them, follow from the boxes, not from the list's order: a list and its
+  // reverse give the same GFLOPS per triple, bit for bit, and the same
+  // counts. Two cases stop part way, in the first vector and in the last.
+  ClusterConfig roomy;
+  roomy.num_devices = 4;
+  ClusterConfig small = roomy;
+  small.device_capacity_bytes = 1ULL << 20;
+  const auto& fig8 = fig8_bound_sweep();
+  const std::vector<std::vector<ReuseBounds>> lists = {
+      bound_grid(2), bound_grid(4),
+      std::vector<ReuseBounds>(fig8.begin(), fig8.end())};
+  struct Case {
+    WorkloadStream stream;
+    ClusterConfig cluster;
+  };
+  std::vector<Case> cases;
+  for (const DataDistribution distribution :
+       {DataDistribution::kUniform, DataDistribution::kGaussian}) {
+    for (const std::uint64_t seed : {12ULL, 47ULL}) {
+      SyntheticConfig synth;
+      synth.num_vectors = 6;
+      synth.vector_size = 16;
+      synth.tensor_extent = 64;
+      synth.batch = 1;
+      synth.repeated_rate = 0.75;
+      synth.distribution = distribution;
+      synth.seed = seed;
+      cases.push_back(Case{generate_synthetic(synth), roomy});
+    }
+  }
+  const WorkloadStream gaussian = cases.back().stream;
+  cases.push_back(Case{with_undersized_pair(gaussian, 0), small});
+  cases.push_back(
+      Case{with_undersized_pair(gaussian, gaussian.vectors.size() - 1), small});
+
+  for (const Case& c : cases) {
+    for (const std::vector<ReuseBounds>& list : lists) {
+      const std::vector<ReuseBounds> reversed(list.rbegin(), list.rend());
+      const BoundSweep forward = sweep_bound_grid(c.stream, list, c.cluster);
+      const BoundSweep backward =
+          sweep_bound_grid(c.stream, reversed, c.cluster);
+      EXPECT_EQ(forward.simulated, backward.simulated);
+      EXPECT_EQ(forward.forked, backward.forked);
+      EXPECT_EQ(forward.pairs_simulated, backward.pairs_simulated);
+      EXPECT_EQ(forward.pairs, backward.pairs);
+      ASSERT_EQ(backward.gflops.size(), list.size());
+      for (std::size_t t = 0; t < list.size(); ++t) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(forward.gflops[t]),
+                  std::bit_cast<std::uint64_t>(
+                      backward.gflops[list.size() - 1 - t]))
+            << list[t].to_string() << " of " << list.size() << " triples";
+      }
+    }
+  }
 }
 
 TEST(Tuner, ForkedSweepCountsItsPairs) {
