@@ -22,6 +22,11 @@ int main(int argc, char** argv) {
   tuner.samples = static_cast<int>(args.get_int("samples", 120));
   tuner.num_devices = gpus;
   tuner.batch = 32;
+  // The model is scored on a held-out fifth (train_bounds_model).
+  if (tuner.samples < 5) {
+    std::fprintf(stderr, "autotune_bounds: --samples must be >= 5\n");
+    return 2;
+  }
   std::printf("offline sweep: %d samples x 27 bound triples...\n",
               tuner.samples);
   const TuningData data = generate_tuning_data(tuner);

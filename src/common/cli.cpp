@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 namespace micco {
@@ -96,7 +97,8 @@ double CliArgs::get_double(const std::string& name, double fallback) const {
   char* end = nullptr;
   errno = 0;
   const double parsed = std::strtod(text->c_str(), &end);
-  if (text->empty() || *end != '\0' || errno == ERANGE) {
+  if (text->empty() || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(parsed)) {
     malformed(name, *text);
     return fallback;
   }

@@ -31,7 +31,8 @@ class CliArgs {
   /// has no value: these getters return `fallback` for it and record
   /// "--name needs a value" as the error(). The typed getters also return
   /// `fallback` for a value they cannot parse in full ("4x", "", an
-  /// out-of-range number) and record it as the error().
+  /// out-of-range number, a non-finite double such as "nan" or "inf") and
+  /// record it as the error().
   std::string get(const std::string& name, const std::string& fallback) const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;

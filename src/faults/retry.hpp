@@ -43,6 +43,10 @@ struct RetryPolicy {
   /// Empty string when the policy is well formed, else a complaint.
   std::string validate() const {
     if (max_attempts < 1) return "retry: max_attempts must be >= 1";
+    // NaN fails every comparison, so finiteness is checked first.
+    if (!std::isfinite(base_backoff_s) || !std::isfinite(max_backoff_s)) {
+      return "retry: backoffs must be finite";
+    }
     if (base_backoff_s < 0.0) return "retry: base_backoff_s must be >= 0";
     if (max_backoff_s < base_backoff_s) {
       return "retry: max_backoff_s must be >= base_backoff_s";

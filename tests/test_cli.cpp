@@ -124,7 +124,10 @@ TEST(CliArgs, MalformedNumbersAreErrorsAndFallBack) {
   // The first malformed value read stays the reported one.
   EXPECT_EQ(*args.error(), "malformed value for --gpus: '4x'");
 
-  for (const char* flag : {"--oversub=2x", "--oversub=", "--oversub=1e999"}) {
+  // strtod reads "nan" and "inf" in full, but no flag means either.
+  for (const char* flag : {"--oversub=2x", "--oversub=", "--oversub=1e999",
+                           "--oversub=nan", "--oversub=inf", "--oversub=-inf",
+                           "--oversub=NaN", "--oversub=infinity"}) {
     const CliArgs one = parse({flag});
     (void)one.get_double("oversub", 0.0);
     ASSERT_TRUE(one.error().has_value()) << flag;

@@ -72,6 +72,18 @@ TEST(RetryPolicy, ValidateRejectsBadFields) {
   p.base_backoff_s = 0.5;
   p.max_backoff_s = 0.1;
   EXPECT_FALSE(p.validate().empty());
+
+  // Every comparison with NaN is false, so range checks alone let it pass.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    p = RetryPolicy{};
+    p.base_backoff_s = bad;
+    EXPECT_FALSE(p.validate().empty()) << bad;
+    p = RetryPolicy{};
+    p.max_backoff_s = bad;
+    EXPECT_FALSE(p.validate().empty()) << bad;
+  }
 }
 
 // ------------------------------------------------------------------ FaultPlan

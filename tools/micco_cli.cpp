@@ -468,6 +468,11 @@ int cmd_train(const CliArgs& args) {
   const auto threads = static_cast<int>(args.get_int("threads", 0));
   if (rejects_values(args, "train")) return 2;
   if (rejected("train", tuner.validate())) return 2;
+  // The model is scored on a held-out fifth (train_bounds_model).
+  if (tuner.samples < 5) {
+    std::fprintf(stderr, "train: --samples must be >= 5\n");
+    return 2;
+  }
   if (cannot_write("train", out)) return 1;
   // Sweep and forest fitting both fan out over the worker pool; labels and
   // the written model are byte-identical at every thread count.
