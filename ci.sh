@@ -265,10 +265,15 @@ expect_exit() {
   fi
 }
 expect_exit_2() { expect_exit 2 "$@"; }
-for flag in --samples=0 --samples=-4 --batch=0 --gpus=0; do
+# Fewer than 5 samples leave the model's held-out fifth empty.
+for flag in --samples=0 --samples=-4 --samples=4 --batch=0 --gpus=0; do
   expect_exit_2 "${BUILD_DIR}/tools/micco" train \
     --out="${SMOKE_DIR}/bad.mm" "${flag}"
 done
+if [ -e "${SMOKE_DIR}/bad.mm" ]; then
+  echo "config smoke test FAILED: a rejected train wrote its model" >&2
+  exit 1
+fi
 expect_exit_2 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" --gpus=0
 expect_exit_2 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" --gpus=0 \
   --report="${SMOKE_DIR}/bad.json"
@@ -292,6 +297,21 @@ expect_exit_2 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" --gpus=4x \
   --p2p=ture --oversub=2x
 expect_exit_2 "${BUILD_DIR}/tools/micco" train --out="${SMOKE_DIR}/bad.mm" \
   --samples=12x
+# strtod reads "nan" in full, but no number flag means it: a NaN backoff
+# would reach the report, which cannot hold it, and a NaN oversubscription
+# or SLO would silently turn its feature off.
+printf 'transfer-faults 0.5 99\n' > "${SMOKE_DIR}/nan_plan.txt"
+expect_exit_2 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" --gpus=4 \
+  --fault-plan="${SMOKE_DIR}/nan_plan.txt" --retry-backoff=nan \
+  --report="${SMOKE_DIR}/nan.json"
+expect_exit_2 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" \
+  --oversub=nan --report="${SMOKE_DIR}/nan.json"
+expect_exit_2 "${BUILD_DIR}/tools/micco" serve \
+  --socket="${SMOKE_DIR}/bad.sock" --slo-ms=nan
+if [ -e "${SMOKE_DIR}/nan.json" ]; then
+  echo "config smoke test FAILED: a rejected run wrote its report" >&2
+  exit 1
+fi
 for flag in --mem-arbiter=on --mem-arbiter=maybe --gpus=4x; do
   expect_exit_2 "${BUILD_DIR}/tools/micco" serve \
     --socket="${SMOKE_DIR}/bad.sock" "${flag}"
@@ -519,7 +539,7 @@ done
 cmp "${SMOKE_DIR}/tuner_t1.mm" "${SMOKE_DIR}/tuner_t4.mm"
 grep -q 'simulated 6216 of 16200 grid runs' "${SMOKE_DIR}/tuner_t1.txt"
 TUNER_PAIRS_LINE='simulated 860739 of the 1252480 pairs in those runs; 5616'
-TUNER_PAIRS_LINE+=' runs resumed from a fork'
+TUNER_PAIRS_LINE="${TUNER_PAIRS_LINE} runs resumed from a fork"
 for threads in 1 4; do
   if [ "$(grep 'pairs in those runs' "${SMOKE_DIR}/tuner_t${threads}.txt")" \
       != "${TUNER_PAIRS_LINE}" ]; then
@@ -534,9 +554,29 @@ if [ "${got_sha256}" != "${TUNER_MODEL_SHA256}" ]; then
     "want ${TUNER_MODEL_SHA256}" >&2
   exit 1
 fi
+# A second corpus: --seed=9 draws other streams, so its counts and model
+# are pinned too.
+TUNER_SEED9_SHA256=90280d4584c0c080c9454457fb1df46eae0551947f2f0271bdb4f9173622fc30
+"${REL_BUILD_DIR}/tools/micco" train --threads=4 --seed=9 \
+  --out="${SMOKE_DIR}/tuner_s9.mm" > "${SMOKE_DIR}/tuner_s9.txt"
+grep -q 'simulated 7513 of 16200 grid runs' "${SMOKE_DIR}/tuner_s9.txt"
+SEED9_PAIRS_LINE='simulated 1184336 of the 1661480 pairs in those runs; 6913'
+SEED9_PAIRS_LINE="${SEED9_PAIRS_LINE} runs resumed from a fork"
+if [ "$(grep 'pairs in those runs' "${SMOKE_DIR}/tuner_s9.txt")" \
+    != "${SEED9_PAIRS_LINE}" ]; then
+  echo "tuner corpus check FAILED: --seed=9 pairs line is not" \
+    "'${SEED9_PAIRS_LINE}'" >&2
+  exit 1
+fi
+got_sha256="$(sha256sum < "${SMOKE_DIR}/tuner_s9.mm" | cut -d' ' -f1)"
+if [ "${got_sha256}" != "${TUNER_SEED9_SHA256}" ]; then
+  echo "tuner corpus check FAILED: --seed=9 model SHA-256 ${got_sha256}," \
+    "want ${TUNER_SEED9_SHA256}" >&2
+  exit 1
+fi
 echo "tuner corpus check OK: 1- and 4-thread models identical, 6216 of" \
   "16200 grid runs and 860739 of 1252480 pairs simulated, model SHA-256" \
-  "pinned"
+  "pinned; --seed=9: 7513 runs, 1184336 of 1661480 pairs, SHA-256 pinned"
 
 echo "== bench_sched_micro gate (Release) =="
 # Exits non-zero if tuner labels diverge across 1/2/4/8 threads, if the
