@@ -127,43 +127,76 @@ bool JsonValue::operator==(const JsonValue& other) const {
   return false;
 }
 
-std::string json_number(double value) {
+namespace {
+
+/// The writer's number forms, appended to `out`: json_number's text with
+/// no temporary string.
+void append_number(std::string& out, double value) {
   MICCO_EXPECTS_MSG(std::isfinite(value),
                     "JSON cannot represent NaN/Inf numbers");
+  char buf[32];
   // Integral doubles print without an exponent or trailing ".0"; everything
   // else uses the shortest form that round-trips exactly.
   if (value == std::floor(value) && std::fabs(value) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", value);
-    return buf;
+    const int n = std::snprintf(buf, sizeof(buf), "%.0f", value);
+    out.append(buf, static_cast<std::size_t>(n));
+    return;
   }
-  char buf[32];
   const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
   MICCO_ASSERT(ec == std::errc{});
-  return std::string(buf, ptr);
+  out.append(buf, ptr);
 }
 
-std::string json_escape(const std::string& raw) {
+template <typename Int>
+void append_integer(std::string& out, Int value) {
+  char buf[24];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+  MICCO_ASSERT(ec == std::errc{});
+  out.append(buf, ptr);
+}
+
+/// True for the bytes a JSON string body cannot hold raw.
+bool needs_escape(unsigned char c) {
+  return c < 0x20 || c == '"' || c == '\\';
+}
+
+}  // namespace
+
+std::string json_number(double value) {
   std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
+  append_number(out, value);
+  return out;
+}
+
+void append_json_escaped(std::string& out, std::string_view raw) {
+  // Bytes that need no escape go out in runs, one append per run.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    const auto c = static_cast<unsigned char>(raw[i]);
+    if (!needs_escape(c)) continue;
+    out.append(raw.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        const char escape[6] = {'\\', 'u', '0', '0',
+                                "0123456789abcdef"[c >> 4],
+                                "0123456789abcdef"[c & 0xf]};
+        out.append(escape, sizeof(escape));
+      }
     }
   }
+  out.append(raw.data() + run, raw.size() - run);
+}
+
+std::string json_escape(std::string_view raw) {
+  std::string out;
+  out.reserve(raw.size());
+  append_json_escaped(out, raw);
   return out;
 }
 
@@ -177,12 +210,12 @@ void JsonValue::write(std::string& out, int indent, int depth) const {
   switch (kind_) {
     case Kind::kNull: out += "null"; break;
     case Kind::kBool: out += bool_ ? "true" : "false"; break;
-    case Kind::kInt: out += std::to_string(int_); break;
-    case Kind::kUint: out += std::to_string(uint_); break;
-    case Kind::kDouble: out += json_number(double_); break;
+    case Kind::kInt: append_integer(out, int_); break;
+    case Kind::kUint: append_integer(out, uint_); break;
+    case Kind::kDouble: append_number(out, double_); break;
     case Kind::kString:
       out += '"';
-      out += json_escape(string_);
+      append_json_escaped(out, string_);
       out += '"';
       break;
     case Kind::kArray: {
@@ -202,7 +235,7 @@ void JsonValue::write(std::string& out, int indent, int depth) const {
         if (i > 0) out += ',';
         newline_pad(depth + 1);
         out += '"';
-        out += json_escape(object_[i].first);
+        append_json_escaped(out, object_[i].first);
         out += "\":";
         if (pretty) out += ' ';
         object_[i].second.write(out, indent, depth + 1);
@@ -336,12 +369,15 @@ class Parser {
     }
     std::string out;
     while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
+      // Copy the run up to the next quote or backslash in one append.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' &&
+             text_[pos_] != '\\') {
+        ++pos_;
       }
+      out.append(text_, run, pos_ - run);
+      if (pos_ >= text_.size()) break;
+      if (text_[pos_++] == '"') return out;
       if (pos_ >= text_.size()) break;
       const char esc = text_[pos_++];
       switch (esc) {

@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -96,7 +97,11 @@ class JsonValue {
 std::string json_number(double value);
 
 /// Escapes a string body (no surrounding quotes); exposed for tests.
-std::string json_escape(const std::string& raw);
+std::string json_escape(std::string_view raw);
+
+/// Appends json_escape(raw) to `out`: how the writer, and code that writes
+/// JSON text by hand, escape straight into their output.
+void append_json_escaped(std::string& out, std::string_view raw);
 
 /// Parses one JSON document. Returns nullopt and fills `error` (when given)
 /// on malformed input or trailing garbage.

@@ -132,30 +132,51 @@ std::optional<RecordKind> parse_record_kind(const std::string& text) {
   return std::nullopt;
 }
 
-obs::JsonValue record_to_json(const JournalRecord& record) {
-  obs::JsonValue doc = obs::JsonValue::object();
-  doc.set("kind", to_string(record.kind));
-  doc.set("job", record.job_id);
+/// Appends `,"key":"<value>"`; every key here is a literal that needs no
+/// escape.
+void append_string_member(std::string& out, std::string_view key,
+                          std::string_view value) {
+  out += ",\"";
+  out += key;
+  out += "\":\"";
+  obs::append_json_escaped(out, value);
+  out += '"';
+}
+
+/// Appends the record object. The bytes are those JsonValue::dump writes
+/// for the same members in the same order, which is what older journals
+/// hold; a record's text is escaped once, straight into the line.
+void append_record(std::string& out, const JournalRecord& record) {
+  out += "{\"kind\":\"";
+  out += to_string(record.kind);
+  out += "\",\"job\":";
+  out += std::to_string(record.job_id);
   switch (record.kind) {
     case RecordKind::kAdmitted:
-      doc.set("tenant", record.tenant);
-      if (!record.name.empty()) doc.set("name", record.name);
-      if (!record.trace_id.empty()) doc.set("trace", record.trace_id);
-      if (!record.idem.empty()) doc.set("idem", record.idem);
-      doc.set("workload", record.workload_text);
+      append_string_member(out, "tenant", record.tenant);
+      if (!record.name.empty()) append_string_member(out, "name", record.name);
+      if (!record.trace_id.empty()) {
+        append_string_member(out, "trace", record.trace_id);
+      }
+      if (!record.idem.empty()) append_string_member(out, "idem", record.idem);
+      append_string_member(out, "workload", record.workload_text);
       break;
     case RecordKind::kDispatched:
       break;
     case RecordKind::kFinished:
-      doc.set("state", record.state);
-      if (!record.error.empty()) doc.set("error", record.error);
+      append_string_member(out, "state", record.state);
+      if (!record.error.empty()) {
+        append_string_member(out, "error", record.error);
+      }
       if (record.has_result) {
-        doc.set("digest", fnv1a64_hex(record.result.dump()));
-        doc.set("result", record.result);
+        const std::string result = record.result.dump();
+        append_string_member(out, "digest", fnv1a64_hex(result));
+        out += ",\"result\":";
+        out += result;
       }
       break;
   }
-  return doc;
+  out += '}';
 }
 
 std::optional<JournalRecord> record_from_json(const obs::JsonValue& doc) {
@@ -240,13 +261,19 @@ std::optional<JournalRecord> record_from_json(const obs::JsonValue& doc) {
 }  // namespace
 
 std::string encode_journal_line(const JournalRecord& record) {
-  const std::string rec = record_to_json(record).dump();
+  // The record goes straight into the line behind a placeholder checksum,
+  // filled in once the record's bytes are known. Escaping adds a byte per
+  // newline of a workload text, which the reserve leaves room for.
   std::string line;
-  line.reserve(kRecBegin + rec.size() + 2);
+  line.reserve(kMinLineBytes + 128 + record.workload_text.size() +
+               record.workload_text.size() / 8);
   line += kEnvelopePrefix;
-  line += fnv1a64_hex(rec);
+  line.append(kCrcLen, '0');
   line += kEnvelopeSeparator;
-  line += rec;
+  append_record(line, record);
+  const std::string crc =
+      fnv1a64_hex(std::string_view(line).substr(kRecBegin));
+  line.replace(kCrcBegin, kCrcLen, crc);
   line += '}';
   line += '\n';
   return line;

@@ -177,27 +177,32 @@ std::string encode_frame(const obs::JsonValue& doc) {
 }
 
 void FrameReader::feed(std::string_view bytes) {
-  for (const char c : bytes) {
+  // One run per line: the bytes up to each newline move at once.
+  while (!bytes.empty()) {
+    const std::size_t newline = bytes.find('\n');
+    const bool ends_line = newline != std::string_view::npos;
+    const std::string_view run = bytes.substr(0, newline);
+    bytes.remove_prefix(ends_line ? newline + 1 : bytes.size());
     if (discarding_) {
       // Swallow the rest of the oversized frame; its newline re-syncs the
       // stream ('\n' never appears inside a payload — the JSON writer
       // escapes every control character).
-      if (c == '\n') discarding_ = false;
+      if (ends_line) discarding_ = false;
       continue;
     }
-    if (c == '\n') {
-      ready_bytes_ += partial_.size();
-      ready_.push_back(std::move(partial_));
-      partial_.clear();
-      continue;
-    }
-    partial_ += c;
-    if (partial_.size() > max_frame_bytes_) {
+    if (partial_.size() + run.size() > max_frame_bytes_) {
       // The in-flight line outgrew the limit: drop what arrived of it and
       // keep dropping until its terminating newline.
       partial_.clear();
-      discarding_ = true;
+      discarding_ = !ends_line;
       pending_oversized_ = true;
+      continue;
+    }
+    partial_ += run;
+    if (ends_line) {
+      ready_bytes_ += partial_.size();
+      ready_.push_back(std::move(partial_));
+      partial_.clear();
     }
   }
 }

@@ -11,7 +11,6 @@
 #include <cerrno>
 #include <cstring>
 #include <numeric>
-#include <sstream>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -49,8 +48,7 @@ constexpr int kPollTimeoutMs = 20;
 /// `error`, for text admission must reject and replay must fail.
 std::optional<WorkloadStream> read_workload(const std::string& text,
                                             std::string* error) {
-  std::istringstream in(text);
-  std::optional<WorkloadStream> stream = load_stream(in, error);
+  std::optional<WorkloadStream> stream = load_stream_text(text, error);
   if (!stream.has_value()) return std::nullopt;
   *error = validate_stream_structure(*stream);
   if (!error->empty()) return std::nullopt;

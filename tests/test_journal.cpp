@@ -10,12 +10,15 @@
 #include <cstdint>
 #include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
+#include "redstar/correlator.hpp"
 #include "service/journal.hpp"
+#include "workload/serialize.hpp"
 
 namespace micco::service {
 namespace {
@@ -103,6 +106,79 @@ TEST(Journal, EncodeParseRoundTripsEveryKind) {
   ASSERT_TRUE(f->has_result);
   EXPECT_EQ(f->result.at("makespan_s").as_double(), 1.25);
   EXPECT_TRUE(f->result.at("completed").as_bool());
+}
+
+/// The line the journal wrote when it built each record as a JsonValue
+/// document and dumped it: what older journals hold.
+std::string line_via_json_writer(const JournalRecord& record) {
+  obs::JsonValue doc = obs::JsonValue::object();
+  doc.set("kind", to_string(record.kind));
+  doc.set("job", record.job_id);
+  if (record.kind == RecordKind::kAdmitted) {
+    doc.set("tenant", record.tenant);
+    if (!record.name.empty()) doc.set("name", record.name);
+    if (!record.trace_id.empty()) doc.set("trace", record.trace_id);
+    if (!record.idem.empty()) doc.set("idem", record.idem);
+    doc.set("workload", record.workload_text);
+  } else if (record.kind == RecordKind::kFinished) {
+    doc.set("state", record.state);
+    if (!record.error.empty()) doc.set("error", record.error);
+    if (record.has_result) {
+      doc.set("digest", fnv1a64_hex(record.result.dump()));
+      doc.set("result", record.result);
+    }
+  }
+  const std::string rec = doc.dump();
+  return "{\"v\":1,\"crc\":\"" + fnv1a64_hex(rec) + "\",\"rec\":" + rec +
+         "}\n";
+}
+
+TEST(Journal, RecordsMatchTheJsonWriterByteForByte) {
+  std::vector<JournalRecord> records = {admitted_record(3),
+                                        dispatched_record(3),
+                                        finished_record(3)};
+  JournalRecord bare = admitted_record(4);
+  bare.name.clear();
+  bare.trace_id.clear();
+  bare.idem.clear();
+  records.push_back(bare);
+  JournalRecord hostile = admitted_record(5);
+  hostile.tenant = "te\"n\\ant\n";
+  hostile.name = std::string("\x01\x1f\x7f\xc3\xa9", 5);
+  hostile.workload_text = "line\r\n\ttab \"quoted\"\n";
+  records.push_back(hostile);
+  JournalRecord failed = finished_record(6);
+  failed.state = "FAILED";
+  failed.error = "workload rejected after recovery: \"x\"\n";
+  failed.result.set("wide", std::uint64_t{1} << 63);
+  failed.result.set("name", "a\tb");
+  records.push_back(failed);
+  failed.has_result = false;
+  records.push_back(failed);
+  for (const JournalRecord& record : records) {
+    EXPECT_EQ(encode_journal_line(record), line_via_json_writer(record))
+        << to_string(record.kind) << " " << record.job_id;
+  }
+}
+
+TEST(Journal, A1RhopiAdmittedLineIsPinned) {
+  // Length and FNV-1a of the admitted line of perfbench's a1_rhopi job,
+  // as the JsonValue-built encoder wrote it.
+  std::ostringstream text;
+  save_stream(redstar::build_workload(redstar::make_a1_rhopi()).stream, text);
+  JournalRecord record;
+  record.kind = RecordKind::kAdmitted;
+  record.job_id = 1;
+  record.tenant = "driver0";
+  record.name = "a1_rhopi";
+  record.trace_id = "0123456789abcdef";
+  record.idem = "0123456789abcdef-1";
+  record.workload_text = text.str();
+  ASSERT_EQ(record.workload_text.size(), 18531u);
+  const std::string line = encode_journal_line(record);
+  EXPECT_EQ(line.size(), 19113u);
+  EXPECT_EQ(fnv1a64_hex(line), "d2eb8b24b2eed306");
+  EXPECT_EQ(line, line_via_json_writer(record));
 }
 
 TEST(Journal, FinishedFailureCarriesErrorWithoutResult) {

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
+#include <string>
+
+#include "redstar/correlator.hpp"
+#include "workload/serialize.hpp"
 
 namespace micco::obs {
 namespace {
@@ -76,6 +81,45 @@ TEST(ObsJson, ControlBytesRoundTripAndStayOnOneLine) {
   }
 }
 
+TEST(ObsJson, EveryByteEscapesAndParsesBack) {
+  // Escaping and parsing move runs of plain bytes at once: each byte alone,
+  // between runs, and all 256 in one string come back unchanged, and no
+  // escaped text holds a byte below 0x20.
+  std::string all;
+  for (int byte = 0x00; byte <= 0xFF; ++byte) {
+    const std::string one(1, static_cast<char>(byte));
+    all += one;
+    for (const std::string& raw : {one, "run" + one + "run" + one}) {
+      const std::string escaped = json_escape(raw);
+      for (const char c : escaped) {
+        EXPECT_GE(static_cast<unsigned char>(c), 0x20) << "byte " << byte;
+      }
+      std::string error;
+      const auto parsed = parse_json('"' + escaped + '"', &error);
+      ASSERT_TRUE(parsed.has_value()) << "byte " << byte << ": " << error;
+      EXPECT_EQ(parsed->as_string(), raw) << "byte " << byte;
+    }
+  }
+  const std::string escaped = json_escape(all);
+  EXPECT_EQ(parse_json('"' + escaped + '"')->as_string(), all);
+  std::string appended = "{";
+  append_json_escaped(appended, all);
+  EXPECT_EQ(appended, "{" + escaped);
+  EXPECT_EQ(JsonValue(all).dump(), '"' + escaped + '"');
+}
+
+TEST(ObsJson, WorkloadTextRoundTrips) {
+  std::ostringstream out;
+  save_stream(redstar::build_workload(redstar::make_a1_rhopi()).stream, out);
+  const std::string text = out.str();
+  JsonValue doc = JsonValue::object();
+  doc.set("workload", text);
+  std::string error;
+  const auto parsed = parse_json(doc.dump(), &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_EQ(parsed->at("workload").as_string(), text);
+}
+
 TEST(ObsJson, NumberFormattingIsDeterministic) {
   EXPECT_EQ(json_number(1.0), "1");
   EXPECT_EQ(json_number(-3.0), "-3");
@@ -126,6 +170,13 @@ TEST(ObsJson, ParseRejectsMalformedInput) {
   EXPECT_FALSE(parse_json("{\"a\":1} trailing", &error).has_value());
   EXPECT_FALSE(parse_json("nul", &error).has_value());
   EXPECT_FALSE(parse_json("\"unterminated", &error).has_value());
+  EXPECT_EQ(error, "unterminated string at offset 13");
+  EXPECT_FALSE(parse_json("\"ends in a backslash\\", &error).has_value());
+  EXPECT_EQ(error, "unterminated string at offset 21");
+  EXPECT_FALSE(parse_json("\"a\\u00", &error).has_value());
+  EXPECT_EQ(error, "truncated \\u escape at offset 4");
+  EXPECT_FALSE(parse_json("\"a\\q\"", &error).has_value());
+  EXPECT_EQ(error, "unknown escape sequence at offset 4");
 }
 
 TEST(ObsJson, NumericEqualityCrossesIntAndDouble) {

@@ -3,10 +3,15 @@
 // from ever aborting the server.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/json.hpp"
+#include "redstar/correlator.hpp"
+#include "service/journal.hpp"
 #include "service/protocol.hpp"
+#include "workload/serialize.hpp"
 
 namespace micco::service {
 namespace {
@@ -87,7 +92,74 @@ TEST(Protocol, FrameAtExactLimitPasses) {
   EXPECT_TRUE(oversized);
 }
 
+TEST(Protocol, ChunkedFeedsYieldTheSameFramesAsOneFeed) {
+  // Frames, an empty line and an oversized line, fed whole and then split
+  // at every byte offset into two feeds and one byte at a time: each way
+  // returns the same frames and reports the oversize exactly once.
+  const std::string bytes =
+      "{\"a\":1}\n\n" + std::string(40, 'x') + "\n{\"b\":\"two\"}\n{\"c\":3}\n";
+  const auto drain = [](FrameReader& reader, int* oversized_reports) {
+    std::vector<std::string> frames;
+    for (;;) {
+      bool oversized = false;
+      const auto frame = reader.next_frame(&oversized);
+      *oversized_reports += oversized ? 1 : 0;
+      if (!frame.has_value()) return frames;
+      frames.push_back(*frame);
+    }
+  };
+  const std::vector<std::string> want = {"{\"a\":1}", "", "{\"b\":\"two\"}",
+                                         "{\"c\":3}"};
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    FrameReader reader(/*max_frame_bytes=*/16);
+    reader.feed(std::string_view(bytes).substr(0, split));
+    int reports = 0;
+    std::vector<std::string> frames = drain(reader, &reports);
+    reader.feed(std::string_view(bytes).substr(split));
+    for (std::string& frame : drain(reader, &reports)) {
+      frames.push_back(std::move(frame));
+    }
+    EXPECT_EQ(frames, want) << "split at " << split;
+    EXPECT_EQ(reports, 1) << "split at " << split;
+    EXPECT_EQ(reader.buffered_bytes(), 0u);
+  }
+  FrameReader reader(/*max_frame_bytes=*/16);
+  int reports = 0;
+  std::vector<std::string> frames;
+  for (const char c : bytes) {
+    reader.feed(std::string_view(&c, 1));
+    for (std::string& frame : drain(reader, &reports)) {
+      frames.push_back(std::move(frame));
+    }
+  }
+  EXPECT_EQ(frames, want);
+  EXPECT_EQ(reports, 1);
+}
+
 // ------------------------------------------------------- encode / parse
+
+TEST(Protocol, A1RhopiSubmitFrameIsPinned) {
+  // Length and FNV-1a of perfbench's a1_rhopi submit frame as the
+  // per-character writer encoded it: the bytes on the wire did not move.
+  // The frame holds exactly one raw newline, its terminator.
+  std::ostringstream text;
+  save_stream(redstar::build_workload(redstar::make_a1_rhopi()).stream, text);
+  ASSERT_EQ(text.str().size(), 18531u);
+  const std::string frame = encode_frame(make_submit_request(
+      "driver0", "a1_rhopi", text.str(), "0123456789abcdef",
+      "0123456789abcdef-1"));
+  EXPECT_EQ(frame.size(), 19074u);
+  EXPECT_EQ(fnv1a64_hex(frame), "b42103d0e60bd9c7");
+  EXPECT_EQ(frame.find('\n'), frame.size() - 1);
+
+  const auto doc = obs::parse_json(frame.substr(0, frame.size() - 1));
+  ASSERT_TRUE(doc.has_value());
+  obs::JsonValue error_reply;
+  const auto request = parse_request(*doc, &error_reply);
+  ASSERT_TRUE(request.has_value()) << error_reply.dump();
+  EXPECT_EQ(request->workload_text, text.str());
+}
+
 
 TEST(Protocol, EncodeFrameIsSingleLine) {
   obs::JsonValue doc =
