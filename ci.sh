@@ -11,13 +11,16 @@
 # timeline), a serve smoke test (the
 # scheduling daemon end to end: submit/wait/drain over a Unix socket with
 # byte-identical decision logs AND byte-identical span traces across
-# sessions, a `micco top --once` dashboard frame, and an offline
-# `micco report --spans` well-formedness pass), a configuration smoke test
+# sessions, a `micco top --once` dashboard frame, an offline
+# `micco report --spans` well-formedness pass, and workloads writing output
+# id 2^64 - 1 answered `bad_workload`), a configuration smoke test
 # (out-of-range train/run/generate/serve flags, malformed flag values,
 # bare output flags, tenant weights and job ids, the retired `interval`
 # fsync policy and its
-# flag, unknown flags and a workload given to `report` exit 2, unwritable output paths and a structurally invalid
-# workload exit 1, and a daemon rejects that workload and keeps serving;
+# flag, unknown flags, a workload given to `report` and `autotune_bounds
+# --gpus=0` exit 2, unwritable output paths and structurally invalid
+# workloads (a self-consuming task, output id 2^64 - 1 in decimal or as
+# -1) exit 1, and a daemon rejects those workloads and keeps serving;
 # nothing aborts or runs),
 # a chaos smoke test
 # (tools/chaos_smoke.sh: kill -9 the daemon at every scripted journal crash
@@ -198,6 +201,36 @@ if "${BUILD_DIR}/tools/micco" faults "${SMOKE_DIR}/plan.txt" --gpus=1 \
   exit 1
 fi
 
+# Runs a command and requires its exit status; stderr lands in
+# config_err.txt for a follow-up grep.
+expect_exit() {
+  want=$1
+  shift
+  set +e
+  "$@" > /dev/null 2> "${SMOKE_DIR}/config_err.txt"
+  rc=$?
+  set -e
+  if [ "${rc}" != "${want}" ]; then
+    echo "smoke test FAILED: exit ${rc}, want ${want}: $*" >&2
+    cat "${SMOKE_DIR}/config_err.txt" >&2
+    exit 1
+  fi
+}
+expect_exit_2() { expect_exit 2 "$@"; }
+
+# A task writing output id 2^64 - 1, the id that marks "no tensor", in
+# decimal and spelled -1 (which older readers wrapped to the same id): the
+# simulator refuses it, so everything that loads a workload must too.
+for out_id in 18446744073709551615 -1; do
+  cat > "${SMOKE_DIR}/out${out_id}.mw" <<EOF
+micco-workload v1
+meta 2 4 1 0 uniform
+vectors 1
+vector 1
+task 0 2 4 1 1 2 4 1 ${out_id} 2 4 1
+EOF
+done
+
 echo "== serve smoke test =="
 # End-to-end daemon path (DESIGN.md §6): start `micco serve` on a private
 # socket, submit workloads from two tenants, wait for completion, drain,
@@ -224,6 +257,12 @@ for session in 1 2; do
     --socket="${SMOKE_DIR}/svc.sock" --tenant=alice --wait
   "${BUILD_DIR}/tools/micco" submit "${SMOKE_DIR}/w.mw" \
     --socket="${SMOKE_DIR}/svc.sock" --tenant=bob --wait
+  # A workload the daemon must refuse is answered, not fatal.
+  for out_id in 18446744073709551615 -1; do
+    expect_exit 1 "${BUILD_DIR}/tools/micco" submit \
+      "${SMOKE_DIR}/out${out_id}.mw" --socket="${SMOKE_DIR}/svc.sock"
+    grep -q 'bad_workload' "${SMOKE_DIR}/config_err.txt"
+  done
   "${BUILD_DIR}/tools/micco" status --socket="${SMOKE_DIR}/svc.sock" \
     > /dev/null
   if [ "${session}" = 1 ]; then
@@ -244,27 +283,14 @@ grep -q '"schema_version"' "${SMOKE_DIR}/sr1.json"
   > "${SMOKE_DIR}/trace_summary.json"
 grep -q '"well_formed": true' "${SMOKE_DIR}/trace_summary.json"
 echo "serve smoke test OK: deterministic decision logs + span traces," \
-  "top frame rendered, trace summary well-formed"
+  "top frame rendered, trace summary well-formed, output id 2^64-1" \
+  "answered bad_workload"
 
 echo "== configuration validation smoke test =="
 # Out-of-range configuration is a usage error: the verb names the problem
 # and exits 2 instead of tripping a library precondition (exit 134). So is
 # a flag the verb never reads, and a value its parser cannot read in full:
 # a typo must not silently run the default or a truncated number.
-expect_exit() {
-  want=$1
-  shift
-  set +e
-  "$@" > /dev/null 2> "${SMOKE_DIR}/config_err.txt"
-  rc=$?
-  set -e
-  if [ "${rc}" != "${want}" ]; then
-    echo "config smoke test FAILED: exit ${rc}, want ${want}: $*" >&2
-    cat "${SMOKE_DIR}/config_err.txt" >&2
-    exit 1
-  fi
-}
-expect_exit_2() { expect_exit 2 "$@"; }
 # Fewer than 5 samples leave the model's held-out fifth empty.
 for flag in --samples=0 --samples=-4 --samples=4 --batch=0 --gpus=0; do
   expect_exit_2 "${BUILD_DIR}/tools/micco" train \
@@ -274,6 +300,8 @@ if [ -e "${SMOKE_DIR}/bad.mm" ]; then
   echo "config smoke test FAILED: a rejected train wrote its model" >&2
   exit 1
 fi
+# The autotuning example validates its tuner configuration as train does.
+expect_exit_2 "${BUILD_DIR}/examples/autotune_bounds" --gpus=0
 expect_exit_2 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" --gpus=0
 expect_exit_2 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" --gpus=0 \
   --report="${SMOKE_DIR}/bad.json"
@@ -377,6 +405,18 @@ done
 expect_exit 1 "${BUILD_DIR}/tools/micco" submit "${SMOKE_DIR}/self.mw" \
   --socket="${SMOKE_DIR}/svc.sock"
 grep -q 'bad_workload' "${SMOKE_DIR}/config_err.txt"
+# Output id 2^64 - 1 in either spelling: `run` exits 1, `inspect` names
+# the problem, and the journaled daemon refuses it and keeps serving.
+for out_id in 18446744073709551615 -1; do
+  expect_exit 1 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/out${out_id}.mw"
+  expect_exit 1 "${BUILD_DIR}/tools/micco" submit \
+    "${SMOKE_DIR}/out${out_id}.mw" --socket="${SMOKE_DIR}/svc.sock"
+  grep -q 'bad_workload' "${SMOKE_DIR}/config_err.txt"
+done
+"${BUILD_DIR}/tools/micco" inspect "${SMOKE_DIR}/out18446744073709551615.mw" \
+  | grep -q 'structure: invalid output descriptor'
+expect_exit 1 "${BUILD_DIR}/tools/micco" inspect "${SMOKE_DIR}/out-1.mw"
+grep -q 'truncated tensor descriptor' "${SMOKE_DIR}/config_err.txt"
 "${BUILD_DIR}/tools/micco" submit "${SMOKE_DIR}/w.mw" \
   --socket="${SMOKE_DIR}/svc.sock" --wait
 "${BUILD_DIR}/tools/micco" drain --socket="${SMOKE_DIR}/svc.sock"
@@ -429,8 +469,9 @@ expect_exit 0 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/wide.mw" --gpus=2 \
   --decisions="${SMOKE_DIR}/wide.jsonl"
 grep -q '"a":9223372036854775808' "${SMOKE_DIR}/wide.jsonl"
 echo "config smoke test OK: every out-of-range, malformed, bare or unknown" \
-  "flag exited 2, every unwritable output path and the invalid workload" \
-  "exited 1, the daemon rejected that workload and kept serving, the" \
+  "flag exited 2, so did autotune_bounds --gpus=0, every unwritable" \
+  "output path and the invalid workloads exited 1, the daemon rejected" \
+  "those workloads and kept serving, the" \
   "overflowing workload was refused without output, so was a stream" \
   "whose FLOPs sum past 2^64, and ids past 2^63 logged unsigned"
 

@@ -4,6 +4,7 @@
 //
 //   ./autotune_bounds [--samples=120] [--gpus=8]
 #include <cstdio>
+#include <string>
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
@@ -22,6 +23,13 @@ int main(int argc, char** argv) {
   tuner.samples = static_cast<int>(args.get_int("samples", 120));
   tuner.num_devices = gpus;
   tuner.batch = 32;
+  // Out-of-range flags are usage errors, as in `micco train`: the sweep
+  // would otherwise trip a library precondition.
+  const std::string problem = tuner.validate();
+  if (!problem.empty()) {
+    std::fprintf(stderr, "autotune_bounds: %s\n", problem.c_str());
+    return 2;
+  }
   // The model is scored on a held-out fifth (train_bounds_model).
   if (tuner.samples < 5) {
     std::fprintf(stderr, "autotune_bounds: --samples must be >= 5\n");

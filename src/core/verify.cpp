@@ -18,6 +18,9 @@ std::string validate_stream_structure(const WorkloadStream& stream) {
   produced_in.reserve(tasks);
   for (std::size_t stage = 0; stage < stream.vectors.size(); ++stage) {
     for (const ContractionTask& task : stream.vectors[stage].tasks) {
+      // kInvalidTensor marks "no tensor"; the simulator requires a real
+      // output id.
+      if (!task.out.valid()) return "invalid output descriptor";
       if (!produced_in.emplace(task.out.id, stage).second) {
         std::ostringstream os;
         os << "output tensor " << task.out.id << " produced twice";

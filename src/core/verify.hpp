@@ -16,9 +16,10 @@
 
 namespace micco {
 
-/// Structural validation of a stream: outputs are unique, operands are
-/// either originals (never produced) or produced in a strictly earlier
-/// stage, ranks are contractable. Returns an empty string when valid, else
+/// Structural validation of a stream: every id is a real one (not
+/// kInvalidTensor), outputs are unique, operands are either originals
+/// (never produced) or produced in a strictly earlier stage, ranks are
+/// contractable. Returns an empty string when valid, else
 /// a description of the first violation.
 std::string validate_stream_structure(const WorkloadStream& stream);
 

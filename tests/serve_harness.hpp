@@ -57,6 +57,22 @@ inline constexpr const char* kSelfConsumingWorkload =
     "vector 1\n"
     "task 1 2 4 1 2 2 4 1 1 2 4 1\n";
 
+/// Its one task writes the output id 2^64 - 1, kInvalidTensor, which the
+/// simulator refuses; the second text spells it -1, which an unsigned
+/// `operator>>` wraps to the same id.
+inline constexpr const char* kInvalidOutputWorkload =
+    "micco-workload v1\n"
+    "meta 2 4 1 0 uniform\n"
+    "vectors 1\n"
+    "vector 1\n"
+    "task 0 2 4 1 1 2 4 1 18446744073709551615 2 4 1\n";
+inline constexpr const char* kSignedOutputWorkload =
+    "micco-workload v1\n"
+    "meta 2 4 1 0 uniform\n"
+    "vectors 1\n"
+    "vector 1\n"
+    "task 0 2 4 1 1 2 4 1 -1 2 4 1\n";
+
 inline std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream out;

@@ -415,9 +415,16 @@ TEST(Recovery, OrphanedFinishedRecordNeverSettlesALaterAdmission) {
 }
 
 TEST(Recovery, StructurallyInvalidAdmissionReplaysAsFailed) {
-  // A journal holding the admission of a workload that consumes its own
-  // output (an older daemon admitted it unchecked and aborted running it,
-  // on every restart). Replay fails the job, and the daemon serves.
+  // A journal holding admissions an older daemon made unchecked: a
+  // workload that consumes its own output, and a task writing output id
+  // 2^64 - 1, in decimal and spelled -1 (which its reader wrapped). It
+  // aborted running each of them, on every restart. Replay fails the
+  // jobs, and the daemon serves.
+  const std::pair<const char*, const char*> rejected[] = {
+      {kSelfConsumingWorkload, "consumes tensor 1"},
+      {kInvalidOutputWorkload, "invalid output descriptor"},
+      {kSignedOutputWorkload, "truncated tensor descriptor"},
+  };
   const std::string journal = tmp_file_path("selfmw_replay.journal");
   std::string error;
   {
@@ -427,11 +434,13 @@ TEST(Recovery, StructurallyInvalidAdmissionReplaysAsFailed) {
     ASSERT_TRUE(writer.open(journal_config, &error)) << error;
     JournalRecord admitted;
     admitted.kind = RecordKind::kAdmitted;
-    admitted.job_id = 1;
     admitted.tenant = "alice";
     admitted.name = "self";
-    admitted.workload_text = kSelfConsumingWorkload;
-    ASSERT_TRUE(writer.append(admitted, &error)) << error;
+    for (const auto& [text, message] : rejected) {
+      ++admitted.job_id;
+      admitted.workload_text = text;
+      ASSERT_TRUE(writer.append(admitted, &error)) << error;
+    }
   }
 
   const std::string socket = test_socket_path("selfmw_replay");
@@ -443,17 +452,20 @@ TEST(Recovery, StructurallyInvalidAdmissionReplaysAsFailed) {
   ASSERT_TRUE(session.begin(&error)) << error;
   Client client;
   ASSERT_TRUE(client.connect(socket, &error)) << error;
-  const auto status = client.status(1, &error);
-  ASSERT_TRUE(status.has_value()) << error;
-  EXPECT_EQ(status->at("state").as_string(), "FAILED") << status->dump();
-  EXPECT_NE(status->at("error").as_string().find("consumes tensor 1"),
-            std::string::npos)
-      << status->dump();
+  std::uint64_t job_id = 0;
+  for (const auto& [text, message] : rejected) {
+    const auto status = client.status(++job_id, &error);
+    ASSERT_TRUE(status.has_value()) << error;
+    EXPECT_EQ(status->at("state").as_string(), "FAILED") << status->dump();
+    EXPECT_NE(status->at("error").as_string().find(message),
+              std::string::npos)
+        << status->dump();
+  }
 
   const auto good = client.submit("alice", "valid", workload_text(3), &error);
   ASSERT_TRUE(good.has_value()) << error;
   ASSERT_TRUE(good->at("ok").as_bool()) << good->dump();
-  EXPECT_EQ(wait_for_job(client, 2).at("state").as_string(), "DONE");
+  EXPECT_EQ(wait_for_job(client, job_id + 1).at("state").as_string(), "DONE");
   ASSERT_TRUE(client.drain(&error).has_value()) << error;
   client.close();
   EXPECT_EQ(session.join(), 0);

@@ -600,7 +600,8 @@ TEST(Service, OversizedFrameGetsStructuredErrorOverTheWire) {
 TEST(Service, StructurallyInvalidWorkloadIsRejectedAndServingContinues) {
   // Admission checks structure and sizes, not just syntax: the journaled
   // daemon answers bad_workload, journals nothing for it, and runs the next
-  // job. The second text's tensors hold 2^64 bytes each.
+  // job. The second text's tensors hold 2^64 bytes each; the last two write
+  // output id 2^64 - 1, once in decimal and once spelled -1.
   const std::string socket = test_socket_path("selfmw");
   const std::string journal = tmp_file_path("selfmw.journal");
   ServerConfig config;
@@ -618,6 +619,8 @@ TEST(Service, StructurallyInvalidWorkloadIsRejectedAndServingContinues) {
       {"micco-workload v1\nmeta 2 1 1 0 uniform\nvectors 1\nvector 1\n"
        "task 0 2 1073741824 1 1 2 1073741824 1 2 2 1073741824 1\n",
        "payload exceeds"},
+      {kInvalidOutputWorkload, "invalid output descriptor"},
+      {kSignedOutputWorkload, "truncated tensor descriptor"},
   };
   for (const auto& [text, message] : rejected) {
     const auto bad = client.submit("alice", "bad", text, &error);

@@ -41,6 +41,16 @@ TEST(ValidateStructure, RejectsDuplicateOutputs) {
   EXPECT_NE(validate_stream_structure(s).find("twice"), std::string::npos);
 }
 
+TEST(ValidateStructure, RejectsInvalidOutputId) {
+  // kInvalidTensor as an output would trip the simulator's precondition on
+  // the task's output; the reader takes the decimal spelling 2^64 - 1.
+  WorkloadStream s;
+  VectorWorkload v;
+  v.tasks = {make_task(0, 1, 10), make_task(2, 3, kInvalidTensor)};
+  s.vectors = {v};
+  EXPECT_EQ(validate_stream_structure(s), "invalid output descriptor");
+}
+
 TEST(ValidateStructure, RejectsSameStageDependency) {
   // Task 2 consumes task 1's output inside the same vector: illegal, the
   // stage barrier has not run.
