@@ -384,7 +384,8 @@ expect_exit 1 "${BUILD_DIR}/tools/micco" train \
 # A workload that parses but consumes a tensor before producing it: `run`
 # refuses it (exit 1), `report` takes no workload (exit 2), and a journaled
 # daemon answers its submit with bad_workload, runs the next job and drains
-# cleanly instead of aborting in a simulator precondition.
+# cleanly instead of aborting in a simulator precondition. Its session line
+# counts every refusal as a submit.
 cat > "${SMOKE_DIR}/self.mw" <<'EOF'
 micco-workload v1
 meta 1 4 1 0.5 uniform
@@ -396,7 +397,8 @@ expect_exit 1 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/self.mw"
 expect_exit_2 "${BUILD_DIR}/tools/micco" report "${SMOKE_DIR}/self.mw"
 rm -f "${SMOKE_DIR}/svc.sock"
 "${BUILD_DIR}/tools/micco" serve --socket="${SMOKE_DIR}/svc.sock" \
-  --gpus=1 --threads=1 --journal="${SMOKE_DIR}/self.journal" &
+  --gpus=1 --threads=1 --journal="${SMOKE_DIR}/self.journal" \
+  > "${SMOKE_DIR}/self_serve.txt" &
 SERVE_PID=$!
 for _ in $(seq 1 100); do
   [ -S "${SMOKE_DIR}/svc.sock" ] && break
@@ -421,6 +423,14 @@ grep -q 'truncated tensor descriptor' "${SMOKE_DIR}/config_err.txt"
   --socket="${SMOKE_DIR}/svc.sock" --wait
 "${BUILD_DIR}/tools/micco" drain --socket="${SMOKE_DIR}/svc.sock"
 wait "${SERVE_PID}"
+# Three refused workloads and one run.
+if ! grep -q '"submitted":4,"admitted":1,"rejected":3' \
+  "${SMOKE_DIR}/self_serve.txt"; then
+  echo "config smoke test FAILED: the session line does not count the" \
+    "refused submits" >&2
+  cat "${SMOKE_DIR}/self_serve.txt" >&2
+  exit 1
+fi
 # Tensors of 2^30 x 2^30 complex entries hold 2^64 bytes: loading rejects
 # them (exit 1) instead of running on wrapped sizes, generating them is a
 # usage error (exit 2), and none of the three writes an output.

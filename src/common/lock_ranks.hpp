@@ -22,11 +22,10 @@ inline constexpr int kLockRankParallelConfig = 90;  ///< g_config_mutex
 inline constexpr int kLockRankPool = 80;            ///< Pool::mutex_
 inline constexpr int kLockRankLoop = 70;            ///< Loop::mutex
 
-// service/: the server state lock fans out to the job table and journal;
-// the job table updates metrics; the journal observes fsync latency.
-inline constexpr int kLockRankServerState = 60;  ///< Server::state_mutex_
-inline constexpr int kLockRankJobManager = 50;   ///< JobManager::mutex_
-inline constexpr int kLockRankJournal = 45;      ///< JournalWriter::mutex_
+// service/: the job table updates metrics; the journal observes fsync
+// latency. The Server holds no lock of its own.
+inline constexpr int kLockRankJobManager = 50;  ///< JobManager::mutex_
+inline constexpr int kLockRankJournal = 45;     ///< JournalWriter::mutex_
 
 // obs/: sinks and metrics are leaves — everything may log or record a
 // metric, so nothing below them may acquire anything above.

@@ -30,7 +30,9 @@ std::string AdmissionConfig::validate() const {
   return {};
 }
 
-JobManager::JobManager(AdmissionConfig config) : config_(std::move(config)) {}
+JobManager::JobManager(AdmissionConfig config, obs::Clock* clock)
+    : config_(std::move(config)),
+      clock_(clock != nullptr ? clock : obs::default_clock()) {}
 
 void JobManager::set_registry(obs::MetricsRegistry* registry) {
   const MutexLock lock(mutex_);
@@ -68,6 +70,7 @@ void JobManager::enqueue_locked(Job job) {
   tenant.admitted += 1;
   job.depth_at_submit = queued_;  // backlog ahead of this job at admission
   register_idem_locked(job.tenant, job.idem, job.id);
+  if (!job.held) dispatch_ready_.notify_all();
   jobs_.emplace(job.id, std::move(job));
   ++queued_;
   ++admitted_;
@@ -123,6 +126,7 @@ SubmitOutcome JobManager::submit(const std::string& tenant_name,
   job.stream = std::move(stream);
   job.state = JobState::kQueued;
   job.held = hold;
+  if (!hold) job.submit_ms = clock_->monotonic_ms();
   enqueue_locked(std::move(job));
 
   SubmitOutcome outcome;
@@ -131,11 +135,20 @@ SubmitOutcome JobManager::submit(const std::string& tenant_name,
   return outcome;
 }
 
+SubmitOutcome JobManager::reject(const std::string& tenant, const char* code,
+                                 const std::string& reason) {
+  const MutexLock lock(mutex_);
+  ++submitted_;
+  return reject_locked(tenant, code, reason);
+}
+
 bool JobManager::release_job(std::uint64_t job_id) {
   const MutexLock lock(mutex_);
   const auto it = jobs_.find(job_id);
   if (it == jobs_.end() || it->second.state != JobState::kQueued) return false;
   it->second.held = false;
+  it->second.submit_ms = clock_->monotonic_ms();
+  dispatch_ready_.notify_all();
   return true;
 }
 
@@ -208,6 +221,19 @@ void JobManager::restore_queued(std::uint64_t job_id,
 
 std::optional<std::uint64_t> JobManager::next_job() {
   const MutexLock lock(mutex_);
+  return next_job_locked();
+}
+
+std::optional<std::uint64_t> JobManager::wait_next_job() {
+  const MutexLock lock(mutex_);
+  for (;;) {
+    if (const std::optional<std::uint64_t> id = next_job_locked()) return id;
+    if (drained_locked()) return std::nullopt;
+    dispatch_ready_.wait(mutex_);
+  }
+}
+
+std::optional<std::uint64_t> JobManager::next_job_locked() {
   // Smallest pass wins; ties break by tenant name (map iteration order), so
   // dispatch is a pure function of the submission sequence. A tenant whose
   // front job is still held (admission record not yet durable) is skipped
@@ -305,11 +331,21 @@ void JobManager::fail(std::uint64_t job_id, const std::string& error,
 void JobManager::begin_drain() {
   const MutexLock lock(mutex_);
   draining_ = true;
+  dispatch_ready_.notify_all();
 }
 
 bool JobManager::draining() const {
   const MutexLock lock(mutex_);
   return draining_;
+}
+
+bool JobManager::drained() const {
+  const MutexLock lock(mutex_);
+  return drained_locked();
+}
+
+bool JobManager::drained_locked() const {
+  return draining_ && queued_ == 0 && running_ == 0;
 }
 
 std::vector<std::uint64_t> JobManager::cancel_queued() {
@@ -328,6 +364,7 @@ std::vector<std::uint64_t> JobManager::cancel_queued() {
   MICCO_ASSERT(cancelled.size() == queued_);
   queued_ = 0;
   cancelled_ += cancelled.size();
+  dispatch_ready_.notify_all();
   return cancelled;
 }
 
@@ -348,6 +385,7 @@ bool JobManager::cancel_queued_job(std::uint64_t job_id) {
   MICCO_ASSERT(queued_ > 0);
   --queued_;
   ++cancelled_;
+  dispatch_ready_.notify_all();
   return true;
 }
 
@@ -399,12 +437,8 @@ DispatchInfo JobManager::dispatch_info(std::uint64_t job_id) const {
   info.tenant = it->second.tenant;
   info.dispatch_seq = it->second.dispatch_seq;
   info.depth_at_submit = it->second.depth_at_submit;
+  info.submit_ms = it->second.submit_ms;
   return info;
-}
-
-bool JobManager::idle() const {
-  const MutexLock lock(mutex_);
-  return queued_ == 0 && running_ == 0;
 }
 
 std::size_t JobManager::queued_total() const {

@@ -19,11 +19,14 @@
 // original job id (duplicate = true) instead of admitting a second run.
 //
 // Thread safety: every public method locks the internal annotated mutex, so
-// I/O lanes may submit/query concurrently with the dispatcher thread.
-// Dispatch order — and therefore the decision log — is deterministic for a
-// fixed submission order; concurrent submitters only make the *arrival*
-// order nondeterministic, never the accounting (admitted + rejected +
-// duplicates == submitted always holds).
+// I/O lanes may submit/query concurrently with the dispatcher thread. That
+// mutex is the only lock the daemon's threads share: the drain phase, each
+// job's submit time and the dispatcher's wait (wait_next_job) all live
+// behind it. Dispatch order — and therefore the decision log — is
+// deterministic for a fixed submission order; concurrent submitters only
+// make the *arrival* order nondeterministic, never the accounting
+// (admitted + rejected + duplicates == submitted always holds, refusals
+// before admission included).
 #pragma once
 
 #include <cstdint>
@@ -35,6 +38,7 @@
 
 #include "common/lock_ranks.hpp"
 #include "common/mutex.hpp"
+#include "obs/clock.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "workload/task.hpp"
@@ -123,6 +127,9 @@ struct DispatchInfo {
   std::string tenant;
   std::uint64_t dispatch_seq = 0;    ///< 1-based daemon dispatch order
   std::uint64_t depth_at_submit = 0; ///< total queued jobs when admitted
+  /// Clock time the job became dispatchable (its submit, or the release of
+  /// a held submit); -1 for a job re-admitted from the journal.
+  double submit_ms = -1.0;
 };
 
 /// Wall-clock measurements for one finished job (dispatcher-computed via
@@ -135,7 +142,10 @@ struct CompletionTiming {
 
 class JobManager {
  public:
-  explicit JobManager(AdmissionConfig config = {});
+  /// `clock` stamps each job's submit time (nullptr: the process-wide
+  /// default clock). Not owned.
+  explicit JobManager(AdmissionConfig config = {},
+                      obs::Clock* clock = nullptr);
 
   /// Optional metrics registry for what stats() does not hold: the dispatch
   /// counter and the latency histograms, kept under the manager's own lock.
@@ -160,7 +170,14 @@ class JobManager {
                        WorkloadStream stream, const std::string& trace_id = "",
                        const std::string& idem = "", bool hold = false);
 
-  /// Makes a held submit dispatchable (its admission record went durable).
+  /// A submit refused before it reached submit() (its workload did not
+  /// parse or failed the structure check): counted as submitted and
+  /// rejected, for the tenant too. Returns the rejecting outcome.
+  SubmitOutcome reject(const std::string& tenant, const char* code,
+                       const std::string& reason);
+
+  /// Makes a held submit dispatchable (its admission record went durable)
+  /// and stamps its submit time.
   /// True when the job exists and is still QUEUED; false when it is unknown
   /// or already left QUEUED (e.g. a concurrent shutdown cancelled it).
   bool release_job(std::uint64_t job_id);
@@ -187,6 +204,12 @@ class JobManager {
   /// FIFO, so a held admission must not be overtaken by its queue neighbor.
   std::optional<std::uint64_t> next_job();
 
+  /// The dispatcher's wait: blocks until next_job() has a job and returns
+  /// it, or returns nullopt once drained(). Every change that can end the
+  /// wait (an unheld submit, release_job, begin_drain, the cancels)
+  /// notifies it.
+  std::optional<std::uint64_t> wait_next_job();
+
   /// The stored workload of a RUNNING job (moved out; call exactly once per
   /// dispatch). Aborts if the job is not RUNNING.
   WorkloadStream take_stream(std::uint64_t job_id);
@@ -208,6 +231,8 @@ class JobManager {
   /// jobs still dispatch (graceful drain finishes the backlog).
   void begin_drain();
   bool draining() const;
+  /// Draining and idle: the session can end. A held job counts as queued.
+  bool drained() const;
 
   /// Cancels every queued job (shutdown semantics: in-flight work finishes,
   /// the backlog does not). Returns the cancelled job ids in tenant-map /
@@ -226,8 +251,6 @@ class JobManager {
   /// consistent even while the dispatcher races to finish the job.
   std::optional<StatusSnapshot> status_with_result(std::uint64_t job_id) const;
 
-  /// True when no job is QUEUED or RUNNING.
-  bool idle() const;
   std::size_t queued_total() const;
 
   /// The one book of the session's job totals: {"queued": n, "running": n,
@@ -254,6 +277,7 @@ class JobManager {
     bool held = false;
     std::uint64_t dispatch_seq = 0;     ///< assigned by next_job()
     std::uint64_t depth_at_submit = 0;  ///< queued_ total when admitted
+    double submit_ms = -1.0;            ///< see DispatchInfo::submit_ms
   };
 
   struct Tenant {
@@ -279,6 +303,8 @@ class JobManager {
   /// Shared enqueue tail of submit() and restore_queued(): stride re-entry,
   /// queue push, admission totals.
   void enqueue_locked(Job job) MICCO_REQUIRES(mutex_);
+  std::optional<std::uint64_t> next_job_locked() MICCO_REQUIRES(mutex_);
+  bool drained_locked() const MICCO_REQUIRES(mutex_);
   /// Registers a (tenant, token) pair in the dedup table (no-op for empty
   /// tokens; first writer wins so replayed registrations cannot clobber).
   void register_idem_locked(const std::string& tenant, const std::string& idem,
@@ -289,7 +315,10 @@ class JobManager {
       MICCO_REQUIRES(mutex_);
 
   AdmissionConfig config_;
+  obs::Clock* clock_;  ///< stamps submit times; not owned
   mutable Mutex mutex_{"JobManager::mutex_", kLockRankJobManager};
+  /// Signalled whenever wait_next_job()'s condition may have changed.
+  CondVar dispatch_ready_ MICCO_GUARDED_BY(mutex_);
   obs::MetricsRegistry* registry_ MICCO_GUARDED_BY(mutex_) = nullptr;
   std::map<std::uint64_t, Job> jobs_ MICCO_GUARDED_BY(mutex_);
   std::map<std::string, Tenant> tenants_ MICCO_GUARDED_BY(mutex_);

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <map>
 #include <numeric>
 #include <utility>
 
@@ -58,7 +59,7 @@ std::optional<WorkloadStream> read_workload(const std::string& text,
 }  // namespace
 
 Server::Server(ServerConfig config)
-    : config_(std::move(config)), jobs_(config_.admission) {
+    : config_(std::move(config)), jobs_(config_.admission, config_.clock) {
   jobs_.set_registry(&telemetry_.registry);
   clock_ = config_.clock != nullptr ? config_.clock : obs::default_clock();
 }
@@ -237,7 +238,7 @@ bool Server::recover_from_journal(std::string* error) {
 
   const JournalReadResult read = read_journal_file(config_.journal.path);
   if (read.truncated) {
-    recovered_torn_tail_ = true;
+    journal_torn_tail_ = true;
     telemetry_.registry.counter(obs::names::kServiceTornTail).add();
     log_warn() << "journal " << config_.journal.path << ": " << read.note
                << "; keeping " << read.bytes_consumed << " intact bytes";
@@ -288,7 +289,6 @@ bool Server::recover_from_journal(std::string* error) {
                              f.has_result
                                  ? std::optional<obs::JsonValue>(f.result)
                                  : std::nullopt);
-      ++recovered_finished_;
       continue;
     }
     std::string load_error;
@@ -305,17 +305,18 @@ bool Server::recover_from_journal(std::string* error) {
                              "workload rejected after recovery: " +
                                  load_error,
                              std::nullopt);
-      ++recovered_finished_;
       continue;
     }
     jobs_.restore_queued(record.job_id, record.tenant, record.name,
                          record.trace_id, record.idem, std::move(*stream));
-    ++recovered_requeued_;
   }
-  if (recovered_finished_ + recovered_requeued_ > 0) {
+  const obs::JsonValue book = jobs_.stats();
+  const std::int64_t replayed = book.at("replayed").as_int();
+  const std::int64_t requeued = book.at("requeued").as_int();
+  if (replayed + requeued > 0) {
     log_info() << "journal " << config_.journal.path << ": replayed "
-               << recovered_finished_ << " finished, re-admitted "
-               << recovered_requeued_ << " interrupted job(s)";
+               << replayed << " finished, re-admitted " << requeued
+               << " interrupted job(s)";
   }
 
   journal_.set_telemetry(
@@ -365,31 +366,17 @@ void Server::journal_finished(std::uint64_t job_id, JobState state,
   }
 }
 
-void Server::request_drain() {
-  jobs_.begin_drain();
-  const MutexLock lock(state_mutex_);
-  phase_ = Phase::kDraining;
-  dispatch_ready_.notify_all();
-}
+void Server::request_drain() { jobs_.begin_drain(); }
 
 std::size_t Server::request_shutdown() {
   jobs_.begin_drain();
-  const std::size_t cancelled = cancel_backlog();
-  const MutexLock lock(state_mutex_);
-  phase_ = Phase::kDraining;
-  dispatch_ready_.notify_all();
-  return cancelled;
+  return cancel_backlog();
 }
 
 void Server::check_stop_flag() {
   if (config_.stop_flag != nullptr && *config_.stop_flag != 0) {
     request_drain();
   }
-}
-
-bool Server::should_stop() {
-  const MutexLock lock(state_mutex_);
-  return phase_ == Phase::kDraining && jobs_.idle();
 }
 
 // ---------------------------------------------------------------------------
@@ -477,27 +464,28 @@ obs::JsonValue Server::handle_request(const Request& request) {
 }
 
 obs::JsonValue Server::handle_submit(const Request& request) {
+  // A workload that does not load is refused before admission, and the
+  // book counts the refusal like any other. With a journal open the job is
+  // admitted *held*: present in the book of record (and the dedup table)
+  // but invisible to the dispatcher until its admitted record is durable.
+  // Without the hold, a parallel-mode dispatcher could pop, run and journal
+  // the finish of a job whose admission a crash then forgets — leaving an
+  // orphaned finished record a re-issued job id could later collide with.
   std::string load_error;
   std::optional<WorkloadStream> stream =
       read_workload(request.workload_text, &load_error);
-  if (!stream.has_value()) {
-    return make_error_response(error_code::kBadWorkload,
-                               "workload rejected: " + load_error);
-  }
-  // With a journal open the job is admitted *held*: present in the book of
-  // record (and the dedup table) but invisible to the dispatcher until its
-  // admitted record is durable. Without the hold, a parallel-mode
-  // dispatcher could pop, run and journal the finish of a job whose
-  // admission a crash then forgets — leaving an orphaned finished record a
-  // re-issued job id could later collide with.
   const SubmitOutcome outcome =
-      jobs_.submit(request.tenant, request.job_name, std::move(*stream),
-                   request.trace_id, request.idem,
-                   /*hold=*/journal_.is_open());
+      stream.has_value()
+          ? jobs_.submit(request.tenant, request.job_name, std::move(*stream),
+                         request.trace_id, request.idem,
+                         /*hold=*/journal_.is_open())
+          : jobs_.reject(request.tenant, error_code::kBadWorkload,
+                         "workload rejected: " + load_error);
   if (!outcome.admitted) {
     obs::JsonValue reply =
         make_error_response(outcome.reject_code, outcome.reject_reason);
-    // Both rejection causes are transient: tell the client when to retry.
+    // Draining and a full queue are transient: tell the client when to
+    // retry.
     if (outcome.reject_code == error_code::kDraining ||
         outcome.reject_code == error_code::kQueueFull) {
       reply.set("retry_after", kRetryAfterHintS);
@@ -523,7 +511,9 @@ obs::JsonValue Server::handle_submit(const Request& request) {
   // out of next_job() across this append; only a successful append
   // releases it. A journal failure rolls the admission back — the client
   // sees a structured, retryable error and the book of record never
-  // acknowledges work it could lose.
+  // acknowledges work it could lose. The held job is still QUEUED then,
+  // unless a concurrent shutdown cancelled it; the admission is void
+  // either way.
   if (journal_.is_open()) {
     JournalRecord record;
     record.kind = RecordKind::kAdmitted;
@@ -535,50 +525,16 @@ obs::JsonValue Server::handle_submit(const Request& request) {
     record.workload_text = request.workload_text;
     std::string journal_error;
     if (!journal_.append(record, &journal_error)) {
-      if (jobs_.cancel_queued_job(outcome.job_id)) {
-        log_error() << "submit: " << journal_error << "; job "
-                    << outcome.job_id << " rolled back";
-        obs::JsonValue reply = make_error_response(
-            error_code::kJournalError,
-            "admission could not be journaled: " + journal_error);
-        reply.set("retry_after", kRetryAfterHintS);
-        return reply;
-      }
-      // The rollback found the job no longer QUEUED. Dispatch is gated on
-      // durability, so it cannot be RUNNING; the one legitimate path here
-      // is a concurrent shutdown cancelling the backlog — report the
-      // journal failure, the admission is void either way. Anything else
-      // means the job ran without a durable admitted record: accept the
-      // admission (the work is real) and log loudly, because a restart
-      // will not remember it.
-      const std::optional<JobStatus> status = jobs_.status(outcome.job_id);
-      if (!status.has_value() || status->state == JobState::kCancelled) {
-        log_error() << "submit: " << journal_error << "; job "
-                    << outcome.job_id << " cancelled by concurrent shutdown";
-        obs::JsonValue reply = make_error_response(
-            error_code::kJournalError,
-            "admission could not be journaled: " + journal_error);
-        reply.set("retry_after", kRetryAfterHintS);
-        return reply;
-      }
+      jobs_.cancel_queued_job(outcome.job_id);
       log_error() << "submit: " << journal_error << "; job "
-                  << outcome.job_id << " already "
-                  << to_string(status->state)
-                  << " despite the dispatch gate; accepting un-journaled "
-                     "admission (a restart will not recover this job)";
-      obs::JsonValue reply = make_ok_response();
-      reply.set("job_id", outcome.job_id);
-      reply.set("tenant", request.tenant);
-      if (!request.trace_id.empty()) reply.set("trace", request.trace_id);
-      reply.set("state", to_string(status->state));
+                  << outcome.job_id << " rolled back";
+      obs::JsonValue reply = make_error_response(
+          error_code::kJournalError,
+          "admission could not be journaled: " + journal_error);
+      reply.set("retry_after", kRetryAfterHintS);
       return reply;
     }
     jobs_.release_job(outcome.job_id);
-  }
-  {
-    const MutexLock lock(state_mutex_);
-    submit_ms_[outcome.job_id] = clock_->monotonic_ms();
-    dispatch_ready_.notify_all();
   }
   obs::JsonValue reply = make_ok_response();
   reply.set("job_id", outcome.job_id);
@@ -594,16 +550,7 @@ obs::JsonValue Server::handle_submit(const Request& request) {
 void Server::run_job(std::uint64_t job_id) {
   const WorkloadStream stream = jobs_.take_stream(job_id);
   const DispatchInfo info = jobs_.dispatch_info(job_id);
-
-  double submit_ms = -1.0;
-  {
-    const MutexLock lock(state_mutex_);
-    const auto it = submit_ms_.find(job_id);
-    if (it != submit_ms_.end()) {
-      submit_ms = it->second;
-      submit_ms_.erase(it);
-    }
-  }
+  const double submit_ms = info.submit_ms;  // -1 for a replayed job
   const double dispatch_ms = clock_->monotonic_ms();
   const double queue_ms = submit_ms >= 0.0 ? dispatch_ms - submit_ms : 0.0;
 
@@ -781,7 +728,7 @@ void Server::io_once(std::vector<std::unique_ptr<Connection>>& conns,
         ::close(fd);
         continue;
       }
-      auto conn = std::make_unique<Connection>(config_.max_frame_bytes);
+      auto conn = std::make_unique<Connection>();
       conn->fd = fd;
       conns.push_back(std::move(conn));
     }
@@ -818,7 +765,7 @@ void Server::io_once(std::vector<std::unique_ptr<Connection>>& conns,
         if (oversized) {
           conn.outbuf += encode_frame(make_error_response(
               error_code::kFrameTooLong,
-              "frame exceeds " + std::to_string(config_.max_frame_bytes) +
+              "frame exceeds " + std::to_string(kDefaultMaxFrameBytes) +
                   " bytes"));
         }
         if (!frame.has_value()) break;
@@ -867,32 +814,10 @@ void Server::flush_and_close(
 void Server::io_loop(std::vector<std::unique_ptr<Connection>>& conns) {
   for (;;) {
     check_stop_flag();
-    {
-      const MutexLock lock(state_mutex_);
-      if (stopped_) break;
-    }
+    if (jobs_.drained()) break;
     io_once(conns, kPollTimeoutMs);
   }
   flush_and_close(conns);
-}
-
-void Server::dispatcher_loop() {
-  for (;;) {
-    std::optional<std::uint64_t> job;
-    {
-      const MutexLock lock(state_mutex_);
-      for (;;) {
-        job = jobs_.next_job();
-        if (job.has_value()) break;
-        if (phase_ == Phase::kDraining && jobs_.idle()) {
-          stopped_ = true;
-          return;
-        }
-        dispatch_ready_.wait(state_mutex_);
-      }
-    }
-    run_job(*job);
-  }
 }
 
 void Server::serve_serial() {
@@ -904,23 +829,23 @@ void Server::serve_serial() {
       run_job(*job);
       continue;
     }
-    if (should_stop()) break;
-  }
-  {
-    const MutexLock lock(state_mutex_);
-    stopped_ = true;
+    if (jobs_.drained()) break;
   }
   flush_and_close(conns);
 }
 
 void Server::serve_parallel(int lanes) {
-  // Lane 0 dispatches; lanes 1..n service connections. Each I/O lane owns
-  // the connections it accepted (the kernel load-balances accept() across
-  // lanes polling the shared listener).
+  // Lane 0 dispatches, blocking in the JobManager between jobs; lanes 1..n
+  // service connections. Each I/O lane owns the connections it accepted
+  // (the kernel load-balances accept() across lanes polling the shared
+  // listener). Every lane ends once the book is drained.
   parallel::parallel_for(
       static_cast<std::size_t>(lanes) + 1, [this](std::size_t lane) {
         if (lane == 0) {
-          dispatcher_loop();
+          while (const std::optional<std::uint64_t> job =
+                     jobs_.wait_next_job()) {
+            run_job(*job);
+          }
         } else {
           std::vector<std::unique_ptr<Connection>> conns;
           io_loop(conns);
@@ -951,18 +876,18 @@ int Server::serve() {
   // keep the same span sequence numbers as an uninterrupted session would
   // produce, and log consumers (the chaos harness) can strip the final line
   // before byte-comparing.
-  if (spans_sink_ != nullptr &&
-      recovered_finished_ + recovered_requeued_ > 0) {
+  const obs::JsonValue book = jobs_.stats();
+  const std::int64_t replayed = book.at("replayed").as_int();
+  const std::int64_t requeued = book.at("requeued").as_int();
+  if (spans_sink_ != nullptr && replayed + requeued > 0) {
     obs::SpanEvent replay;
     replay.trace_id = "journal-replay";
     replay.span_id = 1;
     replay.parent_id = 0;
     replay.name = obs::names::kSpanJournalReplay;
-    replay.attrs_int.emplace_back(
-        "replayed_finished", static_cast<std::int64_t>(recovered_finished_));
-    replay.attrs_int.emplace_back(
-        "requeued", static_cast<std::int64_t>(recovered_requeued_));
-    if (recovered_torn_tail_) replay.attrs_int.emplace_back("torn_tail", 1);
+    replay.attrs_int.emplace_back("replayed_finished", replayed);
+    replay.attrs_int.emplace_back("requeued", requeued);
+    if (journal_torn_tail_) replay.attrs_int.emplace_back("torn_tail", 1);
     spans_sink_->span(std::move(replay));
   }
 

@@ -14,8 +14,10 @@
 // mode — the deterministic configuration: one loop alternates between
 // polling sockets and running the next job) or fans out over the parallel/
 // worker pool (one dispatcher lane + N I/O lanes sharing the listener).
-// All cross-lane state is the JobManager (internally locked) and the small
-// phase/latency state behind the server's own annotated mutex.
+// All cross-lane state is the JobManager's: the job book, the drain phase,
+// each job's submit time and the dispatcher's wait sit behind its one
+// annotated mutex. The Server holds no lock; it keeps the sockets, the
+// journal writer, the sinks and the dispatcher-only session aggregates.
 //
 // Lifecycle. serve() blocks until the session ends: a `drain` request (or
 // SIGTERM via ServerConfig::stop_flag) stops admission and finishes the
@@ -36,13 +38,10 @@
 #include <csignal>
 #include <cstdint>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/lock_ranks.hpp"
-#include "common/mutex.hpp"
 #include "common/stopwatch.hpp"
 #include "core/bounds_model.hpp"
 #include "core/experiment.hpp"
@@ -89,7 +88,6 @@ struct ServerConfig {
   RetryPolicy retry;
 
   AdmissionConfig admission;
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
 
   /// Eviction policy for every job's simulator (mem/, DESIGN.md §11). A
   /// fresh policy instance is built per job, so tracker state never leaks
@@ -154,23 +152,15 @@ class Server {
   obs::JsonValue session_report() const;
 
  private:
-  enum class Phase {
-    kServing,   ///< admitting and dispatching
-    kDraining,  ///< admission closed; backlog still dispatching
-  };
-
   struct Connection {
     int fd = -1;
-    FrameReader reader;
+    FrameReader reader;  ///< frames up to kDefaultMaxFrameBytes
     std::string outbuf;  ///< bytes accepted for write but not yet sent
-
-    explicit Connection(std::size_t max_frame) : reader(max_frame) {}
   };
 
   // -- serving loops ---------------------------------------------------------
   void serve_serial();
   void serve_parallel(int lanes);
-  void dispatcher_loop();
   void io_loop(std::vector<std::unique_ptr<Connection>>& conns);
   /// The end of both serving loops: flush pending replies for up to 500 ms,
   /// then close every connection.
@@ -189,7 +179,6 @@ class Server {
 
   // -- job execution (dispatcher thread only) --------------------------------
   void run_job(std::uint64_t job_id);
-  bool should_stop() MICCO_EXCLUDES(state_mutex_);
 
   // -- crash safety ----------------------------------------------------------
   /// Replays an existing journal (torn tail dropped + truncated first) and
@@ -225,23 +214,15 @@ class Server {
   std::string scheduler_name_;
 
   JournalWriter journal_;
-  // Replay outcome (set by start(), read by serve() for the replay span).
-  std::uint64_t recovered_finished_ = 0;
-  std::uint64_t recovered_requeued_ = 0;
-  bool recovered_torn_tail_ = false;
+  /// start() truncated a torn journal tail (read by serve() for the replay
+  /// span; the replay counts are the JobManager's).
+  bool journal_torn_tail_ = false;
 
   std::unique_ptr<RegressionBoundsProvider> model_bounds_;
 
   obs::Clock* clock_ = nullptr;   ///< config_.clock or the process default
   double session_start_ms_ = 0.0; ///< monotonic zero for latencies + uptime
   std::string started_at_utc_;    ///< the one wall capture (report stamp)
-
-  mutable Mutex state_mutex_{"Server::state_mutex_", kLockRankServerState};
-  CondVar dispatch_ready_ MICCO_GUARDED_BY(state_mutex_);
-  Phase phase_ MICCO_GUARDED_BY(state_mutex_) = Phase::kServing;
-  bool stopped_ MICCO_GUARDED_BY(state_mutex_) = false;
-  /// Submit wall time per job id, consumed by the dispatcher on completion.
-  std::map<std::uint64_t, double> submit_ms_ MICCO_GUARDED_BY(state_mutex_);
 
   // -- session aggregates (dispatcher thread only; read after serve()) ------
   std::uint64_t jobs_run_ = 0;

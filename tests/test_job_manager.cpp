@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "service/job_manager.hpp"
@@ -54,7 +56,8 @@ TEST(JobManager, LifecycleQueuedRunningDone) {
   ASSERT_TRUE(jobs.status_with_result(1)->result.has_value());
   EXPECT_DOUBLE_EQ(
       jobs.status_with_result(1)->result->at("makespan_s").as_double(), 0.5);
-  EXPECT_TRUE(jobs.idle());
+  EXPECT_EQ(jobs.queued_total(), 0u);
+  EXPECT_EQ(jobs.stats().at("running").as_int(), 0);
 }
 
 TEST(JobManager, FailedJobKeepsErrorAndResult) {
@@ -111,22 +114,26 @@ TEST(JobManager, DrainRejectsNewWorkButFinishesBacklog) {
   const SubmitOutcome rejected = jobs.submit("a", "", tiny_stream());
   EXPECT_FALSE(rejected.admitted);
   EXPECT_EQ(rejected.reject_code, "draining");
-  // The queued job still dispatches.
+  // The queued job still dispatches; the drain ends once it finished.
+  EXPECT_FALSE(jobs.drained());
   ASSERT_TRUE(jobs.next_job().has_value());
+  EXPECT_FALSE(jobs.drained());
   jobs.complete(1, obs::JsonValue::object(), queue_only(1.0));
-  EXPECT_TRUE(jobs.idle());
+  EXPECT_TRUE(jobs.drained());
 }
 
 TEST(JobManager, CancelQueuedEmptiesBacklog) {
+  // Shutdown order: stop admission, then cancel the backlog.
   JobManager jobs;
   ASSERT_TRUE(jobs.submit("a", "", tiny_stream()).admitted);
   ASSERT_TRUE(jobs.submit("b", "", tiny_stream()).admitted);
   ASSERT_TRUE(jobs.next_job().has_value());  // job 1 now RUNNING
+  jobs.begin_drain();
   EXPECT_EQ(jobs.cancel_queued().size(), 1u);  // job 2 cancelled
   EXPECT_EQ(jobs.status(2)->state, JobState::kCancelled);
-  EXPECT_FALSE(jobs.idle());  // job 1 still in flight
+  EXPECT_FALSE(jobs.drained());  // job 1 still in flight
   jobs.complete(1, obs::JsonValue::object(), queue_only(1.0));
-  EXPECT_TRUE(jobs.idle());
+  EXPECT_TRUE(jobs.drained());
   EXPECT_FALSE(jobs.next_job().has_value());
 }
 
@@ -308,7 +315,6 @@ TEST(JobManager, ConcurrentSubmitsKeepAccountingExact) {
   EXPECT_EQ(stats.at("completed").as_int(), stats.at("admitted").as_int());
   EXPECT_EQ(stats.at("queued").as_int(), 0);
   EXPECT_EQ(stats.at("running").as_int(), 0);
-  EXPECT_TRUE(jobs.idle());
 }
 
 TEST(JobManager, JobIdsAreMonotoneFromOne) {
@@ -477,6 +483,94 @@ TEST(JobManager, HeldSubmitRollsBackLikeAnyQueuedJob) {
   ASSERT_TRUE(retry.admitted);
   EXPECT_FALSE(retry.duplicate);
   EXPECT_NE(retry.job_id, held.job_id);
+}
+
+/// A dispatcher blocked in wait_next_job() on its own thread, as a
+/// --threads=N daemon runs it.
+class BlockedDispatcher {
+ public:
+  explicit BlockedDispatcher(JobManager& jobs)
+      : result_(picked_.get_future()),
+        thread_([this, &jobs] { picked_.set_value(jobs.wait_next_job()); }) {
+    // Time to reach the wait before the test changes the book.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  BlockedDispatcher(const BlockedDispatcher&) = delete;
+  BlockedDispatcher& operator=(const BlockedDispatcher&) = delete;
+  ~BlockedDispatcher() { thread_.join(); }
+
+  bool returned(std::chrono::milliseconds within) const {
+    return result_.wait_for(within) == std::future_status::ready;
+  }
+  std::optional<std::uint64_t> job() { return result_.get(); }
+
+ private:
+  std::promise<std::optional<std::uint64_t>> picked_;
+  std::future<std::optional<std::uint64_t>> result_;
+  std::thread thread_;  ///< last: it uses the members above
+};
+
+TEST(JobManager, DispatchWaitEndsWhenTheLastHeldJobOfADrainIsCancelled) {
+  // A journal append fails while a drain is under way and the held job is
+  // the only one queued: the rollback's cancel must wake the dispatcher,
+  // which then finds the book drained and returns.
+  JobManager jobs;
+  const SubmitOutcome held = jobs.submit("alice", "wal", tiny_stream(), "",
+                                         "", /*hold=*/true);
+  ASSERT_TRUE(held.admitted);
+  BlockedDispatcher dispatcher(jobs);
+  jobs.begin_drain();
+  // A held job counts as queued, so the drain is not finished yet.
+  EXPECT_FALSE(jobs.drained());
+  EXPECT_FALSE(dispatcher.returned(std::chrono::milliseconds(20)));
+
+  EXPECT_TRUE(jobs.cancel_queued_job(held.job_id));
+  const bool woke = dispatcher.returned(std::chrono::seconds(5));
+  if (!woke) jobs.cancel_queued();  // wakes it, so the thread can be joined
+  ASSERT_TRUE(woke) << "the cancel left the dispatcher asleep";
+  EXPECT_FALSE(dispatcher.job().has_value());
+  EXPECT_TRUE(jobs.drained());
+}
+
+TEST(JobManager, DispatchWaitTakesTheJobBehindACancelledHeldJob) {
+  // The held job at the front of a tenant's queue blocks the jobs behind
+  // it; cancelling it must wake the dispatcher for the next one.
+  JobManager jobs;
+  const SubmitOutcome held = jobs.submit("alice", "wal", tiny_stream(), "",
+                                         "", /*hold=*/true);
+  const SubmitOutcome next = jobs.submit("alice", "next", tiny_stream());
+  ASSERT_TRUE(held.admitted);
+  ASSERT_TRUE(next.admitted);
+  BlockedDispatcher dispatcher(jobs);
+  EXPECT_FALSE(dispatcher.returned(std::chrono::milliseconds(20)));
+
+  EXPECT_TRUE(jobs.cancel_queued_job(held.job_id));
+  const bool woke = dispatcher.returned(std::chrono::seconds(5));
+  if (!woke) jobs.submit("bob", "", tiny_stream());  // any unheld submit wakes
+  ASSERT_TRUE(woke) << "the cancel left the dispatcher asleep";
+  EXPECT_EQ(dispatcher.job(), std::optional<std::uint64_t>(next.job_id));
+  EXPECT_EQ(jobs.status(next.job_id)->state, JobState::kRunning);
+}
+
+TEST(JobManager, SubmitTimeIsStampedWhenTheJobBecomesDispatchable) {
+  // Unheld jobs at submit, held ones at release; replayed ones carry none.
+  obs::ManualClock clock;
+  clock.advance_ms(10.0);
+  JobManager jobs(AdmissionConfig{}, &clock);
+  ASSERT_TRUE(jobs.submit("alice", "now", tiny_stream()).admitted);
+  const SubmitOutcome held = jobs.submit("bob", "wal", tiny_stream(), "", "",
+                                         /*hold=*/true);
+  jobs.restore_queued(7, "carol", "replayed", "", "", tiny_stream());
+  clock.advance_ms(5.0);
+  EXPECT_TRUE(jobs.release_job(held.job_id));
+
+  std::map<std::uint64_t, double> submit_ms;
+  while (const auto id = jobs.next_job()) {
+    submit_ms[*id] = jobs.dispatch_info(*id).submit_ms;
+  }
+  EXPECT_EQ(submit_ms.at(1), 10.0);
+  EXPECT_EQ(submit_ms.at(held.job_id), 15.0);
+  EXPECT_EQ(submit_ms.at(7), -1.0);
 }
 
 TEST(JobManager, SloCountersStayZeroWithoutAnSlo) {

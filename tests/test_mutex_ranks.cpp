@@ -40,11 +40,10 @@ TEST(MutexRank, ReleaseRestoresHeadroom) {
 
 TEST(MutexRank, GlobalRankTableIsStrictlyLayered) {
   // The table itself must keep its documented ordering: config above pool
-  // above loop; server above jobs above journal; sinks above metrics above
-  // histogram; and the service layer entirely above the obs leaves.
+  // above loop; jobs above journal; sinks above metrics above histogram;
+  // and the service layer entirely above the obs leaves.
   EXPECT_GT(kLockRankParallelConfig, kLockRankPool);
   EXPECT_GT(kLockRankPool, kLockRankLoop);
-  EXPECT_GT(kLockRankServerState, kLockRankJobManager);
   EXPECT_GT(kLockRankJobManager, kLockRankJournal);
   EXPECT_GT(kLockRankEventSink, kLockRankSpanSink);
   EXPECT_GT(kLockRankSpanSink, kLockRankMetrics);

@@ -565,7 +565,6 @@ TEST(Service, OversizedFrameGetsStructuredErrorOverTheWire) {
   ServerConfig config;
   config.socket_path = socket;
   config.cluster.num_devices = 2;
-  config.max_frame_bytes = 512;
 
   ServeSession session(std::move(config));
   std::string error;
@@ -574,9 +573,9 @@ TEST(Service, OversizedFrameGetsStructuredErrorOverTheWire) {
   Client client;
   ASSERT_TRUE(client.connect(socket, &error)) << error;
 
-  // A submit whose frame blows past the 512-byte ceiling.
-  const auto oversized =
-      client.submit("big", "", std::string(4096, 'x'), &error);
+  // A submit whose frame blows past the daemon's frame ceiling.
+  const auto oversized = client.submit(
+      "big", "", std::string(kDefaultMaxFrameBytes + 1, 'x'), &error);
   ASSERT_TRUE(oversized.has_value()) << error;
   EXPECT_FALSE(oversized->at("ok").as_bool());
   EXPECT_EQ(oversized->at("code").as_string(), error_code::kFrameTooLong);
@@ -599,9 +598,10 @@ TEST(Service, OversizedFrameGetsStructuredErrorOverTheWire) {
 
 TEST(Service, StructurallyInvalidWorkloadIsRejectedAndServingContinues) {
   // Admission checks structure and sizes, not just syntax: the journaled
-  // daemon answers bad_workload, journals nothing for it, and runs the next
-  // job. The second text's tensors hold 2^64 bytes each; the last two write
-  // output id 2^64 - 1, once in decimal and once spelled -1.
+  // daemon answers bad_workload, journals nothing for it, counts it in
+  // stats as submitted and rejected, and runs the next job. The second
+  // text's tensors hold 2^64 bytes each; the last two write output id
+  // 2^64 - 1, once in decimal and once spelled -1.
   const std::string socket = test_socket_path("selfmw");
   const std::string journal = tmp_file_path("selfmw.journal");
   ServerConfig config;
@@ -636,6 +636,17 @@ TEST(Service, StructurallyInvalidWorkloadIsRejectedAndServingContinues) {
   ASSERT_TRUE(good->at("ok").as_bool()) << good->dump();
   const auto job_id = static_cast<std::uint64_t>(good->at("job_id").as_int());
   EXPECT_EQ(wait_for_job(client, job_id).at("state").as_string(), "DONE");
+
+  // The book counts every refusal as a submit: admitted + rejected ==
+  // submitted, for the tenant too.
+  const auto stats = client.stats(&error);
+  ASSERT_TRUE(stats.has_value()) << error;
+  const obs::JsonValue& book = stats->at("stats");
+  EXPECT_EQ(book.at("submitted").as_int(), 5);
+  EXPECT_EQ(book.at("admitted").as_int(), 1);
+  EXPECT_EQ(book.at("rejected").as_int(), 4);
+  EXPECT_EQ(book.at("tenants").at("alice").at("rejected").as_int(), 4);
+
   ASSERT_TRUE(client.drain(&error).has_value()) << error;
   client.close();
   EXPECT_EQ(session.join(), 0);

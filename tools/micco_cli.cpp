@@ -88,7 +88,10 @@ int usage() {
                "report, JSONL decision log)\n"
                "      [--fault-plan=FILE --retry-max=N --retry-backoff=S]\n"
                "      [--evict-policy=lru|reuse-distance]   (default lru)\n"
-               "  train --out=FILE [--samples=120 --gpus=8 --seed=N --threads=N]\n"
+               "      [--p2p --async-copy --devices-per-node=N]   (peer "
+               "copies, copy/compute overlap, GPUs per node)\n"
+               "  train --out=FILE [--samples=120 --gpus=8 --batch=32 --seed=N "
+               "--threads=N]\n"
                "  inspect FILE\n"
                "  report --spans=FILE [--pretty]   (summarise a span-tree "
                "trace file)\n"
@@ -101,7 +104,7 @@ int usage() {
                "--weights=tenant:w,...]\n"
                "        [--fault-plan=FILE --retry-max=N --retry-backoff=S]\n"
                "        [--journal=FILE --journal-fsync=never|always]\n"
-               "        [--evict-policy=NAME]\n"
+               "        [--evict-policy=NAME --p2p --async-copy]\n"
                "        (an existing --journal is replayed: finished jobs "
                "answer again, interrupted jobs re-run)\n"
                "  submit FILE --socket=PATH [--tenant=NAME --name=LABEL "
