@@ -38,7 +38,7 @@
 # run (decision throughput + cross-thread-count tuner label identity), the
 # Release-mode eviction-policy gate (bench_oversubscription --gate:
 # reuse-distance must not pay more eviction-caused transfer bytes than LRU
-# on f0d2/f0d4), the
+# on f0d2/f0d4, and BENCH_mem.json must regenerate byte for byte), the
 # Release-mode tracing-overhead gate (bench_overhead --gate: full tracing
 # must cost < 2 % end to end), the end-to-end benchmark smoke
 # (perfbench/run.py --smoke: every workload in both modes with all of its
@@ -652,11 +652,18 @@ echo "== eviction-policy gate (Release) =="
 # Exits non-zero when ReuseDistancePolicy pays MORE eviction-caused
 # transfer bytes (write-backs + re-fetches of evicted tensors) than LRU on
 # the f0d2/f0d4 oversubscription benches, or when any policy materially
-# flips the Groute-vs-MICCO GFLOPS ranking. BENCH_mem.json is refreshed on
-# every run so the tracked numbers never go stale silently.
+# flips the Groute-vs-MICCO GFLOPS ranking. The simulated eviction numbers
+# are deterministic, so BENCH_mem.json must regenerate byte for byte: any
+# drift fails here (a change that means to move them commits the new file).
+cp "BENCH_mem.json" "${SMOKE_DIR}/BENCH_mem.committed.json"
 "${REL_BUILD_DIR}/bench/bench_oversubscription" --quick --gate \
   --out="BENCH_mem.json"
 grep -q '"gate_passed": true' "BENCH_mem.json"
+if ! cmp "${SMOKE_DIR}/BENCH_mem.committed.json" "BENCH_mem.json"; then
+  echo "eviction-policy gate FAILED: BENCH_mem.json drifted from the" \
+    "committed file" >&2
+  exit 1
+fi
 
 echo "== tracing overhead gate (Release) =="
 # Exits non-zero when full tracing (spans + decision-latency scratch) costs

@@ -83,9 +83,6 @@ std::span<const DeviceId> ClusterSimulator::devices_holding(
 }
 
 bool ClusterSimulator::resident_on(DeviceId dev, TensorId id) const {
-  // The index's membership bit is kept in lockstep with DeviceMemory (every
-  // allocate/release pairs with a place/remove), so the O(1) bit test
-  // answers for the hash lookup.
   return index_.holds(dev, id);
 }
 
@@ -198,8 +195,9 @@ std::optional<double> ClusterSimulator::make_room(DeviceId dev,
     const std::optional<mem::VictimChoice> victim =
         evict_policy_->pick_victim(d.memory);
     if (!victim.has_value()) return std::nullopt;
-    const Eviction ev = d.memory.evict(victim->id);
-    index_.remove(ev.id, dev);
+    const Eviction ev = d.memory.evict(victim->slot);
+    const DeviceMemory::Slot held = index_.remove(ev.id, dev);
+    MICCO_ASSERT(held == victim->slot);
     ++metrics_.evictions;
     d.note_evicted(ev.id);
     if (mem_reuse_distance_hist_ != nullptr &&
@@ -230,9 +228,11 @@ ClusterSimulator::FetchResult ClusterSimulator::fetch_operand(
     const TensorDesc& desc, DeviceId dev) {
   DeviceState& d = device(dev);
   FetchResult result;
-  if (d.memory.resident(desc.id)) {
-    d.memory.touch(desc.id);
-    d.memory.pin(desc.id);
+  const ClusterIndex::Residency* res = index_.find(desc.id);
+  if (res != nullptr && res->holds(dev)) {
+    result.slot = res->holders.slot_on(dev);
+    d.memory.touch(result.slot);
+    d.memory.pin(result.slot);
     ++metrics_.reused_operands;
     return result;
   }
@@ -315,9 +315,10 @@ ClusterSimulator::FetchResult ClusterSimulator::fetch_operand(
                                      p2p});
   }
 
-  d.memory.allocate(desc.id, bytes, /*dirty=*/false, busy_time(dev));
-  d.memory.pin(desc.id);
-  index_.place(desc.id, dev);
+  result.slot =
+      d.memory.allocate(desc.id, bytes, /*dirty=*/false, busy_time(dev));
+  d.memory.pin(result.slot);
+  index_.place(desc.id, dev, result.slot);
   // Re-fetch of a tensor this run already evicted from this device: the
   // avoidable half of the eviction-caused transfer bill.
   if (d.evicted_before(desc.id)) metrics_.eviction_refetch_bytes += bytes;
@@ -405,11 +406,11 @@ ExecuteResult ClusterSimulator::execute_impl(const ContractionTask& task,
   // making room for one operand never evicts the other. A task may use the
   // same tensor for both operands (self-contraction); pin it once.
   const bool same_operand = task.a.id == task.b.id;
-  bool a_pinned = false;
-  bool b_pinned = false;
+  DeviceMemory::Slot a_slot = DeviceMemory::kNoSlot;
+  DeviceMemory::Slot b_slot = DeviceMemory::kNoSlot;
   const auto unpin_held = [&] {
-    if (a_pinned) d.memory.unpin(task.a.id);
-    if (b_pinned && !same_operand) d.memory.unpin(task.b.id);
+    if (a_slot != DeviceMemory::kNoSlot) d.memory.unpin(a_slot);
+    if (b_slot != DeviceMemory::kNoSlot) d.memory.unpin(b_slot);
   };
   // Shared failure tail: a memory-exhaustion on a capacity-faulted device
   // and a retry-exhausted transfer both condemn the device (the hardware or
@@ -432,7 +433,7 @@ ExecuteResult ClusterSimulator::execute_impl(const ContractionTask& task,
     resolve_fetch_failure(fetch_a.status);
     return result;
   }
-  a_pinned = true;
+  a_slot = fetch_a.slot;
   if (!same_operand) {
     const FetchResult fetch_b = fetch_operand(task.b, dev);
     result.transfer_retries += fetch_b.retries;
@@ -441,11 +442,11 @@ ExecuteResult ClusterSimulator::execute_impl(const ContractionTask& task,
       resolve_fetch_failure(fetch_b.status);
       return result;
     }
-    b_pinned = true;
+    b_slot = fetch_b.slot;
   }
 
   // Output allocation (kernels never run in place).
-  MICCO_EXPECTS_MSG(!d.memory.resident(task.out.id),
+  MICCO_EXPECTS_MSG(!index_.holds(dev, task.out.id),
                     "output tensor already resident on target device");
   const std::uint64_t out_bytes = task.out.bytes();
   const std::optional<double> out_room =
@@ -461,8 +462,9 @@ ExecuteResult ClusterSimulator::execute_impl(const ContractionTask& task,
                                      task.out.id, kAllocLatencyS,
                                      out_bytes});
   }
-  d.memory.allocate(task.out.id, out_bytes, /*dirty=*/true, busy_time(dev));
-  index_.place(task.out.id, dev);
+  index_.place(task.out.id, dev,
+               d.memory.allocate(task.out.id, out_bytes, /*dirty=*/true,
+                                 busy_time(dev)));
   ++metrics_.allocations;
 
   double kernel_cost = kernel_time(task);
@@ -540,17 +542,20 @@ std::vector<TensorId> ClusterSimulator::fail_device(DeviceId dev,
   d.compute_free_s = std::min(d.compute_free_s, at_s);
   d.copy_free_s = std::min(d.copy_free_s, at_s);
 
-  const std::vector<TensorId> resident = d.memory.resident_ids();
-  for (const TensorId id : resident) {
-    d.memory.release(id);
-    index_.remove(id, dev);
+  // Residents in ascending id order, so nothing below depends on recency.
+  std::vector<TensorId> resident;
+  resident.reserve(d.memory.resident_count());
+  for (const DeviceMemory::Slot slot : d.memory.lru_order()) {
+    resident.push_back(d.memory.at(slot).id);
   }
+  std::sort(resident.begin(), resident.end());
+  for (const TensorId id : resident) d.memory.release(index_.remove(id, dev));
 
   // A produced tensor with no host copy and no surviving replica died with
   // the device; its producer must be re-executed (lineage recovery).
-  // `resident` comes back sorted from resident_ids(), so `lost` is built in
-  // ascending id order; the sort stays as a cheap belt-and-braces guarantee
-  // for the recovery path's determinism contract.
+  // `resident` is sorted, so `lost` is built in ascending id order; the
+  // sort stays as a cheap belt-and-braces guarantee for the recovery path's
+  // determinism contract.
   std::vector<TensorId> lost;
   for (const TensorId id : resident) {
     if (!index_.host_resident(id) && !resident_anywhere(id)) {

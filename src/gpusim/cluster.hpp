@@ -278,8 +278,9 @@ class ClusterSimulator final : public ClusterView {
   /// Node index of a device under the configured topology.
   int node_of(DeviceId dev) const;
 
-  /// Read-only view of one device's memory book-keeping (LRU order, pins,
-  /// residency) — what pick_victim() sees. Tests drive policies against it.
+  /// Read-only view of one device's memory book-keeping (residents in LRU
+  /// order, pins, bytes) — what pick_victim() sees. Tests drive policies
+  /// against it.
   const DeviceMemory& device_memory(DeviceId dev) const;
 
   /// True when a host copy of the tensor exists: original inputs always
@@ -322,6 +323,8 @@ class ClusterSimulator final : public ClusterView {
     double cost_s = 0.0;
     FetchStatus status = FetchStatus::kOk;
     int retries = 0;  ///< transient transfer faults survived
+    /// The operand's pinned slot on the device (kOk only).
+    DeviceMemory::Slot slot = DeviceMemory::kNoSlot;
   };
 
   DeviceState& device(DeviceId dev);
@@ -383,9 +386,10 @@ class ClusterSimulator final : public ClusterView {
   ClusterConfig config_;
   std::vector<DeviceState> devices_;
   /// Incremental residency/load/headroom index, maintained as deltas by
-  /// place/remove calls and sync_device_mirror (replaces the old
-  /// residency hash map; holders keep the same insertion order). It also
-  /// carries each tensor's produced/host-copy bits (host_resident()).
+  /// place/remove calls and sync_device_mirror. It is the only record of
+  /// which tensor lives in which DeviceMemory slot (every allocate pairs
+  /// with a place, every evict/release with a remove), and it carries each
+  /// tensor's produced/host-copy bits (host_resident()).
   ClusterIndex index_;
   ExecutionMetrics metrics_;
   obs::Telemetry* telemetry_ = nullptr;

@@ -10,7 +10,10 @@
 //   * Per-tensor residency: the holder list in insertion order (candidate
 //     enumeration order is part of the decision-log byte-identity contract;
 //     up to four holders inline, so placing a tensor allocates nothing)
-//     plus a device bitmask for O(1) membership tests.
+//     plus a device bitmask for O(1) membership tests. Each holder keeps the
+//     DeviceMemory slot of its replica beside it: this is the cluster's only
+//     record of which tensor lives where, and the simulator reaches a
+//     replica's node through it.
 //   * Per-device SoA mirrors: busy time, memory used/capacity and an alive
 //     bitmask in parallel flat arrays, so candidate selection runs
 //     branch-light over contiguous doubles instead of virtual calls.
@@ -30,6 +33,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "gpusim/memory.hpp"
 #include "workload/task.hpp"
 
 namespace micco {
@@ -43,43 +47,55 @@ class ClusterIndex {
   /// sequentially from 0, so in practice everything lands here).
   static constexpr std::uint64_t kDenseLimit = 1ULL << 20;
 
-  /// Holder devices of one tensor in insertion (placement) order. Up to
-  /// kInline ids live inline; placing a fifth replica moves the whole list
-  /// to the heap, and removals back down to kInline move it inline again
-  /// and free the block. The ids are always contiguous, so span() views
-  /// them in order either way. Copies are deep (defaulted members).
+  /// Holder devices of one tensor in insertion (placement) order, each with
+  /// the DeviceMemory slot of its replica. Up to kInline holders live
+  /// inline; placing a fifth replica moves the whole list to one heap block
+  /// (the devices, then their slots), and removals back down to kInline move
+  /// it inline again and free the block. The devices are always contiguous,
+  /// so span() views them in order either way. Copies are deep (defaulted
+  /// members).
   class HolderList {
    public:
     static constexpr std::size_t kInline = 4;
+    using Slot = DeviceMemory::Slot;
 
-    std::span<const DeviceId> span() const { return {data(), size_}; }
-    const DeviceId* begin() const { return data(); }
-    const DeviceId* end() const { return data() + size_; }
+    std::span<const DeviceId> span() const { return {devices(), size_}; }
+    const DeviceId* begin() const { return devices(); }
+    const DeviceId* end() const { return devices() + size_; }
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
-    /// True while the ids live on the heap (more than kInline holders).
+    /// True while the list lives on the heap (more than kInline holders).
     bool spilled() const { return size_ > kInline; }
 
-    void push_back(DeviceId dev);
-    /// Removes `dev` (must be present), keeping the others' order.
-    void erase(DeviceId dev);
+    /// Slot of the replica on `dev` (must be a holder).
+    Slot slot_on(DeviceId dev) const { return slot(position(dev)); }
+
+    void push_back(DeviceId dev, Slot slot);
+    /// Removes `dev` (must be present), keeping the others' order; returns
+    /// the slot its replica had.
+    Slot erase(DeviceId dev);
 
    private:
-    const DeviceId* data() const {
+    const DeviceId* devices() const {
       return spilled() ? spill_.data() : inline_.data();
     }
+    std::size_t position(DeviceId dev) const;
+    /// Slot of the replica on the i-th holder, span()[i].
+    Slot slot(std::size_t i) const;
 
     std::array<DeviceId, kInline> inline_{};
+    std::array<Slot, kInline> inline_slots_{};
     std::size_t size_ = 0;
-    /// Every id while spilled(); empty, with no capacity, otherwise.
+    /// While spilled(): the size() devices, then their slots (each stored
+    /// as a DeviceId bit pattern). Empty, with no capacity, otherwise.
     std::vector<DeviceId> spill_;
   };
 
   /// Residency record of one tensor. Entries persist after the last replica
   /// is removed (empty holders), keeping the host-copy bits below.
   struct Residency {
-    /// Holder devices in insertion (placement) order; schedulers enumerate
-    /// candidates in exactly this order.
+    /// Holder devices in insertion (placement) order, with their replicas'
+    /// slots; schedulers enumerate candidates in exactly this order.
     HolderList holders;
     /// Membership bitmask over devices 0-63 (the common numGPU <= 64 case).
     /// Devices past 63 are looked up in the holder list instead, so no
@@ -106,12 +122,13 @@ class ClusterIndex {
   int num_devices() const { return num_devices_; }
 
   // -- Residency deltas --------------------------------------------------
-  /// Records a new replica of `id` on `dev` (must not already hold it).
-  void place(TensorId id, DeviceId dev);
+  /// Records a new replica of `id` on `dev` (must not already hold it),
+  /// living in `slot` of the device's memory.
+  void place(TensorId id, DeviceId dev, DeviceMemory::Slot slot);
 
-  /// Drops the replica of `id` on `dev` (must hold it). The entry survives
-  /// with an empty holder list.
-  void remove(TensorId id, DeviceId dev);
+  /// Drops the replica of `id` on `dev` (must hold it) and returns its
+  /// slot. The entry survives with an empty holder list.
+  DeviceMemory::Slot remove(TensorId id, DeviceId dev);
 
   /// The tensor's residency record, or nullptr when it was never placed.
   const Residency* find(TensorId id) const;

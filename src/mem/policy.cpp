@@ -72,9 +72,9 @@ std::optional<std::int64_t> FutureUseTracker::next_use(TensorId id) const {
 
 std::optional<VictimChoice> LruPolicy::pick_victim(
     const DeviceMemory& memory) const {
-  for (const TensorId id : memory.lru_order()) {
-    if (memory.pinned(id)) continue;
-    return VictimChoice{id, kNoFutureUse};
+  for (const DeviceMemory::Slot slot : memory.lru_order()) {
+    if (memory.at(slot).pinned) continue;
+    return VictimChoice{slot, kNoFutureUse};
   }
   return std::nullopt;
 }
@@ -97,26 +97,27 @@ std::optional<VictimChoice> ReuseDistancePolicy::pick_victim(
   // strictly-greater scan makes them win outright; strict comparison keeps
   // ties on the least recently used candidate (encountered first in LRU
   // order), which is also what pins the selection deterministically.
-  std::optional<TensorId> best;
+  DeviceMemory::Slot best = DeviceMemory::kNoSlot;
   std::uint64_t best_key = 0;
-  for (const TensorId id : memory.lru_order()) {
-    if (memory.pinned(id)) continue;
-    const std::optional<std::int64_t> next = tracker_.next_use(id);
+  for (const DeviceMemory::Slot slot : memory.lru_order()) {
+    const DeviceMemory::Resident& resident = memory.at(slot);
+    if (resident.pinned) continue;
+    const std::optional<std::int64_t> next = tracker_.next_use(resident.id);
     const std::uint64_t key =
         next.has_value() ? static_cast<std::uint64_t>(*next) : kNoFutureUse;
-    if (!best.has_value() || key > best_key) {
-      best = id;
+    if (best == DeviceMemory::kNoSlot || key > best_key) {
+      best = slot;
       best_key = key;
     }
   }
-  if (!best.has_value()) return std::nullopt;
+  if (best == DeviceMemory::kNoSlot) return std::nullopt;
   std::uint64_t distance = kNoFutureUse;
   if (best_key != kNoFutureUse) {
     const auto cursor = static_cast<std::uint64_t>(
         tracker_.cursor() < 0 ? 0 : tracker_.cursor());
     distance = best_key > cursor ? best_key - cursor : 0;
   }
-  return VictimChoice{*best, distance};
+  return VictimChoice{best, distance};
 }
 
 std::unique_ptr<EvictionPolicy> make_policy(EvictPolicyKind kind) {

@@ -57,12 +57,12 @@ std::vector<EvictPolicyKind> all_evict_policies();
 inline constexpr std::uint64_t kNoFutureUse =
     std::numeric_limits<std::uint64_t>::max();
 
-/// A policy's verdict for one eviction: which tensor to spill and how far
-/// away its next use is (kNoFutureUse when it has none), in units of pairs
-/// remaining before the use. The distance feeds the mem.reuse_distance
-/// histogram for future-use-aware policies.
+/// A policy's verdict for one eviction: the slot of the resident to spill
+/// and how far away its next use is (kNoFutureUse when it has none), in
+/// units of pairs remaining before the use. The distance feeds the
+/// mem.reuse_distance histogram for future-use-aware policies.
 struct VictimChoice {
-  TensorId id = kInvalidTensor;
+  DeviceMemory::Slot slot = DeviceMemory::kNoSlot;
   std::uint64_t reuse_distance = kNoFutureUse;
 };
 
@@ -109,10 +109,10 @@ class EvictionPolicy {
   virtual EvictPolicyKind kind() const = 0;
   const char* name() const { return to_string(kind()); }
 
-  /// Selects the next victim among the unpinned residents of `memory`, or
-  /// nullopt when everything resident is pinned (the caller reports a
-  /// capacity error). Const on purpose — see the determinism rules in the
-  /// header comment.
+  /// Selects the next victim among the unpinned residents of `memory` (it
+  /// walks lru_order() and reads each resident's pin), or nullopt when
+  /// everything resident is pinned (the caller reports a capacity error).
+  /// Const on purpose — see the determinism rules in the header comment.
   virtual std::optional<VictimChoice> pick_victim(
       const DeviceMemory& memory) const = 0;
 

@@ -65,7 +65,6 @@ void JobManager::enqueue_locked(Job job) {
   if (tenant.queue.empty()) {
     tenant.pass = std::max(tenant.pass, global_pass_);
   }
-  tenant.weight = config_.weight_for(job.tenant);
   tenant.queue.push_back(job.id);
   tenant.admitted += 1;
   job.depth_at_submit = queued_;  // backlog ahead of this job at admission
@@ -187,7 +186,6 @@ void JobManager::restore_finished(std::uint64_t job_id,
   ++admitted_;
   ++replayed_;
   Tenant& tenant = tenants_[tenant_name];
-  tenant.weight = config_.weight_for(tenant_name);
   tenant.admitted += 1;
   switch (state) {
     case JobState::kDone: ++completed_; break;
@@ -238,18 +236,21 @@ std::optional<std::uint64_t> JobManager::next_job_locked() {
   // dispatch is a pure function of the submission sequence. A tenant whose
   // front job is still held (admission record not yet durable) is skipped
   // whole: overtaking the held job would break per-tenant FIFO order.
-  Tenant* best = nullptr;
-  for (auto& [name, tenant] : tenants_) {
+  auto best = tenants_.end();
+  for (auto it = tenants_.begin(); it != tenants_.end(); ++it) {
+    const Tenant& tenant = it->second;
     if (tenant.queue.empty()) continue;
     if (jobs_.at(tenant.queue.front()).held) continue;
-    if (best == nullptr || tenant.pass < best->pass) best = &tenant;
+    if (best == tenants_.end() || tenant.pass < best->second.pass) best = it;
   }
-  if (best == nullptr) return std::nullopt;
+  if (best == tenants_.end()) return std::nullopt;
 
-  const std::uint64_t id = best->queue.front();
-  best->queue.pop_front();
-  best->pass += kStrideUnit / static_cast<std::uint64_t>(best->weight);
-  global_pass_ = std::max(global_pass_, best->pass);
+  Tenant& tenant = best->second;
+  const std::uint64_t id = tenant.queue.front();
+  tenant.queue.pop_front();
+  tenant.pass +=
+      kStrideUnit / static_cast<std::uint64_t>(config_.weight_for(best->first));
+  global_pass_ = std::max(global_pass_, tenant.pass);
 
   Job& job = jobs_.at(id);
   MICCO_ASSERT(job.state == JobState::kQueued);
@@ -465,7 +466,7 @@ obs::JsonValue JobManager::stats() const {
   for (const auto& [name, tenant] : tenants_) {
     obs::JsonValue entry = obs::JsonValue::object();
     entry.set("queued", static_cast<std::uint64_t>(tenant.queue.size()));
-    entry.set("weight", tenant.weight);
+    entry.set("weight", config_.weight_for(name));
     entry.set("admitted", tenant.admitted);
     entry.set("rejected", tenant.rejected);
     entry.set("slo_ok", tenant.slo_ok);

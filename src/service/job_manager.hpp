@@ -286,7 +286,6 @@ class JobManager {
     /// dispatch. Fixed-point (integer) so accumulation is exact and
     /// platform-independent.
     std::uint64_t pass = 0;
-    int weight = 1;
     std::uint64_t admitted = 0;
     std::uint64_t rejected = 0;
     std::uint64_t slo_ok = 0;

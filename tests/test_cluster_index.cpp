@@ -1,19 +1,23 @@
-// ClusterIndex unit tests: residency deltas (holder order, bitmask), the
-// inline holder list and its heap spill, wide clusters past the 64-bit
-// inline mask word, the sparse id spill, copies, and — via a live
-// ClusterSimulator — holder lists that follow every allocation, eviction
-// and failure, and the contract that the per-device mirrors and the
-// residency sets always agree with the virtual ClusterView getters at every
-// scheduler observation point (after execute, barrier and failure).
+// ClusterIndex unit tests: residency deltas (holder order, bitmask, each
+// holder's memory slot), the inline holder list and its heap spill, wide
+// clusters past the 64-bit inline mask word, the sparse id spill, copies,
+// and — via a live ClusterSimulator — holder lists that follow every
+// allocation, eviction and failure, and the contract that the holder lists
+// name exactly the replicas in each device's memory, slot for slot, and the
+// per-device mirrors agree with it, at every scheduler observation point
+// (after execute, barrier, capacity loss and failure).
 #include "gpusim/cluster_index.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <span>
+#include <tuple>
 #include <vector>
 
+#include "faults/injector.hpp"
 #include "gpusim/cluster.hpp"
 #include "workload/task.hpp"
 
@@ -29,9 +33,17 @@ ContractionTask task(TensorId a, TensorId b, TensorId out,
   return ContractionTask{desc(a, extent), desc(b, extent), desc(out, extent)};
 }
 
+using Slot = DeviceMemory::Slot;
+
 /// Holder ids as a vector, so assertions compare element-wise and print.
 std::vector<DeviceId> ids(std::span<const DeviceId> holders) {
   return {holders.begin(), holders.end()};
+}
+
+/// The slot the unit tests place replica (`id`, `dev`) in. Past 2^31, so a
+/// spilled list's block must carry full 32-bit slots.
+Slot slot_for(TensorId id, DeviceId dev) {
+  return 0x80000000U + static_cast<Slot>(id * 256 + static_cast<TensorId>(dev));
 }
 
 /// Asserts that each of `tensors` is held by exactly `holders`.
@@ -47,19 +59,37 @@ void expect_holders(const ClusterIndex& index,
 
 TEST(ClusterIndex, HoldersKeepInsertionOrder) {
   ClusterIndex index(8);
-  index.place(5, 3);
-  index.place(5, 0);
-  index.place(5, 6);
+  index.place(5, 3, 7);
+  index.place(5, 0, 2);
+  index.place(5, 6, 7);
   EXPECT_EQ(ids(index.holders(5)), (std::vector<DeviceId>{3, 0, 6}));
   EXPECT_TRUE(index.holds(3, 5));
   EXPECT_TRUE(index.holds(0, 5));
   EXPECT_TRUE(index.holds(6, 5));
   EXPECT_FALSE(index.holds(1, 5));
+  const ClusterIndex::HolderList& holders = index.find(5)->holders;
+  EXPECT_EQ(holders.slot_on(3), 7U);
+  EXPECT_EQ(holders.slot_on(0), 2U);
+  EXPECT_EQ(holders.slot_on(6), 7U);
 
-  // Removing the middle holder preserves the relative order of the rest.
-  index.remove(5, 0);
+  // Removing the middle holder returns its slot and preserves the relative
+  // order of the rest, slots included.
+  EXPECT_EQ(index.remove(5, 0), 2U);
   EXPECT_EQ(ids(index.holders(5)), (std::vector<DeviceId>{3, 6}));
   EXPECT_FALSE(index.holds(0, 5));
+  EXPECT_EQ(holders.slot_on(3), 7U);
+  EXPECT_EQ(holders.slot_on(6), 7U);
+}
+
+TEST(ClusterIndex, DoublePlacementAborts) {
+  // A second replica of one tensor on one device is a simulator bug: the
+  // index is the record that would hide it, so it refuses, as it refuses
+  // to remove a replica it never recorded.
+  ClusterIndex index(2);
+  index.place(1, 0, 0);
+  index.place(1, 1, 0);
+  EXPECT_DEATH(index.place(1, 0, 1), "double allocation");
+  EXPECT_DEATH(index.remove(2, 0), "");
 }
 
 TEST(ClusterIndex, NeverPlacedTensorHasEmptyState) {
@@ -74,12 +104,13 @@ TEST(ClusterIndex, EntrySurvivesLastRemovalAndReplacement) {
   // The entry survives the last removal with an empty holder list, and a
   // re-placement starts a new holder list.
   ClusterIndex index(4);
-  index.place(7, 1);
-  index.remove(7, 1);
+  index.place(7, 1, 0);
+  EXPECT_EQ(index.remove(7, 1), 0U);
   EXPECT_NE(index.find(7), nullptr);
   EXPECT_FALSE(index.resident_anywhere(7));
-  index.place(7, 2);
+  index.place(7, 2, 3);
   EXPECT_EQ(ids(index.holders(7)), (std::vector<DeviceId>{2}));
+  EXPECT_EQ(index.find(7)->holders.slot_on(2), 3U);
 
   // The same through the simulator: on a device that holds three tensors,
   // every task evicts earlier ones and re-fetches evicted operands, and
@@ -122,24 +153,30 @@ TEST(ClusterIndex, EveryResidencyChangeShowsInHoldersAndMetrics) {
 TEST(ClusterIndex, SparseSpillHandlesHugeIds) {
   ClusterIndex index(4);
   const TensorId huge = (1ULL << 20) + 17;  // past the dense table
-  index.place(huge, 2);
+  index.place(huge, 2, 5);
   EXPECT_TRUE(index.holds(2, huge));
   EXPECT_EQ(ids(index.holders(huge)), (std::vector<DeviceId>{2}));
-  index.remove(huge, 2);
+  EXPECT_EQ(index.remove(huge, 2), 5U);
   EXPECT_FALSE(index.resident_anywhere(huge));
   EXPECT_NE(index.find(huge), nullptr);
 }
 
 // ------------------------------------------------------------ holder lists
 
-/// Places `id` on each device in turn.
+/// Places `id` on each device in turn, in slot_for(id, dev).
 void place_all(ClusterIndex& index, TensorId id,
                const std::vector<DeviceId>& devs) {
-  for (const DeviceId dev : devs) index.place(id, dev);
+  for (const DeviceId dev : devs) index.place(id, dev, slot_for(id, dev));
 }
 
-/// The holder list, its membership bits and the record's spill state agree
-/// with `want` (in order).
+/// Removes the replica of `id` on `dev`, which must be in slot_for(id, dev).
+void remove_one(ClusterIndex& index, TensorId id, DeviceId dev) {
+  EXPECT_EQ(index.remove(id, dev), slot_for(id, dev))
+      << "tensor " << id << " dev " << dev;
+}
+
+/// The holder list, its slots, its membership bits and the record's spill
+/// state agree with `want` (in order), each replica in slot_for(id, dev).
 void expect_holders(const ClusterIndex& index, TensorId id,
                     const std::vector<DeviceId>& want) {
   EXPECT_EQ(ids(index.holders(id)), want) << "tensor " << id;
@@ -148,6 +185,10 @@ void expect_holders(const ClusterIndex& index, TensorId id,
   EXPECT_EQ(res->holders.size(), want.size());
   EXPECT_EQ(res->holders.spilled(),
             want.size() > ClusterIndex::HolderList::kInline);
+  for (const DeviceId dev : want) {
+    EXPECT_EQ(res->holders.slot_on(dev), slot_for(id, dev))
+        << "tensor " << id << " dev " << dev;
+  }
   for (DeviceId dev = 0; dev < index.num_devices(); ++dev) {
     const bool member = std::find(want.begin(), want.end(), dev) != want.end();
     EXPECT_EQ(index.holds(dev, id), member) << "tensor " << id << " dev "
@@ -160,7 +201,7 @@ TEST(ClusterIndexHolders, SpillPastInlineCapacityKeepsOrder) {
   ClusterIndex index(16);
   place_all(index, 3, {9, 2, 14, 0});
   expect_holders(index, 3, {9, 2, 14, 0});  // exactly full, still inline
-  index.place(3, 5);
+  place_all(index, 3, {5});
   expect_holders(index, 3, {9, 2, 14, 0, 5});  // fifth replica spills
   place_all(index, 3, {11, 1, 7});
   expect_holders(index, 3, {9, 2, 14, 0, 5, 11, 1, 7});
@@ -169,27 +210,27 @@ TEST(ClusterIndexHolders, SpillPastInlineCapacityKeepsOrder) {
 TEST(ClusterIndexHolders, InlineRemovalPreservesOrder) {
   ClusterIndex index(8);
   place_all(index, 1, {6, 1, 4, 3});
-  index.remove(1, 4);  // middle
+  remove_one(index, 1, 4);  // middle
   expect_holders(index, 1, {6, 1, 3});
-  index.remove(1, 6);  // front
+  remove_one(index, 1, 6);  // front
   expect_holders(index, 1, {1, 3});
-  index.remove(1, 3);  // back
+  remove_one(index, 1, 3);  // back
   expect_holders(index, 1, {1});
-  index.remove(1, 1);
+  remove_one(index, 1, 1);
   expect_holders(index, 1, {});
 }
 
 TEST(ClusterIndexHolders, SpilledRemovalPreservesOrderAndMovesBackInline) {
   ClusterIndex index(16);
   place_all(index, 2, {10, 3, 12, 5, 0, 8, 15});
-  index.remove(2, 5);  // middle
+  remove_one(index, 2, 5);  // middle
   expect_holders(index, 2, {10, 3, 12, 0, 8, 15});
-  index.remove(2, 10);  // front
+  remove_one(index, 2, 10);  // front
   expect_holders(index, 2, {3, 12, 0, 8, 15});
-  index.remove(2, 15);  // back: down to the inline capacity
+  remove_one(index, 2, 15);  // back: down to the inline capacity
   expect_holders(index, 2, {3, 12, 0, 8});
   // Inline again; the list keeps working in both directions.
-  index.remove(2, 12);
+  remove_one(index, 2, 12);
   expect_holders(index, 2, {3, 0, 8});
   place_all(index, 2, {1, 13});
   expect_holders(index, 2, {3, 0, 8, 1, 13});
@@ -198,11 +239,11 @@ TEST(ClusterIndexHolders, SpilledRemovalPreservesOrderAndMovesBackInline) {
 TEST(ClusterIndexHolders, ReplacementAfterLastHolderRemoved) {
   ClusterIndex index(8);
   place_all(index, 4, {2, 5, 7, 0, 1});  // spilled
-  for (const DeviceId dev : {5, 0, 2, 7, 1}) index.remove(4, dev);
+  for (const DeviceId dev : {5, 0, 2, 7, 1}) remove_one(index, 4, dev);
   expect_holders(index, 4, {});
   EXPECT_FALSE(index.resident_anywhere(4));
 
-  index.place(4, 6);
+  place_all(index, 4, {6});
   expect_holders(index, 4, {6});
   EXPECT_TRUE(index.resident_anywhere(4));
   place_all(index, 4, {3, 2, 0, 5});
@@ -217,14 +258,14 @@ TEST(ClusterIndexHolders, CopyEvolvesIndependentlyOfSource) {
   expect_holders(copy, 1, {4, 66});
   expect_holders(copy, 2, {0, 1, 2, 3, 4, 5, 69});
 
-  copy.remove(1, 4);
-  copy.place(1, 9);
-  copy.remove(2, 3);
-  copy.place(2, 68);
-  source.remove(2, 0);
-  source.remove(2, 69);
-  source.remove(2, 5);
-  source.place(1, 65);
+  remove_one(copy, 1, 4);
+  place_all(copy, 1, {9});
+  remove_one(copy, 2, 3);
+  place_all(copy, 2, {68});
+  remove_one(source, 2, 0);
+  remove_one(source, 2, 69);
+  remove_one(source, 2, 5);
+  place_all(source, 1, {65});
 
   expect_holders(source, 1, {4, 66, 65});
   expect_holders(source, 2, {1, 2, 3, 4});
@@ -236,16 +277,16 @@ TEST(ClusterIndexHolders, CopyEvolvesIndependentlyOfSource) {
 
 TEST(ClusterIndex, MaskExtendsPast64Devices) {
   ClusterIndex index(70);
-  index.place(9, 63);   // last bit of the inline word
-  index.place(9, 64);   // first bit of the first spill word
-  index.place(9, 69);
+  index.place(9, 63, 0);  // last bit of the inline word
+  index.place(9, 64, 1);  // first bit of the first spill word
+  index.place(9, 69, 2);
   EXPECT_TRUE(index.holds(63, 9));
   EXPECT_TRUE(index.holds(64, 9));
   EXPECT_TRUE(index.holds(69, 9));
   EXPECT_FALSE(index.holds(65, 9));
   EXPECT_EQ(ids(index.holders(9)), (std::vector<DeviceId>{63, 64, 69}));
 
-  index.remove(9, 64);
+  EXPECT_EQ(index.remove(9, 64), 1U);
   EXPECT_FALSE(index.holds(64, 9));
   EXPECT_TRUE(index.holds(63, 9));
   EXPECT_TRUE(index.holds(69, 9));
@@ -292,52 +333,97 @@ TEST(ClusterIndex, AliveMaskSpansMultipleWordsAscending) {
 
 // ------------------------------------------------ mirrors track the cluster
 
-/// The index the simulator maintains must agree with the virtual getters at
-/// every point the scheduler can observe the cluster.
+/// One replica: tensor, device and the slot of its DeviceMemory node.
+using Replica = std::tuple<TensorId, DeviceId, Slot>;
+
+/// The index the simulator maintains must agree with each device's memory
+/// at every point the scheduler can observe the cluster: the holder lists
+/// of `tensors` (every tensor the run touched) name exactly the replicas
+/// the memories' recency lists hold, slot for slot, and the mirrors carry
+/// the memories' usage (the sum of their residents' bytes), capacity,
+/// liveness and busy time.
 void expect_index_consistent(const ClusterSimulator& sim,
                              const std::vector<TensorId>& tensors) {
   const ClusterIndex& index = sim.cluster_index();
-  for (DeviceId dev = 0; dev < sim.num_devices(); ++dev) {
-    EXPECT_EQ(index.memory_used(dev), sim.memory_used(dev)) << "dev " << dev;
-    EXPECT_EQ(index.memory_capacity(dev), sim.memory_capacity(dev));
-    EXPECT_EQ(index.alive(dev), sim.device_alive(dev)) << "dev " << dev;
-    EXPECT_EQ(index.busy(dev), sim.busy_time(dev)) << "dev " << dev;
-  }
+  std::set<Replica> in_memory;
   int alive = 0;
   for (DeviceId dev = 0; dev < sim.num_devices(); ++dev) {
+    const DeviceMemory& memory = sim.device_memory(dev);
+    std::uint64_t bytes = 0;
+    for (const Slot slot : memory.lru_order()) {
+      in_memory.emplace(memory.at(slot).id, dev, slot);
+      bytes += memory.at(slot).bytes;
+    }
+    EXPECT_EQ(index.memory_used(dev), bytes) << "dev " << dev;
+    EXPECT_EQ(memory.used(), bytes) << "dev " << dev;
+    EXPECT_EQ(index.memory_capacity(dev), memory.capacity()) << "dev " << dev;
+    EXPECT_EQ(index.alive(dev), sim.device_alive(dev)) << "dev " << dev;
+    EXPECT_EQ(index.busy(dev), sim.busy_time(dev)) << "dev " << dev;
     if (sim.device_alive(dev)) ++alive;
   }
   EXPECT_EQ(index.num_alive(), alive);
+
+  std::set<Replica> in_index;
   for (const TensorId id : tensors) {
-    EXPECT_EQ(ids(index.holders(id)), ids(sim.devices_holding(id)))
-        << "tensor " << id;
+    const ClusterIndex::Residency* res = index.find(id);
+    if (res == nullptr) continue;
+    for (const DeviceId dev : res->holders) {
+      in_index.emplace(id, dev, res->holders.slot_on(dev));
+    }
     for (DeviceId dev = 0; dev < sim.num_devices(); ++dev) {
-      EXPECT_EQ(index.holds(dev, id), sim.resident_on(dev, id))
+      const auto on_dev = in_memory.lower_bound(Replica{id, dev, 0});
+      const bool held = on_dev != in_memory.end() &&
+                        std::get<0>(*on_dev) == id &&
+                        std::get<1>(*on_dev) == dev;
+      EXPECT_EQ(index.holds(dev, id), held)
           << "tensor " << id << " dev " << dev;
     }
   }
+  EXPECT_EQ(in_index, in_memory);
 }
 
 TEST(ClusterIndexMirror, TracksExecuteBarrierAndFailure) {
+  // Devices of five tensors each, so later tasks evict; a capacity-loss
+  // fault takes one tensor's worth from device 2 once it is full, and
+  // device 1 fails after the barrier.
+  const std::uint64_t unit = desc(0).bytes();
   ClusterConfig config;
   config.num_devices = 3;
-  config.device_capacity_bytes = 1ULL << 20;
+  config.device_capacity_bytes = 5 * unit;
   ClusterSimulator sim(config);
-  const std::vector<TensorId> ids{1, 2, 3, 4, 5, 6};
+  FaultPlan plan;
+  plan.capacity_losses.push_back(CapacityLoss{2, unit, 1e-9});
+  FaultInjector injector(plan);
+  sim.set_fault_injector(&injector);
+  std::vector<TensorId> ids;
+  for (TensorId id = 1; id <= 14; ++id) ids.push_back(id);
 
   expect_index_consistent(sim, ids);
-
-  ASSERT_TRUE(sim.execute(task(1, 2, 3), 0).ok());
-  expect_index_consistent(sim, ids);
-  ASSERT_TRUE(sim.execute(task(1, 4, 5), 1).ok());  // replica of 1 on dev 1
-  expect_index_consistent(sim, ids);
-
+  for (const auto& [t, dev] : {std::pair{task(1, 2, 3), 0},
+                               {task(1, 4, 5), 1},  // replica of 1 on dev 1
+                               {task(3, 4, 6), 0},  // dev 0 full
+                               {task(6, 5, 7), 0},  // evicts on dev 0
+                               {task(1, 2, 8), 2},
+                               {task(8, 4, 9), 2},  // dev 2 full
+                               {task(9, 3, 10), 2},  // capacity loss
+                               {task(5, 7, 11), 1},
+                               {task(10, 11, 12), 1}}) {
+    ASSERT_TRUE(sim.execute(t, dev).ok());
+    expect_index_consistent(sim, ids);
+  }
   sim.barrier();
   expect_index_consistent(sim, ids);
 
-  sim.fail_device(1, 0.0);
+  sim.fail_device(1, sim.busy_time(1));
   expect_index_consistent(sim, ids);
   EXPECT_FALSE(sim.cluster_index().alive(1));
+  ASSERT_TRUE(sim.execute(task(2, 13, 14), 0).ok());
+  expect_index_consistent(sim, ids);
+
+  EXPECT_GT(sim.metrics().evictions, 0U);
+  EXPECT_EQ(sim.metrics().capacity_faults, 1U);
+  EXPECT_EQ(sim.memory_capacity(2), 4 * unit);
+  EXPECT_EQ(sim.metrics().devices_lost, 1U);
 }
 
 TEST(ClusterIndexMirror, FailureRemovesEveryResidentTensor) {

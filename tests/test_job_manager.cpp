@@ -267,6 +267,23 @@ TEST(JobManager, StatsAndMetricsAccounting) {
   EXPECT_TRUE(snapshot.at("gauges").members().empty()) << snapshot.dump();
 }
 
+TEST(JobManager, TenantFirstSeenInARefusalReportsItsWeight) {
+  // The weight comes from the admission config whether the tenant's first
+  // submit was admitted or refused, before admission or by a drain.
+  AdmissionConfig config;
+  config.tenant_weights = {{"t2", 3}, {"t3", 5}};
+  JobManager jobs(config);
+  (void)jobs.reject("t2", "bad_workload", "unparsable");
+  jobs.begin_drain();
+  ASSERT_FALSE(jobs.submit("t3", "", tiny_stream()).admitted);
+
+  const obs::JsonValue tenants = jobs.stats().at("tenants");
+  EXPECT_EQ(tenants.at("t2").at("weight").as_int(), 3);
+  EXPECT_EQ(tenants.at("t2").at("rejected").as_int(), 1);
+  EXPECT_EQ(tenants.at("t3").at("weight").as_int(), 5);
+  EXPECT_EQ(tenants.at("t3").at("rejected").as_int(), 1);
+}
+
 TEST(JobManager, ConcurrentSubmitsKeepAccountingExact) {
   // Eight submitter threads race a dispatcher thread; whatever interleaving
   // happens, admitted + rejected == submitted and every admitted job reaches

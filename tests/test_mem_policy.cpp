@@ -29,6 +29,11 @@ ContractionTask make_task(TensorId a, TensorId b, TensorId out,
   return t;
 }
 
+/// The tensor in a policy's victim slot.
+TensorId victim_id(const DeviceMemory& mem, const mem::VictimChoice& choice) {
+  return mem.at(choice.slot).id;
+}
+
 /// Identity visit order for `vec` (the kAsGiven ordering).
 std::vector<std::size_t> identity_order(const VectorWorkload& vec) {
   std::vector<std::size_t> order(vec.tasks.size());
@@ -133,30 +138,35 @@ TEST(LruPolicy, MatchesEvictLruDecisions) {
   // the touched tensor goes last, a pinned one never.
   mem::LruPolicy policy;
   DeviceMemory mem(1000);
-  for (TensorId id = 0; id < 6; ++id) mem.allocate(id, 100, id % 2 == 0);
-  mem.touch(0);
-  mem.pin(5);
+  std::vector<DeviceMemory::Slot> slots;
+  for (TensorId id = 0; id < 6; ++id) {
+    slots.push_back(mem.allocate(id, 100, id % 2 == 0));
+  }
+  mem.touch(slots[0]);
+  mem.pin(slots[5]);
   std::vector<TensorId> victims;
   while (const auto choice = policy.pick_victim(mem)) {
     EXPECT_EQ(choice->reuse_distance, mem::kNoFutureUse);
-    const Eviction ev = mem.evict(choice->id);
+    const Eviction ev = mem.evict(choice->slot);
+    EXPECT_EQ(choice->slot, slots[ev.id]);
     EXPECT_EQ(ev.dirty, ev.id % 2 == 0);
     victims.push_back(ev.id);
   }
   EXPECT_EQ(victims, (std::vector<TensorId>{1, 2, 3, 4, 0}));
-  EXPECT_EQ(mem.resident_ids(), std::vector<TensorId>{5});
+  EXPECT_EQ(mem.resident_count(), 1u);
+  EXPECT_EQ(mem.at(slots[5]).id, 5u);
 }
 
 TEST(LruPolicy, SkipsPinnedAndReportsNoVictimWhenAllPinned) {
   mem::LruPolicy policy;
   DeviceMemory mem(1000);
-  mem.allocate(1, 100, false);
-  mem.allocate(2, 100, false);
-  mem.pin(1);
+  const DeviceMemory::Slot one = mem.allocate(1, 100, false);
+  const DeviceMemory::Slot two = mem.allocate(2, 100, false);
+  mem.pin(one);
   const auto choice = policy.pick_victim(mem);
   ASSERT_TRUE(choice.has_value());
-  EXPECT_EQ(choice->id, 2u);
-  mem.pin(2);
+  EXPECT_EQ(choice->slot, two);
+  mem.pin(two);
   EXPECT_FALSE(policy.pick_victim(mem).has_value());
 }
 
@@ -175,15 +185,15 @@ TEST(ReuseDistancePolicy, EvictsFarthestNextUse) {
   mem.allocate(2, 100, false);  // never used again: wins outright
   const auto choice = policy.pick_victim(mem);
   ASSERT_TRUE(choice.has_value());
-  EXPECT_EQ(choice->id, 2u);
+  EXPECT_EQ(victim_id(mem, *choice), 2u);
   EXPECT_EQ(choice->reuse_distance, mem::kNoFutureUse);
 
-  mem.release(2);
+  mem.release(choice->slot);
   // Both residents have future uses: tensor 1 (pos 2) is farther than
   // tensor 3 (pos 1) from the cursor (0).
   const auto next = policy.pick_victim(mem);
   ASSERT_TRUE(next.has_value());
-  EXPECT_EQ(next->id, 1u);
+  EXPECT_EQ(victim_id(mem, *next), 1u);
   EXPECT_EQ(next->reuse_distance, 2u);
 }
 
@@ -199,7 +209,7 @@ TEST(ReuseDistancePolicy, NeverUsedTiesBreakTowardLru) {
   // Neither 7 nor 8 has a future use: the LRU one goes first.
   const auto choice = policy.pick_victim(mem);
   ASSERT_TRUE(choice.has_value());
-  EXPECT_EQ(choice->id, 7u);
+  EXPECT_EQ(victim_id(mem, *choice), 7u);
 }
 
 TEST(ReuseDistancePolicy, SkipsPinnedResidents) {
@@ -209,12 +219,11 @@ TEST(ReuseDistancePolicy, SkipsPinnedResidents) {
   policy.begin_vector(vec, identity_order(vec));
 
   DeviceMemory mem(1000);
-  mem.allocate(5, 100, false);
+  mem.pin(mem.allocate(5, 100, false));
   mem.allocate(6, 100, false);
-  mem.pin(5);
   const auto choice = policy.pick_victim(mem);
   ASSERT_TRUE(choice.has_value());
-  EXPECT_EQ(choice->id, 6u);
+  EXPECT_EQ(victim_id(mem, *choice), 6u);
 }
 
 // -------------------------------------------------------- deep-copy safety

@@ -15,24 +15,45 @@
 namespace micco {
 namespace {
 
-/// One eviction as the simulator makes it: LruPolicy picks the victim,
-/// evict(id) removes it; nullopt when every resident is pinned.
+using Slot = DeviceMemory::Slot;
+
+/// One eviction as the simulator makes it: LruPolicy picks the victim's
+/// slot, evict(slot) removes it; nullopt when every resident is pinned.
 std::optional<Eviction> evict_lru(DeviceMemory& memory) {
   const std::optional<mem::VictimChoice> victim =
       mem::LruPolicy{}.pick_victim(memory);
   if (!victim.has_value()) return std::nullopt;
-  return memory.evict(victim->id);
+  return memory.evict(victim->slot);
+}
+
+/// Resident ids in recency order, least recently used first.
+std::vector<TensorId> lru_vector(const DeviceMemory& mem) {
+  std::vector<TensorId> ids;
+  for (const Slot slot : mem.lru_order()) ids.push_back(mem.at(slot).id);
+  return ids;
+}
+
+/// Resident ids in ascending order.
+std::vector<TensorId> resident_ids(const DeviceMemory& mem) {
+  std::vector<TensorId> ids = lru_vector(mem);
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
 TEST(DeviceMemory, AllocateTracksUsage) {
   DeviceMemory mem(1000);
   EXPECT_EQ(mem.used(), 0u);
   EXPECT_EQ(mem.free_bytes(), 1000u);
-  mem.allocate(1, 300, false);
+  const Slot slot = mem.allocate(1, 300, false, 0.5);
   EXPECT_EQ(mem.used(), 300u);
   EXPECT_EQ(mem.free_bytes(), 700u);
-  EXPECT_TRUE(mem.resident(1));
   EXPECT_EQ(mem.resident_count(), 1u);
+  const DeviceMemory::Resident& resident = mem.at(slot);
+  EXPECT_EQ(resident.id, 1u);
+  EXPECT_EQ(resident.bytes, 300u);
+  EXPECT_FALSE(resident.dirty);
+  EXPECT_FALSE(resident.pinned);
+  EXPECT_EQ(resident.alloc_time_s, 0.5);
 }
 
 TEST(DeviceMemory, FitsChecksCapacity) {
@@ -44,10 +65,13 @@ TEST(DeviceMemory, FitsChecksCapacity) {
 
 TEST(DeviceMemory, ReleaseReturnsBytes) {
   DeviceMemory mem(1000);
-  mem.allocate(1, 300, false);
-  mem.release(1);
+  const Slot slot = mem.allocate(1, 300, false);
+  mem.release(slot);
   EXPECT_EQ(mem.used(), 0u);
-  EXPECT_FALSE(mem.resident(1));
+  EXPECT_EQ(mem.resident_count(), 0u);
+  EXPECT_DEATH((void)mem.at(slot), "non-resident slot");
+  // The freed slot is recycled by the next allocation.
+  EXPECT_EQ(mem.allocate(2, 100, false), slot);
 }
 
 TEST(DeviceMemory, EvictLruPicksOldestUntouched) {
@@ -64,9 +88,9 @@ TEST(DeviceMemory, EvictLruPicksOldestUntouched) {
 
 TEST(DeviceMemory, TouchPromotesToMostRecent) {
   DeviceMemory mem(1000);
-  mem.allocate(1, 100, false);
+  const Slot first = mem.allocate(1, 100, false);
   mem.allocate(2, 100, false);
-  mem.touch(1);
+  mem.touch(first);
   const auto ev = evict_lru(mem);
   ASSERT_TRUE(ev.has_value());
   EXPECT_EQ(ev->id, 2u);
@@ -74,26 +98,25 @@ TEST(DeviceMemory, TouchPromotesToMostRecent) {
 
 TEST(DeviceMemory, PinnedTensorsSurviveEviction) {
   DeviceMemory mem(1000);
-  mem.allocate(1, 100, false);
+  const Slot older = mem.allocate(1, 100, false);
   mem.allocate(2, 100, false);
-  mem.pin(1);
+  mem.pin(older);
   const auto ev = evict_lru(mem);
   ASSERT_TRUE(ev.has_value());
-  EXPECT_EQ(ev->id, 2u);  // LRU but pinned tensor 1 is skipped? order: 1 older
+  EXPECT_EQ(ev->id, 2u);  // tensor 1 is older but pinned
 }
 
 TEST(DeviceMemory, AllPinnedMeansNoVictim) {
   DeviceMemory mem(1000);
-  mem.allocate(1, 100, false);
-  mem.pin(1);
+  mem.pin(mem.allocate(1, 100, false));
   EXPECT_FALSE(evict_lru(mem).has_value());
 }
 
 TEST(DeviceMemory, UnpinRestoresEvictability) {
   DeviceMemory mem(1000);
-  mem.allocate(1, 100, false);
-  mem.pin(1);
-  mem.unpin(1);
+  const Slot slot = mem.allocate(1, 100, false);
+  mem.pin(slot);
+  mem.unpin(slot);
   EXPECT_TRUE(evict_lru(mem).has_value());
 }
 
@@ -107,19 +130,10 @@ TEST(DeviceMemory, DirtyFlagTravelsWithEviction) {
 
 TEST(DeviceMemory, ResidentIdsListsAll) {
   DeviceMemory mem(1000);
-  mem.allocate(5, 100, false);
   mem.allocate(9, 100, false);
-  auto ids = mem.resident_ids();
-  std::sort(ids.begin(), ids.end());
-  ASSERT_EQ(ids.size(), 2u);
-  EXPECT_EQ(ids[0], 5u);
-  EXPECT_EQ(ids[1], 9u);
-}
-
-TEST(DeviceMemory, DoubleAllocationAborts) {
-  DeviceMemory mem(1000);
-  mem.allocate(1, 100, false);
-  EXPECT_DEATH(mem.allocate(1, 100, false), "double allocation");
+  mem.allocate(5, 100, false);
+  EXPECT_EQ(lru_vector(mem), (std::vector<TensorId>{9, 5}));
+  EXPECT_EQ(resident_ids(mem), (std::vector<TensorId>{5, 9}));
 }
 
 TEST(DeviceMemory, OverCapacityAllocationAborts) {
@@ -130,27 +144,31 @@ TEST(DeviceMemory, OverCapacityAllocationAborts) {
 TEST(DeviceMemory, ReleaseUnknownAborts) {
   DeviceMemory mem(100);
   EXPECT_DEATH(mem.release(42), "non-resident");
+  const Slot slot = mem.allocate(1, 10, false);
+  mem.release(slot);
+  EXPECT_DEATH(mem.release(slot), "non-resident");  // freed already
 }
 
 TEST(DeviceMemory, EvictByIdReleasesAndReports) {
+  // Evicting a slot reports the tensor that lived there.
   DeviceMemory mem(1000);
   mem.allocate(1, 100, false);
-  mem.allocate(2, 200, true, 1.25);
-  const auto ev = mem.evict(2);
+  const Slot slot = mem.allocate(2, 200, true, 1.25);
+  const auto ev = mem.evict(slot);
   EXPECT_EQ(ev.id, 2u);
   EXPECT_EQ(ev.bytes, 200u);
   EXPECT_TRUE(ev.dirty);
   EXPECT_EQ(ev.alloc_time_s, 1.25);
-  EXPECT_FALSE(mem.resident(2));
+  EXPECT_EQ(lru_vector(mem), std::vector<TensorId>{1});
   EXPECT_EQ(mem.used(), 100u);
 }
 
 TEST(DeviceMemory, EvictPinnedOrAbsentAborts) {
   DeviceMemory mem(1000);
-  mem.allocate(1, 100, false);
-  mem.pin(1);
-  EXPECT_DEATH(mem.evict(1), "pinned");
-  EXPECT_DEATH(mem.evict(42), "");
+  const Slot slot = mem.allocate(1, 100, false);
+  mem.pin(slot);
+  EXPECT_DEATH(mem.evict(slot), "pinned");
+  EXPECT_DEATH(mem.evict(42), "non-resident");
 }
 
 TEST(DeviceMemory, GrowAfterShrinkWithLiveResidents) {
@@ -165,8 +183,7 @@ TEST(DeviceMemory, GrowAfterShrinkWithLiveResidents) {
   EXPECT_FALSE(mem.fits(200));
   mem.set_capacity(2000);  // the fault heals: grow past the original size
   EXPECT_EQ(mem.used(), 600u);
-  EXPECT_TRUE(mem.resident(1));
-  EXPECT_TRUE(mem.resident(2));
+  EXPECT_EQ(resident_ids(mem), (std::vector<TensorId>{1, 2}));
   EXPECT_TRUE(mem.fits(1400));
   mem.allocate(3, 1400, false);
   EXPECT_EQ(mem.used(), 2000u);
@@ -178,8 +195,11 @@ TEST(DeviceMemory, GrowAfterShrinkWithLiveResidents) {
 
 TEST(DeviceMemory, EvictionSequenceFollowsLruOrder) {
   DeviceMemory mem(1000);
-  for (TensorId id = 0; id < 5; ++id) mem.allocate(id, 100, false);
-  mem.touch(0);  // order now: 1,2,3,4,0
+  std::vector<Slot> slots;
+  for (TensorId id = 0; id < 5; ++id) {
+    slots.push_back(mem.allocate(id, 100, false));
+  }
+  mem.touch(slots[0]);  // order now: 1,2,3,4,0
   for (const TensorId expected : {1u, 2u, 3u, 4u, 0u}) {
     const auto ev = evict_lru(mem);
     ASSERT_TRUE(ev.has_value());
@@ -191,40 +211,6 @@ TEST(DeviceMemory, EvictionSequenceFollowsLruOrder) {
 static_assert(
     std::forward_iterator<DeviceMemory::LruRange::iterator>,
     "lru_order() must stay a forward range for the eviction policies");
-
-std::vector<TensorId> lru_vector(const DeviceMemory& mem) {
-  std::vector<TensorId> ids;
-  for (const TensorId id : mem.lru_order()) ids.push_back(id);
-  return ids;
-}
-
-/// `count` ids whose hashes share their top 16 bits: they collide in every
-/// id table of up to 2^16 buckets, so they form one long probe chain.
-std::vector<TensorId> colliding_ids(std::size_t count) {
-  std::vector<TensorId> ids;
-  const std::uint64_t target = DeviceMemory::hash(1000) >> 48;
-  for (TensorId id = 1000; ids.size() < count; ++id) {
-    if (DeviceMemory::hash(id) >> 48 == target) ids.push_back(id);
-  }
-  return ids;
-}
-
-TEST(DeviceMemory, ProbeChainSurvivesMiddleRemovals) {
-  const std::vector<TensorId> chain = colliding_ids(12);
-  DeviceMemory mem(1 << 20);
-  for (const TensorId id : chain) mem.allocate(id, 10, false);
-  // Remove every third member; the rest must stay reachable past the holes.
-  for (std::size_t i = 0; i < chain.size(); i += 3) mem.release(chain[i]);
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    EXPECT_EQ(mem.resident(chain[i]), i % 3 != 0) << "chain member " << i;
-  }
-  // Re-inserting the removed ids recycles their freed slots.
-  for (std::size_t i = 0; i < chain.size(); i += 3) {
-    mem.allocate(chain[i], 10, true);
-  }
-  EXPECT_EQ(mem.resident_count(), chain.size());
-  EXPECT_EQ(mem.used(), 10 * chain.size());
-}
 
 // Reference model: a std::list recency order (LRU at the front) beside a
 // std::map of entries, the obvious node-based implementation.
@@ -277,25 +263,35 @@ void expect_same_victim(const std::optional<Eviction>& got,
 }
 
 TEST(DeviceMemory, MatchesListAndMapReferenceUnderChurn) {
-  // Small sequential ids churn through allocate/release, so freed slots are
-  // recycled constantly; the colliding ids keep one probe chain long while
-  // members leave from its middle (backward-shift deletion).
+  // Ids churn through allocate/release, so freed slots are recycled
+  // constantly. The test keeps the id -> slot map a ClusterIndex keeps for
+  // the simulator, and every victim must leave from the slot it was given.
   std::vector<TensorId> pool;
-  for (TensorId id = 0; id < 48; ++id) pool.push_back(id);
-  for (const TensorId id : colliding_ids(24)) pool.push_back(id);
+  for (TensorId id = 0; id < 72; ++id) pool.push_back(id);
 
   constexpr std::uint64_t kCapacity = 4000;
   DeviceMemory mem(kCapacity);
+  std::map<TensorId, Slot> slot_of;
   ReferenceMemory ref;
   Pcg32 rng(20240613);
   std::size_t victims = 0;
   std::size_t max_resident = 0;
+  // Evicts through the policy and retires the victim's slot from slot_of.
+  const auto evict_tracked = [&]() -> std::optional<Eviction> {
+    const std::optional<mem::VictimChoice> victim =
+        mem::LruPolicy{}.pick_victim(mem);
+    if (!victim.has_value()) return std::nullopt;
+    const Eviction ev = mem.evict(victim->slot);
+    EXPECT_EQ(slot_of.at(ev.id), victim->slot);
+    slot_of.erase(ev.id);
+    return ev;
+  };
 
   for (int step = 0; step < 20000; ++step) {
     const TensorId id = pool[rng.uniform_below(
         static_cast<std::uint32_t>(pool.size()))];
     const bool resident = ref.entries.contains(id);
-    ASSERT_EQ(mem.resident(id), resident) << "step " << step;
+    ASSERT_EQ(slot_of.contains(id), resident) << "step " << step;
     switch (rng.uniform_below(8)) {
       case 0:
       case 1: {  // allocate, evicting LRU victims until it fits
@@ -305,7 +301,7 @@ TEST(DeviceMemory, MatchesListAndMapReferenceUnderChurn) {
         bool fits = true;
         while (!mem.fits(bytes)) {
           const std::optional<Eviction> want = ref.evict_lru();
-          expect_same_victim(evict_lru(mem), want);
+          expect_same_victim(evict_tracked(), want);
           if (!want.has_value()) {
             fits = false;
             break;
@@ -313,54 +309,58 @@ TEST(DeviceMemory, MatchesListAndMapReferenceUnderChurn) {
           ++victims;
         }
         if (!fits) break;
-        mem.allocate(id, bytes, dirty);
+        slot_of[id] = mem.allocate(id, bytes, dirty);
         ref.allocate(id, bytes, dirty);
         break;
       }
       case 2:
         if (!resident) break;
-        mem.touch(id);
+        mem.touch(slot_of.at(id));
         ref.touch(id);
         break;
       case 3:
         if (!resident) break;
-        mem.pin(id);
+        mem.pin(slot_of.at(id));
         ref.entries.at(id).pinned = true;
         break;
       case 4:
         if (!resident) break;
-        mem.unpin(id);
+        mem.unpin(slot_of.at(id));
         ref.entries.at(id).pinned = false;
         break;
       case 5: {
         const std::optional<Eviction> want = ref.evict_lru();
-        expect_same_victim(evict_lru(mem), want);
+        expect_same_victim(evict_tracked(), want);
         if (want.has_value()) ++victims;
         break;
       }
       case 6: {
         if (!resident || ref.entries.at(id).pinned) break;
-        const Eviction got = mem.evict(id);
+        const Eviction got = mem.evict(slot_of.at(id));
+        slot_of.erase(id);
         expect_same_victim(got, ref.remove(id));
         ++victims;
         break;
       }
       case 7:
         if (!resident) break;
-        mem.release(id);
+        mem.release(slot_of.at(id));
+        slot_of.erase(id);
         (void)ref.remove(id);
         break;
     }
     ASSERT_EQ(lru_vector(mem),
               std::vector<TensorId>(ref.lru.begin(), ref.lru.end()))
         << "step " << step;
-    ASSERT_EQ(mem.resident_ids(), ref.resident_ids()) << "step " << step;
+    ASSERT_EQ(resident_ids(mem), ref.resident_ids()) << "step " << step;
     ASSERT_EQ(mem.used(), ref.used) << "step " << step;
     ASSERT_EQ(mem.resident_count(), ref.entries.size());
     for (const auto& [rid, entry] : ref.entries) {
-      ASSERT_EQ(mem.pinned(rid), entry.pinned);
-      ASSERT_EQ(mem.bytes_of(rid), entry.bytes);
-      ASSERT_EQ(mem.is_dirty(rid), entry.dirty);
+      const DeviceMemory::Resident& got = mem.at(slot_of.at(rid));
+      ASSERT_EQ(got.id, rid);
+      ASSERT_EQ(got.pinned, entry.pinned);
+      ASSERT_EQ(got.bytes, entry.bytes);
+      ASSERT_EQ(got.dirty, entry.dirty);
     }
     max_resident = std::max(max_resident, ref.entries.size());
   }
@@ -371,38 +371,42 @@ TEST(DeviceMemory, MatchesListAndMapReferenceUnderChurn) {
 
 TEST(DeviceMemory, CopyEvolvesIndependently) {
   DeviceMemory source(1000);
-  for (TensorId id = 0; id < 5; ++id) source.allocate(id, 100, id % 2 == 0);
-  source.pin(3);
+  std::vector<Slot> slots;
+  for (TensorId id = 0; id < 5; ++id) {
+    slots.push_back(source.allocate(id, 100, id % 2 == 0));
+  }
+  source.pin(slots[3]);
 
+  // A copy addresses its residents by the source's slots.
   DeviceMemory copy(source);
-  copy.touch(0);
-  copy.release(1);
-  copy.unpin(3);
-  copy.allocate(7, 300, true);
+  copy.touch(slots[0]);
+  copy.release(slots[1]);
+  copy.unpin(slots[3]);
+  const Slot seven = copy.allocate(7, 300, true);
+  EXPECT_EQ(seven, slots[1]);  // the copy recycles its own freed slot
 
   // The source is untouched by the copy's mutations...
   EXPECT_EQ(lru_vector(source), (std::vector<TensorId>{0, 1, 2, 3, 4}));
   EXPECT_EQ(source.used(), 500u);
-  EXPECT_TRUE(source.pinned(3));
-  EXPECT_FALSE(source.resident(7));
-  // ...and the copy has its own recency order, slots and table.
+  EXPECT_TRUE(source.at(slots[3]).pinned);
+  EXPECT_EQ(source.at(slots[1]).id, 1u);
+  // ...and the copy has its own recency order, slots and pins.
   EXPECT_EQ(lru_vector(copy), (std::vector<TensorId>{2, 3, 4, 0, 7}));
   EXPECT_EQ(copy.used(), 700u);
-  EXPECT_FALSE(copy.pinned(3));
+  EXPECT_FALSE(copy.at(slots[3]).pinned);
 
   // Mutating the source afterwards leaves the copy alone too.
   const std::optional<Eviction> ev = evict_lru(source);
   ASSERT_TRUE(ev.has_value());
   EXPECT_EQ(ev->id, 0u);
-  EXPECT_TRUE(copy.resident(0));
+  EXPECT_EQ(copy.at(slots[0]).id, 0u);
 
   // Copy assignment replaces the whole state.
   copy = source;
   EXPECT_EQ(lru_vector(copy), (std::vector<TensorId>{1, 2, 3, 4}));
-  EXPECT_EQ(copy.resident_ids(), source.resident_ids());
   EXPECT_EQ(copy.used(), 400u);
-  copy.allocate(0, 100, false);
-  EXPECT_FALSE(source.resident(0));
+  EXPECT_EQ(copy.allocate(0, 100, false), slots[0]);
+  EXPECT_EQ(lru_vector(source), (std::vector<TensorId>{1, 2, 3, 4}));
 }
 
 }  // namespace

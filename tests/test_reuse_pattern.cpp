@@ -89,10 +89,10 @@ TEST(ReusePatternWide, CommonHolderPastDevice63IsSame) {
   // The masks over devices 0-63 do not intersect (2 vs 5); the only common
   // holder is device 66.
   ClusterIndex index(70);
-  index.place(0, 2);
-  index.place(0, 66);
-  index.place(1, 5);
-  index.place(1, 66);
+  index.place(0, 2, 0);
+  index.place(0, 66, 0);
+  index.place(1, 5, 0);
+  index.place(1, 66, 1);
   EXPECT_EQ(classify_pair(make_task(0, 1, 200), index),
             LocalReusePattern::kTwoRepeatedSame);
   EXPECT_EQ(classify_pair(make_task(1, 0, 200), index),
@@ -105,8 +105,8 @@ TEST(ReusePatternWide, CommonHolderPastDevice63IsSame) {
 
 TEST(ReusePatternWide, HoldersOnOppositeSidesOf63AreDiff) {
   ClusterIndex index(70);
-  index.place(0, 2);
-  index.place(1, 66);
+  index.place(0, 2, 0);
+  index.place(1, 66, 0);
   EXPECT_EQ(classify_pair(make_task(0, 1, 200), index),
             LocalReusePattern::kTwoRepeatedDiff);
   EXPECT_EQ(classify_pair(make_task(1, 0, 200), index),
