@@ -91,18 +91,24 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
   result.per_vector_characteristics.reserve(stream.vectors.size());
 
   auto* micco_sched = dynamic_cast<MiccoScheduler*>(&scheduler);
+  // Wall clock of the per-vector calls, timed in full, and of the sampled
+  // assign calls (kDecisionClockStride); decisions counts every assign.
   double overhead_us = 0.0;
+  double sampled_assign_us = 0.0;
+  std::uint64_t decisions = 0;
   Stopwatch watch;
 
-  // One unit of pending work. pair_index keeps the decision-log cursor:
-  // the pair's position in the vector as given (stable across ordering
-  // ablations), or -1 for a lineage re-execution after a device loss.
-  // policy_pos is the pair's position in the *visit order* — the coordinate
-  // the eviction policy's future-use tracker counts in — and also -1 for
-  // re-executions (the tracker treats those as no-ops: the original
-  // position was already retired, see mem/policy.hpp).
+  // One unit of pending work. task points into the vector's task list or,
+  // for a re-execution, into the lineage map's node: both outlive the
+  // drain, and unordered_map nodes stay put on rehash. pair_index keeps the
+  // decision-log cursor: the pair's position in the vector as given (stable
+  // across ordering ablations), or -1 for a lineage re-execution after a
+  // device loss. policy_pos is the pair's position in the *visit order* —
+  // the coordinate the eviction policy's future-use tracker counts in — and
+  // also -1 for re-executions (the tracker treats those as no-ops: the
+  // original position was already retired, see mem/policy.hpp).
   struct QueueItem {
-    ContractionTask task;
+    const ContractionTask* task = nullptr;
     std::int64_t pair_index = -1;
     std::int64_t policy_pos = -1;
   };
@@ -127,7 +133,7 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
     std::vector<QueueItem> items;
     for (const TensorId id : lost) {
       const auto it = producers.find(id);
-      if (it != producers.end()) items.push_back(QueueItem{it->second, -1});
+      if (it != producers.end()) items.push_back(QueueItem{&it->second});
     }
     return items;
   };
@@ -179,24 +185,31 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
         return false;
       }
       const QueueItem item = queue[head++];
+      const ContractionTask& task = *item.task;
       // A re-queued task may already have run: a device that dies while
       // *re-executing* a producer puts the same task in the queue twice —
       // once as the interrupted pair, once via the lineage of its own
       // (previously committed, now lost) output. Whichever copy runs first
       // re-materialises the output; the straggler is a duplicate and is
-      // dropped. Fault-free runs never take this branch: every output id
-      // is produced exactly once.
-      if (!sim.devices_holding(item.task.out.id).empty()) continue;
+      // dropped. Only a run that records lineage can re-queue, and a stream
+      // that produces each output once (run_stream's precondition) never
+      // takes this branch otherwise.
+      if (record_lineage && !sim.devices_holding(task.out.id).empty()) {
+        continue;
+      }
       if (options.telemetry != nullptr) {
         options.telemetry->vector_index = vector_index;
         options.telemetry->pair_index = item.pair_index;
       }
-      watch.restart();
-      const DeviceId dev = scheduler.assign(item.task, sim);
-      const double assign_us = watch.elapsed_us();
-      overhead_us += assign_us;
-      if (options.decision_latency != nullptr) {
-        options.decision_latency->observe(assign_us);
+      const bool timed = decisions++ % kDecisionClockStride == 0;
+      if (timed) watch.restart();
+      const DeviceId dev = scheduler.assign(task, sim);
+      if (timed) {
+        const double assign_us = watch.elapsed_us();
+        sampled_assign_us += assign_us;
+        if (options.decision_latency != nullptr) {
+          options.decision_latency->observe(assign_us);
+        }
       }
       if (!sim.device_alive(dev)) {
         result.error = "scheduler assigned a pair to failed device " +
@@ -208,12 +221,12 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
       // operands are pinned for the kernel anyway, so victim selection must
       // rank them by their *next* use, not the one being served now.
       if (evict_policy != nullptr) {
-        evict_policy->observe_use(item.task, item.policy_pos);
+        evict_policy->observe_use(task, item.policy_pos);
       }
-      const ExecuteResult exec = sim.execute(item.task, dev);
+      const ExecuteResult exec = sim.execute(task, dev);
       switch (exec.outcome) {
         case TaskOutcome::kCompleted:
-          if (record_lineage) producers[item.task.out.id] = item.task;
+          if (record_lineage) producers[task.out.id] = task;
           break;
         case TaskOutcome::kDeviceFailed: {
           scheduler.on_device_failure(dev, sim);
@@ -228,7 +241,7 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
           result.error =
               "task working set exceeds device capacity (device " +
               std::to_string(dev) + ", output tensor " +
-              std::to_string(item.task.out.id) + ")";
+              std::to_string(task.out.id) + ")";
           result.completed = false;
           return false;
       }
@@ -285,7 +298,7 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
     head = 0;
     std::int64_t policy_pos = 0;
     for (const std::size_t index : order) {
-      queue.push_back(QueueItem{vec.tasks[index],
+      queue.push_back(QueueItem{&vec.tasks[index],
                                 static_cast<std::int64_t>(index),
                                 policy_pos++});
     }
@@ -319,6 +332,14 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
   scheduler.set_telemetry(nullptr);
 
   result.metrics = sim.metrics();
+  // Scale the sampled decisions up to all D of them: T = ceil(D / stride)
+  // were timed.
+  const std::uint64_t timed_decisions =
+      (decisions + kDecisionClockStride - 1) / kDecisionClockStride;
+  if (timed_decisions > 0) {
+    overhead_us += sampled_assign_us * static_cast<double>(decisions) /
+                   static_cast<double>(timed_decisions);
+  }
   result.scheduling_overhead_ms = overhead_us / 1000.0;
 
   result.num_devices = sim.num_devices();

@@ -8,6 +8,7 @@
 // Table V's overhead split can be reproduced.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -51,7 +52,9 @@ struct RunResult {
   std::string scheduler_name;
   ExecutionMetrics metrics;
   /// Wall-clock spent inside scheduler + bounds-provider calls (Table V's
-  /// "Scheduling Overhead"), milliseconds.
+  /// "Scheduling Overhead"), milliseconds: the per-vector calls timed in
+  /// full, plus the timed one-in-kDecisionClockStride sample of assign
+  /// calls scaled up to all of them.
   double scheduling_overhead_ms = 0.0;
   /// Characteristics observed per vector (diagnostics, training data).
   std::vector<DataCharacteristics> per_vector_characteristics;
@@ -114,8 +117,9 @@ struct RunOptions {
   /// Optional wall-clock per-decision latency meter for the scheduling hot
   /// path (bounds: names::decision_latency_bounds_us()). Owned by the
   /// caller, observed unsynchronised, flushed by the caller after the run.
-  /// Detached (the batch default) the hot path does no extra work and runs
-  /// stay byte-reproducible.
+  /// It receives the timed sample only, ceil(D / kDecisionClockStride)
+  /// observations for a run of D decisions; attaching it adds no clock
+  /// read. Detached (the batch default) runs stay byte-reproducible.
   obs::HistogramScratch* decision_latency = nullptr;
   /// Eviction policy (mem/). For kLru, the default, the simulator keeps its
   /// shared LruPolicy. Any other kind gets a fresh instance per run (its
@@ -125,9 +129,17 @@ struct RunOptions {
   mem::EvictPolicyKind evict_policy = mem::EvictPolicyKind::kLru;
 };
 
+/// run_stream times assign call k of a run (numbered from 0, re-executions
+/// included) only when k % kDecisionClockStride == 0: the two clock reads
+/// around a decision cost a sizeable fraction of the decision itself.
+inline constexpr std::uint64_t kDecisionClockStride = 16;
+
 /// Runs `stream` with `scheduler` on a fresh simulated cluster. When
 /// `options.bounds` is non-null and the scheduler is a MiccoScheduler,
 /// bounds are refreshed per vector from the provider (step 2 of Fig. 6).
+/// Requires a stream that produces each output once
+/// (validate_stream_structure, which every entry point runs first): only a
+/// run with a fault plan checks for an output that is already resident.
 RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
                      const ClusterConfig& cluster, const RunOptions& options);
 

@@ -35,7 +35,8 @@ inline constexpr const char* kSchedEvictRisk = "sched.evict_risk";
 inline constexpr const char* kSchedBoundSlack = "sched.bound_slack";
 /// Wall-clock per-decision latency on the hot path, recorded only when a
 /// HistogramScratch is attached (the daemon does; batch runs stay
-/// byte-identical without it).
+/// byte-identical without it). It holds a one-in-sixteen sample:
+/// run_stream times every kDecisionClockStride-th decision.
 inline constexpr const char* kSchedDecisionLatencyUs =
     "sched.decision_latency_us";
 

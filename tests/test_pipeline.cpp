@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
+#include "obs/names.hpp"
 #include "workload/synthetic.hpp"
 
 namespace micco {
@@ -66,6 +67,79 @@ TEST(Pipeline, SchedulingOverheadMeasuredAndSmall) {
   EXPECT_GE(result.scheduling_overhead_ms, 0.0);
   // Wall-clock scheduling for 40 pairs must be far under a second.
   EXPECT_LT(result.scheduling_overhead_ms, 1000.0);
+}
+
+/// Forwards to a MICCO scheduler and counts its assign calls: the D that
+/// run_stream numbers its decision clock by, re-executions included.
+class CountingScheduler final : public Scheduler {
+ public:
+  std::string name() const override { return inner_.name(); }
+  void begin_vector(const VectorWorkload& vec,
+                    const ClusterView& view) override {
+    inner_.begin_vector(vec, view);
+  }
+  DeviceId assign(const ContractionTask& task,
+                  const ClusterView& view) override {
+    ++assigns;
+    return inner_.assign(task, view);
+  }
+  void end_vector() override { inner_.end_vector(); }
+  void on_device_failure(DeviceId dev, const ClusterView& view) override {
+    inner_.on_device_failure(dev, view);
+  }
+
+  std::uint64_t assigns = 0;
+
+ private:
+  MiccoScheduler inner_;
+};
+
+/// One vector of `pairs` pairs over fresh operands.
+WorkloadStream fresh_pairs(std::uint64_t pairs) {
+  WorkloadStream stream;
+  VectorWorkload& vec = stream.vectors.emplace_back();
+  for (TensorId i = 0; i < pairs; ++i) {
+    vec.tasks.push_back(ContractionTask{TensorDesc{3 * i, 2, 16, 1},
+                                        TensorDesc{3 * i + 1, 2, 16, 1},
+                                        TensorDesc{3 * i + 2, 2, 16, 1}});
+  }
+  return stream;
+}
+
+TEST(Pipeline, DecisionClockTimesOneDecisionInSixteen) {
+  // The decision clock numbers assign calls over the whole run, so the
+  // meter sees ceil(D / 16) of D decisions: a per-vector count would give
+  // 5 on the 5 x 8 synthetic stream, not 3.
+  const auto run_counted = [](const WorkloadStream& stream,
+                              const FaultPlan* plan) {
+    CountingScheduler sched;
+    obs::HistogramScratch latency(obs::names::decision_latency_bounds_us());
+    RunOptions options;
+    options.faults = plan;
+    options.decision_latency = &latency;
+    const RunResult result =
+        run_stream(stream, sched, small_cluster(), options);
+    EXPECT_TRUE(result.completed) << result.error;
+    EXPECT_EQ(latency.count(), (sched.assigns + kDecisionClockStride - 1) /
+                                   kDecisionClockStride)
+        << sched.assigns << " decisions";
+    EXPECT_GT(result.scheduling_overhead_ms, 0.0);
+    return std::pair{sched.assigns, result};
+  };
+  for (const std::uint64_t pairs : {1u, 15u, 16u, 17u}) {
+    EXPECT_EQ(run_counted(fresh_pairs(pairs), nullptr).first, pairs);
+  }
+  const WorkloadStream stream = generate_synthetic(small_workload());
+  const auto [clean_decisions, clean] = run_counted(stream, nullptr);
+  EXPECT_EQ(clean_decisions, 40u);
+
+  // A device lost mid-stream: re-executions add decisions.
+  FaultPlan plan;
+  plan.device_failures.push_back(
+      DeviceFailure{1, clean.metrics.makespan_s / 2.0});
+  const auto [decisions, recovered] = run_counted(stream, &plan);
+  EXPECT_TRUE(recovered.recovered());
+  EXPECT_GT(decisions, clean_decisions);
 }
 
 TEST(Pipeline, BoundsProviderFeedsMiccoScheduler) {
