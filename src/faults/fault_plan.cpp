@@ -1,7 +1,10 @@
 #include "faults/fault_plan.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 namespace micco {
 
@@ -10,6 +13,18 @@ namespace {
 std::string fail_with(std::string* error, std::string message) {
   if (error != nullptr) *error = std::move(message);
   return message;
+}
+
+/// Reads `token` in full as a T: decimal digits, a '-' only for a signed
+/// T, no '+', and for a double a finite value in range (fraction and
+/// exponent allowed).
+template <typename T>
+bool read_field(const std::string& token, T* out) {
+  const char* const end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+  if (ec != std::errc{} || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) return std::isfinite(*out);
+  return true;
 }
 
 }  // namespace
@@ -84,10 +99,18 @@ std::optional<FaultPlan> parse_fault_plan(std::istream& in,
   int line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
-    std::istringstream fields(line);
-    std::string keyword;
-    if (!(fields >> keyword) || keyword.front() == '#') continue;
+    std::istringstream words(line);
+    std::vector<std::string> fields;
+    for (std::string word; words >> word;) fields.push_back(std::move(word));
+    if (fields.empty() || fields.front().front() == '#') continue;
+    const std::string& keyword = fields.front();
 
+    // True when the line holds `required` to `required + optional` fields
+    // after its keyword.
+    const auto arity = [&](std::size_t required, std::size_t optional) {
+      return fields.size() >= 1 + required &&
+             fields.size() <= 1 + required + optional;
+    };
     const auto malformed = [&](const char* what) {
       fail_with(error, "fault plan line " + std::to_string(line_no) + ": " +
                            what + ": " + line);
@@ -96,25 +119,31 @@ std::optional<FaultPlan> parse_fault_plan(std::istream& in,
 
     if (keyword == "fail") {
       DeviceFailure f;
-      if (!(fields >> f.device >> f.time_s)) {
+      if (!(arity(2, 0) && read_field(fields[1], &f.device) &&
+            read_field(fields[2], &f.time_s))) {
         return malformed("expected 'fail <device> <time_s>'");
       }
       plan.device_failures.push_back(f);
     } else if (keyword == "transfer-faults") {
-      if (!(fields >> plan.transfer.probability)) {
+      if (!(arity(1, 1) &&
+            read_field(fields[1], &plan.transfer.probability) &&
+            (fields.size() == 2 ||
+             read_field(fields[2], &plan.transfer.seed)))) {
         return malformed("expected 'transfer-faults <probability> [seed]'");
       }
-      fields >> plan.transfer.seed;  // optional; keeps default otherwise
     } else if (keyword == "slowdown") {
       DeviceSlowdown s;
-      if (!(fields >> s.device >> s.factor)) {
+      if (!(arity(2, 1) && read_field(fields[1], &s.device) &&
+            read_field(fields[2], &s.factor) &&
+            (fields.size() == 3 || read_field(fields[3], &s.from_time_s)))) {
         return malformed("expected 'slowdown <device> <factor> [from_time_s]'");
       }
-      fields >> s.from_time_s;  // optional
       plan.slowdowns.push_back(s);
     } else if (keyword == "capacity-loss") {
       CapacityLoss c;
-      if (!(fields >> c.device >> c.bytes >> c.time_s)) {
+      if (!(arity(3, 0) && read_field(fields[1], &c.device) &&
+            read_field(fields[2], &c.bytes) &&
+            read_field(fields[3], &c.time_s))) {
         return malformed("expected 'capacity-loss <device> <bytes> <time_s>'");
       }
       plan.capacity_losses.push_back(c);

@@ -16,6 +16,10 @@
 //   transfer-faults <probability> [seed]
 //   slowdown <device> <factor> [from_time_s]
 //   capacity-loss <device> <bytes> <time_s>
+//
+// Each field is one number read in full: <bytes> and [seed] are unsigned
+// decimals, the others decimal numbers that may carry a '-' (validate()
+// then refuses a negative one). A line ends after its last field.
 #pragma once
 
 #include <cstdint>

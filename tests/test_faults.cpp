@@ -138,6 +138,14 @@ TEST(FaultPlan, MalformedLinesReportLineNumber) {
       "slowdown 0\n",            // missing factor
       "capacity-loss 0 1024\n",  // missing time
       "frobnicate 1 2\n",        // unknown directive
+      "capacity-loss 0 -5 1.0\n",     // signed byte count
+      "capacity-loss 0 +4096 1.0\n",  // signed byte count
+      "transfer-faults 0.5 x7\n",     // unreadable optional seed
+      "slowdown 1 2.0 soon\n",        // unreadable optional onset
+      "fail 2 0.5x\n",                // trailing text in a field
+      "fail 2 0.5 extra words\n",     // tokens after the last field
+      "fail 1 nan\n",                 // not a finite time
+      "slowdown 0 inf\n",             // not a finite factor
   };
   for (const char* text : bad) {
     std::istringstream in(text);

@@ -688,6 +688,11 @@ int cmd_faults(const CliArgs& args) {
     std::fprintf(stderr, "faults: plan file required\n");
     return 2;
   }
+  ClusterConfig cluster;
+  cluster.num_devices = static_cast<int>(args.get_int("gpus", 8));
+  if (rejects_values(args, "faults")) return 2;
+  if (rejected("faults", cluster.validate())) return 2;
+  const int gpus = cluster.num_devices;
   const std::string path = args.positional()[1];
   std::string error;
   const std::optional<FaultPlan> plan = load_fault_plan_file(path, &error);
@@ -695,8 +700,6 @@ int cmd_faults(const CliArgs& args) {
     std::fprintf(stderr, "faults: %s\n", error.c_str());
     return 1;
   }
-  const int gpus = static_cast<int>(args.get_int("gpus", 8));
-  if (rejects_values(args, "faults")) return 2;
   const std::string problem = plan->validate(gpus);
   if (!problem.empty()) {
     std::fprintf(stderr, "faults: invalid for %d device(s): %s\n", gpus,
