@@ -35,7 +35,8 @@
 # Release-mode tuner corpus check (`micco train` at 1 and 4 threads writes
 # one model with the pinned SHA-256 and prints the pinned grid-run and pair
 # counts), a Release-mode bench_sched_micro smoke
-# run (decision throughput + cross-thread-count tuner label identity), the
+# run (decision throughput + cross-thread-count tuner label identity, and
+# tuner counts equal to the committed BENCH_sched.json's), the
 # Release-mode eviction-policy gate (bench_oversubscription --gate:
 # reuse-distance must not pay more eviction-caused transfer bytes than LRU
 # on f0d2/f0d4, and BENCH_mem.json must regenerate byte for byte), the
@@ -305,6 +306,12 @@ expect_exit_2 "${BUILD_DIR}/examples/autotune_bounds" --gpus=0
 expect_exit_2 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" --gpus=0
 expect_exit_2 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" --gpus=0 \
   --report="${SMOKE_DIR}/bad.json"
+# `faults` checks its cluster size as `run` does, and reads every plan
+# field in full: a signed byte count is a malformed line (exit 1).
+expect_exit_2 "${BUILD_DIR}/tools/micco" faults "${SMOKE_DIR}/plan.txt" \
+  --gpus=0
+printf 'capacity-loss 0 -5 1.0\n' > "${SMOKE_DIR}/signed_plan.txt"
+expect_exit 1 "${BUILD_DIR}/tools/micco" faults "${SMOKE_DIR}/signed_plan.txt"
 # `report` only summarises span traces; workloads run through `run`.
 expect_exit_2 "${BUILD_DIR}/tools/micco" report "${SMOKE_DIR}/w.mw"
 for flag in --vectors=0 --vector-size=3 --tensor=0 --batch=0 --repeat=2; do
@@ -479,8 +486,9 @@ expect_exit 0 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/wide.mw" --gpus=2 \
   --decisions="${SMOKE_DIR}/wide.jsonl"
 grep -q '"a":9223372036854775808' "${SMOKE_DIR}/wide.jsonl"
 echo "config smoke test OK: every out-of-range, malformed, bare or unknown" \
-  "flag exited 2, so did autotune_bounds --gpus=0, every unwritable" \
-  "output path and the invalid workloads exited 1, the daemon rejected" \
+  "flag exited 2, so did autotune_bounds and faults --gpus=0, every" \
+  "unwritable output path, the invalid workloads and a signed fault-plan" \
+  "field exited 1, the daemon rejected" \
   "those workloads and kept serving, the" \
   "overflowing workload was refused without output, so was a stream" \
   "whose FLOPs sum past 2^64, and ids past 2^63 logged unsigned"
@@ -635,11 +643,29 @@ echo "== bench_sched_micro gate (Release) =="
 # regresses past the checked-in threshold (1.5 at 8 GPUs — measured
 # ~1.1-1.2, plus headroom), or if the tuner's 4-thread speedup drops below 1.0
 # (skipped and recorded as such on runners with fewer than 4 hardware
-# threads; see bench_sched_micro.cpp). BENCH_sched.json
-# is refreshed on every run so the tracked numbers never go stale silently.
+# threads; see bench_sched_micro.cpp). The run writes to the smoke
+# directory, so the committed BENCH_sched.json keeps its host timings, and
+# its deterministic tuner counts must equal the committed file's.
 "${REL_BUILD_DIR}/bench/bench_sched_micro" --smoke --gate \
-  --out="BENCH_sched.json"
-grep -q '"tuner_labels_identical_across_threads": true' "BENCH_sched.json"
+  --out="${SMOKE_DIR}/bench_sched_8.json"
+grep -q '"tuner_labels_identical_across_threads": true' \
+  "${SMOKE_DIR}/bench_sched_8.json"
+python3 - "BENCH_sched.json" "${SMOKE_DIR}/bench_sched_8.json" <<'EOF'
+import json
+import sys
+
+committed, got = (json.load(open(path)) for path in sys.argv[1:])
+keys = ["tuner_work_items", "tuner_grid_runs", "tuner_grid_runs_simulated",
+        "tuner_grid_runs_forked", "tuner_grid_pairs",
+        "tuner_grid_pairs_simulated", "tuner_labels_identical_across_threads"]
+drift = ["%s: %s, committed %s" % (k, got.get(k), committed.get(k))
+         for k in keys if got.get(k) != committed.get(k)]
+if drift:
+    sys.exit("bench_sched_micro gate FAILED: tuner counts differ from "
+             "BENCH_sched.json: " + "; ".join(drift))
+print("bench_sched_micro counts OK: " +
+      ", ".join("%s %s" % (k, got[k]) for k in keys))
+EOF
 
 echo "== bench_sched_micro gate, 64 GPUs (Release) =="
 # At 64 devices on this warm-cluster microbench MICCO's data-centric tiers
