@@ -8,25 +8,21 @@
 namespace micco::bench {
 
 Env parse_env(const CliArgs& args) {
-  if (args.error()) {
-    std::fprintf(stderr, "argument error: %s\n", args.error()->c_str());
-    std::exit(2);
-  }
   Env env;
   env.quick = args.get_bool("quick", false);
-  env.gpus = static_cast<int>(args.get_int("gpus", 8));
+  env.gpus = args.get_int<int>("gpus", 8);
   // Default batch width puts the ten-vector working set in the same ballpark
   // as the node's aggregate device memory (the regime the paper evaluates:
   // caching helps but cannot trivially replicate everything everywhere).
   env.vectors = args.get_int("vectors", env.quick ? 4 : 10);
   env.batch = args.get_int("batch", env.quick ? 16 : 160);
-  env.samples = static_cast<int>(args.get_int("samples", env.quick ? 40 : 300));
+  env.samples = args.get_int<int>("samples", env.quick ? 40 : 300);
   env.seed = static_cast<std::uint64_t>(args.get_int("seed", 2022));
   env.csv_dir = args.get("csv-dir", "");
   env.report_dir = args.get("report-dir", "");
   // Applied immediately so tuner sweeps, comparisons and trial loops all
   // fan out; results are byte-identical at every width (see src/parallel).
-  env.threads = static_cast<int>(args.get_int("threads", 1));
+  env.threads = args.get_int<int>("threads", 1);
   parallel::set_threads(env.threads);
   env.threads = parallel::configured_threads();
   if (args.get_bool("verbose", false)) set_log_level(LogLevel::kInfo);
@@ -42,7 +38,11 @@ void print_header(const std::string& title, const std::string& paper_ref) {
   std::printf("%s", banner(title + "  [" + paper_ref + "]").c_str());
 }
 
-void warn_unused(const CliArgs& args) {
+void check_flags(const CliArgs& args) {
+  if (args.error()) {
+    std::fprintf(stderr, "argument error: %s\n", args.error()->c_str());
+    std::exit(2);
+  }
   for (const std::string& flag : args.unused()) {
     std::fprintf(stderr, "warning: unrecognised flag --%s ignored\n",
                  flag.c_str());

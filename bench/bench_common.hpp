@@ -47,14 +47,16 @@ struct Env {
   }
 };
 
-/// Parses the shared flags and warns on typos; exits on malformed input.
+/// Parses the shared flags; exits 2 on out-of-range parameters. Malformed
+/// values are check_flags' to report.
 Env parse_env(const CliArgs& args);
 
 /// Prints the bench banner with the paper artefact it regenerates.
 void print_header(const std::string& title, const std::string& paper_ref);
 
-/// Warns about unrecognised flags (call after all get()s).
-void warn_unused(const CliArgs& args);
+/// Exits 2 on a malformed flag or value, then warns about unrecognised
+/// flags. Call after the last flag read, before any work.
+void check_flags(const CliArgs& args);
 
 /// Trains the production Random Forest bounds model on the standard tuner
 /// corpus (Section IV-C: 300 samples, bounds searched on [0,2]^3). In

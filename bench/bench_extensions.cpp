@@ -31,7 +31,7 @@ double gflops_of(const WorkloadStream& stream, const ClusterConfig& cluster,
 
 int run(const CliArgs& args) {
   Env env = parse_env(args);
-  warn_unused(args);
+  check_flags(args);
   print_header("Extensions & Ablations", "Sec. VII future work");
 
   TrainedBoundsModel model = train_model(env);

@@ -16,7 +16,7 @@ int run(const CliArgs& args) {
   // The evaluated system stages tensors through host memory; peer-to-peer
   // replica fetches are the asynchronous-copy extension (--p2p=on ablation).
   const bool p2p = args.get_bool("p2p", false);
-  warn_unused(args);
+  check_flags(args);
   print_header("Overall Performance", "Fig. 7");
 
   TrainedBoundsModel model = train_model(env);

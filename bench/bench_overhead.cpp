@@ -128,7 +128,7 @@ int run_gate(const Env& env) {
 int run(const CliArgs& args) {
   Env env = parse_env(args);
   const bool gate = args.get_bool("gate", false);
-  warn_unused(args);
+  check_flags(args);
   if (gate) return run_gate(env);
   print_header("Scheduling Overhead vs Total Time", "Table V");
 

@@ -58,7 +58,7 @@ int run(const CliArgs& args) {
   Env env = parse_env(args);
   const std::string out = args.get("out", "BENCH_mem.json");
   const bool gate = args.get_bool("gate", false);
-  warn_unused(args);
+  check_flags(args);
   print_header("Memory Oversubscription", "Fig. 11");
 
   TrainedBoundsModel model = train_model(env);

@@ -14,7 +14,7 @@ namespace {
 
 int run(const CliArgs& args) {
   Env env = parse_env(args);
-  warn_unused(args);
+  check_flags(args);
   print_header("Real Correlation Functions (Redstar)", "Table VI");
 
   TrainedBoundsModel model = train_model(env);

@@ -14,7 +14,7 @@ namespace {
 
 int run(const CliArgs& args) {
   Env env = parse_env(args);
-  warn_unused(args);
+  check_flags(args);
   print_header("Regression Model Comparison", "Table IV");
 
   TunerConfig tuner;

@@ -22,7 +22,7 @@ struct Case {
 
 int run(const CliArgs& args) {
   Env env = parse_env(args);
-  warn_unused(args);
+  check_flags(args);
   print_header("Impact of Reuse Bounds", "Fig. 8");
 
   const std::vector<Case> cases{{"Case(1) v=64 r=50%", 64, 0.50},

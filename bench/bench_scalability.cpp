@@ -14,7 +14,7 @@ int run(const CliArgs& args) {
   // the 1-GPU baseline measures reuse hardness rather than capacity thrash;
   // a lighter batch than the other figures' default accomplishes that.
   if (!args.has("batch")) env.batch = env.quick ? 8 : 16;
-  warn_unused(args);
+  check_flags(args);
   print_header("Scalability", "Fig. 9");
 
   CsvWriter csv;

@@ -125,11 +125,11 @@ bool same_labels(const std::vector<TrainingSample>& a,
 int run(const CliArgs& args) {
   Env env = parse_env(args);
   const bool smoke = args.get_bool("smoke", false);
-  const int passes = static_cast<int>(args.get_int("passes", smoke ? 4 : 40));
+  const int passes = args.get_int<int>("passes", smoke ? 4 : 40);
   const std::string out = args.get("out", "BENCH_sched.json");
   const bool gate = args.get_bool("gate", false);
   const double gate_max_ratio = args.get_double("gate-max-ratio", 1.5);
-  warn_unused(args);
+  check_flags(args);
   print_header("Scheduler & Tuner Micro-Throughput", "hot path");
 
   obs::JsonValue report = obs::JsonValue::object();

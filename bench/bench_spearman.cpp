@@ -13,7 +13,7 @@ namespace {
 
 int run(const CliArgs& args) {
   Env env = parse_env(args);
-  warn_unused(args);
+  check_flags(args);
   print_header("Spearman Correlation Heatmap", "Fig. 5");
 
   TunerConfig tuner;

@@ -11,7 +11,7 @@ namespace {
 
 int run(const CliArgs& args) {
   Env env = parse_env(args);
-  warn_unused(args);
+  check_flags(args);
   print_header("Impact of Tensor Size", "Fig. 10");
 
   TrainedBoundsModel model = train_model(env);

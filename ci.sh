@@ -15,13 +15,13 @@
 # `micco report --spans` well-formedness pass, and workloads writing output
 # id 2^64 - 1 answered `bad_workload`), a configuration smoke test
 # (out-of-range train/run/generate/serve flags, malformed flag values,
-# bare output flags, tenant weights and job ids, the retired `interval`
-# fsync policy and its
+# integer flags past the range of the type they set, bare output flags,
+# tenant weights and job ids, the retired `interval` fsync policy and its
 # flag, unknown flags, a workload given to `report` and `autotune_bounds
-# --gpus=0` exit 2, unwritable output paths and structurally invalid
+# --gpus=0` exit 2, unwritable output paths, structurally invalid
 # workloads (a self-consuming task, output id 2^64 - 1 in decimal or as
-# -1) exit 1, and a daemon rejects those workloads and keeps serving;
-# nothing aborts or runs),
+# -1) and model files with a bad tree exit 1, and a daemon rejects those
+# workloads and keeps serving; nothing aborts, hangs or runs),
 # a chaos smoke test
 # (tools/chaos_smoke.sh: kill -9 the daemon at every scripted journal crash
 # point, restart on the same journal, and require byte-identical recovered
@@ -485,13 +485,37 @@ EOF
 expect_exit 0 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/wide.mw" --gpus=2 \
   --decisions="${SMOKE_DIR}/wide.jsonl"
 grep -q '"a":9223372036854775808' "${SMOKE_DIR}/wide.jsonl"
+# A model file whose first tree splits on feature 7 of 4, or has a node
+# that is its own child, is refused at load (exit 1) instead of aborting
+# at the first prediction or looping in it; the timeout turns a hang into
+# a failure.
+LEAVES='-1 0 1 -1 -1\n-1 0 2 -1 -1\n'
+for root in '7 0.5 0 1 2' '0 0.5 0 0 0'; do
+  printf "micco-model v1 forest 1\ntree 3\n${root}\n${LEAVES}" \
+    > "${SMOKE_DIR}/badtree.mm"
+  for _ in 1 2; do
+    printf "micco-model v1 forest 1\ntree 3\n0 0.5 0 1 2\n${LEAVES}" \
+      >> "${SMOKE_DIR}/badtree.mm"
+  done
+  expect_exit 1 timeout 20 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" \
+    --gpus=2 --model="${SMOKE_DIR}/badtree.mm"
+  grep -q 'bad model file' "${SMOKE_DIR}/config_err.txt"
+done
+# Integer flags are read in the range of the type they set: 2^32 + 1 GPUs
+# is not 1 GPU, and a negative queue bound does not wrap to 2^64 - 1.
+expect_exit_2 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" \
+  --gpus=4294967297
+expect_exit_2 "${BUILD_DIR}/tools/micco" serve \
+  --socket="${SMOKE_DIR}/bad.sock" --max-queue=-1
+expect_exit_2 "${BUILD_DIR}/bench/bench_sched_micro" --smoke --gpus=4x
 echo "config smoke test OK: every out-of-range, malformed, bare or unknown" \
   "flag exited 2, so did autotune_bounds and faults --gpus=0, every" \
   "unwritable output path, the invalid workloads and a signed fault-plan" \
   "field exited 1, the daemon rejected" \
   "those workloads and kept serving, the" \
   "overflowing workload was refused without output, so was a stream" \
-  "whose FLOPs sum past 2^64, and ids past 2^63 logged unsigned"
+  "whose FLOPs sum past 2^64, ids past 2^63 logged unsigned, and model" \
+  "files with a bad tree were refused at load"
 
 echo "== eviction-policy smoke test =="
 # Memory co-design subsystem (DESIGN.md §11): both eviction policies must

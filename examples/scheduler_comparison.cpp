@@ -1,6 +1,6 @@
-// Side-by-side comparison of the Groute-style earliest-available baseline,
-// round-robin and MICCO on a user-configurable workload, with the full
-// metric breakdown.
+// Side-by-side comparison of the Groute-style earliest-available baseline
+// and MICCO on a user-configurable workload, with the full metric
+// breakdown.
 //
 //   ./scheduler_comparison [--gpus=8] [--vector-size=64] [--repeat=0.5]
 //                          [--gaussian] [--oversub=1.0] [--tensor=384]
@@ -49,8 +49,7 @@ int main(int argc, char** argv) {
 
   const auto entries = compare_schedulers(
       stream, cluster,
-      {SchedulerKind::kGroute, SchedulerKind::kRoundRobin,
-       SchedulerKind::kMiccoNaive});
+      {SchedulerKind::kGroute, SchedulerKind::kMiccoNaive});
 
   TextTable table;
   table.add_column("scheduler", Align::kLeft);
@@ -76,8 +75,7 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.render().c_str());
   std::printf(
-      "\nGroute and RoundRobin keep devices busy but re-fetch repeated "
-      "tensors (case 2 of Fig. 2); MICCO trades reuse against balance "
-      "(case 3).\n");
+      "\nGroute keeps devices busy but re-fetches repeated tensors (case 2 "
+      "of Fig. 2); MICCO trades reuse against balance (case 3).\n");
   return 0;
 }

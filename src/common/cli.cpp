@@ -79,18 +79,6 @@ std::string CliArgs::get(const std::string& name,
   return text == nullptr ? fallback : *text;
 }
 
-std::int64_t CliArgs::get_int(const std::string& name,
-                              std::int64_t fallback) const {
-  const std::string* text = value(name);
-  if (text == nullptr) return fallback;
-  const std::optional<std::int64_t> parsed = parse_int(*text);
-  if (!parsed.has_value()) {
-    malformed(name, *text);
-    return fallback;
-  }
-  return *parsed;
-}
-
 double CliArgs::get_double(const std::string& name, double fallback) const {
   const std::string* text = value(name);
   if (text == nullptr) return fallback;

@@ -4,12 +4,15 @@
 // silently ignored.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace micco {
@@ -34,8 +37,23 @@ class CliArgs {
   /// out-of-range number, a non-finite double such as "nan" or "inf") and
   /// record it as the error().
   std::string get(const std::string& name, const std::string& fallback) const;
-  std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
+
+  /// The flag as an integer of type T (int64 unless named): a value that
+  /// parse_int cannot read, or that lies outside T's range, is malformed,
+  /// so `--gpus=4294967297` read as an int or `--max-queue=-1` read as a
+  /// size_t is an error(), not a wrapped number.
+  template <std::integral T = std::int64_t>
+  T get_int(const std::string& name, std::type_identity_t<T> fallback) const {
+    const std::string* text = value(name);
+    if (text == nullptr) return fallback;
+    const std::optional<std::int64_t> parsed = parse_int(*text);
+    if (!parsed.has_value() || !std::in_range<T>(*parsed)) {
+      malformed(name, *text);
+      return fallback;
+    }
+    return static_cast<T>(*parsed);
+  }
 
   /// Boolean flags: bare `--name` and values 1/true/on/yes are true;
   /// 0/false/off/no are false; any other word is malformed.

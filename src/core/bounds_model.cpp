@@ -56,6 +56,23 @@ void save_bounds_model(const ml::MultiOutputRegressor& model,
   for (std::size_t b = 0; b < 3; ++b) ml::save_regressor(model.model(b), out);
 }
 
+namespace {
+
+/// True when a split of `model` reads a feature past DataCharacteristics'
+/// vector, where a prediction would index out of bounds.
+bool splits_past_features(const ml::Regressor& model) {
+  // load_regressor reads forests only.
+  const auto& forest = dynamic_cast<const ml::RandomForest&>(model);
+  for (std::size_t t = 0; t < forest.tree_count(); ++t) {
+    for (const auto& node : forest.tree_at(t).export_nodes()) {
+      if (node.feature >= DataCharacteristics::kFeatureCount) return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 std::unique_ptr<RegressionBoundsProvider> load_bounds_model(
     const std::string& path, std::string* error) {
   std::ifstream in(path);
@@ -69,6 +86,10 @@ std::unique_ptr<RegressionBoundsProvider> load_bounds_model(
     models.push_back(ml::load_regressor(in, &model_error));
     if (!models.back()) {
       *error = "bad model file: " + model_error;
+      return nullptr;
+    }
+    if (splits_past_features(*models.back())) {
+      *error = "bad model file: split feature out of range";
       return nullptr;
     }
   }

@@ -8,7 +8,6 @@ namespace micco {
 const char* to_string(SchedulerKind kind) {
   switch (kind) {
     case SchedulerKind::kGroute: return "Groute";
-    case SchedulerKind::kRoundRobin: return "RoundRobin";
     case SchedulerKind::kDmda: return "dmda";
     case SchedulerKind::kMiccoNaive: return "MICCO-naive";
     case SchedulerKind::kMiccoOptimal: return "MICCO-optimal";
@@ -21,8 +20,6 @@ std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind,
   switch (kind) {
     case SchedulerKind::kGroute:
       return std::make_unique<GrouteScheduler>();
-    case SchedulerKind::kRoundRobin:
-      return std::make_unique<RoundRobinScheduler>();
     case SchedulerKind::kDmda:
       return std::make_unique<DmdaScheduler>();
     case SchedulerKind::kMiccoNaive:

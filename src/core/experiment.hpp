@@ -15,7 +15,6 @@ namespace micco {
 
 enum class SchedulerKind {
   kGroute,
-  kRoundRobin,
   kDmda,          ///< StarPU-style data-aware earliest-finish baseline
   kMiccoNaive,    ///< MICCO heuristic, zero reuse bounds
   kMiccoOptimal,  ///< MICCO heuristic + regression-predicted bounds

@@ -1,5 +1,6 @@
 #include "core/verify.hpp"
 
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 
@@ -7,52 +8,85 @@
 
 namespace micco {
 
+namespace {
+
+constexpr const char* kTotals =
+    "stream total FLOPs or distinct bytes exceed 2^64-1";
+
+std::string consumed_early(std::size_t stage, TensorId id) {
+  std::ostringstream os;
+  os << "stage " << stage << " consumes tensor " << id
+     << " before the stage producing it has completed";
+  return os.str();
+}
+
+}  // namespace
+
 std::string validate_stream_structure(const WorkloadStream& stream) {
-  // Determinism audit (DESIGN.md §5e): this map is probed only; validation
-  // walks vectors/tasks in stream order, so the first error reported is a
-  // pure function of the stream, not of hash layout. One map (output ->
-  // producing stage) keeps the check cheap enough for daemon admission.
+  // Determinism audit (DESIGN.md §5e): `ids` is probed, never iterated, and
+  // the walk visits tasks in stream order, so the problem reported is a
+  // function of the stream alone, not of hash layout.
+  struct IdUse {
+    std::size_t stage;  ///< the producing stage, or the first consuming one
+    bool produced;
+  };
   std::size_t tasks = 0;
   for (const VectorWorkload& vec : stream.vectors) tasks += vec.tasks.size();
-  std::unordered_map<TensorId, std::size_t> produced_in;
-  produced_in.reserve(tasks);
+  std::unordered_map<TensorId, IdUse> ids;
+  ids.reserve(2 * tasks);
+  std::uint64_t flops = 0;
+  std::uint64_t bytes = 0;
   for (std::size_t stage = 0; stage < stream.vectors.size(); ++stage) {
     for (const ContractionTask& task : stream.vectors[stage].tasks) {
-      // kInvalidTensor marks "no tensor"; the simulator requires a real
-      // output id.
-      if (!task.out.valid()) return "invalid output descriptor";
-      if (!produced_in.emplace(task.out.id, stage).second) {
-        std::ostringstream os;
-        os << "output tensor " << task.out.id << " produced twice";
-        return os.str();
-      }
-    }
-  }
-
-  for (std::size_t stage = 0; stage < stream.vectors.size(); ++stage) {
-    for (const ContractionTask& task : stream.vectors[stage].tasks) {
-      for (const TensorDesc* operand : {&task.a, &task.b}) {
-        if (!operand->valid()) return "invalid operand descriptor";
-        // Originals are never produced; a produced tensor is usable only
-        // after the barrier of the stage producing it.
-        const auto it = produced_in.find(operand->id);
-        if (it != produced_in.end() && it->second >= stage) {
-          std::ostringstream os;
-          os << "stage " << stage << " consumes tensor " << operand->id
-             << " before the stage producing it has completed";
-          return os.str();
+      const TensorDesc* const descs[] = {&task.a, &task.b, &task.out};
+      std::uint64_t payload[3];
+      for (int i = 0; i < 3; ++i) {
+        const TensorDesc& d = *descs[i];
+        // kInvalidTensor marks "no tensor"; the simulator requires real ids.
+        if (!d.valid()) {
+          return i < 2 ? "invalid operand descriptor"
+                       : "invalid output descriptor";
         }
-      }
-      if ((task.a.rank != 2 && task.a.rank != 3) ||
-          (task.b.rank != 2 && task.b.rank != 3)) {
-        return "operand ranks must be 2 or 3";
+        // The rank comes first: checked_bytes() loops `rank` times.
+        if ((d.rank != 2 && d.rank != 3) || d.extent < 1 || d.batch < 1) {
+          return "invalid tensor descriptor";
+        }
+        const std::optional<std::uint64_t> checked = d.checked_bytes();
+        if (!checked.has_value()) return "tensor payload exceeds 2^64-1 bytes";
+        payload[i] = *checked;
       }
       if (task.a.extent != task.b.extent || task.a.batch != task.b.batch) {
-        return "operand shapes are not contractable";
+        return "operands are not contractable";
       }
       if (task.out.rank != contraction_result_rank(task.a.rank, task.b.rank)) {
         return "output rank does not match the contraction rules";
       }
+      if (!task.counts_fit()) return "task FLOPs or kernel bytes exceed 2^64-1";
+
+      if (__builtin_add_overflow(flops, task.flops(), &flops)) return kTotals;
+
+      // Originals are never produced; a produced tensor is usable only
+      // after the barrier of the stage producing it. Each id's payload
+      // counts once, when the map first sees it.
+      for (int i = 0; i < 2; ++i) {
+        const auto [it, first] =
+            ids.try_emplace(descs[i]->id, IdUse{stage, false});
+        if (first && __builtin_add_overflow(bytes, payload[i], &bytes)) {
+          return kTotals;
+        }
+        if (!first && it->second.produced && it->second.stage >= stage) {
+          return consumed_early(stage, descs[i]->id);
+        }
+      }
+      const auto [it, first] = ids.try_emplace(task.out.id, IdUse{stage, true});
+      if (!first && it->second.produced) {
+        std::ostringstream os;
+        os << "output tensor " << task.out.id << " produced twice";
+        return os.str();
+      }
+      // An id consumed as an original and produced afterwards.
+      if (!first) return consumed_early(it->second.stage, task.out.id);
+      if (__builtin_add_overflow(bytes, payload[2], &bytes)) return kTotals;
     }
   }
   return "";

@@ -16,11 +16,17 @@
 
 namespace micco {
 
-/// Structural validation of a stream: every id is a real one (not
-/// kInvalidTensor), outputs are unique, operands are either originals
-/// (never produced) or produced in a strictly earlier stage, ranks are
-/// contractable. Returns an empty string when valid, else
-/// a description of the first violation.
+/// The one acceptance check of a workload stream; the reader
+/// (workload/serialize.hpp) checks syntax only. Per task, in stream order:
+/// every id is a real one (not kInvalidTensor); every descriptor has rank
+/// 2 or 3, extent and batch >= 1 and a payload within 2^64 - 1 bytes; the
+/// operands are contractable and the output has the contraction's rank;
+/// the task's FLOPs and kernel bytes fit 64 bits. Over the stream, in one
+/// map keyed by tensor id: each output is produced once, every operand is
+/// an original (never produced) or produced in a strictly earlier stage,
+/// and the total FLOPs and distinct payload bytes fit 64 bits. Returns an
+/// empty string when valid, else a description of the first violation.
+/// Nothing may read a loaded stream's sizes before this passes.
 std::string validate_stream_structure(const WorkloadStream& stream);
 
 struct NumericResult {

@@ -176,9 +176,10 @@ RegressionTree RegressionTree::import_nodes(
   RegressionTree tree(config);
   tree.nodes_.reserve(nodes.size());
   for (const ExportedNode& n : nodes) {
+    const auto self = static_cast<std::int32_t>(tree.nodes_.size());
     if (n.feature >= 0) {
       MICCO_EXPECTS_MSG(
-          n.left >= 0 && n.right >= 0 &&
+          n.left > self && n.right > self &&
               static_cast<std::size_t>(n.left) < nodes.size() &&
               static_cast<std::size_t>(n.right) < nodes.size(),
           "tree import: child index out of range");

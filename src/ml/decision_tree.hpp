@@ -46,7 +46,8 @@ class RegressionTree final : public Regressor {
   std::vector<ExportedNode> export_nodes() const;
 
   /// Rebuilds a tree from exported nodes. Aborts on structurally invalid
-  /// input (out-of-range children); callers validate untrusted data first.
+  /// input (a split's child index at or before its own, or past the end:
+  /// nodes are stored parent first); callers validate untrusted data first.
   static RegressionTree import_nodes(const std::vector<ExportedNode>& nodes,
                                      TreeConfig config = {});
 

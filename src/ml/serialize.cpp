@@ -40,13 +40,18 @@ bool read_tree_body(std::istream& in, RegressionTree* tree,
     return false;
   }
   std::vector<RegressionTree::ExportedNode> nodes(count);
-  for (auto& n : nodes) {
+  for (std::size_t i = 0; i < count; ++i) {
+    auto& n = nodes[i];
     if (!(in >> n.feature >> n.threshold >> n.value >> n.left >> n.right)) {
       if (error) *error = "truncated tree body";
       return false;
     }
+    // Trees are written parent first, so a child's index exceeds its
+    // parent's: an index at or before the node's own would close a cycle
+    // that predict() never leaves.
     if (n.feature >= 0 &&
-        (n.left < 0 || n.right < 0 ||
+        (n.left <= static_cast<std::int64_t>(i) ||
+         n.right <= static_cast<std::int64_t>(i) ||
          static_cast<std::size_t>(n.left) >= count ||
          static_cast<std::size_t>(n.right) >= count)) {
       if (error) *error = "tree child index out of range";

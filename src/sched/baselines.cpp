@@ -9,8 +9,7 @@ namespace micco {
 
 // Baselines with no candidate filtering log every *alive* device as the
 // candidate set (failed devices never receive work); the shared
-// alive_candidates()/single_candidate() scratch keeps those logs
-// allocation-free per decision.
+// alive_candidates() scratch keeps those logs allocation-free per decision.
 
 // ---------------------------------------------------------------- Groute --
 
@@ -34,27 +33,6 @@ DeviceId GrouteScheduler::assign(const ContractionTask& task,
     record_decision(task, view, alive_candidates(view), best);
   }
   return best;
-}
-
-// ------------------------------------------------------------ RoundRobin --
-
-void RoundRobinScheduler::begin_vector(const VectorWorkload&,
-                                       const ClusterView&) {}
-
-DeviceId RoundRobinScheduler::assign(const ContractionTask& task,
-                                     const ClusterView& view) {
-  const int n = view.num_devices();
-  // Skip over failed devices; the cycle continues over the survivors.
-  DeviceId dev = next_;
-  for (int hops = 0; hops < n && !view.device_alive(dev); ++hops) {
-    dev = (dev + 1) % n;
-  }
-  MICCO_EXPECTS_MSG(view.device_alive(dev), "no alive device to assign to");
-  next_ = (dev + 1) % n;
-  if (telemetry_ != nullptr) {
-    record_decision(task, view, single_candidate(dev), dev);
-  }
-  return dev;
 }
 
 // ---------------------------------------------------------------- dmda ---

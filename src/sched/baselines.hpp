@@ -5,8 +5,7 @@
 // on the earliest available device to achieve good load balance" — i.e. pick
 // the device whose timeline frees up first, blind to data residency.
 //
-// RoundRobinScheduler is a strawman that ignores both load and residency,
-// and DmdaScheduler is StarPU's data-aware earliest-finish rule.
+// DmdaScheduler is StarPU's data-aware earliest-finish rule.
 #pragma once
 
 #include "sched/scheduler.hpp"
@@ -21,19 +20,6 @@ class GrouteScheduler final : public Scheduler {
                     const ClusterView& view) override;
   DeviceId assign(const ContractionTask& task,
                   const ClusterView& view) override;
-};
-
-/// Cyclic assignment, ignoring both load and residency.
-class RoundRobinScheduler final : public Scheduler {
- public:
-  std::string name() const override { return "RoundRobin"; }
-  void begin_vector(const VectorWorkload& vec,
-                    const ClusterView& view) override;
-  DeviceId assign(const ContractionTask& task,
-                  const ClusterView& view) override;
-
- private:
-  DeviceId next_ = 0;
 };
 
 /// StarPU-style deque-model-data-aware (dmda) assignment: estimate each

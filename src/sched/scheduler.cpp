@@ -33,12 +33,6 @@ const std::vector<DeviceId>& Scheduler::alive_candidates(
   return candidate_scratch_;
 }
 
-const std::vector<DeviceId>& Scheduler::single_candidate(DeviceId dev) {
-  candidate_scratch_.clear();
-  candidate_scratch_.push_back(dev);
-  return candidate_scratch_;
-}
-
 void Scheduler::record_decision(const ContractionTask& task,
                                 const ClusterView& view,
                                 const std::vector<DeviceId>& candidates,

@@ -65,12 +65,11 @@ class Scheduler {
                        std::int64_t balance_num = -1, bool fallback = false,
                        bool evict_risk = false);
 
-  /// Reusable candidate buffers for record_decision call sites, so baselines
-  /// that log "every alive device" or "the single winner" as their candidate
-  /// set do not allocate per decision. The reference is valid until the next
-  /// call on the same scheduler.
+  /// Reusable candidate buffer for record_decision call sites, so baselines
+  /// that log "every alive device" as their candidate set do not allocate
+  /// per decision. The reference is valid until the next call on the same
+  /// scheduler.
   const std::vector<DeviceId>& alive_candidates(const ClusterView& view);
-  const std::vector<DeviceId>& single_candidate(DeviceId dev);
 
   obs::Telemetry* telemetry_ = nullptr;
 

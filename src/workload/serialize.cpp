@@ -102,14 +102,6 @@ bool read_desc(Tokens& in, TensorDesc* d, std::string* error) {
     if (error) *error = "truncated tensor descriptor";
     return false;
   }
-  if ((d->rank != 2 && d->rank != 3) || d->extent < 1 || d->batch < 1) {
-    if (error) *error = "invalid tensor descriptor";
-    return false;
-  }
-  if (!d->checked_bytes().has_value()) {
-    if (error) *error = "tensor payload exceeds 2^64-1 bytes";
-    return false;
-  }
   return true;
 }
 
@@ -202,21 +194,9 @@ std::optional<WorkloadStream> load_stream_text(std::string_view text,
           !read_desc(in, &task.out, error)) {
         return std::nullopt;
       }
-      if (task.a.extent != task.b.extent || task.a.batch != task.b.batch) {
-        if (error) *error = "operands are not contractable";
-        return std::nullopt;
-      }
-      if (!task.counts_fit()) {
-        if (error) *error = "task FLOPs or kernel bytes exceed 2^64-1";
-        return std::nullopt;
-      }
       vec.tasks.push_back(task);
     }
     stream.vectors.push_back(std::move(vec));
-  }
-  if (!stream.totals_fit()) {
-    if (error) *error = "stream total FLOPs or distinct bytes exceed 2^64-1";
-    return std::nullopt;
   }
   return stream;
 }

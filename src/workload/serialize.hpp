@@ -12,9 +12,12 @@
 // Tokens are separated by any run of spaces, tabs, newlines, \v, \f or \r.
 // Every number is an unsigned decimal with no sign, read in full: `-1`,
 // `+2` and `1x` are rejected. The rate may carry a fraction and an exponent
-// and must be finite. Tensor ids lie below 2^64 - 1, the value that marks
-// "no tensor": the reader takes it, and validate_stream_structure rejects
-// it. Text after the last declared task is ignored.
+// and must be finite. Text after the last declared task is ignored.
+//
+// The reader checks syntax only. What the numbers mean (a real id, rank 2
+// or 3, contractable shapes, sizes and totals that fit 64 bits, produce
+// before consume) is validate_stream_structure's to check (core/verify.hpp),
+// and every caller runs it before it reads any size of the stream.
 #pragma once
 
 #include <iosfwd>
@@ -31,9 +34,9 @@ void save_stream(const WorkloadStream& stream, std::ostream& out);
 void save_stream_file(const WorkloadStream& stream, const std::string& path);
 
 /// Reads a stream back from its text. Returns nullopt and sets `error` on
-/// malformed input (external data: never aborts); every size the stream
-/// implies fits 64 bits. Structure (produce before consume, valid ids) is
-/// validate_stream_structure's to check.
+/// malformed input (external data: never aborts). A loaded stream must pass
+/// validate_stream_structure before any size is read: bytes(), flops() and
+/// the stream totals abort or wrap on values the reader takes.
 std::optional<WorkloadStream> load_stream_text(std::string_view text,
                                                std::string* error = nullptr);
 /// load_stream_text over the rest of `in`, which it reads to the end.

@@ -32,7 +32,7 @@ std::string SyntheticConfig::validate() const {
   if (!(repeated_rate >= 0.0 && repeated_rate <= 1.0)) {
     return "repeated rate must lie in [0, 1]";
   }
-  // The stream's totals (WorkloadStream::totals_fit) in closed form: every
+  // The stream totals validate_stream_structure checks, in closed form: every
   // pair has one shape and one rank-2 output, and the distinct inputs are
   // the first vector's slots plus each later vector's unrepeated slots.
   const auto vectors = static_cast<std::uint64_t>(num_vectors);

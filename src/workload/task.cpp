@@ -34,29 +34,12 @@ std::optional<std::uint64_t> plus(std::optional<std::uint64_t> acc,
   return sum;
 }
 
-std::optional<std::uint64_t> flops_of(const VectorWorkload& vec) {
-  std::optional<std::uint64_t> acc = 0;
-  for (const ContractionTask& t : vec.tasks) acc = plus(acc, t.flops());
-  return acc;
-}
-
-std::optional<std::uint64_t> distinct_bytes_of(const WorkloadStream& stream) {
-  std::unordered_set<TensorId> seen;
-  std::optional<std::uint64_t> acc = 0;
-  for (const VectorWorkload& v : stream.vectors) {
-    for (const ContractionTask& t : v.tasks) {
-      for (const TensorDesc* d : {&t.a, &t.b, &t.out}) {
-        if (seen.insert(d->id).second) acc = plus(acc, d->bytes());
-      }
-    }
-  }
-  return acc;
-}
-
-/// A total that must fit: loaded and generated streams passed totals_fit.
+/// A total that must fit: a stream that passed validate_stream_structure,
+/// or one generated from a valid SyntheticConfig, has totals that do.
 std::uint64_t fitting(std::optional<std::uint64_t> total) {
   MICCO_EXPECTS_MSG(total.has_value(),
-                    "stream total exceeds 2^64-1 (see totals_fit)");
+                    "stream total exceeds 2^64-1 (see "
+                    "validate_stream_structure)");
   return *total;
 }
 
@@ -105,7 +88,9 @@ std::unordered_set<TensorId> VectorWorkload::unique_inputs() const {
 }
 
 std::uint64_t VectorWorkload::total_flops() const {
-  return fitting(flops_of(*this));
+  std::optional<std::uint64_t> acc = 0;
+  for (const ContractionTask& t : tasks) acc = plus(acc, t.flops());
+  return fitting(acc);
 }
 
 std::uint64_t WorkloadStream::total_flops() const {
@@ -115,13 +100,16 @@ std::uint64_t WorkloadStream::total_flops() const {
 }
 
 std::uint64_t WorkloadStream::total_distinct_bytes() const {
-  return fitting(distinct_bytes_of(*this));
-}
-
-bool WorkloadStream::totals_fit() const {
-  std::optional<std::uint64_t> flops = 0;
-  for (const VectorWorkload& v : vectors) flops = plus(flops, flops_of(v));
-  return flops.has_value() && distinct_bytes_of(*this).has_value();
+  std::unordered_set<TensorId> seen;
+  std::optional<std::uint64_t> acc = 0;
+  for (const VectorWorkload& v : vectors) {
+    for (const ContractionTask& t : v.tasks) {
+      for (const TensorDesc* d : {&t.a, &t.b, &t.out}) {
+        if (seen.insert(d->id).second) acc = plus(acc, d->bytes());
+      }
+    }
+  }
+  return fitting(acc);
 }
 
 }  // namespace micco

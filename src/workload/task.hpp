@@ -45,7 +45,9 @@ struct TensorDesc {
   }
 
   /// bytes() without its silent wrap: nullopt when the payload exceeds
-  /// 2^64 - 1 bytes. Workload loaders reject such descriptors.
+  /// 2^64 - 1 bytes (validate_stream_structure rejects such descriptors).
+  /// Requires extent and batch >= 1 and loops `rank` times, so untrusted
+  /// descriptors need their rank checked first.
   std::optional<std::uint64_t> checked_bytes() const;
 
   bool valid() const { return id != kInvalidTensor; }
@@ -69,7 +71,8 @@ struct ContractionTask {
   }
 
   /// False when flops() or kernel_bytes() exceeds 2^64 - 1, where both
-  /// would wrap silently. Workload loaders reject such tasks.
+  /// would wrap silently (validate_stream_structure rejects such tasks).
+  /// Requires operand ranks of 2 or 3.
   bool counts_fit() const;
 };
 
@@ -93,7 +96,8 @@ struct VectorWorkload {
   std::unordered_set<TensorId> unique_inputs() const;
 
   /// Total FLOPs over all contractions in the vector; the sum must fit in
-  /// 64 bits (it does in every stream that passes totals_fit).
+  /// 64 bits (it does in every stream that passes
+  /// validate_stream_structure).
   std::uint64_t total_flops() const;
 };
 
@@ -111,18 +115,15 @@ struct WorkloadStream {
   double repeated_rate = 0.0;      ///< requested repeat fraction
   DataDistribution distribution = DataDistribution::kUniform;
 
-  /// FLOPs over all contractions; requires totals_fit().
+  /// FLOPs over all contractions. Aborts when the sum exceeds 2^64 - 1:
+  /// run it on a stream that passed validate_stream_structure, which
+  /// rejects such streams (SyntheticConfig::validate such configurations).
   std::uint64_t total_flops() const;
 
   /// Peak footprint if every distinct tensor (inputs + outputs) stayed
-  /// resident: the denominator for oversubscription-rate sizing. Requires
-  /// totals_fit().
+  /// resident: the denominator for oversubscription-rate sizing. Same
+  /// precondition as total_flops().
   std::uint64_t total_distinct_bytes() const;
-
-  /// False when the total FLOPs or the total distinct payload bytes exceed
-  /// 2^64 - 1, where the totals above would wrap. Workload loaders reject
-  /// such streams and SyntheticConfig::validate such configurations.
-  bool totals_fit() const;
 };
 
 }  // namespace micco

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "gpusim/cluster.hpp"
+#include "round_robin.hpp"
 
 namespace micco {
 namespace {
@@ -61,7 +62,7 @@ TEST(Groute, IgnoresResidency) {
 }
 
 TEST(RoundRobin, CyclesThroughDevices) {
-  RoundRobinScheduler sched;
+  test::RoundRobinScheduler sched;
   ClusterSimulator sim(cluster_of(3));
   EXPECT_EQ(sched.assign(make_task(0, 1, 10), sim), 0);
   EXPECT_EQ(sched.assign(make_task(2, 3, 11), sim), 1);
@@ -71,7 +72,7 @@ TEST(RoundRobin, CyclesThroughDevices) {
 
 TEST(Baselines, NamesAreStable) {
   EXPECT_EQ(GrouteScheduler{}.name(), "Groute");
-  EXPECT_EQ(RoundRobinScheduler{}.name(), "RoundRobin");
+  EXPECT_EQ(DmdaScheduler{}.name(), "dmda");
 }
 
 }  // namespace

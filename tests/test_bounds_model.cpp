@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <utility>
 
 #include "ml/serialize.hpp"
 
@@ -138,6 +140,25 @@ TEST(BoundsModelFile, RoundTripsAndRejectsBadFiles) {
   ASSERT_NE(loaded, nullptr) << error;
   EXPECT_EQ(load_bounds_model(path, &error), nullptr);
   EXPECT_EQ(error, "cannot open model " + path);
+
+  // A split on a feature past DataCharacteristics' four, or a node that is
+  // its own child, is refused at load, not at the first prediction (an
+  // abort) or in it (a loop that never ends).
+  constexpr const char* kLeaves = "-1 0 1 -1 -1\n-1 0 2 -1 -1\n";
+  for (const auto& [root, problem] :
+       {std::pair{"7 0.5 0 1 2\n", "split feature out of range"},
+        std::pair{"0 0.5 0 0 0\n", "tree child index out of range"}}) {
+    {
+      std::ofstream out(path);
+      out << "micco-model v1 forest 1\ntree 3\n" << root << kLeaves;
+      for (int b = 1; b < 3; ++b) {
+        out << "micco-model v1 forest 1\ntree 3\n0 0.5 0 1 2\n" << kLeaves;
+      }
+    }
+    EXPECT_EQ(load_bounds_model(path, &error), nullptr) << root;
+    EXPECT_EQ(error, std::string("bad model file: ") + problem);
+  }
+  std::remove(path.c_str());
 
   RegressionBoundsProvider direct(std::move(model), 2);
   for (const TrainingSample& s : samples) {

@@ -124,6 +124,31 @@ TEST(CliArgs, MalformedNumbersAreErrorsAndFallBack) {
   // The first malformed value read stays the reported one.
   EXPECT_EQ(*args.error(), "malformed value for --gpus: '4x'");
 
+  // A value outside the type it is read as is malformed too, not wrapped:
+  // an int flag past 2^31, a negative size or count. The int64 default
+  // takes any int64, which is how seeds read.
+  const CliArgs wide = parse({"--gpus=4294967297"});
+  EXPECT_EQ(wide.get_int<int>("gpus", 8), 8);
+  EXPECT_EQ(wide.error().value_or(""),
+            "malformed value for --gpus: '4294967297'");
+  EXPECT_EQ(wide.get_int("gpus", 8), 4294967297);
+  const CliArgs low = parse({"--gpus=-2147483649"});
+  EXPECT_EQ(low.get_int<int>("gpus", 8), 8);
+  EXPECT_TRUE(low.error().has_value());
+  const CliArgs queue = parse({"--max-queue=-1"});
+  EXPECT_EQ(queue.get_int<std::size_t>("max-queue", 64), 64u);
+  EXPECT_EQ(queue.error().value_or(""),
+            "malformed value for --max-queue: '-1'");
+  const CliArgs crash = parse({"--journal-crash-after=-1"});
+  EXPECT_EQ(crash.get_int<std::uint64_t>("journal-crash-after", 0), 0u);
+  EXPECT_TRUE(crash.error().has_value());
+  const CliArgs edges =
+      parse({"--gpus=2147483647", "--max-queue=0", "--seed=-1"});
+  EXPECT_EQ(edges.get_int<int>("gpus", 8), 2147483647);
+  EXPECT_EQ(edges.get_int<std::size_t>("max-queue", 64), 0u);
+  EXPECT_EQ(edges.get_int("seed", 0), -1);
+  EXPECT_FALSE(edges.error().has_value());
+
   // strtod reads "nan" and "inf" in full, but no flag means either.
   for (const char* flag : {"--oversub=2x", "--oversub=", "--oversub=1e999",
                            "--oversub=nan", "--oversub=inf", "--oversub=-inf",

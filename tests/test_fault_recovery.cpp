@@ -3,6 +3,7 @@
 // the guarantee that an attached-but-empty fault plan changes nothing.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "gpusim/cluster.hpp"
 #include "obs/events.hpp"
 #include "obs/telemetry.hpp"
+#include "round_robin.hpp"
 #include "sched/micco_scheduler.hpp"
 #include "workload/synthetic.hpp"
 
@@ -259,10 +261,15 @@ TEST(FaultRecovery, InvalidPlanForClusterIsStructuredError) {
 
 // --------------------------------------------------- scheduler-side property
 
-std::vector<SchedulerKind> all_scheduler_kinds() {
-  return {SchedulerKind::kGroute, SchedulerKind::kRoundRobin,
-          SchedulerKind::kDmda, SchedulerKind::kMiccoNaive,
-          SchedulerKind::kMiccoOptimal};
+std::vector<std::unique_ptr<Scheduler>> all_schedulers() {
+  std::vector<std::unique_ptr<Scheduler>> out;
+  for (const SchedulerKind kind :
+       {SchedulerKind::kGroute, SchedulerKind::kDmda,
+        SchedulerKind::kMiccoNaive, SchedulerKind::kMiccoOptimal}) {
+    out.push_back(make_scheduler(kind));
+  }
+  out.push_back(std::make_unique<test::RoundRobinScheduler>());
+  return out;
 }
 
 TEST(FaultRecovery, NoSchedulerAssignsPairsToFailedDevice) {
@@ -273,15 +280,14 @@ TEST(FaultRecovery, NoSchedulerAssignsPairsToFailedDevice) {
   FaultPlan plan;
   plan.device_failures.push_back(DeviceFailure{1, 0.0});
 
-  for (const SchedulerKind kind : all_scheduler_kinds()) {
-    const std::unique_ptr<Scheduler> scheduler = make_scheduler(kind);
+  for (const std::unique_ptr<Scheduler>& scheduler : all_schedulers()) {
+    const std::string name = scheduler->name();
     const RunResult result =
         run_with(stream, *scheduler, cluster_of(4), &plan);
-    EXPECT_TRUE(result.completed) << to_string(kind) << ": " << result.error;
-    EXPECT_TRUE(result.error.empty()) << to_string(kind) << ": "
-                                      << result.error;
-    EXPECT_EQ(result.metrics.devices_lost, 1u) << to_string(kind);
-    EXPECT_TRUE(result.recovered()) << to_string(kind);
+    EXPECT_TRUE(result.completed) << name << ": " << result.error;
+    EXPECT_TRUE(result.error.empty()) << name << ": " << result.error;
+    EXPECT_EQ(result.metrics.devices_lost, 1u) << name;
+    EXPECT_TRUE(result.recovered()) << name;
   }
 }
 
@@ -296,13 +302,12 @@ TEST(FaultRecovery, AssignNeverReturnsDeadDeviceDirectly) {
     vec.tasks.push_back(make_task(3 * i, 3 * i + 1, 1000 + i));
   }
 
-  for (const SchedulerKind kind : all_scheduler_kinds()) {
-    const std::unique_ptr<Scheduler> scheduler = make_scheduler(kind);
+  for (const std::unique_ptr<Scheduler>& scheduler : all_schedulers()) {
     scheduler->begin_vector(vec, sim);
     for (const ContractionTask& task : vec.tasks) {
       const DeviceId dev = scheduler->assign(task, sim);
-      EXPECT_NE(dev, 2) << to_string(kind);
-      EXPECT_TRUE(sim.device_alive(dev)) << to_string(kind);
+      EXPECT_NE(dev, 2) << scheduler->name();
+      EXPECT_TRUE(sim.device_alive(dev)) << scheduler->name();
     }
   }
 }

@@ -256,7 +256,7 @@ TEST(Comparison, SchedulerKindNames) {
   EXPECT_STREQ(to_string(SchedulerKind::kGroute), "Groute");
   EXPECT_STREQ(to_string(SchedulerKind::kMiccoNaive), "MICCO-naive");
   EXPECT_STREQ(to_string(SchedulerKind::kMiccoOptimal), "MICCO-optimal");
-  EXPECT_STREQ(to_string(SchedulerKind::kRoundRobin), "RoundRobin");
+  EXPECT_STREQ(to_string(SchedulerKind::kDmda), "dmda");
 }
 
 TEST(Comparison, MakeSchedulerProducesCorrectTypes) {

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/verify.hpp"
+#include "round_robin.hpp"
 #include "workload/synthetic.hpp"
 
 namespace micco {
@@ -63,13 +66,14 @@ TEST_P(SchedulerProperties, StreamsAreStructurallyValid) {
 
 TEST_P(SchedulerProperties, AllWorkIsConservedUnderEveryScheduler) {
   const WorkloadStream stream = make_stream();
-  for (const SchedulerKind kind :
-       {SchedulerKind::kGroute, SchedulerKind::kRoundRobin,
-        SchedulerKind::kMiccoNaive}) {
-    const std::unique_ptr<Scheduler> sched = make_scheduler(kind);
+  std::vector<std::unique_ptr<Scheduler>> schedulers;
+  schedulers.push_back(make_scheduler(SchedulerKind::kGroute));
+  schedulers.push_back(std::make_unique<test::RoundRobinScheduler>());
+  schedulers.push_back(make_scheduler(SchedulerKind::kMiccoNaive));
+  for (const std::unique_ptr<Scheduler>& sched : schedulers) {
     const RunResult r = run_stream(stream, *sched, make_cluster());
     EXPECT_EQ(r.metrics.total_flops, stream.total_flops())
-        << "scheduler " << to_string(kind) << " lost work";
+        << "scheduler " << sched->name() << " lost work";
     EXPECT_GT(r.metrics.gflops(), 0.0);
   }
 }

@@ -13,6 +13,7 @@
 #include "core/experiment.hpp"
 #include "core/verify.hpp"
 #include "obs/events.hpp"
+#include "round_robin.hpp"
 #include "sched/oracle.hpp"
 #include "workload/serialize.hpp"
 #include "workload/synthetic.hpp"
@@ -89,7 +90,7 @@ TEST_P(SchedulerProperties2, P2PNeverSlowsTimingIndependentSchedulers) {
   // legitimately take different - occasionally worse - trajectories when
   // transfer costs change.)
   const WorkloadStream stream = make_stream();
-  RoundRobinScheduler s_off, s_on;
+  test::RoundRobinScheduler s_off, s_on;
   const double off =
       run_stream(stream, s_off, cluster(false)).metrics.makespan_s;
   const double on = run_stream(stream, s_on, cluster(true)).metrics.makespan_s;
@@ -98,7 +99,7 @@ TEST_P(SchedulerProperties2, P2PNeverSlowsTimingIndependentSchedulers) {
 
 TEST_P(SchedulerProperties2, OverlapNeverSlowsTimingIndependentSchedule) {
   const WorkloadStream stream = make_stream();
-  RoundRobinScheduler s_off, s_on;  // timing-independent assignment
+  test::RoundRobinScheduler s_off, s_on;  // timing-independent assignment
   const double off =
       run_stream(stream, s_off, cluster(false, false)).metrics.makespan_s;
   const double on =
@@ -116,7 +117,7 @@ TEST_P(SchedulerProperties2, SplittingNodesNeverSpeedsUp) {
   ClusterConfig two_nodes = cluster(true);
   two_nodes.devices_per_node = 2;
 
-  RoundRobinScheduler s1, s2;
+  test::RoundRobinScheduler s1, s2;
   const double single =
       run_stream(stream, s1, one_node).metrics.makespan_s;
   const double split =
@@ -183,11 +184,13 @@ TEST_P(SchedulerProperties2, NumericDigestIndependentOfScheduler) {
     std::size_t task;
   };
   FixedBounds bounds(ReuseBounds{1, 1, 1});
-  for (const SchedulerKind kind :
-       {SchedulerKind::kGroute, SchedulerKind::kRoundRobin,
-        SchedulerKind::kDmda, SchedulerKind::kMiccoOptimal}) {
-    SCOPED_TRACE(to_string(kind));
-    const std::unique_ptr<Scheduler> scheduler = make_scheduler(kind);
+  std::vector<std::unique_ptr<Scheduler>> schedulers;
+  schedulers.push_back(make_scheduler(SchedulerKind::kGroute));
+  schedulers.push_back(std::make_unique<test::RoundRobinScheduler>());
+  schedulers.push_back(make_scheduler(SchedulerKind::kDmda));
+  schedulers.push_back(make_scheduler(SchedulerKind::kMiccoOptimal));
+  for (const std::unique_ptr<Scheduler>& scheduler : schedulers) {
+    SCOPED_TRACE(scheduler->name());
     obs::MemoryEventSink sink;
     obs::Telemetry telemetry;
     telemetry.sink = &sink;

@@ -93,11 +93,20 @@ TEST(Serialize, RejectsTruncatedTree) {
 }
 
 TEST(Serialize, RejectsOutOfRangeChildIndices) {
-  std::stringstream buffer(
-      "micco-model v1 forest 1\ntree 1\n0 0.5 0 7 8\n");
-  std::string error;
-  EXPECT_EQ(load_regressor(buffer, &error), nullptr);
-  EXPECT_NE(error.find("out of range"), std::string::npos);
+  // Past the end, or at or before the node itself: trees are written
+  // parent first, and a backward index would make predict() loop.
+  for (const char* body : {
+           "tree 1\n0 0.5 0 7 8\n",
+           "tree 1\n0 0.5 0 0 0\n",
+           "tree 3\n0 0.5 0 1 -1\n-1 0 1 -1 -1\n-1 0 2 -1 -1\n",
+           "tree 3\n0 0.5 0 1 2\n0 0.5 0 0 2\n-1 0 2 -1 -1\n",
+           "tree 3\n0 0.5 0 1 2\n0 0.5 0 2 1\n-1 0 2 -1 -1\n",
+       }) {
+    std::stringstream buffer(std::string("micco-model v1 forest 1\n") + body);
+    std::string error;
+    EXPECT_EQ(load_regressor(buffer, &error), nullptr) << body;
+    EXPECT_EQ(error, "tree child index out of range") << body;
+  }
 }
 
 TEST(Serialize, SavingUnfittedModelAborts) {

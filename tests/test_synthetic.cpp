@@ -5,6 +5,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/verify.hpp"
+
 namespace micco {
 namespace {
 
@@ -255,7 +257,7 @@ TEST(SyntheticValidate, ChecksTheStreamTotals) {
   c.repeated_rate = 1.0;
   EXPECT_EQ(c.validate(), "");
   const WorkloadStream s = generate_synthetic(c);
-  EXPECT_TRUE(s.totals_fit());
+  EXPECT_EQ(validate_stream_structure(s), "");
   EXPECT_EQ(s.total_distinct_bytes(), 4 * 16 * std::uint64_t{kBatch});
   c.repeated_rate = 0.0;
   EXPECT_NE(c.validate().find("stream total"), std::string::npos);

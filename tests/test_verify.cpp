@@ -61,6 +61,72 @@ TEST(ValidateStructure, RejectsSameStageDependency) {
   EXPECT_NE(validate_stream_structure(s).find("before"), std::string::npos);
 }
 
+TEST(ValidateStructure, RejectsOriginalProducedInALaterStage) {
+  // Tensor 5 is read as an original in stage 0 and produced in stage 1;
+  // the message names the stage that consumed it.
+  WorkloadStream s;
+  VectorWorkload v1, v2;
+  v1.tasks = {make_task(5, 1, 10)};
+  v2.tasks = {make_task(2, 3, 5)};
+  s.vectors = {v1, v2};
+  EXPECT_EQ(validate_stream_structure(s),
+            "stage 0 consumes tensor 5 before the stage producing it has "
+            "completed");
+}
+
+TEST(ValidateStructure, RejectsTaskConsumingItsOwnOutput) {
+  // ci.sh's self.mw: one task reads tensor 1 and writes it.
+  WorkloadStream s;
+  VectorWorkload v;
+  v.tasks = {make_task(1, 2, 1)};
+  s.vectors = {v};
+  EXPECT_EQ(validate_stream_structure(s),
+            "stage 0 consumes tensor 1 before the stage producing it has "
+            "completed");
+}
+
+TEST(ValidateStructure, RejectsDuplicateOutputAfterItsFirstConsumer) {
+  WorkloadStream s;
+  VectorWorkload v1, v2;
+  v1.tasks = {make_task(0, 1, 10)};
+  v2.tasks = {make_task(10, 2, 11), make_task(3, 4, 10)};
+  s.vectors = {v1, v2};
+  EXPECT_EQ(validate_stream_structure(s), "output tensor 10 produced twice");
+}
+
+TEST(ValidateStructure, ChecksEachDescriptorBeforeItsSize) {
+  // Values the reader takes but no tensor has; a rank near 2^31 must not
+  // reach checked_bytes(), which loops `rank` times.
+  struct Case {
+    TensorDesc a;
+    TensorDesc out;
+    const char* problem;
+  };
+  for (const Case& c : {
+           Case{make_desc(0, 4, 1, 2147483647), make_desc(10),
+                "invalid tensor descriptor"},
+           Case{make_desc(0, 0), make_desc(10), "invalid tensor descriptor"},
+           Case{make_desc(0, 4, 0), make_desc(10),
+                "invalid tensor descriptor"},
+           Case{make_desc(0), make_desc(10, 4, 1, 7),
+                "invalid tensor descriptor"},
+           Case{make_desc(kInvalidTensor), make_desc(10),
+                "invalid operand descriptor"},
+           Case{make_desc(0, 1073741824), make_desc(10, 1073741824),
+                "tensor payload exceeds 2^64-1 bytes"},
+       }) {
+    WorkloadStream s;
+    VectorWorkload v;
+    ContractionTask t;
+    t.a = c.a;
+    t.b = make_desc(1, c.a.extent, c.a.batch);
+    t.out = c.out;
+    v.tasks = {t};
+    s.vectors = {v};
+    EXPECT_EQ(validate_stream_structure(s), c.problem) << c.a.rank;
+  }
+}
+
 TEST(ValidateStructure, AcceptsCrossStageDependency) {
   WorkloadStream s;
   VectorWorkload v1, v2;

@@ -1,9 +1,11 @@
 // The workload text reader on hostile input: a verdict table of the inputs
 // whose verdict is easy to get wrong (signs, trailing text, non-finite
 // rates, the count limits), and a seeded mutation corpus over three real
-// texts. Every mutant must be answered without an abort; an accepted one
-// must survive save_stream -> reader -> save_stream byte for byte, and a
-// rejected one must carry one of the reader's messages.
+// texts run through the reader and then validate_stream_structure, as
+// every caller runs them. Every mutant must be answered without an abort;
+// one the reader refuses must carry a reader message, one it loads must
+// survive save_stream -> reader -> save_stream byte for byte, and one the
+// validator refuses must carry a validator message.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/verify.hpp"
 #include "redstar/correlator.hpp"
 #include "workload/serialize.hpp"
 #include "workload/synthetic.hpp"
@@ -194,11 +197,7 @@ bool is_reader_message(const std::string& error) {
   for (const char* message :
        {"not a micco workload file", "malformed meta line",
         "malformed vectors line", "malformed vector header",
-        "malformed task line", "truncated tensor descriptor",
-        "invalid tensor descriptor", "tensor payload exceeds 2^64-1 bytes",
-        "operands are not contractable",
-        "task FLOPs or kernel bytes exceed 2^64-1",
-        "stream total FLOPs or distinct bytes exceed 2^64-1"}) {
+        "malformed task line", "truncated tensor descriptor"}) {
     if (error == message) return true;
   }
   for (const std::string prefix :
@@ -206,6 +205,24 @@ bool is_reader_message(const std::string& error) {
     if (error.compare(0, prefix.size(), prefix) == 0) return true;
   }
   return false;
+}
+
+bool is_validator_message(const std::string& problem) {
+  for (const char* message :
+       {"invalid operand descriptor", "invalid output descriptor",
+        "invalid tensor descriptor", "tensor payload exceeds 2^64-1 bytes",
+        "operands are not contractable",
+        "output rank does not match the contraction rules",
+        "task FLOPs or kernel bytes exceed 2^64-1",
+        "stream total FLOPs or distinct bytes exceed 2^64-1"}) {
+    if (problem == message) return true;
+  }
+  const auto has = [&](const std::string& part) {
+    return problem.find(part) != std::string::npos;
+  };
+  return (problem.starts_with("output tensor ") && has(" produced twice")) ||
+         (problem.starts_with("stage ") && has(" consumes tensor ") &&
+          has(" before the stage producing it has completed"));
 }
 
 TEST(WorkloadReader, MutationCorpusLoadsOrRejectsCleanly) {
@@ -234,6 +251,7 @@ TEST(WorkloadReader, MutationCorpusLoadsOrRejectsCleanly) {
   }
   ASSERT_GE(corpus.size(), 2000u);
 
+  std::size_t loaded_count = 0;
   std::size_t accepted = 0;
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     std::string error;
@@ -243,16 +261,24 @@ TEST(WorkloadReader, MutationCorpusLoadsOrRejectsCleanly) {
       EXPECT_TRUE(is_reader_message(error)) << "mutant " << i << ": " << error;
       continue;
     }
-    ++accepted;
+    ++loaded_count;
     const std::string saved = text_of(*loaded);
     const std::optional<WorkloadStream> reloaded =
         load_stream_text(saved, &error);
     ASSERT_TRUE(reloaded.has_value()) << "mutant " << i << ": " << error;
     EXPECT_EQ(text_of(*reloaded), saved) << "mutant " << i;
+    const std::string problem = validate_stream_structure(*loaded);
+    if (!problem.empty()) {
+      EXPECT_TRUE(is_validator_message(problem))
+          << "mutant " << i << ": " << problem;
+      continue;
+    }
+    ++accepted;
   }
-  // Both verdicts occur often enough to mean something.
+  // Every verdict occurs often enough to mean something.
   EXPECT_GT(accepted, corpus.size() / 10);
-  EXPECT_LT(accepted, corpus.size() * 9 / 10);
+  EXPECT_GT(loaded_count - accepted, corpus.size() / 100);
+  EXPECT_LT(loaded_count, corpus.size() * 9 / 10);
 }
 
 }  // namespace

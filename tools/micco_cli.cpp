@@ -82,7 +82,7 @@ int usage() {
                "status|top|drain> [flags]\n"
                "  generate --out=FILE [--vectors=10 --vector-size=64 "
                "--tensor=384 --batch=32 --repeat=0.5 --gaussian --seed=N]\n"
-               "  run FILE [--scheduler=groute|dmda|micco|roundrobin] "
+               "  run FILE [--scheduler=groute|dmda|micco] "
                "[--model=FILE] [--gpus=8] [--oversub=R] [--trace=FILE]\n"
                "      [--report=FILE --decisions=FILE]   (versioned run "
                "report, JSONL decision log)\n"
@@ -126,7 +126,7 @@ int usage() {
 /// malformed input; a missing --fault-plan leaves `plan` empty.
 bool load_fault_flags(const CliArgs& args, const char* cmd, int num_devices,
                       std::optional<FaultPlan>* plan, RetryPolicy* retry) {
-  retry->max_attempts = static_cast<int>(args.get_int("retry-max", 4));
+  retry->max_attempts = args.get_int<int>("retry-max", 4);
   retry->base_backoff_s = args.get_double("retry-backoff", 1e-4);
   const std::string policy_problem = retry->validate();
   if (!policy_problem.empty()) {
@@ -255,7 +255,6 @@ void print_fault_summary(const RunResult& result) {
 std::optional<SchedulerKind> scheduler_kind_by_name(const std::string& which) {
   if (which == "groute") return SchedulerKind::kGroute;
   if (which == "dmda") return SchedulerKind::kDmda;
-  if (which == "roundrobin") return SchedulerKind::kRoundRobin;
   if (which == "micco") return SchedulerKind::kMiccoNaive;
   std::fprintf(stderr, "unknown scheduler '%s'\n", which.c_str());
   return std::nullopt;
@@ -322,11 +321,10 @@ int cmd_run(const CliArgs& args) {
   }
 
   ClusterConfig cluster;
-  cluster.num_devices = static_cast<int>(args.get_int("gpus", 8));
+  cluster.num_devices = args.get_int<int>("gpus", 8);
   cluster.p2p_enabled = args.get_bool("p2p", false);
   cluster.overlap_transfers = args.get_bool("async-copy", false);
-  cluster.devices_per_node =
-      static_cast<int>(args.get_int("devices-per-node", 0));
+  cluster.devices_per_node = args.get_int<int>("devices-per-node", 0);
   const double oversub = args.get_double("oversub", 0.0);
   if (oversub > 0.0) {
     const std::uint64_t task_bytes = first_task_bytes(*stream);
@@ -464,11 +462,11 @@ int cmd_train(const CliArgs& args) {
     return 2;
   }
   TunerConfig tuner;
-  tuner.samples = static_cast<int>(args.get_int("samples", 120));
-  tuner.num_devices = static_cast<int>(args.get_int("gpus", 8));
+  tuner.samples = args.get_int<int>("samples", 120);
+  tuner.num_devices = args.get_int<int>("gpus", 8);
   tuner.batch = args.get_int("batch", 32);
   tuner.seed = static_cast<std::uint64_t>(args.get_int("seed", 2022));
-  const auto threads = static_cast<int>(args.get_int("threads", 0));
+  const int threads = args.get_int<int>("threads", 0);
   if (rejects_values(args, "train")) return 2;
   if (rejected("train", tuner.validate())) return 2;
   // The model is scored on a held-out fifth (train_bounds_model).
@@ -519,15 +517,19 @@ int cmd_inspect(const CliArgs& args) {
   const std::string path = args.positional()[1];
   std::string error;
   if (const auto stream = load_stream_file(path, &error)) {
+    // Sizes are read only from a stream that passed the check.
+    const std::string structural = validate_stream_structure(*stream);
+    if (!structural.empty()) {
+      std::printf("structure: %s\n", structural.c_str());
+      return 1;
+    }
     const StreamStats stats = analyze_stream(*stream);
     std::printf("workload: %s\n", to_string(stats).c_str());
     std::printf("footprint: %.2f GiB, %llu total GFLOP\n",
                 static_cast<double>(stream->total_distinct_bytes()) /
                     (1024.0 * 1024.0 * 1024.0),
                 static_cast<unsigned long long>(stream->total_flops() / 1000000000ull));
-    const std::string structural = validate_stream_structure(*stream);
-    std::printf("structure: %s\n",
-                structural.empty() ? "valid" : structural.c_str());
+    std::printf("structure: valid\n");
     return 0;
   }
   std::ifstream in(path);
@@ -689,7 +691,7 @@ int cmd_faults(const CliArgs& args) {
     return 2;
   }
   ClusterConfig cluster;
-  cluster.num_devices = static_cast<int>(args.get_int("gpus", 8));
+  cluster.num_devices = args.get_int<int>("gpus", 8);
   if (rejects_values(args, "faults")) return 2;
   if (rejected("faults", cluster.validate())) return 2;
   const int gpus = cluster.num_devices;
@@ -753,7 +755,7 @@ int cmd_serve(const CliArgs& args) {
   cfg.scheduler = *kind;
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
   cfg.model_path = args.get("model", "");
-  cfg.cluster.num_devices = static_cast<int>(args.get_int("gpus", 8));
+  cfg.cluster.num_devices = args.get_int<int>("gpus", 8);
   cfg.cluster.p2p_enabled = args.get_bool("p2p", false);
   cfg.cluster.overlap_transfers = args.get_bool("async-copy", false);
   if (rejected("serve", cfg.cluster.validate())) return 2;
@@ -768,9 +770,8 @@ int cmd_serve(const CliArgs& args) {
   cfg.retry = retry;
 
   cfg.admission.max_queue_per_tenant =
-      static_cast<std::size_t>(args.get_int("max-queue", 64));
-  cfg.admission.max_queued_total =
-      static_cast<std::size_t>(args.get_int("max-total", 256));
+      args.get_int<std::size_t>("max-queue", 64);
+  cfg.admission.max_queued_total = args.get_int<std::size_t>("max-total", 256);
   const std::string weights = args.get("weights", "");
   if (!weights.empty() &&
       !parse_weights(weights, &cfg.admission.tenant_weights)) {
@@ -801,9 +802,9 @@ int cmd_serve(const CliArgs& args) {
   // Chaos-harness hook (tools/chaos_smoke.sh): SIGKILL after the Nth
   // durable record.
   cfg.journal.crash_after_records =
-      static_cast<std::uint64_t>(args.get_int("journal-crash-after", 0));
+      args.get_int<std::uint64_t>("journal-crash-after", 0);
 
-  const auto threads = static_cast<int>(args.get_int("threads", 1));
+  const int threads = args.get_int<int>("threads", 1);
   if (rejects_values(args, "serve")) return 2;
   // --threads=1 (the default) is the deterministic serial configuration:
   // one thread alternates between socket I/O and job dispatch.
@@ -822,7 +823,7 @@ int cmd_serve(const CliArgs& args) {
   }
   std::printf("serving on %s (scheduler=%s, gpus=%d, threads=%d)\n",
               socket.c_str(), args.get("scheduler", "micco").c_str(),
-              static_cast<int>(args.get_int("gpus", 8)),
+              args.get_int<int>("gpus", 8),
               parallel::configured_threads());
   const int rc = server.serve();
   std::printf("session: %s\n", server.jobs().stats().dump().c_str());
@@ -883,7 +884,7 @@ int cmd_submit(const CliArgs& args) {
   const std::string tenant = args.get("tenant", "default");
   const std::string name = args.get("name", path);
   const std::string idem = args.get("idem", "");
-  const auto retry_max = static_cast<int>(args.get_int("retry-max", 0));
+  const int retry_max = args.get_int<int>("retry-max", 0);
   const bool wait = args.get_bool("wait", false);
   std::string error;
 
