@@ -264,6 +264,23 @@ for session in 1 2; do
       "${SMOKE_DIR}/out${out_id}.mw" --socket="${SMOKE_DIR}/svc.sock"
     grep -q 'bad_workload' "${SMOKE_DIR}/config_err.txt"
   done
+  # A version that is a number but not an int64 (a fraction, 1 written as
+  # 1e0, 2^64 - 1) is answered bad_version, and the daemon keeps serving:
+  # the status below still answers.
+  for version in 1.5 1e0 18446744073709551615; do
+    python3 - "${SMOKE_DIR}/svc.sock" "${version}" <<'EOF'
+import socket
+import sys
+
+path, version = sys.argv[1:]
+conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+conn.connect(path)
+conn.sendall(('{"v":%s,"type":"stats"}\n' % version).encode())
+reply = conn.makefile().readline()
+if '"bad_version"' not in reply:
+    sys.exit("serve smoke test FAILED: v=%s answered %r" % (version, reply))
+EOF
+  done
   "${BUILD_DIR}/tools/micco" status --socket="${SMOKE_DIR}/svc.sock" \
     > /dev/null
   if [ "${session}" = 1 ]; then
@@ -283,9 +300,21 @@ grep -q '"schema_version"' "${SMOKE_DIR}/sr1.json"
 "${BUILD_DIR}/tools/micco" report --spans="${SMOKE_DIR}/ss1.jsonl" \
   > "${SMOKE_DIR}/trace_summary.json"
 grep -q '"well_formed": true' "${SMOKE_DIR}/trace_summary.json"
+# A span line whose id is not an int64 (1.5, 2^64 - 1), whose tenant is not
+# a string or whose duration is not a number is not a span record: the
+# summarizer exits 1 on it, not 134.
+for fields in '"span":1.5' '"span":18446744073709551615' \
+    '"span":1,"tenant":7,"duration_ms":1' \
+    '"span":1,"tenant":"a","duration_ms":"x"'; do
+  printf '{"seq":0,"trace":"t",%s,"parent":0,"name":"job"}\n' "${fields}" \
+    > "${SMOKE_DIR}/bad_span.jsonl"
+  expect_exit 1 "${BUILD_DIR}/tools/micco" report \
+    --spans="${SMOKE_DIR}/bad_span.jsonl"
+done
 echo "serve smoke test OK: deterministic decision logs + span traces," \
   "top frame rendered, trace summary well-formed, output id 2^64-1" \
-  "answered bad_workload"
+  "answered bad_workload, non-integer versions answered bad_version," \
+  "malformed span lines refused"
 
 echo "== configuration validation smoke test =="
 # Out-of-range configuration is a usage error: the verb names the problem
@@ -343,6 +372,21 @@ expect_exit_2 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" \
   --oversub=nan --report="${SMOKE_DIR}/nan.json"
 expect_exit_2 "${BUILD_DIR}/tools/micco" serve \
   --socket="${SMOKE_DIR}/bad.sock" --slo-ms=nan
+# Nor may a flag that means nothing below zero take a negative value: a
+# negative oversubscription ran at the default capacity, a negative SLO
+# turned accounting off, and `top` polled without pause or printed nothing.
+expect_exit_2 "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" \
+  --oversub=-2 --report="${SMOKE_DIR}/nan.json"
+expect_exit_2 "${BUILD_DIR}/tools/micco" serve \
+  --socket="${SMOKE_DIR}/bad.sock" --slo-ms=-5
+for flag in --iterations=-3 --interval-ms=-5; do
+  expect_exit_2 "${BUILD_DIR}/tools/micco" top \
+    --socket="${SMOKE_DIR}/bad.sock" "${flag}"
+done
+for flag in --deadline-ms=-1 --retry-max=-1 --retry-backoff=-1; do
+  expect_exit_2 "${BUILD_DIR}/tools/micco" submit "${SMOKE_DIR}/w.mw" \
+    --socket="${SMOKE_DIR}/bad.sock" "${flag}"
+done
 if [ -e "${SMOKE_DIR}/nan.json" ]; then
   echo "config smoke test FAILED: a rejected run wrote its report" >&2
   exit 1
@@ -664,8 +708,11 @@ echo "tuner corpus check OK: 1- and 4-thread models identical, 6216 of" \
 echo "== bench_sched_micro gate (Release) =="
 # Exits non-zero if tuner labels diverge across 1/2/4/8 threads, if the
 # paired Groute/MICCO decisions-per-sec ratio (median of interleaved rounds)
-# regresses past the checked-in threshold (1.5 at 8 GPUs — measured
-# ~1.1-1.2, plus headroom), or if the tuner's 4-thread speedup drops below 1.0
+# regresses past the checked-in threshold (5.3 at 8 GPUs — measured
+# 3.8-4.3 since the schedulers read the simulator without virtual calls,
+# which sped up Groute's decision about 3x and MICCO's not measurably; the
+# bound is the old 1.5 scaled by that rise in the median ratio), or if the
+# tuner's 4-thread speedup drops below 1.0
 # (skipped and recorded as such on runners with fewer than 4 hardware
 # threads; see bench_sched_micro.cpp). The run writes to the smoke
 # directory, so the committed BENCH_sched.json keeps its host timings, and
@@ -694,7 +741,8 @@ EOF
 echo "== bench_sched_micro gate, 64 GPUs (Release) =="
 # At 64 devices on this warm-cluster microbench MICCO's data-centric tiers
 # (holders only) outscale Groute's all-device scan; the gate pins that
-# inversion: ratio must stay <= 1.0.
+# inversion: ratio must stay <= 1.0 (measured 0.56-0.79 since the
+# schedulers read the simulator directly, 0.14-0.19 before).
 "${REL_BUILD_DIR}/bench/bench_sched_micro" --smoke --gate --gpus=64 \
   --gate-max-ratio=1.0 --out="${SMOKE_DIR}/bench_sched_64.json"
 

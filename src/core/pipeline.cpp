@@ -28,12 +28,12 @@ namespace {
 /// classification drifts as assignments execute, but a stable order keeps
 /// the policy deterministic and cheap).
 std::vector<std::size_t> visit_order(const VectorWorkload& vec,
-                                     const ClusterView& view,
+                                     const ClusterSimulator& sim,
                                      PairOrdering ordering) {
   std::vector<std::size_t> order(vec.tasks.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   if (ordering == PairOrdering::kAsGiven) return order;
-  const ClusterIndex& index = view.cluster_index();
+  const ClusterIndex& index = sim.cluster_index();
   std::vector<int> tier(vec.tasks.size());
   for (std::size_t i = 0; i < vec.tasks.size(); ++i) {
     tier[i] = static_cast<int>(classify_pair(vec.tasks[i], index));

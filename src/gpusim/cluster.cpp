@@ -30,6 +30,7 @@ std::string ClusterConfig::validate() const {
 
 ClusterSimulator::ClusterSimulator(ClusterConfig config)
     : config_(config),
+      num_alive_(config.num_devices),
       index_(config.num_devices),
       evict_policy_(&default_eviction_policy()) {
   MICCO_EXPECTS(config_.num_devices >= 1);
@@ -37,19 +38,7 @@ ClusterSimulator::ClusterSimulator(ClusterConfig config)
   devices_.reserve(static_cast<std::size_t>(config_.num_devices));
   for (int i = 0; i < config_.num_devices; ++i) {
     devices_.emplace_back(config_.device_capacity_bytes);
-    sync_device_mirror(i);
   }
-}
-
-ClusterSimulator::DeviceState& ClusterSimulator::device(DeviceId dev) {
-  MICCO_EXPECTS(dev >= 0 && dev < num_devices());
-  return devices_[static_cast<std::size_t>(dev)];
-}
-
-const ClusterSimulator::DeviceState& ClusterSimulator::device(
-    DeviceId dev) const {
-  MICCO_EXPECTS(dev >= 0 && dev < num_devices());
-  return devices_[static_cast<std::size_t>(dev)];
 }
 
 void ClusterSimulator::DeviceState::note_evicted(TensorId id) {
@@ -73,38 +62,6 @@ bool ClusterSimulator::DeviceState::evicted_before(TensorId id) const {
   return std::binary_search(evicted_large.begin(), evicted_large.end(), id);
 }
 
-int ClusterSimulator::num_devices() const {
-  return static_cast<int>(devices_.size());
-}
-
-std::span<const DeviceId> ClusterSimulator::devices_holding(
-    TensorId id) const {
-  return index_.holders(id);
-}
-
-bool ClusterSimulator::resident_on(DeviceId dev, TensorId id) const {
-  return index_.holds(dev, id);
-}
-
-std::uint64_t ClusterSimulator::memory_used(DeviceId dev) const {
-  return device(dev).memory.used();
-}
-
-std::uint64_t ClusterSimulator::memory_capacity(DeviceId dev) const {
-  return device(dev).memory.capacity();
-}
-
-double ClusterSimulator::busy_time(DeviceId dev) const {
-  const DeviceState& d = device(dev);
-  return std::max(d.compute_free_s, d.copy_free_s);
-}
-
-bool ClusterSimulator::device_alive(DeviceId dev) const {
-  return device(dev).alive;
-}
-
-int ClusterSimulator::num_alive_devices() const { return index_.num_alive(); }
-
 const char* to_string(TaskOutcome outcome) {
   switch (outcome) {
     case TaskOutcome::kCompleted: return "completed";
@@ -121,25 +78,13 @@ int ClusterSimulator::node_of(DeviceId dev) const {
 }
 
 const DeviceMemory& ClusterSimulator::device_memory(DeviceId dev) const {
-  MICCO_EXPECTS(dev >= 0 && dev < num_devices());
-  return devices_[static_cast<std::size_t>(dev)].memory;
-}
-
-bool ClusterSimulator::resident_anywhere(TensorId id) const {
-  return index_.resident_anywhere(id);
+  return device(dev).memory;
 }
 
 bool ClusterSimulator::host_resident(TensorId id) const {
   // Originals are staged in host memory by the frontend; intermediates
   // gain a host copy only via eviction write-back.
   return index_.host_resident(id);
-}
-
-void ClusterSimulator::sync_device_mirror(DeviceId dev) {
-  const DeviceState& d = device(dev);
-  index_.set_busy(dev, std::max(d.compute_free_s, d.copy_free_s));
-  index_.set_memory(dev, d.memory.used(), d.memory.capacity());
-  index_.set_alive(dev, d.alive);
 }
 
 void ClusterSimulator::set_telemetry(obs::Telemetry* telemetry) {
@@ -354,21 +299,11 @@ std::optional<double> ClusterSimulator::shrink_to_capacity(
   // make_room(0) is then a no-op and the extra bytes simply become
   // allocatable again.
   d.memory.set_capacity(new_capacity);
-  const std::optional<double> cost =
-      make_room(dev, 0, obs::EvictionCause::kCapacityLoss);
-  sync_device_mirror(dev);
-  return cost;
+  return make_room(dev, 0, obs::EvictionCause::kCapacityLoss);
 }
 
 ExecuteResult ClusterSimulator::execute(const ContractionTask& task,
                                         DeviceId dev) {
-  ExecuteResult result = execute_impl(task, dev);
-  sync_device_mirror(dev);
-  return result;
-}
-
-ExecuteResult ClusterSimulator::execute_impl(const ContractionTask& task,
-                                             DeviceId dev) {
   MICCO_EXPECTS(task.a.valid() && task.b.valid() && task.out.valid());
   DeviceState& d = device(dev);
   ExecuteResult result;
@@ -537,6 +472,7 @@ std::vector<TensorId> ClusterSimulator::fail_device(DeviceId dev,
   DeviceState& d = device(dev);
   if (!d.alive) return {};
   d.alive = false;
+  --num_alive_;
   // Freeze the timelines at the failure instant; the device contributes no
   // further simulated time (never advance them past work already booked).
   d.compute_free_s = std::min(d.compute_free_s, at_s);
@@ -565,7 +501,6 @@ std::vector<TensorId> ClusterSimulator::fail_device(DeviceId dev,
   std::sort(lost.begin(), lost.end());
 
   ++metrics_.devices_lost;
-  sync_device_mirror(dev);
   if (injector_ != nullptr) injector_->mark_failed(dev);
   if (telemetry_ != nullptr && telemetry_->has_sink()) {
     obs::ClusterEvent ev;
@@ -679,7 +614,6 @@ void ClusterSimulator::barrier() {
     }
     d.compute_free_s = t_max;
     d.copy_free_s = t_max;
-    sync_device_mirror(dev);
   }
   metrics_.makespan_s = std::max(metrics_.makespan_s, t_max);
 }

@@ -4,16 +4,20 @@
 // MI100 node (see DESIGN.md). It owns per-device memory managers and
 // timelines, executes scheduler-assigned contraction tasks by pricing each
 // induced event (allocation, H2D/P2P fetch, eviction write-back, kernel),
-// and exposes the read-only ClusterView the schedulers consult: residency,
-// memory headroom and accumulated device busy time.
+// and is what the schedulers read between tasks: residency (through its
+// ClusterIndex), memory headroom, liveness and accumulated device busy
+// time. Each per-device fact has one record, the device's own state, and
+// the accessors schedulers call per candidate are inline.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "faults/injector.hpp"
 #include "gpusim/cluster_index.hpp"
 #include "gpusim/memory.hpp"
@@ -26,44 +30,6 @@ namespace micco {
 namespace mem {
 class EvictionPolicy;  // mem/policy.hpp; replaced via set_eviction_policy()
 }
-
-/// Read-only cluster state offered to schedulers. Doubles as the residency
-/// oracle for data-characteristics extraction.
-class ClusterView : public ResidencyOracle {
- public:
-  /// Size of the device *id space* (stable across failures: a dead device
-  /// keeps its id so residency maps and rollups stay indexable).
-  virtual int num_devices() const = 0;
-
-  /// Devices currently holding the tensor (unordered, possibly empty). The
-  /// returned span aliases the residency index — valid only until the next
-  /// mutation of cluster state (execute, barrier, failure);
-  /// schedulers read it within one decision and never hold it across calls.
-  /// Returning a view keeps the decision hot path allocation-free (a miss
-  /// returns an empty span, not a fresh container).
-  virtual std::span<const DeviceId> devices_holding(TensorId id) const = 0;
-
-  virtual bool resident_on(DeviceId dev, TensorId id) const = 0;
-
-  /// Accumulated busy time of the device's timeline, in seconds. "Earliest
-  /// available device" baselines key off this.
-  virtual double busy_time(DeviceId dev) const = 0;
-
-  // -- Device health (fault tolerance) ----------------------------------
-  /// False once a permanent failure of the device has been detected.
-  /// Schedulers must never assign work to a dead device. Defaults keep
-  /// fault-oblivious views (tests, oracles) valid.
-  virtual bool device_alive(DeviceId) const { return true; }
-
-  /// Devices still accepting work; the degradation path recomputes
-  /// balanceNum over this count instead of num_devices().
-  virtual int num_alive_devices() const { return num_devices(); }
-
-  /// The delta-maintained cluster-state index (DESIGN.md §9): residency,
-  /// load and headroom as flat arrays. Scheduler decisions and pair
-  /// classification read it instead of the per-query accessors above.
-  virtual const ClusterIndex& cluster_index() const = 0;
-};
 
 /// Aggregated execution metrics for one simulated run.
 struct ExecutionMetrics {
@@ -190,22 +156,62 @@ struct ClusterConfig {
   std::string validate() const;
 };
 
-class ClusterSimulator final : public ClusterView {
+/// The simulator doubles as the residency oracle for data-characteristics
+/// extraction.
+class ClusterSimulator final : public ResidencyOracle {
  public:
   explicit ClusterSimulator(ClusterConfig config);
 
-  // -- ClusterView -----------------------------------------------------
-  int num_devices() const override;
-  std::span<const DeviceId> devices_holding(TensorId id) const override;
-  bool resident_on(DeviceId dev, TensorId id) const override;
-  double busy_time(DeviceId dev) const override;
-  bool resident_anywhere(TensorId id) const override;
-  bool device_alive(DeviceId dev) const override;
-  int num_alive_devices() const override;
-  const ClusterIndex& cluster_index() const override { return index_; }
+  // -- What schedulers read ----------------------------------------------
+  /// Size of the device *id space* (stable across failures: a dead device
+  /// keeps its id so residency maps and rollups stay indexable).
+  int num_devices() const { return static_cast<int>(devices_.size()); }
 
-  std::uint64_t memory_used(DeviceId dev) const;
-  std::uint64_t memory_capacity(DeviceId dev) const;
+  /// Devices currently holding the tensor, in placement order (possibly
+  /// empty). The returned span aliases the residency index — valid only
+  /// until the next mutation of cluster state (execute, barrier, failure);
+  /// schedulers read it within one decision and never hold it across calls.
+  /// Returning a view keeps the decision hot path allocation-free (a miss
+  /// returns an empty span, not a fresh container).
+  std::span<const DeviceId> devices_holding(TensorId id) const {
+    return index_.holders(id);
+  }
+
+  bool resident_on(DeviceId dev, TensorId id) const {
+    return index_.holds(dev, id);
+  }
+
+  bool resident_anywhere(TensorId id) const override {
+    return index_.resident_anywhere(id);
+  }
+
+  /// Accumulated busy time of the device's timeline, in seconds: the later
+  /// of its engines' free times. "Earliest available device" baselines and
+  /// MICCO's load key (mapGPUCom) read this.
+  double busy_time(DeviceId dev) const {
+    const DeviceState& d = device(dev);
+    return std::max(d.compute_free_s, d.copy_free_s);
+  }
+
+  std::uint64_t memory_used(DeviceId dev) const {
+    return device(dev).memory.used();
+  }
+  std::uint64_t memory_capacity(DeviceId dev) const {
+    return device(dev).memory.capacity();
+  }
+
+  /// False once a permanent failure of the device has been detected.
+  /// Schedulers must never assign work to a dead device.
+  bool device_alive(DeviceId dev) const { return device(dev).alive; }
+
+  /// Devices still accepting work; the degradation path recomputes
+  /// balanceNum over this count instead of num_devices().
+  int num_alive_devices() const { return num_alive_; }
+
+  /// The delta-maintained residency index (DESIGN.md §9): holder lists and
+  /// host-copy bits. Scheduler decisions and pair classification read
+  /// residency from it.
+  const ClusterIndex& cluster_index() const { return index_; }
 
   // -- Execution --------------------------------------------------------
   /// Executes one contraction on the given device: fetches absent operands
@@ -327,8 +333,14 @@ class ClusterSimulator final : public ClusterView {
     DeviceMemory::Slot slot = DeviceMemory::kNoSlot;
   };
 
-  DeviceState& device(DeviceId dev);
-  const DeviceState& device(DeviceId dev) const;
+  DeviceState& device(DeviceId dev) {
+    MICCO_EXPECTS(dev >= 0 && dev < num_devices());
+    return devices_[static_cast<std::size_t>(dev)];
+  }
+  const DeviceState& device(DeviceId dev) const {
+    MICCO_EXPECTS(dev >= 0 && dev < num_devices());
+    return devices_[static_cast<std::size_t>(dev)];
+  }
 
   /// Makes room for `bytes` on `dev`, charging eviction costs; operands of
   /// the in-flight task must already be pinned. `cause` labels any induced
@@ -353,17 +365,6 @@ class ClusterSimulator final : public ClusterView {
   /// telemetry bundle or the eviction policy changes (both are inputs).
   void resolve_mem_instruments();
 
-  /// Re-syncs the device's SoA mirror (busy time, memory, liveness) in the
-  /// index. Called at the end of every mutation entry point — execute,
-  /// barrier, fail_device — which is sufficient because schedulers
-  /// only observe cluster state between those calls, never mid-task.
-  void sync_device_mirror(DeviceId dev);
-
-  /// execute() body; the public wrapper re-syncs the device mirror on every
-  /// return path (early failure exits included — a half-fetched task has
-  /// already moved memory).
-  ExecuteResult execute_impl(const ContractionTask& task, DeviceId dev);
-
   /// One priced memory operation of the in-flight task, kept while
   /// telemetry is attached so its histograms and sink get exact start
   /// offsets once the task's window is known.
@@ -385,11 +386,13 @@ class ClusterSimulator final : public ClusterView {
 
   ClusterConfig config_;
   std::vector<DeviceState> devices_;
-  /// Incremental residency/load/headroom index, maintained as deltas by
-  /// place/remove calls and sync_device_mirror. It is the only record of
-  /// which tensor lives in which DeviceMemory slot (every allocate pairs
-  /// with a place, every evict/release with a remove), and it carries each
-  /// tensor's produced/host-copy bits (host_resident()).
+  /// Devices whose `alive` is still set; fail_device() decrements it.
+  int num_alive_ = 0;
+  /// Incremental residency index, maintained as deltas by place/remove
+  /// calls. It is the only record of which tensor lives in which
+  /// DeviceMemory slot (every allocate pairs with a place, every
+  /// evict/release with a remove), and it carries each tensor's
+  /// produced/host-copy bits (host_resident()).
   ClusterIndex index_;
   ExecutionMetrics metrics_;
   obs::Telemetry* telemetry_ = nullptr;

@@ -6,15 +6,6 @@ namespace micco {
 
 ClusterIndex::ClusterIndex(int num_devices) : num_devices_(num_devices) {
   MICCO_EXPECTS(num_devices >= 1);
-  const auto n = static_cast<std::size_t>(num_devices);
-  busy_.resize(n);
-  mem_used_.resize(n);
-  mem_capacity_.resize(n);
-  alive_mask_.resize((n + 63) / 64);
-  for (std::size_t dev = 0; dev < n; ++dev) {
-    alive_mask_[dev / 64] |= 1ULL << (dev % 64);
-  }
-  num_alive_ = num_devices;
 }
 
 ClusterIndex::Residency& ClusterIndex::entry(TensorId id) {
@@ -120,21 +111,6 @@ DeviceMemory::Slot ClusterIndex::remove(TensorId id, DeviceId dev) {
   MICCO_ASSERT(res.holds(dev));
   if (bit < 64) res.mask0 &= ~(1ULL << bit);
   return res.holders.erase(dev);
-}
-
-void ClusterIndex::set_alive(DeviceId dev, bool alive) {
-  const auto bit = static_cast<std::size_t>(checked(dev));
-  const std::uint64_t mask = 1ULL << (bit % 64);
-  std::uint64_t& word = alive_mask_[bit / 64];
-  const bool was_alive = (word & mask) != 0;
-  if (was_alive == alive) return;
-  if (alive) {
-    word |= mask;
-    ++num_alive_;
-  } else {
-    word &= ~mask;
-    --num_alive_;
-  }
 }
 
 }  // namespace micco

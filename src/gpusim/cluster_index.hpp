@@ -1,11 +1,9 @@
-// Incremental cluster-state index (DESIGN.md §9).
+// Incremental residency index (DESIGN.md §9).
 //
-// The scheduler hot path used to re-derive residency, load and headroom from
-// the simulator's hash maps for every tensor pair. ClusterIndex keeps that
-// state as O(1)-updated flat structures maintained *as deltas* by the
-// cluster's own mutation points (place on fetch/alloc, remove on
-// evict/failure, device mirrors re-synced after every execute, barrier and
-// failure):
+// The scheduler hot path used to re-derive residency from the simulator's
+// hash maps for every tensor pair. ClusterIndex keeps it as O(1)-updated
+// flat structures maintained *as deltas* by the cluster's own mutation
+// points (place on fetch/alloc, remove on evict/failure):
 //
 //   * Per-tensor residency: the holder list in insertion order (candidate
 //     enumeration order is part of the decision-log byte-identity contract;
@@ -14,12 +12,12 @@
 //     DeviceMemory slot of its replica beside it: this is the cluster's only
 //     record of which tensor lives where, and the simulator reaches a
 //     replica's node through it.
-//   * Per-device SoA mirrors: busy time, memory used/capacity and an alive
-//     bitmask in parallel flat arrays, so candidate selection runs
-//     branch-light over contiguous doubles instead of virtual calls.
 //   * Per-tensor host-copy bits: whether a kernel produced the tensor and
 //     whether an eviction wrote it back, which together say whether a host
 //     copy exists (the fetch invariant and lost-tensor accounting).
+//
+// Per-device facts (busy time, memory, liveness) are not here: schedulers
+// read them from the simulator's devices, their only record.
 //
 // The index stores ids densely (TensorIds are assigned sequentially from 0
 // by every generator) with a hash-map spill for pathological ids, and is
@@ -167,39 +165,6 @@ class ClusterIndex {
     return res == nullptr || !res->produced || res->host_copy;
   }
 
-  // -- Per-device mirrors (synced by the owning cluster) ------------------
-  void set_busy(DeviceId dev, double busy_s) {
-    busy_[checked(dev)] = busy_s;
-  }
-  void set_memory(DeviceId dev, std::uint64_t used, std::uint64_t capacity) {
-    mem_used_[checked(dev)] = used;
-    mem_capacity_[checked(dev)] = capacity;
-  }
-  void set_alive(DeviceId dev, bool alive);
-
-  double busy(DeviceId dev) const { return busy_[checked(dev)]; }
-  std::uint64_t memory_used(DeviceId dev) const {
-    return mem_used_[checked(dev)];
-  }
-  std::uint64_t memory_capacity(DeviceId dev) const {
-    return mem_capacity_[checked(dev)];
-  }
-  bool alive(DeviceId dev) const {
-    const auto bit = static_cast<std::size_t>(checked(dev));
-    return ((alive_mask_[bit / 64] >> (bit % 64)) & 1ULL) != 0;
-  }
-  int num_alive() const { return num_alive_; }
-
-  /// Raw flat arrays for the scheduler's SoA selection scan.
-  const double* busy_data() const { return busy_.data(); }
-  const std::uint64_t* memory_used_data() const { return mem_used_.data(); }
-  const std::uint64_t* memory_capacity_data() const {
-    return mem_capacity_.data();
-  }
-  /// Alive devices as bitmask words (bit d%64 of word d/64); iterating set
-  /// bits yields devices in ascending id order.
-  const std::vector<std::uint64_t>& alive_mask() const { return alive_mask_; }
-
  private:
   std::size_t checked(DeviceId dev) const {
     MICCO_EXPECTS(dev >= 0 && dev < num_devices_);
@@ -211,11 +176,6 @@ class ClusterIndex {
   int num_devices_ = 0;
   std::vector<Residency> dense_;                    ///< ids < kDenseLimit
   std::unordered_map<TensorId, Residency> sparse_;  ///< spill for huge ids
-  std::vector<double> busy_;
-  std::vector<std::uint64_t> mem_used_;
-  std::vector<std::uint64_t> mem_capacity_;
-  std::vector<std::uint64_t> alive_mask_;
-  int num_alive_ = 0;
 };
 
 }  // namespace micco

@@ -60,8 +60,8 @@ std::string validate_report(const JsonValue& report) {
     return "report is not a JSON object";
   }
   const JsonValue* version = report.find("schema_version");
-  if (version == nullptr || !version->is_number()) {
-    return "missing schema_version";
+  if (version == nullptr || version->kind() != JsonValue::Kind::kInt) {
+    return "missing or non-integer schema_version";
   }
   if (version->as_int() != kReportSchemaVersion) {
     return "unsupported schema_version " + std::to_string(version->as_int());

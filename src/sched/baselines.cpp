@@ -13,11 +13,11 @@ namespace micco {
 
 // ---------------------------------------------------------------- Groute --
 
-void GrouteScheduler::begin_vector(const VectorWorkload&, const ClusterView&) {
-}
+void GrouteScheduler::begin_vector(const VectorWorkload&,
+                                   const ClusterSimulator&) {}
 
 DeviceId GrouteScheduler::assign(const ContractionTask& task,
-                                 const ClusterView& view) {
+                                 const ClusterSimulator& view) {
   DeviceId best = kNoDevice;
   double best_time = std::numeric_limits<double>::infinity();
   for (DeviceId dev = 0; dev < view.num_devices(); ++dev) {
@@ -37,10 +37,11 @@ DeviceId GrouteScheduler::assign(const ContractionTask& task,
 
 // ---------------------------------------------------------------- dmda ---
 
-void DmdaScheduler::begin_vector(const VectorWorkload&, const ClusterView&) {}
+void DmdaScheduler::begin_vector(const VectorWorkload&,
+                                 const ClusterSimulator&) {}
 
 DeviceId DmdaScheduler::assign(const ContractionTask& task,
-                               const ClusterView& view) {
+                               const ClusterSimulator& view) {
   DeviceId best = kNoDevice;
   double best_finish = std::numeric_limits<double>::infinity();
   for (DeviceId dev = 0; dev < view.num_devices(); ++dev) {

@@ -17,9 +17,9 @@ class GrouteScheduler final : public Scheduler {
  public:
   std::string name() const override { return "Groute"; }
   void begin_vector(const VectorWorkload& vec,
-                    const ClusterView& view) override;
+                    const ClusterSimulator& view) override;
   DeviceId assign(const ContractionTask& task,
-                  const ClusterView& view) override;
+                  const ClusterSimulator& view) override;
 };
 
 /// StarPU-style deque-model-data-aware (dmda) assignment: estimate each
@@ -33,9 +33,9 @@ class DmdaScheduler final : public Scheduler {
  public:
   std::string name() const override { return "dmda"; }
   void begin_vector(const VectorWorkload& vec,
-                    const ClusterView& view) override;
+                    const ClusterSimulator& view) override;
   DeviceId assign(const ContractionTask& task,
-                  const ClusterView& view) override;
+                  const ClusterSimulator& view) override;
 };
 
 }  // namespace micco

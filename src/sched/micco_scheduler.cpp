@@ -1,7 +1,6 @@
 #include "sched/micco_scheduler.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 #include <utility>
 
@@ -26,17 +25,11 @@ bool held(const ClusterIndex::Residency* res, DeviceId dev) {
   return res != nullptr && res->holds(dev);
 }
 
-/// Alive devices in ascending id order via the alive-mask word scan (bit
-/// position == device id, so set-bit order is ascending).
+/// Alive devices in ascending id order.
 template <typename Fn>
-void for_each_alive(const std::vector<std::uint64_t>& alive, Fn fn) {
-  for (std::size_t w = 0; w < alive.size(); ++w) {
-    std::uint64_t bits = alive[w];
-    while (bits != 0) {
-      fn(static_cast<DeviceId>(
-          w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
-      bits &= bits - 1;
-    }
+void for_each_alive(const ClusterSimulator& view, Fn fn) {
+  for (DeviceId dev = 0; dev < view.num_devices(); ++dev) {
+    if (view.device_alive(dev)) fn(dev);
   }
 }
 
@@ -145,7 +138,7 @@ void MiccoScheduler::set_telemetry(obs::Telemetry* telemetry) {
 }
 
 void MiccoScheduler::begin_vector(const VectorWorkload& vec,
-                                  const ClusterView& view) {
+                                  const ClusterSimulator& view) {
   const auto num_devices = static_cast<std::size_t>(view.num_devices());
   counts_.reset(num_devices);
   rewind_.device = kNoDevice;
@@ -172,7 +165,8 @@ void MiccoScheduler::begin_vector(const VectorWorkload& vec,
              std::max<std::int64_t>(1, view.num_alive_devices()));
 }
 
-void MiccoScheduler::on_device_failure(DeviceId dev, const ClusterView& view) {
+void MiccoScheduler::on_device_failure(DeviceId dev,
+                                       const ClusterSimulator& view) {
   // The casualty's per-vector accounting is void (its tensors are gone and
   // its pending pairs will be re-assigned); survivors split the stage.
   counts_.clear_device(dev);
@@ -242,15 +236,14 @@ DeviceId MiccoScheduler::pick_best(const std::vector<DeviceId>& candidates,
 }
 
 DeviceId MiccoScheduler::decide(const ContractionTask& task,
-                                const ClusterIndex& index, int& tier,
+                                const ClusterSimulator& view, int& tier,
                                 bool& fallback) {
-  // One contract check covers every flat per-device read below: the count
-  // table and the index mirrors span the same device ids.
+  // One contract check covers every count read below: the count table
+  // spans the cluster's device ids.
   MICCO_EXPECTS(counts_.size() >=
-                static_cast<std::size_t>(index.num_devices()));
+                static_cast<std::size_t>(view.num_devices()));
   const std::int64_t* counts = counts_.data();
-  const std::uint64_t* mem_used = index.memory_used_data();
-  const std::uint64_t* mem_capacity = index.memory_capacity_data();
+  const ClusterIndex& index = view.cluster_index();
   const auto at = [](DeviceId dev) { return static_cast<std::size_t>(dev); };
 
   // The pair's residency, looked up once for the whole decision.
@@ -276,7 +269,7 @@ DeviceId MiccoScheduler::decide(const ContractionTask& task,
     std::uint64_t needed = out_bytes;
     if (!held(res_a, dev)) needed += a_bytes;
     if (!same_operand && !held(res_b, dev)) needed += b_bytes;
-    evict_risk = mem_used[at(dev)] + needed > mem_capacity[at(dev)];
+    evict_risk = view.memory_used(dev) + needed > view.memory_capacity(dev);
   };
 
   // Step I — data-centric, TwoRepeatedSame tier: a's holders that also hold
@@ -314,7 +307,7 @@ DeviceId MiccoScheduler::decide(const ContractionTask& task,
   // with a device, so holder lists only ever name survivors.
   if (tier < 0) {
     const std::int64_t limit = bounds_[2] + balance_num_;
-    for_each_alive(index.alive_mask(), [&](DeviceId dev) {
+    for_each_alive(view, [&](DeviceId dev) {
       if (counts[at(dev)] < limit) admit(dev);
     });
     if (!candidates_.empty()) tier = 2;
@@ -323,7 +316,7 @@ DeviceId MiccoScheduler::decide(const ContractionTask& task,
   // Fallback: every tier ran dry, so all survivors, ascending.
   if (tier < 0) {
     fallback = true;
-    for_each_alive(index.alive_mask(), admit);
+    for_each_alive(view, admit);
   }
   MICCO_EXPECTS(!candidates_.empty());
   last_evict_risk_ = evict_risk;
@@ -334,17 +327,16 @@ DeviceId MiccoScheduler::decide(const ContractionTask& task,
   // timeline (mapGPUCom): kernels plus the memory operations earlier
   // assignments induced — balancing on raw FLOPs alone would let
   // transfer-heavy devices fall behind and waste the stage barrier. Keys
-  // are gathered straight from the flat device mirrors inside the argmin.
-  const double* busy = index.busy_data();
+  // are read from the simulator's devices inside the argmin.
   return pick_best(candidates_, [&](DeviceId dev) {
-    const double load = busy[at(dev)];
-    const double used = static_cast<double>(mem_used[at(dev)]);
+    const double load = view.busy_time(dev);
+    const double used = static_cast<double>(view.memory_used(dev));
     return evict_risk ? std::pair{used, load} : std::pair{load, used};
   });
 }
 
 void MiccoScheduler::narrow_interval(const ContractionTask& task,
-                                     const ClusterIndex& index, int tier,
+                                     const ClusterSimulator& view, int tier,
                                      bool fallback, DeviceId chosen) {
   // Replays decide()'s scans over the state it decided on (nothing has
   // executed since) and keeps only the triples that repeat the decision.
@@ -352,9 +344,7 @@ void MiccoScheduler::narrow_interval(const ContractionTask& task,
   // with threshold t = count - balanceNum + 1.
   decided_ = true;
   const std::int64_t* counts = counts_.data();
-  const std::uint64_t* mem_used = index.memory_used_data();
-  const std::uint64_t* mem_capacity = index.memory_capacity_data();
-  const double* busy = index.busy_data();
+  const ClusterIndex& index = view.cluster_index();
   const auto at = [](DeviceId dev) { return static_cast<std::size_t>(dev); };
   const ClusterIndex::Residency* res_a = index.find(task.a.id);
   const ClusterIndex::Residency* res_b = index.find(task.b.id);
@@ -377,7 +367,7 @@ void MiccoScheduler::narrow_interval(const ContractionTask& task,
         }
       }
     } else {
-      for_each_alive(index.alive_mask(), fn);
+      for_each_alive(view, fn);
     }
   };
   const auto threshold = [&](DeviceId dev) {
@@ -413,11 +403,11 @@ void MiccoScheduler::narrow_interval(const ContractionTask& task,
       std::uint64_t needed = task.out.bytes();
       if (!held(res_a, dev)) needed += task.a.bytes();
       if (!same_operand && !held(res_b, dev)) needed += task.b.bytes();
-      return mem_used[at(dev)] + needed > mem_capacity[at(dev)];
+      return view.memory_used(dev) + needed > view.memory_capacity(dev);
     };
     const auto key = [&](DeviceId dev) {
-      const double load = busy[at(dev)];
-      const double used = static_cast<double>(mem_used[at(dev)]);
+      const double load = view.busy_time(dev);
+      const double used = static_cast<double>(view.memory_used(dev));
       return evict_risk ? std::pair{used, load} : std::pair{load, used};
     };
     const auto [best_primary, best_secondary] = key(chosen);
@@ -449,10 +439,9 @@ void MiccoScheduler::narrow_interval(const ContractionTask& task,
 }
 
 DeviceId MiccoScheduler::assign(const ContractionTask& task,
-                                const ClusterView& view) {
+                                const ClusterSimulator& view) {
   MICCO_EXPECTS_MSG(counts_.size() > 0,
                     "begin_vector must run before assign");
-  const ClusterIndex& index = view.cluster_index();
 
   // A recording assign keeps what it is about to change, so the sweep can
   // rewind a copy of it (rewind_last_assign).
@@ -466,8 +455,8 @@ DeviceId MiccoScheduler::assign(const ContractionTask& task,
   candidates_.clear();
   int tier = -1;        ///< reuse-bound tier that produced the candidates
   bool fallback = false;
-  const DeviceId chosen = decide(task, index, tier, fallback);
-  if (recording) narrow_interval(task, index, tier, fallback, chosen);
+  const DeviceId chosen = decide(task, view, tier, fallback);
+  if (recording) narrow_interval(task, view, tier, fallback, chosen);
 
   if (telemetry_ != nullptr) {
     // Slack the winner had already consumed beyond its balanced share when

@@ -9,9 +9,10 @@
 //                         pick the device with the most free memory instead.
 //
 // One decision kernel implements the tier walk and Alg. 2 selection
-// (DESIGN.md §9) over the cluster's delta-maintained ClusterIndex: each
-// operand's residency record looked up once, flat count/busy/memory arrays,
-// an alive-mask word scan and a fused key-gather argmin.
+// (DESIGN.md §9): each operand's residency record looked up once in the
+// cluster's delta-maintained ClusterIndex, a flat per-device count array,
+// an ascending scan of the alive devices, and a fused key-gather argmin
+// that reads busy time and memory from the simulator's inline accessors.
 #pragma once
 
 #include <array>
@@ -99,15 +100,15 @@ class MiccoScheduler final : public Scheduler {
 
   std::string name() const override;
   void begin_vector(const VectorWorkload& vec,
-                    const ClusterView& view) override;
+                    const ClusterSimulator& view) override;
   DeviceId assign(const ContractionTask& task,
-                  const ClusterView& view) override;
+                  const ClusterSimulator& view) override;
   void set_telemetry(obs::Telemetry* telemetry) override;
 
   /// Degradation path: drops the casualty's per-vector accounting and
   /// recomputes balanceNum over the surviving devices, so the remainder of
   /// the vector rebalances instead of honouring a stale per-device share.
-  void on_device_failure(DeviceId dev, const ClusterView& view) override;
+  void on_device_failure(DeviceId dev, const ClusterSimulator& view) override;
 
   /// Installs the reuse bounds used from the next assignment on; the online
   /// pipeline calls this right after the regression model's inference (step
@@ -150,15 +151,16 @@ class MiccoScheduler final : public Scheduler {
   /// fused key-gather argmin. Each operand's residency record is looked up
   /// once; fills candidates_ and reports the admitting tier (-1 with
   /// fallback when every tier ran dry).
-  DeviceId decide(const ContractionTask& task, const ClusterIndex& index,
+  DeviceId decide(const ContractionTask& task, const ClusterSimulator& view,
                   int& tier, bool& fallback);
 
   /// Bound-interval recording: narrows interval_ to the triples under which
   /// decide() would have made the decision it just made (`chosen`, from
   /// `tier` or the fallback) the same way (DESIGN.md §5d), and stops
   /// recording once the box holds bounds_ alone inside the region.
-  void narrow_interval(const ContractionTask& task, const ClusterIndex& index,
-                       int tier, bool fallback, DeviceId chosen);
+  void narrow_interval(const ContractionTask& task,
+                       const ClusterSimulator& view, int tier, bool fallback,
+                       DeviceId chosen);
 
   /// Alg. 2's argmin over the candidates' keys (`keys(dev)` returns
   /// {primary, secondary}): collects exact ties and applies the random

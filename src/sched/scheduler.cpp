@@ -24,7 +24,7 @@ void Scheduler::set_telemetry(obs::Telemetry* telemetry) {
 }
 
 const std::vector<DeviceId>& Scheduler::alive_candidates(
-    const ClusterView& view) {
+    const ClusterSimulator& view) {
   candidate_scratch_.clear();
   candidate_scratch_.reserve(static_cast<std::size_t>(view.num_devices()));
   for (DeviceId dev = 0; dev < view.num_devices(); ++dev) {
@@ -34,7 +34,7 @@ const std::vector<DeviceId>& Scheduler::alive_candidates(
 }
 
 void Scheduler::record_decision(const ContractionTask& task,
-                                const ClusterView& view,
+                                const ClusterSimulator& view,
                                 const std::vector<DeviceId>& candidates,
                                 DeviceId chosen, int bound_tier,
                                 std::int64_t bound_value,

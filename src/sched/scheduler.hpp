@@ -5,7 +5,10 @@
 // simulator (or real backend) before requesting the next. Schedulers
 // therefore always see residency state that reflects every earlier decision,
 // including evictions — exactly the dynamic setting the paper targets
-// ("(partial) contraction graphs are generated dynamically").
+// ("(partial) contraction graphs are generated dynamically"). Every call
+// passes the simulator itself as `view`, read-only: schedulers read
+// residency from its index and busy time, memory and liveness through its
+// inline accessors.
 #pragma once
 
 #include <memory>
@@ -27,11 +30,11 @@ class Scheduler {
   /// Announces the next vector before its pairs are assigned. Schedulers
   /// reset their per-vector accounting (balanceNum, assigned-tensor maps).
   virtual void begin_vector(const VectorWorkload& vec,
-                            const ClusterView& view) = 0;
+                            const ClusterSimulator& view) = 0;
 
   /// Picks the device for one tensor pair. Called once per task, in order.
   virtual DeviceId assign(const ContractionTask& task,
-                          const ClusterView& view) = 0;
+                          const ClusterSimulator& view) = 0;
 
   /// Announces that the vector's tasks all executed (barrier follows).
   virtual void end_vector() {}
@@ -41,7 +44,7 @@ class Scheduler {
   /// is gone). Schedulers drop per-device accounting for the casualty and
   /// rebalance over the survivors; every assign() from here on must return
   /// an alive device.
-  virtual void on_device_failure(DeviceId dev, const ClusterView& view) {
+  virtual void on_device_failure(DeviceId dev, const ClusterSimulator& view) {
     (void)dev;
     (void)view;
   }
@@ -58,7 +61,8 @@ class Scheduler {
   /// sink is attached — emits the DecisionEvent. The tier/bound/fallback
   /// fields are the MICCO-specific extras; baselines keep the defaults.
   /// No-op when telemetry is detached.
-  void record_decision(const ContractionTask& task, const ClusterView& view,
+  void record_decision(const ContractionTask& task,
+                       const ClusterSimulator& view,
                        const std::vector<DeviceId>& candidates,
                        DeviceId chosen, int bound_tier = -1,
                        std::int64_t bound_value = -1,
@@ -69,7 +73,7 @@ class Scheduler {
   /// that log "every alive device" as their candidate set do not allocate
   /// per decision. The reference is valid until the next call on the same
   /// scheduler.
-  const std::vector<DeviceId>& alive_candidates(const ClusterView& view);
+  const std::vector<DeviceId>& alive_candidates(const ClusterSimulator& view);
 
   obs::Telemetry* telemetry_ = nullptr;
 

@@ -88,8 +88,9 @@ std::optional<Request> parse_request(const obs::JsonValue& doc,
     return fail(error_code::kBadRequest, "request is not a JSON object");
   }
   const obs::JsonValue* version = doc.find("v");
-  if (version == nullptr || !version->is_number()) {
-    return fail(error_code::kBadVersion, "missing protocol version 'v'");
+  if (version == nullptr || version->kind() != obs::JsonValue::Kind::kInt) {
+    return fail(error_code::kBadVersion,
+                "missing or non-integer protocol version 'v'");
   }
   if (version->as_int() != kProtocolVersion) {
     return fail(error_code::kBadVersion,

@@ -15,10 +15,10 @@ namespace micco::test {
 class RoundRobinScheduler final : public Scheduler {
  public:
   std::string name() const override { return "RoundRobin"; }
-  void begin_vector(const VectorWorkload&, const ClusterView&) override {}
+  void begin_vector(const VectorWorkload&, const ClusterSimulator&) override {}
 
   DeviceId assign(const ContractionTask& task,
-                  const ClusterView& view) override {
+                  const ClusterSimulator& view) override {
     const int n = view.num_devices();
     // Skip over failed devices; the cycle continues over the survivors.
     DeviceId dev = next_;

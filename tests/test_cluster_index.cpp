@@ -2,10 +2,12 @@
 // holder's memory slot), the inline holder list and its heap spill, wide
 // clusters past the 64-bit inline mask word, the sparse id spill, copies,
 // and — via a live ClusterSimulator — holder lists that follow every
-// allocation, eviction and failure, and the contract that the holder lists
-// name exactly the replicas in each device's memory, slot for slot, and the
-// per-device mirrors agree with it, at every scheduler observation point
-// (after execute, barrier, capacity loss and failure).
+// allocation, eviction and failure, and the simulator's invariants at every
+// scheduler observation point (after execute, barrier, capacity loss and
+// failure): the holder lists name exactly the replicas in each device's
+// memory, slot for slot, no alive device holds more than its capacity, and
+// the operand and allocation counts add up to the completed tasks. Liveness
+// is counted and listed right on clusters past 64 devices.
 #include "gpusim/cluster_index.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +21,8 @@
 
 #include "faults/injector.hpp"
 #include "gpusim/cluster.hpp"
+#include "obs/events.hpp"
+#include "sched/micco_scheduler.hpp"
 #include "workload/task.hpp"
 
 namespace micco {
@@ -292,58 +296,33 @@ TEST(ClusterIndex, MaskExtendsPast64Devices) {
   EXPECT_TRUE(index.holds(69, 9));
 }
 
-TEST(ClusterIndex, AliveMaskSpansMultipleWordsAscending) {
-  ClusterIndex index(130);
-  EXPECT_EQ(index.num_alive(), 130);
-  ASSERT_EQ(index.alive_mask().size(), 3u);  // ceil(130 / 64)
-  for (DeviceId dev = 0; dev < 130; ++dev) EXPECT_TRUE(index.alive(dev));
-  // The last word only carries bits for the two devices past 128.
-  EXPECT_EQ(index.alive_mask()[2], 0x3ULL);
-
-  index.set_alive(64, false);
-  index.set_alive(129, false);
-  EXPECT_EQ(index.num_alive(), 128);
-  EXPECT_FALSE(index.alive(64));
-  EXPECT_FALSE(index.alive(129));
-  EXPECT_TRUE(index.alive(63));
-  // Killing a dead device twice must not double-decrement.
-  index.set_alive(64, false);
-  EXPECT_EQ(index.num_alive(), 128);
-
-  // Ascending scan over the mask words enumerates exactly the alive set —
-  // this is the enumeration order of the scheduler's tier II' / fallback.
-  std::vector<DeviceId> scanned;
-  const std::vector<std::uint64_t>& words = index.alive_mask();
-  for (std::size_t w = 0; w < words.size(); ++w) {
-    for (std::size_t bit = 0; bit < 64; ++bit) {
-      if (((words[w] >> bit) & 1ULL) != 0) {
-        scanned.push_back(static_cast<DeviceId>(w * 64 + bit));
-      }
-    }
-  }
-  EXPECT_EQ(scanned.size(), 128u);
-  EXPECT_FALSE(std::binary_search(scanned.begin(), scanned.end(), 64));
-  EXPECT_TRUE(std::is_sorted(scanned.begin(), scanned.end()));
-
-  // Revival flips the bit back on and restores the count.
-  index.set_alive(64, true);
-  EXPECT_EQ(index.num_alive(), 129);
-  EXPECT_TRUE(index.alive(64));
-}
-
-// ------------------------------------------------ mirrors track the cluster
+// ------------------------------------ the simulator's invariants hold
 
 /// One replica: tensor, device and the slot of its DeviceMemory node.
 using Replica = std::tuple<TensorId, DeviceId, Slot>;
 
-/// The index the simulator maintains must agree with each device's memory
-/// at every point the scheduler can observe the cluster: the holder lists
-/// of `tensors` (every tensor the run touched) name exactly the replicas
-/// the memories' recency lists hold, slot for slot, and the mirrors carry
-/// the memories' usage (the sum of their residents' bytes), capacity,
-/// liveness and busy time.
-void expect_index_consistent(const ClusterSimulator& sim,
-                             const std::vector<TensorId>& tensors) {
+/// The tasks a run has completed, and their operand slots (a self-pair's
+/// one operand counts once).
+struct Completed {
+  std::uint64_t tasks = 0;
+  std::uint64_t operand_slots = 0;
+
+  void add(const ContractionTask& t) {
+    ++tasks;
+    operand_slots += t.a.id == t.b.id ? 1 : 2;
+  }
+};
+
+/// The simulator's invariants at a point the scheduler can observe the
+/// cluster. The holder lists of `tensors` (every tensor the run touched)
+/// name exactly the replicas the memories' recency lists hold, slot for
+/// slot, and each memory's usage is the sum of its residents' bytes. No
+/// alive device holds more than its capacity. Every operand slot of the
+/// `done` tasks was either fetched or reused, and every allocation was a
+/// fetch or a completed task's output.
+void expect_invariants(const ClusterSimulator& sim,
+                       const std::vector<TensorId>& tensors,
+                       const Completed& done) {
   const ClusterIndex& index = sim.cluster_index();
   std::set<Replica> in_memory;
   int alive = 0;
@@ -354,14 +333,19 @@ void expect_index_consistent(const ClusterSimulator& sim,
       in_memory.emplace(memory.at(slot).id, dev, slot);
       bytes += memory.at(slot).bytes;
     }
-    EXPECT_EQ(index.memory_used(dev), bytes) << "dev " << dev;
     EXPECT_EQ(memory.used(), bytes) << "dev " << dev;
-    EXPECT_EQ(index.memory_capacity(dev), memory.capacity()) << "dev " << dev;
-    EXPECT_EQ(index.alive(dev), sim.device_alive(dev)) << "dev " << dev;
-    EXPECT_EQ(index.busy(dev), sim.busy_time(dev)) << "dev " << dev;
-    if (sim.device_alive(dev)) ++alive;
+    if (sim.device_alive(dev)) {
+      EXPECT_LE(sim.memory_used(dev), sim.memory_capacity(dev))
+          << "dev " << dev;
+      ++alive;
+    }
   }
-  EXPECT_EQ(index.num_alive(), alive);
+  EXPECT_EQ(sim.num_alive_devices(), alive);
+
+  const ExecutionMetrics& metrics = sim.metrics();
+  EXPECT_EQ(metrics.fetched_operands + metrics.reused_operands,
+            done.operand_slots);
+  EXPECT_EQ(metrics.allocations, metrics.fetched_operands + done.tasks);
 
   std::set<Replica> in_index;
   for (const TensorId id : tensors) {
@@ -382,10 +366,10 @@ void expect_index_consistent(const ClusterSimulator& sim,
   EXPECT_EQ(in_index, in_memory);
 }
 
-TEST(ClusterIndexMirror, TracksExecuteBarrierAndFailure) {
+TEST(ClusterInvariants, TracksExecuteBarrierAndFailure) {
   // Devices of five tensors each, so later tasks evict; a capacity-loss
   // fault takes one tensor's worth from device 2 once it is full, and
-  // device 1 fails after the barrier.
+  // device 1 fails after the barrier. The last task is a self-pair.
   const std::uint64_t unit = desc(0).bytes();
   ClusterConfig config;
   config.num_devices = 3;
@@ -396,9 +380,10 @@ TEST(ClusterIndexMirror, TracksExecuteBarrierAndFailure) {
   FaultInjector injector(plan);
   sim.set_fault_injector(&injector);
   std::vector<TensorId> ids;
-  for (TensorId id = 1; id <= 14; ++id) ids.push_back(id);
+  for (TensorId id = 1; id <= 15; ++id) ids.push_back(id);
+  Completed done;
 
-  expect_index_consistent(sim, ids);
+  expect_invariants(sim, ids, done);
   for (const auto& [t, dev] : {std::pair{task(1, 2, 3), 0},
                                {task(1, 4, 5), 1},  // replica of 1 on dev 1
                                {task(3, 4, 6), 0},  // dev 0 full
@@ -409,16 +394,21 @@ TEST(ClusterIndexMirror, TracksExecuteBarrierAndFailure) {
                                {task(5, 7, 11), 1},
                                {task(10, 11, 12), 1}}) {
     ASSERT_TRUE(sim.execute(t, dev).ok());
-    expect_index_consistent(sim, ids);
+    done.add(t);
+    expect_invariants(sim, ids, done);
   }
   sim.barrier();
-  expect_index_consistent(sim, ids);
+  expect_invariants(sim, ids, done);
 
   sim.fail_device(1, sim.busy_time(1));
-  expect_index_consistent(sim, ids);
-  EXPECT_FALSE(sim.cluster_index().alive(1));
-  ASSERT_TRUE(sim.execute(task(2, 13, 14), 0).ok());
-  expect_index_consistent(sim, ids);
+  expect_invariants(sim, ids, done);
+  EXPECT_FALSE(sim.device_alive(1));
+  EXPECT_EQ(sim.num_alive_devices(), 2);
+  for (const ContractionTask& t : {task(2, 13, 14), task(14, 14, 15)}) {
+    ASSERT_TRUE(sim.execute(t, 0).ok());
+    done.add(t);
+    expect_invariants(sim, ids, done);
+  }
 
   EXPECT_GT(sim.metrics().evictions, 0U);
   EXPECT_EQ(sim.metrics().capacity_faults, 1U);
@@ -426,7 +416,7 @@ TEST(ClusterIndexMirror, TracksExecuteBarrierAndFailure) {
   EXPECT_EQ(sim.metrics().devices_lost, 1U);
 }
 
-TEST(ClusterIndexMirror, FailureRemovesEveryResidentTensor) {
+TEST(ClusterInvariants, FailureRemovesEveryResidentTensor) {
   ClusterConfig config;
   config.num_devices = 2;
   ClusterSimulator sim(config);
@@ -441,6 +431,41 @@ TEST(ClusterIndexMirror, FailureRemovesEveryResidentTensor) {
   expect_holders(index, {10, 11, 12}, {});
   EXPECT_FALSE(index.resident_anywhere(10));
   EXPECT_FALSE(index.resident_anywhere(12));
+}
+
+TEST(ClusterInvariants, FailuresPast64DevicesLeaveSurvivorsAscending) {
+  // 130 devices: the casualties are the first device past 63 and the last
+  // one, and device 64 held a produced tensor when it failed.
+  ClusterConfig config;
+  config.num_devices = 130;
+  ClusterSimulator sim(config);
+  EXPECT_EQ(sim.num_alive_devices(), 130);
+  ASSERT_TRUE(sim.execute(task(1, 2, 3), 64).ok());
+  EXPECT_EQ(sim.fail_device(64, sim.busy_time(64)),
+            std::vector<TensorId>{3});
+  EXPECT_TRUE(sim.fail_device(129, 0.0).empty());
+  EXPECT_EQ(sim.num_alive_devices(), 128);
+  // A second failure of a dead device loses nothing and counts nothing.
+  EXPECT_TRUE(sim.fail_device(64, sim.busy_time(64)).empty());
+  EXPECT_EQ(sim.num_alive_devices(), 128);
+  EXPECT_EQ(sim.metrics().devices_lost, 2U);
+
+  // A TwoNew pair: every survivor passes the TwoNew tier, so MICCO's
+  // decision logs the 128 survivors as its candidates, ascending.
+  obs::MemoryEventSink sink;
+  obs::Telemetry telemetry;
+  telemetry.sink = &sink;
+  MiccoScheduler sched;
+  sched.set_telemetry(&telemetry);
+  const ContractionTask pair = task(4, 5, 6);
+  sched.begin_vector(VectorWorkload{{pair}}, sim);
+  (void)sched.assign(pair, sim);
+  std::vector<DeviceId> survivors;
+  for (DeviceId dev = 0; dev < 130; ++dev) {
+    if (dev != 64 && dev != 129) survivors.push_back(dev);
+  }
+  ASSERT_EQ(sink.decisions().size(), 1U);
+  EXPECT_EQ(sink.decisions()[0].candidates, survivors);
 }
 
 }  // namespace

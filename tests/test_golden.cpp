@@ -313,15 +313,15 @@ TEST(Golden, FaultSweep) {
 }
 
 TEST(Golden, WideClusters) {
-  // 64 exactly fills the inline mask word; 70 exercises the spill words in
-  // both the residency masks and the alive-mask fallback scan.
+  // 64 exactly fills the residency mask word; 70 puts six devices past it,
+  // whose membership the holder lists answer, into every tier's scan.
   expect_golden("wide64", synthetic(6, 96, 21, 64));
   expect_golden("wide70", synthetic(6, 96, 21, 70));
 }
 
 TEST(Golden, WideClusterFailures) {
-  // Failing device 65 flips a bit in the second alive-mask word mid-run;
-  // the recovery path must replay the golden schedule exactly.
+  // Device 65, past the residency mask word, fails mid-run; the recovery
+  // path must replay the golden schedule exactly.
   GoldenInput in = synthetic(6, 96, 22, 70);
   FaultPlan plan;
   plan.device_failures.push_back(DeviceFailure{65, 0.001});

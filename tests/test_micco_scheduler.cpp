@@ -454,8 +454,8 @@ TEST(DistinctTensorCounts, EraseAfterGrowthAndAcrossVectors) {
 }
 
 TEST(MiccoScheduler, CandidateMaskHandlesMoreThan64Devices) {
-  // The alive mask spans two 64-bit words here; device ids past 63 must
-  // come from the second word, not alias the first.
+  // The residency mask word covers devices 0-63; device ids past 63 must
+  // come from the holder lists, not alias a device of the word.
   constexpr int kDevices = 70;
   obs::MemoryEventSink sink;
   obs::Telemetry telemetry;
@@ -466,7 +466,7 @@ TEST(MiccoScheduler, CandidateMaskHandlesMoreThan64Devices) {
   sched.set_telemetry(&telemetry);
   ClusterSimulator sim(cluster_of(kDevices));
 
-  // Park tensors 0 and 1 on a device in the mask's second word.
+  // Park tensors 0 and 1 on a device past the mask word.
   ASSERT_TRUE(sim.execute(make_task(0, 1, 10), 65).ok());
 
   const VectorWorkload v =
@@ -480,7 +480,7 @@ TEST(MiccoScheduler, CandidateMaskHandlesMoreThan64Devices) {
   EXPECT_EQ(cands.size(), static_cast<std::size_t>(kDevices));
   EXPECT_EQ(std::set<int>(cands.begin(), cands.end()).size(), cands.size());
 
-  // TwoRepeatedSame pair held only by device 65: the high-word bit admits
+  // TwoRepeatedSame pair held only by device 65: its holder entry admits
   // it and the data-centric tier sends the pair there.
   const DeviceId chosen = sched.assign(v.tasks[1], sim);
   EXPECT_EQ(chosen, 65);

@@ -75,16 +75,16 @@ class CountingScheduler final : public Scheduler {
  public:
   std::string name() const override { return inner_.name(); }
   void begin_vector(const VectorWorkload& vec,
-                    const ClusterView& view) override {
+                    const ClusterSimulator& view) override {
     inner_.begin_vector(vec, view);
   }
   DeviceId assign(const ContractionTask& task,
-                  const ClusterView& view) override {
+                  const ClusterSimulator& view) override {
     ++assigns;
     return inner_.assign(task, view);
   }
   void end_vector() override { inner_.end_vector(); }
-  void on_device_failure(DeviceId dev, const ClusterView& view) override {
+  void on_device_failure(DeviceId dev, const ClusterSimulator& view) override {
     inner_.on_device_failure(dev, view);
   }
 

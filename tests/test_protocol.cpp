@@ -202,6 +202,19 @@ TEST(Protocol, ParseRejectsWrongVersion) {
   obs::JsonValue error_reply;
   EXPECT_FALSE(parse_request(doc, &error_reply).has_value());
   EXPECT_EQ(error_reply.at("code").as_string(), error_code::kBadVersion);
+
+  // A version that is a number but not an int64 the parser can read — a
+  // fraction, an exponent form of 1, 2^64 − 1 — answers bad_version too.
+  for (const char* frame : {R"({"v":1.5,"type":"stats"})",
+                            R"({"v":1e0,"type":"stats"})",
+                            R"({"v":18446744073709551615,"type":"stats"})"}) {
+    const std::optional<obs::JsonValue> parsed = obs::parse_json(frame);
+    ASSERT_TRUE(parsed.has_value()) << frame;
+    error_reply = obs::JsonValue();
+    EXPECT_FALSE(parse_request(*parsed, &error_reply).has_value()) << frame;
+    EXPECT_EQ(error_reply.at("code").as_string(), error_code::kBadVersion)
+        << frame;
+  }
 }
 
 TEST(Protocol, ParseRejectsMissingFields) {

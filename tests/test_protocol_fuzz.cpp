@@ -1,7 +1,8 @@
 // Protocol fuzzing (deterministic, seeded): the NDJSON framing and request
 // parsing layers, and a live daemon on a Unix socket, are fed mutated
 // byte streams — random garbage lines, bit-flipped valid frames, truncated
-// frames, oversized lines and interleaved partial writes. The contract
+// frames, oversized lines and interleaved partial writes — and every field
+// of every valid frame swapped for a value of another JSON kind. The contract
 // under fuzz: every complete frame gets a structured JSON reply ({"ok":
 // false, "code": ...} for defects), the connection survives whatever can be
 // survived, and nothing ever aborts. Runs under ASan in CI.
@@ -101,6 +102,36 @@ TEST(ProtocolFuzz, ParserNeverAbortsOnMutatedFrames) {
       }
     }
   }
+}
+
+TEST(ProtocolFuzz, ParserNeverAbortsOnSwappedFieldKinds) {
+  // No bit flip turns 1 into 1.5: each field of each valid frame in turn
+  // takes each of these values, every number kind the reader produces
+  // (int64, uint64, double) among them.
+  const std::vector<std::string> values = {
+      "1.5", "1e0", "18446744073709551615", "-1", R"("x")",
+      "true", "null", "[]", "{}"};
+  int swaps = 0;
+  for (const std::string& frame : valid_frames()) {
+    const std::optional<obs::JsonValue> doc = obs::parse_json(frame);
+    ASSERT_TRUE(doc.has_value()) << frame;
+    for (const obs::JsonValue::Member& field : doc->members()) {
+      for (const std::string& text : values) {
+        obs::JsonValue mutated = *doc;
+        mutated.set(field.first, *obs::parse_json(text));
+        obs::JsonValue error_reply;
+        const std::optional<Request> request =
+            parse_request(mutated, &error_reply);
+        if (!request.has_value()) {
+          ASSERT_FALSE(error_reply.at("ok").as_bool())
+              << field.first << "=" << text;
+          ASSERT_FALSE(error_reply.at("code").as_string().empty());
+        }
+        ++swaps;
+      }
+    }
+  }
+  EXPECT_GT(swaps, 0);
 }
 
 TEST(ProtocolFuzz, OversizedLinesAreDroppedNotBuffered) {

@@ -199,6 +199,13 @@ bool rejected(const char* cmd, const std::string& problem) {
   return true;
 }
 
+/// rejected() for a flag that means nothing below zero: `--oversub=-2` must
+/// not run at the default capacity.
+bool rejects_negative(const char* cmd, const char* flag, double value) {
+  return rejected(cmd, value < 0.0 ? std::string("--") + flag + " must be >= 0"
+                                   : std::string());
+}
+
 /// Prints "cmd: cannot open <path>" unless `path` opens for writing. Verbs
 /// call it before any work: the library writers abort on an I/O failure by
 /// contract, and a bad output path should cost nothing.
@@ -326,6 +333,7 @@ int cmd_run(const CliArgs& args) {
   cluster.overlap_transfers = args.get_bool("async-copy", false);
   cluster.devices_per_node = args.get_int<int>("devices-per-node", 0);
   const double oversub = args.get_double("oversub", 0.0);
+  if (rejects_negative("run", "oversub", oversub)) return 2;
   if (oversub > 0.0) {
     const std::uint64_t task_bytes = first_task_bytes(*stream);
     if (task_bytes == 0) {
@@ -599,11 +607,19 @@ int cmd_report(const CliArgs& args) {
     const obs::JsonValue* span = doc->find("span");
     const obs::JsonValue* parent = doc->find("parent");
     const obs::JsonValue* name = doc->find("name");
-    if (seq == nullptr || trace == nullptr || span == nullptr ||
-        parent == nullptr || name == nullptr || !seq->is_number() ||
-        !span->is_number() || !parent->is_number() ||
-        trace->kind() != obs::JsonValue::Kind::kString ||
-        name->kind() != obs::JsonValue::Kind::kString) {
+    const obs::JsonValue* tenant = doc->find("tenant");
+    const obs::JsonValue* duration = doc->find("duration_ms");
+    using Kind = obs::JsonValue::Kind;
+    const auto is = [](const obs::JsonValue* field, Kind kind) {
+      return field != nullptr && field->kind() == kind;
+    };
+    // Ids and the sequence number must be integers as_int() can read; the
+    // optional tenant and duration must have their kinds when present.
+    if (!is(seq, Kind::kInt) || !is(span, Kind::kInt) ||
+        !is(parent, Kind::kInt) || !is(trace, Kind::kString) ||
+        !is(name, Kind::kString) ||
+        (tenant != nullptr && !is(tenant, Kind::kString)) ||
+        (duration != nullptr && !duration->is_number())) {
       complain(where + ": not a span record");
       continue;
     }
@@ -632,8 +648,6 @@ int cmd_report(const CliArgs& args) {
       complain(where + ": parentless span is not a root job span");
     }
     ++info.roots;
-    const obs::JsonValue* tenant = doc->find("tenant");
-    const obs::JsonValue* duration = doc->find("duration_ms");
     if (tenant != nullptr && duration != nullptr) {
       auto [it, inserted] = tenant_sim_ms.try_emplace(
           tenant->as_string(), obs::names::job_sim_ms_bounds());
@@ -781,6 +795,7 @@ int cmd_serve(const CliArgs& args) {
   }
   if (rejected("serve", cfg.admission.validate())) return 2;
   cfg.admission.slo_ms = args.get_double("slo-ms", 0.0);
+  if (rejects_negative("serve", "slo-ms", cfg.admission.slo_ms)) return 2;
   const std::optional<mem::EvictPolicyKind> policy_kind =
       evict_policy_flag(args, "serve");
   if (!policy_kind.has_value()) return 2;
@@ -871,16 +886,7 @@ int cmd_submit(const CliArgs& args) {
     return 2;
   }
   const std::string path = args.positional()[1];
-  std::ifstream in(path);
-  if (!in.good()) {
-    std::fprintf(stderr, "submit: cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-
-  service::Client client;
-  client.set_deadline_ms(args.get_double("deadline-ms", 0.0));
+  const double deadline_ms = args.get_double("deadline-ms", 0.0);
   const std::string tenant = args.get("tenant", "default");
   const std::string name = args.get("name", path);
   const std::string idem = args.get("idem", "");
@@ -892,7 +898,21 @@ int cmd_submit(const CliArgs& args) {
   policy.max_attempts = retry_max > 0 ? retry_max : 1;
   policy.base_backoff_s = args.get_double("retry-backoff", 0.05);
   policy.max_backoff_s = std::max(policy.base_backoff_s, 1.0);
-  if (rejects_values(args, "submit")) return 2;
+  if (rejects_values(args, "submit") ||
+      rejects_negative("submit", "deadline-ms", deadline_ms) ||
+      rejects_negative("submit", "retry-max", retry_max) ||
+      rejected("submit", policy.validate())) {
+    return 2;
+  }
+  std::ifstream in(path);
+  if (!in.good()) {
+    std::fprintf(stderr, "submit: cannot open %s\n", path.c_str());
+    return 1;
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  service::Client client;
+  client.set_deadline_ms(deadline_ms);
   if (retry_max > 0
           ? !client.connect_retry(socket, policy, &error)
           : !client.connect(socket, &error)) {
@@ -1056,7 +1076,12 @@ int cmd_top(const CliArgs& args) {
       once ? 1 : static_cast<long long>(args.get_int("iterations", 0));
   const long long interval_ms =
       static_cast<long long>(args.get_int("interval-ms", 1000));
-  if (rejects_values(args, "top")) return 2;
+  if (rejects_values(args, "top") ||
+      rejects_negative("top", "iterations", static_cast<double>(iterations)) ||
+      rejects_negative("top", "interval-ms",
+                       static_cast<double>(interval_ms))) {
+    return 2;
+  }
   service::Client client;
   std::string error;
   if (!client.connect(socket, &error)) {
